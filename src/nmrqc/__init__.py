@@ -8,7 +8,6 @@ demos), cli (batch front end).
 """
 
 from . import algorithms, control, dynamics, experiments, measurement, quantum, spinsys
-from ._kernels import NUMBA_ENABLED
 from .algorithms import (
     AlgorithmReport,
     cnot_truth_table,

@@ -1,103 +1,85 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Batched numeric kernels: propagator stacks, unitary chains, and the GRAPE
+fidelity with its exact gradient.
 
-The implementations are written in loop form so the exact same source runs
-under numba's nopython mode and as plain numpy (the loops are over segment
-counts; the per-segment work is dense linear algebra either way). Setting
-``NMRQC_NO_NUMBA=1`` in the environment forces the plain-numpy path, which
-is also used automatically when numba is not importable.
-
-``bench/benchmark.py`` times the two paths against each other.
+Every kernel diagonalizes its whole (N, d, d) Hamiltonian stack with one
+batched ``np.linalg.eigh`` call; only the time-ordered products loop over
+segments.
 """
-
-import os
 
 import numpy as np
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("NMRQC_NO_NUMBA", "").strip().lower() not in ("", "0", "false", "no")
+def _eig_propagators(h_stack, dt):
+    """Eigendecomposition of a Hamiltonian stack and its propagators.
+
+    Returns (w, v, props): eigenvalues (N, d), eigenvectors (N, d, d) and
+    propagators V diag(exp(-i w dt)) V^dag (N, d, d).
+    """
+    w, v = np.linalg.eigh(h_stack)
+    phases = np.exp(-1j * (w * np.asarray(dt)[..., np.newaxis]))
+    return w, v, (v * phases[:, np.newaxis, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _segment_propagators(h_stack, dt):
+def segment_propagators(h_stack, dt):
     """exp(-i * h * dt) for a stack of Hermitian matrices, via eigendecomposition.
 
-    h_stack: (N, d, d) complex Hermitian, rad/s. Returns (N, d, d) unitaries.
+    h_stack: (N, d, d) complex Hermitian, rad/s.
+    dt:      one duration for every segment, or one per segment (shape (N,)), s.
+    Returns (N, d, d) unitaries.
     """
-    n, d, _ = h_stack.shape
-    out = np.empty((n, d, d), dtype=np.complex128)
-    for j in range(n):
-        w, v = np.linalg.eigh(h_stack[j])
-        out[j] = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    return out
+    return _eig_propagators(h_stack, dt)[2]
 
 
-def _unitary_chain(props):
+def unitary_chain(props):
     """Time-ordered product U_N ... U_2 U_1 of a propagator stack."""
-    n, d, _ = props.shape
-    acc = np.eye(d, dtype=np.complex128)
-    for j in range(n):
-        acc = props[j] @ acc
+    acc = np.eye(props.shape[1], dtype=np.complex128)
+    for u in props:
+        acc = u @ acc
     return acc
 
 
-def _chain_fidelity(props, target_dag):
-    """|Tr(target^dag U_N...U_1)|^2 / d^2 without keeping partial products."""
-    n, d, _ = props.shape
-    acc = np.eye(d, dtype=np.complex128)
-    for j in range(n):
-        acc = props[j] @ acc
-    ov = np.sum(target_dag * acc.T)
-    return (ov.real * ov.real + ov.imag * ov.imag) / (d * d)
+def grape_fidelity_and_gradient(h_stack, target_dag, controls, dt):
+    """Gate fidelity and its exact gradient w.r.t. segment amplitudes.
 
-
-def _grape_fidelity_and_gradient(props, target_dag, controls, dt):
-    """Gate fidelity and its first-order gradient w.r.t. segment amplitudes.
-
-    props:      (N, d, d) segment propagators.
+    h_stack:    (N, d, d) segment Hamiltonians H0 + sum_k u_jk B_k, rad/s.
     target_dag: (d, d) conjugate transpose of the target unitary.
-    controls:   (M, d, d) Hermitian control generators, rad/s per unit amplitude.
+    controls:   (M, d, d) Hermitian control generators B_k, rad/s per unit amplitude.
     dt:         segment duration, s.
 
-    Returns (fidelity, grad) with grad shaped (N, M). The gradient treats
-    dU_j/du ~ (-i dt B) U_j, first order in dt, which is what a central
-    finite difference reproduces for small enough dt * ||B||.
+    Returns (fidelity, grad) with fidelity |Tr(T^dag U_N...U_1)|^2 / d^2 and
+    grad shaped (N, M). In the eigenbasis H_j = V diag(w) V^dag the
+    derivative of U_j = exp(-i H_j dt) along B_k is V (Phi o V^dag B_k V) V^dag
+    (Khaneja et al., JMR 172, 296 (2005)), where Phi_ab is the divided
+    difference of exp(-i w dt) at (w_a, w_b). Phi is evaluated as
+    -i dt exp(-i (w_a + w_b) dt / 2) sinc((w_a - w_b) dt / 2), which equals
+    the divided difference and tends to -i dt exp(-i w_a dt) on degenerate
+    pairs without cancellation.
     """
-    n, d, _ = props.shape
-    m = controls.shape[0]
-    fwd = np.empty((n, d, d), dtype=np.complex128)
-    acc = np.eye(d, dtype=np.complex128)
-    for j in range(n):
-        acc = props[j] @ acc
-        fwd[j] = acc
-    ov = np.sum(target_dag * acc.T)
-    fid = (ov.real * ov.real + ov.imag * ov.imag) / (d * d)
-    grad = np.empty((n, m), dtype=np.float64)
-    scale = 2.0 / (d * d)
-    back = target_dag.copy()
-    for j in range(n - 1, -1, -1):
-        y = fwd[j] @ back
-        for k in range(m):
-            tr = np.sum(controls[k].T * y)
-            grad[j, k] = scale * (np.conj(ov) * (-1j * dt) * tr).real
-        back = back @ props[j]
-    return fid, grad
+    n, d, _ = h_stack.shape
+    w, v, props = _eig_propagators(h_stack, dt)
+    mid = np.exp(-0.5j * dt * (w[:, :, np.newaxis] + w[:, np.newaxis, :]))
+    phi = -1j * dt * mid * np.sinc(dt * (w[:, :, np.newaxis] - w[:, np.newaxis, :]) / (2 * np.pi))
 
+    # Inclusive prefix products fwd[j] = U_j ... U_0 by a log-depth scan.
+    fwd = props.copy()
+    step = 1
+    while step < n:
+        fwd[step:] = fwd[step:] @ fwd[:-step]
+        step *= 2
+    total = fwd[-1]
+    overlap = np.sum(target_dag * total.T)
 
-NUMBA_ENABLED = False
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        NUMBA_ENABLED = True
-        segment_propagators = njit(cache=True)(_segment_propagators)
-        unitary_chain = njit(cache=True)(_unitary_chain)
-        chain_fidelity = njit(cache=True)(_chain_fidelity)
-        grape_fidelity_and_gradient = njit(cache=True)(_grape_fidelity_and_gradient)
-
-if not NUMBA_ENABLED:
-    segment_propagators = _segment_propagators
-    unitary_chain = _unitary_chain
-    chain_fidelity = _chain_fidelity
-    grape_fidelity_and_gradient = _grape_fidelity_and_gradient
+    # The overlap differentiated at segment j is Tr(A_j dU_j) with
+    # A_j = U_{j-1} ... U_0 T^dag U_{N-1} ... U_{j+1}
+    #     = fwd[j - 1] (T^dag U) fwd[j]^dag.
+    before = np.concatenate([np.eye(d, dtype=np.complex128)[np.newaxis], fwd[:-1]])
+    a = before @ (target_dag @ total) @ fwd.conj().swapaxes(-1, -2)
+    # Tr(A V (Phi o V^dag B V) V^dag) = sum_ij B_ij (conj(V) Q V^T)_ij with
+    # Q = (V^dag A V)^T o Phi.
+    vh = v.conj().swapaxes(-1, -2)
+    a_eig = vh @ a @ v
+    r = v.conj() @ (a_eig.swapaxes(-1, -2) * phi) @ v.swapaxes(-1, -2)
+    d_overlap = np.einsum("nij,kij->nk", r, controls)
+    fid = (overlap.real**2 + overlap.imag**2) / (d * d)
+    grad = (2.0 / (d * d)) * (np.conj(overlap) * d_overlap).real
+    return float(fid), grad

@@ -106,6 +106,20 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{p}: line {exc.lineno}: {exc.msg}") from exc
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    """Complex matrix from a JSON file with "re" and "im" fields."""
+    d = _load_json(path)
+    try:
+        m = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: matrix JSON has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad matrix JSON: {exc}") from exc
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{path}: matrix entries must be finite")
+    return m
+
+
 def _out_dir(args) -> Path:
     return Path(args.out)
 
@@ -185,9 +199,10 @@ def _cmd_compile(args) -> list[Path]:
 
 def _cmd_grape(args) -> list[Path]:
     cfg = _machine(args.machine)
+    if args.segments <= 0:
+        raise ValidationError("--segments must be > 0")
     if args.unitary:
-        d = _load_json(args.unitary)
-        target = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+        target = _load_matrix(args.unitary)
     elif args.gate:
         targets = tuple(int(t) for t in args.targets.split(",")) if args.targets else (1,)
         params = tuple(_float_list(args.params)) if args.params else ()
@@ -297,8 +312,7 @@ def _cmd_algorithm(args) -> list[Path]:
         report = {"algorithm": "qho", "path": args.path,
                   "points": [r.to_json_dict() for r in reports]}
     elif name == "dqc1":
-        d = _load_json(args.unitary)
-        u = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+        u = _load_matrix(args.unitary)
         estimate = algorithms.dqc1_trace(u, args.epsilon)
         exact = complex(np.trace(u)) / u.shape[0]
         report = {

@@ -16,7 +16,13 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .quantum import HERMITICITY_TOL, DensityMatrix, embed_single, SIGMA_Z
-from .spinsys import SpinSystemConfig, internal_hamiltonian, rf_hamiltonian
+from .spinsys import (
+    SpinSystemConfig,
+    control_operators,
+    internal_hamiltonian,
+    rf_drive,
+    rf_hamiltonian,
+)
 
 
 @dataclass(frozen=True)
@@ -195,17 +201,22 @@ def evolve_program(
 
 
 def program_unitary(program: PulseProgram) -> np.ndarray:
-    """Net unitary of a crusher-free program (relaxation off)."""
+    """Net unitary of a crusher-free program (relaxation off).
+
+    Every event Hamiltonian goes into one stack, propagated in one batched
+    call with per-event durations.
+    """
     config = program.system
-    h0 = internal_hamiltonian(config)
-    timed = [ev for ev in program.events if not isinstance(ev, Crusher)]
-    if len(timed) != len(program.events):
+    events = program.events
+    if any(isinstance(ev, Crusher) for ev in events):
         raise ValidationError("program contains crushers; it has no net unitary")
-    if not timed:
+    if not events:
         return np.eye(config.dim, dtype=complex)
-    hs = np.stack([_event_hamiltonian(config, h0, ev) for ev in timed]).astype(np.complex128)
-    durs = [ev.duration_s for ev in timed]
-    u = np.eye(config.dim, dtype=complex)
-    for h, dt in zip(hs, durs):
-        u = _kernels.segment_propagators(h[np.newaxis], float(dt))[0] @ u
-    return u
+    ops, _ = control_operators(config)
+    drive = np.zeros((len(events), ops.shape[0]))
+    for e, ev in enumerate(events):
+        if isinstance(ev, RfSegment):
+            drive[e] = rf_drive(config, ev.amplitudes_hz, ev.phases_rad)
+    hs = internal_hamiltonian(config) + np.tensordot(drive, ops, axes=1)
+    durations = np.array([ev.duration_s for ev in events])
+    return _kernels.unitary_chain(_kernels.segment_propagators(hs, durations))

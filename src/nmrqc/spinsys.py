@@ -217,6 +217,29 @@ def control_operators(config: SpinSystemConfig) -> tuple[np.ndarray, tuple[str, 
     return ops, channels
 
 
+def rf_drive(
+    config: SpinSystemConfig,
+    amplitudes_hz: Sequence[float],
+    phases_rad: Sequence[float],
+) -> np.ndarray:
+    """Control amplitudes, Hz, of one (amplitude, phase) pair per channel.
+
+    Returns (u_0 cos(phi_0), u_0 sin(phi_0), u_1 cos(phi_1), ...), the
+    weights of the `control_operators` generators.
+    """
+    channels = config.channels
+    if len(amplitudes_hz) != len(channels) or len(phases_rad) != len(channels):
+        raise ValidationError(
+            f"need one amplitude and phase per channel ({len(channels)}: {channels})"
+        )
+    u = np.asarray(amplitudes_hz, dtype=float)
+    phi = np.asarray(phases_rad, dtype=float)
+    drive = np.empty(2 * len(channels))
+    drive[0::2] = u * np.cos(phi)
+    drive[1::2] = u * np.sin(phi)
+    return drive
+
+
 def rf_hamiltonian(
     config: SpinSystemConfig,
     amplitudes_hz: Sequence[float],
@@ -227,20 +250,9 @@ def rf_hamiltonian(
     H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
     with the sums running over the channel's member spins.
     """
-    channels = config.channels
-    if len(amplitudes_hz) != len(channels) or len(phases_rad) != len(channels):
-        raise ValidationError(
-            f"need one amplitude and phase per channel ({len(channels)}: {channels})"
-        )
+    drive = rf_drive(config, amplitudes_hz, phases_rad)
     ops, _ = control_operators(config)
-    h = np.zeros((config.dim, config.dim), dtype=complex)
-    for c in range(len(channels)):
-        u = float(amplitudes_hz[c])
-        if u == 0.0:
-            continue
-        phi = float(phases_rad[c])
-        h += u * (np.cos(phi) * ops[2 * c] + np.sin(phi) * ops[2 * c + 1])
-    return h
+    return (drive @ ops.reshape(len(drive), -1)).reshape(config.dim, config.dim)
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:

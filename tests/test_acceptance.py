@@ -24,7 +24,7 @@ from nmrqc.algorithms import (
     run_grover4,
     simulate_qho,
 )
-from nmrqc.control import Gate, GrapeConfig, gate_matrix, grape_optimize
+from nmrqc.control import Gate, GrapeConfig, gate_fidelity, gate_matrix, grape_optimize
 from nmrqc.dynamics import Delay, PulseProgram, RfSegment, evolve_program
 from nmrqc.experiments import prepare_pseudo_pure, rabi_calibration, relaxation_experiment
 from nmrqc.measurement import readout_peak_table, tomography
@@ -53,18 +53,6 @@ T2_DELAYS = [2 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3,
 
 def _ok(number, text):
     print(f"PASS criterion {number:>2}: {text}", flush=True)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so the timed criteria measure physics
-    h = np.zeros((1, 4, 4), dtype=np.complex128)
-    props = _kernels.segment_propagators(h, 1e-6)
-    _kernels.unitary_chain(props)
-    _kernels.chain_fidelity(props, np.eye(4, dtype=np.complex128))
-    _kernels.grape_fidelity_and_gradient(
-        props, np.eye(4, dtype=np.complex128), h.copy(), 1e-6
-    )
 
 
 def test_c01_cnot_truth_tables_pulse_path():
@@ -180,18 +168,17 @@ def test_c09a_grape_gradient_vs_finite_difference():
     controls, _ = control_operators(cfg)
     controls = controls.astype(np.complex128)
     n_seg, dt, u_max = 8, 5e-6, 50.0
-    assert dt * u_max * max(np.linalg.norm(c, 2) for c in controls) <= 0.05
     u = rng.uniform(-u_max, u_max, size=(n_seg, controls.shape[0]))
     h0 = internal_hamiltonian(cfg).astype(np.complex128)
 
-    def fid(amps):
-        hs = h0[np.newaxis] + np.tensordot(amps, controls, axes=(1, 0))
-        props = _kernels.segment_propagators(np.ascontiguousarray(hs), dt)
-        return float(_kernels.chain_fidelity(props, target_dag))
+    def hamiltonians(amps):
+        return h0[np.newaxis] + np.tensordot(amps, controls, axes=(1, 0))
 
-    hs = h0[np.newaxis] + np.tensordot(u, controls, axes=(1, 0))
-    props = _kernels.segment_propagators(np.ascontiguousarray(hs), dt)
-    _, grad = _kernels.grape_fidelity_and_gradient(props, target_dag, controls, dt)
+    def fid(amps):
+        props = _kernels.segment_propagators(hamiltonians(amps), dt)
+        return gate_fidelity(_kernels.unitary_chain(props), target)
+
+    _, grad = _kernels.grape_fidelity_and_gradient(hamiltonians(u), target_dag, controls, dt)
     delta = 1e-3
     fds, analytic = [], []
     for j, m in zip(rng.integers(0, n_seg, 20), rng.integers(0, controls.shape[0], 20)):
@@ -206,7 +193,7 @@ def test_c09a_grape_gradient_vs_finite_difference():
     scale = float(np.max(np.abs(grad)))
     for fd, g in zip(fds, analytic):
         assert abs(fd - g) <= 1e-2 * scale
-    _ok(9, "(a) analytic GRAPE gradient matches central differences to 1e-2")
+    _ok(9, "(a) exact GRAPE gradient matches central differences to 1e-2")
 
 
 def test_c09b_grape_three_qubit_convergence():

@@ -148,3 +148,28 @@ class TestAlgorithms:
         rc = main(["algorithm", "grover4", "--machine", str(tmp_path / "x.json"),
                    "--out", str(tmp_path)])
         assert rc == 2
+
+
+class TestGrapeInputErrors:
+    @staticmethod
+    def assert_one_line_exit_2(rc, capsys):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: validation:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_segments(self, tmp_path, capsys):
+        rc = main(["grape", "--gate", "X90", "--segments", "0", "--out", str(tmp_path)])
+        self.assert_one_line_exit_2(rc, capsys)
+        assert not list(tmp_path.iterdir())
+
+    def test_grape_unitary_without_im(self, tmp_path, capsys):
+        upath = write_json(tmp_path / "u.json", {"re": np.eye(4).tolist()})
+        rc = main(["grape", "--unitary", upath, "--segments", "4",
+                   "--out", str(tmp_path / "out")])
+        self.assert_one_line_exit_2(rc, capsys)
+
+    def test_dqc1_unitary_without_re(self, tmp_path, capsys):
+        upath = write_json(tmp_path / "u.json", {"im": np.zeros((2, 2)).tolist()})
+        rc = main(["algorithm", "dqc1", "--unitary", upath, "--out", str(tmp_path / "out")])
+        self.assert_one_line_exit_2(rc, capsys)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import make_weak_config, random_density_matrix
+from nmrqc import _kernels
 from nmrqc.dynamics import (
     Crusher,
     Delay,
@@ -24,7 +26,7 @@ from nmrqc.quantum import (
     pauli_reconstruct,
     tensor,
 )
-from nmrqc.spinsys import thermal_state
+from nmrqc.spinsys import internal_hamiltonian, rf_hamiltonian, thermal_state
 
 
 def single_spin(offset=0.0, t1=4.0, t2=0.2, eps=1e-5):
@@ -83,6 +85,20 @@ class TestSegmentPropagator:
         assert np.arctan2(u_hz, d_hz) == pytest.approx(np.arctan(u_hz / d_hz))
 
 
+class TestSegmentPropagators:
+    @pytest.mark.parametrize("n", [1, 100])
+    @pytest.mark.parametrize("per_segment_dt", [False, True])
+    def test_batched_stack_matches_expm(self, n, per_segment_dt):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
+        hs = 1e3 * (a + a.conj().transpose(0, 2, 1))
+        dt = rng.uniform(0.0, 1e-3, size=n) if per_segment_dt else 7e-4
+        props = _kernels.segment_propagators(hs, dt)
+        dts = np.broadcast_to(dt, (n,))
+        for h, t, u in zip(hs, dts, props):
+            assert np.max(np.abs(u - expm(-1j * h * t))) < 1e-12
+
+
 class TestEvolveProgram:
     def test_rabi_quarter_turn(self):
         cfg = single_spin()
@@ -139,6 +155,28 @@ class TestEvolveProgram:
         again = PulseProgram.from_json_dict(prog.to_json_dict(), gemini)
         assert again == prog
         assert again.duration_s == pytest.approx(1.2e-4)
+
+    def test_program_unitary_matches_event_loop(self, gemini, triangulum):
+        rng = np.random.default_rng(24)
+        for cfg in (gemini, triangulum):
+            n_ch = len(cfg.channels)
+            events = []
+            for _ in range(16):
+                if rng.random() < 0.25:
+                    events.append(Delay(float(rng.uniform(0, 1e-3))))
+                else:
+                    events.append(RfSegment(tuple(rng.uniform(0, 2e4, n_ch)),
+                                            tuple(rng.uniform(-np.pi, np.pi, n_ch)),
+                                            float(rng.uniform(0, 1e-4))))
+            h0 = internal_hamiltonian(cfg)
+            expected = np.eye(cfg.dim, dtype=complex)
+            for ev in events:
+                h = h0
+                if isinstance(ev, RfSegment):
+                    h = h0 + rf_hamiltonian(cfg, ev.amplitudes_hz, ev.phases_rad)
+                expected = segment_propagator(h, ev.duration_s) @ expected
+            u = program_unitary(PulseProgram(cfg, tuple(events)))
+            assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_program_unitary_rejects_crushers(self, gemini):
         with pytest.raises(ValidationError):
