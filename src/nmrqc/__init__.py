@@ -69,6 +69,7 @@ from .measurement import (
     synthesize_fid,
     tomography,
     tomography_peak_tables,
+    tomography_sweep,
 )
 from .quantum import (
     BlochVector,

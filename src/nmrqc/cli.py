@@ -168,8 +168,9 @@ def _cmd_simulate(args) -> list[Path]:
 def _cmd_tomography(args) -> list[Path]:
     cfg = _machine(args.machine)
     rho = DensityMatrix.from_json_dict(_load_json(args.state))
-    recon = measurement.tomography(rho, cfg, compiled_readout=args.path == "pulse",
-                                   pulse_amp_hz=args.pulse_amp_hz)
+    recon, peak_tables = measurement.tomography_sweep(
+        rho, cfg, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
+    )
     tables = {
         setting: {
             channel: [
@@ -178,7 +179,7 @@ def _cmd_tomography(args) -> list[Path]:
             ]
             for channel, peaks in by_channel.items()
         }
-        for setting, by_channel in measurement.tomography_peak_tables(rho, cfg).items()
+        for setting, by_channel in peak_tables.items()
     }
     report = {
         "command": "tomography",

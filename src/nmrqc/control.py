@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import Delay as DelayEvent
-from .dynamics import PulseProgram, RfSegment
+from .dynamics import PulseProgram, RfSegment, program_unitary
 from .errors import UncoupledPairError, ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .spinsys import SpinSystemConfig, control_operators, internal_hamiltonian
@@ -209,25 +209,15 @@ def _embed_matrix(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
         raise ValidationError("matrix size does not match target count")
     if len(set(targets)) != k:
         raise ValidationError(f"repeated target in {targets}")
-    dim = 2**n
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        col_bits = [(col >> (n - q)) & 1 for q in range(1, n + 1)]
-        small_col = 0
-        for t in targets:
-            small_col = (small_col << 1) | col_bits[t - 1]
-        for small_row in range(2**k):
-            amp = u[small_row, small_col]
-            if amp == 0:
-                continue
-            row_bits = list(col_bits)
-            for i, t in enumerate(targets):
-                row_bits[t - 1] = (small_row >> (k - 1 - i)) & 1
-            row = 0
-            for b in row_bits:
-                row = (row << 1) | b
-            full[row, col] += amp
-    return full
+    # I (x) u with the other qubits first and the targets last, then the
+    # tensor axes permuted back to qubit order.
+    r = 2 ** (n - k)
+    full = np.zeros((r, 2**k, r, 2**k), dtype=complex)
+    full[np.arange(r), :, np.arange(r), :] += u
+    order = [q for q in range(1, n + 1) if q not in targets] + list(targets)
+    axes = np.argsort(order)
+    full = full.reshape((2,) * (2 * n)).transpose([*axes, *(axes + n)])
+    return full.reshape(2**n, 2**n)
 
 
 _CNOT_BASE = np.array(
@@ -258,8 +248,7 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
     if g.name == "Delay":
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
-        h0 = internal_hamiltonian(config).astype(np.complex128)
-        return _kernels.segment_propagators(h0[np.newaxis], float(g.params[0]))[0]
+        return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
     raise ValidationError(f"unknown gate {g.name!r}")
 
 
@@ -326,30 +315,46 @@ def _normalized_angle(theta: float) -> float:
     return t
 
 
+def _single_channel_pulse(
+    config: SpinSystemConfig, channel: str, phase_rad: float, duration_s: float, amp_hz: float
+) -> RfSegment:
+    """Square pulse on one channel; every other channel is off."""
+    amps = [0.0] * len(config.channels)
+    phases = [0.0] * len(config.channels)
+    c = config.channel_index(channel)
+    amps[c] = amp_hz
+    phases[c] = phase_rad
+    return RfSegment(tuple(amps), tuple(phases), duration_s)
+
+
+def _rotation_pulse(
+    config: SpinSystemConfig, channel: str, axis: str, angle_rad: float, amp_hz: float
+) -> RfSegment:
+    """Square pulse rotating a channel's spins by `angle_rad` about x or y.
+
+    A negative angle is the same axis with the phase advanced by pi.
+    """
+    phase = 0.0 if axis == "x" else np.pi / 2
+    if angle_rad < 0:
+        phase += np.pi
+    return _single_channel_pulse(
+        config, channel, phase, abs(angle_rad) / (2 * np.pi * amp_hz), amp_hz
+    )
+
+
 class _PulseEmitter:
     def __init__(self, config: SpinSystemConfig, amp_hz: float):
         if amp_hz <= 0:
             raise ValidationError("pulse amplitude must be > 0")
         self.config = config
-        self.channels = config.channels
         self.amp = float(amp_hz)
         self.events: list = []
 
     def pulse(self, qubit: int, axis: str, angle: float):
         theta = _normalized_angle(angle)
-        if abs(theta) < 1e-12:
-            return
-        phase = 0.0 if axis == "x" else np.pi / 2
-        if theta < 0:
-            phase += np.pi  # negative rotation = same axis, phase + pi
-        c = self.channels.index(self.config.channel_of(qubit))
-        amps = [0.0] * len(self.channels)
-        phases = [0.0] * len(self.channels)
-        amps[c] = self.amp
-        phases[c] = phase
-        self.events.append(
-            RfSegment(tuple(amps), tuple(phases), abs(theta) / (2 * np.pi * self.amp))
-        )
+        if abs(theta) >= 1e-12:
+            channel = self.config.channel_of(qubit)
+            self.events.append(_rotation_pulse(self.config, channel, axis, theta, self.amp))
 
     def delay(self, duration_s: float):
         self.events.append(DelayEvent(duration_s))
@@ -534,9 +539,8 @@ def grape_optimize(
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
-    h0 = internal_hamiltonian(config).astype(np.complex128)
+    h0 = internal_hamiltonian(config)
     controls, channels = control_operators(config)
-    controls = controls.astype(np.complex128)
     m = controls.shape[0]
     n_seg = gcfg.segments
     dt = float(gcfg.dt_s)

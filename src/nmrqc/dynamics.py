@@ -4,25 +4,24 @@ A pulse program is an ordered list of square RF segments, free-evolution
 delays, and instantaneous crusher gradients, executed against a spin
 system. RF segments evolve under H0 + H_rf, delays under H0 alone, and a
 crusher zeroes every off-diagonal element of the density matrix.
+
+`program_unitary` and `evolve_program` share one propagation path: the
+Hamiltonians of a program's timed events are stacked from the machine's
+cached, read-only operators (see `spinsys`) and propagated in one batched
+kernel call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import HERMITICITY_TOL, DensityMatrix, embed_single, SIGMA_Z
-from .spinsys import (
-    SpinSystemConfig,
-    control_operators,
-    internal_hamiltonian,
-    rf_drive,
-    rf_hamiltonian,
-)
+from .quantum import HERMITICITY_TOL, DensityMatrix
+from .spinsys import SpinSystemConfig, rf_drive
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,8 @@ class RfSegment:
     duration_s: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((*self.amplitudes_hz, *self.phases_rad, self.duration_s))):
+            raise ValidationError("RF segment amplitudes, phases and duration must be finite")
         if self.duration_s < 0:
             raise ValidationError("RF segment duration must be >= 0")
         if len(self.amplitudes_hz) != len(self.phases_rad):
@@ -47,8 +48,8 @@ class Delay:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s < 0:
-            raise ValidationError("delay duration must be >= 0")
+        if not (np.isfinite(self.duration_s) and self.duration_s >= 0):
+            raise ValidationError("delay duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,15 @@ def segment_propagator(h_total: np.ndarray, dt: float) -> np.ndarray:
     return _kernels.segment_propagators(h[np.newaxis].astype(np.complex128), float(dt))[0]
 
 
-def _event_hamiltonian(config: SpinSystemConfig, h0: np.ndarray, ev: PulseEvent) -> np.ndarray:
-    if isinstance(ev, RfSegment):
-        return h0 + rf_hamiltonian(config, ev.amplitudes_hz, ev.phases_rad)
-    return h0
+def _propagators(config: SpinSystemConfig, events: Sequence[PulseEvent]) -> np.ndarray:
+    """Propagators of timed events (RF segments and delays), one batched call."""
+    controls = config._operators.controls
+    drive = np.zeros((len(events), controls.shape[0]))
+    for e, ev in enumerate(events):
+        if isinstance(ev, RfSegment):
+            drive[e] = rf_drive(config, ev.amplitudes_hz, ev.phases_rad)
+    hs = config._operators.h0 + np.tensordot(drive, controls, axes=1)
+    return _kernels.segment_propagators(hs, np.array([ev.duration_s for ev in events]))
 
 
 def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
@@ -171,10 +177,10 @@ def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) ->
         )
         t = np.moveaxis(t, (0, 1), (k, n + k))
     m = t.reshape(config.dim, config.dim)
-    for k, nuc in enumerate(config.nuclei, start=1):
+    for nuc, sz in zip(config.nuclei, config._operators.sz):
         e1 = np.exp(-dt / nuc.t1_s)
         if nuc.polarization != 0.0:
-            m = m + (nuc.polarization * (1.0 - e1) / config.dim) * embed_single(SIGMA_Z, k, n)
+            m = m + (nuc.polarization * (1.0 - e1) / config.dim) * sz
     return DensityMatrix(m, validate=False)
 
 
@@ -188,35 +194,20 @@ def evolve_program(
     config = program.system
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    h0 = internal_hamiltonian(config)
+    timed = [ev for ev in program.events if not isinstance(ev, Crusher)]
+    props = iter(_propagators(config, timed))
     for ev in program.events:
         if isinstance(ev, Crusher):
             rho = apply_crusher(rho)
             continue
-        u = segment_propagator(_event_hamiltonian(config, h0, ev), ev.duration_s)
-        rho = rho.evolved(u)
+        rho = rho.evolved(next(props))
         if relaxation:
             rho = apply_relaxation(rho, ev.duration_s, config)
     return DensityMatrix(rho.matrix)
 
 
 def program_unitary(program: PulseProgram) -> np.ndarray:
-    """Net unitary of a crusher-free program (relaxation off).
-
-    Every event Hamiltonian goes into one stack, propagated in one batched
-    call with per-event durations.
-    """
-    config = program.system
-    events = program.events
-    if any(isinstance(ev, Crusher) for ev in events):
+    """Net unitary of a crusher-free program (relaxation off)."""
+    if any(isinstance(ev, Crusher) for ev in program.events):
         raise ValidationError("program contains crushers; it has no net unitary")
-    if not events:
-        return np.eye(config.dim, dtype=complex)
-    ops, _ = control_operators(config)
-    drive = np.zeros((len(events), ops.shape[0]))
-    for e, ev in enumerate(events):
-        if isinstance(ev, RfSegment):
-            drive[e] = rf_drive(config, ev.amplitudes_hz, ev.phases_rad)
-    hs = internal_hamiltonian(config) + np.tensordot(drive, ops, axes=1)
-    durations = np.array([ev.duration_s for ev in events])
-    return _kernels.unitary_chain(_kernels.segment_propagators(hs, durations))
+    return _kernels.unitary_chain(_propagators(program.system, program.events))

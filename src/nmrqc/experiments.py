@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .dynamics import Crusher, Delay, PulseProgram, RfSegment, evolve_program
+from .control import _rotation_pulse, _single_channel_pulse
+from .dynamics import Crusher, Delay, PulseProgram, evolve_program
 from .errors import FitError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, DensityMatrix, embed_single
+from .quantum import DensityMatrix
 from .spinsys import SpinSystemConfig, thermal_state
 
 # Pulses in the spatial-averaging sequence are meant to be instantaneous
@@ -140,27 +141,6 @@ def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
     return FitResult(model=model, params=params, residual=rms)
 
 
-def _single_channel_pulse(
-    config: SpinSystemConfig, channel: str, phase_rad: float, duration_s: float, amp_hz: float
-) -> RfSegment:
-    channels = config.channels
-    amps = [0.0] * len(channels)
-    phases = [0.0] * len(channels)
-    c = channels.index(channel)
-    amps[c] = amp_hz
-    phases[c] = phase_rad
-    return RfSegment(tuple(amps), tuple(phases), duration_s)
-
-
-def _rotation_pulse(config, channel, axis, angle_rad, amp_hz) -> RfSegment:
-    phase = 0.0 if axis == "x" else np.pi / 2
-    if angle_rad < 0:
-        phase += np.pi
-    return _single_channel_pulse(
-        config, channel, phase, abs(angle_rad) / (2 * np.pi * amp_hz), amp_hz
-    )
-
-
 def prepare_pseudo_pure(
     config: SpinSystemConfig,
     pulse_amp_hz: float = PPS_PULSE_AMP_HZ,
@@ -193,13 +173,11 @@ def prepare_pseudo_pure(
 
 
 def _transverse(rho: DensityMatrix, config: SpinSystemConfig, channel: str) -> complex:
-    """Sum of <sigma_x> + i <sigma_y> over a channel's spins."""
-    s = 0j
-    for k in config.channel_members(channel):
-        sx = np.real(np.trace(rho.matrix @ embed_single(SIGMA_X, k, config.n)))
-        sy = np.real(np.trace(rho.matrix @ embed_single(SIGMA_Y, k, config.n)))
-        s += sx + 1j * sy
-    return complex(s)
+    """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed
+    over a channel's spins."""
+    c = config.channel_index(channel)
+    sx, sy = config._operators.sx[c], config._operators.sy[c]
+    return complex(np.real(np.trace(rho.matrix @ sx)), np.real(np.trace(rho.matrix @ sy)))
 
 
 def rabi_calibration(

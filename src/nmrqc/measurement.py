@@ -9,6 +9,13 @@ with coupled partners in state m sits at nu_k + sum_j (1-2 m_j) J_kj / 2
 and carries amplitude sum_p w_p(m) (c_xp + i c_yp), where p runs over the
 partner z-patterns and w_p(m) is the product of the partner signs. Readout
 inverts exactly that relation.
+
+FID synthesis reads H0's eigendecomposition and the channel sums
+Sx_ch, Sy_ch from the machine's cached, read-only operators (see
+`spinsys`). Tomography sweeps the 3^n readout settings once and returns
+the peak tables it inverted alongside the reconstruction: with the
+compiled readout those are the spectra of the states rotated by the
+compiled pulses.
 """
 
 from __future__ import annotations
@@ -21,17 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, compile_circuit, gate_matrix
+from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compile_circuit
 from .dynamics import program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
-from .quantum import (
-    SIGMA_X,
-    SIGMA_Y,
-    DensityMatrix,
-    embed_single,
-    pauli_reconstruct,
-)
-from .spinsys import SpinSystemConfig, internal_hamiltonian
+from .quantum import DensityMatrix, pauli_reconstruct
+from .spinsys import SpinSystemConfig
 
 _MAX_GRID = 2**20
 
@@ -92,13 +93,6 @@ def _channel_t2(config: SpinSystemConfig, channel: str) -> float:
     return min(config.nuclei[k - 1].t2_s for k in config.channel_members(channel))
 
 
-def _detection_operator(config: SpinSystemConfig, channel: str) -> np.ndarray:
-    d = np.zeros((config.dim, config.dim), dtype=complex)
-    for k in config.channel_members(channel):
-        d += embed_single(SIGMA_X, k, config.n) + 1j * embed_single(SIGMA_Y, k, config.n)
-    return d
-
-
 def synthesize_fid(
     rho: DensityMatrix,
     config: SpinSystemConfig,
@@ -109,17 +103,18 @@ def synthesize_fid(
     """Free-induction decay of `rho` observed on one channel.
 
     S(t) = Tr(U(t) rho U(t)^dag D_channel) * exp(-t / T2_channel) with U
-    generated by the internal Hamiltonian. Only density-matrix terms with
-    exactly one transverse factor contribute.
+    generated by the internal Hamiltonian and D_channel = Sx_ch + i Sy_ch.
+    Only density-matrix terms with exactly one transverse factor contribute.
     """
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
     n_samples = int(round(duration_s / dt_s))
     if n_samples < 2:
         raise ValidationError("duration/dt must give at least 2 samples")
-    detect = _detection_operator(config, channel)  # raises for unknown channel
-    h0 = internal_hamiltonian(config)
-    w, v = np.linalg.eigh(h0)
+    c = config.channel_index(channel)
+    ops = config._operators
+    w, v = ops.h0_eigvals, ops.h0_eigvecs
+    detect = ops.sx[c] + 1j * ops.sy[c]
     rho_e = v.conj().T @ rho.matrix @ v
     det_e = v.conj().T @ detect @ v
     weights = (rho_e * det_e.T).ravel()
@@ -261,9 +256,14 @@ def readout_pauli_coefficients(rho: DensityMatrix, config: SpinSystemConfig) -> 
     sigma_x^k (x) z-pattern coefficients, the imaginary parts the
     sigma_y^k ones.
     """
+    return _table_coefficients(readout_peak_table(rho, config), config)
+
+
+def _table_coefficients(
+    table: dict[str, list[Peak]], config: SpinSystemConfig
+) -> dict[str, float]:
     n = config.n
     coeffs: dict[str, float] = {}
-    table = readout_peak_table(rho, config)
     for channel, peaks in table.items():
         lines = _weak_lines(config, channel)
         by_member: dict[int, list[tuple[_Line, complex]]] = {}
@@ -302,70 +302,40 @@ _SETTING_MAP = {
     "X90": {"I": ("I", 1), "X": ("X", 1), "Y": ("Z", -1), "Z": ("Y", 1)},
     "Y90": {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", 1), "Z": ("X", -1)},
 }
-_SETTING_GATE = {"X90": "X90", "Y90": "Y90"}
 
 
-def _setting_unitary(
-    setting: tuple[str, ...],
-    config: SpinSystemConfig,
-    compiled: bool,
-    pulse_amp_hz: Optional[float],
-) -> np.ndarray:
-    n = config.n
-    gates = [
-        Gate(_SETTING_GATE[s], (q,))
-        for q, s in enumerate(setting, start=1)
-        if s != "I"
-    ]
-    if not compiled:
-        u = np.eye(config.dim, dtype=complex)
-        for g in gates:
-            u = gate_matrix(g, n) @ u
-        return u
-    prog = compile_circuit(
-        Circuit(n, tuple(gates)), config, pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
-    )
-    return program_unitary(prog)
-
-
-def tomography_peak_tables(
-    rho: DensityMatrix, config: SpinSystemConfig
-) -> dict[str, dict[str, list[Peak]]]:
-    """Per-setting, per-channel spectral lines seen during tomography.
-
-    Keys are setting labels like "I,Y90"; values map channel label to the
-    peak list of the rotated state. This is the raw data tomography inverts.
-    """
-    tables = {}
-    for setting in itertools.product(("I", "X90", "Y90"), repeat=config.n):
-        u = _setting_unitary(setting, config, compiled=False, pulse_amp_hz=None)
-        tables[",".join(setting)] = readout_peak_table(rho.evolved(u), config)
-    return tables
-
-
-def tomography(
+def tomography_sweep(
     rho: DensityMatrix,
     config: SpinSystemConfig,
     compiled_readout: bool = False,
     pulse_amp_hz: Optional[float] = None,
-) -> DensityMatrix:
-    """Full state reconstruction from the 3^n readout-pulse settings.
+) -> tuple[DensityMatrix, dict[str, dict[str, list[Peak]]]]:
+    """Full state reconstruction from the 3^n readout-pulse settings, and
+    the per-setting peak tables it inverts.
 
-    Each setting applies {identity, X90, Y90} per qubit, reads the
-    single-transverse-factor coefficients off the spectra, and maps them
-    back through the rotation; every one of the 4^n - 1 coefficients is
-    determined at least once (duplicates are averaged).
+    Each setting applies {identity, X90, Y90} per qubit, ideal or compiled
+    to pulses, reads the single-transverse-factor coefficients off the
+    spectra, and maps them back through the rotation; every one of the
+    4^n - 1 coefficients is determined at least once (duplicates are
+    averaged). Table keys are setting labels like "I,Y90"; values map
+    channel label to the peak list of the rotated state.
     """
     if config.n > 3:
         raise ValidationError("tomography supports n <= 3")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    tables = {}
     determinations: dict[str, list[float]] = {}
     for setting in itertools.product(("I", "X90", "Y90"), repeat=config.n):
-        u = _setting_unitary(setting, config, compiled_readout, pulse_amp_hz)
-        rotated = rho.evolved(u)
-        measured = readout_pauli_coefficients(rotated, config)
-        for q_string, value in measured.items():
+        gates = tuple(Gate(s, (q,)) for q, s in enumerate(setting, start=1) if s != "I")
+        if compiled_readout:
+            amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
+            u = program_unitary(compile_circuit(Circuit(config.n, gates), config, amp))
+        else:
+            u = circuit_unitary(Circuit(config.n, gates))
+        table = readout_peak_table(rho.evolved(u), config)
+        tables[",".join(setting)] = table
+        for q_string, value in _table_coefficients(table, config).items():
             letters = []
             sign = 1
             for s, q_letter in zip(setting, q_string):
@@ -385,4 +355,22 @@ def tomography(
     if missing:
         raise ValidationError(f"tomography did not determine {missing}")
     coeffs["I" * config.n] = 1.0
-    return pauli_reconstruct(coeffs)
+    return pauli_reconstruct(coeffs), tables
+
+
+def tomography_peak_tables(
+    rho: DensityMatrix, config: SpinSystemConfig
+) -> dict[str, dict[str, list[Peak]]]:
+    """Per-setting, per-channel spectral lines of the ideal-readout sweep."""
+    return tomography_sweep(rho, config)[1]
+
+
+def tomography(
+    rho: DensityMatrix,
+    config: SpinSystemConfig,
+    compiled_readout: bool = False,
+    pulse_amp_hz: Optional[float] = None,
+) -> DensityMatrix:
+    """Full state reconstruction from the 3^n readout-pulse settings
+    (see `tomography_sweep`)."""
+    return tomography_sweep(rho, config, compiled_readout, pulse_amp_hz)[0]

@@ -175,6 +175,8 @@ class DensityMatrix:
             n = int(d["n"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad density-matrix JSON: {exc}") from exc
+        if n < 1:
+            raise ValidationError(f"density-matrix JSON: n = {n}, must be >= 1")
         if m.shape != (2**n, 2**n):
             raise ValidationError(f"density-matrix JSON shape {m.shape} != 2^{n}")
         return cls(m)

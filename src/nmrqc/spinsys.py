@@ -3,15 +3,22 @@
 All config frequencies are in Hz; every Hamiltonian matrix is in rad/s
 (the 2*pi happens here, once). Sign convention: H0 = +2*pi*nu*I_z plus
 +2*pi*J couplings, and polarization > 0 means excess population in |0>.
+
+This module is the one place that builds a machine's operators: H0 and
+its eigendecomposition, the RF control generators, the per-channel
+transverse sums and the per-spin sigma_z. They are built once per config,
+on first use, and cached on the frozen config; the cached arrays are
+read-only. `dataclasses.replace` makes a new config with its own cache.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +39,10 @@ class NucleusSpec:
     polarization: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.offset_hz, self.t1_s, self.t2_s, self.polarization))):
+            raise ValidationError(
+                f"nucleus {self.label!r}: offset_hz, t1_s, t2_s and polarization must be finite"
+            )
         if self.t1_s <= 0 or self.t2_s <= 0:
             raise ValidationError(f"nucleus {self.label!r}: t1_s and t2_s must be > 0")
         if abs(self.polarization) > 1:
@@ -56,6 +67,8 @@ class SpinSystemConfig:
         j = np.array(self.j_hz, dtype=float)
         if j.shape != (n, n):
             raise ValidationError(f"j_hz shape {j.shape} != ({n}, {n})")
+        if not np.all(np.isfinite(j)):
+            raise ValidationError("j_hz entries must be finite")
         if np.max(np.abs(j - j.T), initial=0.0) > 1e-12:
             raise ValidationError("j_hz must be symmetric")
         if np.any(np.diag(j) != 0.0):
@@ -80,15 +93,23 @@ class SpinSystemConfig:
                 seen.append(nuc.label)
         return tuple(seen)
 
+    def channel_index(self, channel: str) -> int:
+        """Position of a channel in `channels`."""
+        if channel not in self.channels:
+            raise ValidationError(f"no nucleus with label {channel!r}")
+        return self.channels.index(channel)
+
     def channel_members(self, channel: str) -> tuple[int, ...]:
         """1-based qubit indices driven by (and observed on) a channel."""
-        members = tuple(k for k, nuc in enumerate(self.nuclei, start=1) if nuc.label == channel)
-        if not members:
-            raise ValidationError(f"no nucleus with label {channel!r}")
-        return members
+        self.channel_index(channel)
+        return tuple(k for k, nuc in enumerate(self.nuclei, start=1) if nuc.label == channel)
 
     def channel_of(self, qubit: int) -> str:
         return self.nuclei[qubit - 1].label
+
+    @cached_property
+    def _operators(self) -> "_Operators":
+        return _build_operators(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,44 +198,66 @@ def preset(name: str) -> SpinSystemConfig:
     return _config_from_dict(data, f"preset:{name}")
 
 
+class _Operators(NamedTuple):
+    """A machine's operators, rad/s where they are generators; all read-only."""
+
+    h0: np.ndarray  # (d, d) internal Hamiltonian
+    h0_eigvals: np.ndarray  # (d,) ascending eigenvalues of h0
+    h0_eigvecs: np.ndarray  # (d, d) eigenvectors of h0, one per column
+    controls: np.ndarray  # (2 * channels, d, d): ch0_x, ch0_y, ch1_x, ...
+    sx: np.ndarray  # (channels, d, d): sigma_x summed over a channel's spins
+    sy: np.ndarray  # (channels, d, d): sigma_y summed over a channel's spins
+    sz: np.ndarray  # (n, d, d): sigma_z of each spin
+
+
+def _build_operators(config: SpinSystemConfig) -> _Operators:
+    n = config.n
+    x, y, z = (
+        np.array([embed_single(p, k, n) for k in range(1, n + 1)])
+        for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    )
+    h0 = np.zeros((config.dim, config.dim), dtype=complex)
+    for k, nuc in enumerate(config.nuclei):
+        if nuc.offset_hz != 0.0:
+            h0 += 2 * np.pi * nuc.offset_hz * (z[k] / 2)
+    paulis = (x, y, z) if config.coupling_model == "isotropic" else (z,)
+    for a in range(n):
+        for b in range(a + 1, n):
+            j_ab = config.j_hz[a, b]
+            if j_ab == 0.0:
+                continue
+            for p in paulis:
+                h0 += 2 * np.pi * j_ab * ((p[a] / 2) @ (p[b] / 2))
+    eigvals, eigvecs = np.linalg.eigh(h0)
+    members = [np.array(config.channel_members(ch)) - 1 for ch in config.channels]
+    sx = np.array([x[m].sum(axis=0) for m in members])
+    sy = np.array([y[m].sum(axis=0) for m in members])
+    # 2*pi * (I_x, I_y) per channel, interleaved; I_a = sigma_a / 2
+    controls = np.pi * np.stack([sx, sy], axis=1).reshape(-1, config.dim, config.dim)
+    ops = _Operators(h0, eigvals, eigvecs, controls, sx, sy, z)
+    for arr in ops:
+        arr.setflags(write=False)
+    return ops
+
+
 def internal_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
-    """H0 in rad/s: Zeeman offsets plus J couplings.
+    """H0 in rad/s (read-only): Zeeman offsets plus J couplings.
 
     Weak model: sum_k 2*pi*nu_k I_z^k + sum_{j<k} 2*pi*J_jk I_z^j I_z^k,
     so the computational basis is the eigenbasis. The isotropic model
     adds the x and y coupling terms.
     """
-    n = config.n
-    h = np.zeros((config.dim, config.dim), dtype=complex)
-    for k, nuc in enumerate(config.nuclei, start=1):
-        if nuc.offset_hz != 0.0:
-            h += 2 * np.pi * nuc.offset_hz * embed_single(SIGMA_Z / 2, k, n)
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z) if config.coupling_model == "isotropic" else (SIGMA_Z,)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            j_ab = config.j_hz[a - 1, b - 1]
-            if j_ab == 0.0:
-                continue
-            for p in paulis:
-                h += 2 * np.pi * j_ab * (embed_single(p / 2, a, n) @ embed_single(p / 2, b, n))
-    return h
+    return config._operators.h0
 
 
 def control_operators(config: SpinSystemConfig) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Per-channel x/y drive generators, rad/s per Hz of amplitude.
+    """Per-channel x/y drive generators, rad/s per Hz of amplitude (read-only).
 
     Returns (ops, channels) with ops shaped (2*len(channels), d, d), ordered
     (ch0_x, ch0_y, ch1_x, ch1_y, ...). Homonuclear spins share one channel,
     so a channel's generator sums I_x (I_y) over all its members.
     """
-    n = config.n
-    channels = config.channels
-    ops = np.zeros((2 * len(channels), config.dim, config.dim), dtype=complex)
-    for c, label in enumerate(channels):
-        for k in config.channel_members(label):
-            ops[2 * c] += 2 * np.pi * embed_single(SIGMA_X / 2, k, n)
-            ops[2 * c + 1] += 2 * np.pi * embed_single(SIGMA_Y / 2, k, n)
-    return ops, channels
+    return config._operators.controls, config.channels
 
 
 def rf_drive(
@@ -251,7 +294,7 @@ def rf_hamiltonian(
     with the sums running over the channel's member spins.
     """
     drive = rf_drive(config, amplitudes_hz, phases_rad)
-    ops, _ = control_operators(config)
+    ops = config._operators.controls
     return (drive @ ops.reshape(len(drive), -1)).reshape(config.dim, config.dim)
 
 
@@ -261,10 +304,9 @@ def thermal_state(config: SpinSystemConfig) -> DensityMatrix:
     Rejects polarization sets large enough to break positivity
     (sum_k |eps_k| > 1).
     """
-    n = config.n
     m = np.eye(config.dim, dtype=complex)
-    for k, nuc in enumerate(config.nuclei, start=1):
-        m += nuc.polarization * embed_single(SIGMA_Z, k, n)
+    for nuc, sz in zip(config.nuclei, config._operators.sz):
+        m += nuc.polarization * sz
     m /= config.dim
     total = sum(abs(nuc.polarization) for nuc in config.nuclei)
     if total > 1.0 + 1e-12:

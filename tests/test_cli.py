@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from nmrqc.cli import main
+from nmrqc import measurement
+from nmrqc.cli import _canonical, main
+from nmrqc.control import Circuit, Gate, compile_circuit
+from nmrqc.dynamics import program_unitary
 from nmrqc.quantum import DensityMatrix
+from nmrqc.spinsys import preset
 
 
 def write_json(path, obj):
@@ -173,3 +177,119 @@ class TestGrapeInputErrors:
         upath = write_json(tmp_path / "u.json", {"im": np.zeros((2, 2)).tolist()})
         rc = main(["algorithm", "dqc1", "--unitary", upath, "--out", str(tmp_path / "out")])
         self.assert_one_line_exit_2(rc, capsys)
+
+
+def machine_file(tmp_path, edit):
+    cfg = preset("gemini").to_json_dict()
+    edit(cfg)
+    return write_json(tmp_path / "machine.json", cfg)
+
+
+def set_j(cfg, value):
+    cfg["j_hz"][0][1] = cfg["j_hz"][1][0] = value
+
+
+class TestNonFiniteInputs:
+    @staticmethod
+    def assert_one_line_exit_2(rc, capsys, match):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: validation:") and match in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["nuclei"][0].update(t1_s=float("nan")),
+        lambda cfg: cfg["nuclei"][1].update(polarization=float("nan")),
+        lambda cfg: cfg["nuclei"][0].update(offset_hz=float("inf")),
+        lambda cfg: set_j(cfg, float("nan")),
+    ], ids=["nan_t1", "nan_polarization", "inf_offset", "nan_j"])
+    def test_machine_value(self, tmp_path, capsys, edit):
+        machine = machine_file(tmp_path, edit)
+        rc = main(["algorithm", "grover4", "--machine", machine, "--out", str(tmp_path / "o")])
+        self.assert_one_line_exit_2(rc, capsys, "finite")
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "t2", "--offset-spread-hz", "nan"],
+        ["experiment", "rabi", "--amp-hz", "nan"],
+        ["experiment", "rabi", "--durations", "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,inf"],
+        ["experiment", "t1", "--delays", "1e-3,2e-3,nan,4e-3,5e-3,6e-3"],
+        ["simulate", "--path", "pulse", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
+    ], ids=["t2_spread", "rabi_amp", "rabi_duration", "t1_delay", "pulse_amp"])
+    def test_pulse_argument(self, tmp_path, capsys, argv):
+        circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
+        argv = [a.format(circuit=circuit) for a in argv]
+        rc = main([*argv, "--out", str(tmp_path / "o")])
+        self.assert_one_line_exit_2(rc, capsys, "finite")
+
+    def test_zero_qubit_state(self, tmp_path, capsys):
+        state = write_json(tmp_path / "rho.json", {"n": 0, "re": [[1.0]], "im": [[0.0]]})
+        rc = main(["tomography", "--state", state, "--out", str(tmp_path / "o")])
+        self.assert_one_line_exit_2(rc, capsys, "must be >= 1")
+
+
+README_REQUESTS = [
+    ["simulate", "--machine", "gemini", "--circuit", "{bell}", "--path", "pulse"],
+    ["compile", "--circuit", "{bell}"],
+    ["tomography", "--state", "{rho}"],
+    ["tomography", "--state", "{rho}", "--path", "pulse"],
+    ["grape", "--gate", "X90", "--targets", "1", "--machine", "triangulum", "--segments",
+     "100", "--duration-s", "1.5e-3", "--target-fidelity", "0.995", "--seed", "1"],
+    ["experiment", "rabi", "--channel", "1H", "--amp-hz", "12500"],
+    ["experiment", "t1", "--channel", "1H"],
+    ["experiment", "t2", "--channel", "1H", "--offset-spread-hz", "200"],
+    ["experiment", "pps"],
+    ["algorithm", "grover4", "--target", "3"],
+    ["algorithm", "deutsch", "--case", "f3", "--path", "pulse"],
+    ["algorithm", "count", "--case", "M2", "--l-values", "1,2,3,4,5"],
+    ["algorithm", "qho", "--initial", "n0_plus_n3"],
+    ["algorithm", "dqc1", "--unitary", "{u}", "--epsilon", "1.0"],
+    ["algorithm", "cnot-table", "--direction", "21"],
+]
+
+
+@pytest.fixture
+def readme_inputs(tmp_path):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
+    u = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+    return {
+        "bell": write_json(tmp_path / "bell.json", {"n": 2, "gates": [
+            {"name": "H", "targets": [1], "params": []},
+            {"name": "CNOT", "targets": [1, 2], "params": []}]}),
+        "rho": write_json(tmp_path / "rho.json", rho.to_json_dict()),
+        "u": write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()}),
+        "state": rho,
+    }
+
+
+class TestReadmeRequests:
+    @pytest.mark.parametrize("argv", README_REQUESTS,
+                             ids=lambda a: "-".join(x for x in a[:2] if x[0] not in "-{"))
+    def test_rerun_is_byte_identical(self, tmp_path, readme_inputs, argv):
+        argv = [a.format(**readme_inputs) for a in argv]
+        outs = []
+        for sub in ("a", "b"):
+            out = tmp_path / sub
+            assert main([*argv, "--out", str(out)]) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0] and outs[0] == outs[1]
+
+    def test_pulse_tomography_tables_are_the_compiled_readout(self, tmp_path, readme_inputs):
+        out = tmp_path / "out"
+        assert main(["tomography", "--state", readme_inputs["rho"], "--path", "pulse",
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "tomography_report.json").read_text())
+        cfg, rho = preset("gemini"), readme_inputs["state"]
+        expected = {}
+        for s1 in ("I", "X90", "Y90"):
+            for s2 in ("I", "X90", "Y90"):
+                gates = tuple(Gate(s, (q,)) for q, s in ((1, s1), (2, s2)) if s != "I")
+                u = program_unitary(compile_circuit(Circuit(2, gates), cfg))
+                table = measurement.readout_peak_table(rho.evolved(u), cfg)
+                expected[f"{s1},{s2}"] = {
+                    ch: [{"freq_hz": p.frequency_hz, "re": p.amplitude.real,
+                          "im": p.amplitude.imag} for p in peaks]
+                    for ch, peaks in table.items()
+                }
+        assert report["peak_tables"] == _canonical(expected)

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_weak_config, random_unitary
 from nmrqc.control import (
@@ -19,6 +24,7 @@ from nmrqc.control import (
     X,
     X90,
     Y90,
+    _embed_matrix,
     circuit_unitary,
     compile_circuit,
     decompose_single_qubit,
@@ -89,6 +95,35 @@ class TestGateMatrices:
             Gate("Rx", (1,), ())
         with pytest.raises(ValidationError):
             UNITARY(np.array([[1, 1], [0, 1]]), 1)
+
+
+def embed_by_permutation(u, targets, n):
+    """u (x) I on (targets, other qubits), conjugated by the basis permutation."""
+    others = [q for q in range(1, n + 1) if q not in targets]
+    perm = np.zeros((2**n, 2**n))
+    for b in range(2**n):
+        bits = format(b, f"0{n}b")
+        perm[int("".join(bits[q - 1] for q in (*targets, *others)), 2), b] = 1.0
+    return perm.T @ np.kron(u, np.eye(2 ** len(others))) @ perm
+
+
+ALL_TARGETS = [
+    (n, targets)
+    for n in (1, 2, 3)
+    for k in range(1, n + 1)
+    for targets in itertools.permutations(range(1, n + 1), k)
+]
+
+
+class TestEmbedMatrix:
+    @pytest.mark.parametrize("n,targets", ALL_TARGETS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_permutation_reference(self, n, targets, data):
+        d = 2 ** len(targets)
+        u = data.draw(arrays(complex, (d, d), elements=st.complex_numbers(
+            max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+        assert np.array_equal(_embed_matrix(u, targets, n), embed_by_permutation(u, targets, n))
 
 
 class TestCircuitUnitary:

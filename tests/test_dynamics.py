@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import make_weak_config, random_density_matrix
-from nmrqc import _kernels
+from nmrqc import _kernels, spinsys
 from nmrqc.dynamics import (
     Crusher,
     Delay,
@@ -26,7 +26,14 @@ from nmrqc.quantum import (
     pauli_reconstruct,
     tensor,
 )
+from nmrqc.measurement import synthesize_fid
 from nmrqc.spinsys import internal_hamiltonian, rf_hamiltonian, thermal_state
+
+# A weak 3-spin machine on three channels (J 140/48/190 Hz).
+WEAK3 = make_weak_config(
+    [0.0, 0.0, 0.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]], t1=3.0, t2=0.3,
+    labels=["1H", "13C", "15N"],
+)
 
 
 def single_spin(offset=0.0, t1=4.0, t2=0.2, eps=1e-5):
@@ -177,6 +184,70 @@ class TestEvolveProgram:
                 expected = segment_propagator(h, ev.duration_s) @ expected
             u = program_unitary(PulseProgram(cfg, tuple(events)))
             assert np.max(np.abs(u - expected)) < 1e-12
+
+    @pytest.mark.parametrize("relaxation", [False, True])
+    @pytest.mark.parametrize("machine", ["gemini", "triangulum", "weak3"])
+    def test_evolve_program_matches_event_loop(self, machine, relaxation, gemini, triangulum):
+        cfg = {"gemini": gemini, "triangulum": triangulum, "weak3": WEAK3}[machine]
+        rng = np.random.default_rng(31)
+        n_ch = len(cfg.channels)
+        events = [Crusher()]
+        for _ in range(14):
+            r = rng.random()
+            if r < 0.15:
+                events.append(Crusher())
+            elif r < 0.4:
+                events.append(Delay(float(rng.uniform(0, 1e-3))))
+            else:
+                events.append(RfSegment(tuple(rng.uniform(0, 2e4, n_ch)),
+                                        tuple(rng.uniform(-np.pi, np.pi, n_ch)),
+                                        float(rng.uniform(0, 1e-4))))
+        rho0 = random_density_matrix(rng, cfg.n)
+        h0 = internal_hamiltonian(cfg)
+        expected = rho0
+        for ev in events:
+            if isinstance(ev, Crusher):
+                expected = apply_crusher(expected)
+                continue
+            h = h0
+            if isinstance(ev, RfSegment):
+                h = h0 + rf_hamiltonian(cfg, ev.amplitudes_hz, ev.phases_rad)
+            expected = expected.evolved(segment_propagator(h, ev.duration_s))
+            if relaxation:
+                expected = apply_relaxation(expected, ev.duration_s, cfg)
+        rho = evolve_program(rho0, PulseProgram(cfg, tuple(events)), relaxation)
+        assert np.max(np.abs(rho.matrix - expected.matrix)) <= 1e-12
+
+    def test_evolve_program_propagates_in_one_call(self, gemini, monkeypatch):
+        stacks = []
+        batched = _kernels.segment_propagators
+
+        def counted(h_stack, dt):
+            stacks.append(len(h_stack))
+            return batched(h_stack, dt)
+
+        monkeypatch.setattr(_kernels, "segment_propagators", counted)
+        events = (RfSegment((5e3, 0.0), (0.0, 0.0), 37e-6), Delay(410e-6), Crusher(),
+                  RfSegment((0.0, 5e3), (0.0, np.pi / 2), 11e-6), Delay(2e-5))
+        evolve_program(thermal_state(gemini), PulseProgram(gemini, events), relaxation=True)
+        assert stacks == [4]
+
+    def test_machine_operators_built_once_per_config(self, monkeypatch):
+        cfg = make_weak_config([30.0, -20.0], [[0.0, 140.0], [140.0, 0.0]], labels=["a", "b"])
+        builds = []
+        build = spinsys._build_operators
+
+        def counted(config):
+            builds.append(config)
+            return build(config)
+
+        monkeypatch.setattr(spinsys, "_build_operators", counted)
+        program = PulseProgram(cfg, (RfSegment((5e3, 0.0), (0.0, 0.0), 5e-5), Delay(1e-4)))
+        for _ in range(3):
+            internal_hamiltonian(cfg)
+            rho = evolve_program(thermal_state(cfg), program, relaxation=True)
+            synthesize_fid(rho, cfg, "a", 0.05, 1e-4)
+        assert builds == [cfg]
 
     def test_program_unitary_rejects_crushers(self, gemini):
         with pytest.raises(ValidationError):

@@ -194,7 +194,8 @@ class TestRelaxationExperiments:
         # without the echo the same ensemble dephases far faster than T2;
         # verified directly on the free-induction signal
         from nmrqc.dynamics import PulseProgram
-        from nmrqc.experiments import _single_channel_pulse, _transverse
+        from nmrqc.control import _single_channel_pulse
+        from nmrqc.experiments import _transverse
         from dataclasses import replace
 
         deltas = np.linspace(-200.0, 200.0, 11)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single
 from nmrqc.spinsys import (
     NucleusSpec,
     SpinSystemConfig,
+    control_operators,
     internal_hamiltonian,
     load_machine_config,
     preset,
@@ -53,6 +55,14 @@ class TestConfigLoading:
     def test_nonpositive_relaxation_rejected(self):
         with pytest.raises(ValidationError, match="t1_s"):
             NucleusSpec("1H", 0.0, -1.0, 0.2, 1e-5)
+
+    @pytest.mark.parametrize("field", ["offset_hz", "t1_s", "t2_s", "polarization"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_nucleus_rejected(self, field, value):
+        values = {"offset_hz": 0.0, "t1_s": 1.0, "t2_s": 0.5, "polarization": 1e-5}
+        values[field] = value
+        with pytest.raises(ValidationError, match="finite"):
+            NucleusSpec("1H", **values)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValidationError, match="diagonal"):
@@ -163,3 +173,24 @@ class TestThermalState:
         rho = thermal_state(gemini)
         h = internal_hamiltonian(gemini)
         assert np.max(np.abs(h @ rho.matrix - rho.matrix @ h)) < 1e-10
+
+
+class TestOperatorCache:
+    def test_replace_builds_new_operators(self):
+        cfg = preset("gemini")
+        before = [arr.copy() for arr in cfg._operators]
+        nuclei = (replace(cfg.nuclei[0], offset_hz=120.0), cfg.nuclei[1])
+        shifted = replace(cfg, nuclei=nuclei)
+        delta = internal_hamiltonian(shifted) - internal_hamiltonian(cfg)
+        assert np.allclose(delta, 2 * np.pi * 120.0 * embed_single(SIGMA_Z / 2, 1, 2),
+                           rtol=0, atol=1e-9)
+        for old, arr in zip(before, cfg._operators):
+            assert np.array_equal(old, arr)
+        assert np.array_equal(control_operators(shifted)[0], control_operators(cfg)[0])
+
+    def test_cached_arrays_are_read_only(self, gemini):
+        thermal_state(gemini)
+        for arr in (internal_hamiltonian(gemini), control_operators(gemini)[0],
+                    *gemini._operators):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
