@@ -68,7 +68,6 @@ from .measurement import (
     spectrum_peaks,
     synthesize_fid,
     tomography,
-    tomography_peak_tables,
     tomography_sweep,
 )
 from .quantum import (

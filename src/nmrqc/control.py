@@ -19,7 +19,7 @@ from .dynamics import Delay as DelayEvent
 from .dynamics import PulseProgram, RfSegment, program_unitary
 from .errors import UncoupledPairError, ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .spinsys import SpinSystemConfig, control_operators, internal_hamiltonian
+from .spinsys import MAX_QUBITS, SpinSystemConfig, control_operators, internal_hamiltonian
 
 # Amplitude used when compiling circuits unless the caller overrides it.
 # 5e8 Hz keeps the J-during-pulse error of a full two-qubit program below
@@ -128,6 +128,8 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValidationError(f"circuit qubit count {self.n} outside 1..{MAX_QUBITS}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(not 1 <= t <= self.n for t in g.targets):
@@ -254,6 +256,8 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
     """Product of the gate matrices in time order (later gates on the left)."""
+    if config is not None and c.n != config.n:
+        raise ValidationError(f"circuit has {c.n} qubits, machine has {config.n}")
     u = np.eye(2**c.n, dtype=complex)
     for g in c.gates:
         u = gate_matrix(g, c.n, config) @ u

@@ -7,8 +7,10 @@ of the lowering-operator form written for the -Zeeman convention; the two
 differ only by a mirrored frequency axis. Under it, the line of qubit k
 with coupled partners in state m sits at nu_k + sum_j (1-2 m_j) J_kj / 2
 and carries amplitude sum_p w_p(m) (c_xp + i c_yp), where p runs over the
-partner z-patterns and w_p(m) is the product of the partner signs. Readout
-inverts exactly that relation.
+partner z-patterns and w_p(m) is the product of the partner signs: that is
+2^n rho[1_k m, 0_k m], which peak readout reads straight from the state and
+the spectrum of the FID, with the T2 decay divided out, shows at the line's
+frequency. The Pauli readout inverts exactly that relation.
 
 FID synthesis reads H0's eigendecomposition and the channel sums
 Sx_ch, Sy_ch from the machine's cached, read-only operators (see
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional
 
 import numpy as np
@@ -33,9 +33,6 @@ from .dynamics import program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
 from .quantum import DensityMatrix, pauli_reconstruct
 from .spinsys import SpinSystemConfig
-
-_MAX_GRID = 2**20
-
 
 @dataclass(frozen=True)
 class FIDSignal:
@@ -166,50 +163,28 @@ def spectrum_peaks(fid: FIDSignal, threshold: float = 0.05) -> list[Peak]:
     return peaks
 
 
-@dataclass(frozen=True)
-class _Line:
-    qubit: int
-    partner_bits: tuple[int, ...]  # bit per partner qubit, ascending qubit order
-    frequency_hz: float
-
-
-def _weak_lines(config: SpinSystemConfig, channel: str) -> list[_Line]:
+def _weak_lines(
+    config: SpinSystemConfig, channel: str
+) -> list[tuple[int, tuple[int, ...], float, tuple[int, int]]]:
+    """(qubit k, partner bits m in ascending qubit order, frequency in Hz,
+    index of the coherence |1_k m><0_k m|) of each line on a channel."""
     lines = []
     n = config.n
     for k in config.channel_members(channel):
         partners = [q for q in range(1, n + 1) if q != k]
-        for bits in itertools.product((0, 1), repeat=len(partners)):
+        for bits in itertools.product((0, 1), repeat=n - 1):
             f = config.nuclei[k - 1].offset_hz
+            col = 0
             for q, b in zip(partners, bits):
                 f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
-            lines.append(_Line(qubit=k, partner_bits=bits, frequency_hz=f))
+                col |= b << (n - q)
+            lines.append((k, bits, f, (col | 1 << (n - k), col)))
     return lines
 
 
-def _exact_grid(freqs: list[float]) -> tuple[float, int]:
-    """Duration and sample count putting every line exactly on a DFT bin."""
-    fracs = [Fraction(f).limit_denominator(10**6) for f in freqs]
-    den = lcm(*(fr.denominator for fr in fracs)) if fracs else 1
-    ints = [int(fr * den) for fr in fracs]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    duration = den / g if g else 1e-2
-    fmax = max((abs(f) for f in freqs), default=0.0)
-    n = 64
-    while n < 4.0 * (fmax * duration + 1.0):
-        n *= 2
-        if n > _MAX_GRID:
-            raise ValidationError(
-                "readout grid would be enormous; use config frequencies with short "
-                "decimal expansions"
-            )
-    return duration, n
-
-
-def _check_resolved(lines: list[_Line], t2: float):
+def _check_resolved(freqs: list[float], t2: float):
     lw = 1.0 / (np.pi * t2)
-    freqs = sorted(line.frequency_hz for line in lines)
+    freqs = sorted(freqs)
     for a, b in zip(freqs, freqs[1:]):
         if b - a < 3.0 * lw:
             raise UnresolvedPeaksError(
@@ -220,6 +195,7 @@ def _check_resolved(lines: list[_Line], t2: float):
 def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list[Peak]]:
     """Per-channel spectral lines with amplitudes in coefficient units.
 
+    The line of qubit k with partners in state m carries 2^n rho[1_k m, 0_k m].
     A deviation sigma_x^k alone gives every line of qubit k amplitude 1;
     adding sigma_x^k sigma_z^j moves weight between the partner-|0> and
     partner-|1> lines of qubit k.
@@ -228,23 +204,13 @@ def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str
         raise ValidationError("peak readout is defined for weak-coupling systems")
     if config.n > 3:
         raise ValidationError("peak readout is defined for n <= 3")
+    if rho.n != config.n:
+        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
     out: dict[str, list[Peak]] = {}
     for channel in config.channels:
         lines = _weak_lines(config, channel)
-        t2 = _channel_t2(config, channel)
-        _check_resolved(lines, t2)
-        duration, n_samples = _exact_grid([line.frequency_hz for line in lines])
-        fid = synthesize_fid(rho, config, channel, duration, duration / n_samples)
-        corrected = fid.samples * np.exp(fid.times_s / t2)
-        bins = np.fft.fft(corrected) / n_samples
-        scale = 2 ** (config.n - 1)
-        peaks = []
-        for line in lines:
-            idx = int(round(line.frequency_hz * duration)) % n_samples
-            peaks.append(
-                Peak(frequency_hz=line.frequency_hz, amplitude=complex(scale * bins[idx]))
-            )
-        out[channel] = peaks
+        _check_resolved([f for _, _, f, _ in lines], _channel_t2(config, channel))
+        out[channel] = [Peak(f, complex(config.dim * rho.matrix[el])) for _, _, f, el in lines]
     return out
 
 
@@ -263,35 +229,25 @@ def _table_coefficients(
     table: dict[str, list[Peak]], config: SpinSystemConfig
 ) -> dict[str, float]:
     n = config.n
+    norm = 2 ** (n - 1)
     coeffs: dict[str, float] = {}
     for channel, peaks in table.items():
-        lines = _weak_lines(config, channel)
-        by_member: dict[int, list[tuple[_Line, complex]]] = {}
-        for line, peak in zip(lines, peaks):
-            by_member.setdefault(line.qubit, []).append((line, peak.amplitude))
+        by_member: dict[int, list[tuple[tuple[int, ...], complex]]] = {}
+        for (k, bits, _, _), peak in zip(_weak_lines(config, channel), peaks):
+            by_member.setdefault(k, []).append((bits, peak.amplitude))
         for k, entries in by_member.items():
-            partners = [q for q in range(1, n + 1) if q != k]
-            norm = 2 ** len(partners)
-            for pattern in itertools.product((0, 1), repeat=len(partners)):
-                cx = 0.0
-                cy = 0.0
-                for line, amp in entries:
-                    wgt = 1.0
-                    for b, p in zip(line.partner_bits, pattern):
-                        if p:
-                            wgt *= 1 - 2 * b
-                    cx += wgt * amp.real
-                    cy += wgt * amp.imag
-                letters_x = ["I"] * n
-                letters_y = ["I"] * n
-                letters_x[k - 1] = "X"
-                letters_y[k - 1] = "Y"
-                for q, p in zip(partners, pattern):
-                    if p:
-                        letters_x[q - 1] = "Z"
-                        letters_y[q - 1] = "Z"
-                coeffs["".join(letters_x)] = cx / norm
-                coeffs["".join(letters_y)] = cy / norm
+            for pattern in itertools.product((0, 1), repeat=n - 1):
+                cx = cy = 0.0
+                for bits, amp in entries:
+                    sign = 1
+                    for b, p in zip(bits, pattern):
+                        if b and p:
+                            sign = -sign
+                    cx += sign * amp.real
+                    cy += sign * amp.imag
+                z = ["Z" if p else "I" for p in pattern]
+                coeffs["".join(z[: k - 1] + ["X"] + z[k - 1 :])] = cx / norm
+                coeffs["".join(z[: k - 1] + ["Y"] + z[k - 1 :])] = cy / norm
     return coeffs
 
 
@@ -356,13 +312,6 @@ def tomography_sweep(
         raise ValidationError(f"tomography did not determine {missing}")
     coeffs["I" * config.n] = 1.0
     return pauli_reconstruct(coeffs), tables
-
-
-def tomography_peak_tables(
-    rho: DensityMatrix, config: SpinSystemConfig
-) -> dict[str, dict[str, list[Peak]]]:
-    """Per-setting, per-channel spectral lines of the ideal-readout sweep."""
-    return tomography_sweep(rho, config)[1]
 
 
 def tomography(

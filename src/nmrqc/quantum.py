@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -63,12 +64,18 @@ def embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return tensor_all([op if k == qubit else SIGMA_I for k in range(1, n + 1)])
 
 
+@functools.lru_cache(maxsize=4 + 16 + 64)  # every string for n <= 3
 def pauli_string_matrix(label: str) -> np.ndarray:
-    """Matrix of a Pauli product string such as "XZ" or "IYI"."""
+    """Matrix of a Pauli product string such as "XZ" or "IYI".
+
+    Memoized and read-only: copy before writing.
+    """
     try:
-        return tensor_all([PAULI[c] for c in label])
+        m = np.array(tensor_all([PAULI[c] for c in label]))  # copy: never freeze PAULI
     except KeyError as exc:
         raise ValidationError(f"bad Pauli letter in {label!r}") from exc
+    m.setflags(write=False)
+    return m
 
 
 def all_pauli_strings(n: int) -> list[str]:

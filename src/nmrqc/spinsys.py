@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed_single
 
 COUPLING_MODELS = ("weak", "isotropic")
+MAX_QUBITS = 6
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class SpinSystemConfig:
 
     def __post_init__(self):
         n = len(self.nuclei)
-        if not 1 <= n <= 6:
-            raise ValidationError(f"nuclei count {n} outside 1..6")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValidationError(f"nuclei count {n} outside 1..{MAX_QUBITS}")
         if self.coupling_model not in COUPLING_MODELS:
             raise ValidationError(f"coupling_model must be one of {COUPLING_MODELS}")
         j = np.array(self.j_hz, dtype=float)

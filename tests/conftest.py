@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nmrqc.quantum import DensityMatrix
 from nmrqc.spinsys import NucleusSpec, SpinSystemConfig, preset
+
+# Tier-1 runs the same examples every time and leaves no example database behind.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

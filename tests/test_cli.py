@@ -46,6 +46,20 @@ class TestSimulate:
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("circuit, match", [
+        ({"n": 40, "gates": []}, "qubit count 40 outside 1..6"),
+        ({"n": 0, "gates": []}, "qubit count 0 outside 1..6"),
+        ({"n": 3, "gates": [{"name": "H", "targets": [3]}]}, "circuit has 3 qubits, machine has 2"),
+    ], ids=["n40", "n0", "n3_on_gemini"])
+    def test_circuit_size_exits_2(self, tmp_path, capsys, circuit, match):
+        circuit = write_json(tmp_path / "c.json", circuit)
+        rc = main(["simulate", "--machine", "gemini", "--circuit", circuit, "--path", "ideal",
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: validation:") and match in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
         outs = []
@@ -77,6 +91,23 @@ class TestArtifacts:
         assert report["max_error_vs_input"] < 1e-8
         assert len(report["peak_tables"]) == 9  # one table per readout setting
         assert set(report["peak_tables"]["I,I"]) == {"1H", "31P"}
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: (cfg["nuclei"][0].update(offset_hz=1.0, t2_s=1e-3),
+                     cfg["nuclei"][1].update(offset_hz=3.0, t2_s=1e-3), set_j(cfg, 2000.0)),
+        lambda cfg: (cfg["nuclei"][0].update(offset_hz=123.456789),
+                     cfg["nuclei"][1].update(offset_hz=-98.7654321)),
+    ], ids=["short_t2", "long_decimal_offsets"])
+    def test_tomography_on_resolved_machines(self, tmp_path, edit):
+        rng = np.random.default_rng(58)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
+        state = write_json(tmp_path / "state.json", rho.to_json_dict())
+        out = tmp_path / "out"
+        assert main(["tomography", "--state", state, "--machine",
+                     machine_file(tmp_path, edit), "--out", str(out)]) == 0
+        report = json.loads((out / "tomography_report.json").read_text())
+        assert report["max_error_vs_input"] <= 1e-8
 
     def test_experiment_rabi_outputs(self, tmp_path):
         out = tmp_path / "out"

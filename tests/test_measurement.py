@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from conftest import make_weak_config, random_density_matrix
+from nmrqc import measurement
 from nmrqc.errors import UnresolvedPeaksError, ValidationError
 from nmrqc.measurement import (
     FIDSignal,
@@ -18,6 +23,7 @@ from nmrqc.quantum import (
     pauli_expand,
     pauli_reconstruct,
 )
+from nmrqc.spinsys import preset
 
 PHI_MINUS_MATRIX = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -182,6 +188,31 @@ class TestPeakReadout:
         with pytest.raises(UnresolvedPeaksError):
             readout_pauli_coefficients(rho, cfg)
 
+    @pytest.mark.parametrize("cfg, duration_s, n_samples", [
+        (make_weak_config([150.0, -40.0, 300.0],
+                          [[0.0, 30.0, 12.0], [30.0, 0.0, 18.0], [12.0, 18.0, 0.0]],
+                          t2=0.5, labels=["A", "B", "A"]), 1.0, 1024),
+        (preset("gemini"), 10.0, 8192),
+    ], ids=["integer_hz_3spin", "gemini"])
+    def test_amplitudes_equal_fid_spectrum(self, cfg, duration_s, n_samples):
+        # Every line completes a whole number of periods in duration_s, so the
+        # spectrum of the FID with its decay divided out has each line on one bin.
+        rho = random_density_matrix(np.random.default_rng(56), cfg.n)
+        scale = 2 ** (cfg.n - 1) / np.sqrt(n_samples)
+        for channel, peaks in readout_peak_table(rho, cfg).items():
+            fid = synthesize_fid(rho, cfg, channel, duration_s, duration_s / n_samples)
+            t2 = min(cfg.nuclei[k - 1].t2_s for k in cfg.channel_members(channel))
+            spec = spectrum_of(FIDSignal(channel, fid.samples * np.exp(fid.times_s / t2),
+                                         fid.dt_s))
+            for p in peaks:
+                i = int(np.argmin(np.abs(spec.frequencies_hz - p.frequency_hz)))
+                assert spec.frequencies_hz[i] == pytest.approx(p.frequency_hz, abs=1e-9)
+                assert abs(p.amplitude - scale * spec.amplitudes[i]) <= 1e-12
+
+    def test_state_size_must_match_machine(self, gemini):
+        with pytest.raises(ValidationError, match="machine has 2"):
+            readout_peak_table(DensityMatrix.basis(1, 0), gemini)
+
     def test_recovers_all_single_transverse_coefficients(self, gemini):
         rng = np.random.default_rng(52)
         rho = random_density_matrix(rng, 2)
@@ -223,6 +254,45 @@ class TestTomography:
         rho = random_density_matrix(rng, 3)
         recon = tomography(rho, cfg)
         assert np.max(np.abs(recon.matrix - rho.matrix)) < 1e-8
+
+    @settings(max_examples=100)
+    # T2 = 1 ms: offsets of 1 and 3 Hz with J = 2000 Hz, and a resolved three-spin machine
+    @example(n=2, offsets=[0.001, 0.003, 0.0], couplings=[2.0, 0.0, 0.0], t2=1e-3,
+             homonuclear=False, seed=1)
+    @example(n=3, offsets=[0.1234567, -0.7654321, 0.3141592], couplings=[3.3, 7.7, 12.1],
+             t2=1e-3, homonuclear=False, seed=2)
+    @given(
+        n=st.sampled_from((3, 2, 1)),
+        offsets=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+        couplings=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+        t2=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        homonuclear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_on_weak_machines(self, n, offsets, couplings, t2, homonuclear, seed):
+        # Offsets and couplings are drawn in units of 1/T2, so a short T2 leaves
+        # the lines unresolved, and the draw rejected, no more often than a long one.
+        j = np.zeros((n, n))
+        for (a, b), value in zip(itertools.combinations(range(n), 2), couplings):
+            j[a, b] = j[b, a] = value / t2
+        labels = ["1H"] * n if homonuclear else [f"S{i}" for i in range(n)]
+        cfg = make_weak_config([o / t2 for o in offsets[:n]], j, t1=20.0, t2=t2,
+                               labels=labels)
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        try:
+            recon = tomography(rho, cfg)
+        except UnresolvedPeaksError:
+            reject()
+        assert np.max(np.abs(recon.matrix - rho.matrix)) <= 1e-8
+
+    def test_reads_no_fid(self, gemini, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("readout synthesized an FID or ran an FFT")
+
+        monkeypatch.setattr(measurement, "synthesize_fid", forbidden)
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        rho = random_density_matrix(np.random.default_rng(57), 2)
+        assert np.max(np.abs(tomography(rho, gemini).matrix - rho.matrix)) < 1e-8
 
     def test_compiled_readout_pulses(self, gemini):
         rng = np.random.default_rng(55)

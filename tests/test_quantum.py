@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_ket
+from nmrqc import quantum
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import (
     SIGMA_Z,
@@ -13,8 +14,10 @@ from nmrqc.quantum import (
     partial_trace,
     pauli_expand,
     pauli_reconstruct,
+    pauli_string_matrix,
     state_fidelity,
     tensor,
+    tensor_all,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -117,6 +120,22 @@ class TestPauliExpansion:
     def test_bad_identity_coefficient(self):
         with pytest.raises(ValidationError):
             pauli_reconstruct({"II": 0.5, "ZZ": 0.2})
+
+    def test_strings_built_once_and_read_only(self, monkeypatch):
+        built = []
+
+        def counting_tensor_all(factors):
+            built.append(len(factors))
+            return tensor_all(factors)
+
+        monkeypatch.setattr(quantum, "tensor_all", counting_tensor_all)
+        pauli_string_matrix.cache_clear()
+        coeffs = {label: 0.01 for label in all_pauli_strings(3)[1:]}
+        for _ in range(3):
+            pauli_reconstruct(coeffs)
+        assert len(built) == 63
+        with pytest.raises(ValueError):
+            pauli_string_matrix("XZY")[0, 0] = 0.0
 
     def test_string_count(self):
         assert len(all_pauli_strings(3)) == 64
