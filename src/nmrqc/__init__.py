@@ -40,6 +40,7 @@ from .dynamics import (
     apply_crusher,
     apply_relaxation,
     evolve_program,
+    evolve_programs,
     program_unitary,
     segment_propagator,
 )

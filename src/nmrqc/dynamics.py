@@ -5,14 +5,16 @@ delays, and instantaneous crusher gradients, executed against a spin
 system. RF segments evolve under H0 + H_rf, delays under H0 alone, and a
 crusher zeroes every off-diagonal element of the density matrix.
 
-`program_unitary` and `evolve_program` share one propagation path: the
-Hamiltonians of a program's timed events are stacked from the machine's
-cached, read-only operators (see `spinsys`) and propagated in one batched
-kernel call.
+One propagation path: the Hamiltonians of the timed events are stacked from
+the machine's cached, read-only operators (see `spinsys`) and propagated in
+one batched kernel call. `program_unitary` chains them; `evolve_programs`
+runs a batch of programs (a scan) as one (B, d, d) stack of states, with
+relaxation vectorized over it, and `evolve_program` is its one-program case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import HERMITICITY_TOL, DensityMatrix
+from .quantum import HERMITICITY_TOL, DensityMatrix, _check_density
 from .spinsys import SpinSystemConfig, rf_drive
 
 
@@ -145,6 +147,34 @@ def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(np.diag(np.diag(rho.matrix)), validate=False)
 
 
+@functools.lru_cache(maxsize=None)
+def _same_state_masks(n: int) -> tuple[np.ndarray, ...]:
+    """Per spin k, the read-only mask of i_k == j_k on a (B, 2, ..., 2) state stack."""
+    eye = np.eye(2, dtype=bool)
+    eye.setflags(write=False)
+    shapes = ([1 + (a in (k, n + k)) for a in range(-1, 2 * n)] for k in range(n))
+    return tuple(eye.reshape(shape) for shape in shapes)
+
+
+def _relax(ms: np.ndarray, dt: np.ndarray, config: SpinSystemConfig) -> np.ndarray:
+    """The channel of `apply_relaxation` on a (B, d, d) stack, one dt per state."""
+    n, b = config.n, len(dt)
+    taus = np.array([(nuc.t1_s, nuc.t2_s) for nuc in config.nuclei])
+    decay = np.exp(-dt[:, np.newaxis, np.newaxis] / taus)  # (B, n, 2): e1, e2 per spin
+    e12 = decay.reshape((b, n, 2) + (1,) * (2 * n))
+    t = ms.reshape((b,) + (2,) * (2 * n))
+    for k, same_k in enumerate(_same_state_masks(n)):
+        # f swaps |0><0| with |1><1| (and |0><1| with |1><0|) of spin k
+        f = np.flip(t, axis=(1 + k, 1 + n + k))
+        t = np.where(same_k, 0.5 * (t + f) + e12[:, k, 0] * (0.5 * (t - f)), e12[:, k, 1] * t)
+    m = t.reshape(ms.shape)
+    pol = np.array([nuc.polarization for nuc in config.nuclei])
+    restore = (pol * (1.0 - decay[:, :, 0]) / config.dim)[:, :, np.newaxis, np.newaxis]
+    for k in np.flatnonzero(pol):
+        m = m + restore[:, k] * config._operators.sz[k]
+    return np.where(dt[:, np.newaxis, np.newaxis] > 0, m, ms)
+
+
 def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) -> DensityMatrix:
     """Phenomenological T1/T2 channel over a duration dt.
 
@@ -158,52 +188,54 @@ def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) ->
         raise ValidationError("dt must be >= 0")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, config has {config.n}")
-    if dt == 0:
-        return rho
-    n = config.n
-    t = rho.matrix.reshape((2,) * (2 * n)).copy()
-    for k, nuc in enumerate(config.nuclei):
-        e1 = np.exp(-dt / nuc.t1_s)
-        e2 = np.exp(-dt / nuc.t2_s)
-        t = np.moveaxis(t, (k, n + k), (0, 1))
-        p00, p01, p10, p11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-        mean = 0.5 * (p00 + p11)
-        half_diff = 0.5 * (p00 - p11)
-        t = np.stack(
-            [
-                np.stack([mean + e1 * half_diff, e2 * p01]),
-                np.stack([e2 * p10, mean - e1 * half_diff]),
-            ]
-        )
-        t = np.moveaxis(t, (0, 1), (k, n + k))
-    m = t.reshape(config.dim, config.dim)
-    for nuc, sz in zip(config.nuclei, config._operators.sz):
-        e1 = np.exp(-dt / nuc.t1_s)
-        if nuc.polarization != 0.0:
-            m = m + (nuc.polarization * (1.0 - e1) / config.dim) * sz
+    m = _relax(rho.matrix[np.newaxis], np.array([dt], dtype=float), config)[0]
     return DensityMatrix(m, validate=False)
 
 
-def evolve_program(
+def evolve_programs(
     rho: DensityMatrix,
-    program: PulseProgram,
+    programs: Sequence[PulseProgram],
     relaxation: bool = False,
+) -> list[DensityMatrix]:
+    """Run each program from `rho`, all of them at once; one state per program.
+
+    The programs must drive the same `system` object and share one sequence
+    of event kinds; durations, amplitudes and phases may differ. Each event
+    updates the whole (B, d, d) stack of states, with propagators from one
+    batched kernel call and, if on, relaxation over its duration in each program.
+    """
+    if not programs:
+        return []
+    config = programs[0].system
+    kinds = tuple(map(type, programs[0].events))
+    if any(p.system is not config or tuple(map(type, p.events)) != kinds for p in programs):
+        raise ValidationError("batched programs must share one system and sequence of event kinds")
+    if rho.n != config.n:
+        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    # timed[e][i] is the e-th timed event of program i
+    timed = list(zip(*([ev for ev in p.events if not isinstance(ev, Crusher)] for p in programs)))
+    b, d = len(programs), config.dim
+    props = _propagators(config, [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
+    steps = zip(timed, props)
+    ms = np.broadcast_to(rho.matrix, (b, d, d))
+    for kind in kinds:
+        if kind is Crusher:
+            ms = np.where(np.eye(d, dtype=bool), ms, 0)
+            continue
+        events, u = next(steps)
+        ms = u @ ms @ u.conj().swapaxes(-1, -2)
+        if relaxation:
+            ms = _relax(ms, np.array([ev.duration_s for ev in events], dtype=float), config)
+    _check_density(ms)
+    return [DensityMatrix(m, validate=False) for m in ms]
+
+
+def evolve_program(
+    rho: DensityMatrix, program: PulseProgram, relaxation: bool = False
 ) -> DensityMatrix:
     """Run a pulse program: events in order, optional relaxation after each
     timed event over that event's duration."""
-    config = program.system
-    if rho.n != config.n:
-        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    timed = [ev for ev in program.events if not isinstance(ev, Crusher)]
-    props = iter(_propagators(config, timed))
-    for ev in program.events:
-        if isinstance(ev, Crusher):
-            rho = apply_crusher(rho)
-            continue
-        rho = rho.evolved(next(props))
-        if relaxation:
-            rho = apply_relaxation(rho, ev.duration_s, config)
-    return DensityMatrix(rho.matrix)
+    return evolve_programs(rho, [program], relaxation)[0]
 
 
 def program_unitary(program: PulseProgram) -> np.ndarray:

@@ -3,7 +3,9 @@ averaging, Rabi pulse calibration, inversion-recovery T1 and spin-echo T2
 scans, and the least-squares fits behind them.
 
 Every experiment is expressed purely in x/y pulses, delays, and crushers;
-nothing writes the state directly.
+nothing writes the state directly. A scan builds one program per point and
+evolves all of them in one `evolve_programs` call for each machine config
+(one per ensemble offset in the T2 echo).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .control import _rotation_pulse, _single_channel_pulse
-from .dynamics import Crusher, Delay, PulseProgram, evolve_program
+from .dynamics import Crusher, Delay, PulseProgram, evolve_program, evolve_programs
 from .errors import FitError, ValidationError
 from .quantum import DensityMatrix
 from .spinsys import SpinSystemConfig, thermal_state
@@ -75,13 +77,8 @@ def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
     span = float(np.max(x) - np.min(x))
     candidates = np.linspace(span / 20.0, 4.0 * span, 800)
     amp = float(np.max(np.abs(y)))
-    best_p, best_sse = candidates[0], np.inf
-    for period in candidates:
-        model = amp * np.abs(np.sin(np.pi * x / period))
-        sse = float(np.sum((model - y) ** 2))
-        if sse < best_sse:
-            best_p, best_sse = period, sse
-    return best_p
+    models = amp * np.abs(np.sin(np.pi * x / candidates[:, np.newaxis]))
+    return candidates[np.argmin(np.sum((models - y) ** 2, axis=1))]
 
 
 def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
@@ -195,16 +192,9 @@ def rabi_calibration(
     durations = np.asarray(sorted(durations_s), dtype=float)
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
-    rho0 = thermal_state(config)
-    y = []
-    for dur in durations:
-        prog = PulseProgram(
-            system=config,
-            events=(_single_channel_pulse(config, channel, 0.0, float(dur), amplitude_hz),),
-        )
-        rho = evolve_program(rho0, prog, relaxation=False)
-        y.append(abs(_transverse(rho, config, channel)))
-    y = np.asarray(y)
+    pulses = [_single_channel_pulse(config, channel, 0.0, t, amplitude_hz) for t in durations]
+    states = evolve_programs(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
+    y = np.array([abs(_transverse(rho, config, channel)) for rho in states])
     fit = fit_model(durations, y, "abs_sine")
     t180 = fit.params["period"]
     scan = ScanResult(x=durations, y=y, fit=fit)
@@ -252,23 +242,16 @@ def relaxation_experiment(
             for k, nuc in enumerate(config.nuclei, start=1)
         )
         cfg = replace(config, nuclei=nuclei)
-        rho0 = thermal_state(cfg)
-        for ti, t in enumerate(delays):
-            if mode == "T1":
-                events = (
-                    _single_channel_pulse(cfg, channel, 0.0, t180, amplitude_hz),
-                    Delay(float(t)),
-                    _single_channel_pulse(cfg, channel, 0.0, t90, amplitude_hz),
-                )
-            else:
-                events = (
-                    _single_channel_pulse(cfg, channel, 0.0, t90, amplitude_hz),
-                    Delay(float(t) / 2.0),
-                    _single_channel_pulse(cfg, channel, np.pi / 2, t180, amplitude_hz),
-                    Delay(float(t) / 2.0),
-                )
-            rho = evolve_program(rho0, PulseProgram(system=cfg, events=events), relaxation=True)
-            signals[di, ti] = _transverse(rho, cfg, channel)
+        p90 = _single_channel_pulse(cfg, channel, 0.0, t90, amplitude_hz)
+        if mode == "T1":
+            p180 = _single_channel_pulse(cfg, channel, 0.0, t180, amplitude_hz)
+            programs = [PulseProgram(cfg, (p180, Delay(t), p90)) for t in delays.tolist()]
+        else:
+            p180 = _single_channel_pulse(cfg, channel, np.pi / 2, t180, amplitude_hz)
+            halves = [Delay(t / 2.0) for t in delays.tolist()]
+            programs = [PulseProgram(cfg, (p90, half, p180, half)) for half in halves]
+        states = evolve_programs(thermal_state(cfg), programs, relaxation=True)
+        signals[di] = [_transverse(rho, cfg, channel) for rho in states]
     mean_signal = signals.mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>

@@ -17,11 +17,13 @@ Sx_ch, Sy_ch from the machine's cached, read-only operators (see
 `spinsys`). Tomography sweeps the 3^n readout settings once and returns
 the peak tables it inverted alongside the reconstruction: with the
 compiled readout those are the spectra of the states rotated by the
-compiled pulses.
+compiled pulses. A sweep lists each channel's lines once, and the ideal
+readout unitaries are built once per qubit count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -192,6 +194,25 @@ def _check_resolved(freqs: list[float], t2: float):
             )
 
 
+def _readout_lines(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list]:
+    """`_weak_lines` of each channel, after the peak-readout checks."""
+    if rho.n != config.n:
+        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    if config.coupling_model != "weak":
+        raise ValidationError("peak readout is defined for weak-coupling systems")
+    if config.n > 3:
+        raise ValidationError("peak readout is defined for n <= 3")
+    lines = {channel: _weak_lines(config, channel) for channel in config.channels}
+    for channel, ch_lines in lines.items():
+        _check_resolved([f for _, _, f, _ in ch_lines], _channel_t2(config, channel))
+    return lines
+
+
+def _peak_table(rho: DensityMatrix, lines: dict[str, list]) -> dict[str, list[Peak]]:
+    d, m = len(rho.matrix), rho.matrix
+    return {ch: [Peak(f, complex(d * m[el])) for _, _, f, el in ls] for ch, ls in lines.items()}
+
+
 def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list[Peak]]:
     """Per-channel spectral lines with amplitudes in coefficient units.
 
@@ -200,18 +221,7 @@ def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str
     adding sigma_x^k sigma_z^j moves weight between the partner-|0> and
     partner-|1> lines of qubit k.
     """
-    if config.coupling_model != "weak":
-        raise ValidationError("peak readout is defined for weak-coupling systems")
-    if config.n > 3:
-        raise ValidationError("peak readout is defined for n <= 3")
-    if rho.n != config.n:
-        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    out: dict[str, list[Peak]] = {}
-    for channel in config.channels:
-        lines = _weak_lines(config, channel)
-        _check_resolved([f for _, _, f, _ in lines], _channel_t2(config, channel))
-        out[channel] = [Peak(f, complex(config.dim * rho.matrix[el])) for _, _, f, el in lines]
-    return out
+    return _peak_table(rho, _readout_lines(rho, config))
 
 
 def readout_pauli_coefficients(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, float]:
@@ -222,18 +232,16 @@ def readout_pauli_coefficients(rho: DensityMatrix, config: SpinSystemConfig) -> 
     sigma_x^k (x) z-pattern coefficients, the imaginary parts the
     sigma_y^k ones.
     """
-    return _table_coefficients(readout_peak_table(rho, config), config)
+    lines = _readout_lines(rho, config)
+    return _table_coefficients(_peak_table(rho, lines), lines, config.n)
 
 
-def _table_coefficients(
-    table: dict[str, list[Peak]], config: SpinSystemConfig
-) -> dict[str, float]:
-    n = config.n
+def _table_coefficients(table: dict, lines: dict[str, list], n: int) -> dict[str, float]:
     norm = 2 ** (n - 1)
     coeffs: dict[str, float] = {}
     for channel, peaks in table.items():
         by_member: dict[int, list[tuple[tuple[int, ...], complex]]] = {}
-        for (k, bits, _, _), peak in zip(_weak_lines(config, channel), peaks):
+        for (k, bits, _, _), peak in zip(lines[channel], peaks):
             by_member.setdefault(k, []).append((bits, peak.amplitude))
         for k, entries in by_member.items():
             for pattern in itertools.product((0, 1), repeat=n - 1):
@@ -260,6 +268,20 @@ _SETTING_MAP = {
 }
 
 
+def _setting_circuit(setting: tuple[str, ...]) -> Circuit:
+    gates = tuple(Gate(s, (q,)) for q, s in enumerate(setting, start=1) if s != "I")
+    return Circuit(len(setting), gates)
+
+
+@functools.lru_cache(maxsize=3)
+def _ideal_readouts(n: int) -> np.ndarray:
+    """Ideal unitaries of the 3^n readout settings, in sweep order (read-only)."""
+    settings = itertools.product(_SETTING_MAP, repeat=n)
+    us = np.array([circuit_unitary(_setting_circuit(s)) for s in settings])
+    us.setflags(write=False)
+    return us
+
+
 def tomography_sweep(
     rho: DensityMatrix,
     config: SpinSystemConfig,
@@ -278,20 +300,18 @@ def tomography_sweep(
     """
     if config.n > 3:
         raise ValidationError("tomography supports n <= 3")
-    if rho.n != config.n:
-        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    lines = _readout_lines(rho, config)
     tables = {}
     determinations: dict[str, list[float]] = {}
-    for setting in itertools.product(("I", "X90", "Y90"), repeat=config.n):
-        gates = tuple(Gate(s, (q,)) for q, s in enumerate(setting, start=1) if s != "I")
+    for i, setting in enumerate(itertools.product(_SETTING_MAP, repeat=config.n)):
         if compiled_readout:
             amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
-            u = program_unitary(compile_circuit(Circuit(config.n, gates), config, amp))
+            u = program_unitary(compile_circuit(_setting_circuit(setting), config, amp))
         else:
-            u = circuit_unitary(Circuit(config.n, gates))
-        table = readout_peak_table(rho.evolved(u), config)
+            u = _ideal_readouts(config.n)[i]
+        table = _peak_table(rho.evolved(u), lines)
         tables[",".join(setting)] = table
-        for q_string, value in _table_coefficients(table, config).items():
+        for q_string, value in _table_coefficients(table, lines, config.n).items():
             letters = []
             sign = 1
             for s, q_letter in zip(setting, q_string):

@@ -110,6 +110,20 @@ class Ket:
         return f"Ket(n={self.n})"
 
 
+def _check_density(m: np.ndarray) -> None:
+    """Reject unless each matrix of a (..., d, d) stack is a density matrix."""
+    herm = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+    if herm > HERMITICITY_TOL:
+        raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > TRACE_TOL
+    if np.any(bad):
+        raise ValidationError(f"density matrix trace {complex(tr[bad].flat[0])}, not 1")
+    lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))))
+    if lo < -EIGENVALUE_TOL:
+        raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
+
+
 class DensityMatrix:
     """2^n x 2^n Hermitian, unit-trace, positive-semidefinite state matrix."""
 
@@ -121,15 +135,7 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         self.n = _qubit_count(m.shape[0], "density matrix")
         if validate:
-            herm = float(np.max(np.abs(m - m.conj().T)))
-            if herm > HERMITICITY_TOL:
-                raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
-            tr = complex(np.trace(m))
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValidationError(f"density matrix trace {tr}, not 1")
-            lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-            if lo < -EIGENVALUE_TOL:
-                raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
+            _check_density(m)
         m.setflags(write=False)
         self.matrix = m
 

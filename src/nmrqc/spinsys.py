@@ -6,9 +6,9 @@ All config frequencies are in Hz; every Hamiltonian matrix is in rad/s
 
 This module is the one place that builds a machine's operators: H0 and
 its eigendecomposition, the RF control generators, the per-channel
-transverse sums and the per-spin sigma_z. They are built once per config,
-on first use, and cached on the frozen config; the cached arrays are
-read-only. `dataclasses.replace` makes a new config with its own cache.
+transverse sums and the per-spin sigma_z. They and the channel tuple are
+built once per config, on first use, and cached on the frozen config; the
+arrays are read-only. `dataclasses.replace` makes a new config, new cache.
 """
 
 from __future__ import annotations
@@ -85,20 +85,17 @@ class SpinSystemConfig:
     def dim(self) -> int:
         return 2**self.n
 
-    @property
+    @cached_property
     def channels(self) -> tuple[str, ...]:
         """Distinct nucleus labels, in first-appearance order. One RF channel each."""
-        seen: list[str] = []
-        for nuc in self.nuclei:
-            if nuc.label not in seen:
-                seen.append(nuc.label)
-        return tuple(seen)
+        return tuple(dict.fromkeys(nuc.label for nuc in self.nuclei))
 
     def channel_index(self, channel: str) -> int:
         """Position of a channel in `channels`."""
-        if channel not in self.channels:
+        channels = self.channels
+        if channel not in channels:
             raise ValidationError(f"no nucleus with label {channel!r}")
-        return self.channels.index(channel)
+        return channels.index(channel)
 
     def channel_members(self, channel: str) -> tuple[int, ...]:
         """1-based qubit indices driven by (and observed on) a channel."""

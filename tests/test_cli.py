@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from nmrqc import measurement
-from nmrqc.cli import _canonical, main
+from nmrqc.cli import _canonical, dispatch, main
 from nmrqc.control import Circuit, Gate, compile_circuit
 from nmrqc.dynamics import program_unitary
 from nmrqc.quantum import DensityMatrix
@@ -305,6 +306,34 @@ class TestReadmeRequests:
             assert main([*argv, "--out", str(out)]) == 0
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] and outs[0] == outs[1]
+
+    # sha256 of each scan report of the README requests, recorded before the
+    # scans were evolved as batches; a change to the scan path must keep them.
+    SCAN_REPORTS = {
+        "rabi": {
+            "rabi_fit.json": "3f5870153c01bfffa7343f7316281b586429cec47e81f14b3de92f0b5bdb1ce1",
+            "rabi_scan.csv": "da24e956769e54bea17c80faa49db30ca5ebd75e79578fc8b004cdb4e96fca28",
+        },
+        "t1": {
+            "t1_fit.json": "7248c2d28a32927859a7cafd0773ad32c6e20c02fa4ceea1f7811afca51b31da",
+            "t1_scan.csv": "d17154ee9f91882b892c3e86f5e26140bbde021f7a92860f6c868a95af2b0a5c",
+        },
+        "t2": {
+            "t2_fit.json": "604a46bd7e78650adb98a54f7d11ebd99ff802f7b1cf9416cd6a9686e90c41b1",
+            "t2_scan.csv": "62596c5f4061e93e49ed91f2883dfa003a7661a95aa04ef5fb798e341899bc2e",
+        },
+        "pps": {
+            "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", [a for a in README_REQUESTS if a[0] == "experiment"],
+                             ids=lambda a: a[1])
+    def test_scan_reports_are_pinned(self, tmp_path, argv):
+        assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.iterdir()}
+        assert digests == self.SCAN_REPORTS[argv[1]]
 
     def test_pulse_tomography_tables_are_the_compiled_readout(self, tmp_path, readme_inputs):
         out = tmp_path / "out"

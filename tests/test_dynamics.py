@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import make_weak_config, random_density_matrix
@@ -12,6 +16,7 @@ from nmrqc.dynamics import (
     apply_crusher,
     apply_relaxation,
     evolve_program,
+    evolve_programs,
     program_unitary,
     segment_propagator,
 )
@@ -27,7 +32,7 @@ from nmrqc.quantum import (
     tensor,
 )
 from nmrqc.measurement import synthesize_fid
-from nmrqc.spinsys import internal_hamiltonian, rf_hamiltonian, thermal_state
+from nmrqc.spinsys import internal_hamiltonian, preset, rf_hamiltonian, thermal_state
 
 # A weak 3-spin machine on three channels (J 140/48/190 Hz).
 WEAK3 = make_weak_config(
@@ -333,3 +338,121 @@ class TestRelaxation:
         zz = pauli_expand(out)["ZZ"]
         # the restoration terms also generate no ZZ weight
         assert zz == pytest.approx(expected, abs=1e-12)
+
+
+def reference_relaxation(rho, dt, config):
+    """`apply_relaxation` as a per-spin moveaxis/stack loop: the reference the
+    batched channel must reproduce bit for bit."""
+    if dt == 0:
+        return rho.matrix
+    n = config.n
+    t = rho.matrix.reshape((2,) * (2 * n)).copy()
+    for k, nuc in enumerate(config.nuclei):
+        e1 = np.exp(-dt / nuc.t1_s)
+        e2 = np.exp(-dt / nuc.t2_s)
+        t = np.moveaxis(t, (k, n + k), (0, 1))
+        p00, p01, p10, p11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+        mean = 0.5 * (p00 + p11)
+        half_diff = 0.5 * (p00 - p11)
+        t = np.stack(
+            [
+                np.stack([mean + e1 * half_diff, e2 * p01]),
+                np.stack([e2 * p10, mean - e1 * half_diff]),
+            ]
+        )
+        t = np.moveaxis(t, (0, 1), (k, n + k))
+    m = t.reshape(config.dim, config.dim)
+    for nuc, sz in zip(config.nuclei, config._operators.sz):
+        e1 = np.exp(-dt / nuc.t1_s)
+        if nuc.polarization != 0.0:
+            m = m + (nuc.polarization * (1.0 - e1) / config.dim) * sz
+    return m
+
+
+class TestBatchedRelaxation:
+    @given(
+        n=st.integers(1, 3),
+        times=st.lists(st.tuples(st.floats(1e-3, 100.0), st.floats(1e-3, 100.0)),
+                       min_size=3, max_size=3),
+        polarizations=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+        log_dt=st.floats(-6.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_moveaxis_loop_exactly(self, n, times, polarizations, log_dt, seed):
+        cfg = make_weak_config([0.0] * n, np.zeros((n, n)))
+        cfg = replace(cfg, nuclei=tuple(
+            replace(nuc, t1_s=t1, t2_s=t2, polarization=pol)
+            for nuc, (t1, t2), pol in zip(cfg.nuclei, times, polarizations)
+        ))
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        dt = 10.0**log_dt
+        out = apply_relaxation(rho, dt, cfg)
+        assert np.array_equal(out.matrix, reference_relaxation(rho, dt, cfg))
+
+
+MACHINES = {"gemini": preset("gemini"), "triangulum": preset("triangulum"), "weak3": WEAK3}
+
+
+class TestEvolvePrograms:
+    @given(
+        machine=st.sampled_from(sorted(MACHINES)),
+        kinds=st.lists(st.sampled_from([RfSegment, Delay, Crusher]), min_size=1, max_size=5),
+        batch=st.integers(1, 6),
+        relaxation=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_program_at_a_time(self, machine, kinds, batch, relaxation, seed):
+        cfg = MACHINES[machine]
+        rng = np.random.default_rng(seed)
+        n_ch = len(cfg.channels)
+
+        def event(kind):
+            if kind is Crusher:
+                return Crusher()
+            if kind is Delay:
+                return Delay(float(10.0 ** rng.uniform(-6, 0)))
+            return RfSegment(tuple(rng.uniform(0, 2e4, n_ch)),
+                             tuple(rng.uniform(-np.pi, np.pi, n_ch)),
+                             float(rng.uniform(0, 1e-4)))
+
+        programs = [PulseProgram(cfg, tuple(map(event, kinds))) for _ in range(batch)]
+        rho0 = random_density_matrix(rng, cfg.n)
+        states = evolve_programs(rho0, programs, relaxation)
+        assert len(states) == batch
+        for prog, rho in zip(programs, states):
+            assert np.array_equal(rho.matrix, evolve_program(rho0, prog, relaxation).matrix)
+
+    def test_crusher_zeroes_off_diagonals_exactly(self, gemini):
+        rho = random_density_matrix(np.random.default_rng(40), 2)
+        (out,) = evolve_programs(rho, [PulseProgram(gemini, (Crusher(),))])
+        assert np.array_equal(out.matrix, apply_crusher(rho).matrix)
+        assert not np.signbit(out.matrix[~np.eye(4, dtype=bool)].view(float)).any()
+
+    def test_no_programs(self, gemini):
+        assert evolve_programs(thermal_state(gemini), []) == []
+
+    def test_mixed_systems_rejected(self, gemini):
+        # an equal but distinct config is still another system
+        programs = [PulseProgram(gemini, (Delay(1e-4),)), PulseProgram(replace(gemini), (Delay(1e-4),))]
+        with pytest.raises(ValidationError, match="share one system"):
+            evolve_programs(thermal_state(gemini), programs)
+
+    @pytest.mark.parametrize("events", [
+        (RfSegment((1e3, 0.0), (0.0, 0.0), 1e-5),),
+        (Delay(1e-4), Crusher()),
+        (Crusher(), Delay(1e-4)),
+    ], ids=["rf_for_delay", "extra_crusher", "reordered"])
+    def test_mismatched_event_kinds_rejected(self, gemini, events):
+        programs = [PulseProgram(gemini, (Delay(1e-4),)), PulseProgram(gemini, events)]
+        with pytest.raises(ValidationError, match="sequence of event kinds"):
+            evolve_programs(thermal_state(gemini), programs)
+
+    def test_every_state_is_validated(self, gemini):
+        # relaxing for 100 s mends the slightly negative start state; no delay keeps it
+        bad = DensityMatrix(np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]).astype(complex),
+                            validate=False)
+        mended = PulseProgram(gemini, (Delay(100.0),))
+        (out,) = evolve_programs(bad, [mended], relaxation=True)
+        assert np.min(np.linalg.eigvalsh(out.matrix)) > 0
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            evolve_programs(bad, [mended, PulseProgram(gemini, (Delay(0.0),))], relaxation=True)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_weak_config
+from nmrqc import _kernels
 from nmrqc.dynamics import Crusher, Delay, RfSegment, apply_crusher, evolve_program
 from nmrqc.errors import FitError, ValidationError
 from nmrqc.experiments import (
+    _abs_sine_period_guess,
     fit_model,
     prepare_pseudo_pure,
     rabi_calibration,
@@ -158,6 +160,26 @@ class TestRabiCalibration:
         with pytest.raises(ValidationError):
             rabi_calibration(gemini, "1H", 1e4, [1e-6, 2e-6, 3e-6])
 
+    @pytest.mark.parametrize("u_khz, points, noise", [
+        (5.0, 19, 0.0), (12.5, 16, 0.0), (20.0, 23, 0.05), (8.0, 40, 0.2),
+    ])
+    def test_period_guess_matches_candidate_loop(self, gemini, u_khz, points, noise):
+        def loop_guess(x, y):
+            span = float(np.max(x) - np.min(x))
+            candidates = np.linspace(span / 20.0, 4.0 * span, 800)
+            amp = float(np.max(np.abs(y)))
+            best_p, best_sse = candidates[0], np.inf
+            for period in candidates:
+                sse = float(np.sum((amp * np.abs(np.sin(np.pi * x / period)) - y) ** 2))
+                if sse < best_sse:
+                    best_p, best_sse = period, sse
+            return best_p
+
+        u = u_khz * 1e3
+        scan, _, _ = rabi_calibration(gemini, "1H", u, np.linspace(0.0, 2.0 / u, points + 1)[1:])
+        y = scan.y * (1 + noise * np.random.default_rng(points).normal(size=points))
+        assert _abs_sine_period_guess(scan.x, y) == loop_guess(scan.x, y)
+
 
 T1_DELAYS = [20e-6, 50e-6, 100e-6, 200e-6, 400e-6, 1.2e-3, 4e-3, 12e-3,
              50e-3, 200e-3, 1.0, 4.0, 15.0]
@@ -219,6 +241,24 @@ class TestRelaxationExperiments:
         ensemble = abs(total) / 11
         echo = np.exp(-t / 0.2) * gemini.nuclei[0].polarization
         assert ensemble < 0.2 * echo
+
+    @pytest.mark.parametrize("scan, calls", [
+        (lambda cfg: rabi_calibration(cfg, "1H", 12.5e3, np.linspace(0, 1.6e-4, 17)[1:]), 1),
+        (lambda cfg: relaxation_experiment(cfg, "1H", "T1", T1_DELAYS), 1),
+        (lambda cfg: relaxation_experiment(cfg, "31P", "T2", T2_DELAYS, offset_spread_hz=200.0,
+                                           ensemble_points=11), 11),
+    ], ids=["rabi", "t1", "t2_ensemble11"])
+    def test_one_propagator_call_per_scan_config(self, gemini, monkeypatch, scan, calls):
+        stacks = []
+        batched = _kernels.segment_propagators
+
+        def counted(h_stack, dt):
+            stacks.append(len(h_stack))
+            return batched(h_stack, dt)
+
+        monkeypatch.setattr(_kernels, "segment_propagators", counted)
+        scan(gemini)
+        assert len(stacks) == calls
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

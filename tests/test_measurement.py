@@ -294,6 +294,30 @@ class TestTomography:
         rho = random_density_matrix(np.random.default_rng(57), 2)
         assert np.max(np.abs(tomography(rho, gemini).matrix - rho.matrix)) < 1e-8
 
+    def test_config_work_done_once_per_sweep(self, monkeypatch):
+        cfg = make_weak_config([30.0, -20.0, 5.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
+                               labels=["1H", "13C", "15N"])
+        calls = {"circuit_unitary": 0, "_weak_lines": 0}
+
+        def counting(name):
+            original = getattr(measurement, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(measurement, name, counting(name))
+        measurement._ideal_readouts.cache_clear()
+        rng = np.random.default_rng(58)
+        for _ in range(2):
+            rho = random_density_matrix(rng, 3)
+            assert np.max(np.abs(tomography(rho, cfg).matrix - rho.matrix)) < 1e-8
+        # 27 ideal readouts built once for n = 3; lines listed once per channel per sweep
+        assert calls == {"circuit_unitary": 27, "_weak_lines": 2 * 3}
+        assert not measurement._ideal_readouts(3).flags.writeable
+
     def test_compiled_readout_pulses(self, gemini):
         rng = np.random.default_rng(55)
         rho = random_density_matrix(rng, 2)

@@ -188,6 +188,14 @@ class TestOperatorCache:
             assert np.array_equal(old, arr)
         assert np.array_equal(control_operators(shifted)[0], control_operators(cfg)[0])
 
+    def test_channels_are_cached(self, triangulum):
+        cfg = make_weak_config([0.0, 0.0, 0.0], np.zeros((3, 3)), labels=["1H", "13C", "1H"])
+        assert cfg.channels == ("1H", "13C") and cfg.channels is cfg.channels
+        assert cfg.channel_index("13C") == 1 and cfg.channel_members("1H") == (1, 3)
+        relabeled = replace(cfg, nuclei=(replace(cfg.nuclei[0], label="31P"), *cfg.nuclei[1:]))
+        assert relabeled.channels == ("31P", "13C", "1H")
+        assert triangulum.channels == ("19F",)
+
     def test_cached_arrays_are_read_only(self, gemini):
         thermal_state(gemini)
         for arr in (internal_hamiltonian(gemini), control_operators(gemini)[0],
