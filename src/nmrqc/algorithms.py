@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .control import (
     CNOT,
@@ -243,6 +242,8 @@ def _counting_circuit(case: str, l: int) -> Circuit:
 
 def _fit_cos_frequency(ls: np.ndarray, values: np.ndarray) -> float:
     """theta in [0, pi] minimizing sum (cos(l theta) - value)^2."""
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(0.0, np.pi, 20001)
     sse = np.sum((np.cos(np.outer(ls, grid)) - values[:, None]) ** 2, axis=0)
     i = int(np.argmin(sse))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .control import _rotation_pulse, _single_channel_pulse
 from .dynamics import Crusher, Delay, PulseProgram, evolve_program, evolve_programs
@@ -26,8 +25,6 @@ from .spinsys import SpinSystemConfig, thermal_state
 # rotations; this amplitude keeps J evolution during them below 1e-9.
 PPS_PULSE_AMP_HZ = 1e13
 
-FIT_MODELS = ("exp_decay", "inversion_recovery", "abs_sine")
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -36,7 +33,8 @@ class FitResult:
     residual: float  # rms of (fit - data)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return _MODEL_FUNCS[self.model](np.asarray(x, dtype=float), self.params)
+        name, shape = _MODELS[self.model]
+        return self.params["amplitude"] * shape(np.asarray(x, dtype=float) / self.params[name])[0]
 
 
 @dataclass(frozen=True)
@@ -53,23 +51,15 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
-def _model_exp_decay(x, p):
-    return p["amplitude"] * np.exp(-x / p["tau"])
-
-
-def _model_inversion_recovery(x, p):
-    return p["amplitude"] * (1.0 - 2.0 * np.exp(-x / p["tau"]))
-
-
-def _model_abs_sine(x, p):
-    return p["amplitude"] * np.abs(np.sin(np.pi * x / p["period"]))
-
-
-_MODEL_FUNCS = {
-    "exp_decay": _model_exp_decay,
-    "inversion_recovery": _model_inversion_recovery,
-    "abs_sine": _model_abs_sine,
+# model -> (name of theta, u -> (g, dg/d ln theta)) for amplitude * g(u), u = x / theta
+_MODELS = {
+    "exp_decay": ("tau", lambda u: (np.exp(-u), u * np.exp(-u))),
+    "inversion_recovery": ("tau", lambda u: (1.0 - 2.0 * np.exp(-u), -2.0 * u * np.exp(-u))),
+    "abs_sine": ("period", lambda u: (np.abs(np.sin(np.pi * u)), -np.pi * u * np.cos(np.pi * u)
+                                      * np.sign(np.sin(np.pi * u)))),
 }
+_MAX_ITERATIONS = 100
+_STEP_TOL = 1e-13  # change of ln theta at which a fit has converged
 
 
 def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
@@ -81,61 +71,69 @@ def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
     return candidates[np.argmin(np.sum((models - y) ** 2, axis=1))]
 
 
-def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
-    """Deterministic two-parameter least-squares fit of a named model.
+def _profile(x: np.ndarray, y: np.ndarray, shape, theta):
+    """g, dg, the least-squares amplitude held at >= 0 and the residual y - amplitude * g
+    at theta (a number, or a column of candidates)."""
+    with np.errstate(all="ignore"):
+        g, dg = shape(x / theta)
+        amp = np.fmax((g @ y) / np.einsum("...i,...i", g, g), 0.0)  # an all-zero g gets 0
+        return g, dg, amp, y - amp[..., np.newaxis] * g
 
-    Initialization is rule-based (amplitude from the data extrema, time
-    constant from half the x range, |sin| period from a grid search), so a
-    given dataset always produces the same parameters.
-    """
-    if model not in FIT_MODELS:
-        raise ValidationError(f"unknown model {model!r}; choose from {FIT_MODELS}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+
+def _refine(x: np.ndarray, y: np.ndarray, shape, theta: float) -> float:
+    """The minimum of |y - A*(theta) g|^2 nearest theta: Gauss-Newton steps in ln theta
+    with Kaufman's variable-projection Jacobian (Golub & Pereyra, SIAM J. Numer. Anal.
+    10, 413 (1973)); an overshoot halves the next step, so no kink makes it cycle."""
+    s, limit, before = np.log(theta), 0.5, 0.0
+    for _ in range(_MAX_ITERATIONS):
+        g, dg, amp, r = _profile(x, y, shape, np.exp(s))
+        slope = float(dg @ r)  # -(d |r|^2 / d ln theta) / (2 amp)
+        if amp == 0.0 or slope == 0.0:
+            return float(np.exp(s))
+        if slope * before < 0.0:
+            limit = 0.5 * abs(step)
+        pdg = dg - (g @ dg) / (g @ g) * g
+        step = max(-limit, min(limit, slope / (amp * float(pdg @ pdg) + 1e-300)))
+        if abs(step) <= _STEP_TOL:
+            return float(np.exp(s + step))
+        s, before = s + step, slope
+    raise FitError(f"fit did not converge within {_MAX_ITERATIONS} iterations")
+
+
+def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
+    """Deterministic least-squares fit of amplitude * g(x / theta): theta starts
+    at the best of a candidate grid, and `_refine` takes it to the nearest minimum."""
+    if model not in _MODELS:
+        raise ValidationError(f"unknown model {model!r}; choose from {tuple(_MODELS)}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValidationError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValidationError("need at least 3 points to fit 2 parameters")
-    scale = float(np.max(np.abs(y)))
-    if scale < 1e-300:
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValidationError("x and y must be finite")
+    if float(np.max(np.abs(y))) < 1e-300:
         raise FitError("data carries no signal")
-    span = float(np.max(x) - np.min(x))
-    if span <= 0:
+    if float(np.max(x) - np.min(x)) <= 0:
         raise FitError("x values are degenerate")
+    name, shape = _MODELS[model]
     if model == "abs_sine":
-        p0 = np.array([scale, _abs_sine_period_guess(x, y)])
-        names = ("amplitude", "period")
-    elif model == "exp_decay":
-        p0 = np.array([scale, span / 2.0])
-        names = ("amplitude", "tau")
-    else:
-        p0 = np.array([scale, span / 2.0])
-        names = ("amplitude", "tau")
-
-    func = _MODEL_FUNCS[model]
-
-    def residuals(p):
-        return func(x, dict(zip(names, p))) - y
-
-    try:
-        sol = least_squares(
-            residuals,
-            p0,
-            bounds=([0.0, 1e-30], [np.inf, np.inf]),
-            method="trf",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-        )
-    except ValueError as exc:
-        raise FitError(f"fit failed: {exc}") from exc
-    if not sol.success:
-        raise FitError(f"fit did not converge: {sol.message}")
-    params = dict(zip(names, (float(v) for v in sol.x)))
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    if rms > 0.2 * float(np.sqrt(np.mean(y**2))) + 1e-12:
+        theta = _refine(x, y, shape, _abs_sine_period_guess(x, y))
+        # |sin| has a kink in T wherever a sample sits on a zero, |x| = m T, and a lower
+        # minimum can lie just across one: refine again from the far side of each within 1 %
+        kinks = np.abs(x) / np.maximum(np.round(np.abs(x) / theta), 1.0)
+        kinks = np.unique(kinks[np.abs(kinks / theta - 1.0) < 1e-2])
+        fits = [theta] + [_refine(x, y, shape, k * (1 + 1e-9 * np.sign(k - theta))) for k in kinks]
+        theta = min(fits, key=lambda t: float(np.sum(_profile(x, y, shape, t)[3] ** 2)))
+    else:  # start from the best of 10 time constants per decade over 1e-6..1e3 x ranges
+        taus = np.geomspace(1e-6, 1e3, 91)[:, np.newaxis] * float(np.max(x) - np.min(x))
+        sse = np.nan_to_num(np.sum(_profile(x, y, shape, taus)[3] ** 2, axis=-1), nan=np.inf)
+        theta = _refine(x, y, shape, float(taus[np.argmin(sse), 0]))
+    _, _, amp, r = _profile(x, y, shape, theta)
+    rms = np.sqrt(np.mean(r**2))
+    if not rms <= 0.2 * float(np.sqrt(np.mean(y**2))) + 1e-12:
         raise FitError(f"fit residual {rms:.3g} too large for model {model!r}")
-    return FitResult(model=model, params=params, residual=rms)
+    return FitResult(model, {"amplitude": float(amp), name: theta}, float(rms))
 
 
 def prepare_pseudo_pure(
@@ -154,14 +152,12 @@ def prepare_pseudo_pure(
     j = float(config.j_hz[0, 1])
     if j == 0.0:
         raise ValidationError("pseudo-pure preparation needs a nonzero J coupling")
-    ch1 = config.channel_of(1)
-    ch2 = config.channel_of(2)
     events = (
-        _rotation_pulse(config, ch2, "x", np.pi / 3, pulse_amp_hz),
+        _rotation_pulse(config, config.channel_of(2), "x", np.pi / 3, pulse_amp_hz),
         Crusher(),
-        _rotation_pulse(config, ch1, "x", np.pi / 4, pulse_amp_hz),
+        _rotation_pulse(config, config.channel_of(1), "x", np.pi / 4, pulse_amp_hz),
         Delay(1.0 / (2.0 * abs(j))),
-        _rotation_pulse(config, ch1, "y", -np.pi / 4, pulse_amp_hz),
+        _rotation_pulse(config, config.channel_of(1), "y", -np.pi / 4, pulse_amp_hz),
         Crusher(),
     )
     program = PulseProgram(system=config, events=events)
@@ -169,19 +165,19 @@ def prepare_pseudo_pure(
     return program, rho
 
 
-def _transverse(rho: DensityMatrix, config: SpinSystemConfig, channel: str) -> complex:
-    """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed
-    over a channel's spins."""
-    c = config.channel_index(channel)
-    sx, sy = config._operators.sx[c], config._operators.sy[c]
-    return complex(np.real(np.trace(rho.matrix @ sx)), np.real(np.trace(rho.matrix @ sy)))
+def _transverse(states, config: SpinSystemConfig, channel: str):
+    """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed over a
+    channel's spins, for one state or, in one contraction, each of a sequence."""
+    single = isinstance(states, DensityMatrix)
+    rho = np.array([s.matrix for s in ([states] if single else states)])
+    ops, c = config._operators, config.channel_index(channel)
+    xy = np.einsum("bij,kji->bk", rho, np.stack([ops.sx[c], ops.sy[c]])).real
+    signal = xy[:, 0] + 1j * xy[:, 1]
+    return signal[0] if single else signal
 
 
 def rabi_calibration(
-    config: SpinSystemConfig,
-    channel: str,
-    amplitude_hz: float,
-    durations_s: Sequence[float],
+    config: SpinSystemConfig, channel: str, amplitude_hz: float, durations_s: Sequence[float]
 ) -> tuple[ScanResult, float, float]:
     """Nutation-curve pulse calibration at fixed power.
 
@@ -194,11 +190,10 @@ def rabi_calibration(
         raise ValidationError("need at least 8 durations spanning a period")
     pulses = [_single_channel_pulse(config, channel, 0.0, t, amplitude_hz) for t in durations]
     states = evolve_programs(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
-    y = np.array([abs(_transverse(rho, config, channel)) for rho in states])
+    y = np.abs(_transverse(states, config, channel))
     fit = fit_model(durations, y, "abs_sine")
     t180 = fit.params["period"]
-    scan = ScanResult(x=durations, y=y, fit=fit)
-    return scan, t180 / 2.0, t180
+    return ScanResult(x=durations, y=y, fit=fit), t180 / 2.0, t180
 
 
 def relaxation_experiment(
@@ -229,10 +224,8 @@ def relaxation_experiment(
     t90 = t90_s if t90_s is not None else 1.0 / (4.0 * amplitude_hz)
     t180 = t180_s if t180_s is not None else 1.0 / (2.0 * amplitude_hz)
 
-    if offset_spread_hz:
-        deltas = np.linspace(-offset_spread_hz, offset_spread_hz, ensemble_points)
-    else:
-        deltas = np.array([0.0])
+    deltas = (np.linspace(-offset_spread_hz, offset_spread_hz, ensemble_points)
+              if offset_spread_hz else np.zeros(1))
     members = config.channel_members(channel)
 
     signals = np.zeros((deltas.size, delays.size), dtype=complex)
@@ -251,13 +244,11 @@ def relaxation_experiment(
             halves = [Delay(t / 2.0) for t in delays.tolist()]
             programs = [PulseProgram(cfg, (p90, half, p180, half)) for half in halves]
         states = evolve_programs(thermal_state(cfg), programs, relaxation=True)
-        signals[di] = [_transverse(rho, cfg, channel) for rho in states]
+        signals[di] = _transverse(states, cfg, channel)
     mean_signal = signals.mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>
-        y = -mean_signal.imag
-        fit = fit_model(delays, y, "inversion_recovery")
+        y, model = -mean_signal.imag, "inversion_recovery"
     else:
-        y = np.abs(mean_signal)
-        fit = fit_model(delays, y, "exp_decay")
-    return ScanResult(x=delays, y=y, fit=fit)
+        y, model = np.abs(mean_signal), "exp_decay"
+    return ScanResult(x=delays, y=y, fit=fit_model(delays, y, model))

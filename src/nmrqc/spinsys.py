@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -208,12 +208,22 @@ class _Operators(NamedTuple):
     sz: np.ndarray  # (n, d, d): sigma_z of each spin
 
 
-def _build_operators(config: SpinSystemConfig) -> _Operators:
-    n = config.n
-    x, y, z = (
+@lru_cache(maxsize=MAX_QUBITS)
+def _pauli_embeddings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z): (n, 2^n, 2^n) stacks of each spin's sigma_x, sigma_y and
+    sigma_z. Memoized per n and read-only."""
+    stacks = tuple(
         np.array([embed_single(p, k, n) for k in range(1, n + 1)])
         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)
     )
+    for arr in stacks:
+        arr.setflags(write=False)
+    return stacks
+
+
+def _build_operators(config: SpinSystemConfig) -> _Operators:
+    n = config.n
+    x, y, z = _pauli_embeddings(n)
     h0 = np.zeros((config.dim, config.dim), dtype=complex)
     for k, nuc in enumerate(config.nuclei):
         if nuc.offset_hz != 0.0:

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmrqc
 from nmrqc import measurement
 from nmrqc.cli import _canonical, dispatch, main
 from nmrqc.control import Circuit, Gate, compile_circuit
@@ -307,20 +312,21 @@ class TestReadmeRequests:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] and outs[0] == outs[1]
 
-    # sha256 of each scan report of the README requests, recorded before the
-    # scans were evolved as batches; a change to the scan path must keep them.
+    # sha256 of each scan report of the README requests: pps recorded before the
+    # scans were evolved as batches, rabi/t1/t2 re-recorded for the closed-form
+    # separable fits; a change to the scan path must keep them.
     SCAN_REPORTS = {
         "rabi": {
-            "rabi_fit.json": "3f5870153c01bfffa7343f7316281b586429cec47e81f14b3de92f0b5bdb1ce1",
-            "rabi_scan.csv": "da24e956769e54bea17c80faa49db30ca5ebd75e79578fc8b004cdb4e96fca28",
+            "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",
+            "rabi_scan.csv": "2acb1aa8c06ae797bd98bd35614e7e126e76e07d3074af0e85689ad584c1ab2d",
         },
         "t1": {
-            "t1_fit.json": "7248c2d28a32927859a7cafd0773ad32c6e20c02fa4ceea1f7811afca51b31da",
-            "t1_scan.csv": "d17154ee9f91882b892c3e86f5e26140bbde021f7a92860f6c868a95af2b0a5c",
+            "t1_fit.json": "a3e3b1cecf295317026ebf265c6bc47528084922b9baa6d050ae3ce8d9662968",
+            "t1_scan.csv": "0932f215f8d3eaf05b20d3e1655d9eeb55b53a4a521a1a9987cd0d210ad35cca",
         },
         "t2": {
-            "t2_fit.json": "604a46bd7e78650adb98a54f7d11ebd99ff802f7b1cf9416cd6a9686e90c41b1",
-            "t2_scan.csv": "62596c5f4061e93e49ed91f2883dfa003a7661a95aa04ef5fb798e341899bc2e",
+            "t2_fit.json": "3ec22c46739c75158cc7cf28b6fb5087389d7563c41e7f295b39f6130de16a3d",
+            "t2_scan.csv": "011e44cf7f509614913c1a02b5646ec501f9538576c1c43e1c641f02ea87abf3",
         },
         "pps": {
             "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",
@@ -353,3 +359,35 @@ class TestReadmeRequests:
                     for ch, peaks in table.items()
                 }
         assert report["peak_tables"] == _canonical(expected)
+
+
+class TestStartup:
+    """`import nmrqc` and the scan experiments run on numpy alone; scipy.optimize
+    is imported only by the commands that need it."""
+
+    def run(self, tmp_path, argv, module):
+        script = (
+            "import sys\n"
+            "import nmrqc\n"
+            "from nmrqc.cli import dispatch\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            f"for argv in {argv!r}:\n"
+            f"    assert dispatch([*argv, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print({module!r} in sys.modules)\n"
+        )
+        src = str(Path(nmrqc.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_scans_never_import_scipy(self, tmp_path):
+        argv = [["experiment", "t1"], ["experiment", "rabi"]]
+        assert self.run(tmp_path, argv, "scipy") == "False"
+
+    def test_grape_imports_scipy_optimize_on_demand(self, tmp_path):
+        argv = [["grape", "--gate", "X90", "--segments", "5", "--duration-s", "1e-4",
+                 "--max-iters", "2", "--seed", "1"]]
+        assert self.run(tmp_path, argv, "scipy.optimize") == "True"

@@ -1,12 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_weak_config
-from nmrqc import _kernels
-from nmrqc.dynamics import Crusher, Delay, RfSegment, apply_crusher, evolve_program
+from nmrqc import _kernels, experiments
+from nmrqc.control import _single_channel_pulse
+from nmrqc.dynamics import (
+    Crusher,
+    Delay,
+    PulseProgram,
+    RfSegment,
+    apply_crusher,
+    evolve_program,
+    evolve_programs,
+)
 from nmrqc.errors import FitError, ValidationError
 from nmrqc.experiments import (
     _abs_sine_period_guess,
+    _transverse,
     fit_model,
     prepare_pseudo_pure,
     rabi_calibration,
@@ -60,6 +74,94 @@ class TestFitModel:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             fit_model([0.0, 1.0], [1.0, 0.5], "exp_decay")
+
+    @pytest.mark.parametrize("x, y", [
+        (np.linspace(0, 3, 10), np.exp(-np.linspace(0, 3, 10)) + np.where(np.arange(10) == 4,
+                                                                            np.nan, 0.0)),
+        (np.append(np.linspace(0, 3, 9), np.inf), np.exp(-np.linspace(0, 3, 10))),
+    ], ids=["nan_in_y", "inf_in_x"])
+    def test_non_finite_data_rejected_without_warnings(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                fit_model(x, y, "exp_decay")
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_ITERATIONS", 1)
+        x = np.linspace(0, 5, 40)
+        with pytest.raises(FitError, match="did not converge within 1 iterations"):
+            fit_model(x, np.exp(-x / 1.3), "exp_decay")
+
+
+MODEL_CURVES = {
+    "exp_decay": ("tau", lambda x, a, t: a * np.exp(-x / t)),
+    "inversion_recovery": ("tau", lambda x, a, t: a * (1.0 - 2.0 * np.exp(-x / t))),
+    "abs_sine": ("period", lambda x, a, t: a * np.abs(np.sin(np.pi * x / t))),
+}
+
+
+def _least_squares_reference(x, y, model):
+    """rms of the bounded trust-region fit that fit_model replaced, from its start point."""
+    from scipy.optimize import least_squares
+
+    curve = MODEL_CURVES[model][1]
+    span = float(np.max(x) - np.min(x))
+    theta0 = _abs_sine_period_guess(x, y) if model == "abs_sine" else span / 2.0
+    sol = least_squares(lambda p: curve(x, *p) - y, [float(np.max(np.abs(y))), theta0],
+                        bounds=([0.0, 1e-30], [np.inf, np.inf]), method="trf",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return float(np.sqrt(np.mean(sol.fun**2)))
+
+
+@st.composite
+def fit_problems(draw):
+    """A model, its amplitude and time constant, and an x grid that samples
+    it: decays over 1.5-8 time constants (linear or log-spaced), |sin| over
+    1.2-3 periods at 6 or more points per period."""
+    model = draw(st.sampled_from(sorted(MODEL_CURVES)))
+    amplitude = 10.0 ** draw(st.floats(-6.0, 3.0))
+    theta = 10.0 ** draw(st.floats(-6.0, 2.0))
+    if model == "abs_sine":
+        start = draw(st.floats(0.01, 0.3))
+        periods = draw(st.floats(1.2, 3.0))
+        points = draw(st.integers(int(np.ceil(6 * periods)), 40))
+        u = np.linspace(start, start + periods, points)
+    elif draw(st.booleans()):
+        u = np.geomspace(draw(st.floats(1e-4, 0.1)), draw(st.floats(1.5, 8.0)),
+                         draw(st.integers(8, 40)))
+    else:
+        u = np.linspace(draw(st.floats(0.0, 0.5)), draw(st.floats(1.5, 8.0)),
+                        draw(st.integers(8, 40)))
+    return model, amplitude, theta, theta * u
+
+
+class TestSeparableFit:
+    @given(problem=fit_problems())
+    def test_recovers_noise_free_parameters(self, problem):
+        model, amplitude, theta, x = problem
+        name, curve = MODEL_CURVES[model]
+        fit = fit_model(x, curve(x, amplitude, theta), model)
+        assert fit.params[name] == pytest.approx(theta, rel=1e-9)
+        assert fit.params["amplitude"] == pytest.approx(amplitude, rel=1e-9)
+
+    @given(problem=fit_problems(), noise=st.floats(1e-4, 1e-2), seed=st.integers(0, 2**32 - 1))
+    def test_noisy_residual_no_worse_than_least_squares(self, problem, noise, seed):
+        model, amplitude, theta, x = problem
+        y = MODEL_CURVES[model][1](x, amplitude, theta)
+        y = y + noise * amplitude * np.random.default_rng(seed).normal(size=x.size)
+        fit = fit_model(x, y, model)
+        assert fit.residual <= _least_squares_reference(x, y, model) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converges_at_a_kink_of_samples_on_zeros(self, seed):
+        # Samples sit on every zero of |sin|, x = m T. Where noise puts them below
+        # zero, the residual has a V-shaped minimum at T that Gauss-Newton steps
+        # would jump across forever.
+        x = 40e-6 * np.arange(1, 13) / 4
+        y = np.abs(np.sin(np.pi * x / 40e-6)) + 0.01 * np.random.default_rng(seed).normal(size=12)
+        fit = fit_model(x, y, "abs_sine")
+        assert fit.params["period"] == pytest.approx(40e-6, rel=2e-3)
+        assert fit.residual <= _least_squares_reference(x, y, "abs_sine") * (1 + 1e-9)
 
 
 class TestPseudoPure:
@@ -150,6 +252,15 @@ class TestRabiCalibration:
         _, _, t180 = rabi_calibration(gemini, "1H", u, durations)
         fitted_freq = 1 / (2 * t180)
         assert fitted_freq == pytest.approx(u, rel=5e-3)
+
+    @pytest.mark.parametrize("u, channel", [(12.5e3, "1H"), (8e3, "1H"), (20e3, "31P")])
+    def test_fit_is_exact_across_the_kink_of_a_sample_on_a_zero(self, gemini, u, channel):
+        # On resonance each line nutates at sqrt(u^2 + (J/2)^2), so the scan is exactly
+        # A|sin(pi t / t180)|; the sample at t = 1/(2u) sits just past a zero and puts a
+        # kink, with a false minimum behind it, at 1/(2u) in the residual.
+        scan, _, t180 = rabi_calibration(gemini, channel, u, np.linspace(0.0, 2.0 / u, 17)[1:])
+        assert t180 == pytest.approx(1 / (2 * np.hypot(u, 697.4 / 2)), rel=1e-10)
+        assert scan.fit.residual <= 1e-11 * scan.fit.params["amplitude"]
 
     def test_zero_drive_fails(self, gemini):
         durations = np.linspace(1e-6, 1e-4, 12)
@@ -259,6 +370,19 @@ class TestRelaxationExperiments:
         monkeypatch.setattr(_kernels, "segment_propagators", counted)
         scan(gemini)
         assert len(stacks) == calls
+
+    @pytest.mark.parametrize("channel", ["1H", "31P"])
+    def test_signal_contraction_matches_per_state_trace(self, gemini, channel):
+        c = gemini.channel_index(channel)
+        pulse = _single_channel_pulse(gemini, channel, 0.0, 1 / (4 * 12.5e3), 12.5e3)
+        programs = [PulseProgram(gemini, (pulse, Delay(t))) for t in T2_DELAYS]
+        states = evolve_programs(thermal_state(gemini), programs, relaxation=True)
+        sx, sy = gemini._operators.sx[c], gemini._operators.sy[c]
+        expected = np.array([np.real(np.trace(rho.matrix @ sx))
+                             + 1j * np.real(np.trace(rho.matrix @ sy)) for rho in states])
+        signal = _transverse(states, gemini, channel)
+        assert np.max(np.abs(signal - expected)) <= 1e-15 * np.max(np.abs(expected))
+        assert _transverse(states[3], gemini, channel) == signal[3]
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

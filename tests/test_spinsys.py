@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_weak_config
+from nmrqc import spinsys
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single
 from nmrqc.spinsys import (
@@ -200,5 +201,26 @@ class TestOperatorCache:
         thermal_state(gemini)
         for arr in (internal_hamiltonian(gemini), control_operators(gemini)[0],
                     *gemini._operators):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_pauli_embeddings_are_built_once_per_n(self, monkeypatch):
+        calls = []
+        embed = spinsys.embed_single
+
+        def counted(op, qubit, n):
+            calls.append(n)
+            return embed(op, qubit, n)
+
+        monkeypatch.setattr(spinsys, "embed_single", counted)
+        spinsys._pauli_embeddings.cache_clear()
+        configs = [make_weak_config([10.0 * k, -5.0, 3.0 * k], [[0, 140, 48], [140, 0, 190],
+                                                                [48, 190, 0]]) for k in range(12)]
+        for cfg in configs:
+            internal_hamiltonian(cfg)
+        assert calls == [3] * 9
+        x, y, z = spinsys._pauli_embeddings(3)
+        assert configs[0]._operators.sz is z and configs[-1]._operators.sz is z
+        for arr in (x, y, z):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
