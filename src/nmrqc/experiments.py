@@ -63,9 +63,10 @@ _STEP_TOL = 1e-13  # change of ln theta at which a fit has converged
 
 
 def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
-    """Coarse grid search for the |sin| period; deterministic given data."""
+    """Coarse grid search for the |sin| period from two sample spacings up (below, it aliases)."""
     span = float(np.max(x) - np.min(x))
-    candidates = np.linspace(span / 20.0, 4.0 * span, 800)
+    shortest = max(span / 20.0, 2.0 * float(np.median(np.diff(np.sort(x)))))
+    candidates = np.linspace(shortest, 4.0 * span, 800)
     amp = float(np.max(np.abs(y)))
     models = amp * np.abs(np.sin(np.pi * x / candidates[:, np.newaxis]))
     return candidates[np.argmin(np.sum((models - y) ** 2, axis=1))]

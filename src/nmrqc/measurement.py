@@ -10,15 +10,12 @@ and carries amplitude sum_p w_p(m) (c_xp + i c_yp), where p runs over the
 partner z-patterns and w_p(m) is the product of the partner signs: that is
 2^n rho[1_k m, 0_k m], which peak readout reads straight from the state and
 the spectrum of the FID, with the T2 decay divided out, shows at the line's
-frequency. The Pauli readout inverts exactly that relation.
+frequency.
 
-FID synthesis reads H0's eigendecomposition and the channel sums
-Sx_ch, Sy_ch from the machine's cached, read-only operators (see
-`spinsys`). Tomography sweeps the 3^n readout settings once and returns
-the peak tables it inverted alongside the reconstruction: with the
-compiled readout those are the spectra of the states rotated by the
-compiled pulses. A sweep lists each channel's lines once, and the ideal
-readout unitaries are built once per qubit count.
+Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to
+the lines of all 3^n readout settings, by least squares: the ideal map once
+per qubit count, the compiled readout's from the pulses it applied. FID
+synthesis reads the machine's cached, read-only operators (see `spinsys`).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import numpy as np
 from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compile_circuit
 from .dynamics import program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
-from .quantum import DensityMatrix, pauli_reconstruct
+from .quantum import DensityMatrix, all_pauli_strings, pauli_reconstruct, pauli_string_matrix
 from .spinsys import SpinSystemConfig
 
 @dataclass(frozen=True)
@@ -165,22 +162,29 @@ def spectrum_peaks(fid: FIDSignal, threshold: float = 0.05) -> list[Peak]:
     return peaks
 
 
-def _weak_lines(
-    config: SpinSystemConfig, channel: str
-) -> list[tuple[int, tuple[int, ...], float, tuple[int, int]]]:
-    """(qubit k, partner bits m in ascending qubit order, frequency in Hz,
-    index of the coherence |1_k m><0_k m|) of each line on a channel."""
-    lines = []
-    n = config.n
+@functools.lru_cache(maxsize=3)
+def _line_elements(n: int) -> np.ndarray:
+    """Rows 1_k m and columns 0_k m of the coherences the lines read, qubit k
+    major and partner bits m (ascending qubit order, as an integer) minor."""
+    k = np.repeat(np.arange(1, n + 1), 2 ** (n - 1))
+    m = np.tile(np.arange(2 ** (n - 1)), n)
+    below = (1 << (n - k)) - 1  # bits of the partners after k
+    cols = (m & ~below) << 1 | m & below
+    elements = np.array([cols | 1 << (n - k), cols])
+    elements.setflags(write=False)
+    return elements
+
+
+def _weak_lines(config: SpinSystemConfig, channel: str) -> list[tuple[float, int]]:
+    """(frequency in Hz, index into `_line_elements`) of each line on a channel."""
+    n, lines = config.n, []
     for k in config.channel_members(channel):
         partners = [q for q in range(1, n + 1) if q != k]
-        for bits in itertools.product((0, 1), repeat=n - 1):
+        for m, bits in enumerate(itertools.product((0, 1), repeat=n - 1)):
             f = config.nuclei[k - 1].offset_hz
-            col = 0
             for q, b in zip(partners, bits):
                 f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
-                col |= b << (n - q)
-            lines.append((k, bits, f, (col | 1 << (n - k), col)))
+            lines.append((f, (k - 1) * 2 ** (n - 1) + m))
     return lines
 
 
@@ -204,13 +208,20 @@ def _readout_lines(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, li
         raise ValidationError("peak readout is defined for n <= 3")
     lines = {channel: _weak_lines(config, channel) for channel in config.channels}
     for channel, ch_lines in lines.items():
-        _check_resolved([f for _, _, f, _ in ch_lines], _channel_t2(config, channel))
+        _check_resolved([f for f, _ in ch_lines], _channel_t2(config, channel))
     return lines
 
 
-def _peak_table(rho: DensityMatrix, lines: dict[str, list]) -> dict[str, list[Peak]]:
-    d, m = len(rho.matrix), rho.matrix
-    return {ch: [Peak(f, complex(d * m[el])) for _, _, f, el in ls] for ch, ls in lines.items()}
+def _readings(matrices: np.ndarray) -> np.ndarray:
+    """Line amplitudes 2^n rho[1_k m, 0_k m] of a (..., d, d) stack, in
+    `_line_elements` order."""
+    d = matrices.shape[-1]
+    rows, cols = _line_elements(d.bit_length() - 1)
+    return d * matrices[..., rows, cols]
+
+
+def _peak_table(readings: np.ndarray, lines: dict[str, list]) -> dict[str, list[Peak]]:
+    return {ch: [Peak(f, complex(readings[i])) for f, i in ls] for ch, ls in lines.items()}
 
 
 def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list[Peak]]:
@@ -221,51 +232,24 @@ def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str
     adding sigma_x^k sigma_z^j moves weight between the partner-|0> and
     partner-|1> lines of qubit k.
     """
-    return _peak_table(rho, _readout_lines(rho, config))
+    lines = _readout_lines(rho, config)
+    return _peak_table(_readings(rho.matrix), lines)
 
 
 def readout_pauli_coefficients(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, float]:
-    """All Pauli coefficients with exactly one x/y factor, from spectra.
-
-    For each qubit k the 2^(n-1) line amplitudes of its channel are
-    inverted through the partner-sign table: the real parts give the
-    sigma_x^k (x) z-pattern coefficients, the imaginary parts the
-    sigma_y^k ones.
-    """
-    lines = _readout_lines(rho, config)
-    return _table_coefficients(_peak_table(rho, lines), lines, config.n)
-
-
-def _table_coefficients(table: dict, lines: dict[str, list], n: int) -> dict[str, float]:
-    norm = 2 ** (n - 1)
-    coeffs: dict[str, float] = {}
-    for channel, peaks in table.items():
-        by_member: dict[int, list[tuple[tuple[int, ...], complex]]] = {}
-        for (k, bits, _, _), peak in zip(lines[channel], peaks):
-            by_member.setdefault(k, []).append((bits, peak.amplitude))
-        for k, entries in by_member.items():
-            for pattern in itertools.product((0, 1), repeat=n - 1):
-                cx = cy = 0.0
-                for bits, amp in entries:
-                    sign = 1
-                    for b, p in zip(bits, pattern):
-                        if b and p:
-                            sign = -sign
-                    cx += sign * amp.real
-                    cy += sign * amp.imag
-                z = ["Z" if p else "I" for p in pattern]
-                coeffs["".join(z[: k - 1] + ["X"] + z[k - 1 :])] = cx / norm
-                coeffs["".join(z[: k - 1] + ["Y"] + z[k - 1 :])] = cy / norm
-    return coeffs
+    """All Pauli coefficients with exactly one x/y factor, from spectra: the
+    identity setting's rows of the tomography map, on the strings they see.
+    The real parts of qubit k's lines give its sigma_x^k (x) z-pattern
+    coefficients, the imaginary parts the sigma_y^k ones."""
+    _readout_lines(rho, config)
+    labels = all_pauli_strings(config.n)[1:]
+    keep = [i for i, s in enumerate(labels) if sum(c in "XY" for c in s) == 1]
+    identity = _readout_map(np.eye(2**config.n)[None])[..., keep]
+    coeffs = (_inverse(identity) @ _readings(rho.matrix)).real
+    return {labels[i]: float(c) for i, c in zip(keep, coeffs)}
 
 
-# Conjugation tables for the three readout settings: measuring letter q on
-# the rotated state equals measuring (sign, letter) on the original state.
-_SETTING_MAP = {
-    "I": {"I": ("I", 1), "X": ("X", 1), "Y": ("Y", 1), "Z": ("Z", 1)},
-    "X90": {"I": ("I", 1), "X": ("X", 1), "Y": ("Z", -1), "Z": ("Y", 1)},
-    "Y90": {"I": ("I", 1), "X": ("Z", 1), "Y": ("Y", 1), "Z": ("X", -1)},
-}
+_SETTINGS = ("I", "X90", "Y90")
 
 
 def _setting_circuit(setting: tuple[str, ...]) -> Circuit:
@@ -274,12 +258,38 @@ def _setting_circuit(setting: tuple[str, ...]) -> Circuit:
 
 
 @functools.lru_cache(maxsize=3)
-def _ideal_readouts(n: int) -> np.ndarray:
-    """Ideal unitaries of the 3^n readout settings, in sweep order (read-only)."""
-    settings = itertools.product(_SETTING_MAP, repeat=n)
+def _ideal_readouts(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ideal unitaries of the 3^n readout settings, in sweep order, and the
+    `_inverse` of their map (read-only). Offsets, J and channel labels only
+    move and group the lines, so both depend on n alone."""
+    settings = itertools.product(_SETTINGS, repeat=n)
     us = np.array([circuit_unitary(_setting_circuit(s)) for s in settings])
     us.setflags(write=False)
-    return us
+    return us, _inverse(_readout_map(us))
+
+
+def _readout_map(us: np.ndarray) -> np.ndarray:
+    """The map A, shape (S, L, 4^n - 1), from the coefficients c_P of
+    rho = (I + sum_P c_P P) / d to the lines after each U of the stack `us`:
+    line (r, c) reads sum_P c_P sum_ab U[r, a] P[a, b] U*[c, b]."""
+    n = us.shape[-1].bit_length() - 1
+    rows, cols = _line_elements(n)
+    paulis = np.array([pauli_string_matrix(s) for s in all_pauli_strings(n)[1:]])
+    return np.einsum("sla,pab,slb->slp", us[:, rows], paulis, us[:, cols].conj())
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Least-squares inverse M of a map A of real coefficients to complex
+    readings r: c = Re(M r) solves Re(A^H A) c = Re(A^H r), and the
+    eigenvalues that invert Re(A^H A) show whether A has full rank."""
+    # complex, as every other eigenproblem here: no second LAPACK solver is paged in
+    lam, v = np.linalg.eigh(np.einsum("slp,slq->pq", a.conj(), a).real + 0j)
+    if lam[0] <= 1e-9 * lam[-1]:
+        raise ValidationError("tomography readout does not determine every Pauli coefficient")
+    ginv = np.einsum("pk,qk->pq", v / lam, v.conj())
+    inverse = np.einsum("pq,slq->psl", ginv, a.conj()).reshape(len(ginv), -1)
+    inverse.setflags(write=False)
+    return inverse
 
 
 def tomography_sweep(
@@ -292,46 +302,25 @@ def tomography_sweep(
     the per-setting peak tables it inverts.
 
     Each setting applies {identity, X90, Y90} per qubit, ideal or compiled
-    to pulses, reads the single-transverse-factor coefficients off the
-    spectra, and maps them back through the rotation; every one of the
-    4^n - 1 coefficients is determined at least once (duplicates are
-    averaged). Table keys are setting labels like "I,Y90"; values map
-    channel label to the peak list of the rotated state.
+    to pulses. The readings of all settings are inverted at once by least
+    squares, through the map of the unitaries applied; with ideal readouts
+    that averages the duplicate determinations of each coefficient. Table
+    keys are setting labels like "I,Y90"; values map channel label to the
+    peak list of the rotated state.
     """
-    if config.n > 3:
-        raise ValidationError("tomography supports n <= 3")
     lines = _readout_lines(rho, config)
-    tables = {}
-    determinations: dict[str, list[float]] = {}
-    for i, setting in enumerate(itertools.product(_SETTING_MAP, repeat=config.n)):
-        if compiled_readout:
-            amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
-            u = program_unitary(compile_circuit(_setting_circuit(setting), config, amp))
-        else:
-            u = _ideal_readouts(config.n)[i]
-        table = _peak_table(rho.evolved(u), lines)
-        tables[",".join(setting)] = table
-        for q_string, value in _table_coefficients(table, lines, config.n).items():
-            letters = []
-            sign = 1
-            for s, q_letter in zip(setting, q_string):
-                letter, sgn = _SETTING_MAP[s][q_letter]
-                letters.append(letter)
-                sign *= sgn
-            target = "".join(letters)
-            if set(target) == {"I"}:
-                continue
-            determinations.setdefault(target, []).append(sign * value)
-    coeffs = {label: float(np.mean(vals)) for label, vals in determinations.items()}
-    missing = [
-        label
-        for label in map("".join, itertools.product("IXYZ", repeat=config.n))
-        if label != "I" * config.n and label not in coeffs
-    ]
-    if missing:
-        raise ValidationError(f"tomography did not determine {missing}")
-    coeffs["I" * config.n] = 1.0
-    return pauli_reconstruct(coeffs), tables
+    settings = list(itertools.product(_SETTINGS, repeat=config.n))
+    if compiled_readout:
+        amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
+        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config, amp))
+                       for s in settings])
+        inverse = _inverse(_readout_map(us))
+    else:
+        us, inverse = _ideal_readouts(config.n)
+    readings = _readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
+    coeffs = (inverse @ readings.ravel()).real
+    recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))
+    return recon, {",".join(s): _peak_table(r, lines) for s, r in zip(settings, readings)}
 
 
 def tomography(

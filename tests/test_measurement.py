@@ -34,6 +34,11 @@ def offset_config(nu1=120.0, nu2=-80.0, j=40.0, t2=5.0):
     return make_weak_config([nu1, nu2], [[0.0, j], [j, 0.0]], t2=t2)
 
 
+def weak3_config():
+    return make_weak_config([0.0, 0.0, 0.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
+                            labels=["1H", "13C", "15N"])
+
+
 def plus_state(n=1, qubit=1):
     coeffs = {"I" * n: 1.0}
     label = ["I"] * n
@@ -284,6 +289,11 @@ class TestTomography:
         except UnresolvedPeaksError:
             reject()
         assert np.max(np.abs(recon.matrix - rho.matrix)) <= 1e-8
+        # the identity setting's rows read every single-transverse-factor string
+        exact = pauli_expand(rho)
+        measured = readout_pauli_coefficients(rho, cfg)
+        assert set(measured) == {s for s in exact if sum(c in "XY" for c in s) == 1}
+        assert max(abs(value - exact[s]) for s, value in measured.items()) <= 1e-12
 
     def test_reads_no_fid(self, gemini, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -295,9 +305,13 @@ class TestTomography:
         assert np.max(np.abs(tomography(rho, gemini).matrix - rho.matrix)) < 1e-8
 
     def test_config_work_done_once_per_sweep(self, monkeypatch):
-        cfg = make_weak_config([30.0, -20.0, 5.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
-                               labels=["1H", "13C", "15N"])
-        calls = {"circuit_unitary": 0, "_weak_lines": 0}
+        machines = [
+            make_weak_config([30.0, -20.0, 5.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
+                             labels=["1H", "13C", "15N"]),
+            make_weak_config([150.0, -40.0, 300.0], [[0, 30, 12], [30, 0, 18], [12, 18, 0]],
+                             t2=20.0, labels=["A", "B", "A"]),
+        ]
+        calls = {"circuit_unitary": 0, "_weak_lines": 0, "_inverse": 0}
 
         def counting(name):
             original = getattr(measurement, name)
@@ -311,18 +325,27 @@ class TestTomography:
             monkeypatch.setattr(measurement, name, counting(name))
         measurement._ideal_readouts.cache_clear()
         rng = np.random.default_rng(58)
-        for _ in range(2):
-            rho = random_density_matrix(rng, 3)
-            assert np.max(np.abs(tomography(rho, cfg).matrix - rho.matrix)) < 1e-8
-        # 27 ideal readouts built once for n = 3; lines listed once per channel per sweep
-        assert calls == {"circuit_unitary": 27, "_weak_lines": 2 * 3}
-        assert not measurement._ideal_readouts(3).flags.writeable
+        for cfg in machines:
+            for _ in range(2):
+                rho = random_density_matrix(rng, 3)
+                assert np.max(np.abs(tomography(rho, cfg).matrix - rho.matrix)) < 1e-8
+        # 27 ideal readouts and one inverse map for n = 3, whatever the machine; lines
+        # listed once per channel per sweep (three channels, then two)
+        assert calls == {"circuit_unitary": 27, "_weak_lines": 2 * 3 + 2 * 2, "_inverse": 1}
+        assert not any(a.flags.writeable for a in measurement._ideal_readouts(3))
+
+    def test_undetermined_coefficients_rejected(self):
+        # the identity setting alone sees only the single-transverse-factor strings
+        with pytest.raises(ValidationError, match="does not determine"):
+            measurement._inverse(measurement._readout_map(np.eye(4)[None]))
 
     def test_compiled_readout_pulses(self, gemini):
+        # the reconstruction inverts the compiled readout it applied
         rng = np.random.default_rng(55)
-        rho = random_density_matrix(rng, 2)
-        recon = tomography(rho, gemini, compiled_readout=True)
-        assert np.max(np.abs(recon.matrix - rho.matrix)) < 1e-5
+        for cfg in (gemini, weak3_config()):
+            rho = random_density_matrix(rng, cfg.n)
+            recon = tomography(rho, cfg, compiled_readout=True)
+            assert np.max(np.abs(recon.matrix - rho.matrix)) < 1e-12, cfg.n
 
     def test_oversized_register_rejected(self):
         cfg = make_weak_config([1.0, 2.0, 3.0, 4.0], np.zeros((4, 4)))
