@@ -131,15 +131,20 @@ def segment_propagator(h_total: np.ndarray, dt: float) -> np.ndarray:
     return _kernels.segment_propagators(h[np.newaxis].astype(np.complex128), float(dt))[0]
 
 
-def _propagators(config: SpinSystemConfig, events: Sequence[PulseEvent]) -> np.ndarray:
-    """Propagators of timed events (RF segments and delays), one batched call."""
-    controls = config._operators.controls
-    drive = np.zeros((len(events), controls.shape[0]))
-    for e, ev in enumerate(events):
+def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
+                 events: Sequence[PulseEvent]) -> np.ndarray:
+    """Propagators of timed events (RF segments and delays), event e on machines[which[e]],
+    all of one spin layout: one batched call over the distinct (machine, event) rows."""
+    row_of: dict = {}
+    rows = [row_of.setdefault(key, len(row_of)) for key in zip(which, events)]
+    controls = machines[0]._operators.controls
+    drive = np.zeros((len(row_of), controls.shape[0]))
+    for r, (m, ev) in enumerate(row_of):
         if isinstance(ev, RfSegment):
-            drive[e] = rf_drive(config, ev.amplitudes_hz, ev.phases_rad)
-    hs = config._operators.h0 + np.tensordot(drive, controls, axes=1)
-    return _kernels.segment_propagators(hs, np.array([ev.duration_s for ev in events]))
+            drive[r] = rf_drive(machines[m], ev.amplitudes_hz, ev.phases_rad)
+    h0s = np.array([cfg._operators.h0 for cfg in machines])
+    hs = np.tensordot(drive, controls, axes=1) + h0s[[m for m, _ in row_of]]
+    return _kernels.segment_propagators(hs, np.array([ev.duration_s for _, ev in row_of]))[rows]
 
 
 def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
@@ -156,10 +161,17 @@ def _same_state_masks(n: int) -> tuple[np.ndarray, ...]:
     return tuple(eye.reshape(shape) for shape in shapes)
 
 
-def _relax(ms: np.ndarray, dt: np.ndarray, config: SpinSystemConfig) -> np.ndarray:
-    """The channel of `apply_relaxation` on a (B, d, d) stack, one dt per state."""
-    n, b = config.n, len(dt)
-    taus = np.array([(nuc.t1_s, nuc.t2_s) for nuc in config.nuclei])
+def _relaxation_params(machines: Sequence[SpinSystemConfig]) -> tuple[np.ndarray, np.ndarray]:
+    """Per machine, (T1, T2) of each spin, (M, n, 2), and polarization of each spin, (M, n)."""
+    taus = np.array([[(nuc.t1_s, nuc.t2_s) for nuc in cfg.nuclei] for cfg in machines])
+    return taus, np.array([[nuc.polarization for nuc in cfg.nuclei] for cfg in machines])
+
+
+def _relax(ms: np.ndarray, dt: np.ndarray, taus: np.ndarray, pol: np.ndarray,
+           sz: np.ndarray) -> np.ndarray:
+    """The channel of `apply_relaxation` on a (B, d, d) stack, with per state one dt,
+    (T1, T2) per spin (taus, (B, n, 2)) and polarization per spin (pol, (B, n))."""
+    b, n = taus.shape[:2]
     decay = np.exp(-dt[:, np.newaxis, np.newaxis] / taus)  # (B, n, 2): e1, e2 per spin
     e12 = decay.reshape((b, n, 2) + (1,) * (2 * n))
     t = ms.reshape((b,) + (2,) * (2 * n))
@@ -168,10 +180,9 @@ def _relax(ms: np.ndarray, dt: np.ndarray, config: SpinSystemConfig) -> np.ndarr
         f = np.flip(t, axis=(1 + k, 1 + n + k))
         t = np.where(same_k, 0.5 * (t + f) + e12[:, k, 0] * (0.5 * (t - f)), e12[:, k, 1] * t)
     m = t.reshape(ms.shape)
-    pol = np.array([nuc.polarization for nuc in config.nuclei])
-    restore = (pol * (1.0 - decay[:, :, 0]) / config.dim)[:, :, np.newaxis, np.newaxis]
-    for k in np.flatnonzero(pol):
-        m = m + restore[:, k] * config._operators.sz[k]
+    restore = (pol * (1.0 - decay[:, :, 0]) / ms.shape[-1])[:, :, np.newaxis, np.newaxis]
+    for k in np.flatnonzero(pol.any(axis=0)):
+        m = m + restore[:, k] * sz[k]
     return np.where(dt[:, np.newaxis, np.newaxis] > 0, m, ms)
 
 
@@ -188,7 +199,8 @@ def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) ->
         raise ValidationError("dt must be >= 0")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, config has {config.n}")
-    m = _relax(rho.matrix[np.newaxis], np.array([dt], dtype=float), config)[0]
+    m = _relax(rho.matrix[np.newaxis], np.array([dt], dtype=float),
+               *_relaxation_params([config]), config._operators.sz)[0]
     return DensityMatrix(m, validate=False)
 
 
@@ -199,23 +211,35 @@ def evolve_programs(
 ) -> list[DensityMatrix]:
     """Run each program from `rho`, all of them at once; one state per program.
 
-    The programs must drive the same `system` object and share one sequence
-    of event kinds; durations, amplitudes and phases may differ. Each event
-    updates the whole (B, d, d) stack of states, with propagators from one
-    batched kernel call and, if on, relaxation over its duration in each program.
+    The programs share one spin layout (nucleus labels, in order) and one sequence
+    of event kinds; machines may differ in offsets, J, T1/T2 and polarization, events
+    in durations, amplitudes and phases. Each event updates the whole (B, d, d) stack
+    of states, with propagators from one batched kernel call over the distinct
+    (machine, event) pairs and, if on, relaxation over its duration in each program.
     """
     if not programs:
         return []
     config = programs[0].system
+    machines = list({id(p.system): p.system for p in programs}.values())
+    layout = tuple(nuc.label for nuc in config.nuclei)
     kinds = tuple(map(type, programs[0].events))
-    if any(p.system is not config or tuple(map(type, p.events)) != kinds for p in programs):
-        raise ValidationError("batched programs must share one system and sequence of event kinds")
+    if any(tuple(nuc.label for nuc in cfg.nuclei) != layout for cfg in machines) or any(
+        tuple(map(type, p.events)) != kinds for p in programs
+    ):
+        raise ValidationError("batched programs must share one spin layout and sequence of "
+                              "event kinds")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    slot = {id(cfg): m for m, cfg in enumerate(machines)}
+    which = [slot[id(p.system)] for p in programs]  # each program's machine
     # timed[e][i] is the e-th timed event of program i
     timed = list(zip(*([ev for ev in p.events if not isinstance(ev, Crusher)] for p in programs)))
     b, d = len(programs), config.dim
-    props = _propagators(config, [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
+    props = _propagators(machines, which * len(timed),
+                         [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
+    if relaxation:
+        taus, pol = _relaxation_params(machines)
+        taus, pol, sz = taus[which], pol[which], config._operators.sz
     steps = zip(timed, props)
     ms = np.broadcast_to(rho.matrix, (b, d, d))
     for kind in kinds:
@@ -225,7 +249,8 @@ def evolve_programs(
         events, u = next(steps)
         ms = u @ ms @ u.conj().swapaxes(-1, -2)
         if relaxation:
-            ms = _relax(ms, np.array([ev.duration_s for ev in events], dtype=float), config)
+            dt = np.array([ev.duration_s for ev in events], dtype=float)
+            ms = _relax(ms, dt, taus, pol, sz)
     _check_density(ms)
     return [DensityMatrix(m, validate=False) for m in ms]
 
@@ -242,4 +267,5 @@ def program_unitary(program: PulseProgram) -> np.ndarray:
     """Net unitary of a crusher-free program (relaxation off)."""
     if any(isinstance(ev, Crusher) for ev in program.events):
         raise ValidationError("program contains crushers; it has no net unitary")
-    return _kernels.unitary_chain(_propagators(program.system, program.events))
+    events = program.events
+    return _kernels.unitary_chain(_propagators([program.system], [0] * len(events), events))

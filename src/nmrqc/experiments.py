@@ -4,8 +4,8 @@ scans, and the least-squares fits behind them.
 
 Every experiment is expressed purely in x/y pulses, delays, and crushers;
 nothing writes the state directly. A scan builds one program per point and
-evolves all of them in one `evolve_programs` call for each machine config
-(one per ensemble offset in the T2 echo).
+evolves all of them in one `evolve_programs` call; the T2 echo's offset
+ensemble is one call too, one variant machine per offset.
 """
 
 from __future__ import annotations
@@ -214,39 +214,41 @@ def relaxation_experiment(
     of the recovered longitudinal polarization, fitted to B(1 - 2 e^(-t/T1)).
     T2: [90x, delay t/2, 180y, delay t/2], recording the transverse
     magnitude, fitted to A e^(-t/T2). A nonzero offset_spread_hz simulates
-    static field inhomogeneity as a symmetric ensemble of molecule offsets
-    whose signals are averaged; the echo refocuses it.
+    static field inhomogeneity as a symmetric ensemble of ensemble_points >= 2
+    molecule offsets whose signals are averaged; the echo refocuses it.
     """
     if mode not in ("T1", "T2"):
         raise ValidationError('mode must be "T1" or "T2"')
     delays = np.asarray(sorted(delays_s), dtype=float)
     if delays.size < 5:
         raise ValidationError("need at least 5 delays")
+    spread = float(offset_spread_hz)
+    if not np.isfinite(2.0 * spread):
+        raise ValidationError(f"offset spread {spread:g}: it and the ensemble width must be finite")
+    if spread and not (isinstance(ensemble_points, (int, np.integer)) and ensemble_points >= 2):
+        raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
     t90 = t90_s if t90_s is not None else 1.0 / (4.0 * amplitude_hz)
     t180 = t180_s if t180_s is not None else 1.0 / (2.0 * amplitude_hz)
+    p90 = _single_channel_pulse(config, channel, 0.0, t90, amplitude_hz)
+    if mode == "T1":
+        p180 = _single_channel_pulse(config, channel, 0.0, t180, amplitude_hz)
+        sequences = [(p180, Delay(t), p90) for t in delays.tolist()]
+    else:
+        p180 = _single_channel_pulse(config, channel, np.pi / 2, t180, amplitude_hz)
+        sequences = [(p90, half, p180, half) for half in map(Delay, (delays / 2.0).tolist())]
 
-    deltas = (np.linspace(-offset_spread_hz, offset_spread_hz, ensemble_points)
-              if offset_spread_hz else np.zeros(1))
+    deltas = np.linspace(-spread, spread, ensemble_points) if spread else np.zeros(1)
     members = config.channel_members(channel)
-
-    signals = np.zeros((deltas.size, delays.size), dtype=complex)
-    for di, delta in enumerate(deltas):
-        nuclei = tuple(
+    programs = []
+    for delta in deltas:
+        cfg = replace(config, nuclei=tuple(
             replace(nuc, offset_hz=nuc.offset_hz + (delta if k in members else 0.0))
             for k, nuc in enumerate(config.nuclei, start=1)
-        )
-        cfg = replace(config, nuclei=nuclei)
-        p90 = _single_channel_pulse(cfg, channel, 0.0, t90, amplitude_hz)
-        if mode == "T1":
-            p180 = _single_channel_pulse(cfg, channel, 0.0, t180, amplitude_hz)
-            programs = [PulseProgram(cfg, (p180, Delay(t), p90)) for t in delays.tolist()]
-        else:
-            p180 = _single_channel_pulse(cfg, channel, np.pi / 2, t180, amplitude_hz)
-            halves = [Delay(t / 2.0) for t in delays.tolist()]
-            programs = [PulseProgram(cfg, (p90, half, p180, half)) for half in halves]
-        states = evolve_programs(thermal_state(cfg), programs, relaxation=True)
-        signals[di] = _transverse(states, cfg, channel)
-    mean_signal = signals.mean(axis=0)
+        )) if delta else config
+        programs += [PulseProgram(cfg, events) for events in sequences]
+    # the offsets leave the thermal state and the transverse operators as they are
+    states = evolve_programs(thermal_state(config), programs, relaxation=True)
+    mean_signal = _transverse(states, config, channel).reshape(deltas.size, -1).mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>
         y, model = -mean_signal.imag, "inversion_recovery"

@@ -247,11 +247,14 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "t2", "--offset-spread-hz", "nan"],
+        ["experiment", "t2", "--offset-spread-hz", "inf"],
+        ["experiment", "t2", "--offset-spread-hz", "1e308"],
         ["experiment", "rabi", "--amp-hz", "nan"],
         ["experiment", "rabi", "--durations", "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,inf"],
         ["experiment", "t1", "--delays", "1e-3,2e-3,nan,4e-3,5e-3,6e-3"],
         ["simulate", "--path", "pulse", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
-    ], ids=["t2_spread", "rabi_amp", "rabi_duration", "t1_delay", "pulse_amp"])
+    ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "rabi_amp", "rabi_duration",
+            "t1_delay", "pulse_amp"])
     def test_pulse_argument(self, tmp_path, capsys, argv):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
         argv = [a.format(circuit=circuit) for a in argv]

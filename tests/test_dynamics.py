@@ -402,9 +402,21 @@ class TestEvolvePrograms:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_one_program_at_a_time(self, machine, kinds, batch, relaxation, seed):
-        cfg = MACHINES[machine]
+        base = MACHINES[machine]
         rng = np.random.default_rng(seed)
-        n_ch = len(cfg.channels)
+        n, n_ch = base.n, len(base.channels)
+
+        def variant():
+            # the sampled spin layout with offsets, J, T1, T2 and polarization of its own
+            j = np.triu(rng.uniform(-300.0, 300.0, (n, n)), 1)
+            t1 = 10.0 ** rng.uniform(-3, 1, n)
+            nuclei = tuple(
+                replace(nuc, offset_hz=float(rng.uniform(-3e3, 3e3)), t1_s=float(t1_k),
+                        t2_s=float(t1_k * rng.uniform(0.05, 2.0)),
+                        polarization=float(rng.uniform(-1.0, 1.0) / n))
+                for nuc, t1_k in zip(base.nuclei, t1)
+            )
+            return replace(base, nuclei=nuclei, j_hz=j + j.T)
 
         def event(kind):
             if kind is Crusher:
@@ -415,8 +427,19 @@ class TestEvolvePrograms:
                              tuple(rng.uniform(-np.pi, np.pi, n_ch)),
                              float(rng.uniform(0, 1e-4)))
 
-        programs = [PulseProgram(cfg, tuple(map(event, kinds))) for _ in range(batch)]
-        rho0 = random_density_matrix(rng, cfg.n)
+        # programs share machine objects, and half the events come from a pool of two per
+        # kind, so events repeat across programs and positions
+        machines = [variant() for _ in range(rng.integers(1, batch + 1))]
+        pool = {kind: [event(kind), event(kind)] for kind in (RfSegment, Delay)}
+
+        def drawn(kind):
+            if kind in pool and rng.random() < 0.5:
+                return pool[kind][rng.integers(2)]
+            return event(kind)
+
+        programs = [PulseProgram(machines[rng.integers(len(machines))], tuple(map(drawn, kinds)))
+                    for _ in range(batch)]
+        rho0 = random_density_matrix(rng, n)
         states = evolve_programs(rho0, programs, relaxation)
         assert len(states) == batch
         for prog, rho in zip(programs, states):
@@ -431,11 +454,23 @@ class TestEvolvePrograms:
     def test_no_programs(self, gemini):
         assert evolve_programs(thermal_state(gemini), []) == []
 
-    def test_mixed_systems_rejected(self, gemini):
-        # an equal but distinct config is still another system
-        programs = [PulseProgram(gemini, (Delay(1e-4),)), PulseProgram(replace(gemini), (Delay(1e-4),))]
-        with pytest.raises(ValidationError, match="share one system"):
+    @pytest.mark.parametrize("other", [
+        make_weak_config([0.0, 0.0, 0.0], np.zeros((3, 3)), labels=["1H", "31P", "31P"]),
+        make_weak_config([0.0, 0.0], np.zeros((2, 2)), labels=["31P", "1H"]),
+        make_weak_config([0.0, 0.0], np.zeros((2, 2)), labels=["1H", "13C"]),
+    ], ids=["more_spins", "swapped_labels", "other_label"])
+    def test_other_spin_layout_rejected(self, gemini, other):
+        programs = [PulseProgram(gemini, (Delay(1e-4),)), PulseProgram(other, (Delay(1e-4),))]
+        with pytest.raises(ValidationError, match="spin layout"):
             evolve_programs(thermal_state(gemini), programs)
+
+    def test_equal_but_distinct_machine_accepted(self, gemini):
+        twin = replace(gemini)
+        assert twin is not gemini
+        pulse = RfSegment((1e3, 2e3), (0.0, 0.5), 1e-5)
+        programs = [PulseProgram(cfg, (pulse, Delay(1e-4))) for cfg in (gemini, twin)]
+        first, second = evolve_programs(thermal_state(gemini), programs, relaxation=True)
+        assert np.array_equal(first.matrix, second.matrix)
 
     @pytest.mark.parametrize("events", [
         (RfSegment((1e3, 0.0), (0.0, 0.0), 1e-5),),

@@ -357,13 +357,15 @@ class TestRelaxationExperiments:
         echo = np.exp(-t / 0.2) * gemini.nuclei[0].polarization
         assert ensemble < 0.2 * echo
 
-    @pytest.mark.parametrize("scan, calls", [
-        (lambda cfg: rabi_calibration(cfg, "1H", 12.5e3, np.linspace(0, 1.6e-4, 17)[1:]), 1),
-        (lambda cfg: relaxation_experiment(cfg, "1H", "T1", T1_DELAYS), 1),
+    @pytest.mark.parametrize("scan, rows", [
+        (lambda cfg: rabi_calibration(cfg, "1H", 12.5e3, np.linspace(0, 1.6e-4, 17)[1:]), [16]),
+        # one row per distinct (machine, event): the 180, each delay and the 90
+        (lambda cfg: relaxation_experiment(cfg, "1H", "T1", T1_DELAYS), [15]),
+        # per offset machine: the 90, the 180 and each half delay, used twice
         (lambda cfg: relaxation_experiment(cfg, "31P", "T2", T2_DELAYS, offset_spread_hz=200.0,
-                                           ensemble_points=11), 11),
+                                           ensemble_points=11), [154]),
     ], ids=["rabi", "t1", "t2_ensemble11"])
-    def test_one_propagator_call_per_scan_config(self, gemini, monkeypatch, scan, calls):
+    def test_one_propagator_call_per_scan_config(self, gemini, monkeypatch, scan, rows):
         stacks = []
         batched = _kernels.segment_propagators
 
@@ -373,7 +375,7 @@ class TestRelaxationExperiments:
 
         monkeypatch.setattr(_kernels, "segment_propagators", counted)
         scan(gemini)
-        assert len(stacks) == calls
+        assert stacks == rows
 
     @pytest.mark.parametrize("channel", ["1H", "31P"])
     def test_signal_contraction_matches_per_state_trace(self, gemini, channel):
@@ -391,6 +393,16 @@ class TestRelaxationExperiments:
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)
         assert scan.csv_text().splitlines()[0] == "x,y,fit_y"
+
+    @pytest.mark.parametrize("points", [0, 1, -3, 2.0, True])
+    def test_ensemble_needs_two_members(self, gemini, points):
+        with pytest.raises(ValidationError, match="ensemble_points must be an integer >= 2"):
+            relaxation_experiment(gemini, "1H", "T2", T2_DELAYS, offset_spread_hz=200.0,
+                                  ensemble_points=points)
+
+    def test_ensemble_size_unused_without_spread(self, gemini):
+        scan = relaxation_experiment(gemini, "1H", "T2", T2_DELAYS, ensemble_points=0)
+        assert np.array_equal(scan.y, relaxation_experiment(gemini, "1H", "T2", T2_DELAYS).y)
 
     def test_bad_mode_and_short_scan(self, gemini):
         with pytest.raises(ValidationError):
