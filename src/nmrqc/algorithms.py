@@ -29,6 +29,8 @@ from .control import (
     X,
     Y90,
     Z,
+    _HADAMARD,
+    _controlled,
     circuit_unitary,
     compile_circuit,
 )
@@ -222,7 +224,6 @@ def run_bernstein_vazirani(
 
 
 COUNTING_CASES = ("M0", "M1_first", "M1_second", "M2")
-_COUNTING_THETA = {"M0": 0.0, "M1_first": np.pi / 2, "M1_second": np.pi / 2, "M2": np.pi}
 
 
 def _counting_circuit(case: str, l: int) -> Circuit:
@@ -461,13 +462,9 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
         raise ValidationError("u must be unitary")
     control = 0.5 * (np.eye(2, dtype=complex) + float(epsilon) * SIGMA_Z)
     rho = tensor(control, np.eye(dim, dtype=complex) / dim)
-    had = tensor(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), np.eye(dim))
+    had = tensor(_HADAMARD, np.eye(dim))
     rho = had @ rho @ had.conj().T
-    proj0 = np.zeros((2, 2), dtype=complex)
-    proj0[0, 0] = 1.0
-    proj1 = np.zeros((2, 2), dtype=complex)
-    proj1[1, 1] = 1.0
-    controlled_u = tensor(proj0, np.eye(dim, dtype=complex)) + tensor(proj1, u)
+    controlled_u = _controlled(u)
     rho = controlled_u @ rho @ controlled_u.conj().T
     control_red = partial_trace(DensityMatrix(rho, validate=False), {1})
     sx = float(np.real(np.trace(control_red.matrix @ SIGMA_X)))

@@ -26,8 +26,44 @@ from .spinsys import MAX_QUBITS, SpinSystemConfig, control_operators, internal_h
 # the 1e-9 infidelity budget while staying well inside double precision.
 DEFAULT_PULSE_AMP_HZ = 5e8
 
-_SINGLE_QUBIT_NAMES = {"I", "X", "Y", "Z", "H", "P", "X90", "Y90", "Rx", "Ry", "Rz"}
-_TWO_QUBIT_NAMES = {"CNOT", "CZ", "CY", "SWAP"}
+
+def _rot(pauli: np.ndarray, theta: float) -> np.ndarray:
+    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * pauli
+
+
+def _controlled(u: np.ndarray) -> np.ndarray:
+    """|0><0| (x) I + |1><1| (x) u: u on the later qubits, controlled by the first."""
+    d = u.shape[0]
+    m = np.eye(2 * d, dtype=complex)
+    m[d:, d:] = u
+    return m
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# controlled block of CY: -i sigma_y, i.e. a controlled pi rotation about y
+_MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
+
+# Every named gate: (target count, parameter count, matrix on its targets from
+# its parameters). Delay has no fixed matrix: it evolves under the machine's
+# H0. `U` is the one gate outside the table; it carries its own matrix.
+_GATES = {
+    "I": (1, 0, lambda: np.eye(2, dtype=complex)),
+    "X": (1, 0, lambda: SIGMA_X),
+    "Y": (1, 0, lambda: SIGMA_Y),
+    "Z": (1, 0, lambda: SIGMA_Z),
+    "H": (1, 0, lambda: _HADAMARD),
+    "P": (1, 1, lambda phi: np.diag([1.0, np.exp(1j * phi)])),
+    "X90": (1, 0, lambda: _rot(SIGMA_X, np.pi / 2)),
+    "Y90": (1, 0, lambda: _rot(SIGMA_Y, np.pi / 2)),
+    "Rx": (1, 1, lambda theta: _rot(SIGMA_X, theta)),
+    "Ry": (1, 1, lambda theta: _rot(SIGMA_Y, theta)),
+    "Rz": (1, 1, lambda theta: _rot(SIGMA_Z, theta)),
+    "CNOT": (2, 0, lambda: _controlled(SIGMA_X)),
+    "CZ": (2, 0, lambda: _controlled(SIGMA_Z)),
+    "CY": (2, 0, lambda: _controlled(_MINUS_I_SY)),
+    "SWAP": (2, 0, lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
+    "Delay": (0, 1, None),
+}
 
 
 @dataclass(frozen=True)
@@ -38,24 +74,30 @@ class Gate:
     matrix: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        arity = {"CNOT": 2, "CZ": 2, "CY": 2, "SWAP": 2, "Delay": 0}.get(self.name)
-        if arity is None:
-            arity = 1 if self.name in _SINGLE_QUBIT_NAMES else len(self.targets)
-        if self.name != "U" and len(self.targets) != arity:
-            raise ValidationError(f"gate {self.name} takes {arity} target(s)")
-        if self.name in ("Rx", "Ry", "Rz", "P", "Delay") and len(self.params) != 1:
-            raise ValidationError(f"gate {self.name} takes exactly one parameter")
+        if self.name != "U" and self.name not in _GATES:
+            raise ValidationError(f"unknown gate {self.name!r}")
+        # U acts on as many targets as its matrix has qubits
+        n_targets, n_params, _ = _GATES.get(self.name, (len(self.targets), 0, None))
+        if len(self.targets) != n_targets:
+            raise ValidationError(f"gate {self.name} takes {n_targets} target(s)")
+        if len(self.params) != n_params:
+            raise ValidationError(f"gate {self.name} takes {n_params} parameter(s)")
         if any(not np.isfinite(p) for p in self.params):
             raise ValidationError(f"gate {self.name}: parameters must be finite")
-        if self.name == "U":
-            if self.matrix is None:
-                raise ValidationError("gate U needs an explicit matrix")
+        if (self.matrix is None) == (self.name == "U"):
+            raise ValidationError(f"gate {self.name}: only U takes a matrix, and U needs one")
+        if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2 ** len(self.targets),) * 2:
                 raise ValidationError("gate U matrix size does not match target count")
             if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-10:
                 raise ValidationError("gate U matrix is not unitary")
             object.__setattr__(self, "matrix", m)
+
+
+def _local_matrix(g: Gate) -> np.ndarray:
+    """A gate's unitary on its own targets, in target order (not for Delay)."""
+    return g.matrix if g.name == "U" else _GATES[g.name][2](*g.params)
 
 
 def X(q):
@@ -168,42 +210,6 @@ class Circuit:
         return cls(n=n, gates=tuple(gates))
 
 
-def _rot(pauli: np.ndarray, theta: float) -> np.ndarray:
-    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * pauli
-
-
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-# controlled block of CY: |1><1| (x) (-i sigma_y), i.e. a controlled pi rotation about y
-_MINUS_I_SY = np.array([[0, -1], [1, 0]], dtype=complex)
-
-
-def _single_qubit_matrix(g: Gate) -> np.ndarray:
-    name = g.name
-    if name == "I":
-        return np.eye(2, dtype=complex)
-    if name == "X":
-        return SIGMA_X.copy()
-    if name == "Y":
-        return SIGMA_Y.copy()
-    if name == "Z":
-        return SIGMA_Z.copy()
-    if name == "H":
-        return _HADAMARD.copy()
-    if name == "P":
-        return np.diag([1.0, np.exp(1j * g.params[0])])
-    if name == "X90":
-        return _rot(SIGMA_X, np.pi / 2)
-    if name == "Y90":
-        return _rot(SIGMA_Y, np.pi / 2)
-    if name == "Rx":
-        return _rot(SIGMA_X, g.params[0])
-    if name == "Ry":
-        return _rot(SIGMA_Y, g.params[0])
-    if name == "Rz":
-        return _rot(SIGMA_Z, g.params[0])
-    raise ValidationError(f"not a single-qubit gate: {name}")
-
-
 def _embed_matrix(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Expand a gate matrix on `targets` (1-based, in order) to the full register."""
     k = len(targets)
@@ -222,36 +228,17 @@ def _embed_matrix(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     return full.reshape(2**n, 2**n)
 
 
-_CNOT_BASE = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CZ_BASE = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-_CY_BASE = np.block(
-    [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), _MINUS_I_SY]]
-).astype(complex)
-_SWAP_BASE = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-
 def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
     """Full 2^n x 2^n unitary of a gate embedded at its targets.
 
     Delay gates evolve under the machine's internal Hamiltonian and
     therefore require `config`.
     """
-    if g.name in _SINGLE_QUBIT_NAMES:
-        return _embed_matrix(_single_qubit_matrix(g), g.targets, n)
-    if g.name in _TWO_QUBIT_NAMES:
-        base = {"CNOT": _CNOT_BASE, "CZ": _CZ_BASE, "CY": _CY_BASE, "SWAP": _SWAP_BASE}[g.name]
-        return _embed_matrix(base, g.targets, n)
-    if g.name == "U":
-        return _embed_matrix(g.matrix, g.targets, n)
     if g.name == "Delay":
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
         return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
-    raise ValidationError(f"unknown gate {g.name!r}")
+    return _embed_matrix(_local_matrix(g), g.targets, n)
 
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
@@ -391,6 +378,14 @@ class _PulseEmitter:
         self.pulse(control, "x", np.pi / 2)
 
 
+# Two-qubit gates as CNOTs and single-qubit gates, equal up to a global phase
+_VIA_CNOT = {
+    "CZ": lambda c, t: (H(t), CNOT(c, t), H(t)),
+    "CY": lambda c, t: (RY(t, np.pi / 2), CNOT(c, t), RY(t, -np.pi / 2), CNOT(c, t)),
+    "SWAP": lambda a, b: (CNOT(a, b), CNOT(b, a), CNOT(a, b)),
+}
+
+
 def compile_circuit(
     c: Circuit,
     config: SpinSystemConfig,
@@ -413,40 +408,25 @@ def compile_circuit(
     em = _PulseEmitter(config, pulse_amp_hz)
 
     def emit(g: Gate):
-        if g.name == "I":
-            return
         if g.name == "Delay":
             em.delay(g.params[0])
-        elif g.name in _SINGLE_QUBIT_NAMES:
-            em.xyx(g.targets[0], _single_qubit_matrix(g))
-        elif g.name == "U":
-            if len(g.targets) != 1:
-                raise ValidationError("only single-qubit custom unitaries compile to pulses")
-            em.xyx(g.targets[0], g.matrix)
+        elif len(g.targets) == 1:
+            em.xyx(g.targets[0], _local_matrix(g))
         elif g.name == "CNOT":
             em.cnot(*g.targets)
-        elif g.name == "CZ":
-            ctrl, tgt = g.targets
-            emit(H(tgt))
-            em.cnot(ctrl, tgt)
-            emit(H(tgt))
-        elif g.name == "CY":
-            ctrl, tgt = g.targets
-            emit(RY(tgt, np.pi / 2))
-            em.cnot(ctrl, tgt)
-            emit(RY(tgt, -np.pi / 2))
-            em.cnot(ctrl, tgt)
-        elif g.name == "SWAP":
-            a, b = g.targets
-            em.cnot(a, b)
-            em.cnot(b, a)
-            em.cnot(a, b)
+        elif g.name in _VIA_CNOT:
+            for h in _VIA_CNOT[g.name](*g.targets):
+                emit(h)
         else:
-            raise ValidationError(f"cannot compile gate {g.name!r}")
+            raise ValidationError("only single-qubit custom unitaries compile to pulses")
 
     for g in c.gates:
         emit(g)
     return PulseProgram(system=config, events=tuple(em.events))
+
+
+GRAPE_RANDOM_AMP_HZ = 1000.0
+GRAPE_CONSTANT_AMP_HZ = 0.0
 
 
 @dataclass(frozen=True)
@@ -454,9 +434,9 @@ class GrapeConfig:
     """Knobs for the quasi-Newton pulse search.
 
     segments * dt_s is the total pulse duration. `initial` picks the seed
-    amplitudes: "random" draws uniformly from +-random_amp_hz, "constant"
-    fills every segment with constant_amp_hz. max_iters caps the accepted
-    L-BFGS-B iterates.
+    amplitudes: "random" draws uniformly from +-GRAPE_RANDOM_AMP_HZ,
+    "constant" fills every segment with GRAPE_CONSTANT_AMP_HZ. max_iters caps
+    the accepted L-BFGS-B iterates.
     """
 
     segments: int
@@ -464,8 +444,6 @@ class GrapeConfig:
     max_iters: int = 1000
     target_fidelity: float = 0.9995
     initial: str = "random"
-    random_amp_hz: float = 1000.0
-    constant_amp_hz: float = 0.0
 
     def __post_init__(self):
         if self.segments <= 0:
@@ -553,9 +531,9 @@ def grape_optimize(
 
     rng = np.random.default_rng(seed)
     if gcfg.initial == "random":
-        u = rng.uniform(-gcfg.random_amp_hz, gcfg.random_amp_hz, size=(n_seg, m))
+        u = rng.uniform(-GRAPE_RANDOM_AMP_HZ, GRAPE_RANDOM_AMP_HZ, size=(n_seg, m))
     else:
-        u = np.full((n_seg, m), float(gcfg.constant_amp_hz))
+        u = np.full((n_seg, m), GRAPE_CONSTANT_AMP_HZ)
 
     def hamiltonians(amps: np.ndarray) -> np.ndarray:
         return h0 + np.tensordot(amps, controls, axes=(1, 0))

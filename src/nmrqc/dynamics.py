@@ -143,7 +143,10 @@ def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
         if isinstance(ev, RfSegment):
             drive[r] = rf_drive(machines[m], ev.amplitudes_hz, ev.phases_rad)
     h0s = np.array([cfg._operators.h0 for cfg in machines])
-    hs = np.tensordot(drive, controls, axes=1) + h0s[[m for m, _ in row_of]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs = np.tensordot(drive, controls, axes=1) + h0s[[m for m, _ in row_of]]
+    if not np.isfinite(hs).all():
+        raise ValidationError("pulse Hamiltonian (rad/s) is not finite")
     return _kernels.segment_propagators(hs, np.array([ev.duration_s for _, ev in row_of]))[rows]
 
 

@@ -225,17 +225,21 @@ def _build_operators(config: SpinSystemConfig) -> _Operators:
     n = config.n
     x, y, z = _pauli_embeddings(n)
     h0 = np.zeros((config.dim, config.dim), dtype=complex)
-    for k, nuc in enumerate(config.nuclei):
-        if nuc.offset_hz != 0.0:
-            h0 += 2 * np.pi * nuc.offset_hz * (z[k] / 2)
     paulis = (x, y, z) if config.coupling_model == "isotropic" else (z,)
-    for a in range(n):
-        for b in range(a + 1, n):
-            j_ab = config.j_hz[a, b]
-            if j_ab == 0.0:
-                continue
-            for p in paulis:
-                h0 += 2 * np.pi * j_ab * ((p[a] / 2) @ (p[b] / 2))
+    # finite offsets and J can still overflow once in rad/s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, nuc in enumerate(config.nuclei):
+            if nuc.offset_hz != 0.0:
+                h0 += 2 * np.pi * nuc.offset_hz * (z[k] / 2)
+        for a in range(n):
+            for b in range(a + 1, n):
+                j_ab = config.j_hz[a, b]
+                if j_ab == 0.0:
+                    continue
+                for p in paulis:
+                    h0 += 2 * np.pi * j_ab * ((p[a] / 2) @ (p[b] / 2))
+    if not np.isfinite(h0).all():
+        raise ValidationError(f"{config.name}: internal Hamiltonian (rad/s) is not finite")
     eigvals, eigvecs = np.linalg.eigh(h0)
     members = [np.array(config.channel_members(ch)) - 1 for ch in config.channels]
     sx = np.array([x[m].sum(axis=0) for m in members])

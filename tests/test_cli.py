@@ -56,7 +56,9 @@ class TestSimulate:
         ({"n": 40, "gates": []}, "qubit count 40 outside 1..6"),
         ({"n": 0, "gates": []}, "qubit count 0 outside 1..6"),
         ({"n": 3, "gates": [{"name": "H", "targets": [3]}]}, "circuit has 3 qubits, machine has 2"),
-    ], ids=["n40", "n0", "n3_on_gemini"])
+        ({"n": 2, "gates": [{"name": "H", "targets": [1], "params": [3]}]},
+         "gate H takes 0 parameter(s)"),
+    ], ids=["n40", "n0", "n3_on_gemini", "h_with_parameter"])
     def test_circuit_size_exits_2(self, tmp_path, capsys, circuit, match):
         circuit = write_json(tmp_path / "c.json", circuit)
         rc = main(["simulate", "--machine", "gemini", "--circuit", circuit, "--path", "ideal",
@@ -239,22 +241,30 @@ class TestNonFiniteInputs:
         lambda cfg: cfg["nuclei"][1].update(polarization=float("nan")),
         lambda cfg: cfg["nuclei"][0].update(offset_hz=float("inf")),
         lambda cfg: set_j(cfg, float("nan")),
-    ], ids=["nan_t1", "nan_polarization", "inf_offset", "nan_j"])
+        lambda cfg: cfg["nuclei"][0].update(offset_hz=1e308),
+        lambda cfg: set_j(cfg, 1e308),
+    ], ids=["nan_t1", "nan_polarization", "inf_offset", "nan_j", "offset_1e308", "j_1e308"])
     def test_machine_value(self, tmp_path, capsys, edit):
         machine = machine_file(tmp_path, edit)
-        rc = main(["algorithm", "grover4", "--machine", machine, "--out", str(tmp_path / "o")])
+        # the pulse path builds the machine's Hamiltonian, so values that only
+        # overflow in rad/s are caught too
+        rc = main(["algorithm", "grover4", "--path", "pulse", "--machine", machine,
+                   "--out", str(tmp_path / "o")])
         self.assert_one_line_exit_2(rc, capsys, "finite")
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "t2", "--offset-spread-hz", "nan"],
         ["experiment", "t2", "--offset-spread-hz", "inf"],
         ["experiment", "t2", "--offset-spread-hz", "1e308"],
+        ["experiment", "t2", "--offset-spread-hz", "5e307"],
         ["experiment", "rabi", "--amp-hz", "nan"],
+        ["experiment", "rabi", "--amp-hz", "1e308"],
         ["experiment", "rabi", "--durations", "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,inf"],
         ["experiment", "t1", "--delays", "1e-3,2e-3,nan,4e-3,5e-3,6e-3"],
         ["simulate", "--path", "pulse", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
-    ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "rabi_amp", "rabi_duration",
-            "t1_delay", "pulse_amp"])
+        ["simulate", "--path", "pulse", "--pulse-amp-hz", "1e308", "--circuit", "{circuit}"],
+    ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "t2_spread_5e307", "rabi_amp",
+            "rabi_amp_1e308", "rabi_duration", "t1_delay", "pulse_amp", "pulse_amp_1e308"])
     def test_pulse_argument(self, tmp_path, capsys, argv):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
         argv = [a.format(circuit=circuit) for a in argv]
@@ -287,6 +297,12 @@ README_REQUESTS = [
 ]
 
 
+def report_key(argv):
+    if argv[0] in ("experiment", "algorithm"):
+        return argv[1]
+    return argv[0] + ("-pulse" if "pulse" in argv else "")
+
+
 @pytest.fixture
 def readme_inputs(tmp_path):
     rng = np.random.default_rng(5)
@@ -315,10 +331,24 @@ class TestReadmeRequests:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] and outs[0] == outs[1]
 
-    # sha256 of each scan report of the README requests: pps recorded before the
-    # scans were evolved as batches, rabi/t1/t2 re-recorded for the closed-form
-    # separable fits; a change to the scan path must keep them.
+    # sha256 of each report of the README requests except grape, whose result
+    # depends on the scipy version: pps recorded before the scans were evolved
+    # as batches, rabi/t1/t2 re-recorded for the closed-form separable fits, the
+    # rest recorded before the gate table replaced the per-gate dispatch. A
+    # change that keeps the numbers must keep them all.
     SCAN_REPORTS = {
+        "simulate-pulse": {
+            "simulate_report.json": "393b5ad70d058069f3a557592ae911d064b1a4ab0455e178f91177e51df3d00d",
+        },
+        "compile": {
+            "pulse_program.json": "a0866c2df9ab1b3cca77a41ab6dd71749bc032c16d694771fb3db5078fa4dbf6",
+        },
+        "tomography": {
+            "tomography_report.json": "28677664cdea9f423f68d53099578247da7d596cf5218ca27bcd735b59adc2fa",
+        },
+        "tomography-pulse": {
+            "tomography_report.json": "047b36c85a952f550901641ae234c5e702347e6421057537b5a4dc6b69677989",
+        },
         "rabi": {
             "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",
             "rabi_scan.csv": "2acb1aa8c06ae797bd98bd35614e7e126e76e07d3074af0e85689ad584c1ab2d",
@@ -334,15 +364,34 @@ class TestReadmeRequests:
         "pps": {
             "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",
         },
+        "grover4": {
+            "algorithm_grover4.json": "e1ece1be1b7e3a33e46bb584cb49d4169454111fd3ba2cd3df952c0362b94d00",
+        },
+        "deutsch": {
+            "algorithm_deutsch.json": "bccfc1eda314f154b4e76bd7265c4ae349788db60ee8f24728da6b966cfacb9e",
+        },
+        "count": {
+            "algorithm_count.json": "047d12ea8cb0ac8e672216558887bd9bdb6cba8442d4517b12d1cb1c74aef592",
+        },
+        "qho": {
+            "algorithm_qho.json": "7b198c69bb20ee41969194c449b6e5d109394dd3d41ee77b67573d8ea950b070",
+        },
+        "dqc1": {
+            "algorithm_dqc1.json": "5b08735ba7162dcad358a1f0a99dd0abb6d01d03c3bdc99809f317308efdfa46",
+        },
+        "cnot-table": {
+            "algorithm_cnot_table.json": "512a6a74dc53f4d573a959f5584ae8de11dd196bbbbd264fbe87dc58569e96b4",
+        },
     }
 
-    @pytest.mark.parametrize("argv", [a for a in README_REQUESTS if a[0] == "experiment"],
-                             ids=lambda a: a[1])
-    def test_scan_reports_are_pinned(self, tmp_path, argv):
-        assert dispatch([*argv, "--out", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("argv", [a for a in README_REQUESTS if a[0] != "grape"],
+                             ids=report_key)
+    def test_scan_reports_are_pinned(self, tmp_path, readme_inputs, argv):
+        argv = [a.format(**readme_inputs) for a in argv]
+        assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 0
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                   for f in tmp_path.iterdir()}
-        assert digests == self.SCAN_REPORTS[argv[1]]
+                   for f in (tmp_path / "out").iterdir()}
+        assert digests == self.SCAN_REPORTS[report_key(argv)]
 
     def test_pulse_tomography_tables_are_the_compiled_readout(self, tmp_path, readme_inputs):
         out = tmp_path / "out"

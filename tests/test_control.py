@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +18,13 @@ from nmrqc.control import (
     Circuit,
     Gate,
     H,
-    P,
     RX,
     RY,
     RZ,
     UNITARY,
     X,
     X90,
-    Y90,
+    _GATES,
     _embed_matrix,
     circuit_unitary,
     compile_circuit,
@@ -43,6 +44,18 @@ SWAP_M = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtyp
 
 def rot(pauli, theta):
     return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * pauli
+
+
+def table_gates():
+    """(name, gate) for every gate of `_GATES`: one-qubit gates alternate between
+    qubits 1 and 2, two-qubit gates run from 1 to 2, and the parameters are
+    placeholders (1.1 rad, or 1e-4 s for Delay)."""
+    gates = []
+    for i, (name, (n_targets, n_params, _)) in enumerate(_GATES.items()):
+        targets = {0: (), 1: (1 + i % 2,), 2: (1, 2)}[n_targets]
+        params = (1e-4 if name == "Delay" else 1.1,) * n_params
+        gates.append((name, Gate(name, targets, params)))
+    return gates
 
 
 class TestGateMatrices:
@@ -68,11 +81,7 @@ class TestGateMatrices:
         assert np.allclose(cy @ np.array([0, 0, 0, 1]), [0, 0, -1, 0])  # |11> -> -|10>
 
     def test_unitarity_all_gates(self, gemini):
-        gates = [
-            X(1), H(2), P(1, 0.7), X90(2), Y90(1), RX(1, 0.3), RY(2, -1.2), RZ(1, 2.2),
-            CNOT(1, 2), CZ(2, 1), CY(1, 2), SWAP(1, 2), DELAY(1e-4),
-            UNITARY(rot(SIGMA_Y, 0.4), 2),
-        ]
+        gates = [g for _, g in table_gates()] + [CZ(2, 1), UNITARY(rot(SIGMA_Y, 0.4), 2)]
         for g in gates:
             u = gate_matrix(g, 2, gemini)
             assert np.max(np.abs(u @ u.conj().T - np.eye(4))) < 1e-12
@@ -95,6 +104,16 @@ class TestGateMatrices:
             Gate("Rx", (1,), ())
         with pytest.raises(ValidationError):
             UNITARY(np.array([[1, 1], [0, 1]]), 1)
+        with pytest.raises(ValidationError, match="takes 0 parameter"):
+            Gate("H", (1,), (0.3,))
+        with pytest.raises(ValidationError, match="unknown gate"):
+            Gate("FOO", (1,))
+        with pytest.raises(ValidationError, match="takes 0 parameter"):
+            Gate("U", (1,), (0.3,), np.eye(2))
+        with pytest.raises(ValidationError, match="only U takes a matrix"):
+            Gate("H", (1,), (), np.eye(2))
+        with pytest.raises(ValidationError, match="U needs one"):
+            Gate("U", (1,))
 
 
 def embed_by_permutation(u, targets, n):
@@ -113,6 +132,12 @@ ALL_TARGETS = [
     for k in range(1, n + 1)
     for targets in itertools.permutations(range(1, n + 1), k)
 ]
+
+
+def test_readme_lists_every_gate():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = re.search(r"with gate names `([^`]*)`", readme).group(1).split()
+    assert names == [*_GATES, "U"]
 
 
 class TestEmbedMatrix:
@@ -198,21 +223,8 @@ class TestGateFidelity:
 
 
 class TestCompile:
-    GATES = [
-        ("H", H(1)),
-        ("X", X(1)),
-        ("Y", Gate("Y", (2,))),
-        ("Z", Gate("Z", (1,))),
-        ("X90", X90(2)),
-        ("Y90", Y90(1)),
-        ("Rz", RZ(1, 1.1)),
-        ("P", P(2, np.pi / 4)),
-        ("CNOT12", CNOT(1, 2)),
-        ("CNOT21", CNOT(2, 1)),
-        ("CZ", CZ(1, 2)),
-        ("CY", CY(1, 2)),
-        ("SWAP", SWAP(1, 2)),
-    ]
+    GATES = [("CNOT12" if name == "CNOT" else name, g) for name, g in table_gates()]
+    GATES.append(("CNOT21", CNOT(2, 1)))
 
     @pytest.mark.parametrize("name,gate", GATES, ids=[g[0] for g in GATES])
     def test_compiled_gate_equivalence(self, gemini, name, gate):
