@@ -43,6 +43,7 @@ from .quantum import (
     SIGMA_Z,
     DensityMatrix,
     Ket,
+    is_unitary,
     partial_trace,
     state_fidelity,
     tensor,
@@ -458,7 +459,7 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     n_reg = int(round(np.log2(dim)))
     if 2**n_reg != dim or not 1 <= n_reg <= 2:
         raise ValidationError("register must be 1 or 2 qubits")
-    if np.max(np.abs(u @ u.conj().T - np.eye(dim))) > 1e-10:
+    if not is_unitary(u):
         raise ValidationError("u must be unitary")
     control = 0.5 * (np.eye(2, dtype=complex) + float(epsilon) * SIGMA_Z)
     rho = tensor(control, np.eye(dim, dtype=complex) / dim)

@@ -25,7 +25,7 @@ from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .dynamics import evolve_program
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import DensityMatrix, state_fidelity
+from .quantum import DensityMatrix, complex_matrix, state_fidelity
 from .spinsys import SpinSystemConfig, load_machine_config, preset
 
 _PRESETS = ("gemini", "triangulum")
@@ -110,14 +110,13 @@ def _load_matrix(path: str) -> np.ndarray:
     """Complex matrix from a JSON file with "re" and "im" fields."""
     d = _load_json(path)
     try:
-        m = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+        return complex_matrix(d["re"], d["im"])
     except KeyError as exc:
         raise ValidationError(f"{path}: matrix JSON has no {exc} field") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad matrix JSON: {exc}") from exc
-    if not np.all(np.isfinite(m)):
-        raise ValidationError(f"{path}: matrix entries must be finite")
-    return m
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _out_dir(args) -> Path:
@@ -205,7 +204,10 @@ def _cmd_grape(args) -> list[Path]:
     if args.unitary:
         target = _load_matrix(args.unitary)
     elif args.gate:
-        targets = tuple(int(t) for t in args.targets.split(",")) if args.targets else (1,)
+        try:
+            targets = tuple(int(t) for t in args.targets.split(",")) if args.targets else (1,)
+        except ValueError as exc:
+            raise ValidationError(f"bad --targets {args.targets!r}") from exc
         params = tuple(_float_list(args.params)) if args.params else ()
         target = gate_matrix(control.Gate(args.gate, targets, params), cfg.n, cfg)
     else:
@@ -313,6 +315,8 @@ def _cmd_algorithm(args) -> list[Path]:
         report = {"algorithm": "qho", "path": args.path,
                   "points": [r.to_json_dict() for r in reports]}
     elif name == "dqc1":
+        if not args.unitary:
+            raise ValidationError("dqc1 needs --unitary")
         u = _load_matrix(args.unitary)
         estimate = algorithms.dqc1_trace(u, args.epsilon)
         exact = complex(np.trace(u)) / u.shape[0]

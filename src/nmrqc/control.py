@@ -18,7 +18,7 @@ from . import _kernels
 from .dynamics import Delay as DelayEvent
 from .dynamics import PulseProgram, RfSegment, program_unitary
 from .errors import UncoupledPairError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, is_unitary
 from .spinsys import MAX_QUBITS, SpinSystemConfig, control_operators, internal_hamiltonian
 
 # Amplitude used when compiling circuits unless the caller overrides it.
@@ -80,6 +80,8 @@ class Gate:
         n_targets, n_params, _ = _GATES.get(self.name, (len(self.targets), 0, None))
         if len(self.targets) != n_targets:
             raise ValidationError(f"gate {self.name} takes {n_targets} target(s)")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValidationError(f"gate {self.name}: repeated target in {self.targets}")
         if len(self.params) != n_params:
             raise ValidationError(f"gate {self.name} takes {n_params} parameter(s)")
         if any(not np.isfinite(p) for p in self.params):
@@ -90,7 +92,7 @@ class Gate:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (2 ** len(self.targets),) * 2:
                 raise ValidationError("gate U matrix size does not match target count")
-            if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-10:
+            if not is_unitary(m):
                 raise ValidationError("gate U matrix is not unitary")
             object.__setattr__(self, "matrix", m)
 
@@ -194,9 +196,7 @@ class Circuit:
             for i, g in enumerate(d["gates"]):
                 matrix = None
                 if "matrix" in g:
-                    matrix = np.asarray(g["matrix"]["re"], dtype=float) + 1j * np.asarray(
-                        g["matrix"]["im"], dtype=float
-                    )
+                    matrix = complex_matrix(g["matrix"]["re"], g["matrix"]["im"])
                 gates.append(
                     Gate(
                         str(g["name"]),
@@ -205,7 +205,7 @@ class Circuit:
                         matrix,
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad circuit JSON: {exc}") from exc
         return cls(n=n, gates=tuple(gates))
 
@@ -215,8 +215,6 @@ def _embed_matrix(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     k = len(targets)
     if u.shape != (2**k, 2**k):
         raise ValidationError("matrix size does not match target count")
-    if len(set(targets)) != k:
-        raise ValidationError(f"repeated target in {targets}")
     # I (x) u with the other qubits first and the targets last, then the
     # tensor axes permuted back to qubit order.
     r = 2 ** (n - k)
@@ -260,7 +258,7 @@ def decompose_single_qubit(u: np.ndarray) -> tuple[float, float, float, float]:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValidationError("expected a 2x2 matrix")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2))) > 1e-10:
+    if not is_unitary(u):
         raise ValidationError("matrix is not unitary")
     alpha = 0.5 * np.angle(np.linalg.det(u))
     w = u * np.exp(-1j * alpha)

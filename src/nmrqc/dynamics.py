@@ -156,55 +156,62 @@ def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _same_state_masks(n: int) -> tuple[np.ndarray, ...]:
-    """Per spin k, the read-only mask of i_k == j_k on a (B, 2, ..., 2) state stack."""
-    eye = np.eye(2, dtype=bool)
-    eye.setflags(write=False)
-    shapes = ([1 + (a in (k, n + k)) for a in range(-1, 2 * n)] for k in range(n))
-    return tuple(eye.reshape(shape) for shape in shapes)
+def _flip_tables(n: int) -> tuple[tuple, np.ndarray]:
+    """Read-only gather tables (blocks, code) of the n-spin relaxation map on blocks of m
+    spins: all n for n <= 3, fastest there for 1 to 154 programs, else one each, as a block
+    gathers 2^m states with 8^m weights each. Block g is (index, local): for subset s of
+    its spins (bit m-1-k for spin k), index[s, ij] is the flat position of ij = i*d + j
+    with those spins flipped in i and j; local[ij] = i_g * 2^m + j_g holds its block bits
+    (None if one block). code[k, s, l] picks block spin k's factor at block element l: 0/1
+    keep/take a population into |0><0|, 2/3 into |1><1|, 4 coherence decay, 5 zero."""
+    m = n if n <= 3 else 1
+    d, shift = 2**n, (n - m * np.arange(1, n // m + 1))[:, np.newaxis, np.newaxis]
+    i, j = np.divmod(np.arange(d * d), d)
+    s = np.arange(2**m)[:, np.newaxis]
+    index = (i ^ (s << shift)) * d + (j ^ (s << shift))
+    local = ((i >> shift) % 2**m * 2**m + (j >> shift) % 2**m)[:, 0]
+    flip, ik, jk = ((x >> np.arange(m - 1, -1, -1)[:, np.newaxis, np.newaxis]) & 1
+                    for x in (s, *np.divmod(np.arange(4**m), 2**m)))
+    code = np.where(ik == jk, 2 * ik + flip, 4 + flip)
+    index, local, code = (np.broadcast_to(a, a.shape) for a in (index, local, code))  # read-only
+    return tuple(zip(index, local if m < n else [None] * len(index))), code
 
 
-def _relaxation_params(machines: Sequence[SpinSystemConfig]) -> tuple[np.ndarray, np.ndarray]:
-    """Per machine, (T1, T2) of each spin, (M, n, 2), and polarization of each spin, (M, n)."""
-    taus = np.array([[(nuc.t1_s, nuc.t2_s) for nuc in cfg.nuclei] for cfg in machines])
-    return taus, np.array([[nuc.polarization for nuc in cfg.nuclei] for cfg in machines])
+def _relaxation_weights(dt: np.ndarray, machines: Sequence[SpinSystemConfig],
+                        which: Sequence[int]) -> np.ndarray:
+    """Complex weights w[..., b, g, s, l], (..., B, n/m, 2^m, 4^m), of the relaxation
+    map's blocks over durations dt (..., B), the b-th on machines[which[b]]: per spin,
+    generalized amplitude damping toward diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1
+    and coherence decay by exp(-dt/T2); w is their product over the block's spins."""
+    spins = [[(nuc.t1_s, nuc.t2_s, nuc.polarization) for nuc in cfg.nuclei] for cfg in machines]
+    code = _flip_tables(len(spins[0]))[1]  # (m, 2^m, 4^m)
+    blocks = np.array(spins)[which].reshape(len(which), -1, len(code), 3)
+    decay = np.exp(-dt[..., np.newaxis, np.newaxis, np.newaxis] / blocks[..., :2])
+    e1, e2, pol = decay[..., 0], decay[..., 1], blocks[..., 2]  # each (..., B, n/m, m)
+    into0, into1 = (1.0 - e1) * (1.0 + pol) / 2, (1.0 - e1) * (1.0 - pol) / 2
+    f = np.stack([e1 + into0, into0, e1 + into1, into1, e2, np.zeros_like(e2)], axis=-1)
+    return f[..., np.arange(len(code)).reshape(-1, 1, 1), code].prod(axis=-3).astype(complex)
 
 
-def _relax(ms: np.ndarray, dt: np.ndarray, taus: np.ndarray, pol: np.ndarray,
-           sz: np.ndarray) -> np.ndarray:
-    """The channel of `apply_relaxation` on a (B, d, d) stack, with per state one dt,
-    (T1, T2) per spin (taus, (B, n, 2)) and polarization per spin (pol, (B, n))."""
-    b, n = taus.shape[:2]
-    decay = np.exp(-dt[:, np.newaxis, np.newaxis] / taus)  # (B, n, 2): e1, e2 per spin
-    e12 = decay.reshape((b, n, 2) + (1,) * (2 * n))
-    t = ms.reshape((b,) + (2,) * (2 * n))
-    for k, same_k in enumerate(_same_state_masks(n)):
-        # f swaps |0><0| with |1><1| (and |0><1| with |1><0|) of spin k
-        f = np.flip(t, axis=(1 + k, 1 + n + k))
-        t = np.where(same_k, 0.5 * (t + f) + e12[:, k, 0] * (0.5 * (t - f)), e12[:, k, 1] * t)
-    m = t.reshape(ms.shape)
-    restore = (pol * (1.0 - decay[:, :, 0]) / ms.shape[-1])[:, :, np.newaxis, np.newaxis]
-    for k in np.flatnonzero(pol.any(axis=0)):
-        m = m + restore[:, k] * sz[k]
-    return np.where(dt[:, np.newaxis, np.newaxis] > 0, m, ms)
+def _relaxation_map(ms: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The relaxation map with weights w, (B, n/m, 2^m, 4^m), on a (B, d, d) stack."""
+    v = ms.reshape(len(ms), -1)
+    for g, (idx, loc) in enumerate(_flip_tables(ms.shape[-1].bit_length() - 1)[0]):
+        wg = w[:, g] if loc is None else w[:, g].take(loc, axis=-1)
+        v = (wg * v.take(idx, axis=1)).sum(axis=1)
+    return v.reshape(ms.shape)
 
 
 def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) -> DensityMatrix:
-    """Phenomenological T1/T2 channel over a duration dt.
-
-    In the product-Pauli picture each coefficient is damped per non-identity
-    factor: x/y factors by exp(-dt/T2) of that spin, z factors by
-    exp(-dt/T1). Weight-one z coefficients additionally relax toward their
-    thermal values eps_k, which reproduces exponential inversion recovery;
-    multi-spin z products get no restoration term.
-    """
-    if dt < 0:
+    """T1/T2 channel over dt: per spin, generalized amplitude damping toward (1 +- eps)/2
+    and coherence decay by exp(-dt/T2). Completely positive for T2 <= 2*T1 (`NucleusSpec`
+    enforces it); its fixed point, the product thermal state, is `thermal_state` + O(eps^2)."""
+    if not dt >= 0:  # nan fails too
         raise ValidationError("dt must be >= 0")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, config has {config.n}")
-    m = _relax(rho.matrix[np.newaxis], np.array([dt], dtype=float),
-               *_relaxation_params([config]), config._operators.sz)[0]
-    return DensityMatrix(m, validate=False)
+    w = _relaxation_weights(np.array([float(dt)]), [config], [0])
+    return DensityMatrix(_relaxation_map(rho.matrix[np.newaxis], w)[0], validate=False)
 
 
 def evolve_programs(
@@ -240,20 +247,20 @@ def evolve_programs(
     b, d = len(programs), config.dim
     props = _propagators(machines, which * len(timed),
                          [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
+    weights = [None] * len(timed)
     if relaxation:
-        taus, pol = _relaxation_params(machines)
-        taus, pol, sz = taus[which], pol[which], config._operators.sz
-    steps = zip(timed, props)
+        dts = np.array([[ev.duration_s for ev in events] for events in timed], dtype=float)
+        weights = _relaxation_weights(dts.reshape(-1, b), machines, which)
+    steps = zip(props, weights)
     ms = np.broadcast_to(rho.matrix, (b, d, d))
     for kind in kinds:
         if kind is Crusher:
             ms = np.where(np.eye(d, dtype=bool), ms, 0)
             continue
-        events, u = next(steps)
+        u, w = next(steps)
         ms = u @ ms @ u.conj().swapaxes(-1, -2)
-        if relaxation:
-            dt = np.array([ev.duration_s for ev in events], dtype=float)
-            ms = _relax(ms, dt, taus, pol, sz)
+        if w is not None:
+            ms = _relaxation_map(ms, w)
     _check_density(ms)
     return [DensityMatrix(m, validate=False) for m in ms]
 

@@ -22,6 +22,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 PURITY_TOL = 1e-9
+UNITARITY_TOL = 1e-10
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -35,6 +36,21 @@ def _qubit_count(dim: int, what: str) -> int:
     if 2**n != dim or n < 1:
         raise ValidationError(f"{what} dimension {dim} is not a power of two")
     return n
+
+
+def complex_matrix(re, im) -> np.ndarray:
+    """re + i*im from the "re" and "im" number arrays of a JSON document; rejects
+    non-finite entries (inf * 1j would be nan, with a warning)."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError("matrix entries must be finite")
+    return re + 1j * im
+
+
+def is_unitary(m: np.ndarray) -> bool:
+    """Whether m m^dagger = I within UNITARITY_TOL; False, not an overflow, for huge entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARITY_TOL)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,10 +128,11 @@ class Ket:
 
 def _check_density(m: np.ndarray) -> None:
     """Reject unless each matrix of a (..., d, d) stack is a density matrix."""
-    herm = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
-    if herm > HERMITICITY_TOL:
-        raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):  # huge finite entries fail the checks below instead
+        herm = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
+        if not herm <= HERMITICITY_TOL:  # nan fails too
+            raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
+        tr = np.trace(m, axis1=-2, axis2=-1)
     bad = np.abs(tr - 1.0) > TRACE_TOL
     if np.any(bad):
         raise ValidationError(f"density matrix trace {complex(tr[bad].flat[0])}, not 1")
@@ -184,13 +201,13 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DensityMatrix":
         try:
-            m = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
+            m = complex_matrix(d["re"], d["im"])
             n = int(d["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad density-matrix JSON: {exc}") from exc
         if n < 1:
             raise ValidationError(f"density-matrix JSON: n = {n}, must be >= 1")
-        if m.shape != (2**n, 2**n):
+        if n > m.size or m.shape != (2**n, 2**n):  # so a huge n never reaches 2**n
             raise ValidationError(f"density-matrix JSON shape {m.shape} != 2^{n}")
         return cls(m)
 

@@ -14,6 +14,7 @@ arrays are read-only. `dataclasses.replace` makes a new config, new cache.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -46,6 +47,10 @@ class NucleusSpec:
             )
         if self.t1_s <= 0 or self.t2_s <= 0:
             raise ValidationError(f"nucleus {self.label!r}: t1_s and t2_s must be > 0")
+        if self.t2_s > 2 * self.t1_s:
+            # beyond it the relaxation channel is not completely positive
+            raise ValidationError(f"nucleus {self.label!r}: t2_s must be <= 2 * t1_s "
+                                  f"(t1_s {self.t1_s:g}, t2_s {self.t2_s:g})")
         if abs(self.polarization) > 1:
             raise ValidationError(f"nucleus {self.label!r}: |polarization| must be <= 1")
 
@@ -74,6 +79,9 @@ class SpinSystemConfig:
             raise ValidationError("j_hz must be symmetric")
         if np.any(np.diag(j) != 0.0):
             raise ValidationError("j_hz diagonal must be exactly 0")
+        hz = [float(nuc.offset_hz) for nuc in self.nuclei] + j.ravel().tolist()
+        if not all(math.isfinite(2 * math.pi * x) for x in hz):  # Python floats: no warning
+            raise ValidationError("offset_hz and j_hz must stay finite in rad/s (2*pi*Hz)")
         j.setflags(write=False)
         object.__setattr__(self, "j_hz", j)
 

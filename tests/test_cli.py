@@ -1,12 +1,18 @@
+import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nmrqc
 from nmrqc import measurement
@@ -67,6 +73,16 @@ class TestSimulate:
         assert rc == 2
         assert err.startswith("error: validation:") and match in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_repeated_target_same_message_in_compile_and_simulate(self, tmp_path, capsys):
+        circuit = write_json(tmp_path / "c.json",
+                             {"n": 2, "gates": [{"name": "CNOT", "targets": [1, 1]}]})
+        errs = []
+        for command in ("compile", "simulate"):
+            assert main([command, "--circuit", circuit, "--out", str(tmp_path / "o")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].strip() == "error: validation: gate CNOT: repeated target in (1, 1)"
 
     def test_byte_identical_reruns(self, tmp_path):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
@@ -217,6 +233,29 @@ class TestGrapeInputErrors:
         rc = main(["algorithm", "dqc1", "--unitary", upath, "--out", str(tmp_path / "out")])
         self.assert_one_line_exit_2(rc, capsys)
 
+    @pytest.mark.parametrize("argv, doc", [
+        (["grape", "--gate", "X90", "--targets", "abc"], None),
+        (["algorithm", "dqc1"], None),
+        (["algorithm", "dqc1", "--unitary", "{doc}"],
+         {"re": [[1.0, 0.0], [0.0, 0.0]], "im": 1e308}),
+        (["tomography", "--state", "{doc}"],
+         {"n": 1, "re": [[0.5, 1e308], [-1e308, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}),
+        (["tomography", "--state", "{doc}"],
+         {"n": float("inf"), "re": [[1.0]], "im": [[0.0]]}),
+        (["tomography", "--state", "{doc}"],
+         {"n": 1, "re": [[float("nan"), 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}),
+        (["tomography", "--state", "{doc}"], {"n": 10**30, "re": [[1.0]], "im": [[0.0]]}),
+        (["simulate", "--circuit", "{doc}"], {"n": float("inf"), "gates": []}),
+        (["simulate", "--circuit", "{doc}"], {"n": 1, "gates": [
+            {"name": "U", "targets": [1], "matrix": {"re": np.eye(2).tolist(), "im": 1e999}}]}),
+    ], ids=["grape_targets_abc", "dqc1_no_unitary", "unitary_1e308", "state_1e308", "state_n_inf",
+            "state_nan", "state_n_1e30", "circuit_n_inf", "unitary_gate_inf"])
+    def test_bad_request(self, tmp_path, capsys, argv, doc):
+        # inputs TestErrorContractFuzz drew: one line each, no traceback or numpy warning
+        path = write_json(tmp_path / "doc.json", doc)
+        rc = main([a.format(doc=path) for a in argv] + ["--out", str(tmp_path / "out")])
+        self.assert_one_line_exit_2(rc, capsys)
+
 
 def machine_file(tmp_path, edit):
     cfg = preset("gemini").to_json_dict()
@@ -251,6 +290,18 @@ class TestNonFiniteInputs:
         rc = main(["algorithm", "grover4", "--path", "pulse", "--machine", machine,
                    "--out", str(tmp_path / "o")])
         self.assert_one_line_exit_2(rc, capsys, "finite")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda cfg: cfg["nuclei"][0].update(offset_hz=1e308), "finite"),
+        (lambda cfg: set_j(cfg, 1e308), "finite"),
+        (lambda cfg: cfg["nuclei"][0].update(t1_s=1.0, t2_s=5.0), "t2_s must be <= 2 * t1_s"),
+    ], ids=["offset_1e308", "j_1e308", "t2_over_twice_t1"])
+    def test_machine_value_on_ideal_path(self, tmp_path, capsys, edit, match):
+        # the ideal path never builds the machine's Hamiltonian: loading rejects these
+        machine = machine_file(tmp_path, edit)
+        rc = main(["algorithm", "grover4", "--machine", machine, "--out", str(tmp_path / "o")])
+        self.assert_one_line_exit_2(rc, capsys, match)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "t2", "--offset-spread-hz", "nan"],
@@ -333,9 +384,10 @@ class TestReadmeRequests:
 
     # sha256 of each report of the README requests except grape, whose result
     # depends on the scipy version: pps recorded before the scans were evolved
-    # as batches, rabi/t1/t2 re-recorded for the closed-form separable fits, the
-    # rest recorded before the gate table replaced the per-gate dispatch. A
-    # change that keeps the numbers must keep them all.
+    # as batches, rabi re-recorded for the closed-form separable fits, t1/t2
+    # re-recorded for the per-spin amplitude-damping channel, the rest recorded
+    # before the gate table replaced the per-gate dispatch. A change that keeps
+    # the numbers must keep them all.
     SCAN_REPORTS = {
         "simulate-pulse": {
             "simulate_report.json": "393b5ad70d058069f3a557592ae911d064b1a4ab0455e178f91177e51df3d00d",
@@ -354,12 +406,12 @@ class TestReadmeRequests:
             "rabi_scan.csv": "2acb1aa8c06ae797bd98bd35614e7e126e76e07d3074af0e85689ad584c1ab2d",
         },
         "t1": {
-            "t1_fit.json": "a3e3b1cecf295317026ebf265c6bc47528084922b9baa6d050ae3ce8d9662968",
-            "t1_scan.csv": "0932f215f8d3eaf05b20d3e1655d9eeb55b53a4a521a1a9987cd0d210ad35cca",
+            "t1_fit.json": "a34b706a7c3c9014047260534e2658ef24ff55eda2985f2bb8b1cd927fbbf0c8",
+            "t1_scan.csv": "58355ca00776afd91b9477ee046b426b4a6fba9ea6fb37d8445ca3f5210c6b7d",
         },
         "t2": {
-            "t2_fit.json": "3ec22c46739c75158cc7cf28b6fb5087389d7563c41e7f295b39f6130de16a3d",
-            "t2_scan.csv": "011e44cf7f509614913c1a02b5646ec501f9538576c1c43e1c641f02ea87abf3",
+            "t2_fit.json": "ff372720b7784f01cf86c2d1bd7ce3664e127ed98027941096897e64982ddab5",
+            "t2_scan.csv": "5c407a80abf3bea57e59221f10a94c5d0f004ba5154502697d84459ef96861ac",
         },
         "pps": {
             "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",
@@ -443,3 +495,116 @@ class TestStartup:
         argv = [["grape", "--gate", "X90", "--segments", "5", "--duration-s", "1e-4",
                  "--max-iters", "2", "--seed", "1"]]
         assert self.run(tmp_path, argv, "scipy.optimize") == "True"
+
+
+FUZZ_DOCS = {
+    "machine": preset("gemini").to_json_dict(),
+    "circuit": {"n": 2, "gates": [{"name": "H", "targets": [1], "params": []},
+                                  {"name": "CNOT", "targets": [1, 2], "params": []}]},
+    "state": {"n": 2, "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()},
+    "unitary": {"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 1.0]]},
+}
+# Cheap requests that between them read every document; grape and count are
+# left out because their cost grows with the numbers a mutation may draw.
+FUZZ_COMMANDS = [
+    ["simulate", "--machine", "{machine}", "--circuit", "{circuit}"],
+    ["simulate", "--machine", "{machine}", "--circuit", "{circuit}", "--path", "pulse",
+     "--relaxation", "on"],
+    ["compile", "--machine", "{machine}", "--circuit", "{circuit}"],
+    ["tomography", "--machine", "{machine}", "--state", "{state}"],
+    ["experiment", "rabi", "--machine", "{machine}", "--durations",
+     "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,8e-5"],
+    ["experiment", "t1", "--machine", "{machine}", "--delays", "1e-3,1e-2,0.1,1,4,10"],
+    ["experiment", "t2", "--machine", "{machine}", "--delays", "1e-3,1e-2,0.1,0.3,0.5,1",
+     "--offset-spread-hz", "50"],
+    ["experiment", "pps", "--machine", "{machine}"],
+    ["algorithm", "deutsch", "--machine", "{machine}", "--path", "pulse"],
+    ["algorithm", "grover4", "--machine", "{machine}", "--path", "pulse", "--relaxation", "on"],
+    ["algorithm", "dqc1", "--unitary", "{unitary}"],
+]
+JSON_VALUES = st.sampled_from([None, True, 0, -1, 3, 0.5, 1e308, -1e308, float("nan"),
+                               float("inf"), "", "1H", "CNOT", [], [1], [[0.0]], {}, 10**30])
+ARG_TOKENS = st.sampled_from(["nan", "inf", "-1", "0", "2", "1e308", "", "abc", "1,2",
+                              "1e-3,nan", "gemini", "triangulum", "--path", "pulse",
+                              "--relaxation", "on", "--machine", "--circuit", "{circuit}"])
+
+
+@st.composite
+def mutated_json(draw, doc):
+    """doc with one value, one to four levels down, replaced by JSON_VALUES or deleted."""
+    doc = copy.deepcopy(doc)
+    parent, key = None, None
+    node = doc
+    for _ in range(draw(st.integers(1, 4))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        parent = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    if parent is None:
+        return draw(JSON_VALUES)
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+@st.composite
+def fuzz_requests(draw):
+    """(argv, input documents): a FUZZ_COMMANDS request with up to one mutated document
+    and up to two tokens inserted, replaced or deleted in argv."""
+    argv = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    docs = dict(FUZZ_DOCS)
+    name = draw(st.sampled_from([None, *sorted(FUZZ_DOCS)]))
+    if name is not None:
+        docs[name] = draw(mutated_json(FUZZ_DOCS[name]))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(ARG_TOKENS))
+        elif edit == "replace":
+            argv[i] = draw(ARG_TOKENS)
+        else:
+            del argv[i]
+    return argv, docs
+
+
+def file_tree(root):
+    """Relative path -> bytes of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestErrorContractFuzz:
+    @settings(max_examples=80)
+    @given(request=fuzz_requests())
+    def test_exit_code_stderr_outputs_and_rerun(self, request):
+        argv, docs = request
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = {name: write_json(root / f"{name}.json", doc) for name, doc in docs.items()}
+            argv = [a.format(**paths) for a in argv] + ["--out", str(root / "out")]
+            inputs = file_tree(root)
+            runs = []
+            cwd = os.getcwd()
+            os.chdir(root)  # so that a write relative to the working directory shows too
+            try:
+                for _ in range(2):
+                    out, err = io.StringIO(), io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(err):
+                        try:
+                            rc = dispatch(argv)
+                        except SystemExit as exc:  # argparse: usage errors and --help
+                            rc = exc.code
+                    runs.append((rc, out.getvalue(), err.getvalue(), file_tree(root / "out")))
+            finally:
+                os.chdir(cwd)
+            outside = {k: v for k, v in file_tree(root).items()
+                       if Path(k).parts[0] != "out"}
+        rc, _, err, _ = runs[0]
+        assert rc in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        assert outside == inputs
+        assert runs[0] == runs[1]

@@ -114,6 +114,10 @@ class TestGateMatrices:
             Gate("H", (1,), (), np.eye(2))
         with pytest.raises(ValidationError, match="U needs one"):
             Gate("U", (1,))
+        with pytest.raises(ValidationError, match=r"repeated target in \(1, 1\)"):
+            Gate("CNOT", (1, 1))
+        with pytest.raises(ValidationError, match=r"repeated target in \(2, 2\)"):
+            UNITARY(np.eye(4), 2, 2)
 
 
 def embed_by_permutation(u, targets, n):

@@ -302,6 +302,11 @@ class TestRelaxation:
             expected = eps * (1 - 2 * np.exp(-dt / 2.0))
             assert pauli_expand(out)["Z"] == pytest.approx(expected, abs=1e-15)
 
+    @pytest.mark.parametrize("dt", [-1e-3, float("nan")])
+    def test_bad_duration_rejected(self, gemini, dt):
+        with pytest.raises(ValidationError, match="dt must be >= 0"):
+            apply_relaxation(thermal_state(gemini), dt, gemini)
+
     def test_identity_at_zero_duration(self, gemini):
         rng = np.random.default_rng(25)
         rho = random_density_matrix(rng, 2)
@@ -336,58 +341,76 @@ class TestRelaxation:
         out = apply_relaxation(rho, dt, gemini)
         expected = 0.5 * np.exp(-dt / 4.0) * np.exp(-dt / 6.0)
         zz = pauli_expand(out)["ZZ"]
-        # the restoration terms also generate no ZZ weight
+        # relaxing toward the thermal populations adds only eps^2 (1 - e1)(1 - e1') ~ 5e-14
         assert zz == pytest.approx(expected, abs=1e-12)
 
 
-def reference_relaxation(rho, dt, config):
-    """`apply_relaxation` as a per-spin moveaxis/stack loop: the reference the
-    batched channel must reproduce bit for bit."""
-    if dt == 0:
-        return rho.matrix
-    n = config.n
-    t = rho.matrix.reshape((2,) * (2 * n)).copy()
+def kraus_relaxation(rho, dt, config):
+    """`apply_relaxation` from its definition: on each spin in turn, the Kraus
+    operators of generalized amplitude damping (Nielsen & Chuang 8.3.5) and then
+    of phase damping, embedded with np.kron."""
+    n, m = config.n, rho.matrix
     for k, nuc in enumerate(config.nuclei):
+        p = (1.0 + nuc.polarization) / 2  # fixed-point population of |0>
         e1 = np.exp(-dt / nuc.t1_s)
-        e2 = np.exp(-dt / nuc.t2_s)
-        t = np.moveaxis(t, (k, n + k), (0, 1))
-        p00, p01, p10, p11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-        mean = 0.5 * (p00 + p11)
-        half_diff = 0.5 * (p00 - p11)
-        t = np.stack(
-            [
-                np.stack([mean + e1 * half_diff, e2 * p01]),
-                np.stack([e2 * p10, mean - e1 * half_diff]),
-            ]
-        )
-        t = np.moveaxis(t, (0, 1), (k, n + k))
-    m = t.reshape(config.dim, config.dim)
-    for nuc, sz in zip(config.nuclei, config._operators.sz):
-        e1 = np.exp(-dt / nuc.t1_s)
-        if nuc.polarization != 0.0:
-            m = m + (nuc.polarization * (1.0 - e1) / config.dim) * sz
+        # coherence decay beyond the sqrt(e1) of amplitude damping; <= 1 as T2 <= 2 T1
+        lam = np.exp(-dt * max(0.0, 1.0 / nuc.t2_s - 0.5 / nuc.t1_s))
+        gad = [np.sqrt(p) * np.array([[1.0, 0.0], [0.0, np.sqrt(e1)]]),
+               np.sqrt(p) * np.array([[0.0, np.sqrt(1.0 - e1)], [0.0, 0.0]]),
+               np.sqrt(1.0 - p) * np.array([[np.sqrt(e1), 0.0], [0.0, 1.0]]),
+               np.sqrt(1.0 - p) * np.array([[0.0, 0.0], [np.sqrt(1.0 - e1), 0.0]])]
+        dephasing = [np.sqrt((1.0 + lam) / 2) * np.eye(2), np.sqrt((1.0 - lam) / 2) * SIGMA_Z]
+        for kraus in (gad, dephasing):
+            ops = [np.kron(np.kron(np.eye(2**k), a), np.eye(2 ** (n - 1 - k))) for a in kraus]
+            m = sum(e @ m @ e.conj().T for e in ops)
     return m
 
 
+@st.composite
+def relaxing_machines(draw, max_spins=3):
+    """Weak machines of 1 to max_spins spins, T1 from 1 ms to 100 s, T2 up to 2 T1, any
+    polarization."""
+    n = draw(st.integers(1, max_spins))
+    cfg = make_weak_config([0.0] * n, np.zeros((n, n)))
+    nuclei = []
+    for nuc in cfg.nuclei:
+        t1 = 10.0 ** draw(st.floats(-3.0, 2.0))
+        nuclei.append(replace(nuc, t1_s=t1, t2_s=t1 * draw(st.floats(0.01, 2.0)),
+                              polarization=draw(st.floats(-1.0, 1.0))))
+    return replace(cfg, nuclei=tuple(nuclei))
+
+
+DURATIONS = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)
+
+
 class TestBatchedRelaxation:
-    @given(
-        n=st.integers(1, 3),
-        times=st.lists(st.tuples(st.floats(1e-3, 100.0), st.floats(1e-3, 100.0)),
-                       min_size=3, max_size=3),
-        polarizations=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
-        log_dt=st.floats(-6.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_moveaxis_loop_exactly(self, n, times, polarizations, log_dt, seed):
-        cfg = make_weak_config([0.0] * n, np.zeros((n, n)))
-        cfg = replace(cfg, nuclei=tuple(
-            replace(nuc, t1_s=t1, t2_s=t2, polarization=pol)
-            for nuc, (t1, t2), pol in zip(cfg.nuclei, times, polarizations)
-        ))
-        rho = random_density_matrix(np.random.default_rng(seed), n)
-        dt = 10.0**log_dt
+    # four spins take the one-spin-at-a-time blocks of the map
+    @given(cfg=relaxing_machines(max_spins=4), dt=DURATIONS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_kraus_reference(self, cfg, dt, seed):
+        rho = random_density_matrix(np.random.default_rng(seed), cfg.n)
         out = apply_relaxation(rho, dt, cfg)
-        assert np.array_equal(out.matrix, reference_relaxation(rho, dt, cfg))
+        assert np.max(np.abs(out.matrix - kraus_relaxation(rho, dt, cfg))) <= 1e-14
+
+    @given(cfg=relaxing_machines(), dt=DURATIONS)
+    def test_choi_matrix_is_psd_and_trace_preserving(self, cfg, dt):
+        d = cfg.dim
+        choi = np.zeros((d, d, d, d), dtype=complex)  # [i, a, j, b]: |i><j| (x) Phi(|i><j|)
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                image = apply_relaxation(DensityMatrix(unit, validate=False), dt, cfg).matrix
+                choi[i, :, j, :] = image
+                assert abs(np.trace(image) - (i == j)) <= 1e-14
+        assert np.min(np.linalg.eigvalsh(choi.reshape(d * d, d * d))) >= -1e-14
+
+    @given(cfg=relaxing_machines(), dt=DURATIONS)
+    def test_product_thermal_state_is_fixed(self, cfg, dt):
+        rho = np.eye(1)
+        for nuc in cfg.nuclei:
+            rho = np.kron(rho, np.diag([1.0 + nuc.polarization, 1.0 - nuc.polarization]) / 2)
+        out = apply_relaxation(DensityMatrix(rho), dt, cfg)
+        assert np.max(np.abs(out.matrix - rho)) <= 1e-15
 
 
 MACHINES = {"gemini": preset("gemini"), "triangulum": preset("triangulum"), "weak3": WEAK3}

@@ -49,7 +49,7 @@ def plus_state(n=1, qubit=1):
 
 class TestSynthesizeFid:
     def test_plus_state_on_resonance_is_constant(self):
-        cfg = make_weak_config([0.0], [[0.0]], t2=1e9)
+        cfg = make_weak_config([0.0], [[0.0]], t1=1e9, t2=1e9)
         fid = synthesize_fid(plus_state(), cfg, "S0", 0.01, 1e-4)
         assert np.max(np.abs(fid.samples - 1.0)) < 1e-9
 
@@ -60,7 +60,7 @@ class TestSynthesizeFid:
 
     def test_offset_oscillation_at_three_times(self):
         nu = 55.0
-        cfg = make_weak_config([nu], [[0.0]], t2=1e9)
+        cfg = make_weak_config([nu], [[0.0]], t1=1e9, t2=1e9)
         dt = 1e-3
         fid = synthesize_fid(plus_state(), cfg, "S0", 5 * dt, dt)
         for m in (1, 2, 3):
@@ -253,7 +253,7 @@ class TestTomography:
         cfg = make_weak_config(
             [150.0, -40.0, 300.0],
             [[0.0, 30.0, 12.0], [30.0, 0.0, 18.0], [12.0, 18.0, 0.0]],
-            t2=20.0,
+            t1=20.0, t2=20.0,
         )
         rng = np.random.default_rng(54)
         rho = random_density_matrix(rng, 3)
@@ -309,7 +309,7 @@ class TestTomography:
             make_weak_config([30.0, -20.0, 5.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
                              labels=["1H", "13C", "15N"]),
             make_weak_config([150.0, -40.0, 300.0], [[0, 30, 12], [30, 0, 18], [12, 18, 0]],
-                             t2=20.0, labels=["A", "B", "A"]),
+                             t1=20.0, t2=20.0, labels=["A", "B", "A"]),
         ]
         calls = {"circuit_unitary": 0, "_weak_lines": 0, "_inverse": 0}
 

@@ -212,6 +212,8 @@ class TestDensityMatrixType:
             DensityMatrix(np.eye(2))  # trace 2
         with pytest.raises(ValidationError):
             DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))  # not a number
 
     def test_purity_criterion(self):
         rng = np.random.default_rng(12)

@@ -57,6 +57,22 @@ class TestConfigLoading:
         with pytest.raises(ValidationError, match="t1_s"):
             NucleusSpec("1H", 0.0, -1.0, 0.2, 1e-5)
 
+    def test_t2_beyond_twice_t1_rejected(self):
+        assert NucleusSpec("1H", 0.0, 1.0, 2.0, 1e-5).t2_s == 2.0
+        with pytest.raises(ValidationError, match=r"t2_s must be <= 2 \* t1_s"):
+            NucleusSpec("1H", 0.0, 1.0, 5.0, 1e-5)
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("field", ["offset", "j"])
+    def test_rad_s_overflow_rejected(self, field, value):
+        offsets, j = [0.0, 0.0], [[0.0, 100.0], [100.0, 0.0]]
+        if field == "offset":
+            offsets[1] = value
+        else:
+            j[0][1] = j[1][0] = value
+        with pytest.raises(ValidationError, match="finite in rad/s"):
+            make_weak_config(offsets, j)
+
     @pytest.mark.parametrize("field", ["offset_hz", "t1_s", "t2_s", "polarization"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_nucleus_rejected(self, field, value):
