@@ -2,13 +2,16 @@
 
 Gates address qubits with 1-based indices, control first for two-qubit
 gates. Compiled programs reproduce their circuit's unitary up to a global
-phase; the pulse amplitude sets how close (J evolution during a square
-pulse is the only error source, and it shrinks as the pulses shorten).
+phase: z rotations and offsets are frame shifts (see `compile_circuit`),
+so the error left is the offset and J evolution of the pulsed spins during
+the square pulses, which shrinks as the pulses shorten.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -250,41 +253,26 @@ def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np
 
 
 def decompose_single_qubit(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles (alpha, beta, gamma, delta) with u = e^{i alpha} Rx(beta) Ry(gamma) Rx(delta).
+    """Angles (alpha, a, b, c) with u = e^{i alpha} Rz(a) Rx(b) Rz(c) and 0 <= b <= pi.
 
-    Any single-qubit unitary admits this x-y-x form, so a hardware that
-    plays only x and y pulses can realize it directly.
+    The pulse compiler plays Rx(b) as one pulse and carries Rz(a) and Rz(c)
+    in its z frames. At b = 0 only a + c is fixed, at b = pi only a - c.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValidationError("expected a 2x2 matrix")
     if not is_unitary(u):
         raise ValidationError("matrix is not unitary")
-    alpha = 0.5 * np.angle(np.linalg.det(u))
-    w = u * np.exp(-1j * alpha)
-    # Conjugating by Hadamard turns the x-y-x problem into a standard z-y-z one.
-    wt = _HADAMARD @ w @ _HADAMARD
-    theta = 2.0 * np.arctan2(abs(wt[1, 0]), abs(wt[0, 0]))
-    if abs(wt[0, 0]) > 1e-12 and abs(wt[1, 0]) > 1e-12:
-        bpd = 2.0 * np.angle(wt[1, 1])
-        bmd = 2.0 * np.angle(wt[1, 0])
-        beta, delta = (bpd + bmd) / 2.0, (bpd - bmd) / 2.0
-    elif abs(wt[0, 0]) <= 1e-12:
-        beta, delta = 2.0 * np.angle(wt[1, 0]), 0.0
-    else:
-        beta, delta = 2.0 * np.angle(wt[1, 1]), 0.0
-    gamma = -theta
-    beta = _normalized_angle(beta)
-    delta = _normalized_angle(delta)
-    if abs(delta) > abs(beta) + 1e-12:
-        # Rx(b) Ry(g) Rx(d) = Rx(b+pi) Ry(-g) Rx(d-pi): move the longer pulse last
-        beta = _normalized_angle(beta + np.pi)
-        gamma = -gamma
-        delta = _normalized_angle(delta - np.pi)
-    # angle normalization flips spinor signs; recover the exact global phase
-    m = _rot(SIGMA_X, beta) @ _rot(SIGMA_Y, gamma) @ _rot(SIGMA_X, delta)
-    alpha = float(np.angle(np.trace(m.conj().T @ u) / 2.0))
-    return float(alpha), float(beta), float(gamma), float(delta)
+    return _zxz(u)
+
+
+def _zxz(u: np.ndarray) -> tuple[float, float, float, float]:
+    (u00, u01), (u10, u11) = u.tolist()
+    alpha = cmath.phase(u00 * u11 - u01 * u10) / 2
+    # w = e^{-i alpha} u is in SU(2): w11 = e^{i(a+c)/2} cos(b/2), w10 = -i e^{i(a-c)/2} sin(b/2)
+    w10, w11 = u10 * cmath.exp(-1j * alpha), u11 * cmath.exp(-1j * alpha)
+    s, d = 2 * cmath.phase(w11), 2 * cmath.phase(1j * w10)
+    return alpha, (s + d) / 2, 2 * math.atan2(abs(w10), abs(w11)), (s - d) / 2
 
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
@@ -297,89 +285,89 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.trace(u @ target.conj().T)) ** 2 / d**2)
 
 
-def _normalized_angle(theta: float) -> float:
-    t = (theta + np.pi) % (2 * np.pi) - np.pi
-    if t == -np.pi:
-        t = np.pi
-    return t
-
-
 def _single_channel_pulse(
     config: SpinSystemConfig, channel: str, phase_rad: float, duration_s: float, amp_hz: float
 ) -> RfSegment:
     """Square pulse on one channel; every other channel is off."""
-    amps = [0.0] * len(config.channels)
-    phases = [0.0] * len(config.channels)
+    amps, phases = [0.0] * len(config.channels), [0.0] * len(config.channels)
     c = config.channel_index(channel)
-    amps[c] = amp_hz
-    phases[c] = phase_rad
+    amps[c], phases[c] = amp_hz, phase_rad
     return RfSegment(tuple(amps), tuple(phases), duration_s)
 
 
-def _rotation_pulse(
-    config: SpinSystemConfig, channel: str, axis: str, angle_rad: float, amp_hz: float
-) -> RfSegment:
-    """Square pulse rotating a channel's spins by `angle_rad` about x or y.
-
-    A negative angle is the same axis with the phase advanced by pi.
-    """
-    phase = 0.0 if axis == "x" else np.pi / 2
-    if angle_rad < 0:
-        phase += np.pi
-    return _single_channel_pulse(
-        config, channel, phase, abs(angle_rad) / (2 * np.pi * amp_hz), amp_hz
-    )
-
-
 class _PulseEmitter:
+    """Pulses and J delays with one z frame per qubit (0-based; qubit q is channel q): the
+    circuit so far is (x)_q Rz(frame[q]) times the events so far, up to a global phase."""
+
     def __init__(self, config: SpinSystemConfig, amp_hz: float):
         if amp_hz <= 0:
             raise ValidationError("pulse amplitude must be > 0")
         self.config = config
         self.amp = float(amp_hz)
         self.events: list = []
+        self.frame = [0.0] * config.n
+        self.precession = [2 * np.pi * nuc.offset_hz for nuc in config.nuclei]  # rad/s
 
-    def pulse(self, qubit: int, axis: str, angle: float):
-        theta = _normalized_angle(angle)
-        if abs(theta) >= 1e-12:
-            channel = self.config.channel_of(qubit)
-            self.events.append(_rotation_pulse(self.config, channel, axis, theta, self.amp))
+    def emit(self, event, busy=()):
+        """Append a timed event; each frame not in `busy` takes back its qubit's precession."""
+        for q, w in enumerate(self.precession):
+            if q not in busy:
+                self.frame[q] -= w * event.duration_s
+        if not math.isfinite(sum(self.frame)):
+            raise ValidationError("offset precession over the compiled events is not finite")
+        self.events.append(event)
 
-    def delay(self, duration_s: float):
-        self.events.append(DelayEvent(duration_s))
+    def pulse(self, phases: dict, angle: float):
+        """One pulse rotating each qubit q of `phases` by `angle` about the axis at phases[q]."""
+        amps, phis = [0.0] * self.config.n, [0.0] * self.config.n
+        for q, phi in phases.items():
+            amps[q], phis[q] = self.amp, math.remainder(phi, 2 * np.pi)
+        self.emit(RfSegment(tuple(amps), tuple(phis), angle / (2 * np.pi * self.amp)), phases)
 
-    def xyx(self, qubit: int, u2: np.ndarray):
-        _, beta, gamma, delta = decompose_single_qubit(u2)
-        self.pulse(qubit, "x", delta)
-        self.pulse(qubit, "y", gamma)
-        self.pulse(qubit, "x", beta)
+    def rotate(self, q: int, u: np.ndarray):
+        # u Rz(f) = Rz(a + c + f) R_{-(c + f)}(b), where R_phi(b) = Rz(phi) Rx(b) Rz(-phi)
+        _, a, b, c = _zxz(u)  # gates are validated unitaries
+        if b > 1e-12:
+            self.pulse({q: -(c + self.frame[q])}, b)
+        self.frame[q] += a + c
 
-    def cnot(self, control: int, target: int):
-        j = float(self.config.j_hz[control - 1, target - 1])
-        if j == 0.0:
-            raise UncoupledPairError(
-                f"CNOT between qubits {control},{target}: J is zero, gate not practical"
-            )
-        if j < 0.0:
-            raise ValidationError(
-                f"CNOT between qubits {control},{target}: negative J not supported by "
-                "the square-pulse compiler"
-            )
-        # J-coupling CNOT: y90 on target, 1/(2J) of free evolution, then
-        # -y90, x90 on target and -x90, y90, x90 on the control.
-        self.pulse(target, "y", np.pi / 2)
-        self.delay(1.0 / (2.0 * j))
-        self.pulse(target, "y", -np.pi / 2)
-        self.pulse(target, "x", np.pi / 2)
-        self.pulse(control, "x", -np.pi / 2)
-        self.pulse(control, "y", np.pi / 2)
-        self.pulse(control, "x", np.pi / 2)
+    def cz(self, c: int, t: int):
+        j = self.config.j_hz
+        j_ct = float(j[c, t])
+        if j_ct == 0.0:
+            raise UncoupledPairError(f"two-qubit gate on qubits {c + 1},{t + 1}: J is zero, "
+                                     "gate not practical")
+        # Leung et al., PRA 61, 042310 (2000): pi pulses flip each coupled spectator so its sign
+        # over the 2^k parts of the delay is its own non-constant Walsh function, and its
+        # couplings and offset average out. A pi pulse negates the flipped spin's frame.
+        flipped = [s for s in range(self.config.n) if s not in (c, t) and j[s].any()]
+        parts = 2 ** len(flipped).bit_length()
+        for p in range(parts):
+            self.emit(DelayEvent(1.0 / (2.0 * abs(j_ct) * parts)))
+            change = p ^ (p + 1) % parts
+            flips = [s for m, s in enumerate(flipped, 1) if bin(m & change).count("1") % 2]
+            if flips:
+                self.pulse(dict.fromkeys(flips, 0.0), np.pi)
+                for s in flips:
+                    self.frame[s] = -self.frame[s]
+        # e^{-i sign(J) (pi/4) ZZ} is CZ times Rz(sign(J) pi/2) on both qubits
+        for q in (c, t):
+            self.frame[q] -= math.copysign(np.pi / 2, j_ct)
+
+    def flush(self):
+        """Play the frames as pulses, Rz(f) = R_{f/2}(pi) R_0(pi) up to a global phase, on
+        all qubits at once; a zero frame joins if its qubit would precess meanwhile."""
+        f = [math.remainder(x, 2 * np.pi) for x in self.frame]
+        if max(map(abs, f)) > 1e-12:
+            qs = [q for q, w in enumerate(self.precession) if abs(f[q]) > 1e-12 or w]
+            self.pulse(dict.fromkeys(qs, 0.0), np.pi)
+            self.pulse({q: f[q] / 2 for q in qs}, np.pi)
 
 
-# Two-qubit gates as CNOTs and single-qubit gates, equal up to a global phase
-_VIA_CNOT = {
-    "CZ": lambda c, t: (H(t), CNOT(c, t), H(t)),
-    "CY": lambda c, t: (RY(t, np.pi / 2), CNOT(c, t), RY(t, -np.pi / 2), CNOT(c, t)),
+# Two-qubit gates as CZs and one-qubit gates, equal up to a global phase
+_VIA_CZ = {
+    "CNOT": lambda c, t: (H(t), CZ(c, t), H(t)),
+    "CY": lambda c, t: (P(t, -np.pi / 2), CNOT(c, t), P(t, np.pi / 2), P(c, -np.pi / 2)),
     "SWAP": lambda a, b: (CNOT(a, b), CNOT(b, a), CNOT(a, b)),
 }
 
@@ -389,11 +377,17 @@ def compile_circuit(
     config: SpinSystemConfig,
     pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ,
 ) -> PulseProgram:
-    """Compile a circuit into square x/y pulses and J-coupling delays.
+    """Compile a circuit into square pulses and J-coupling delays.
 
     Requires a weak-coupling machine whose nuclei all sit on distinct
-    channels (heteronuclear addressing). Two-qubit gates are rewritten to
-    CNOTs first; CNOT itself becomes a 1/(2J) delay wrapped in pi/2 pulses.
+    channels (heteronuclear addressing). One z frame per qubit carries z
+    rotations (Vandersypen & Chuang, RMP 76, 1037 (2004)): a one-qubit gate
+    is one pulse whose phase holds the frame, and each idle spin's offset
+    precession during an emitted pulse or J delay goes into its frame. A CZ
+    is one 1/(2J) delay and a frame shift, with pi pulses refocusing its
+    coupled spectators; other two-qubit gates are rewritten to CZs. A
+    `Delay` gate is free evolution and leaves the frames alone. The final
+    frames are played as two pi pulses each.
     """
     if c.n != config.n:
         raise ValidationError(f"circuit has {c.n} qubits, machine has {config.n}")
@@ -407,19 +401,20 @@ def compile_circuit(
 
     def emit(g: Gate):
         if g.name == "Delay":
-            em.delay(g.params[0])
+            em.events.append(DelayEvent(g.params[0]))
         elif len(g.targets) == 1:
-            em.xyx(g.targets[0], _local_matrix(g))
-        elif g.name == "CNOT":
-            em.cnot(*g.targets)
-        elif g.name in _VIA_CNOT:
-            for h in _VIA_CNOT[g.name](*g.targets):
+            em.rotate(g.targets[0] - 1, _local_matrix(g))
+        elif g.name == "CZ":
+            em.cz(g.targets[0] - 1, g.targets[1] - 1)
+        elif g.name in _VIA_CZ:
+            for h in _VIA_CZ[g.name](*g.targets):
                 emit(h)
         else:
             raise ValidationError("only single-qubit custom unitaries compile to pulses")
 
     for g in c.gates:
         emit(g)
+    em.flush()
     return PulseProgram(system=config, events=tuple(em.events))
 
 
@@ -454,6 +449,9 @@ class GrapeConfig:
             raise ValidationError("target_fidelity must be in (0, 1]")
         if self.initial not in ("random", "constant"):
             raise ValidationError('initial must be "random" or "constant"')
+        # the optimizer starts from amplitude * duration; each segment rotates by 2*pi times it
+        if not math.isfinite(2 * math.pi * GRAPE_RANDOM_AMP_HZ * self.duration_s):
+            raise ValidationError("segments * dt_s too long: 2*pi*amplitude*duration overflows")
 
     @property
     def duration_s(self) -> float:

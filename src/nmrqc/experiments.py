@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import _rotation_pulse, _single_channel_pulse
+from .control import _single_channel_pulse
 from .dynamics import Crusher, Delay, PulseProgram, evolve_program, evolve_programs
 from .errors import FitError, ValidationError
 from .quantum import DensityMatrix
@@ -153,14 +153,14 @@ def prepare_pseudo_pure(
     j = float(config.j_hz[0, 1])
     if j == 0.0:
         raise ValidationError("pseudo-pure preparation needs a nonzero J coupling")
-    events = (
-        _rotation_pulse(config, config.channel_of(2), "x", np.pi / 3, pulse_amp_hz),
-        Crusher(),
-        _rotation_pulse(config, config.channel_of(1), "x", np.pi / 4, pulse_amp_hz),
-        Delay(1.0 / (2.0 * abs(j))),
-        _rotation_pulse(config, config.channel_of(1), "y", -np.pi / 4, pulse_amp_hz),
-        Crusher(),
-    )
+
+    def pulse(qubit, phase, angle):
+        return _single_channel_pulse(config, config.channel_of(qubit), phase,
+                                     angle / (2 * np.pi * pulse_amp_hz), pulse_amp_hz)
+
+    # Ry(-pi/4) is a pi/4 pulse about -y
+    events = (pulse(2, 0.0, np.pi / 3), Crusher(), pulse(1, 0.0, np.pi / 4),
+              Delay(1.0 / (2.0 * abs(j))), pulse(1, 1.5 * np.pi, np.pi / 4), Crusher())
     program = PulseProgram(system=config, events=events)
     rho = evolve_program(thermal_state(config), program, relaxation=False)
     return program, rho

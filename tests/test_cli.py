@@ -235,6 +235,8 @@ class TestGrapeInputErrors:
 
     @pytest.mark.parametrize("argv, doc", [
         (["grape", "--gate", "X90", "--targets", "abc"], None),
+        (["grape", "--gate", "X90", "--segments", "4", "--duration-s", "1e308", "--max-iters",
+          "3"], None),
         (["algorithm", "dqc1"], None),
         (["algorithm", "dqc1", "--unitary", "{doc}"],
          {"re": [[1.0, 0.0], [0.0, 0.0]], "im": 1e308}),
@@ -248,8 +250,9 @@ class TestGrapeInputErrors:
         (["simulate", "--circuit", "{doc}"], {"n": float("inf"), "gates": []}),
         (["simulate", "--circuit", "{doc}"], {"n": 1, "gates": [
             {"name": "U", "targets": [1], "matrix": {"re": np.eye(2).tolist(), "im": 1e999}}]}),
-    ], ids=["grape_targets_abc", "dqc1_no_unitary", "unitary_1e308", "state_1e308", "state_n_inf",
-            "state_nan", "state_n_1e30", "circuit_n_inf", "unitary_gate_inf"])
+    ], ids=["grape_targets_abc", "grape_duration_1e308", "dqc1_no_unitary", "unitary_1e308",
+            "state_1e308", "state_n_inf", "state_nan", "state_n_1e30", "circuit_n_inf",
+            "unitary_gate_inf"])
     def test_bad_request(self, tmp_path, capsys, argv, doc):
         # inputs TestErrorContractFuzz drew: one line each, no traceback or numpy warning
         path = write_json(tmp_path / "doc.json", doc)
@@ -282,7 +285,10 @@ class TestNonFiniteInputs:
         lambda cfg: set_j(cfg, float("nan")),
         lambda cfg: cfg["nuclei"][0].update(offset_hz=1e308),
         lambda cfg: set_j(cfg, 1e308),
-    ], ids=["nan_t1", "nan_polarization", "inf_offset", "nan_j", "offset_1e308", "j_1e308"])
+        # the frames take back 2*pi * offset * 1/(2J) of precession per J delay
+        lambda cfg: (set_j(cfg, 1e-300), cfg["nuclei"][0].update(offset_hz=1e10)),
+    ], ids=["nan_t1", "nan_polarization", "inf_offset", "nan_j", "offset_1e308", "j_1e308",
+            "j_1e-300"])
     def test_machine_value(self, tmp_path, capsys, edit):
         machine = machine_file(tmp_path, edit)
         # the pulse path builds the machine's Hamiltonian, so values that only
@@ -385,21 +391,23 @@ class TestReadmeRequests:
     # sha256 of each report of the README requests except grape, whose result
     # depends on the scipy version: pps recorded before the scans were evolved
     # as batches, rabi re-recorded for the closed-form separable fits, t1/t2
-    # re-recorded for the per-spin amplitude-damping channel, the rest recorded
-    # before the gate table replaced the per-gate dispatch. A change that keeps
-    # the numbers must keep them all.
+    # re-recorded for the per-spin amplitude-damping channel, the pulse-path
+    # reports (simulate-pulse, compile, tomography-pulse, deutsch) re-recorded
+    # for the frame-tracked compiler, the rest recorded before the gate table
+    # replaced the per-gate dispatch. A change that keeps the numbers must keep
+    # them all.
     SCAN_REPORTS = {
         "simulate-pulse": {
-            "simulate_report.json": "393b5ad70d058069f3a557592ae911d064b1a4ab0455e178f91177e51df3d00d",
+            "simulate_report.json": "7f75bbb92ab323b41affa803591104692a87e7633f098fe45ad94edd5c6b8e49",
         },
         "compile": {
-            "pulse_program.json": "a0866c2df9ab1b3cca77a41ab6dd71749bc032c16d694771fb3db5078fa4dbf6",
+            "pulse_program.json": "8f7348fd09c483ce786dc4dad4524c8988b6b262e484f1dc8363cc20416013de",
         },
         "tomography": {
             "tomography_report.json": "28677664cdea9f423f68d53099578247da7d596cf5218ca27bcd735b59adc2fa",
         },
         "tomography-pulse": {
-            "tomography_report.json": "047b36c85a952f550901641ae234c5e702347e6421057537b5a4dc6b69677989",
+            "tomography_report.json": "50e2f24784094d0d2eb65f43339d3062a7a24037924e0f331a291ae01e6b09e3",
         },
         "rabi": {
             "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",
@@ -420,7 +428,7 @@ class TestReadmeRequests:
             "algorithm_grover4.json": "e1ece1be1b7e3a33e46bb584cb49d4169454111fd3ba2cd3df952c0362b94d00",
         },
         "deutsch": {
-            "algorithm_deutsch.json": "bccfc1eda314f154b4e76bd7265c4ae349788db60ee8f24728da6b966cfacb9e",
+            "algorithm_deutsch.json": "42bb5e3f5aaaf9e5a34db67e806220ccc010f78e4534dac9077eabef47f3e165",
         },
         "count": {
             "algorithm_count.json": "047d12ea8cb0ac8e672216558887bd9bdb6cba8442d4517b12d1cb1c74aef592",

@@ -24,6 +24,7 @@ from nmrqc.control import (
     UNITARY,
     X,
     X90,
+    Z,
     _GATES,
     _embed_matrix,
     circuit_unitary,
@@ -35,7 +36,7 @@ from nmrqc.control import (
 from nmrqc.dynamics import Delay as DelayEvent
 from nmrqc.dynamics import RfSegment, program_unitary
 from nmrqc.errors import UncoupledPairError, ValidationError
-from nmrqc.quantum import SIGMA_X, SIGMA_Y
+from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 CNOT12 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT21 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
@@ -187,8 +188,9 @@ class TestCircuitUnitary:
 
 class TestDecomposeSingleQubit:
     def reconstruct(self, angles):
-        a, b, g, d = angles
-        return np.exp(1j * a) * rot(SIGMA_X, b) @ rot(SIGMA_Y, g) @ rot(SIGMA_X, d)
+        alpha, a, b, c = angles
+        assert 0 <= b <= np.pi
+        return np.exp(1j * alpha) * rot(SIGMA_Z, a) @ rot(SIGMA_X, b) @ rot(SIGMA_Z, c)
 
     def test_pure_x_rotation(self):
         angles = decompose_single_qubit(rot(SIGMA_X, 0.8))
@@ -251,17 +253,64 @@ class TestCompile:
         x180 = compile_circuit(Circuit(2, (X(1),)), gemini)
         assert gate_fidelity(program_unitary(prog), program_unitary(x180)) >= 1 - 1e-9
 
-    def test_hadamard_pulse_pair(self, gemini):
-        # short y rotation (90) followed by a long x rotation (180)
+    def test_hadamard_is_one_pulse_before_the_flush(self, gemini):
+        # H = Rz(pi/2) Rx(pi/2) Rz(pi/2): one pi/2 pulse, the z parts go to the frame
         prog = compile_circuit(Circuit(2, (H(1),)), gemini)
-        segs = [ev for ev in prog.events if isinstance(ev, RfSegment)]
-        assert len(segs) == 2
-        first, second = segs
+        first, *flush = prog.events
         amp = first.amplitudes_hz[0]
-        assert first.phases_rad[0] == pytest.approx(np.pi / 2)  # y pulse
+        assert first.amplitudes_hz[1] == 0.0
         assert first.duration_s * amp * 2 * np.pi == pytest.approx(np.pi / 2)
-        assert second.phases_rad[0] == pytest.approx(0.0)  # x pulse
-        assert second.duration_s * amp * 2 * np.pi == pytest.approx(np.pi)
+        assert len(flush) == 2
+        for ev in flush:
+            assert ev.duration_s * amp * 2 * np.pi == pytest.approx(np.pi)
+
+    @pytest.mark.parametrize("gates", [(RZ(1, 0.7), RZ(1, -0.7)), (Z(2), Z(2)),
+                                       (RZ(2, 2 * np.pi),), ()])
+    def test_z_rotations_that_cancel_emit_nothing(self, gemini, gates):
+        assert compile_circuit(Circuit(2, gates), gemini).events == ()
+
+    def test_lone_z_rotation_is_a_flush(self, gemini):
+        prog = compile_circuit(Circuit(2, (RZ(1, 0.7),)), gemini)
+        assert len(prog.events) == 2
+        assert gate_fidelity(program_unitary(prog), gate_matrix(RZ(1, 0.7), 2)) >= 1 - 1e-9
+
+    def test_lone_cz_is_one_delay_and_the_flush(self, gemini):
+        prog = compile_circuit(Circuit(2, (CZ(1, 2),)), gemini)
+        delay, *flush = prog.events
+        assert delay == DelayEvent(1.0 / (2 * 697.4))
+        assert 1 <= len(flush) <= 4 and all(isinstance(ev, RfSegment) for ev in flush)
+
+    @pytest.mark.parametrize("j", [215.0, -215.0])
+    def test_offsets_in_the_delay_are_taken_back(self, j):
+        # at 100 / -37 Hz a CNOT's delay precesses both spins by tens of degrees; a
+        # negative J flips the sign of the CZ's frame shift
+        cfg = make_weak_config([100.0, -37.0], [[0.0, j], [j, 0.0]])
+        circuit = Circuit(2, (H(1), CNOT(1, 2), RX(2, 0.3), CZ(2, 1)))
+        u = program_unitary(compile_circuit(circuit, cfg))
+        assert gate_fidelity(u, circuit_unitary(circuit, cfg)) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_spectators_are_refocused(self, n):
+        # all pairs coupled: free evolution of the spectators over a CZ's delay would stay
+        rng = np.random.default_rng(n)
+        j = np.triu(rng.uniform(20.0, 300.0, (n, n)), 1)
+        cfg = make_weak_config(list(rng.uniform(-300.0, 300.0, n)), j + j.T)
+        ghz = Circuit(n, (H(1), *(CNOT(k, k + 1) for k in range(1, n))))
+        pairs = itertools.permutations(range(1, n + 1), 2)
+        for circuit in [ghz, *(Circuit(n, (CNOT(a, b),)) for a, b in pairs)]:
+            prog = compile_circuit(circuit, cfg)
+            fid = gate_fidelity(program_unitary(prog), circuit_unitary(circuit, cfg))
+            assert fid >= 1 - 1e-9
+
+    def test_three_spin_cz_refocuses_with_two_spectator_pulses(self):
+        cfg = make_weak_config([123.4, -56.7, 300.0],
+                               [[0.0, 140.0, 48.0], [140.0, 0.0, 190.0], [48.0, 190.0, 0.0]])
+        events = compile_circuit(Circuit(3, (CZ(1, 2),)), cfg).events
+        assert [type(ev) for ev in events[:4]] == [DelayEvent, RfSegment] * 2
+        assert events[0].duration_s == events[2].duration_s == 1.0 / (4 * 140.0)
+        for pulse in events[1], events[3]:
+            assert pulse.amplitudes_hz[:2] == (0.0, 0.0)
+            assert pulse.duration_s * pulse.amplitudes_hz[2] * 2 * np.pi == pytest.approx(np.pi)
 
     def test_cnot_truth_table_states(self, gemini):
         for direction, table in (
@@ -302,3 +351,45 @@ class TestCompile:
         assert gate_fidelity(u, CNOT12) == pytest.approx(1.0, abs=1e-12)
         phase = u[0, 0] / CNOT12[0, 0]
         assert np.angle(phase) == pytest.approx(-np.pi / 4, abs=1e-9)
+
+
+@st.composite
+def weak_machines(draw):
+    """Weak heteronuclear machines of 2 or 3 spins: offsets within +-2 kHz, every J
+    from 20 to 300 Hz."""
+    n = draw(st.sampled_from([2, 3]))
+    offsets = draw(st.lists(st.floats(-2e3, 2e3), min_size=n, max_size=n))
+    j = np.zeros((n, n))
+    for a, b in itertools.combinations(range(n), 2):
+        j[a, b] = j[b, a] = draw(st.floats(20.0, 300.0))
+    return make_weak_config(offsets, j, labels=["1H", "13C", "15N"][:n])
+
+
+@st.composite
+def random_circuits(draw, n):
+    """Up to six gates over every gate name, U and Delay included."""
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from([*_GATES, "U"]))
+        if name == "U":
+            seed = draw(st.integers(0, 2**32 - 1))
+            gates.append(UNITARY(random_unitary(np.random.default_rng(seed), 2),
+                                 draw(st.integers(1, n))))
+            continue
+        n_targets, n_params, _ = _GATES[name]
+        targets = draw(st.permutations(range(1, n + 1)))[:n_targets]
+        if name == "Delay":
+            params = (draw(st.floats(0.0, 2e-3)),)
+        else:
+            params = tuple(draw(st.floats(-2 * np.pi, 2 * np.pi)) for _ in range(n_params))
+        gates.append(Gate(name, tuple(targets), params))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_compiled_program_matches_circuit(data):
+    cfg = data.draw(weak_machines())
+    circuit = data.draw(random_circuits(cfg.n))
+    u = program_unitary(compile_circuit(circuit, cfg))
+    assert 1 - gate_fidelity(u, circuit_unitary(circuit, cfg)) <= 1e-8
