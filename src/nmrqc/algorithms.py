@@ -19,7 +19,6 @@ from .control import (
     CNOT,
     CZ,
     CY,
-    DEFAULT_PULSE_AMP_HZ,
     DELAY,
     Circuit,
     Gate,
@@ -95,15 +94,13 @@ def _execute(
     config: SpinSystemConfig,
     path: str,
     relaxation: bool = False,
-    pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ,
 ) -> DensityMatrix:
     if path not in ("ideal", "pulse"):
         raise ValidationError('path must be "ideal" or "pulse"')
     rho0 = DensityMatrix.basis(circuit.n, 0)
     if path == "ideal":
         return rho0.evolved(circuit_unitary(circuit, config), validate=True)
-    program = compile_circuit(circuit, config, pulse_amp_hz)
-    return evolve_program(rho0, program, relaxation=relaxation)
+    return evolve_program(rho0, compile_circuit(circuit, config), relaxation=relaxation)
 
 
 def _report(algorithm, path, circuit, rho, derived, fidelity=None) -> AlgorithmReport:

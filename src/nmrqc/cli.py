@@ -130,14 +130,22 @@ def _float_list(text: str) -> list[float]:
         raise ValidationError(f"bad numeric list {text!r}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser):
+# Options that only some subcommands read; each subcommand accepts just those it reads.
+_OPTIONS = {
+    "--seed": dict(type=int, default=0),
+    "--path": dict(choices=("ideal", "pulse"), default="ideal"),
+    "--relaxation": dict(choices=("on", "off"), default="off"),
+    "--pulse-amp-hz": dict(type=float, default=control.DEFAULT_PULSE_AMP_HZ),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *options: str):
+    """--machine and --out, plus the named `_OPTIONS`."""
     parser.add_argument("--machine", default="gemini",
                         help="machine config path or preset name (gemini, triangulum)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--path", choices=("ideal", "pulse"), default="ideal")
-    parser.add_argument("--relaxation", choices=("on", "off"), default="off")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--pulse-amp-hz", type=float, default=control.DEFAULT_PULSE_AMP_HZ)
+    for name in options:
+        parser.add_argument(name, **_OPTIONS[name])
 
 
 def _cmd_simulate(args) -> list[Path]:
@@ -342,22 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a circuit file and report the final state")
-    _add_common(p)
+    _add_common(p, "--path", "--relaxation", "--pulse-amp-hz")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tomography", help="reconstruct a density-matrix JSON via spectra")
-    _add_common(p)
+    _add_common(p, "--path", "--pulse-amp-hz")
     p.add_argument("--state", required=True, help="density-matrix JSON file")
     p.set_defaults(func=_cmd_tomography)
 
     p = sub.add_parser("compile", help="compile a circuit file to a pulse program")
-    _add_common(p)
+    _add_common(p, "--pulse-amp-hz")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("grape", help="optimize a pulse for a target gate")
-    _add_common(p)
+    _add_common(p, "--seed")
     p.add_argument("--gate", help="gate name, e.g. X90")
     p.add_argument("--targets", help="comma-separated qubit indices (default 1)")
     p.add_argument("--params", help="comma-separated gate parameters")
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algorithm", help="run a built-in algorithm")
     p.add_argument("algorithm", choices=("deutsch", "grover4", "bv", "count", "bell",
                                          "qho", "dqc1", "cnot-table"))
-    _add_common(p)
+    _add_common(p, "--path", "--relaxation")
     p.add_argument("--case", help="deutsch f1..f4 (default f1) / count M0,M1_first,"
                                   "M1_second,M2 (default M1_first)")
     p.add_argument("--target", type=int, default=4, help="grover target 1..4")

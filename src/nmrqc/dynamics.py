@@ -10,11 +10,14 @@ the machine's cached, read-only operators (see `spinsys`) and propagated in
 one batched kernel call. `program_unitary` chains them; `evolve_programs`
 runs a batch of programs (a scan) as one (B, d, d) stack of states, with
 relaxation vectorized over it, and `evolve_program` is its one-program case.
+
+Relaxation, a tensor product of one-spin channels, is applied spin by spin
+for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`
+factor on the stack with that spin flipped in both indices.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -143,75 +146,65 @@ def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
         if isinstance(ev, RfSegment):
             drive[r] = rf_drive(machines[m], ev.amplitudes_hz, ev.phases_rad)
     h0s = np.array([cfg._operators.h0 for cfg in machines])
+    dts = np.array([ev.duration_s for _, ev in row_of])
     with np.errstate(over="ignore", invalid="ignore"):
         hs = np.tensordot(drive, controls, axes=1) + h0s[[m for m, _ in row_of]]
-    if not np.isfinite(hs).all():
-        raise ValidationError("pulse Hamiltonian (rad/s) is not finite")
-    return _kernels.segment_propagators(hs, np.array([ev.duration_s for _, ev in row_of]))[rows]
+        # sum of |Re| + |Im| over H times duration bounds |eigenvalue| * duration
+        phase = np.abs(hs.view(float)).sum(axis=(-2, -1)) * dts
+    if not np.isfinite(phase).all():  # nan or inf in H too
+        raise ValidationError("pulse Hamiltonian (rad/s) times event duration is not finite")
+    return _kernels.segment_propagators(hs, dts)[rows]
+
+
+def _crush(ms: np.ndarray) -> np.ndarray:
+    """Zero the off-diagonal elements of a (..., d, d) stack (with +0, exactly)."""
+    return np.where(np.eye(ms.shape[-1], dtype=bool), ms, 0)
 
 
 def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
     """Zero all off-diagonal elements in the computational basis."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), validate=False)
+    return DensityMatrix(_crush(rho.matrix), validate=False)
 
 
-@functools.lru_cache(maxsize=None)
-def _flip_tables(n: int) -> tuple[tuple, np.ndarray]:
-    """Read-only gather tables (blocks, code) of the n-spin relaxation map on blocks of m
-    spins: all n for n <= 3, fastest there for 1 to 154 programs, else one each, as a block
-    gathers 2^m states with 8^m weights each. Block g is (index, local): for subset s of
-    its spins (bit m-1-k for spin k), index[s, ij] is the flat position of ij = i*d + j
-    with those spins flipped in i and j; local[ij] = i_g * 2^m + j_g holds its block bits
-    (None if one block). code[k, s, l] picks block spin k's factor at block element l: 0/1
-    keep/take a population into |0><0|, 2/3 into |1><1|, 4 coherence decay, 5 zero."""
-    m = n if n <= 3 else 1
-    d, shift = 2**n, (n - m * np.arange(1, n // m + 1))[:, np.newaxis, np.newaxis]
-    i, j = np.divmod(np.arange(d * d), d)
-    s = np.arange(2**m)[:, np.newaxis]
-    index = (i ^ (s << shift)) * d + (j ^ (s << shift))
-    local = ((i >> shift) % 2**m * 2**m + (j >> shift) % 2**m)[:, 0]
-    flip, ik, jk = ((x >> np.arange(m - 1, -1, -1)[:, np.newaxis, np.newaxis]) & 1
-                    for x in (s, *np.divmod(np.arange(4**m), 2**m)))
-    code = np.where(ik == jk, 2 * ik + flip, 4 + flip)
-    index, local, code = (np.broadcast_to(a, a.shape) for a in (index, local, code))  # read-only
-    return tuple(zip(index, local if m < n else [None] * len(index))), code
-
-
-def _relaxation_weights(dt: np.ndarray, machines: Sequence[SpinSystemConfig],
-                        which: Sequence[int]) -> np.ndarray:
-    """Complex weights w[..., b, g, s, l], (..., B, n/m, 2^m, 4^m), of the relaxation
-    map's blocks over durations dt (..., B), the b-th on machines[which[b]]: per spin,
-    generalized amplitude damping toward diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1
-    and coherence decay by exp(-dt/T2); w is their product over the block's spins."""
-    spins = [[(nuc.t1_s, nuc.t2_s, nuc.polarization) for nuc in cfg.nuclei] for cfg in machines]
-    code = _flip_tables(len(spins[0]))[1]  # (m, 2^m, 4^m)
-    blocks = np.array(spins)[which].reshape(len(which), -1, len(code), 3)
-    decay = np.exp(-dt[..., np.newaxis, np.newaxis, np.newaxis] / blocks[..., :2])
-    e1, e2, pol = decay[..., 0], decay[..., 1], blocks[..., 2]  # each (..., B, n/m, m)
+def _relaxation_factors(dt: np.ndarray, machines: Sequence[SpinSystemConfig],
+                        which: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-spin factors (keep, take) of the relaxation map over durations dt (..., B), the
+    b-th on machines[which[b]]: per spin, generalized amplitude damping toward
+    diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1 and coherence decay by exp(-dt/T2). Each is
+    (..., B, n, 2, 2) over spin k's (row, column) bits, shaped (..., B, n, 1, 2, 1, 1, 2, 1)
+    to broadcast against the (B, 2^k, 2, 2^(n-1-k), 2^k, 2, 2^(n-1-k)) view of a stack."""
+    spins = np.array([[(nuc.t1_s, nuc.t2_s, nuc.polarization) for nuc in cfg.nuclei]
+                      for cfg in machines])[which]  # (B, n, 3)
+    with np.errstate(over="ignore"):  # dt/T past the float range decays to exp(-inf) = 0
+        decay = np.exp(-dt[..., np.newaxis, np.newaxis] / spins[..., :2])
+    e1, e2, pol = decay[..., 0], decay[..., 1], spins[..., 2]  # each (..., B, n)
     into0, into1 = (1.0 - e1) * (1.0 + pol) / 2, (1.0 - e1) * (1.0 - pol) / 2
-    f = np.stack([e1 + into0, into0, e1 + into1, into1, e2, np.zeros_like(e2)], axis=-1)
-    return f[..., np.arange(len(code)).reshape(-1, 1, 1), code].prod(axis=-3).astype(complex)
+    factors = ([e1 + into0, e2, e2, e1 + into1], [into0, 0 * e1, 0 * e1, into1])
+    return tuple(np.stack(f, axis=-1).reshape(*e1.shape, 1, 2, 1, 1, 2, 1) for f in factors)
 
 
-def _relaxation_map(ms: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The relaxation map with weights w, (B, n/m, 2^m, 4^m), on a (B, d, d) stack."""
-    v = ms.reshape(len(ms), -1)
-    for g, (idx, loc) in enumerate(_flip_tables(ms.shape[-1].bit_length() - 1)[0]):
-        wg = w[:, g] if loc is None else w[:, g].take(loc, axis=-1)
-        v = (wg * v.take(idx, axis=1)).sum(axis=1)
-    return v.reshape(ms.shape)
+def _relaxation_map(ms: np.ndarray, keep: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """The relaxation map with factors (B, n, ...) on a (B, d, d) stack, spin by spin:
+    rho <- keep_k * rho + take_k * (rho with spin k flipped in both indices)."""
+    b, d = len(ms), ms.shape[-1]
+    for k in range(keep.shape[1]):
+        lo, hi = 2**k, d >> (k + 1)
+        v = ms.reshape(b, lo, 2, hi, lo, 2, hi)
+        ms = keep[:, k] * v + take[:, k] * v[:, :, ::-1, :, :, ::-1]
+    return ms.reshape(b, d, d)
 
 
 def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) -> DensityMatrix:
     """T1/T2 channel over dt: per spin, generalized amplitude damping toward (1 +- eps)/2
-    and coherence decay by exp(-dt/T2). Completely positive for T2 <= 2*T1 (`NucleusSpec`
-    enforces it); its fixed point, the product thermal state, is `thermal_state` + O(eps^2)."""
+    and coherence decay by exp(-dt/T2), applied spin by spin as the channels' tensor
+    product. Completely positive for T2 <= 2*T1 (`NucleusSpec` enforces it); its fixed
+    point, the product thermal state, is `thermal_state` + O(eps^2)."""
     if not dt >= 0:  # nan fails too
         raise ValidationError("dt must be >= 0")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, config has {config.n}")
-    w = _relaxation_weights(np.array([float(dt)]), [config], [0])
-    return DensityMatrix(_relaxation_map(rho.matrix[np.newaxis], w)[0], validate=False)
+    keep, take = _relaxation_factors(np.array([float(dt)]), [config], [0])
+    return DensityMatrix(_relaxation_map(rho.matrix[np.newaxis], keep, take)[0], validate=False)
 
 
 def evolve_programs(
@@ -247,20 +240,20 @@ def evolve_programs(
     b, d = len(programs), config.dim
     props = _propagators(machines, which * len(timed),
                          [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
-    weights = [None] * len(timed)
+    factors = [None] * len(timed)
     if relaxation:
         dts = np.array([[ev.duration_s for ev in events] for events in timed], dtype=float)
-        weights = _relaxation_weights(dts.reshape(-1, b), machines, which)
-    steps = zip(props, weights)
+        factors = zip(*_relaxation_factors(dts.reshape(-1, b), machines, which))
+    steps = zip(props, factors)
     ms = np.broadcast_to(rho.matrix, (b, d, d))
     for kind in kinds:
         if kind is Crusher:
-            ms = np.where(np.eye(d, dtype=bool), ms, 0)
+            ms = _crush(ms)
             continue
-        u, w = next(steps)
+        u, f = next(steps)
         ms = u @ ms @ u.conj().swapaxes(-1, -2)
-        if w is not None:
-            ms = _relaxation_map(ms, w)
+        if f is not None:
+            ms = _relaxation_map(ms, *f)
     _check_density(ms)
     return [DensityMatrix(m, validate=False) for m in ms]
 

@@ -37,6 +37,9 @@ BELL_CIRCUIT = {
     ],
 }
 
+HUGE_DELAY_CIRCUIT = {"n": 2, "gates": [{"name": "H", "targets": [1], "params": []},
+                                         {"name": "Delay", "targets": [], "params": [1e300]}]}
+
 
 class TestSimulate:
     def test_pulse_path_bell(self, tmp_path):
@@ -90,7 +93,7 @@ class TestSimulate:
         for sub in ("a", "b"):
             out = tmp_path / sub
             assert main(["simulate", "--circuit", circuit, "--path", "pulse",
-                         "--seed", "7", "--out", str(out)]) == 0
+                         "--relaxation", "on", "--out", str(out)]) == 0
             outs.append((out / "simulate_report.json").read_bytes())
         assert outs[0] == outs[1]
 
@@ -328,10 +331,66 @@ class TestNonFiniteInputs:
         rc = main([*argv, "--out", str(tmp_path / "o")])
         self.assert_one_line_exit_2(rc, capsys, "finite")
 
+    @pytest.mark.parametrize("path", ["ideal", "pulse"])
+    def test_delay_phase_overflow(self, tmp_path, capsys, path):
+        # 2*pi * 1e10 Hz * 1e300 s is past the float range: named, not a nan state
+        machine = machine_file(tmp_path, lambda cfg: cfg["nuclei"][0].update(offset_hz=1e10))
+        circuit = write_json(tmp_path / "c.json", HUGE_DELAY_CIRCUIT)
+        rc = main(["simulate", "--machine", machine, "--circuit", circuit, "--path", path,
+                   "--out", str(tmp_path / "o")])
+        self.assert_one_line_exit_2(rc, capsys, "finite")
+
+    def test_relaxation_past_the_float_range(self, tmp_path, capsys):
+        # dt/T = 1e310 overflows, and exp(-inf) = 0 is the fully relaxed state
+        def fast(cfg):
+            set_j(cfg, 0.0)
+            for nuc in cfg["nuclei"]:
+                nuc.update(offset_hz=0.0, t1_s=1e-10, t2_s=1e-10)
+
+        machine = machine_file(tmp_path, fast)
+        circuit = write_json(tmp_path / "c.json", HUGE_DELAY_CIRCUIT)
+        rc = main(["simulate", "--machine", machine, "--circuit", circuit, "--path", "pulse",
+                   "--relaxation", "on", "--out", str(tmp_path / "o")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "o" / "simulate_report.json").read_text())
+        assert all(abs(p - 0.25) < 1e-4 for p in report["probabilities"].values())
+
     def test_zero_qubit_state(self, tmp_path, capsys):
         state = write_json(tmp_path / "rho.json", {"n": 0, "re": [[1.0]], "im": [[0.0]]})
         rc = main(["tomography", "--state", state, "--out", str(tmp_path / "o")])
         self.assert_one_line_exit_2(rc, capsys, "must be >= 1")
+
+
+# Each subcommand accepts only the options it reads; these it would ignore.
+UNREAD_OPTIONS = [
+    ("simulate", "--seed"),
+    ("tomography", "--seed"), ("tomography", "--relaxation"),
+    ("compile", "--seed"), ("compile", "--path"), ("compile", "--relaxation"),
+    ("grape", "--path"), ("grape", "--relaxation"), ("grape", "--pulse-amp-hz"),
+    ("experiment", "--seed"), ("experiment", "--path"), ("experiment", "--relaxation"),
+    ("experiment", "--pulse-amp-hz"),
+    ("algorithm", "--seed"), ("algorithm", "--pulse-amp-hz"),
+]
+SUBCOMMAND_ARGV = {
+    "simulate": ["simulate", "--circuit", "c.json"],
+    "tomography": ["tomography", "--state", "rho.json"],
+    "compile": ["compile", "--circuit", "c.json"],
+    "grape": ["grape", "--gate", "X90"],
+    "experiment": ["experiment", "rabi"],
+    "algorithm": ["algorithm", "deutsch", "--case", "f3"],
+}
+OPTION_VALUES = {"--seed": "1", "--path": "pulse", "--relaxation": "on",
+                 "--pulse-amp-hz": "2e4"}
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_unread_option_exits_2(tmp_path, capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*SUBCOMMAND_ARGV[command], option, OPTION_VALUES[option],
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 README_REQUESTS = [
@@ -391,7 +450,7 @@ class TestReadmeRequests:
     # sha256 of each report of the README requests except grape, whose result
     # depends on the scipy version: pps recorded before the scans were evolved
     # as batches, rabi re-recorded for the closed-form separable fits, t1/t2
-    # re-recorded for the per-spin amplitude-damping channel, the pulse-path
+    # re-recorded for the relaxation map applied spin by spin, the pulse-path
     # reports (simulate-pulse, compile, tomography-pulse, deutsch) re-recorded
     # for the frame-tracked compiler, the rest recorded before the gate table
     # replaced the per-gate dispatch. A change that keeps the numbers must keep
@@ -414,12 +473,12 @@ class TestReadmeRequests:
             "rabi_scan.csv": "2acb1aa8c06ae797bd98bd35614e7e126e76e07d3074af0e85689ad584c1ab2d",
         },
         "t1": {
-            "t1_fit.json": "a34b706a7c3c9014047260534e2658ef24ff55eda2985f2bb8b1cd927fbbf0c8",
-            "t1_scan.csv": "58355ca00776afd91b9477ee046b426b4a6fba9ea6fb37d8445ca3f5210c6b7d",
+            "t1_fit.json": "cca48881853e8d4f185897ebe9e582992d60cd8d5000b9dfe2a9b476857cf7d1",
+            "t1_scan.csv": "407f5b5b9355357c3b57a3370ea8bc029353fa4b6d913eafec378e73b36732f3",
         },
         "t2": {
-            "t2_fit.json": "ff372720b7784f01cf86c2d1bd7ce3664e127ed98027941096897e64982ddab5",
-            "t2_scan.csv": "5c407a80abf3bea57e59221f10a94c5d0f004ba5154502697d84459ef96861ac",
+            "t2_fit.json": "dfc329f618a5a33bf6d04718e8b9576cdfd5ea34e0850e86afb1a0c315d3c56b",
+            "t2_scan.csv": "3b8f0c375e6e5ab2c8105170a5e6db986b93cafc3cf658e654ca37fdba043de5",
         },
         "pps": {
             "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",

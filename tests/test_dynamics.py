@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -384,8 +385,7 @@ DURATIONS = st.floats(-6.0, 1.0).map(lambda e: 10.0**e)
 
 
 class TestBatchedRelaxation:
-    # four spins take the one-spin-at-a-time blocks of the map
-    @given(cfg=relaxing_machines(max_spins=4), dt=DURATIONS, seed=st.integers(0, 2**32 - 1))
+    @given(cfg=relaxing_machines(max_spins=5), dt=DURATIONS, seed=st.integers(0, 2**32 - 1))
     def test_matches_kraus_reference(self, cfg, dt, seed):
         rho = random_density_matrix(np.random.default_rng(seed), cfg.n)
         out = apply_relaxation(rho, dt, cfg)
@@ -504,6 +504,22 @@ class TestEvolvePrograms:
         programs = [PulseProgram(gemini, (Delay(1e-4),)), PulseProgram(gemini, events)]
         with pytest.raises(ValidationError, match="sequence of event kinds"):
             evolve_programs(thermal_state(gemini), programs)
+
+    def test_echo_scan_memory(self, triangulum):
+        # the relaxation factors are per spin, (events, programs, n, 2, 2), so the peak is
+        # a few state and propagator stacks, not (2^n, 4^n) weights per event and program
+        p90, p180 = (RfSegment((1e4,), (0.0,), angle / (2 * np.pi * 1e4))
+                     for angle in (np.pi / 2, np.pi))
+        programs = [PulseProgram(triangulum, (p90, Delay(half), p180, Delay(half)))
+                    for half in np.geomspace(1e-5, 1.0, 1000).tolist()]
+        rho0 = thermal_state(triangulum)
+        tracemalloc.start()
+        try:
+            evolve_programs(rho0, programs, relaxation=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
     def test_every_state_is_validated(self, gemini):
         # relaxing for 100 s mends the slightly negative start state; no delay keeps it
