@@ -8,6 +8,8 @@ segments.
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def _eig_propagators(h_stack, dt):
     """Eigendecomposition of a Hamiltonian stack and its propagators.
@@ -23,10 +25,14 @@ def _eig_propagators(h_stack, dt):
 def segment_propagators(h_stack, dt):
     """exp(-i * h * dt) for a stack of Hermitian matrices, via eigendecomposition.
 
-    h_stack: (N, d, d) complex Hermitian, rad/s.
+    h_stack: (N, d, d) complex128 Hermitian, rad/s.
     dt:      one duration for every segment, or one per segment (shape (N,)), s.
-    Returns (N, d, d) unitaries.
+    Returns (N, d, d) unitaries; ValidationError if a phase |eigenvalue| * dt is not finite.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # sum |Re| + |Im| bounds |eigenvalue|
+        phase = np.abs(h_stack.view(float)).sum(axis=(-2, -1)) * dt
+    if not np.isfinite(phase).all():  # nan or inf in h too
+        raise ValidationError("pulse Hamiltonian (rad/s) times event duration is not finite")
     return _eig_propagators(h_stack, dt)[2]
 
 

@@ -7,9 +7,10 @@ crusher zeroes every off-diagonal element of the density matrix.
 
 One propagation path: the Hamiltonians of the timed events are stacked from
 the machine's cached, read-only operators (see `spinsys`) and propagated in
-one batched kernel call. `program_unitary` chains them; `evolve_programs`
-runs a batch of programs (a scan) as one (B, d, d) stack of states, with
-relaxation vectorized over it, and `evolve_program` is its one-program case.
+one batched kernel call. `program_unitary` chains them; `_evolve_stack` runs
+a batch of programs (a scan) as one (B, d, d) stack of states, with relaxation
+vectorized over it, which scans read directly; `evolve_programs` wraps its rows
+as states, and `evolve_program` is its one-program case.
 
 Relaxation, a tensor product of one-spin channels, is applied spin by spin
 for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`
@@ -127,33 +128,32 @@ def segment_propagator(h_total: np.ndarray, dt: float) -> np.ndarray:
     h = np.asarray(h_total, dtype=complex)
     if dt < 0:
         raise ValidationError("dt must be >= 0")
-    if np.max(np.abs(h - h.conj().T), initial=0.0) > HERMITICITY_TOL * max(
-        1.0, float(np.max(np.abs(h), initial=0.0))
-    ):
-        raise ValidationError("segment generator is not Hermitian")
+    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    with np.errstate(invalid="ignore"):  # inf - inf: the kernel's phase check rejects it
+        if np.max(np.abs(h - h.conj().T), initial=0.0) > HERMITICITY_TOL * scale:
+            raise ValidationError("segment generator is not Hermitian")
     return _kernels.segment_propagators(h[np.newaxis].astype(np.complex128), float(dt))[0]
 
 
 def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
                  events: Sequence[PulseEvent]) -> np.ndarray:
     """Propagators of timed events (RF segments and delays), event e on machines[which[e]],
-    all of one spin layout: one batched call over the distinct (machine, event) rows."""
-    row_of: dict = {}
-    rows = [row_of.setdefault(key, len(row_of)) for key in zip(which, events)]
+    all of one spin layout: one batched call over the distinct (machine, event value) rows.
+    Events are looked up by object first, so an event shared by many programs is hashed once."""
+    values: dict = {}  # event value -> its number; equal but distinct objects share it
+    number = {i: values.setdefault(ev, len(values)) for i, ev in {id(e): e for e in events}.items()}
+    row: dict = {}  # (machine, event number) -> row
+    rows = [row.setdefault(key, len(row)) for key in zip(which, map(number.get, map(id, events)))]
+    m, k = np.array(list(row), dtype=int).reshape(-1, 2).T
     controls = machines[0]._operators.controls
-    drive = np.zeros((len(row_of), controls.shape[0]))
-    for r, (m, ev) in enumerate(row_of):
-        if isinstance(ev, RfSegment):
-            drive[r] = rf_drive(machines[m], ev.amplitudes_hz, ev.phases_rad)
+    off = (0.0,) * (len(controls) // 2)  # a delay drives no channel
+    amps, phases = ([getattr(ev, a, off) for ev in values] or np.empty((0, len(off)))
+                    for a in ("amplitudes_hz", "phases_rad"))
+    drive = rf_drive(machines[0], amps, phases)  # one call: one row per distinct event
     h0s = np.array([cfg._operators.h0 for cfg in machines])
-    dts = np.array([ev.duration_s for _, ev in row_of])
     with np.errstate(over="ignore", invalid="ignore"):
-        hs = np.tensordot(drive, controls, axes=1) + h0s[[m for m, _ in row_of]]
-        # sum of |Re| + |Im| over H times duration bounds |eigenvalue| * duration
-        phase = np.abs(hs.view(float)).sum(axis=(-2, -1)) * dts
-    if not np.isfinite(phase).all():  # nan or inf in H too
-        raise ValidationError("pulse Hamiltonian (rad/s) times event duration is not finite")
-    return _kernels.segment_propagators(hs, dts)[rows]
+        hs = np.tensordot(drive[k], controls, axes=1) + h0s[m]
+    return _kernels.segment_propagators(hs, np.array([ev.duration_s for ev in values])[k])[rows]
 
 
 def _crush(ms: np.ndarray) -> np.ndarray:
@@ -207,27 +207,18 @@ def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) ->
     return DensityMatrix(_relaxation_map(rho.matrix[np.newaxis], keep, take)[0], validate=False)
 
 
-def evolve_programs(
-    rho: DensityMatrix,
-    programs: Sequence[PulseProgram],
-    relaxation: bool = False,
-) -> list[DensityMatrix]:
-    """Run each program from `rho`, all of them at once; one state per program.
-
-    The programs share one spin layout (nucleus labels, in order) and one sequence
-    of event kinds; machines may differ in offsets, J, T1/T2 and polarization, events
-    in durations, amplitudes and phases. Each event updates the whole (B, d, d) stack
-    of states, with propagators from one batched kernel call over the distinct
-    (machine, event) pairs and, if on, relaxation over its duration in each program.
-    """
+def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],
+                  relaxation: bool = False) -> np.ndarray:
+    """`evolve_programs` as one (B, d, d) stack of checked states, row i from program i."""
     if not programs:
-        return []
+        return np.empty((0, *rho.matrix.shape), dtype=complex)
     config = programs[0].system
     machines = list({id(p.system): p.system for p in programs}.values())
     layout = tuple(nuc.label for nuc in config.nuclei)
     kinds = tuple(map(type, programs[0].events))
+    sequences = {id(p.events): p.events for p in programs}.values()  # shared tuples once
     if any(tuple(nuc.label for nuc in cfg.nuclei) != layout for cfg in machines) or any(
-        tuple(map(type, p.events)) != kinds for p in programs
+        tuple(map(type, events)) != kinds for events in sequences
     ):
         raise ValidationError("batched programs must share one spin layout and sequence of "
                               "event kinds")
@@ -236,7 +227,7 @@ def evolve_programs(
     slot = {id(cfg): m for m, cfg in enumerate(machines)}
     which = [slot[id(p.system)] for p in programs]  # each program's machine
     # timed[e][i] is the e-th timed event of program i
-    timed = list(zip(*([ev for ev in p.events if not isinstance(ev, Crusher)] for p in programs)))
+    timed = [e for e, kind in zip(zip(*(p.events for p in programs)), kinds) if kind is not Crusher]
     b, d = len(programs), config.dim
     props = _propagators(machines, which * len(timed),
                          [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
@@ -255,7 +246,20 @@ def evolve_programs(
         if f is not None:
             ms = _relaxation_map(ms, *f)
     _check_density(ms)
-    return [DensityMatrix(m, validate=False) for m in ms]
+    return ms
+
+
+def evolve_programs(rho: DensityMatrix, programs: Sequence[PulseProgram],
+                    relaxation: bool = False) -> list[DensityMatrix]:
+    """Run each program from `rho`, all of them at once; one state per program.
+
+    The programs share one spin layout (nucleus labels, in order) and one sequence
+    of event kinds; machines may differ in offsets, J, T1/T2 and polarization, events
+    in durations, amplitudes and phases. Each event updates the whole (B, d, d) stack
+    of states, with propagators from one batched kernel call over the distinct
+    (machine, event) pairs and, if on, relaxation over its duration in each program.
+    """
+    return [DensityMatrix(m, validate=False) for m in _evolve_stack(rho, programs, relaxation)]
 
 
 def evolve_program(

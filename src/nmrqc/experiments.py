@@ -4,8 +4,8 @@ scans, and the least-squares fits behind them.
 
 Every experiment is expressed purely in x/y pulses, delays, and crushers;
 nothing writes the state directly. A scan builds one program per point and
-evolves all of them in one `evolve_programs` call; the T2 echo's offset
-ensemble is one call too, one variant machine per offset.
+evolves all of them in one `_evolve_stack` call, reading its (B, d, d) state
+stack; the T2 echo's offset ensemble is one call too, one variant per offset.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import _single_channel_pulse
-from .dynamics import Crusher, Delay, PulseProgram, evolve_program, evolve_programs
+from .dynamics import Crusher, Delay, PulseProgram, _evolve_stack, evolve_program
 from .errors import FitError, ValidationError
 from .quantum import DensityMatrix
 from .spinsys import SpinSystemConfig, thermal_state
@@ -168,9 +168,9 @@ def prepare_pseudo_pure(
 
 def _transverse(states, config: SpinSystemConfig, channel: str):
     """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed over a
-    channel's spins, for one state or, in one contraction, each of a sequence."""
+    channel's spins, for one state or, in one contraction, each of a (B, d, d) stack."""
     single = isinstance(states, DensityMatrix)
-    rho = np.array([s.matrix for s in ([states] if single else states)])
+    rho = states.matrix[np.newaxis] if single else states
     ops, c = config._operators, config.channel_index(channel)
     xy = np.einsum("bij,kji->bk", rho, np.stack([ops.sx[c], ops.sy[c]])).real
     signal = xy[:, 0] + 1j * xy[:, 1]
@@ -190,7 +190,7 @@ def rabi_calibration(
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
     pulses = [_single_channel_pulse(config, channel, 0.0, t, amplitude_hz) for t in durations]
-    states = evolve_programs(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
+    states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
     y = np.abs(_transverse(states, config, channel))
     fit = fit_model(durations, y, "abs_sine")
     t180 = fit.params["period"]
@@ -242,12 +242,12 @@ def relaxation_experiment(
     programs = []
     for delta in deltas:
         cfg = replace(config, nuclei=tuple(
-            replace(nuc, offset_hz=nuc.offset_hz + (delta if k in members else 0.0))
+            replace(nuc, offset_hz=nuc.offset_hz + delta) if k in members else nuc
             for k, nuc in enumerate(config.nuclei, start=1)
         )) if delta else config
         programs += [PulseProgram(cfg, events) for events in sequences]
     # the offsets leave the thermal state and the transverse operators as they are
-    states = evolve_programs(thermal_state(config), programs, relaxation=True)
+    states = _evolve_stack(thermal_state(config), programs, relaxation=True)
     mean_signal = _transverse(states, config, channel).reshape(deltas.size, -1).mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>

@@ -109,7 +109,7 @@ def synthesize_fid(
         raise ValidationError("duration/dt must give at least 2 samples")
     c = config.channel_index(channel)
     ops = config._operators
-    w, v = ops.h0_eigvals, ops.h0_eigvecs
+    w, v = config._h0_eigh
     detect = ops.sx[c] + 1j * ops.sy[c]
     rho_e = v.conj().T @ rho.matrix @ v
     det_e = v.conj().T @ detect @ v
@@ -292,6 +292,23 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout, pulse_amp_hz):
+    """`_readout_lines`, then the reconstruction of `tomography`, its settings and readings."""
+    lines = _readout_lines(rho, config)
+    settings = list(itertools.product(_SETTINGS, repeat=config.n))
+    if compiled_readout:
+        amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
+        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config, amp))
+                       for s in settings])
+        inverse = _inverse(_readout_map(us))
+    else:
+        us, inverse = _ideal_readouts(config.n)
+    readings = _readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
+    coeffs = (inverse @ readings.ravel()).real
+    recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))
+    return recon, lines, settings, readings
+
+
 def tomography_sweep(
     rho: DensityMatrix,
     config: SpinSystemConfig,
@@ -308,18 +325,7 @@ def tomography_sweep(
     keys are setting labels like "I,Y90"; values map channel label to the
     peak list of the rotated state.
     """
-    lines = _readout_lines(rho, config)
-    settings = list(itertools.product(_SETTINGS, repeat=config.n))
-    if compiled_readout:
-        amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
-        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config, amp))
-                       for s in settings])
-        inverse = _inverse(_readout_map(us))
-    else:
-        us, inverse = _ideal_readouts(config.n)
-    readings = _readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
-    coeffs = (inverse @ readings.ravel()).real
-    recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))
+    recon, lines, settings, readings = _reconstruct(rho, config, compiled_readout, pulse_amp_hz)
     return recon, {",".join(s): _peak_table(r, lines) for s, r in zip(settings, readings)}
 
 
@@ -329,6 +335,5 @@ def tomography(
     compiled_readout: bool = False,
     pulse_amp_hz: Optional[float] = None,
 ) -> DensityMatrix:
-    """Full state reconstruction from the 3^n readout-pulse settings
-    (see `tomography_sweep`)."""
-    return tomography_sweep(rho, config, compiled_readout, pulse_amp_hz)[0]
+    """Full state reconstruction from the 3^n readout-pulse settings, as `tomography_sweep`."""
+    return _reconstruct(rho, config, compiled_readout, pulse_amp_hz)[0]

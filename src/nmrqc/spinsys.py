@@ -4,11 +4,11 @@ All config frequencies are in Hz; every Hamiltonian matrix is in rad/s
 (the 2*pi happens here, once). Sign convention: H0 = +2*pi*nu*I_z plus
 +2*pi*J couplings, and polarization > 0 means excess population in |0>.
 
-This module is the one place that builds a machine's operators: H0 and
-its eigendecomposition, the RF control generators, the per-channel
-transverse sums and the per-spin sigma_z. They and the channel tuple are
-built once per config, on first use, and cached on the frozen config; the
-arrays are read-only. `dataclasses.replace` makes a new config, new cache.
+This module is the one place that builds a machine's operators, all read-only.
+The RF control generators, the per-channel transverse sums and the per-spin
+sigma_z are built once per spin layout (the nucleus labels, in order), the J
+products once per spin count, and H0 once per config, on first use, cached on
+the frozen config; its eigendecomposition only when FID synthesis asks for it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class NucleusSpec:
     polarization: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.offset_hz, self.t1_s, self.t2_s, self.polarization))):
+        if not all(map(math.isfinite, (self.offset_hz, self.t1_s, self.t2_s, self.polarization))):
             raise ValidationError(
                 f"nucleus {self.label!r}: offset_hz, t1_s, t2_s and polarization must be finite"
             )
@@ -73,14 +73,15 @@ class SpinSystemConfig:
         j = np.array(self.j_hz, dtype=float)
         if j.shape != (n, n):
             raise ValidationError(f"j_hz shape {j.shape} != ({n}, {n})")
-        if not np.all(np.isfinite(j)):
+        rows = j.tolist()  # Python floats: no overflow warning below
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise ValidationError("j_hz entries must be finite")
-        if np.max(np.abs(j - j.T), initial=0.0) > 1e-12:
+        if any(abs(rows[a][b] - rows[b][a]) > 1e-12 for a in range(n) for b in range(a)):
             raise ValidationError("j_hz must be symmetric")
-        if np.any(np.diag(j) != 0.0):
+        if any(rows[k][k] != 0.0 for k in range(n)):
             raise ValidationError("j_hz diagonal must be exactly 0")
-        hz = [float(nuc.offset_hz) for nuc in self.nuclei] + j.ravel().tolist()
-        if not all(math.isfinite(2 * math.pi * x) for x in hz):  # Python floats: no warning
+        hz = [float(nuc.offset_hz) for nuc in self.nuclei] + [x for row in rows for x in row]
+        if not all(math.isfinite(2 * math.pi * x) for x in hz):
             raise ValidationError("offset_hz and j_hz must stay finite in rad/s (2*pi*Hz)")
         j.setflags(write=False)
         object.__setattr__(self, "j_hz", j)
@@ -116,6 +117,11 @@ class SpinSystemConfig:
     @cached_property
     def _operators(self) -> "_Operators":
         return _build_operators(self)
+
+    @cached_property
+    def _h0_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors (one per column) of H0; read-only."""
+        return _read_only(*np.linalg.eigh(self._operators.h0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,59 +211,66 @@ def preset(name: str) -> SpinSystemConfig:
 
 
 class _Operators(NamedTuple):
-    """A machine's operators, rad/s where they are generators; all read-only."""
+    """A machine's operators, rad/s for generators; all but h0 are its layout's, shared."""
 
     h0: np.ndarray  # (d, d) internal Hamiltonian
-    h0_eigvals: np.ndarray  # (d,) ascending eigenvalues of h0
-    h0_eigvecs: np.ndarray  # (d, d) eigenvectors of h0, one per column
     controls: np.ndarray  # (2 * channels, d, d): ch0_x, ch0_y, ch1_x, ...
     sx: np.ndarray  # (channels, d, d): sigma_x summed over a channel's spins
     sy: np.ndarray  # (channels, d, d): sigma_y summed over a channel's spins
     sz: np.ndarray  # (n, d, d): sigma_z of each spin
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=MAX_QUBITS)
 def _pauli_embeddings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, z): (n, 2^n, 2^n) stacks of each spin's sigma_x, sigma_y and
     sigma_z. Memoized per n and read-only."""
-    stacks = tuple(
-        np.array([embed_single(p, k, n) for k in range(1, n + 1)])
-        for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    )
-    for arr in stacks:
-        arr.setflags(write=False)
-    return stacks
+    return _read_only(*(np.array([embed_single(p, k, n) for k in range(1, n + 1)])
+                        for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _couplings(n: int) -> np.ndarray:
+    """(pairs, 3, 2^n, 2^n): I_p^a I_p^b, p = x, y, z, of each pair a < b; memoized per n."""
+    x, y, z = _pauli_embeddings(n)
+    products = [[(p[a] / 2) @ (p[b] / 2) for p in (x, y, z)]
+                for a in range(n) for b in range(a + 1, n)]
+    return _read_only(np.array(products).reshape(-1, 3, 2**n, 2**n))[0]
+
+
+@lru_cache(maxsize=64)
+def _channel_operators(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(controls, sx, sy) of a spin layout, its nucleus labels in order; memoized."""
+    x, y, _ = _pauli_embeddings(len(labels))
+    members = [[k for k, label in enumerate(labels) if label == ch] for ch in dict.fromkeys(labels)]
+    sx, sy = (np.array([p[m].sum(axis=0) for m in members]) for p in (x, y))
+    # 2*pi * (I_x, I_y) per channel, interleaved; I_a = sigma_a / 2
+    controls = np.pi * np.stack([sx, sy], axis=1).reshape(-1, *x.shape[1:])
+    return _read_only(controls, sx, sy)
 
 
 def _build_operators(config: SpinSystemConfig) -> _Operators:
-    n = config.n
-    x, y, z = _pauli_embeddings(n)
+    z = _pauli_embeddings(config.n)[2]
     h0 = np.zeros((config.dim, config.dim), dtype=complex)
-    paulis = (x, y, z) if config.coupling_model == "isotropic" else (z,)
-    # finite offsets and J can still overflow once in rad/s
-    with np.errstate(over="ignore", invalid="ignore"):
+    terms = slice(None) if config.coupling_model == "isotropic" else slice(2, None)  # x, y, z or z
+    j = [x for a, row in enumerate(config.j_hz.tolist()) for x in row[a + 1:]]  # pairs a < b
+    with np.errstate(over="ignore", invalid="ignore"):  # finite Hz can overflow in rad/s
         for k, nuc in enumerate(config.nuclei):
             if nuc.offset_hz != 0.0:
                 h0 += 2 * np.pi * nuc.offset_hz * (z[k] / 2)
-        for a in range(n):
-            for b in range(a + 1, n):
-                j_ab = config.j_hz[a, b]
-                if j_ab == 0.0:
-                    continue
-                for p in paulis:
-                    h0 += 2 * np.pi * j_ab * ((p[a] / 2) @ (p[b] / 2))
+        for j_ab, products in zip(j, _couplings(config.n)):
+            if j_ab != 0.0:
+                for product in products[terms]:
+                    h0 += 2 * np.pi * j_ab * product
     if not np.isfinite(h0).all():
         raise ValidationError(f"{config.name}: internal Hamiltonian (rad/s) is not finite")
-    eigvals, eigvecs = np.linalg.eigh(h0)
-    members = [np.array(config.channel_members(ch)) - 1 for ch in config.channels]
-    sx = np.array([x[m].sum(axis=0) for m in members])
-    sy = np.array([y[m].sum(axis=0) for m in members])
-    # 2*pi * (I_x, I_y) per channel, interleaved; I_a = sigma_a / 2
-    controls = np.pi * np.stack([sx, sy], axis=1).reshape(-1, config.dim, config.dim)
-    ops = _Operators(h0, eigvals, eigvecs, controls, sx, sy, z)
-    for arr in ops:
-        arr.setflags(write=False)
-    return ops
+    h0.setflags(write=False)
+    return _Operators(h0, *_channel_operators(tuple(nuc.label for nuc in config.nuclei)), z)
 
 
 def internal_hamiltonian(config: SpinSystemConfig) -> np.ndarray:
@@ -280,26 +293,24 @@ def control_operators(config: SpinSystemConfig) -> tuple[np.ndarray, tuple[str, 
     return config._operators.controls, config.channels
 
 
-def rf_drive(
-    config: SpinSystemConfig,
-    amplitudes_hz: Sequence[float],
-    phases_rad: Sequence[float],
-) -> np.ndarray:
-    """Control amplitudes, Hz, of one (amplitude, phase) pair per channel.
+def rf_drive(config: SpinSystemConfig, amplitudes_hz: Sequence, phases_rad: Sequence) -> np.ndarray:
+    """Control amplitudes, Hz, of one (amplitude, phase) pair per channel, or of rows of them.
 
     Returns (u_0 cos(phi_0), u_0 sin(phi_0), u_1 cos(phi_1), ...), the
-    weights of the `control_operators` generators.
+    weights of the `control_operators` generators, one row per input row.
     """
     channels = config.channels
-    if len(amplitudes_hz) != len(channels) or len(phases_rad) != len(channels):
+    try:
+        u, phi = np.asarray(amplitudes_hz, dtype=float), np.asarray(phases_rad, dtype=float)
+    except ValueError:  # rows of different lengths
+        u = phi = np.empty(0)
+    if u.shape[-1:] != (len(channels),) or phi.shape != u.shape:
         raise ValidationError(
             f"need one amplitude and phase per channel ({len(channels)}: {channels})"
         )
-    u = np.asarray(amplitudes_hz, dtype=float)
-    phi = np.asarray(phases_rad, dtype=float)
-    drive = np.empty(2 * len(channels))
-    drive[0::2] = u * np.cos(phi)
-    drive[1::2] = u * np.sin(phi)
+    drive = np.empty((*u.shape[:-1], 2 * len(channels)))
+    drive[..., 0::2] = u * np.cos(phi)
+    drive[..., 1::2] = u * np.sin(phi)
     return drive
 
 

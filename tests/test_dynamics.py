@@ -14,6 +14,7 @@ from nmrqc.dynamics import (
     Delay,
     PulseProgram,
     RfSegment,
+    _evolve_stack,
     apply_crusher,
     apply_relaxation,
     evolve_program,
@@ -83,6 +84,16 @@ class TestSegmentPropagator:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             segment_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+    @pytest.mark.parametrize("h, dt", [
+        (np.diag([1e10, -1e10]), 1e300),
+        (np.diag([np.inf, -np.inf]), 1.0),
+        (np.diag([1.0, -1.0]), np.nan),
+    ], ids=["phase_overflow", "inf_generator", "nan_duration"])
+    def test_non_finite_phase_rejected(self, h, dt):
+        # the check of a program's events: one ValidationError, no RuntimeWarning
+        with pytest.raises(ValidationError, match="times event duration is not finite"):
+            segment_propagator(h, dt)
 
     def test_off_resonance_nutation_axis(self):
         # offset D and drive u tilt the axis by atan(u/D) from z at rate sqrt(D^2+u^2)
@@ -258,6 +269,14 @@ class TestEvolveProgram:
     def test_program_unitary_rejects_crushers(self, gemini):
         with pytest.raises(ValidationError):
             program_unitary(PulseProgram(gemini, (Crusher(),)))
+
+    def test_empty_program_is_identity(self, gemini):
+        assert np.array_equal(program_unitary(PulseProgram(gemini, ())), np.eye(4))
+
+    def test_pulse_for_other_channel_count_rejected(self, gemini):
+        events = (RfSegment((1e3, 0.0), (0.0, 0.0), 1e-5), RfSegment((1e3,), (0.0,), 1e-5))
+        with pytest.raises(ValidationError, match="one amplitude and phase per channel"):
+            program_unitary(PulseProgram(gemini, events))
 
 
 class TestCrusher:
@@ -476,6 +495,40 @@ class TestEvolvePrograms:
 
     def test_no_programs(self, gemini):
         assert evolve_programs(thermal_state(gemini), []) == []
+        assert _evolve_stack(thermal_state(gemini), []).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("relaxation", [False, True])
+    def test_states_are_the_stack(self, gemini, relaxation):
+        shifted = replace(gemini, nuclei=(replace(gemini.nuclei[0], offset_hz=80.0),
+                                          gemini.nuclei[1]))
+        pulse = RfSegment((1e3, 2e3), (0.0, 0.5), 1e-5)
+        programs = [PulseProgram(cfg, (pulse, Delay(t), Crusher(), pulse))
+                    for cfg in (gemini, shifted) for t in (1e-4, 3e-3)]
+        rho0 = random_density_matrix(np.random.default_rng(41), 2)
+        stack = _evolve_stack(rho0, programs, relaxation)
+        states = evolve_programs(rho0, programs, relaxation)
+        assert stack.shape == (4, 4, 4)
+        assert [rho.matrix.tobytes() for rho in states] == [m.tobytes() for m in stack]
+
+    def test_equal_events_share_a_row(self, gemini, monkeypatch):
+        stacks = []
+        batched = _kernels.segment_propagators
+
+        def counted(h_stack, dt):
+            stacks.append(len(h_stack))
+            return batched(h_stack, dt)
+
+        monkeypatch.setattr(_kernels, "segment_propagators", counted)
+        twin = replace(gemini)
+        pulse, delay = RfSegment((1e3, 2e3), (0.0, 0.5), 1e-5), Delay(1e-4)
+        programs = [PulseProgram(gemini, (pulse, delay)),
+                    PulseProgram(gemini, (RfSegment((1e3, 2e3), (0.0, 0.5), 1e-5), Delay(1e-4))),
+                    PulseProgram(twin, (pulse, delay))]
+        first, second, third = evolve_programs(thermal_state(gemini), programs, relaxation=True)
+        # the pulse and the delay once per machine object: equal values share a row
+        assert stacks == [4]
+        assert np.array_equal(first.matrix, second.matrix)
+        assert np.array_equal(first.matrix, third.matrix)
 
     @pytest.mark.parametrize("other", [
         make_weak_config([0.0, 0.0, 0.0], np.zeros((3, 3)), labels=["1H", "31P", "31P"]),

@@ -13,6 +13,7 @@ from nmrqc.dynamics import (
     Delay,
     PulseProgram,
     RfSegment,
+    _evolve_stack,
     apply_crusher,
     evolve_program,
     evolve_programs,
@@ -386,9 +387,12 @@ class TestRelaxationExperiments:
         sx, sy = gemini._operators.sx[c], gemini._operators.sy[c]
         expected = np.array([np.real(np.trace(rho.matrix @ sx))
                              + 1j * np.real(np.trace(rho.matrix @ sy)) for rho in states])
-        signal = _transverse(states, gemini, channel)
+        stack = _evolve_stack(thermal_state(gemini), programs, relaxation=True)
+        signal = _transverse(stack, gemini, channel)
         assert np.max(np.abs(signal - expected)) <= 1e-15 * np.max(np.abs(expected))
-        assert _transverse(states[3], gemini, channel) == signal[3]
+        # the signal of each state of the list is that of its row of the stack
+        for k, rho in enumerate(states):
+            assert _transverse(rho, gemini, channel) == signal[k]
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

@@ -23,7 +23,7 @@ from nmrqc.quantum import (
     pauli_expand,
     pauli_reconstruct,
 )
-from nmrqc.spinsys import preset
+from nmrqc.spinsys import internal_hamiltonian, preset
 
 PHI_MINUS_MATRIX = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -88,6 +88,18 @@ class TestSynthesizeFid:
     def test_unknown_channel(self, gemini):
         with pytest.raises(ValidationError):
             synthesize_fid(DensityMatrix.basis(2, 0), gemini, "13C", 1e-3, 1e-5)
+
+    def test_h0_diagonalized_only_for_fid(self):
+        cfg = offset_config()
+        h0 = internal_hamiltonian(cfg)
+        assert "_h0_eigh" not in vars(cfg)
+        synthesize_fid(plus_state(2), cfg, cfg.channels[0], 1e-2, 1e-4)
+        w, v = cfg._h0_eigh
+        reference = np.linalg.eigh(h0)
+        assert np.array_equal(w, reference[0]) and np.array_equal(v, reference[1])
+        for arr in (w, v):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
 
 
 class TestSpectrum:

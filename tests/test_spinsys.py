@@ -9,12 +9,14 @@ from nmrqc import spinsys
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single
 from nmrqc.spinsys import (
+    COUPLING_MODELS,
     NucleusSpec,
     SpinSystemConfig,
     control_operators,
     internal_hamiltonian,
     load_machine_config,
     preset,
+    rf_drive,
     rf_hamiltonian,
     thermal_state,
 )
@@ -163,6 +165,28 @@ class TestRfHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
 
 
+class TestRfDrive:
+    @pytest.mark.parametrize("rows", [0, 1, 2, 7, 40])
+    def test_rows_are_single_pairs(self, gemini, rows):
+        rng = np.random.default_rng(70 + rows)
+        u = rng.uniform(0.0, 2e4, (rows, 2))
+        phi = rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 2, 1.3, -4.1], (rows, 2))
+        drive = rf_drive(gemini, u, phi)
+        assert drive.shape == (rows, 4)
+        for row, a, p in zip(drive, u.tolist(), phi.tolist()):
+            assert row.tobytes() == rf_drive(gemini, tuple(a), tuple(p)).tobytes()
+
+    @pytest.mark.parametrize("amps, phases", [
+        ((1.0,), (0.0,)),
+        ((1.0, 2.0), (0.0,)),
+        ([(1.0, 2.0), (1.0,)], [(0.0, 0.0), (0.0,)]),
+        ([(1.0,), (2.0,)], [(0.0,), (0.0,)]),
+    ], ids=["too_few", "phase_missing", "ragged_rows", "rows_too_short"])
+    def test_wrong_channel_count_rejected(self, gemini, amps, phases):
+        with pytest.raises(ValidationError, match="one amplitude and phase per channel"):
+            rf_drive(gemini, amps, phases)
+
+
 class TestThermalState:
     def test_full_polarization_single_qubit(self):
         cfg = make_weak_config([0.0], [[0.0]], polarization=1.0)
@@ -192,7 +216,53 @@ class TestThermalState:
         assert np.max(np.abs(h @ rho.matrix - rho.matrix @ h)) < 1e-10
 
 
+def reference_h0(cfg):
+    """H0 term by term from freshly embedded Paulis, in the order the package adds them."""
+    n = cfg.n
+    x, y, z = ([embed_single(p, k, n) for k in range(1, n + 1)]
+               for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    h0 = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    for k, nuc in enumerate(cfg.nuclei):
+        if nuc.offset_hz != 0.0:
+            h0 += 2 * np.pi * nuc.offset_hz * (z[k] / 2)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if cfg.j_hz[a, b] != 0.0:
+                for p in (x, y, z) if cfg.coupling_model == "isotropic" else (z,):
+                    h0 += 2 * np.pi * cfg.j_hz[a, b] * ((p[a] / 2) @ (p[b] / 2))
+    return h0
+
+
 class TestOperatorCache:
+    @pytest.mark.parametrize("model", COUPLING_MODELS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_variant_builds_only_its_h0(self, n, model):
+        rng = np.random.default_rng(60 + n)
+        labels = ("1H", "13C", "1H", "15N")[:n]
+
+        def drawn():
+            offsets = rng.uniform(-500.0, 500.0, n) * (rng.random(n) < 0.8)  # some exactly 0
+            j = np.triu(rng.uniform(-200.0, 200.0, (n, n)) * (rng.random((n, n)) < 0.8), 1)
+            return offsets.tolist(), j + j.T
+
+        offsets, j = drawn()
+        base = SpinSystemConfig("base", tuple(NucleusSpec(label, o, 3.0, 0.5, 1e-5)
+                                              for label, o in zip(labels, offsets)), j, model)
+        offsets, j = drawn()
+        variant = replace(base, nuclei=tuple(replace(nuc, offset_hz=o)
+                                             for nuc, o in zip(base.nuclei, offsets)), j_hz=j)
+        fresh = SpinSystemConfig("fresh", tuple(NucleusSpec(label, o, 3.0, 0.5, 1e-5)
+                                                for label, o in zip(labels, offsets)), j, model)
+        for name in ("controls", "sx", "sy", "sz"):
+            arr = getattr(variant._operators, name)
+            assert arr is getattr(base._operators, name)
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        h0 = internal_hamiltonian(variant)
+        assert h0.tobytes() == internal_hamiltonian(fresh).tobytes()
+        assert h0.tobytes() == reference_h0(fresh).tobytes()
+        assert not np.array_equal(h0, internal_hamiltonian(base))
+
     def test_replace_builds_new_operators(self):
         cfg = preset("gemini")
         before = [arr.copy() for arr in cfg._operators]
