@@ -37,11 +37,10 @@ from .dynamics import evolve_program
 from .errors import ValidationError
 from .measurement import tomography
 from .quantum import (
-    SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
     Ket,
+    bloch_vector,
     is_unitary,
     partial_trace,
     state_fidelity,
@@ -240,23 +239,26 @@ def _counting_circuit(case: str, l: int) -> Circuit:
 
 
 def _fit_cos_frequency(ls: np.ndarray, values: np.ndarray) -> float:
-    """theta in [0, pi] minimizing sum (cos(l theta) - value)^2."""
-    from scipy.optimize import minimize_scalar
-
-    grid = np.linspace(0.0, np.pi, 20001)
+    """theta in [0, pi] minimizing sum (cos(l theta) - value)^2. The best point of a grid
+    and its neighbours bracket a minimum, across 0 or pi if need be (the sum is even about
+    both); Newton steps on the derivative, bisecting when one leaves the bracket, refine it."""
+    grid, h = np.linspace(0.0, np.pi, 20001, retstep=True)
     sse = np.sum((np.cos(np.outer(ls, grid)) - values[:, None]) ** 2, axis=0)
-    i = int(np.argmin(sse))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    if hi <= lo:
-        return float(grid[i])
-    res = minimize_scalar(
-        lambda th: float(np.sum((np.cos(ls * th) - values) ** 2)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(res.x)
+    theta = grid[np.argmin(sse)]
+    lo, hi = theta - h, theta + h
+    for _ in range(100):  # bisection alone reaches the float spacing in fewer steps
+        c, s = np.cos(ls * theta), np.sin(ls * theta)
+        g = np.sum(ls * s * (values - c))  # half the derivative of the sum
+        dg = np.sum(ls**2 * (s**2 - c * (c - values)))
+        step = theta - g / dg if dg > 0.0 else np.nan
+        if step == theta:  # converged
+            break
+        lo, hi = (theta, hi) if g < 0.0 else (lo, theta)  # from a maximum, go left
+        step = step if lo < step < hi else lo + (hi - lo) / 2
+        if step in (lo, hi):
+            break
+        theta = step
+    return float(-theta if theta < 0.0 else 2 * np.pi - theta if theta > np.pi else theta)
 
 
 def run_counting(
@@ -286,7 +288,7 @@ def run_counting(
         circuit = _counting_circuit(case, l)
         rho = _execute(circuit, cfg, path, relaxation)
         control = partial_trace(rho, {1})
-        sigma_z_curve.append(float(np.real(np.trace(control.matrix @ SIGMA_Z))))
+        sigma_z_curve.append(bloch_vector(control).z)
         control_diags.append([float(np.real(control.matrix[0, 0])), float(np.real(control.matrix[1, 1]))])
     theta = _fit_cos_frequency(np.asarray(ls, dtype=float), np.asarray(sigma_z_curve))
     m_raw = 2.0 * np.sin(theta / 2.0) ** 2
@@ -464,10 +466,8 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     rho = had @ rho @ had.conj().T
     controlled_u = _controlled(u)
     rho = controlled_u @ rho @ controlled_u.conj().T
-    control_red = partial_trace(DensityMatrix(rho, validate=False), {1})
-    sx = float(np.real(np.trace(control_red.matrix @ SIGMA_X)))
-    sy = float(np.real(np.trace(control_red.matrix @ SIGMA_Y)))
-    return complex(sx, sy) / float(epsilon)
+    bloch = bloch_vector(partial_trace(DensityMatrix(rho, validate=False), {1}))
+    return complex(bloch.x, bloch.y) / float(epsilon)
 
 
 def cnot_truth_table(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
-from .dynamics import evolve_program
+from .dynamics import check_pulse_amplitude, evolve_program
 from .errors import FitError, NmrqcError, ValidationError
 from .quantum import DensityMatrix, complex_matrix, state_fidelity
 from .spinsys import SpinSystemConfig, load_machine_config, preset
@@ -119,10 +119,6 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -136,6 +132,12 @@ _OPTIONS = {
     "--path": dict(choices=("ideal", "pulse"), default="ideal"),
     "--relaxation": dict(choices=("on", "off"), default="off"),
     "--pulse-amp-hz": dict(type=float, default=control.DEFAULT_PULSE_AMP_HZ),
+    "--channel": dict(help="nucleus label (default: first channel)"),
+    "--amp-hz": dict(type=float, default=12.5e3, help="pulse amplitude in Hz"),
+    "--durations": dict(help="comma-separated pulse durations in s"),
+    "--delays": dict(help="comma-separated delays in s"),
+    "--offset-spread-hz": dict(type=float, default=0.0,
+                               help="half-width of a static offset inhomogeneity"),
 }
 
 
@@ -169,7 +171,7 @@ def _cmd_simulate(args) -> list[Path]:
         "fidelity": state_fidelity(rho, ideal),
         "final_state": rho.to_json_dict(),
     }
-    return [emit_report(report, "json", _out_dir(args) / "simulate_report.json")]
+    return [emit_report(report, "json", Path(args.out) / "simulate_report.json")]
 
 
 def _cmd_tomography(args) -> list[Path]:
@@ -195,14 +197,14 @@ def _cmd_tomography(args) -> list[Path]:
         "max_error_vs_input": float(np.max(np.abs(recon.matrix - rho.matrix))),
         "peak_tables": tables,
     }
-    return [emit_report(report, "json", _out_dir(args) / "tomography_report.json")]
+    return [emit_report(report, "json", Path(args.out) / "tomography_report.json")]
 
 
 def _cmd_compile(args) -> list[Path]:
     cfg = _machine(args.machine)
     circuit = Circuit.from_json_dict(_load_json(args.circuit))
     program = compile_circuit(circuit, cfg, args.pulse_amp_hz)
-    return [emit_report(program.to_json_dict(), "json", _out_dir(args) / "pulse_program.json")]
+    return [emit_report(program.to_json_dict(), "json", Path(args.out) / "pulse_program.json")]
 
 
 def _cmd_grape(args) -> list[Path]:
@@ -228,7 +230,7 @@ def _cmd_grape(args) -> list[Path]:
         initial=args.initial,
     )
     result = grape_optimize(target, cfg, gcfg, seed=args.seed)
-    out = _out_dir(args)
+    out = Path(args.out)
     return [
         emit_report(result.csv_text(), "csv", out / "grape_pulse.csv"),
         emit_report(result.metadata_dict(), "json", out / "grape_meta.json"),
@@ -237,7 +239,7 @@ def _cmd_grape(args) -> list[Path]:
 
 def _cmd_experiment(args) -> list[Path]:
     cfg = _machine(args.machine)
-    out = _out_dir(args)
+    out = Path(args.out)
     if args.experiment == "pps":
         program, rho = experiments.prepare_pseudo_pure(cfg)
         from .quantum import pauli_expand
@@ -253,7 +255,7 @@ def _cmd_experiment(args) -> list[Path]:
 
     channel = args.channel or cfg.channels[0]
     if args.experiment == "rabi":
-        amp = args.amp_hz or 12.5e3
+        amp = check_pulse_amplitude(args.amp_hz)  # before the default durations divide by it
         if args.durations:
             durations = _float_list(args.durations)
         else:
@@ -283,7 +285,7 @@ def _cmd_experiment(args) -> list[Path]:
         channel,
         mode,
         delays,
-        amplitude_hz=args.amp_hz or 12.5e3,
+        amplitude_hz=args.amp_hz,
         offset_spread_hz=args.offset_spread_hz,
     )
     fit_report = {
@@ -301,28 +303,8 @@ def _cmd_experiment(args) -> list[Path]:
 
 def _cmd_algorithm(args) -> list[Path]:
     cfg = _machine(args.machine)
-    relax = args.relaxation == "on"
-    out = _out_dir(args)
     name = args.algorithm
-    if name == "deutsch":
-        report = algorithms.run_deutsch(args.case or "f1", args.path, cfg, relax).to_json_dict()
-    elif name == "grover4":
-        report = algorithms.run_grover4(args.target, args.path, cfg, relax).to_json_dict()
-    elif name == "bv":
-        report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax).to_json_dict()
-    elif name == "count":
-        ls = [int(v) for v in _float_list(args.l_values)]
-        report = algorithms.run_counting(args.case or "M1_first", ls, args.path, cfg,
-                                         relax).to_json_dict()
-    elif name == "bell":
-        report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg,
-                                         relax).to_json_dict()
-    elif name == "qho":
-        omegas = _float_list(args.omega_t)
-        reports = algorithms.simulate_qho(args.initial, omegas, args.path, cfg, relax)
-        report = {"algorithm": "qho", "path": args.path,
-                  "points": [r.to_json_dict() for r in reports]}
-    elif name == "dqc1":
+    if name == "dqc1":
         if not args.unitary:
             raise ValidationError("dqc1 needs --unitary")
         u = _load_matrix(args.unitary)
@@ -333,13 +315,31 @@ def _cmd_algorithm(args) -> list[Path]:
             "estimate": {"re": estimate.real, "im": estimate.imag},
             "exact": {"re": exact.real, "im": exact.imag},
         }
-    elif name == "cnot-table":
+        return [emit_report(report, "json", Path(args.out) / "algorithm_dqc1.json")]
+    relax = args.relaxation == "on"
+    if name == "deutsch":
+        report = algorithms.run_deutsch(args.case, args.path, cfg, relax).to_json_dict()
+    elif name == "grover4":
+        report = algorithms.run_grover4(args.target, args.path, cfg, relax).to_json_dict()
+    elif name == "bv":
+        report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax).to_json_dict()
+    elif name == "count":
+        ls = [int(v) for v in _float_list(args.l_values)]
+        report = algorithms.run_counting(args.case, ls, args.path, cfg, relax).to_json_dict()
+    elif name == "bell":
+        report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg,
+                                         relax).to_json_dict()
+    elif name == "qho":
+        omegas = _float_list(args.omega_t)
+        reports = algorithms.simulate_qho(args.initial, omegas, args.path, cfg, relax)
+        report = {"algorithm": "qho", "path": args.path,
+                  "points": [r.to_json_dict() for r in reports]}
+    else:
         rows = algorithms.cnot_truth_table(args.direction, args.path, cfg, relax)
         report = {"algorithm": "cnot-table", "direction": args.direction,
                   "path": args.path, "rows": rows}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown algorithm {name!r}")
-    return [emit_report(report, "json", out / f"algorithm_{name.replace('-', '_')}.json")]
+    return [emit_report(report, "json",
+                        Path(args.out) / f"algorithm_{name.replace('-', '_')}.json")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,40 +377,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", choices=("random", "constant"), default="random")
     p.set_defaults(func=_cmd_grape)
 
+    # each experiment and algorithm takes the name first, then only the options it reads
     p = sub.add_parser("experiment", help="calibration/preparation experiments")
-    p.add_argument("experiment", choices=("rabi", "t1", "t2", "pps"))
-    _add_common(p)
-    p.add_argument("--channel", help="nucleus label (default: first channel)")
-    p.add_argument("--amp-hz", type=float, help="pulse amplitude in Hz")
-    p.add_argument("--durations", help="comma-separated pulse durations (rabi)")
-    p.add_argument("--delays", help="comma-separated delays in s (t1/t2)")
-    p.add_argument("--offset-spread-hz", type=float, default=0.0,
-                   help="static inhomogeneity half-width for the echo experiment")
     p.set_defaults(func=_cmd_experiment)
+    kinds = p.add_subparsers(dest="experiment", required=True)
+    _add_common(kinds.add_parser("rabi"), "--channel", "--amp-hz", "--durations")
+    for name in ("t1", "t2"):
+        _add_common(kinds.add_parser(name), "--channel", "--amp-hz", "--delays",
+                    "--offset-spread-hz")
+    _add_common(kinds.add_parser("pps"))
 
     p = sub.add_parser("algorithm", help="run a built-in algorithm")
-    p.add_argument("algorithm", choices=("deutsch", "grover4", "bv", "count", "bell",
-                                         "qho", "dqc1", "cnot-table"))
-    _add_common(p, "--path", "--relaxation")
-    p.add_argument("--case", help="deutsch f1..f4 (default f1) / count M0,M1_first,"
-                                  "M1_second,M2 (default M1_first)")
-    p.add_argument("--target", type=int, default=4, help="grover target 1..4")
-    p.add_argument("--a", default="11", help="bernstein-vazirani hidden string")
-    p.add_argument("--l-values", default="1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--which", default="phi-", choices=algorithms.BELL_STATES)
-    p.add_argument("--recipe", default="cy", choices=("cnot", "cy"))
-    p.add_argument("--initial", default="n0", choices=algorithms.QHO_INITIALS)
-    p.add_argument("--omega-t", default=",".join(
-        f"{0.1 * k * 2 * np.pi:.12g}" for k in range(1, 11)))
-    p.add_argument("--unitary", help="JSON re/im matrix for dqc1")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--direction", default="12", choices=("12", "21"))
     p.set_defaults(func=_cmd_algorithm)
+    kinds = p.add_subparsers(dest="algorithm", required=True)
+
+    def algorithm(name: str) -> argparse.ArgumentParser:
+        q = kinds.add_parser(name)
+        _add_common(q, "--path", "--relaxation")
+        return q
+
+    algorithm("deutsch").add_argument("--case", default="f1", choices=algorithms.DEUTSCH_CASES)
+    algorithm("grover4").add_argument("--target", type=int, default=4, help="entry 1..4")
+    algorithm("bv").add_argument("--a", default="11", help="hidden bit string")
+    q = algorithm("count")
+    q.add_argument("--case", default="M1_first", choices=algorithms.COUNTING_CASES)
+    q.add_argument("--l-values", default="1,2,3,4,5,6,7,8,9,10")
+    q = algorithm("bell")
+    q.add_argument("--which", default="phi-", choices=algorithms.BELL_STATES)
+    q.add_argument("--recipe", default="cy", choices=("cnot", "cy"))
+    q = algorithm("qho")
+    q.add_argument("--initial", default="n0", choices=algorithms.QHO_INITIALS)
+    q.add_argument("--omega-t", default=",".join(
+        f"{0.1 * k * 2 * np.pi:.12g}" for k in range(1, 11)))
+    q = kinds.add_parser("dqc1")
+    _add_common(q)
+    q.add_argument("--unitary", help="JSON re/im matrix")
+    q.add_argument("--epsilon", type=float, default=1.0)
+    algorithm("cnot-table").add_argument("--direction", default="12", choices=("12", "21"))
 
     return parser
 
 
-def dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         written = args.func(args)
@@ -429,10 +437,6 @@ def dispatch(argv=None) -> int:
     for path in written:
         print(path)
     return 0
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

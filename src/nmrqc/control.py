@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .dynamics import Delay as DelayEvent
-from .dynamics import PulseProgram, RfSegment, program_unitary
+from .dynamics import PulseProgram, check_pulse_amplitude, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, is_unitary
 from .spinsys import MAX_QUBITS, SpinSystemConfig, control_operators, internal_hamiltonian
@@ -285,25 +285,13 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
     return float(abs(np.trace(u @ target.conj().T)) ** 2 / d**2)
 
 
-def _single_channel_pulse(
-    config: SpinSystemConfig, channel: str, phase_rad: float, duration_s: float, amp_hz: float
-) -> RfSegment:
-    """Square pulse on one channel; every other channel is off."""
-    amps, phases = [0.0] * len(config.channels), [0.0] * len(config.channels)
-    c = config.channel_index(channel)
-    amps[c], phases[c] = amp_hz, phase_rad
-    return RfSegment(tuple(amps), tuple(phases), duration_s)
-
-
 class _PulseEmitter:
     """Pulses and J delays with one z frame per qubit (0-based; qubit q is channel q): the
     circuit so far is (x)_q Rz(frame[q]) times the events so far, up to a global phase."""
 
     def __init__(self, config: SpinSystemConfig, amp_hz: float):
-        if amp_hz <= 0:
-            raise ValidationError("pulse amplitude must be > 0")
         self.config = config
-        self.amp = float(amp_hz)
+        self.amp = check_pulse_amplitude(amp_hz)
         self.events: list = []
         self.frame = [0.0] * config.n
         self.precession = [2 * np.pi * nuc.offset_hz for nuc in config.nuclei]  # rad/s
@@ -319,10 +307,9 @@ class _PulseEmitter:
 
     def pulse(self, phases: dict, angle: float):
         """One pulse rotating each qubit q of `phases` by `angle` about the axis at phases[q]."""
-        amps, phis = [0.0] * self.config.n, [0.0] * self.config.n
-        for q, phi in phases.items():
-            amps[q], phis[q] = self.amp, math.remainder(phi, 2 * np.pi)
-        self.emit(RfSegment(tuple(amps), tuple(phis), angle / (2 * np.pi * self.amp)), phases)
+        phis = {q: math.remainder(phi, 2 * np.pi) for q, phi in phases.items()}
+        duration = angle / (2 * np.pi * self.amp)
+        self.emit(square_pulse(self.config, phis, duration, self.amp), phases)
 
     def rotate(self, q: int, u: np.ndarray):
         # u Rz(f) = Rz(a + c + f) R_{-(c + f)}(b), where R_phi(b) = Rz(phi) Rx(b) Rz(-phi)

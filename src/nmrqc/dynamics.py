@@ -4,13 +4,17 @@ A pulse program is an ordered list of square RF segments, free-evolution
 delays, and instantaneous crusher gradients, executed against a spin
 system. RF segments evolve under H0 + H_rf, delays under H0 alone, and a
 crusher zeroes every off-diagonal element of the density matrix.
+`square_pulse` builds every RF segment that the compiler and the
+experiments play, and `check_pulse_amplitude` is the one check on the
+amplitude they are given.
 
 One propagation path: the Hamiltonians of the timed events are stacked from
-the machine's cached, read-only operators (see `spinsys`) and propagated in
-one batched kernel call. `program_unitary` chains them; `_evolve_stack` runs
-a batch of programs (a scan) as one (B, d, d) stack of states, with relaxation
-vectorized over it, which scans read directly; `evolve_programs` wraps its rows
-as states, and `evolve_program` is its one-program case.
+the machine's cached, read-only operators (`spinsys.rf_hamiltonian` once
+over the distinct events) and propagated in one batched kernel call.
+`program_unitary` chains them; `_evolve_stack` runs a batch of programs (a
+scan) as one (B, d, d) stack of states, with relaxation vectorized over it,
+which scans read directly; `evolve_programs` wraps its rows as states, and
+`evolve_program` is its one-program case.
 
 Relaxation, a tensor product of one-spin channels, is applied spin by spin
 for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`
@@ -27,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 from .quantum import HERMITICITY_TOL, DensityMatrix, _check_density
-from .spinsys import SpinSystemConfig, rf_drive
+from .spinsys import SpinSystemConfig, rf_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,23 @@ class RfSegment:
             raise ValidationError("RF segment duration must be >= 0")
         if len(self.amplitudes_hz) != len(self.phases_rad):
             raise ValidationError("amplitude/phase lists differ in length")
+
+
+def check_pulse_amplitude(amp_hz: float) -> float:
+    """A pulse amplitude, Hz, as a float if > 0 (nan is left to `RfSegment`'s finite check)."""
+    if amp_hz <= 0:
+        raise ValidationError("pulse amplitude must be > 0")
+    return float(amp_hz)
+
+
+def square_pulse(config: SpinSystemConfig, phases: Mapping[int, float], duration_s: float,
+                 amp_hz: float) -> RfSegment:
+    """Square pulse of amplitude amp_hz on each channel index of `phases`, at its phase;
+    every other channel is off. The compiler and the experiments build each pulse here."""
+    amps, phis = [0.0] * len(config.channels), [0.0] * len(config.channels)
+    for c, phi in phases.items():
+        amps[c], phis[c] = amp_hz, phi
+    return RfSegment(tuple(amps), tuple(phis), duration_s)
 
 
 @dataclass(frozen=True)
@@ -73,10 +94,6 @@ class PulseProgram:
     system: SpinSystemConfig
     events: tuple[PulseEvent, ...]
 
-    @property
-    def duration_s(self) -> float:
-        return sum(getattr(ev, "duration_s", 0.0) for ev in self.events)
-
     def to_json_dict(self) -> dict:
         out = []
         for ev in self.events:
@@ -94,30 +111,6 @@ class PulseProgram:
             else:
                 out.append({"type": "crusher"})
         return {"events": out}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping, system: SpinSystemConfig) -> "PulseProgram":
-        events: list[PulseEvent] = []
-        try:
-            for i, ev in enumerate(d["events"]):
-                kind = ev["type"]
-                if kind == "rf":
-                    events.append(
-                        RfSegment(
-                            tuple(float(a) for a in ev["amp_hz"]),
-                            tuple(float(p) for p in ev["phase_rad"]),
-                            float(ev["dur_s"]),
-                        )
-                    )
-                elif kind == "delay":
-                    events.append(Delay(float(ev["dur_s"])))
-                elif kind == "crusher":
-                    events.append(Crusher())
-                else:
-                    raise ValidationError(f"events[{i}]: unknown type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad pulse-program JSON: {exc}") from exc
-        return cls(system=system, events=tuple(events))
 
 
 def segment_propagator(h_total: np.ndarray, dt: float) -> np.ndarray:
@@ -145,14 +138,12 @@ def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
     row: dict = {}  # (machine, event number) -> row
     rows = [row.setdefault(key, len(row)) for key in zip(which, map(number.get, map(id, events)))]
     m, k = np.array(list(row), dtype=int).reshape(-1, 2).T
-    controls = machines[0]._operators.controls
-    off = (0.0,) * (len(controls) // 2)  # a delay drives no channel
+    off = (0.0,) * len(machines[0].channels)  # a delay drives no channel
     amps, phases = ([getattr(ev, a, off) for ev in values] or np.empty((0, len(off)))
                     for a in ("amplitudes_hz", "phases_rad"))
-    drive = rf_drive(machines[0], amps, phases)  # one call: one row per distinct event
     h0s = np.array([cfg._operators.h0 for cfg in machines])
-    with np.errstate(over="ignore", invalid="ignore"):
-        hs = np.tensordot(drive[k], controls, axes=1) + h0s[m]
+    with np.errstate(over="ignore", invalid="ignore"):  # one H_rf row per distinct event
+        hs = rf_hamiltonian(machines[0], amps, phases)[k] + h0s[m]
     return _kernels.segment_propagators(hs, np.array([ev.duration_s for ev in values])[k])[rows]
 
 

@@ -3,9 +3,11 @@ averaging, Rabi pulse calibration, inversion-recovery T1 and spin-echo T2
 scans, and the least-squares fits behind them.
 
 Every experiment is expressed purely in x/y pulses, delays, and crushers;
-nothing writes the state directly. A scan builds one program per point and
-evolves all of them in one `_evolve_stack` call, reading its (B, d, d) state
-stack; the T2 echo's offset ensemble is one call too, one variant per offset.
+nothing writes the state directly. Each pulse is built by the one pulse
+constructor, `dynamics.square_pulse`. A scan builds one program per point
+and evolves all of them in one `_evolve_stack` call, reading its (B, d, d)
+state stack; the T2 echo's offset ensemble is one call too, one variant per
+offset.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import _single_channel_pulse
-from .dynamics import Crusher, Delay, PulseProgram, _evolve_stack, evolve_program
+from .dynamics import (Crusher, Delay, PulseProgram, _evolve_stack, check_pulse_amplitude,
+                       evolve_program, square_pulse)
 from .errors import FitError, ValidationError
 from .quantum import DensityMatrix
 from .spinsys import SpinSystemConfig, thermal_state
@@ -137,10 +139,7 @@ def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
     return FitResult(model, {"amplitude": float(amp), name: theta}, float(rms))
 
 
-def prepare_pseudo_pure(
-    config: SpinSystemConfig,
-    pulse_amp_hz: float = PPS_PULSE_AMP_HZ,
-) -> tuple[PulseProgram, DensityMatrix]:
+def prepare_pseudo_pure(config: SpinSystemConfig) -> tuple[PulseProgram, DensityMatrix]:
     """Spatial-averaging pseudo-pure |00> preparation on a two-spin system.
 
     Sequence: Rx on spin 2 by pi/3, crusher, Rx on spin 1 by pi/4, a
@@ -155,8 +154,9 @@ def prepare_pseudo_pure(
         raise ValidationError("pseudo-pure preparation needs a nonzero J coupling")
 
     def pulse(qubit, phase, angle):
-        return _single_channel_pulse(config, config.channel_of(qubit), phase,
-                                     angle / (2 * np.pi * pulse_amp_hz), pulse_amp_hz)
+        channel = config.channel_index(config.nuclei[qubit - 1].label)
+        return square_pulse(config, {channel: phase}, angle / (2 * np.pi * PPS_PULSE_AMP_HZ),
+                            PPS_PULSE_AMP_HZ)
 
     # Ry(-pi/4) is a pi/4 pulse about -y
     events = (pulse(2, 0.0, np.pi / 3), Crusher(), pulse(1, 0.0, np.pi / 4),
@@ -189,7 +189,8 @@ def rabi_calibration(
     durations = np.asarray(sorted(durations_s), dtype=float)
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
-    pulses = [_single_channel_pulse(config, channel, 0.0, t, amplitude_hz) for t in durations]
+    amp, c = check_pulse_amplitude(amplitude_hz), config.channel_index(channel)
+    pulses = [square_pulse(config, {c: 0.0}, t, amp) for t in durations]
     states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
     y = np.abs(_transverse(states, config, channel))
     fit = fit_model(durations, y, "abs_sine")
@@ -203,8 +204,6 @@ def relaxation_experiment(
     mode: str,
     delays_s: Sequence[float],
     amplitude_hz: float = 12.5e3,
-    t90_s: Optional[float] = None,
-    t180_s: Optional[float] = None,
     offset_spread_hz: float = 0.0,
     ensemble_points: int = 11,
 ) -> ScanResult:
@@ -227,14 +226,13 @@ def relaxation_experiment(
         raise ValidationError(f"offset spread {spread:g}: it and the ensemble width must be finite")
     if spread and not (isinstance(ensemble_points, (int, np.integer)) and ensemble_points >= 2):
         raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
-    t90 = t90_s if t90_s is not None else 1.0 / (4.0 * amplitude_hz)
-    t180 = t180_s if t180_s is not None else 1.0 / (2.0 * amplitude_hz)
-    p90 = _single_channel_pulse(config, channel, 0.0, t90, amplitude_hz)
+    amp, c = check_pulse_amplitude(amplitude_hz), config.channel_index(channel)
+    p90 = square_pulse(config, {c: 0.0}, 1.0 / (4.0 * amp), amp)
     if mode == "T1":
-        p180 = _single_channel_pulse(config, channel, 0.0, t180, amplitude_hz)
+        p180 = square_pulse(config, {c: 0.0}, 1.0 / (2.0 * amp), amp)
         sequences = [(p180, Delay(t), p90) for t in delays.tolist()]
     else:
-        p180 = _single_channel_pulse(config, channel, np.pi / 2, t180, amplitude_hz)
+        p180 = square_pulse(config, {c: np.pi / 2}, 1.0 / (2.0 * amp), amp)
         sequences = [(p90, half, p180, half) for half in map(Delay, (delays / 2.0).tolist())]
 
     deltas = np.linspace(-spread, spread, ensemble_points) if spread else np.zeros(1)

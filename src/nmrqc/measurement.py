@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -297,9 +296,8 @@ def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout,
     lines = _readout_lines(rho, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     if compiled_readout:
-        amp = pulse_amp_hz or DEFAULT_PULSE_AMP_HZ
-        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config, amp))
-                       for s in settings])
+        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config,
+                                                       pulse_amp_hz)) for s in settings])
         inverse = _inverse(_readout_map(us))
     else:
         us, inverse = _ideal_readouts(config.n)
@@ -313,7 +311,7 @@ def tomography_sweep(
     rho: DensityMatrix,
     config: SpinSystemConfig,
     compiled_readout: bool = False,
-    pulse_amp_hz: Optional[float] = None,
+    pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ,
 ) -> tuple[DensityMatrix, dict[str, dict[str, list[Peak]]]]:
     """Full state reconstruction from the 3^n readout-pulse settings, and
     the per-setting peak tables it inverts.
@@ -333,7 +331,7 @@ def tomography(
     rho: DensityMatrix,
     config: SpinSystemConfig,
     compiled_readout: bool = False,
-    pulse_amp_hz: Optional[float] = None,
+    pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ,
 ) -> DensityMatrix:
     """Full state reconstruction from the 3^n readout-pulse settings, as `tomography_sweep`."""
     return _reconstruct(rho, config, compiled_readout, pulse_amp_hz)[0]

@@ -119,9 +119,6 @@ class Ket:
         amps[int(bits, 2)] = 1.0
         return cls(amps)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def __repr__(self):
         return f"Ket(n={self.n})"
 
@@ -189,6 +186,7 @@ class DensityMatrix:
         return abs(self.purity() - 1.0) <= PURITY_TOL
 
     def expectation(self, op: np.ndarray) -> complex:
+        """Tr(rho op); its real part is <op> for a Hermitian op."""
         return complex(np.trace(self.matrix @ op))
 
     def to_json_dict(self) -> dict:
@@ -255,10 +253,8 @@ def pauli_expand(rho: DensityMatrix) -> dict[str, float]:
     The all-identity coefficient equals Tr(rho) = 1. Coefficients are real
     for Hermitian input; the real part is returned.
     """
-    return {
-        label: float(np.real(np.trace(rho.matrix @ pauli_string_matrix(label))))
-        for label in all_pauli_strings(rho.n)
-    }
+    return {label: rho.expectation(pauli_string_matrix(label)).real
+            for label in all_pauli_strings(rho.n)}
 
 
 def pauli_reconstruct(coefficients: Mapping[str, float]) -> DensityMatrix:
@@ -298,12 +294,7 @@ def bloch_vector(rho: DensityMatrix) -> BlochVector:
     """(<sigma_x>, <sigma_y>, <sigma_z>) of a single-qubit state."""
     if rho.n != 1:
         raise ValidationError(f"bloch_vector needs a single qubit, got n={rho.n}")
-    m = rho.matrix
-    return BlochVector(
-        float(np.real(np.trace(m @ SIGMA_X))),
-        float(np.real(np.trace(m @ SIGMA_Y))),
-        float(np.real(np.trace(m @ SIGMA_Z))),
-    )
+    return BlochVector(*(rho.expectation(p).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -111,9 +111,6 @@ class SpinSystemConfig:
         self.channel_index(channel)
         return tuple(k for k, nuc in enumerate(self.nuclei, start=1) if nuc.label == channel)
 
-    def channel_of(self, qubit: int) -> str:
-        return self.nuclei[qubit - 1].label
-
     @cached_property
     def _operators(self) -> "_Operators":
         return _build_operators(self)
@@ -314,19 +311,17 @@ def rf_drive(config: SpinSystemConfig, amplitudes_hz: Sequence, phases_rad: Sequ
     return drive
 
 
-def rf_hamiltonian(
-    config: SpinSystemConfig,
-    amplitudes_hz: Sequence[float],
-    phases_rad: Sequence[float],
-) -> np.ndarray:
-    """Rotating-frame RF Hamiltonian, rad/s, one (amplitude, phase) per channel.
+def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
+                   phases_rad: Sequence) -> np.ndarray:
+    """Rotating-frame RF Hamiltonian, rad/s, of one (amplitude, phase) pair per channel,
+    or one (d, d) matrix per row of them; outside GRAPE, the one place that weighs the
+    control generators.
 
     H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
     with the sums running over the channel's member spins.
     """
-    drive = rf_drive(config, amplitudes_hz, phases_rad)
-    ops = config._operators.controls
-    return (drive @ ops.reshape(len(drive), -1)).reshape(config.dim, config.dim)
+    return np.tensordot(rf_drive(config, amplitudes_hz, phases_rad),
+                        config._operators.controls, axes=1)
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_weak_config, random_unitary
 from nmrqc.algorithms import (
+    _fit_cos_frequency,
     bell_ket,
     cnot_truth_table,
     dqc1_trace,
@@ -151,6 +152,23 @@ class TestCounting:
     def test_bad_l_values(self):
         with pytest.raises(ValidationError):
             run_counting("M0", [])
+
+    @pytest.mark.parametrize("theta0, shrink", [
+        (0.0, 1e-9), (np.pi, 1e-9), (np.pi, 0.0), (0.7, 1e-9), (2.9, 0.0), (np.pi - 2e-5, 1e-12),
+    ])
+    def test_frequency_fit_is_the_least_squares_minimum(self, theta0, shrink):
+        # shrunk data turn 0 and pi into maxima of the sum, with its minima just inside; a
+        # search that stops about sqrt(eps) from the minimum leaves a larger sum than these
+        ls = np.arange(1.0, 6.0)
+        values = (1.0 - shrink) * np.cos(ls * theta0)
+        theta = _fit_cos_frequency(ls, values)
+        assert 0.0 <= theta <= np.pi
+
+        def sse(t):
+            return np.sum((np.cos(ls * t) - values) ** 2)
+
+        near = np.clip(theta + np.array([-1e-6, -1e-8, 1e-8, 1e-6]), 0.0, np.pi)
+        assert sse(theta) <= min(sse(t) for t in (theta0, *near))
 
 
 class TestBell:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nmrqc
 from nmrqc import measurement
-from nmrqc.cli import _canonical, dispatch, main
+from nmrqc.cli import _canonical, main
 from nmrqc.control import Circuit, Gate, compile_circuit
 from nmrqc.dynamics import program_unitary
 from nmrqc.quantum import DensityMatrix
@@ -312,24 +312,36 @@ class TestNonFiniteInputs:
         self.assert_one_line_exit_2(rc, capsys, match)
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["experiment", "t2", "--offset-spread-hz", "nan"],
-        ["experiment", "t2", "--offset-spread-hz", "inf"],
-        ["experiment", "t2", "--offset-spread-hz", "1e308"],
-        ["experiment", "t2", "--offset-spread-hz", "5e307"],
-        ["experiment", "rabi", "--amp-hz", "nan"],
-        ["experiment", "rabi", "--amp-hz", "1e308"],
-        ["experiment", "rabi", "--durations", "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,inf"],
-        ["experiment", "t1", "--delays", "1e-3,2e-3,nan,4e-3,5e-3,6e-3"],
-        ["simulate", "--path", "pulse", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
-        ["simulate", "--path", "pulse", "--pulse-amp-hz", "1e308", "--circuit", "{circuit}"],
+    @pytest.mark.parametrize("argv, match", [
+        (["experiment", "t2", "--offset-spread-hz", "nan"], "finite"),
+        (["experiment", "t2", "--offset-spread-hz", "inf"], "finite"),
+        (["experiment", "t2", "--offset-spread-hz", "1e308"], "finite"),
+        (["experiment", "t2", "--offset-spread-hz", "5e307"], "finite"),
+        (["experiment", "rabi", "--amp-hz", "nan"], "finite"),
+        (["experiment", "rabi", "--amp-hz", "1e308"], "finite"),
+        (["experiment", "rabi", "--durations", "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,inf"],
+         "finite"),
+        (["experiment", "t1", "--delays", "1e-3,2e-3,nan,4e-3,5e-3,6e-3"], "finite"),
+        (["simulate", "--path", "pulse", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
+         "finite"),
+        (["simulate", "--path", "pulse", "--pulse-amp-hz", "1e308", "--circuit", "{circuit}"],
+         "finite"),
+        (["tomography", "--path", "pulse", "--pulse-amp-hz", "0", "--state", "{state}"],
+         "pulse amplitude must be > 0"),
+        (["experiment", "rabi", "--amp-hz", "0"], "pulse amplitude must be > 0"),
+        (["experiment", "t1", "--amp-hz", "0"], "pulse amplitude must be > 0"),
+        (["experiment", "rabi", "--amp-hz", "-12500", "--durations",
+          "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,8e-5"], "pulse amplitude must be > 0"),
     ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "t2_spread_5e307", "rabi_amp",
-            "rabi_amp_1e308", "rabi_duration", "t1_delay", "pulse_amp", "pulse_amp_1e308"])
-    def test_pulse_argument(self, tmp_path, capsys, argv):
+            "rabi_amp_1e308", "rabi_duration", "t1_delay", "pulse_amp", "pulse_amp_1e308",
+            "tomography_amp_0", "rabi_amp_0", "t1_amp_0", "rabi_amp_negative"])
+    def test_pulse_argument(self, tmp_path, capsys, argv, match):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
-        argv = [a.format(circuit=circuit) for a in argv]
+        state = write_json(tmp_path / "rho.json", DensityMatrix.basis(2, 0).to_json_dict())
+        argv = [a.format(circuit=circuit, state=state) for a in argv]
         rc = main([*argv, "--out", str(tmp_path / "o")])
-        self.assert_one_line_exit_2(rc, capsys, "finite")
+        self.assert_one_line_exit_2(rc, capsys, match)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path", ["ideal", "pulse"])
     def test_delay_phase_overflow(self, tmp_path, capsys, path):
@@ -370,6 +382,16 @@ UNREAD_OPTIONS = [
     ("experiment", "--seed"), ("experiment", "--path"), ("experiment", "--relaxation"),
     ("experiment", "--pulse-amp-hz"),
     ("algorithm", "--seed"), ("algorithm", "--pulse-amp-hz"),
+    # each experiment and algorithm accepts only its own options
+    ("experiment pps", "--delays"), ("experiment pps", "--durations"),
+    ("experiment pps", "--amp-hz"), ("experiment pps", "--channel"),
+    ("experiment pps", "--offset-spread-hz"), ("experiment rabi", "--delays"),
+    ("experiment rabi", "--offset-spread-hz"), ("experiment t1", "--durations"),
+    ("experiment t2", "--durations"),
+    ("algorithm grover4", "--case"), ("algorithm grover4", "--a"),
+    ("algorithm grover4", "--which"), ("algorithm grover4", "--epsilon"),
+    ("algorithm deutsch", "--target"), ("algorithm count", "--unitary"),
+    ("algorithm dqc1", "--path"), ("algorithm dqc1", "--relaxation"),
 ]
 SUBCOMMAND_ARGV = {
     "simulate": ["simulate", "--circuit", "c.json"],
@@ -378,9 +400,20 @@ SUBCOMMAND_ARGV = {
     "grape": ["grape", "--gate", "X90"],
     "experiment": ["experiment", "rabi"],
     "algorithm": ["algorithm", "deutsch", "--case", "f3"],
+    "experiment pps": ["experiment", "pps"],
+    "experiment rabi": ["experiment", "rabi"],
+    "experiment t1": ["experiment", "t1"],
+    "experiment t2": ["experiment", "t2"],
+    "algorithm grover4": ["algorithm", "grover4"],
+    "algorithm deutsch": ["algorithm", "deutsch"],
+    "algorithm count": ["algorithm", "count"],
+    "algorithm dqc1": ["algorithm", "dqc1", "--unitary", "u.json"],
 }
 OPTION_VALUES = {"--seed": "1", "--path": "pulse", "--relaxation": "on",
-                 "--pulse-amp-hz": "2e4"}
+                 "--pulse-amp-hz": "2e4", "--delays": "1,2", "--durations": "3",
+                 "--amp-hz": "5", "--channel": "31P", "--offset-spread-hz": "10",
+                 "--case": "f3", "--a": "101", "--which": "psi+", "--epsilon": "0",
+                 "--target": "2", "--unitary": "u.json"}
 
 
 @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
@@ -452,8 +485,9 @@ class TestReadmeRequests:
     # as batches, rabi re-recorded for the closed-form separable fits, t1/t2
     # re-recorded for the relaxation map applied spin by spin, the pulse-path
     # reports (simulate-pulse, compile, tomography-pulse, deutsch) re-recorded
-    # for the frame-tracked compiler, the rest recorded before the gate table
-    # replaced the per-gate dispatch. A change that keeps the numbers must keep
+    # for the frame-tracked compiler, count re-recorded for the counting fit's
+    # Newton refinement, the rest recorded before the gate table replaced the
+    # per-gate dispatch. A change that keeps the numbers must keep
     # them all.
     SCAN_REPORTS = {
         "simulate-pulse": {
@@ -490,7 +524,7 @@ class TestReadmeRequests:
             "algorithm_deutsch.json": "42bb5e3f5aaaf9e5a34db67e806220ccc010f78e4534dac9077eabef47f3e165",
         },
         "count": {
-            "algorithm_count.json": "047d12ea8cb0ac8e672216558887bd9bdb6cba8442d4517b12d1cb1c74aef592",
+            "algorithm_count.json": "cb2549edf75e3442d48f0e9eeeadcb85ed6a1f2c9b656da4e707212df82686df",
         },
         "qho": {
             "algorithm_qho.json": "7b198c69bb20ee41969194c449b6e5d109394dd3d41ee77b67573d8ea950b070",
@@ -507,7 +541,7 @@ class TestReadmeRequests:
                              ids=report_key)
     def test_scan_reports_are_pinned(self, tmp_path, readme_inputs, argv):
         argv = [a.format(**readme_inputs) for a in argv]
-        assert dispatch([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / "out").iterdir()}
         assert digests == self.SCAN_REPORTS[report_key(argv)]
@@ -540,10 +574,10 @@ class TestStartup:
         script = (
             "import sys\n"
             "import nmrqc\n"
-            "from nmrqc.cli import dispatch\n"
+            "from nmrqc.cli import main\n"
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             f"for argv in {argv!r}:\n"
-            f"    assert dispatch([*argv, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0\n"
             f"print({module!r} in sys.modules)\n"
         )
         src = str(Path(nmrqc.__file__).resolve().parents[1])
@@ -555,7 +589,8 @@ class TestStartup:
         return done.stdout.splitlines()[-1]
 
     def test_scans_never_import_scipy(self, tmp_path):
-        argv = [["experiment", "t1"], ["experiment", "rabi"]]
+        argv = [["experiment", "t1"], ["experiment", "rabi"],
+                ["algorithm", "count", "--case", "M2", "--l-values", "1,2,3"]]
         assert self.run(tmp_path, argv, "scipy") == "False"
 
     def test_grape_imports_scipy_optimize_on_demand(self, tmp_path):
@@ -662,7 +697,7 @@ class TestErrorContractFuzz:
                     out, err = io.StringIO(), io.StringIO()
                     with redirect_stdout(out), redirect_stderr(err):
                         try:
-                            rc = dispatch(argv)
+                            rc = main(argv)
                         except SystemExit as exc:  # argparse: usage errors and --help
                             rc = exc.code
                     runs.append((rc, out.getvalue(), err.getvalue(), file_tree(root / "out")))

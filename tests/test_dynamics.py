@@ -171,15 +171,6 @@ class TestEvolveProgram:
         with pytest.raises(ValidationError):
             evolve_program(DensityMatrix.basis(1, 0), PulseProgram(gemini, ()))
 
-    def test_program_json_roundtrip(self, gemini):
-        prog = PulseProgram(
-            gemini,
-            (RfSegment((1e3, 0.0), (0.0, 0.0), 2e-5), Delay(1e-4), Crusher()),
-        )
-        again = PulseProgram.from_json_dict(prog.to_json_dict(), gemini)
-        assert again == prog
-        assert again.duration_s == pytest.approx(1.2e-4)
-
     def test_program_unitary_matches_event_loop(self, gemini, triangulum):
         rng = np.random.default_rng(24)
         for cfg in (gemini, triangulum):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import make_weak_config
 from nmrqc import _kernels, experiments
-from nmrqc.control import _single_channel_pulse
 from nmrqc.dynamics import (
     Crusher,
     Delay,
@@ -17,6 +16,7 @@ from nmrqc.dynamics import (
     apply_crusher,
     evolve_program,
     evolve_programs,
+    square_pulse,
 )
 from nmrqc.errors import FitError, ValidationError
 from nmrqc.experiments import (
@@ -267,9 +267,11 @@ class TestRabiCalibration:
         assert scan.fit.residual <= 1e-11 * scan.fit.params["amplitude"]
 
     def test_zero_drive_fails(self, gemini):
+        # rejected as an input, as the compiler rejects it, before any pulse is played
         durations = np.linspace(1e-6, 1e-4, 12)
-        with pytest.raises(FitError):
-            rabi_calibration(gemini, "1H", 0.0, durations)
+        for amp in (0.0, -1e4):
+            with pytest.raises(ValidationError, match="pulse amplitude must be > 0"):
+                rabi_calibration(gemini, "1H", amp, durations)
 
     def test_too_few_durations(self, gemini):
         with pytest.raises(ValidationError):
@@ -332,7 +334,6 @@ class TestRelaxationExperiments:
         # without the echo the same ensemble dephases far faster than T2;
         # verified directly on the free-induction signal
         from nmrqc.dynamics import PulseProgram
-        from nmrqc.control import _single_channel_pulse
         from nmrqc.experiments import _transverse
         from dataclasses import replace
 
@@ -348,7 +349,7 @@ class TestRelaxationExperiments:
             prog = PulseProgram(
                 system=cfg,
                 events=(
-                    _single_channel_pulse(cfg, "1H", 0.0, 1 / (4 * 12.5e3), 12.5e3),
+                    square_pulse(cfg, {0: 0.0}, 1 / (4 * 12.5e3), 12.5e3),
                     Delay(t),
                 ),
             )
@@ -381,7 +382,7 @@ class TestRelaxationExperiments:
     @pytest.mark.parametrize("channel", ["1H", "31P"])
     def test_signal_contraction_matches_per_state_trace(self, gemini, channel):
         c = gemini.channel_index(channel)
-        pulse = _single_channel_pulse(gemini, channel, 0.0, 1 / (4 * 12.5e3), 12.5e3)
+        pulse = square_pulse(gemini, {c: 0.0}, 1 / (4 * 12.5e3), 12.5e3)
         programs = [PulseProgram(gemini, (pulse, Delay(t))) for t in T2_DELAYS]
         states = evolve_programs(thermal_state(gemini), programs, relaxation=True)
         sx, sy = gemini._operators.sx[c], gemini._operators.sy[c]

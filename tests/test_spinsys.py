@@ -175,6 +175,11 @@ class TestRfDrive:
         assert drive.shape == (rows, 4)
         for row, a, p in zip(drive, u.tolist(), phi.tolist()):
             assert row.tobytes() == rf_drive(gemini, tuple(a), tuple(p)).tobytes()
+        # the engine builds H_rf once per distinct event row: each must be a 1-D call's bits
+        h = rf_hamiltonian(gemini, u, phi)
+        assert h.shape == (rows, 4, 4)
+        for row, a, p in zip(h, u.tolist(), phi.tolist()):
+            assert row.tobytes() == rf_hamiltonian(gemini, tuple(a), tuple(p)).tobytes()
 
     @pytest.mark.parametrize("amps, phases", [
         ((1.0,), (0.0,)),
