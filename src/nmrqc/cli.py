@@ -119,11 +119,11 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ValidationError(f"bad numeric list {text!r}") from exc
+        raise ValidationError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 # Options that only some subcommands read; each subcommand accepts just those it reads.
@@ -151,6 +151,7 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
+    check_pulse_amplitude(args.pulse_amp_hz)  # on either path, though only "pulse" reads it
     cfg = _machine(args.machine)
     circuit = Circuit.from_json_dict(_load_json(args.circuit))
     relax = args.relaxation == "on"
@@ -175,6 +176,7 @@ def _cmd_simulate(args) -> list[Path]:
 
 
 def _cmd_tomography(args) -> list[Path]:
+    check_pulse_amplitude(args.pulse_amp_hz)
     cfg = _machine(args.machine)
     rho = DensityMatrix.from_json_dict(_load_json(args.state))
     recon, peak_tables = measurement.tomography_sweep(
@@ -218,7 +220,7 @@ def _cmd_grape(args) -> list[Path]:
             targets = tuple(int(t) for t in args.targets.split(",")) if args.targets else (1,)
         except ValueError as exc:
             raise ValidationError(f"bad --targets {args.targets!r}") from exc
-        params = tuple(_float_list(args.params)) if args.params else ()
+        params = tuple(_number_list(args.params)) if args.params else ()
         target = gate_matrix(control.Gate(args.gate, targets, params), cfg.n, cfg)
     else:
         raise ValidationError("grape needs --gate or --unitary")
@@ -257,7 +259,7 @@ def _cmd_experiment(args) -> list[Path]:
     if args.experiment == "rabi":
         amp = check_pulse_amplitude(args.amp_hz)  # before the default durations divide by it
         if args.durations:
-            durations = _float_list(args.durations)
+            durations = _number_list(args.durations)
         else:
             durations = list(np.linspace(0.0, 2.0 / amp, 17)[1:])
         scan, t90, t180 = experiments.rabi_calibration(cfg, channel, amp, durations)
@@ -277,7 +279,7 @@ def _cmd_experiment(args) -> list[Path]:
         ]
 
     mode = "T1" if args.experiment == "t1" else "T2"
-    delays = _float_list(args.delays) if args.delays else list(
+    delays = _number_list(args.delays) if args.delays else list(
         T1_DELAYS_S if mode == "T1" else T2_DELAYS_S
     )
     scan = experiments.relaxation_experiment(
@@ -324,13 +326,13 @@ def _cmd_algorithm(args) -> list[Path]:
     elif name == "bv":
         report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax).to_json_dict()
     elif name == "count":
-        ls = [int(v) for v in _float_list(args.l_values)]
+        ls = _number_list(args.l_values, int)
         report = algorithms.run_counting(args.case, ls, args.path, cfg, relax).to_json_dict()
     elif name == "bell":
         report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg,
                                          relax).to_json_dict()
     elif name == "qho":
-        omegas = _float_list(args.omega_t)
+        omegas = _number_list(args.omega_t)
         reports = algorithms.simulate_qho(args.initial, omegas, args.path, cfg, relax)
         report = {"algorithm": "qho", "path": args.path,
                   "points": [r.to_json_dict() for r in reports]}

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
 from .dynamics import PulseProgram, check_pulse_amplitude, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
@@ -407,6 +407,7 @@ def compile_circuit(
 
 GRAPE_RANDOM_AMP_HZ = 1000.0
 GRAPE_CONSTANT_AMP_HZ = 0.0
+GRAPE_RESTART_MIN_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -416,7 +417,8 @@ class GrapeConfig:
     segments * dt_s is the total pulse duration. `initial` picks the seed
     amplitudes: "random" draws uniformly from +-GRAPE_RANDOM_AMP_HZ,
     "constant" fills every segment with GRAPE_CONSTANT_AMP_HZ. max_iters caps
-    the accepted L-BFGS-B iterates.
+    the accepted L-BFGS iterates over all starts; each start has
+    `restart_iters` of them to reach the target.
     """
 
     segments: int
@@ -444,6 +446,10 @@ class GrapeConfig:
     def duration_s(self) -> float:
         return self.segments * self.dt_s
 
+    @property
+    def restart_iters(self) -> int:
+        return max(GRAPE_RESTART_MIN_ITERS, self.max_iters // 2)
+
 
 @dataclass
 class GrapeResult:
@@ -458,6 +464,7 @@ class GrapeResult:
     iterations: int
     stop_reason: str
     seed: int
+    restarts: int
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -475,6 +482,7 @@ class GrapeResult:
             "final_fidelity": self.final_fidelity,
             "seed": self.seed,
             "stop_reason": self.stop_reason,
+            "restarts": self.restarts,
             "segments": int(self.amplitudes_hz.shape[0]),
             "dt_s": self.dt_s,
             "channels": list(self.channels),
@@ -489,18 +497,21 @@ def grape_optimize(
 ) -> GrapeResult:
     """Quasi-Newton GRAPE search for piecewise-constant controls realizing `target`.
 
-    Minimizes 1 - F over all segment amplitudes with L-BFGS-B (de Fouquieres
-    et al., JMR 212, 412 (2011)), fed the exact fidelity gradient of
+    Minimizes 1 - F over all segment amplitudes with L-BFGS (`_lbfgs`, the
+    iteration of L-BFGS-B without bounds; de Fouquieres et al., JMR 212, 412
+    (2011)), fed the exact fidelity gradient of
     `_kernels.grape_fidelity_and_gradient`. The optimizer works on the
     amplitudes times the pulse duration, so a unit step is about one
-    rotation over the pulse rather than 1 Hz. Each accepted iterate appends
-    its fidelity to the trace, which is therefore nondecreasing. Stops with
-    reason "target_fidelity" once an iterate reaches the target,
-    "max_iters" after max_iters iterates, and "converged" when L-BFGS-B
-    finds no further progress.
+    rotation over the pulse rather than 1 Hz. A start that ends below the
+    target, after `gcfg.restart_iters` iterates or when L-BFGS converges,
+    gives way to a fresh random draw from the seed's generator (multi-start;
+    Machnes et al., PRA 84, 022305 (2011)); every iterate of every start
+    counts against max_iters. The result is the best iterate, and each
+    iterate appends the best fidelity so far to the trace, which is
+    therefore nondecreasing. Stops with reason "target_fidelity" once an
+    iterate reaches the target, "max_iters" after max_iters iterates, and
+    "converged" when a start takes no step (its gradient vanishes).
     """
-    from scipy.optimize import minimize
-
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
@@ -511,12 +522,10 @@ def grape_optimize(
     dt = float(gcfg.dt_s)
     scale = gcfg.duration_s
     target_dag = np.ascontiguousarray(target.conj().T)
-
     rng = np.random.default_rng(seed)
-    if gcfg.initial == "random":
-        u = rng.uniform(-GRAPE_RANDOM_AMP_HZ, GRAPE_RANDOM_AMP_HZ, size=(n_seg, m))
-    else:
-        u = np.full((n_seg, m), GRAPE_CONSTANT_AMP_HZ)
+
+    def draw() -> np.ndarray:
+        return rng.uniform(-GRAPE_RANDOM_AMP_HZ, GRAPE_RANDOM_AMP_HZ, size=n_seg * m) * scale
 
     def hamiltonians(amps: np.ndarray) -> np.ndarray:
         return h0 + np.tensordot(amps, controls, axes=(1, 0))
@@ -527,24 +536,26 @@ def grape_optimize(
         )
         return 1.0 - fid, -grad.ravel() / scale
 
-    x0 = u.ravel() * scale
-    start = infidelity_and_gradient(x0)
-    trace = [1.0 - start[0]]
+    def running() -> bool:
+        return trace[-1] < gcfg.target_fidelity and len(trace) <= gcfg.max_iters
 
-    def objective(x: np.ndarray):
-        # L-BFGS-B opens with an evaluation at x0, already done above
-        return start if np.array_equal(x, x0) else infidelity_and_gradient(x)
-
-    def record(intermediate_result):
-        nonlocal u
-        u = intermediate_result.x.reshape(n_seg, m) / scale
-        trace.append(1.0 - float(intermediate_result.fun))
-        if trace[-1] >= gcfg.target_fidelity:
-            raise StopIteration
-
-    if trace[0] < gcfg.target_fidelity and gcfg.max_iters > 0:
-        minimize(objective, x0, jac=True, method="L-BFGS-B", callback=record,
-                 options={"maxiter": gcfg.max_iters})
+    x = draw() if gcfg.initial == "random" else np.full(n_seg * m, GRAPE_CONSTANT_AMP_HZ * scale)
+    f, g = infidelity_and_gradient(x)
+    trace, best, restarts = [1.0 - f], x, 0
+    while running():
+        k = 0
+        for k, (x, f, g) in enumerate(_lbfgs.iterates(infidelity_and_gradient, x, f, g), 1):
+            if 1.0 - f > trace[-1]:
+                best = x
+            trace.append(max(trace[-1], 1.0 - f))
+            if not running() or k == gcfg.restart_iters:
+                break
+        if k == 0:
+            break  # a start with a vanishing gradient
+        if running():
+            restarts += 1
+            x = draw()
+            f, g = infidelity_and_gradient(x)
     iterations = len(trace) - 1
     if trace[-1] >= gcfg.target_fidelity:
         stop_reason = "target_fidelity"
@@ -553,6 +564,7 @@ def grape_optimize(
     else:
         stop_reason = "converged"
 
+    u = best.reshape(n_seg, m) / scale
     final_u = _kernels.unitary_chain(_kernels.segment_propagators(hamiltonians(u), dt))
     return GrapeResult(
         amplitudes_hz=u,
@@ -564,4 +576,5 @@ def grape_optimize(
         iterations=iterations,
         stop_reason=stop_reason,
         seed=seed,
+        restarts=restarts,
     )

@@ -332,9 +332,17 @@ class TestNonFiniteInputs:
         (["experiment", "t1", "--amp-hz", "0"], "pulse amplitude must be > 0"),
         (["experiment", "rabi", "--amp-hz", "-12500", "--durations",
           "1e-5,2e-5,3e-5,4e-5,5e-5,6e-5,7e-5,8e-5"], "pulse amplitude must be > 0"),
+        # checked on the ideal path too, which does not read it
+        (["simulate", "--pulse-amp-hz", "-5", "--circuit", "{circuit}"],
+         "pulse amplitude must be > 0"),
+        (["tomography", "--pulse-amp-hz", "-5", "--state", "{state}"],
+         "pulse amplitude must be > 0"),
+        # repetition counts are integers, not floats cut short
+        (["algorithm", "count", "--l-values", "1.5,2"], "bad int list '1.5,2'"),
     ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "t2_spread_5e307", "rabi_amp",
             "rabi_amp_1e308", "rabi_duration", "t1_delay", "pulse_amp", "pulse_amp_1e308",
-            "tomography_amp_0", "rabi_amp_0", "t1_amp_0", "rabi_amp_negative"])
+            "tomography_amp_0", "rabi_amp_0", "t1_amp_0", "rabi_amp_negative",
+            "simulate_ideal_amp_negative", "tomography_ideal_amp_negative", "count_l_fraction"])
     def test_pulse_argument(self, tmp_path, capsys, argv, match):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
         state = write_json(tmp_path / "rho.json", DensityMatrix.basis(2, 0).to_json_dict())
@@ -567,8 +575,7 @@ class TestReadmeRequests:
 
 
 class TestStartup:
-    """`import nmrqc` and the scan experiments run on numpy alone; scipy.optimize
-    is imported only by the commands that need it."""
+    """`import nmrqc`, the scan experiments and GRAPE run on numpy alone."""
 
     def run(self, tmp_path, argv, module):
         script = (
@@ -593,10 +600,10 @@ class TestStartup:
                 ["algorithm", "count", "--case", "M2", "--l-values", "1,2,3"]]
         assert self.run(tmp_path, argv, "scipy") == "False"
 
-    def test_grape_imports_scipy_optimize_on_demand(self, tmp_path):
+    def test_grape_never_imports_scipy(self, tmp_path):
         argv = [["grape", "--gate", "X90", "--segments", "5", "--duration-s", "1e-4",
                  "--max-iters", "2", "--seed", "1"]]
-        assert self.run(tmp_path, argv, "scipy.optimize") == "True"
+        assert self.run(tmp_path, argv, "scipy") == "False"
 
 
 FUZZ_DOCS = {

@@ -125,6 +125,7 @@ class TestOptimizer:
         assert result.amplitudes_hz.shape == (12, 4)
         meta = result.metadata_dict()
         assert meta["seed"] == 3
+        assert meta["restarts"] == result.restarts == 0
         assert meta["segments"] == 12
         csv = result.csv_text()
         assert csv.splitlines()[0] == "segment_index,channel,u_x_hz,u_y_hz"
@@ -164,3 +165,71 @@ class TestOptimizer:
             GrapeConfig(segments=10, dt_s=1e-5, max_iters=-1)
         with pytest.raises(ValidationError):
             grape_optimize(np.eye(8), cfg, GrapeConfig(segments=4, dt_s=1e-5), seed=0)
+
+
+def triangulum_x90(triangulum, seed, max_iters=100):
+    # perfbench's triangulum solve: X90 on qubit 1, 20 segments over 1 ms, F >= 0.9
+    gcfg = GrapeConfig(segments=20, dt_s=1e-3 / 20, max_iters=max_iters, target_fidelity=0.9)
+    return grape_optimize(gate_matrix(Gate("X90", (1,)), 3), triangulum, gcfg, seed=seed)
+
+
+# Starts from which one L-BFGS run climbs slowly and ends at F = 0.74-0.80 after 100 iterates
+TRAP_SEEDS = (2056662040, 711811843)
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("seed", TRAP_SEEDS)
+    def test_trapped_start_restarts_and_reaches_target(self, triangulum, seed):
+        result = triangulum_x90(triangulum, seed)
+        assert result.stop_reason == "target_fidelity"
+        assert result.final_fidelity >= 0.9
+        assert result.iterations <= 100
+        assert result.restarts == 1
+        assert result.metadata_dict()["restarts"] == 1
+        trace = result.fidelity_trace
+        assert np.all(np.diff(trace) >= 0)
+        # the first start's best stands until the second start passes it
+        assert trace[51] == trace[50] < 0.9
+        assert abs(result.final_fidelity - trace[-1]) <= 1e-12
+
+    def test_iterations_of_every_start_count_against_max_iters(self, triangulum):
+        # 50 iterates in the first start, 5 in the second, which stays below the first's best
+        result = triangulum_x90(triangulum, TRAP_SEEDS[0], max_iters=55)
+        assert (result.stop_reason, result.iterations, result.restarts) == ("max_iters", 55, 1)
+        trace = result.fidelity_trace
+        assert len(trace) == 56 and trace[-1] == trace[50]
+        assert abs(result.final_fidelity - trace[-1]) <= 1e-12
+
+    def test_converged_start_restarts(self, gemini):
+        # perfbench's gemini H solve from this start converges at F = 0.147 after 148 iterates
+        gcfg = GrapeConfig(segments=16, dt_s=4e-4 / 16, max_iters=400, target_fidelity=0.9)
+        result = grape_optimize(gate_matrix(Gate("H", (1,)), 2), gemini, gcfg, seed=1269762018)
+        assert (result.stop_reason, result.restarts) == ("target_fidelity", 1)
+        assert result.fidelity_trace[148] < 0.15 and result.final_fidelity >= 0.9
+
+    def test_stationary_start_stops_converged(self):
+        # H0 = 0 and no drive leave U = I: F = |Tr(Z (x) I)|^2 / 16 = 0, with zero gradient
+        cfg = make_weak_config([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+        gcfg = GrapeConfig(segments=4, dt_s=1e-5, max_iters=50, initial="constant")
+        result = grape_optimize(gate_matrix(Gate("Z", (1,)), 2), cfg, gcfg, seed=0)
+        assert (result.stop_reason, result.iterations, result.restarts) == ("converged", 0, 0)
+
+    def test_restart_is_reproducible(self, triangulum):
+        r1 = triangulum_x90(triangulum, TRAP_SEEDS[1])
+        r2 = triangulum_x90(triangulum, TRAP_SEEDS[1])
+        assert r1.restarts == r2.restarts == 1
+        assert np.array_equal(r1.amplitudes_hz, r2.amplitudes_hz)
+        assert np.array_equal(r1.fidelity_trace, r2.fidelity_trace)
+
+    def test_restart_budget(self):
+        assert GrapeConfig(segments=4, dt_s=1e-5, max_iters=100).restart_iters == 50
+        assert GrapeConfig(segments=4, dt_s=1e-5, max_iters=40).restart_iters == 50
+        assert GrapeConfig(segments=4, dt_s=1e-5, max_iters=1000).restart_iters == 500
+
+    def test_readme_request_needs_no_restart(self, triangulum):
+        # c09b, the README `grape` request: 41 iterates from one start
+        gcfg = GrapeConfig(segments=100, dt_s=1.5e-3 / 100, max_iters=1000,
+                           target_fidelity=0.995)
+        result = grape_optimize(gate_matrix(Gate("X90", (1,)), 3), triangulum, gcfg, seed=1)
+        assert (result.iterations, result.restarts) == (41, 0)
+        assert result.final_fidelity >= 0.995
