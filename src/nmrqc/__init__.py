@@ -17,7 +17,6 @@ from .algorithms import (
     run_counting,
     run_deutsch,
     run_grover4,
-    sample_shots,
     simulate_qho,
 )
 from .control import (
@@ -27,7 +26,6 @@ from .control import (
     GrapeResult,
     circuit_unitary,
     compile_circuit,
-    decompose_single_qubit,
     gate_fidelity,
     gate_matrix,
     grape_optimize,
@@ -37,8 +35,6 @@ from .dynamics import (
     Delay,
     PulseProgram,
     RfSegment,
-    apply_crusher,
-    apply_relaxation,
     evolve_program,
     evolve_programs,
     program_unitary,
@@ -63,10 +59,8 @@ from .measurement import (
     FIDSignal,
     Peak,
     Spectrum,
-    readout_pauli_coefficients,
     readout_peak_table,
     spectrum_of,
-    spectrum_peaks,
     synthesize_fid,
     tomography,
     tomography_sweep,

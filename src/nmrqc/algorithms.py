@@ -4,8 +4,7 @@ DQC1 trace estimation, and CNOT truth tables.
 
 Each runner builds a Circuit, executes it on the ideal-unitary or
 compiled-pulse path starting from pseudo-pure |0...0> (treated as the pure
-state), and reports exact ensemble probabilities; a seeded shot-sampling
-wrapper is available for pedagogy.
+state), and reports exact ensemble probabilities.
 """
 
 from __future__ import annotations
@@ -69,16 +68,6 @@ class AlgorithmReport:
             "derived": self.derived,
             "fidelity": self.fidelity,
         }
-
-
-def sample_shots(probabilities: dict[str, float], shots: int, seed: int = 0) -> dict[str, int]:
-    """Simulated projective-measurement counts from exact probabilities."""
-    labels = sorted(probabilities)
-    p = np.asarray([probabilities[k] for k in labels], dtype=float)
-    p = np.clip(p, 0.0, None)
-    p /= p.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, p)
-    return {k: int(c) for k, c in zip(labels, counts)}
 
 
 def _default_config(n: int, config: Optional[SpinSystemConfig]) -> SpinSystemConfig:
@@ -221,6 +210,7 @@ def run_bernstein_vazirani(
 
 
 COUNTING_CASES = ("M0", "M1_first", "M1_second", "M2")
+MAX_COUNTING_L = 1000  # each l builds l controlled-Grover steps: time and memory grow with it
 
 
 def _counting_circuit(case: str, l: int) -> Circuit:
@@ -278,8 +268,8 @@ def run_counting(
     if case not in COUNTING_CASES:
         raise ValidationError(f"case must be one of {COUNTING_CASES}")
     ls = [int(l) for l in l_values]
-    if not ls or any(l < 1 for l in ls):
-        raise ValidationError("l_values must be positive integers")
+    if not ls or any(not 1 <= l <= MAX_COUNTING_L for l in ls):
+        raise ValidationError(f"l_values must be integers from 1 to {MAX_COUNTING_L}")
     cfg = _default_config(2, config)
     sigma_z_curve = []
     control_diags = []
@@ -370,12 +360,9 @@ QHO_INITIALS = ("n0", "n0_plus_n3", "uniform4")
 
 
 def _qho_target_unitary(omega_t: float) -> np.ndarray:
-    # oscillator evolution mapped onto the two-spin register (global phase dropped)
-    z1 = tensor(SIGMA_Z, np.eye(2))
-    z2 = tensor(np.eye(2), SIGMA_Z)
-    gen = z2 @ (np.eye(4) + 0.5 * z1)
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(1j * omega_t * w)) @ v.conj().T
+    # oscillator evolution mapped onto the two-spin register (global phase dropped): the
+    # generator z2 (1 + z1 / 2) is diagonal
+    return np.diag(np.exp(1j * omega_t * np.array([1.5, -1.5, 0.5, -0.5])))
 
 
 def simulate_qho(

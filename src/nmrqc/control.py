@@ -252,21 +252,12 @@ def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np
     return u
 
 
-def decompose_single_qubit(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles (alpha, a, b, c) with u = e^{i alpha} Rz(a) Rx(b) Rz(c) and 0 <= b <= pi.
+def _zxz(u: np.ndarray) -> tuple[float, float, float, float]:
+    """Angles (alpha, a, b, c) of a 2x2 unitary u = e^{i alpha} Rz(a) Rx(b) Rz(c) and 0 <= b <= pi.
 
     The pulse compiler plays Rx(b) as one pulse and carries Rz(a) and Rz(c)
     in its z frames. At b = 0 only a + c is fixed, at b = pi only a - c.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValidationError("expected a 2x2 matrix")
-    if not is_unitary(u):
-        raise ValidationError("matrix is not unitary")
-    return _zxz(u)
-
-
-def _zxz(u: np.ndarray) -> tuple[float, float, float, float]:
     (u00, u01), (u10, u11) = u.tolist()
     alpha = cmath.phase(u00 * u11 - u01 * u10) / 2
     # w = e^{-i alpha} u is in SU(2): w11 = e^{i(a+c)/2} cos(b/2), w10 = -i e^{i(a-c)/2} sin(b/2)

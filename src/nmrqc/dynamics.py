@@ -52,9 +52,9 @@ class RfSegment:
 
 
 def check_pulse_amplitude(amp_hz: float) -> float:
-    """A pulse amplitude, Hz, as a float if > 0 (nan is left to `RfSegment`'s finite check)."""
-    if amp_hz <= 0:
-        raise ValidationError("pulse amplitude must be > 0")
+    """A pulse amplitude, Hz, as a float if in (0, inf); nan fails too."""
+    if not 0 < amp_hz < np.inf:
+        raise ValidationError("pulse amplitude must be > 0 and finite")
     return float(amp_hz)
 
 
@@ -152,16 +152,12 @@ def _crush(ms: np.ndarray) -> np.ndarray:
     return np.where(np.eye(ms.shape[-1], dtype=bool), ms, 0)
 
 
-def apply_crusher(rho: DensityMatrix) -> DensityMatrix:
-    """Zero all off-diagonal elements in the computational basis."""
-    return DensityMatrix(_crush(rho.matrix), validate=False)
-
-
 def _relaxation_factors(dt: np.ndarray, machines: Sequence[SpinSystemConfig],
                         which: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-spin factors (keep, take) of the relaxation map over durations dt (..., B), the
     b-th on machines[which[b]]: per spin, generalized amplitude damping toward
-    diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1 and coherence decay by exp(-dt/T2). Each is
+    diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1 and coherence decay by exp(-dt/T2), which
+    is completely positive for T2 <= 2*T1 (`NucleusSpec` enforces it). Each is
     (..., B, n, 2, 2) over spin k's (row, column) bits, shaped (..., B, n, 1, 2, 1, 1, 2, 1)
     to broadcast against the (B, 2^k, 2, 2^(n-1-k), 2^k, 2, 2^(n-1-k)) view of a stack."""
     spins = np.array([[(nuc.t1_s, nuc.t2_s, nuc.polarization) for nuc in cfg.nuclei]
@@ -183,19 +179,6 @@ def _relaxation_map(ms: np.ndarray, keep: np.ndarray, take: np.ndarray) -> np.nd
         v = ms.reshape(b, lo, 2, hi, lo, 2, hi)
         ms = keep[:, k] * v + take[:, k] * v[:, :, ::-1, :, :, ::-1]
     return ms.reshape(b, d, d)
-
-
-def apply_relaxation(rho: DensityMatrix, dt: float, config: SpinSystemConfig) -> DensityMatrix:
-    """T1/T2 channel over dt: per spin, generalized amplitude damping toward (1 +- eps)/2
-    and coherence decay by exp(-dt/T2), applied spin by spin as the channels' tensor
-    product. Completely positive for T2 <= 2*T1 (`NucleusSpec` enforces it); its fixed
-    point, the product thermal state, is `thermal_state` + O(eps^2)."""
-    if not dt >= 0:  # nan fails too
-        raise ValidationError("dt must be >= 0")
-    if rho.n != config.n:
-        raise ValidationError(f"state has {rho.n} qubits, config has {config.n}")
-    keep, take = _relaxation_factors(np.array([float(dt)]), [config], [0])
-    return DensityMatrix(_relaxation_map(rho.matrix[np.newaxis], keep, take)[0], validate=False)
 
 
 def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],

@@ -53,12 +53,6 @@ class FIDSignal:
     def times_s(self) -> np.ndarray:
         return np.arange(self.samples.size) * self.dt_s
 
-    def csv_text(self) -> str:
-        lines = ["t_s,re,im"]
-        for t, s in zip(self.times_s, self.samples):
-            lines.append(f"{t:.12g},{s.real:.12g},{s.imag:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -68,16 +62,10 @@ class Spectrum:
     frequencies_hz: np.ndarray
     amplitudes: np.ndarray
 
-    def csv_text(self) -> str:
-        lines = ["freq_hz,re,im,magnitude"]
-        for f, a in zip(self.frequencies_hz, self.amplitudes):
-            lines.append(f"{f:.12g},{a.real:.12g},{a.imag:.12g},{abs(a):.12g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class Peak:
-    """One spectral line: frequency plus complex amplitude in tone units
+    """One spectral line: frequency plus complex amplitude
     (real part = x phase, imaginary part = y phase)."""
 
     frequency_hz: float
@@ -103,6 +91,8 @@ def synthesize_fid(
     """
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+    if not (np.isfinite(duration_s) and 0 < dt_s < np.inf):
+        raise ValidationError("FID duration and dt must be finite, and dt > 0")
     n_samples = int(round(duration_s / dt_s))
     if n_samples < 2:
         raise ValidationError("duration/dt must give at least 2 samples")
@@ -133,32 +123,6 @@ def spectrum_of(fid: FIDSignal) -> Spectrum:
     amps = np.fft.fftshift(np.fft.fft(fid.samples)) / np.sqrt(n)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, fid.dt_s))
     return Spectrum(channel=fid.channel, frequencies_hz=freqs, amplitudes=amps)
-
-
-def spectrum_peaks(fid: FIDSignal, threshold: float = 0.05) -> list[Peak]:
-    """Local maxima of the spectrum magnitude above threshold * max.
-
-    Peak amplitudes are rescaled to tone units: a unit-amplitude on-bin
-    undamped complex exponential reports amplitude 1.
-    """
-    spec = spectrum_of(fid)
-    mag = np.abs(spec.amplitudes)
-    top = float(np.max(mag))
-    if top <= 0.0:
-        return []
-    n = fid.samples.size
-    peaks = []
-    for i in range(mag.size):
-        left = mag[i - 1] if i > 0 else -np.inf
-        right = mag[i + 1] if i < mag.size - 1 else -np.inf
-        if mag[i] >= threshold * top and mag[i] > left and mag[i] >= right:
-            peaks.append(
-                Peak(
-                    frequency_hz=float(spec.frequencies_hz[i]),
-                    amplitude=complex(spec.amplitudes[i] / np.sqrt(n)),
-                )
-            )
-    return peaks
 
 
 @functools.lru_cache(maxsize=3)
@@ -233,19 +197,6 @@ def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str
     """
     lines = _readout_lines(rho, config)
     return _peak_table(_readings(rho.matrix), lines)
-
-
-def readout_pauli_coefficients(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, float]:
-    """All Pauli coefficients with exactly one x/y factor, from spectra: the
-    identity setting's rows of the tomography map, on the strings they see.
-    The real parts of qubit k's lines give its sigma_x^k (x) z-pattern
-    coefficients, the imaginary parts the sigma_y^k ones."""
-    _readout_lines(rho, config)
-    labels = all_pauli_strings(config.n)[1:]
-    keep = [i for i, s in enumerate(labels) if sum(c in "XY" for c in s) == 1]
-    identity = _readout_map(np.eye(2**config.n)[None])[..., keep]
-    coeffs = (_inverse(identity) @ _readings(rho.matrix)).real
-    return {labels[i]: float(c) for i, c in zip(keep, coeffs)}
 
 
 _SETTINGS = ("I", "X90", "Y90")

@@ -162,10 +162,6 @@ class DensityMatrix:
         return cls(m, validate=False)
 
     @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        return cls(np.eye(2**n, dtype=complex) / 2**n, validate=False)
-
-    @classmethod
     def from_ket(cls, ket: Union[Ket, np.ndarray]) -> "DensityMatrix":
         amps = ket.amplitudes if isinstance(ket, Ket) else np.asarray(ket, dtype=complex).reshape(-1)
         return cls(np.outer(amps, amps.conj()))
@@ -181,9 +177,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def is_pure(self) -> bool:
-        return abs(self.purity() - 1.0) <= PURITY_TOL
 
     def expectation(self, op: np.ndarray) -> complex:
         """Tr(rho op); its real part is <op> for a Hermitian op."""

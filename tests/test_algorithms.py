@@ -3,6 +3,7 @@ import pytest
 
 from conftest import make_weak_config, random_unitary
 from nmrqc.algorithms import (
+    MAX_COUNTING_L,
     _fit_cos_frequency,
     bell_ket,
     cnot_truth_table,
@@ -12,7 +13,6 @@ from nmrqc.algorithms import (
     run_counting,
     run_deutsch,
     run_grover4,
-    sample_shots,
     simulate_qho,
 )
 from nmrqc.control import circuit_unitary
@@ -150,8 +150,14 @@ class TestCounting:
         assert report.derived["sigma_z"] == pytest.approx([0, -1, 0, 1], abs=1e-9)
 
     def test_bad_l_values(self):
-        with pytest.raises(ValidationError):
-            run_counting("M0", [])
+        for ls in ([], [0], [MAX_COUNTING_L + 1]):
+            with pytest.raises(ValidationError):
+                run_counting("M0", ls)
+
+    def test_largest_l_accepted(self):
+        report = run_counting("M2", [MAX_COUNTING_L])
+        assert report.derived["sigma_z"] == pytest.approx([np.cos(MAX_COUNTING_L * np.pi)],
+                                                          abs=1e-9)
 
     @pytest.mark.parametrize("theta0, shrink", [
         (0.0, 1e-9), (np.pi, 1e-9), (np.pi, 0.0), (0.7, 1e-9), (2.9, 0.0), (np.pi - 2e-5, 1e-12),
@@ -283,15 +289,6 @@ class TestCnotTable:
         for bits, out in expected.items():
             assert rows[bits]["output"] == out
             assert rows[bits]["probability"] >= 1 - 1e-9
-
-
-class TestShotSampling:
-    def test_deterministic_and_total(self):
-        probs = {"00": 0.5, "01": 0.25, "10": 0.25, "11": 0.0}
-        counts = sample_shots(probs, 1000, seed=9)
-        assert counts == sample_shots(probs, 1000, seed=9)
-        assert sum(counts.values()) == 1000
-        assert counts["11"] == 0
 
 
 class TestPulsePath:

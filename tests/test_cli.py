@@ -337,12 +337,22 @@ class TestNonFiniteInputs:
          "pulse amplitude must be > 0"),
         (["tomography", "--pulse-amp-hz", "-5", "--state", "{state}"],
          "pulse amplitude must be > 0"),
-        # repetition counts are integers, not floats cut short
+        (["simulate", "--pulse-amp-hz", "nan", "--circuit", "{circuit}"],
+         "pulse amplitude must be > 0 and finite"),
+        (["simulate", "--pulse-amp-hz", "inf", "--circuit", "{circuit}"],
+         "pulse amplitude must be > 0 and finite"),
+        (["tomography", "--pulse-amp-hz", "inf", "--state", "{state}"],
+         "pulse amplitude must be > 0 and finite"),
+        # repetition counts are integers, not floats cut short, and each builds l steps
         (["algorithm", "count", "--l-values", "1.5,2"], "bad int list '1.5,2'"),
+        (["algorithm", "count", "--l-values", "1000000000"],
+         "l_values must be integers from 1 to 1000"),
     ], ids=["t2_spread", "t2_spread_inf", "t2_spread_1e308", "t2_spread_5e307", "rabi_amp",
             "rabi_amp_1e308", "rabi_duration", "t1_delay", "pulse_amp", "pulse_amp_1e308",
             "tomography_amp_0", "rabi_amp_0", "t1_amp_0", "rabi_amp_negative",
-            "simulate_ideal_amp_negative", "tomography_ideal_amp_negative", "count_l_fraction"])
+            "simulate_ideal_amp_negative", "tomography_ideal_amp_negative",
+            "simulate_ideal_amp_nan", "simulate_ideal_amp_inf", "tomography_ideal_amp_inf",
+            "count_l_fraction", "count_l_huge"])
     def test_pulse_argument(self, tmp_path, capsys, argv, match):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
         state = write_json(tmp_path / "rho.json", DensityMatrix.basis(2, 0).to_json_dict())

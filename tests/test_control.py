@@ -27,9 +27,9 @@ from nmrqc.control import (
     Z,
     _GATES,
     _embed_matrix,
+    _zxz,
     circuit_unitary,
     compile_circuit,
-    decompose_single_qubit,
     gate_fidelity,
     gate_matrix,
 )
@@ -193,24 +193,25 @@ class TestDecomposeSingleQubit:
         return np.exp(1j * alpha) * rot(SIGMA_Z, a) @ rot(SIGMA_X, b) @ rot(SIGMA_Z, c)
 
     def test_pure_x_rotation(self):
-        angles = decompose_single_qubit(rot(SIGMA_X, 0.8))
+        angles = _zxz(rot(SIGMA_X, 0.8))
         assert np.max(np.abs(self.reconstruct(angles) - rot(SIGMA_X, 0.8))) < 1e-9
 
     def test_hadamard(self):
         h = gate_matrix(H(1), 1)
-        angles = decompose_single_qubit(h)
+        angles = _zxz(h)
         assert np.max(np.abs(self.reconstruct(angles) - h)) < 1e-9
 
     def test_random_roundtrip(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             u = random_unitary(rng, 2)
-            angles = decompose_single_qubit(u)
+            angles = _zxz(u)
             assert np.max(np.abs(self.reconstruct(angles) - u)) < 1e-9
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(ValidationError):
-            decompose_single_qubit(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        # a matrix reaches `_zxz` only as a gate, which checks it
+        with pytest.raises(ValidationError, match="not unitary"):
+            Gate("U", (1,), (), np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
 class TestGateFidelity:

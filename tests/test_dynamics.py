@@ -15,8 +15,8 @@ from nmrqc.dynamics import (
     PulseProgram,
     RfSegment,
     _evolve_stack,
-    apply_crusher,
-    apply_relaxation,
+    _relaxation_factors,
+    _relaxation_map,
     evolve_program,
     evolve_programs,
     program_unitary,
@@ -45,6 +45,18 @@ WEAK3 = make_weak_config(
 
 def single_spin(offset=0.0, t1=4.0, t2=0.2, eps=1e-5):
     return make_weak_config([offset], [[0.0]], t1=t1, t2=t2, polarization=eps)
+
+
+def relaxed(rho, dt, cfg):
+    """The relaxation map alone: a Delay(dt) with relaxation on cfg with its offsets and J
+    set to 0, where the delay's propagator is exactly the identity."""
+    still = replace(cfg, nuclei=tuple(replace(nuc, offset_hz=0.0) for nuc in cfg.nuclei),
+                    j_hz=np.zeros_like(cfg.j_hz))
+    return evolve_program(rho, PulseProgram(still, (Delay(dt),)), relaxation=True)
+
+
+def crushed(rho, cfg):
+    return evolve_program(rho, PulseProgram(cfg, (Crusher(),)))
 
 
 class TestSegmentPropagator:
@@ -212,19 +224,20 @@ class TestEvolveProgram:
                                         float(rng.uniform(0, 1e-4))))
         rho0 = random_density_matrix(rng, cfg.n)
         h0 = internal_hamiltonian(cfg)
-        expected = rho0
+        expected = rho0.matrix
         for ev in events:
             if isinstance(ev, Crusher):
-                expected = apply_crusher(expected)
+                expected = np.diag(np.diag(expected))
                 continue
             h = h0
             if isinstance(ev, RfSegment):
                 h = h0 + rf_hamiltonian(cfg, ev.amplitudes_hz, ev.phases_rad)
-            expected = expected.evolved(segment_propagator(h, ev.duration_s))
+            u = segment_propagator(h, ev.duration_s)
+            expected = u @ expected @ u.conj().T
             if relaxation:
-                expected = apply_relaxation(expected, ev.duration_s, cfg)
+                expected = kraus_relaxation(expected, ev.duration_s, cfg)
         rho = evolve_program(rho0, PulseProgram(cfg, tuple(events)), relaxation)
-        assert np.max(np.abs(rho.matrix - expected.matrix)) <= 1e-12
+        assert np.max(np.abs(rho.matrix - expected)) <= 1e-12
 
     def test_evolve_program_propagates_in_one_call(self, gemini, monkeypatch):
         stacks = []
@@ -273,18 +286,18 @@ class TestEvolveProgram:
 class TestCrusher:
     def test_full_dephasing_of_plus(self):
         plus = DensityMatrix.from_ket(np.array([1, 1], dtype=complex) / np.sqrt(2))
-        assert np.max(np.abs(apply_crusher(plus).matrix - np.eye(2) / 2)) < 1e-15
+        assert np.max(np.abs(crushed(plus, single_spin()).matrix - np.eye(2) / 2)) < 1e-15
 
-    def test_diagonal_states_unchanged_and_idempotent(self):
+    def test_diagonal_states_unchanged_and_idempotent(self, gemini):
         rng = np.random.default_rng(24)
         rho = random_density_matrix(rng, 2)
-        once = apply_crusher(rho)
-        twice = apply_crusher(once)
+        once = crushed(rho, gemini)
+        twice = crushed(once, gemini)
         assert np.max(np.abs(once.matrix - np.diag(np.diag(rho.matrix)))) == 0.0
         assert np.max(np.abs(twice.matrix - once.matrix)) == 0.0
         assert np.trace(once.matrix) == pytest.approx(1.0)
 
-    def test_deviation_example(self):
+    def test_deviation_example(self, gemini):
         # sz1 + sz2/2 - sqrt(3)/2 sy2 loses only its transverse part
         dev = (
             tensor(SIGMA_Z, np.eye(2))
@@ -292,7 +305,7 @@ class TestCrusher:
             - (np.sqrt(3) / 2) * tensor(np.eye(2), SIGMA_Y)
         )
         rho = DensityMatrix(np.eye(4) / 4 + dev / 40)
-        out = apply_crusher(rho)
+        out = crushed(rho, gemini)
         expected_dev = tensor(SIGMA_Z, np.eye(2)) + 0.5 * tensor(np.eye(2), SIGMA_Z)
         assert np.max(np.abs(out.matrix - (np.eye(4) / 4 + expected_dev / 40))) < 1e-12
 
@@ -301,7 +314,7 @@ class TestRelaxation:
     def test_transverse_decay_rate(self):
         cfg = single_spin(eps=0.0, t2=0.37)
         rho = pauli_reconstruct({"I": 1.0, "X": 1.0})
-        out = apply_relaxation(rho, 0.37, cfg)
+        out = relaxed(rho, 0.37, cfg)
         assert pauli_expand(out)["X"] == pytest.approx(np.exp(-1.0), rel=1e-10)
 
     def test_inversion_recovery_curve(self):
@@ -309,26 +322,26 @@ class TestRelaxation:
         cfg = single_spin(eps=eps, t1=2.0)
         inverted = pauli_reconstruct({"I": 1.0, "Z": -eps})
         for dt in (0.1, 1.0, 5.0):
-            out = apply_relaxation(inverted, dt, cfg)
+            out = relaxed(inverted, dt, cfg)
             expected = eps * (1 - 2 * np.exp(-dt / 2.0))
             assert pauli_expand(out)["Z"] == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("dt", [-1e-3, float("nan")])
     def test_bad_duration_rejected(self, gemini, dt):
-        with pytest.raises(ValidationError, match="dt must be >= 0"):
-            apply_relaxation(thermal_state(gemini), dt, gemini)
+        with pytest.raises(ValidationError, match="delay duration must be finite and >= 0"):
+            relaxed(thermal_state(gemini), dt, gemini)
 
     def test_identity_at_zero_duration(self, gemini):
         rng = np.random.default_rng(25)
         rho = random_density_matrix(rng, 2)
-        out = apply_relaxation(rho, 0.0, gemini)
+        out = relaxed(rho, 0.0, gemini)
         assert np.max(np.abs(out.matrix - rho.matrix)) == 0.0
 
     def test_trace_and_hermiticity_preserved(self, gemini):
         rng = np.random.default_rng(26)
         for _ in range(20):
             rho = random_density_matrix(rng, 2)
-            out = apply_relaxation(rho, 0.05, gemini)
+            out = relaxed(rho, 0.05, gemini)
             assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-14)
             assert abs(np.trace(out.matrix).imag) < 1e-14
             assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-12
@@ -336,31 +349,31 @@ class TestRelaxation:
     def test_fixed_point_is_thermal(self, gemini):
         rng = np.random.default_rng(27)
         rho = random_density_matrix(rng, 2)
-        out = apply_relaxation(rho, 50 * 6.0, gemini)  # 50x the longest T1
+        out = relaxed(rho, 50 * 6.0, gemini)  # 50x the longest T1
         assert np.max(np.abs(out.matrix - thermal_state(gemini).matrix)) < 1e-9
 
     def test_positivity_on_random_states(self, gemini):
         rng = np.random.default_rng(28)
         for _ in range(200):
             rho = random_density_matrix(rng, 2)
-            out = apply_relaxation(rho, float(rng.uniform(0, 1.0)), gemini)
+            out = relaxed(rho, float(rng.uniform(0, 1.0)), gemini)
             assert np.min(np.linalg.eigvalsh(out.matrix)) > -1e-9
 
     def test_multi_spin_z_products_damp_by_product(self, gemini):
         rho = pauli_reconstruct({"II": 1.0, "ZZ": 0.5})
         dt = 0.11
-        out = apply_relaxation(rho, dt, gemini)
+        out = relaxed(rho, dt, gemini)
         expected = 0.5 * np.exp(-dt / 4.0) * np.exp(-dt / 6.0)
         zz = pauli_expand(out)["ZZ"]
         # relaxing toward the thermal populations adds only eps^2 (1 - e1)(1 - e1') ~ 5e-14
         assert zz == pytest.approx(expected, abs=1e-12)
 
 
-def kraus_relaxation(rho, dt, config):
-    """`apply_relaxation` from its definition: on each spin in turn, the Kraus
-    operators of generalized amplitude damping (Nielsen & Chuang 8.3.5) and then
+def kraus_relaxation(m, dt, config):
+    """The relaxation map on a matrix m from its definition: on each spin in turn, the
+    Kraus operators of generalized amplitude damping (Nielsen & Chuang 8.3.5) and then
     of phase damping, embedded with np.kron."""
-    n, m = config.n, rho.matrix
+    n = config.n
     for k, nuc in enumerate(config.nuclei):
         p = (1.0 + nuc.polarization) / 2  # fixed-point population of |0>
         e1 = np.exp(-dt / nuc.t1_s)
@@ -398,20 +411,19 @@ class TestBatchedRelaxation:
     @given(cfg=relaxing_machines(max_spins=5), dt=DURATIONS, seed=st.integers(0, 2**32 - 1))
     def test_matches_kraus_reference(self, cfg, dt, seed):
         rho = random_density_matrix(np.random.default_rng(seed), cfg.n)
-        out = apply_relaxation(rho, dt, cfg)
-        assert np.max(np.abs(out.matrix - kraus_relaxation(rho, dt, cfg))) <= 1e-14
+        out = relaxed(rho, dt, cfg)
+        assert np.max(np.abs(out.matrix - kraus_relaxation(rho.matrix, dt, cfg))) <= 1e-14
 
     @given(cfg=relaxing_machines(), dt=DURATIONS)
     def test_choi_matrix_is_psd_and_trace_preserving(self, cfg, dt):
         d = cfg.dim
-        choi = np.zeros((d, d, d, d), dtype=complex)  # [i, a, j, b]: |i><j| (x) Phi(|i><j|)
-        for i in range(d):
-            for j in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[i, j] = 1.0
-                image = apply_relaxation(DensityMatrix(unit, validate=False), dt, cfg).matrix
-                choi[i, :, j, :] = image
-                assert abs(np.trace(image) - (i == j)) <= 1e-14
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j| at row i * d + j
+        factors = _relaxation_factors(np.full(d * d, dt), [cfg], [0] * (d * d))
+        images = _relaxation_map(units, *factors).reshape(d, d, d, d)  # [i, j]: Phi(|i><j|)
+        # [i, a, j, b]: |i><j| (x) Phi(|i><j|)
+        choi = images.transpose(0, 2, 1, 3)
+        traces = np.trace(images, axis1=2, axis2=3)
+        assert np.max(np.abs(traces - np.eye(d))) <= 1e-14
         assert np.min(np.linalg.eigvalsh(choi.reshape(d * d, d * d))) >= -1e-14
 
     @given(cfg=relaxing_machines(), dt=DURATIONS)
@@ -419,7 +431,7 @@ class TestBatchedRelaxation:
         rho = np.eye(1)
         for nuc in cfg.nuclei:
             rho = np.kron(rho, np.diag([1.0 + nuc.polarization, 1.0 - nuc.polarization]) / 2)
-        out = apply_relaxation(DensityMatrix(rho), dt, cfg)
+        out = relaxed(DensityMatrix(rho), dt, cfg)
         assert np.max(np.abs(out.matrix - rho)) <= 1e-15
 
 
@@ -481,7 +493,7 @@ class TestEvolvePrograms:
     def test_crusher_zeroes_off_diagonals_exactly(self, gemini):
         rho = random_density_matrix(np.random.default_rng(40), 2)
         (out,) = evolve_programs(rho, [PulseProgram(gemini, (Crusher(),))])
-        assert np.array_equal(out.matrix, apply_crusher(rho).matrix)
+        assert np.array_equal(out.matrix, np.diag(np.diag(rho.matrix)))
         assert not np.signbit(out.matrix[~np.eye(4, dtype=bool)].view(float)).any()
 
     def test_no_programs(self, gemini):

@@ -26,6 +26,11 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 PHI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)  # (|01> - |10>)/sqrt2
 
 
+def mixed(n):
+    """The maximally mixed state of n qubits."""
+    return DensityMatrix(np.eye(2**n) / 2**n)
+
+
 class TestTensor:
     def test_basis_composition(self):
         assert np.allclose(tensor(KET0, KET1), [0, 1, 0, 0])
@@ -75,7 +80,7 @@ class TestPartialTrace:
         assert np.max(np.abs(partial_trace(joint, {2}).matrix - parts[1].matrix)) < 1e-12
 
     def test_bad_keep_sets(self):
-        rho = DensityMatrix.maximally_mixed(2)
+        rho = mixed(2)
         with pytest.raises(ValidationError):
             partial_trace(rho, set())
         with pytest.raises(ValidationError):
@@ -90,7 +95,7 @@ class TestPauliExpansion:
         assert co["Y"] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_two_qubits(self):
-        co = pauli_expand(DensityMatrix.maximally_mixed(2))
+        co = pauli_expand(mixed(2))
         for label, value in co.items():
             expected = 1.0 if label == "II" else 0.0
             assert value == pytest.approx(expected, abs=1e-12)
@@ -144,7 +149,7 @@ class TestPauliExpansion:
 class TestBlochVector:
     def test_poles_and_center(self):
         assert bloch_vector(DensityMatrix.from_ket(KET0)) == pytest.approx((0, 0, 1), abs=1e-12)
-        assert bloch_vector(DensityMatrix.maximally_mixed(1)) == pytest.approx(
+        assert bloch_vector(mixed(1)) == pytest.approx(
             (0, 0, 0), abs=1e-12
         )
 
@@ -163,7 +168,7 @@ class TestBlochVector:
 
     def test_multi_qubit_rejected(self):
         with pytest.raises(ValidationError):
-            bloch_vector(DensityMatrix.maximally_mixed(2))
+            bloch_vector(mixed(2))
 
     def test_norm_method(self):
         assert BlochVector(3, 4, 0).norm() == pytest.approx(5.0)
@@ -177,7 +182,7 @@ class TestStateFidelity:
         assert state_fidelity(KET0, KET1) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_vs_maximally_mixed(self):
-        assert state_fidelity(KET_PLUS, DensityMatrix.maximally_mixed(1)) == pytest.approx(0.5)
+        assert state_fidelity(KET_PLUS, mixed(1)) == pytest.approx(0.5)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(9)
@@ -219,9 +224,9 @@ class TestDensityMatrixType:
         rng = np.random.default_rng(12)
         for _ in range(20):
             pure = DensityMatrix.from_ket(random_ket(rng, 2))
-            assert pure.is_pure()
+            assert pure.purity() == pytest.approx(1.0, abs=1e-9)
             assert pure.purity() <= 1.0 + 1e-10
-        assert not DensityMatrix.maximally_mixed(2).is_pure()
+        assert mixed(2).purity() == pytest.approx(0.25, abs=1e-15)
 
     def test_json_roundtrip(self):
         rng = np.random.default_rng(13)
