@@ -38,7 +38,6 @@ from .dynamics import (
     evolve_program,
     evolve_programs,
     program_unitary,
-    segment_propagator,
 )
 from .errors import (
     FitError,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import HERMITICITY_TOL, DensityMatrix, _check_density
+from .quantum import DensityMatrix, _check_density
 from .spinsys import SpinSystemConfig, rf_hamiltonian
 
 
@@ -111,21 +111,6 @@ class PulseProgram:
             else:
                 out.append({"type": "crusher"})
         return {"events": out}
-
-
-def segment_propagator(h_total: np.ndarray, dt: float) -> np.ndarray:
-    """U = exp(-i * h * dt) for a Hermitian generator in rad/s.
-
-    Computed by eigendecomposition, which is exact at these dimensions.
-    """
-    h = np.asarray(h_total, dtype=complex)
-    if dt < 0:
-        raise ValidationError("dt must be >= 0")
-    scale = max(1.0, float(np.max(np.abs(h), initial=0.0)))
-    with np.errstate(invalid="ignore"):  # inf - inf: the kernel's phase check rejects it
-        if np.max(np.abs(h - h.conj().T), initial=0.0) > HERMITICITY_TOL * scale:
-            raise ValidationError("segment generator is not Hermitian")
-    return _kernels.segment_propagators(h[np.newaxis].astype(np.complex128), float(dt))[0]
 
 
 def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],

@@ -2,20 +2,21 @@
 
 Detection is quadrature per channel. With this package's +Zeeman sign
 convention the complex signal that puts a spin with offset nu at +nu Hz in
-the spectrum is Tr(rho(t) sum_k (sigma_x^k + i sigma_y^k)), the conjugate
-of the lowering-operator form written for the -Zeeman convention; the two
-differ only by a mirrored frequency axis. Under it, the line of qubit k
-with coupled partners in state m sits at nu_k + sum_j (1-2 m_j) J_kj / 2
-and carries amplitude sum_p w_p(m) (c_xp + i c_yp), where p runs over the
-partner z-patterns and w_p(m) is the product of the partner signs: that is
-2^n rho[1_k m, 0_k m], which peak readout reads straight from the state and
-the spectrum of the FID, with the T2 decay divided out, shows at the line's
-frequency.
+the spectrum is Tr(rho(t) D), D = sum_k (sigma_x^k + i sigma_y^k) over the
+channel's spins: the conjugate of the lowering-operator form written for the
+-Zeeman convention, which only mirrors the frequency axis. Each line is one
+single-quantum coherence of rho in a readout basis B (Vandersypen & Chuang,
+RMP 76, 1037 (2004)): the transition a -> b between levels of H0, at
+(w_b - w_a) / 2 pi Hz, of weight <b|D|a>, reading rho_B[a, b] of
+rho_B = B^dag rho B. `_line_table` lists them; FID synthesis, peak readout
+and tomography all read it. On a weak machine B is the computational basis
+(`eigh` may mix degenerate levels, as 00 and 11 of gemini on resonance): the
+line of qubit k with partners in state m sits at nu_k + sum_j (1 - 2 m_j) J_kj / 2
+and has weight 2. On an isotropic machine B is H0's eigenbasis.
 
 Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to
-the lines of all 3^n readout settings, by least squares: the ideal map once
-per qubit count, the compiled readout's from the pulses it applied. FID
-synthesis reads the machine's cached, read-only operators (see `spinsys`).
+the lines of all 3^n readout settings, by least squares: on weak machines the
+ideal map once per qubit count, otherwise the map of the unitaries applied.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .dynamics import program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
 from .quantum import DensityMatrix, all_pauli_strings, pauli_reconstruct, pauli_string_matrix
 from .spinsys import SpinSystemConfig
+
+MAX_FID_SAMPLES = 2**16  # the FID is a few arrays of this many complex samples
+_MIN_WEIGHT = 1e-12  # |<b|D|a>| of a line; eigh leaves ~1e-15 on transitions D does not drive
+
 
 @dataclass(frozen=True)
 class FIDSignal:
@@ -72,6 +78,47 @@ class Peak:
     amplitude: complex
 
 
+class _Lines(NamedTuple):
+    """A machine's lines: per line its channel, frequency (Hz), detection weight and
+    the element rho_B[row, col] it reads, in the readout basis B (None: computational)."""
+
+    basis: Optional[np.ndarray]
+    channels: tuple[str, ...]
+    freqs: tuple[float, ...]
+    weights: np.ndarray
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+    def readings(self, matrices: np.ndarray) -> np.ndarray:
+        """2^(n-1) * weight * rho_B[row, col] of each line, for a (..., d, d) stack."""
+        if self.basis is not None:
+            matrices = self.basis.conj().T @ matrices @ self.basis
+        return matrices.shape[-1] // 2 * self.weights * matrices[..., self.rows, self.cols]
+
+
+def _line_table(config: SpinSystemConfig) -> _Lines:
+    """Every line of a machine. Weak machines list them qubit-major, with the partner
+    bits m (ascending qubit order, as an integer) minor; isotropic ones channel by channel."""
+    n, lines, basis = config.n, [], None
+    if config.coupling_model == "weak":
+        for k, nuc in enumerate(config.nuclei, start=1):
+            partners = [q for q in range(1, n + 1) if q != k]
+            for bits in itertools.product((0, 1), repeat=n - 1):
+                f, col = nuc.offset_hz, 0
+                for q, b in zip(partners, bits):
+                    f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
+                    col |= b << (n - q)
+                lines.append((nuc.label, f, 2.0, col | 1 << (n - k), col))
+    else:
+        (w, basis), ops = config._h0_eigh, config._operators
+        for c, channel in enumerate(config.channels):
+            detect = basis.conj().T @ (ops.sx[c] + 1j * ops.sy[c]) @ basis  # [b, a] = <b|D|a>
+            for a, b in zip(*np.nonzero(np.abs(detect.T) > _MIN_WEIGHT)):
+                lines.append((channel, (w[b] - w[a]) / (2 * np.pi), detect[b, a], a, b))
+    channels, freqs, weights, rows, cols = zip(*lines)
+    return _Lines(basis, channels, freqs, np.array(weights), rows, cols)
+
+
 def _channel_t2(config: SpinSystemConfig, channel: str) -> float:
     return min(config.nuclei[k - 1].t2_s for k in config.channel_members(channel))
 
@@ -86,35 +133,23 @@ def synthesize_fid(
     """Free-induction decay of `rho` observed on one channel.
 
     S(t) = Tr(U(t) rho U(t)^dag D_channel) * exp(-t / T2_channel) with U
-    generated by the internal Hamiltonian and D_channel = Sx_ch + i Sy_ch.
-    Only density-matrix terms with exactly one transverse factor contribute.
+    generated by the internal Hamiltonian and D_channel = Sx_ch + i Sy_ch: the
+    sum over the channel's lines of weight * rho_B[row, col] * exp(2 pi i f t).
+    At most `MAX_FID_SAMPLES` samples.
     """
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
     if not (np.isfinite(duration_s) and 0 < dt_s < np.inf):
         raise ValidationError("FID duration and dt must be finite, and dt > 0")
-    n_samples = int(round(duration_s / dt_s))
-    if n_samples < 2:
-        raise ValidationError("duration/dt must give at least 2 samples")
-    c = config.channel_index(channel)
-    ops = config._operators
-    w, v = config._h0_eigh
-    detect = ops.sx[c] + 1j * ops.sy[c]
-    rho_e = v.conj().T @ rho.matrix @ v
-    det_e = v.conj().T @ detect @ v
-    weights = (rho_e * det_e.T).ravel()
-    delta = (w[:, None] - w[None, :]).ravel()  # rad/s
-    keep = np.abs(weights) > 0
-    weights = weights[keep]
-    delta = delta[keep]
-    t = np.arange(n_samples) * dt_s
-    signal = (
-        np.zeros(n_samples, dtype=complex)
-        if weights.size == 0
-        else weights @ np.exp(-1j * np.outer(delta, t))
-    )
-    signal *= np.exp(-t / _channel_t2(config, channel))
-    return FIDSignal(channel=channel, samples=signal, dt_s=dt_s)
+    ratio = float(duration_s) / float(dt_s)  # inf, not an error, past the float range
+    if not 1.5 <= ratio < MAX_FID_SAMPLES + 0.5:
+        raise ValidationError(f"duration/dt must give 2 to {MAX_FID_SAMPLES} samples")
+    t2, table = _channel_t2(config, channel), _line_table(config)
+    t = np.arange(round(ratio)) * dt_s
+    amplitudes = table.readings(rho.matrix) / 2 ** (config.n - 1)
+    signal = sum(a * np.exp(2j * np.pi * f * t)
+                 for ch, f, a in zip(table.channels, table.freqs, amplitudes) if ch == channel)
+    return FIDSignal(channel=channel, samples=signal * np.exp(-t / t2), dt_s=dt_s)
 
 
 def spectrum_of(fid: FIDSignal) -> Spectrum:
@@ -125,78 +160,39 @@ def spectrum_of(fid: FIDSignal) -> Spectrum:
     return Spectrum(channel=fid.channel, frequencies_hz=freqs, amplitudes=amps)
 
 
-@functools.lru_cache(maxsize=3)
-def _line_elements(n: int) -> np.ndarray:
-    """Rows 1_k m and columns 0_k m of the coherences the lines read, qubit k
-    major and partner bits m (ascending qubit order, as an integer) minor."""
-    k = np.repeat(np.arange(1, n + 1), 2 ** (n - 1))
-    m = np.tile(np.arange(2 ** (n - 1)), n)
-    below = (1 << (n - k)) - 1  # bits of the partners after k
-    cols = (m & ~below) << 1 | m & below
-    elements = np.array([cols | 1 << (n - k), cols])
-    elements.setflags(write=False)
-    return elements
-
-
-def _weak_lines(config: SpinSystemConfig, channel: str) -> list[tuple[float, int]]:
-    """(frequency in Hz, index into `_line_elements`) of each line on a channel."""
-    n, lines = config.n, []
-    for k in config.channel_members(channel):
-        partners = [q for q in range(1, n + 1) if q != k]
-        for m, bits in enumerate(itertools.product((0, 1), repeat=n - 1)):
-            f = config.nuclei[k - 1].offset_hz
-            for q, b in zip(partners, bits):
-                f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
-            lines.append((f, (k - 1) * 2 ** (n - 1) + m))
-    return lines
-
-
-def _check_resolved(freqs: list[float], t2: float):
-    lw = 1.0 / (np.pi * t2)
-    freqs = sorted(freqs)
-    for a, b in zip(freqs, freqs[1:]):
-        if b - a < 3.0 * lw:
-            raise UnresolvedPeaksError(
-                f"lines at {a:.6g} and {b:.6g} Hz closer than 3 linewidths ({3 * lw:.3g} Hz)"
-            )
-
-
-def _readout_lines(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list]:
-    """`_weak_lines` of each channel, after the peak-readout checks."""
+def _readout_lines(rho: DensityMatrix, config: SpinSystemConfig) -> _Lines:
+    """`_line_table`, after the peak-readout checks."""
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    if config.coupling_model != "weak":
-        raise ValidationError("peak readout is defined for weak-coupling systems")
     if config.n > 3:
         raise ValidationError("peak readout is defined for n <= 3")
-    lines = {channel: _weak_lines(config, channel) for channel in config.channels}
-    for channel, ch_lines in lines.items():
-        _check_resolved([f for f, _ in ch_lines], _channel_t2(config, channel))
-    return lines
+    table = _line_table(config)
+    for channel in config.channels:
+        lw = 1.0 / (np.pi * _channel_t2(config, channel))
+        freqs = sorted(f for ch, f in zip(table.channels, table.freqs) if ch == channel)
+        for a, b in zip(freqs, freqs[1:]):
+            if b - a < 3.0 * lw:
+                raise UnresolvedPeaksError(f"lines at {a:.6g} and {b:.6g} Hz closer than "
+                                           f"3 linewidths ({3 * lw:.3g} Hz)")
+    return table
 
 
-def _readings(matrices: np.ndarray) -> np.ndarray:
-    """Line amplitudes 2^n rho[1_k m, 0_k m] of a (..., d, d) stack, in
-    `_line_elements` order."""
-    d = matrices.shape[-1]
-    rows, cols = _line_elements(d.bit_length() - 1)
-    return d * matrices[..., rows, cols]
-
-
-def _peak_table(readings: np.ndarray, lines: dict[str, list]) -> dict[str, list[Peak]]:
-    return {ch: [Peak(f, complex(readings[i])) for f, i in ls] for ch, ls in lines.items()}
+def _peak_table(readings: np.ndarray, table: _Lines) -> dict[str, list[Peak]]:
+    lines = [(c, Peak(f, complex(r))) for c, f, r in zip(table.channels, table.freqs, readings)]
+    return {ch: [p for c, p in lines if c == ch] for ch in dict.fromkeys(table.channels)}
 
 
 def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str, list[Peak]]:
     """Per-channel spectral lines with amplitudes in coefficient units.
 
-    The line of qubit k with partners in state m carries 2^n rho[1_k m, 0_k m].
-    A deviation sigma_x^k alone gives every line of qubit k amplitude 1;
-    adding sigma_x^k sigma_z^j moves weight between the partner-|0> and
-    partner-|1> lines of qubit k.
+    Each line carries 2^(n-1) * weight * rho_B[row, col]: on a weak machine
+    2^n rho[1_k m, 0_k m], so a deviation sigma_x^k alone gives every line of
+    qubit k amplitude 1, and sigma_x^k sigma_z^j moves weight between the
+    partner-|0> and partner-|1> lines. The spectrum of the FID, its T2 decay
+    divided out, shows them times sqrt(samples) / 2^(n-1).
     """
-    lines = _readout_lines(rho, config)
-    return _peak_table(_readings(rho.matrix), lines)
+    table = _readout_lines(rho, config)
+    return _peak_table(table.readings(rho.matrix), table)
 
 
 _SETTINGS = ("I", "X90", "Y90")
@@ -208,24 +204,32 @@ def _setting_circuit(setting: tuple[str, ...]) -> Circuit:
 
 
 @functools.lru_cache(maxsize=3)
-def _ideal_readouts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ideal unitaries of the 3^n readout settings, in sweep order, and the
-    `_inverse` of their map (read-only). Offsets, J and channel labels only
-    move and group the lines, so both depend on n alone."""
-    settings = itertools.product(_SETTINGS, repeat=n)
-    us = np.array([circuit_unitary(_setting_circuit(s)) for s in settings])
+def _ideal_readouts(n: int) -> np.ndarray:
+    """Ideal unitaries of the 3^n readout settings, in sweep order (read-only)."""
+    us = np.array([circuit_unitary(_setting_circuit(s))
+                   for s in itertools.product(_SETTINGS, repeat=n)])
     us.setflags(write=False)
-    return us, _inverse(_readout_map(us))
+    return us
 
 
-def _readout_map(us: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=3)
+def _weak_inverse(n: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
+    """`_inverse` of the ideal map to a weak machine's lines, of weight 2 at rows, cols:
+    offsets, J and channel labels only move and group them, so it depends on n alone."""
+    lines = _Lines(None, (), (), np.full(len(rows), 2.0), rows, cols)
+    return _inverse(_readout_map(_ideal_readouts(n), lines))
+
+
+def _readout_map(us: np.ndarray, lines: _Lines) -> np.ndarray:
     """The map A, shape (S, L, 4^n - 1), from the coefficients c_P of
-    rho = (I + sum_P c_P P) / d to the lines after each U of the stack `us`:
-    line (r, c) reads sum_P c_P sum_ab U[r, a] P[a, b] U*[c, b]."""
+    rho = (I + sum_P c_P P) / d to the lines after each U of the stack `us`: line
+    (r, c) of weight w reads (w / 2) sum_P c_P (U_B P U_B^dag)[r, c], U_B = B^dag U."""
+    if lines.basis is not None:
+        us = lines.basis.conj().T @ us
     n = us.shape[-1].bit_length() - 1
-    rows, cols = _line_elements(n)
     paulis = np.array([pauli_string_matrix(s) for s in all_pauli_strings(n)[1:]])
-    return np.einsum("sla,pab,slb->slp", us[:, rows], paulis, us[:, cols].conj())
+    a = np.einsum("sla,pab,slb->slp", us[:, lines.rows], paulis, us[:, lines.cols].conj())
+    return a * (lines.weights / 2)[:, None]
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -246,13 +250,11 @@ def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout,
     """`_readout_lines`, then the reconstruction of `tomography`, its settings and readings."""
     lines = _readout_lines(rho, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
-    if compiled_readout:
-        us = np.array([program_unitary(compile_circuit(_setting_circuit(s), config,
-                                                       pulse_amp_hz)) for s in settings])
-        inverse = _inverse(_readout_map(us))
-    else:
-        us, inverse = _ideal_readouts(config.n)
-    readings = _readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
+    us = (np.array([program_unitary(compile_circuit(_setting_circuit(s), config, pulse_amp_hz))
+                    for s in settings]) if compiled_readout else _ideal_readouts(config.n))
+    inverse = (_inverse(_readout_map(us, lines)) if compiled_readout or lines.basis is not None
+               else _weak_inverse(config.n, lines.rows, lines.cols))
+    readings = lines.readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
     coeffs = (inverse @ readings.ravel()).real
     recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))
     return recon, lines, settings, readings

@@ -8,7 +8,8 @@ This module is the one place that builds a machine's operators, all read-only.
 The RF control generators, the per-channel transverse sums and the per-spin
 sigma_z are built once per spin layout (the nucleus labels, in order), the J
 products once per spin count, and H0 once per config, on first use, cached on
-the frozen config; its eigendecomposition only when FID synthesis asks for it.
+the frozen config; its eigendecomposition only when an isotropic machine's
+spectral lines are asked for (see `measurement`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "prepare_bell", "prepare_pseudo_pure", "preset", "program_unitary", "rabi_calibration",
     "readout_peak_table", "relaxation_experiment", "rf_hamiltonian",
     "run_bernstein_vazirani", "run_counting", "run_deutsch", "run_grover4",
-    "segment_propagator", "simulate_qho", "spectrum_of", "state_fidelity", "synthesize_fid",
+    "simulate_qho", "spectrum_of", "state_fidelity", "synthesize_fid",
     "tensor", "thermal_state", "tomography", "tomography_sweep",
 ]
 

@@ -136,6 +136,25 @@ class TestArtifacts:
         report = json.loads((out / "tomography_report.json").read_text())
         assert report["max_error_vs_input"] <= 1e-8
 
+    def test_tomography_on_triangulum(self, tmp_path, capsys):
+        # lines in H0's eigenbasis: 15 on the one 19F channel, 3 of them weak
+        rng = np.random.default_rng(60)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
+        state = write_json(tmp_path / "state.json", rho.to_json_dict())
+        argv = ["tomography", "--machine", "triangulum", "--state", state]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "tomography_report.json").read_text())
+        assert report["max_error_vs_input"] <= 1e-8
+        assert len(report["peak_tables"]) == 27
+        assert all(list(table) == ["19F"] and len(table["19F"]) == 15
+                   for table in report["peak_tables"].values())
+        # the compiled readout needs a weak machine
+        capsys.readouterr()
+        assert main([*argv, "--path", "pulse", "--out", str(tmp_path / "pulse")]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "pulse").exists()
+
     def test_experiment_rabi_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main(["experiment", "rabi", "--channel", "1H", "--amp-hz", "12500",
@@ -461,13 +480,15 @@ README_REQUESTS = [
     ["algorithm", "qho", "--initial", "n0_plus_n3"],
     ["algorithm", "dqc1", "--unitary", "{u}", "--epsilon", "1.0"],
     ["algorithm", "cnot-table", "--direction", "21"],
+    ["tomography", "--machine", "triangulum", "--state", "{rho3}"],
 ]
 
 
 def report_key(argv):
     if argv[0] in ("experiment", "algorithm"):
         return argv[1]
-    return argv[0] + ("-pulse" if "pulse" in argv else "")
+    return argv[0] + ("-pulse" if "pulse" in argv else "") + (
+        "-triangulum" if "triangulum" in argv else "")
 
 
 @pytest.fixture
@@ -476,11 +497,14 @@ def readme_inputs(tmp_path):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
     u = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    rho3 = DensityMatrix(b @ b.conj().T / np.trace(b @ b.conj().T))
     return {
         "bell": write_json(tmp_path / "bell.json", {"n": 2, "gates": [
             {"name": "H", "targets": [1], "params": []},
             {"name": "CNOT", "targets": [1, 2], "params": []}]}),
         "rho": write_json(tmp_path / "rho.json", rho.to_json_dict()),
+        "rho3": write_json(tmp_path / "rho3.json", rho3.to_json_dict()),
         "u": write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()}),
         "state": rho,
     }
@@ -505,7 +529,8 @@ class TestReadmeRequests:
     # reports (simulate-pulse, compile, tomography-pulse, deutsch) re-recorded
     # for the frame-tracked compiler, count re-recorded for the counting fit's
     # Newton refinement, the rest recorded before the gate table replaced the
-    # per-gate dispatch. A change that keeps the numbers must keep
+    # per-gate dispatch, and tomography-triangulum recorded when readout came
+    # to isotropic machines. A change that keeps the numbers must keep
     # them all.
     SCAN_REPORTS = {
         "simulate-pulse": {
@@ -519,6 +544,9 @@ class TestReadmeRequests:
         },
         "tomography-pulse": {
             "tomography_report.json": "50e2f24784094d0d2eb65f43339d3062a7a24037924e0f331a291ae01e6b09e3",
+        },
+        "tomography-triangulum": {
+            "tomography_report.json": "897ffb96bf0ec1e39b1fea02a8de3b50fb7507238cf1b1884bdbccb66ba6316c",
         },
         "rabi": {
             "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",

@@ -20,7 +20,6 @@ from nmrqc.dynamics import (
     evolve_program,
     evolve_programs,
     program_unitary,
-    segment_propagator,
 )
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import (
@@ -59,22 +58,29 @@ def crushed(rho, cfg):
     return evolve_program(rho, PulseProgram(cfg, (Crusher(),)))
 
 
+def propagator(h, dt):
+    """The kernel's exp(-i h dt) of one generator."""
+    return _kernels.segment_propagators(np.asarray(h, dtype=complex)[np.newaxis], dt)[0]
+
+
 class TestSegmentPropagator:
+    """One-matrix calls of the propagator kernel."""
+
     def test_zero_hamiltonian(self):
-        u = segment_propagator(np.zeros((4, 4)), 1.7)
+        u = propagator(np.zeros((4, 4)), 1.7)
         assert np.max(np.abs(u - np.eye(4))) < 1e-14
 
     def test_x180_closed_form(self):
         # 2 pi u I_x for a duration with 2 pi u t = pi gives exp(-i pi sigma_x / 2) = -i sigma_x
         u_hz = 12.5e3
         h = 2 * np.pi * u_hz * SIGMA_X / 2
-        u = segment_propagator(h, 1.0 / (2 * u_hz))
+        u = propagator(h, 1.0 / (2 * u_hz))
         assert np.max(np.abs(u - (-1j) * SIGMA_X)) < 1e-12
 
     def test_j_evolution_phases(self):
         j = 697.4
         h = 2 * np.pi * j * tensor(SIGMA_Z / 2, SIGMA_Z / 2)
-        u = segment_propagator(h, 1.0 / (2 * j))
+        u = propagator(h, 1.0 / (2 * j))
         expected = np.diag(np.exp(-1j * np.pi / 4 * np.array([1, -1, -1, 1])))
         assert np.max(np.abs(u - expected)) < 1e-12
 
@@ -82,20 +88,16 @@ class TestSegmentPropagator:
         rng = np.random.default_rng(21)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a + a.conj().T
-        u_total = segment_propagator(h, 0.7)
-        u_split = segment_propagator(h, 0.3) @ segment_propagator(h, 0.4)
+        u_total = propagator(h, 0.7)
+        u_split = propagator(h, 0.3) @ propagator(h, 0.4)
         assert np.max(np.abs(u_total - u_split)) < 1e-9
 
     def test_unitarity(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-            u = segment_propagator(a + a.conj().T, rng.uniform(0, 2))
+            u = propagator(a + a.conj().T, rng.uniform(0, 2))
             assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            segment_propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
 
     @pytest.mark.parametrize("h, dt", [
         (np.diag([1e10, -1e10]), 1e300),
@@ -105,13 +107,13 @@ class TestSegmentPropagator:
     def test_non_finite_phase_rejected(self, h, dt):
         # the check of a program's events: one ValidationError, no RuntimeWarning
         with pytest.raises(ValidationError, match="times event duration is not finite"):
-            segment_propagator(h, dt)
+            propagator(h, dt)
 
     def test_off_resonance_nutation_axis(self):
         # offset D and drive u tilt the axis by atan(u/D) from z at rate sqrt(D^2+u^2)
         d_hz, u_hz, t = 300.0, 400.0, 1.3e-3
         h = 2 * np.pi * (d_hz * SIGMA_Z / 2 + u_hz * SIGMA_X / 2)
-        u = segment_propagator(h, t)
+        u = propagator(h, t)
         eff = np.hypot(d_hz, u_hz)
         axis = np.array([u_hz, 0.0, d_hz]) / eff
         angle = 2 * np.pi * eff * t
@@ -201,7 +203,7 @@ class TestEvolveProgram:
                 h = h0
                 if isinstance(ev, RfSegment):
                     h = h0 + rf_hamiltonian(cfg, ev.amplitudes_hz, ev.phases_rad)
-                expected = segment_propagator(h, ev.duration_s) @ expected
+                expected = expm(-1j * h * ev.duration_s) @ expected
             u = program_unitary(PulseProgram(cfg, tuple(events)))
             assert np.max(np.abs(u - expected)) < 1e-12
 
@@ -232,7 +234,7 @@ class TestEvolveProgram:
             h = h0
             if isinstance(ev, RfSegment):
                 h = h0 + rf_hamiltonian(cfg, ev.amplitudes_hz, ev.phases_rad)
-            u = segment_propagator(h, ev.duration_s)
+            u = expm(-1j * h * ev.duration_s)
             expected = u @ expected @ u.conj().T
             if relaxation:
                 expected = kraus_relaxation(expected, ev.duration_s, cfg)

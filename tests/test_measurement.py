@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import make_weak_config, random_density_matrix
 from nmrqc import measurement
 from nmrqc.errors import UnresolvedPeaksError, ValidationError
 from nmrqc.measurement import (
+    MAX_FID_SAMPLES,
     FIDSignal,
     readout_peak_table,
     spectrum_of,
@@ -16,8 +18,11 @@ from nmrqc.measurement import (
     tomography,
 )
 from nmrqc.quantum import (
+    SIGMA_X,
+    SIGMA_Y,
     DensityMatrix,
     all_pauli_strings,
+    embed_single,
     pauli_expand,
     pauli_reconstruct,
 )
@@ -46,6 +51,40 @@ def single_transverse(strings):
 def weak3_config():
     return make_weak_config([0.0, 0.0, 0.0], [[0, 140, 48], [140, 0, 190], [48, 190, 0]],
                             labels=["1H", "13C", "15N"])
+
+
+def drawn_machine(n, offsets, couplings, t2, homonuclear, coupling_model="weak"):
+    """A machine with offsets and couplings drawn in units of 1/T2, so a short T2 leaves
+    the lines unresolved no more often than a long one."""
+    j = np.zeros((n, n))
+    for (a, b), value in zip(itertools.combinations(range(n), 2), couplings):
+        j[a, b] = j[b, a] = value / t2
+    labels = ["1H"] * n if homonuclear else [f"S{i}" for i in range(n)]
+    cfg = make_weak_config([o / t2 for o in offsets[:n]], j, t1=20.0, t2=t2, labels=labels)
+    return replace(cfg, coupling_model=coupling_model)
+
+
+MACHINE_DRAWS = dict(
+    n=st.sampled_from((3, 2, 1)),
+    offsets=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
+    couplings=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+    t2=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    homonuclear=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def eigen_sum_fid(rho, cfg, channel, duration_s, dt_s):
+    """The FID as the sum over every pair of H0's eigenstates a, b of
+    rho_e[a, b] D_e[b, a] exp(-i (w_a - w_b) t), times exp(-t / T2)."""
+    w, v = np.linalg.eigh(internal_hamiltonian(cfg))
+    members = cfg.channel_members(channel)
+    detect = sum(embed_single(SIGMA_X + 1j * SIGMA_Y, k, cfg.n) for k in members)
+    rho_e, detect_e = (v.conj().T @ m @ v for m in (rho.matrix, detect))
+    t = np.arange(round(duration_s / dt_s)) * dt_s
+    phases = np.exp(-1j * np.subtract.outer(w, w)[..., np.newaxis] * t)
+    signal = np.einsum("ab,ba,abt->t", rho_e, detect_e, phases)
+    return signal * np.exp(-t / min(cfg.nuclei[k - 1].t2_s for k in members))
 
 
 def plus_state(n=1, qubit=1):
@@ -106,17 +145,54 @@ class TestSynthesizeFid:
         with pytest.raises(ValidationError, match="finite"):
             synthesize_fid(plus_state(), cfg, "S0", duration_s, dt_s)
 
-    def test_h0_diagonalized_only_for_fid(self):
-        cfg = offset_config()
-        h0 = internal_hamiltonian(cfg)
-        assert "_h0_eigh" not in vars(cfg)
-        synthesize_fid(plus_state(2), cfg, cfg.channels[0], 1e-2, 1e-4)
+    @pytest.mark.parametrize("duration_s, dt_s", [
+        (1e308, 1e-300), (1.0, 1e-300), (MAX_FID_SAMPLES + 1.0, 1.0),
+    ], ids=["ratio_overflow", "ratio_huge", "one_sample_over"])
+    def test_sample_count_bounded(self, duration_s, dt_s):
+        cfg = make_weak_config([0.0], [[0.0]])
+        with pytest.raises(ValidationError, match=f"2 to {MAX_FID_SAMPLES} samples"):
+            synthesize_fid(plus_state(), cfg, "S0", duration_s, dt_s)
+
+    def test_largest_fid(self):
+        cfg = make_weak_config([0.0], [[0.0]])
+        fid = synthesize_fid(plus_state(), cfg, "S0", MAX_FID_SAMPLES * 1e-4, 1e-4)
+        assert fid.samples.size == MAX_FID_SAMPLES
+
+    def test_h0_diagonalized_only_on_isotropic_machines(self, monkeypatch):
+        # a weak machine reads its lines in the computational basis; an isotropic one in
+        # H0's eigenbasis, built on first use and cached, read-only, on the config
+        eigh, diagonalized = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: diagonalized.append(a) or eigh(a))
+        for cfg in (offset_config(), preset("triangulum")):
+            rho = random_density_matrix(np.random.default_rng(59), cfg.n)
+            for _ in range(2):
+                synthesize_fid(rho, cfg, cfg.channels[0], 1e-2, 1e-4)
+                readout_peak_table(rho, cfg)
+                tomography(rho, cfg)
+            h0 = internal_hamiltonian(cfg)
+            builds = sum(a is h0 for a in diagonalized)
+            assert builds == (0 if cfg.coupling_model == "weak" else 1)
+            assert ("_h0_eigh" in vars(cfg)) == (cfg.coupling_model == "isotropic")
         w, v = cfg._h0_eigh
-        reference = np.linalg.eigh(h0)
+        reference = eigh(h0)
         assert np.array_equal(w, reference[0]) and np.array_equal(v, reference[1])
         for arr in (w, v):
             with pytest.raises(ValueError):
                 arr.flat[0] = 1.0
+
+    @settings(max_examples=40)
+    @example(n=3, offsets=[720.0, -1080.0, -2160.0], couplings=[27.86, 18.924, -51.328],
+             t2=0.4, homonuclear=True, seed=3)  # triangulum
+    @given(**MACHINE_DRAWS)
+    def test_isotropic_fid_is_the_eigen_sum(self, n, offsets, couplings, t2, homonuclear,
+                                            seed):
+        cfg = drawn_machine(n, offsets, couplings, t2, homonuclear, "isotropic")
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        dt = 0.01 * t2
+        for channel in cfg.channels:
+            fid = synthesize_fid(rho, cfg, channel, 1000 * dt, dt)
+            reference = eigen_sum_fid(rho, cfg, channel, 1000 * dt, dt)
+            assert np.max(np.abs(fid.samples - reference)) <= 1e-12
 
 
 class TestSpectrum:
@@ -288,23 +364,9 @@ class TestTomography:
              homonuclear=False, seed=1)
     @example(n=3, offsets=[0.1234567, -0.7654321, 0.3141592], couplings=[3.3, 7.7, 12.1],
              t2=1e-3, homonuclear=False, seed=2)
-    @given(
-        n=st.sampled_from((3, 2, 1)),
-        offsets=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=3),
-        couplings=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
-        t2=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
-        homonuclear=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**MACHINE_DRAWS)
     def test_roundtrip_on_weak_machines(self, n, offsets, couplings, t2, homonuclear, seed):
-        # Offsets and couplings are drawn in units of 1/T2, so a short T2 leaves
-        # the lines unresolved, and the draw rejected, no more often than a long one.
-        j = np.zeros((n, n))
-        for (a, b), value in zip(itertools.combinations(range(n), 2), couplings):
-            j[a, b] = j[b, a] = value / t2
-        labels = ["1H"] * n if homonuclear else [f"S{i}" for i in range(n)]
-        cfg = make_weak_config([o / t2 for o in offsets[:n]], j, t1=20.0, t2=t2,
-                               labels=labels)
+        cfg = drawn_machine(n, offsets, couplings, t2, homonuclear)
         rho = random_density_matrix(np.random.default_rng(seed), n)
         try:
             recon = tomography(rho, cfg)
@@ -314,6 +376,21 @@ class TestTomography:
         # every single-transverse-factor string, which the identity setting reads directly
         exact, measured = pauli_expand(rho), pauli_expand(recon)
         assert max(abs(measured[s] - exact[s]) for s in single_transverse(exact)) <= 1e-12
+
+    @settings(max_examples=100)
+    @example(n=3, offsets=[720.0, -1080.0, -2160.0], couplings=[27.86, 18.924, -51.328],
+             t2=0.4, homonuclear=True, seed=3)  # triangulum
+    @given(**MACHINE_DRAWS)
+    def test_roundtrip_on_isotropic_machines(self, n, offsets, couplings, t2, homonuclear,
+                                             seed):
+        # lines in H0's eigenbasis; lines closer than 3 linewidths reject the draw
+        cfg = drawn_machine(n, offsets, couplings, t2, homonuclear, "isotropic")
+        rho = random_density_matrix(np.random.default_rng(seed), n)
+        try:
+            recon = tomography(rho, cfg)
+        except UnresolvedPeaksError:
+            reject()
+        assert np.max(np.abs(recon.matrix - rho.matrix)) <= 1e-8
 
     def test_reads_no_fid(self, gemini, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -331,7 +408,7 @@ class TestTomography:
             make_weak_config([150.0, -40.0, 300.0], [[0, 30, 12], [30, 0, 18], [12, 18, 0]],
                              t1=20.0, t2=20.0, labels=["A", "B", "A"]),
         ]
-        calls = {"circuit_unitary": 0, "_weak_lines": 0, "_inverse": 0}
+        calls = {"circuit_unitary": 0, "_line_table": 0, "_inverse": 0}
 
         def counting(name):
             original = getattr(measurement, name)
@@ -344,20 +421,25 @@ class TestTomography:
         for name in calls:
             monkeypatch.setattr(measurement, name, counting(name))
         measurement._ideal_readouts.cache_clear()
+        measurement._weak_inverse.cache_clear()
         rng = np.random.default_rng(58)
         for cfg in machines:
             for _ in range(2):
                 rho = random_density_matrix(rng, 3)
                 assert np.max(np.abs(tomography(rho, cfg).matrix - rho.matrix)) < 1e-8
         # 27 ideal readouts and one inverse map for n = 3, whatever the machine; lines
-        # listed once per channel per sweep (three channels, then two)
-        assert calls == {"circuit_unitary": 27, "_weak_lines": 2 * 3 + 2 * 2, "_inverse": 1}
-        assert not any(a.flags.writeable for a in measurement._ideal_readouts(3))
+        # listed once per sweep
+        assert calls == {"circuit_unitary": 27, "_line_table": 2 * 2, "_inverse": 1}
+        lines = measurement._line_table(machines[0])
+        inverse = measurement._weak_inverse(3, lines.rows, lines.cols)
+        assert not measurement._ideal_readouts(3).flags.writeable
+        assert not inverse.flags.writeable
 
-    def test_undetermined_coefficients_rejected(self):
+    def test_undetermined_coefficients_rejected(self, gemini):
         # the identity setting alone sees only the single-transverse-factor strings
+        lines = measurement._line_table(gemini)
         with pytest.raises(ValidationError, match="does not determine"):
-            measurement._inverse(measurement._readout_map(np.eye(4)[None]))
+            measurement._inverse(measurement._readout_map(np.eye(4)[None], lines))
 
     def test_compiled_readout_pulses(self, gemini):
         # the reconstruction inverts the compiled readout it applied
