@@ -2,9 +2,11 @@
 approximate counting, Bell preparation, harmonic-oscillator simulation,
 DQC1 trace estimation, and CNOT truth tables.
 
-Each runner builds a Circuit, executes it on the ideal-unitary or
+Each runner builds its circuits, executes them on the ideal-unitary or
 compiled-pulse path starting from pseudo-pure |0...0> (treated as the pure
-state), and reports exact ensemble probabilities.
+state), and reports exact ensemble probabilities. A runner of many circuits
+(counting over l, the oscillator over omega*t, the CNOT truth table) runs
+them on the pulse path as one `evolve_programs` batch.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .control import (
     circuit_unitary,
     compile_circuit,
 )
-from .dynamics import evolve_program
+from .dynamics import evolve_programs
 from .errors import ValidationError
 from .measurement import tomography
 from .quantum import (
@@ -77,18 +79,15 @@ def _default_config(n: int, config: Optional[SpinSystemConfig]) -> SpinSystemCon
     return cfg
 
 
-def _execute(
-    circuit: Circuit,
-    config: SpinSystemConfig,
-    path: str,
-    relaxation: bool = False,
-) -> DensityMatrix:
+def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
+             relaxation: bool = False) -> list[DensityMatrix]:
+    """Each circuit's final state from |0...0>; on the pulse path from one batch."""
     if path not in ("ideal", "pulse"):
         raise ValidationError('path must be "ideal" or "pulse"')
-    rho0 = DensityMatrix.basis(circuit.n, 0)
+    rho0 = DensityMatrix.basis(config.n, 0)
     if path == "ideal":
-        return rho0.evolved(circuit_unitary(circuit, config), validate=True)
-    return evolve_program(rho0, compile_circuit(circuit, config), relaxation=relaxation)
+        return [rho0.evolved(circuit_unitary(c, config), validate=True) for c in circuits]
+    return evolve_programs(rho0, [compile_circuit(c, config) for c in circuits], relaxation)
 
 
 def _report(algorithm, path, circuit, rho, derived, fidelity=None) -> AlgorithmReport:
@@ -127,7 +126,7 @@ def run_deutsch(
         "f4": [X(1), CNOT(1, 2), X(1)],
     }[f_case]
     circuit = Circuit(2, tuple([X(2), H(1), H(2), *oracle, H(1), H(2)]))
-    rho = _execute(circuit, cfg, path, relaxation)
+    (rho,) = _execute([circuit], cfg, path, relaxation)
     probs = rho.probabilities()
     balanced = probs["11"] > 0.5
     expected = "11" if f_case in ("f3", "f4") else "01"
@@ -168,7 +167,7 @@ def run_grover4(
     bits = format(target - 1, "02b")
     diffusion = [H(1), H(2), X(1), X(2), CZ(1, 2), X(2), X(1), H(2), H(1)]
     circuit = Circuit(2, tuple([H(1), H(2), *_grover_r1_gates(bits), *diffusion]))
-    rho = _execute(circuit, cfg, path, relaxation)
+    (rho,) = _execute([circuit], cfg, path, relaxation)
     return _report(
         "grover4",
         path,
@@ -198,7 +197,7 @@ def run_bernstein_vazirani(
     oracle = [Z(q) for q, bit in enumerate(a, start=1) if bit == "1"]
     circuit = Circuit(n, tuple([*hs, *oracle, *hs]))
     two_qubit = sum(1 for g in circuit.gates if len(g.targets) > 1)
-    rho = _execute(circuit, cfg, path, relaxation)
+    (rho,) = _execute([circuit], cfg, path, relaxation)
     return _report(
         "bernstein_vazirani",
         path,
@@ -271,22 +270,18 @@ def run_counting(
     if not ls or any(not 1 <= l <= MAX_COUNTING_L for l in ls):
         raise ValidationError(f"l_values must be integers from 1 to {MAX_COUNTING_L}")
     cfg = _default_config(2, config)
-    sigma_z_curve = []
-    control_diags = []
-    circuit = rho = None
-    for l in ls:
-        circuit = _counting_circuit(case, l)
-        rho = _execute(circuit, cfg, path, relaxation)
-        control = partial_trace(rho, {1})
-        sigma_z_curve.append(bloch_vector(control).z)
-        control_diags.append([float(np.real(control.matrix[0, 0])), float(np.real(control.matrix[1, 1]))])
+    states = _execute([_counting_circuit(case, l) for l in ls], cfg, path, relaxation)
+    controls = [partial_trace(rho, {1}) for rho in states]
+    sigma_z_curve = [bloch_vector(control).z for control in controls]
+    control_diags = [[float(np.real(c.matrix[0, 0])), float(np.real(c.matrix[1, 1]))]
+                     for c in controls]
     theta = _fit_cos_frequency(np.asarray(ls, dtype=float), np.asarray(sigma_z_curve))
     m_raw = 2.0 * np.sin(theta / 2.0) ** 2
     return _report(
         "counting",
         path,
-        circuit,
-        rho,
+        _counting_circuit(case, ls[-1]),  # rebuilt: held, every l's circuit adds to the fit's peak
+        states[-1],
         {
             "case": case,
             "l_values": ls,
@@ -343,7 +338,7 @@ def prepare_bell(
     else:
         raise ValidationError('recipe must be "cnot" or "cy"')
     circuit = Circuit(2, tuple(gates))
-    rho = _execute(circuit, cfg, path, relaxation)
+    (rho,) = _execute([circuit], cfg, path, relaxation)
     ideal = bell_ket(which)
     purities = [partial_trace(rho, {q}).purity() for q in (1, 2)]
     return _report(
@@ -387,26 +382,19 @@ def simulate_qho(
     if j == 0.0:
         raise ValidationError("oscillator simulation needs a nonzero J coupling")
     prep = {"n0": [], "n0_plus_n3": [Y90(2)], "uniform4": [H(1), H(2)]}[initial]
-    reports = []
+    prep_u = circuit_unitary(Circuit(2, tuple(prep)), cfg)
+    points = []  # (omega_t, delay, circuit)
     for omega_t in omega_t_values:
         if not np.isfinite(omega_t):
             raise ValidationError("omega_t values must be finite")
         delay = float(omega_t / (np.pi * j))
-        gates = [
-            *prep,
-            RX(1, np.pi),
-            DELAY(delay),
-            RX(1, -np.pi),
-            RX(2, np.pi / 2),
-            RY(2, 2.0 * float(omega_t)),
-            RX(2, -np.pi / 2),
-        ]
-        circuit = Circuit(2, tuple(gates))
-        rho = _execute(circuit, cfg, path, relaxation)
-        prep_u = circuit_unitary(Circuit(2, tuple(prep)), cfg)
-        ideal_vec = _qho_target_unitary(float(omega_t)) @ prep_u @ np.array(
-            [1, 0, 0, 0], dtype=complex
-        )
+        gates = [*prep, RX(1, np.pi), DELAY(delay), RX(1, -np.pi), RX(2, np.pi / 2),
+                 RY(2, 2.0 * float(omega_t)), RX(2, -np.pi / 2)]
+        points.append((omega_t, delay, Circuit(2, tuple(gates))))
+    states = _execute([circuit for *_, circuit in points], cfg, path, relaxation)
+    reports = []
+    for (omega_t, delay, circuit), rho in zip(points, states):
+        ideal_vec = _qho_target_unitary(float(omega_t)) @ prep_u @ np.array([1, 0, 0, 0], complex)
         coherence = complex(rho.matrix[0, 1])
         derived = {
             "initial": initial,
@@ -416,16 +404,8 @@ def simulate_qho(
             "coherence_phase_rad": float(np.angle(coherence)) if abs(coherence) > 1e-12 else None,
             "expected_phase_rad": float(np.mod(3.0 * omega_t, 2.0 * np.pi)),
         }
-        reports.append(
-            _report(
-                "qho",
-                path,
-                circuit,
-                rho,
-                derived,
-                fidelity=state_fidelity(rho, ideal_vec),
-            )
-        )
+        reports.append(_report("qho", path, circuit, rho, derived,
+                               fidelity=state_fidelity(rho, ideal_vec)))
     return reports
 
 
@@ -473,20 +453,13 @@ def cnot_truth_table(
         raise ValidationError('direction must be "12" or "21"')
     cfg = _default_config(2, config)
     control, target = (1, 2) if direction == "12" else (2, 1)
+    inputs = [format(idx, "02b") for idx in range(4)]
+    circuits = [Circuit(2, (*[X(q + 1) for q in range(2) if bits[q] == "1"], CNOT(control, target)))
+                for bits in inputs]
     rows = []
-    for idx in range(4):
-        bits = format(idx, "02b")
-        prep = [X(q + 1) for q in range(2) if bits[q] == "1"]
-        circuit = Circuit(2, tuple([*prep, CNOT(control, target)]))
-        rho = _execute(circuit, cfg, path, relaxation)
+    for bits, rho in zip(inputs, _execute(circuits, cfg, path, relaxation)):
         recon = tomography(rho, cfg)
         probs = recon.probabilities()
         output = max(probs, key=probs.get)
-        rows.append(
-            {
-                "input": bits,
-                "output": output,
-                "probability": probs[output],
-            }
-        )
+        rows.append({"input": bits, "output": output, "probability": probs[output]})
     return rows

@@ -503,6 +503,8 @@ def grape_optimize(
     iterate reaches the target, "max_iters" after max_iters iterates, and
     "converged" when a start takes no step (its gradient vanishes).
     """
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")

@@ -11,10 +11,12 @@ amplitude they are given.
 One propagation path: the Hamiltonians of the timed events are stacked from
 the machine's cached, read-only operators (`spinsys.rf_hamiltonian` once
 over the distinct events) and propagated in one batched kernel call.
-`program_unitary` chains them; `_evolve_stack` runs a batch of programs (a
-scan) as one (B, d, d) stack of states, with relaxation vectorized over it,
-which scans read directly; `evolve_programs` wraps its rows as states, and
-`evolve_program` is its one-program case.
+`program_unitary` chains them; `_evolve_stack` runs any programs on one spin
+layout (a scan, or an algorithm's circuits) as one (B, d, d) stack of
+states: step s applies each program's s-th event to its row, with
+relaxation vectorized over the rows, and leaves a program that has ended
+as it is. Scans read the stack directly; `evolve_programs` wraps its rows
+as states, and `evolve_program` is its one-program case.
 
 Relaxation, a tensor product of one-spin channels, is applied spin by spin
 for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`
@@ -23,6 +25,7 @@ factor on the stack with that spin flipped in both indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -43,7 +46,7 @@ class RfSegment:
     duration_s: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((*self.amplitudes_hz, *self.phases_rad, self.duration_s))):
+        if not all(map(math.isfinite, (*self.amplitudes_hz, *self.phases_rad, self.duration_s))):
             raise ValidationError("RF segment amplitudes, phases and duration must be finite")
         if self.duration_s < 0:
             raise ValidationError("RF segment duration must be >= 0")
@@ -114,10 +117,11 @@ class PulseProgram:
 
 
 def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
-                 events: Sequence[PulseEvent]) -> np.ndarray:
+                 events: Sequence[PulseEvent]) -> tuple[np.ndarray, ...]:
     """Propagators of timed events (RF segments and delays), event e on machines[which[e]],
-    all of one spin layout: one batched call over the distinct (machine, event value) rows.
-    Events are looked up by object first, so an event shared by many programs is hashed once."""
+    all of one spin layout, from one batched call over the distinct (machine, event value)
+    rows. Returns the rows' propagators, each event's row, and the rows' durations and
+    machines. Events are looked up by object first, so a shared event is hashed once."""
     values: dict = {}  # event value -> its number; equal but distinct objects share it
     number = {i: values.setdefault(ev, len(values)) for i, ev in {id(e): e for e in events}.items()}
     row: dict = {}  # (machine, event number) -> row
@@ -129,7 +133,8 @@ def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
     h0s = np.array([cfg._operators.h0 for cfg in machines])
     with np.errstate(over="ignore", invalid="ignore"):  # one H_rf row per distinct event
         hs = rf_hamiltonian(machines[0], amps, phases)[k] + h0s[m]
-    return _kernels.segment_propagators(hs, np.array([ev.duration_s for ev in values])[k])[rows]
+    dts = np.array([ev.duration_s for ev in values])[k]
+    return _kernels.segment_propagators(hs, dts), np.array(rows, dtype=int), dts, m
 
 
 def _crush(ms: np.ndarray) -> np.ndarray:
@@ -139,17 +144,17 @@ def _crush(ms: np.ndarray) -> np.ndarray:
 
 def _relaxation_factors(dt: np.ndarray, machines: Sequence[SpinSystemConfig],
                         which: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-spin factors (keep, take) of the relaxation map over durations dt (..., B), the
-    b-th on machines[which[b]]: per spin, generalized amplitude damping toward
+    """Per-spin factors (keep, take) of the relaxation map over durations dt (B,), the b-th
+    on machines[which[b]]: per spin, generalized amplitude damping toward
     diag((1 + eps)/2, (1 - eps)/2) at rate 1/T1 and coherence decay by exp(-dt/T2), which
     is completely positive for T2 <= 2*T1 (`NucleusSpec` enforces it). Each is
-    (..., B, n, 2, 2) over spin k's (row, column) bits, shaped (..., B, n, 1, 2, 1, 1, 2, 1)
+    (B, n, 2, 2) over spin k's (row, column) bits, shaped (B, n, 1, 2, 1, 1, 2, 1)
     to broadcast against the (B, 2^k, 2, 2^(n-1-k), 2^k, 2, 2^(n-1-k)) view of a stack."""
     spins = np.array([[(nuc.t1_s, nuc.t2_s, nuc.polarization) for nuc in cfg.nuclei]
                       for cfg in machines])[which]  # (B, n, 3)
     with np.errstate(over="ignore"):  # dt/T past the float range decays to exp(-inf) = 0
-        decay = np.exp(-dt[..., np.newaxis, np.newaxis] / spins[..., :2])
-    e1, e2, pol = decay[..., 0], decay[..., 1], spins[..., 2]  # each (..., B, n)
+        decay = np.exp(-dt[:, np.newaxis, np.newaxis] / spins[..., :2])
+    e1, e2, pol = decay[..., 0], decay[..., 1], spins[..., 2]  # each (B, n)
     into0, into1 = (1.0 - e1) * (1.0 + pol) / 2, (1.0 - e1) * (1.0 - pol) / 2
     factors = ([e1 + into0, e2, e2, e1 + into1], [into0, 0 * e1, 0 * e1, into1])
     return tuple(np.stack(f, axis=-1).reshape(*e1.shape, 1, 2, 1, 1, 2, 1) for f in factors)
@@ -166,6 +171,20 @@ def _relaxation_map(ms: np.ndarray, keep: np.ndarray, take: np.ndarray) -> np.nd
     return ms.reshape(b, d, d)
 
 
+def _on_rows(ms: np.ndarray, rows: list, f, *args) -> np.ndarray:
+    """f(stack, *args) on the given rows of the stack ms, or on all of it, unindexed."""
+    if len(rows) == len(ms):
+        return f(ms, *args)
+    ms[rows] = f(ms[rows], *args)
+    return ms
+
+
+def _timed_step(ms: np.ndarray, u: np.ndarray, keep=None, take=None) -> np.ndarray:
+    """Propagators u on a stack, then the relaxation map if its factors are given."""
+    ms = u @ ms @ u.conj().swapaxes(-1, -2)
+    return ms if keep is None else _relaxation_map(ms, keep, take)
+
+
 def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],
                   relaxation: bool = False) -> np.ndarray:
     """`evolve_programs` as one (B, d, d) stack of checked states, row i from program i."""
@@ -174,36 +193,28 @@ def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],
     config = programs[0].system
     machines = list({id(p.system): p.system for p in programs}.values())
     layout = tuple(nuc.label for nuc in config.nuclei)
-    kinds = tuple(map(type, programs[0].events))
-    sequences = {id(p.events): p.events for p in programs}.values()  # shared tuples once
-    if any(tuple(nuc.label for nuc in cfg.nuclei) != layout for cfg in machines) or any(
-        tuple(map(type, events)) != kinds for events in sequences
-    ):
-        raise ValidationError("batched programs must share one spin layout and sequence of "
-                              "event kinds")
+    if any(tuple(nuc.label for nuc in cfg.nuclei) != layout for cfg in machines):
+        raise ValidationError("batched programs must share one spin layout")
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    slot = {id(cfg): m for m, cfg in enumerate(machines)}
-    which = [slot[id(p.system)] for p in programs]  # each program's machine
-    # timed[e][i] is the e-th timed event of program i
-    timed = [e for e, kind in zip(zip(*(p.events for p in programs)), kinds) if kind is not Crusher]
-    b, d = len(programs), config.dim
-    props = _propagators(machines, which * len(timed),
-                         [ev for evs in timed for ev in evs]).reshape(-1, b, d, d)
-    factors = [None] * len(timed)
-    if relaxation:
-        dts = np.array([[ev.duration_s for ev in events] for events in timed], dtype=float)
-        factors = zip(*_relaxation_factors(dts.reshape(-1, b), machines, which))
-    steps = zip(props, factors)
-    ms = np.broadcast_to(rho.matrix, (b, d, d))
-    for kind in kinds:
-        if kind is Crusher:
-            ms = _crush(ms)
-            continue
-        u, f = next(steps)
-        ms = u @ ms @ u.conj().swapaxes(-1, -2)
-        if f is not None:
-            ms = _relaxation_map(ms, *f)
+    slot = {id(cfg): m for m, cfg in enumerate(machines)}  # each machine's number
+    # steps[s] = (timed, crushed): the programs whose s-th event is timed or a crusher; a
+    # program that has ended is in neither, so step s leaves its state as it is
+    steps: list = [([], []) for _ in range(max(len(p.events) for p in programs))]
+    for i, p in enumerate(programs):
+        for s, ev in enumerate(p.events):
+            steps[s][type(ev) is Crusher].append(i)
+    props, rows, dts, m = _propagators(
+        machines, [slot[id(programs[i].system)] for timed, _ in steps for i in timed],
+        [programs[i].events[s] for s, (timed, _) in enumerate(steps) for i in timed])
+    factors = _relaxation_factors(dts, machines, m) if relaxation else ()
+    ms, at = np.repeat(rho.matrix[np.newaxis], len(programs), axis=0), 0
+    for timed, crushed in steps:
+        if crushed:
+            ms = _on_rows(ms, crushed, _crush)
+        if timed:
+            r, at = rows[at:at + len(timed)], at + len(timed)
+            ms = _on_rows(ms, timed, _timed_step, *(f.take(r, 0) for f in (props, *factors)))
     _check_density(ms)
     return ms
 
@@ -212,11 +223,12 @@ def evolve_programs(rho: DensityMatrix, programs: Sequence[PulseProgram],
                     relaxation: bool = False) -> list[DensityMatrix]:
     """Run each program from `rho`, all of them at once; one state per program.
 
-    The programs share one spin layout (nucleus labels, in order) and one sequence
-    of event kinds; machines may differ in offsets, J, T1/T2 and polarization, events
-    in durations, amplitudes and phases. Each event updates the whole (B, d, d) stack
-    of states, with propagators from one batched kernel call over the distinct
-    (machine, event) pairs and, if on, relaxation over its duration in each program.
+    The programs share one spin layout (nucleus labels, in order); machines may differ in
+    offsets, J, T1/T2 and polarization, and programs in their events, the events' kinds
+    and number included. Step s applies each program's s-th event to its row of one
+    (B, d, d) stack of states: a timed event its propagator, from one batched kernel call
+    over the distinct (machine, event) pairs, then, if on, relaxation over its duration; a
+    crusher its crush. A program that has ended is left as it is.
     """
     return [DensityMatrix(m, validate=False) for m in _evolve_stack(rho, programs, relaxation)]
 
@@ -233,5 +245,5 @@ def program_unitary(program: PulseProgram) -> np.ndarray:
     """Net unitary of a crusher-free program (relaxation off)."""
     if any(isinstance(ev, Crusher) for ev in program.events):
         raise ValidationError("program contains crushers; it has no net unitary")
-    events = program.events
-    return _kernels.unitary_chain(_propagators([program.system], [0] * len(events), events))
+    props, rows, _, _ = _propagators([program.system], [0] * len(program.events), program.events)
+    return _kernels.unitary_chain(props[rows])

@@ -321,8 +321,9 @@ def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
     H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
     with the sums running over the channel's member spins.
     """
-    return np.tensordot(rf_drive(config, amplitudes_hz, phases_rad),
-                        config._operators.controls, axes=1)
+    drive, controls = rf_drive(config, amplitudes_hz, phases_rad), config._operators.controls
+    flat = np.dot(drive.reshape(-1, len(controls)), controls.reshape(len(controls), -1))
+    return flat.reshape(*drive.shape[:-1], *controls.shape[1:])  # np.tensordot's dot, unwrapped
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_weak_config, random_unitary
+from nmrqc import _kernels
 from nmrqc.algorithms import (
     MAX_COUNTING_L,
     _fit_cos_frequency,
@@ -313,3 +316,49 @@ class TestPulsePath:
             got = report.derived["coherence_phase_rad"]
             expected = report.derived["expected_phase_rad"]
             assert abs(phase_diff(got, expected)) < 1e-3
+
+
+class TestBatchedRunners:
+    """On the pulse path the multi-circuit runners evolve all their circuits in one batch:
+    one propagator-kernel call, and each result as from a one-circuit call, bit for bit."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        batched = _kernels.segment_propagators
+
+        def counted(h_stack, dt):
+            calls.append(len(h_stack))
+            return batched(h_stack, dt)
+
+        monkeypatch.setattr(_kernels, "segment_propagators", counted)
+        return calls
+
+    @pytest.mark.parametrize("relaxation", [False, True])
+    def test_counting_equals_one_l_at_a_time(self, kernel_calls, relaxation):
+        ls = [3, 1, 7, 2]
+        batch = run_counting("M1_first", ls, "pulse", relaxation=relaxation)
+        assert len(kernel_calls) == 1
+        singles = [run_counting("M1_first", [l], "pulse", relaxation=relaxation) for l in ls]
+        for key in ("sigma_z", "control_diagonals"):
+            one_at_a_time = [s.derived[key][0] for s in singles]
+            assert json.dumps(batch.derived[key]) == json.dumps(one_at_a_time)
+        assert np.array_equal(batch.final_state.matrix, singles[-1].final_state.matrix)
+
+    @pytest.mark.parametrize("relaxation", [False, True])
+    def test_qho_equals_one_point_at_a_time(self, kernel_calls, relaxation):
+        ws = [0.0, 0.4, 2.5, 1.1]
+        batch = simulate_qho("n0_plus_n3", ws, "pulse", relaxation=relaxation)
+        assert len(kernel_calls) == 1
+        singles = [simulate_qho("n0_plus_n3", [w], "pulse", relaxation=relaxation)[0] for w in ws]
+        assert [json.dumps(r.to_json_dict()) for r in batch] == [
+            json.dumps(r.to_json_dict()) for r in singles]
+        for got, one in zip(batch, singles):
+            assert np.array_equal(got.final_state.matrix, one.final_state.matrix)
+
+    @pytest.mark.parametrize("relaxation", [False, True])
+    def test_cnot_table_is_one_kernel_call(self, kernel_calls, relaxation):
+        rows = cnot_truth_table("12", "pulse", relaxation=relaxation)
+        assert len(kernel_calls) == 1
+        assert [(r["input"], r["output"]) for r in rows] == [
+            ("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")]

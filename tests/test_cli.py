@@ -244,6 +244,12 @@ class TestGrapeInputErrors:
         self.assert_one_line_exit_2(rc, capsys)
         assert not list(tmp_path.iterdir())
 
+    def test_negative_seed(self, tmp_path, capsys):
+        rc = main(["grape", "--gate", "X90", "--seed", "-1", "--segments", "4", "--max-iters", "2",
+                   "--out", str(tmp_path / "out")])
+        self.assert_one_line_exit_2(rc, capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_grape_unitary_without_im(self, tmp_path, capsys):
         upath = write_json(tmp_path / "u.json", {"re": np.eye(4).tolist()})
         rc = main(["grape", "--unitary", upath, "--segments", "4",

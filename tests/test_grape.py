@@ -166,6 +166,11 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             grape_optimize(np.eye(8), cfg, GrapeConfig(segments=4, dt_s=1e-5), seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+    def test_seed_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            grape_optimize(np.eye(2), small_system(), GrapeConfig(segments=4, dt_s=1e-5), seed=seed)
+
 
 def triangulum_x90(triangulum, seed, max_iters=100):
     # perfbench's triangulum solve: X90 on qubit 1, 20 segments over 1 ms, F >= 0.9
