@@ -23,9 +23,9 @@ import numpy as np
 
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
-from .dynamics import check_pulse_amplitude, evolve_program
+from .dynamics import evolve_program
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import DensityMatrix, complex_matrix, state_fidelity
+from .quantum import DensityMatrix, complex_matrix, pauli_expand, state_fidelity
 from .spinsys import SpinSystemConfig, load_machine_config, preset
 
 _PRESETS = ("gemini", "triangulum")
@@ -119,26 +119,51 @@ def _load_matrix(path: str) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _number_list(text: str, kind=float) -> list:
-    try:
-        return [kind(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad {kind.__name__} list {text!r}") from exc
+def _domain(kind, rule: str, ok=lambda value: True, listed=False):
+    """An argparse type: the text as a `kind` (or a comma list of them) if `ok` holds for
+    each value, else ValidationError. argparse lets that through to main: exit 2."""
+    def parse(text: str):
+        try:
+            values = [kind(t) for t in text.split(",") if t.strip()] if listed else [kind(text)]
+            if all(ok(v) for v in values):
+                return values if listed else values[0]
+        except ValueError:
+            pass
+        raise ValidationError(f"bad {kind.__name__}{' list' * listed} {text!r}: {rule}")
+    return parse
 
+
+def _positive(what: str):
+    return _domain(float, f"{what} must be > 0 and finite", lambda v: 0 < v < np.inf)
+
+
+def _count(what: str, least: int):
+    return _domain(int, f"{what} must be an integer >= {least}", lambda v: v >= least)
+
+
+_AMPLITUDE = _positive("pulse amplitude")
+_FLOATS = _domain(float, "values must be finite", np.isfinite, listed=True)
+_INTS = _domain(int, "values must be integers", listed=True)
 
 # Options that only some subcommands read; each subcommand accepts just those it reads.
 _OPTIONS = {
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_count("seed", 0), default=0),
     "--path": dict(choices=("ideal", "pulse"), default="ideal"),
     "--relaxation": dict(choices=("on", "off"), default="off"),
-    "--pulse-amp-hz": dict(type=float, default=control.DEFAULT_PULSE_AMP_HZ),
+    "--pulse-amp-hz": dict(type=_AMPLITUDE, default=control.DEFAULT_PULSE_AMP_HZ),
     "--channel": dict(help="nucleus label (default: first channel)"),
-    "--amp-hz": dict(type=float, default=12.5e3, help="pulse amplitude in Hz"),
-    "--durations": dict(help="comma-separated pulse durations in s"),
-    "--delays": dict(help="comma-separated delays in s"),
-    "--offset-spread-hz": dict(type=float, default=0.0,
-                               help="half-width of a static offset inhomogeneity"),
+    "--amp-hz": dict(type=_AMPLITUDE, default=12.5e3, help="pulse amplitude in Hz"),
+    "--durations": dict(type=_FLOATS, help="comma-separated pulse durations in s"),
+    "--delays": dict(type=_FLOATS, help="comma-separated delays in s"),
+    "--offset-spread-hz": dict(type=_domain(float, "offset spread must be finite", np.isfinite),
+                               default=0.0, help="half-width of a static offset inhomogeneity"),
 }
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line, like every other exit 2."""
+        self.exit(2, f"error: validation: {message}\n")
 
 
 def _add_common(parser: argparse.ArgumentParser, *options: str):
@@ -151,7 +176,6 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
-    check_pulse_amplitude(args.pulse_amp_hz)  # on either path, though only "pulse" reads it
     cfg = _machine(args.machine)
     circuit = Circuit.from_json_dict(_load_json(args.circuit))
     relax = args.relaxation == "on"
@@ -176,7 +200,6 @@ def _cmd_simulate(args) -> list[Path]:
 
 
 def _cmd_tomography(args) -> list[Path]:
-    check_pulse_amplitude(args.pulse_amp_hz)
     cfg = _machine(args.machine)
     rho = DensityMatrix.from_json_dict(_load_json(args.state))
     recon, peak_tables = measurement.tomography_sweep(
@@ -211,19 +234,11 @@ def _cmd_compile(args) -> list[Path]:
 
 def _cmd_grape(args) -> list[Path]:
     cfg = _machine(args.machine)
-    if args.segments <= 0:
-        raise ValidationError("--segments must be > 0")
-    if args.unitary:
+    if args.gate is None:  # --gate and --unitary are one required exclusive group
         target = _load_matrix(args.unitary)
-    elif args.gate:
-        try:
-            targets = tuple(int(t) for t in args.targets.split(",")) if args.targets else (1,)
-        except ValueError as exc:
-            raise ValidationError(f"bad --targets {args.targets!r}") from exc
-        params = tuple(_number_list(args.params)) if args.params else ()
-        target = gate_matrix(control.Gate(args.gate, targets, params), cfg.n, cfg)
     else:
-        raise ValidationError("grape needs --gate or --unitary")
+        gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
+        target = gate_matrix(gate, cfg.n, cfg)
     gcfg = GrapeConfig(
         segments=args.segments,
         dt_s=args.duration_s / args.segments,
@@ -244,8 +259,6 @@ def _cmd_experiment(args) -> list[Path]:
     out = Path(args.out)
     if args.experiment == "pps":
         program, rho = experiments.prepare_pseudo_pure(cfg)
-        from .quantum import pauli_expand
-
         report = {
             "command": "experiment.pps",
             "machine": cfg.name,
@@ -257,17 +270,13 @@ def _cmd_experiment(args) -> list[Path]:
 
     channel = args.channel or cfg.channels[0]
     if args.experiment == "rabi":
-        amp = check_pulse_amplitude(args.amp_hz)  # before the default durations divide by it
-        if args.durations:
-            durations = _number_list(args.durations)
-        else:
-            durations = list(np.linspace(0.0, 2.0 / amp, 17)[1:])
-        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, amp, durations)
+        durations = args.durations or list(np.linspace(0.0, 2.0 / args.amp_hz, 17)[1:])
+        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, durations)
         fit_report = {
             "command": "experiment.rabi",
             "machine": cfg.name,
             "channel": channel,
-            "amplitude_hz": amp,
+            "amplitude_hz": args.amp_hz,
             "t90_s": t90,
             "t180_s": t180,
             "fit": {"model": scan.fit.model, "params": scan.fit.params,
@@ -279,9 +288,7 @@ def _cmd_experiment(args) -> list[Path]:
         ]
 
     mode = "T1" if args.experiment == "t1" else "T2"
-    delays = _number_list(args.delays) if args.delays else list(
-        T1_DELAYS_S if mode == "T1" else T2_DELAYS_S
-    )
+    delays = args.delays or list(T1_DELAYS_S if mode == "T1" else T2_DELAYS_S)
     scan = experiments.relaxation_experiment(
         cfg,
         channel,
@@ -326,14 +333,13 @@ def _cmd_algorithm(args) -> list[Path]:
     elif name == "bv":
         report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax).to_json_dict()
     elif name == "count":
-        ls = _number_list(args.l_values, int)
-        report = algorithms.run_counting(args.case, ls, args.path, cfg, relax).to_json_dict()
+        report = algorithms.run_counting(args.case, args.l_values, args.path, cfg,
+                                         relax).to_json_dict()
     elif name == "bell":
         report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg,
                                          relax).to_json_dict()
     elif name == "qho":
-        omegas = _number_list(args.omega_t)
-        reports = algorithms.simulate_qho(args.initial, omegas, args.path, cfg, relax)
+        reports = algorithms.simulate_qho(args.initial, args.omega_t, args.path, cfg, relax)
         report = {"algorithm": "qho", "path": args.path,
                   "points": [r.to_json_dict() for r in reports]}
     else:
@@ -345,7 +351,7 @@ def _cmd_algorithm(args) -> list[Path]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nmrqc",
         description="Batch emulator of a desktop NMR quantum computer.",
     )
@@ -368,14 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grape", help="optimize a pulse for a target gate")
     _add_common(p, "--seed")
-    p.add_argument("--gate", help="gate name, e.g. X90")
-    p.add_argument("--targets", help="comma-separated qubit indices (default 1)")
-    p.add_argument("--params", help="comma-separated gate parameters")
-    p.add_argument("--unitary", help="JSON file with re/im target matrix")
-    p.add_argument("--segments", type=int, default=100)
-    p.add_argument("--duration-s", type=float, default=1.5e-3)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--target-fidelity", type=float, default=0.9995)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--gate", help="gate name, e.g. X90")
+    target.add_argument("--unitary", help="JSON file with re/im target matrix")
+    p.add_argument("--targets", type=_INTS, help="comma-separated qubit indices (default 1)")
+    p.add_argument("--params", type=_FLOATS, help="comma-separated gate parameters")
+    p.add_argument("--segments", type=_count("segments", 1), default=100)
+    p.add_argument("--duration-s", type=_positive("duration"), default=1.5e-3)
+    p.add_argument("--max-iters", type=_count("max iterations", 0), default=1000)
+    p.add_argument("--target-fidelity", default=0.9995, type=_domain(
+        float, "target fidelity must be in (0, 1]", lambda v: 0 < v <= 1))
     p.add_argument("--initial", choices=("random", "constant"), default="random")
     p.set_defaults(func=_cmd_grape)
 
@@ -399,43 +407,41 @@ def build_parser() -> argparse.ArgumentParser:
         return q
 
     algorithm("deutsch").add_argument("--case", default="f1", choices=algorithms.DEUTSCH_CASES)
-    algorithm("grover4").add_argument("--target", type=int, default=4, help="entry 1..4")
+    algorithm("grover4").add_argument("--target", type=int, default=4, choices=range(1, 5))
     algorithm("bv").add_argument("--a", default="11", help="hidden bit string")
     q = algorithm("count")
     q.add_argument("--case", default="M1_first", choices=algorithms.COUNTING_CASES)
-    q.add_argument("--l-values", default="1,2,3,4,5,6,7,8,9,10")
+    q.add_argument("--l-values", type=_INTS, default="1,2,3,4,5,6,7,8,9,10")
     q = algorithm("bell")
     q.add_argument("--which", default="phi-", choices=algorithms.BELL_STATES)
     q.add_argument("--recipe", default="cy", choices=("cnot", "cy"))
     q = algorithm("qho")
     q.add_argument("--initial", default="n0", choices=algorithms.QHO_INITIALS)
-    q.add_argument("--omega-t", default=",".join(
+    q.add_argument("--omega-t", type=_FLOATS, default=",".join(
         f"{0.1 * k * 2 * np.pi:.12g}" for k in range(1, 11)))
     q = kinds.add_parser("dqc1")
     _add_common(q)
     q.add_argument("--unitary", help="JSON re/im matrix")
-    q.add_argument("--epsilon", type=float, default=1.0)
+    q.add_argument("--epsilon", default=1.0, type=_domain(
+        float, "epsilon must satisfy 0 < |epsilon| <= 1", lambda v: 0 < abs(v) <= 1))
     algorithm("cnot-table").add_argument("--direction", default="12", choices=("12", "21"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # a domain's ValidationError passes through
         written = args.func(args)
-    except (ValidationError, NmrqcError) as exc:
-        if isinstance(exc, FitError):
-            print(f"error: numerical: {exc}", file=sys.stderr)
-            return 3
+    except (FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"error: numerical: {exc}", file=sys.stderr)
+        return 3
+    except NmrqcError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 4
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
-        return 3
     for path in written:
         print(path)
     return 0

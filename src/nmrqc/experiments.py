@@ -166,15 +166,12 @@ def prepare_pseudo_pure(config: SpinSystemConfig) -> tuple[PulseProgram, Density
     return program, rho
 
 
-def _transverse(states, config: SpinSystemConfig, channel: str):
+def _transverse(states: np.ndarray, config: SpinSystemConfig, channel: str) -> np.ndarray:
     """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed over a
-    channel's spins, for one state or, in one contraction, each of a (B, d, d) stack."""
-    single = isinstance(states, DensityMatrix)
-    rho = states.matrix[np.newaxis] if single else states
+    channel's spins, for each state of a (B, d, d) stack, in one contraction."""
     ops, c = config._operators, config.channel_index(channel)
-    xy = np.einsum("bij,kji->bk", rho, np.stack([ops.sx[c], ops.sy[c]])).real
-    signal = xy[:, 0] + 1j * xy[:, 1]
-    return signal[0] if single else signal
+    xy = np.einsum("bij,kji->bk", states, np.stack([ops.sx[c], ops.sy[c]])).real
+    return xy[:, 0] + 1j * xy[:, 1]
 
 
 def rabi_calibration(

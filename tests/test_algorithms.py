@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_weak_config, random_unitary
 from nmrqc import _kernels
@@ -179,6 +182,18 @@ class TestCounting:
         near = np.clip(theta + np.array([-1e-6, -1e-8, 1e-8, 1e-6]), 0.0, np.pi)
         assert sse(theta) <= min(sse(t) for t in (theta0, *near))
 
+    def test_frequency_fit_memory_does_not_grow_with_l_values(self):
+        # the grid's sum of squares is added up one l at a time, not as an (l, grid) array
+        ls = np.arange(1.0, 1001.0)
+        values = np.cos(ls * 0.3)
+        tracemalloc.start()
+        try:
+            _fit_cos_frequency(ls, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestBell:
     def test_phi_minus_via_cy(self):
@@ -276,6 +291,21 @@ class TestDqc1:
     def test_zero_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             dqc1_trace(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, 1.0000001, -2.0])
+    def test_epsilon_outside_its_domain_rejected(self, epsilon):
+        with pytest.raises(ValidationError, match=r"0 < \|epsilon\| <= 1"):
+            dqc1_trace(np.eye(2), epsilon)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-300.0, 0.0), sign=st.sampled_from([-1.0, 1.0]),
+           seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 4]))
+    def test_estimate_holds_its_digits_for_every_epsilon(self, exponent, sign, seed, d):
+        # the estimate is read from the traceless deviation, so a small polarization
+        # costs no digits to the identity part of the state
+        u = random_unitary(np.random.default_rng(seed), d)
+        estimate = dqc1_trace(u, sign * 10.0**exponent)
+        assert abs(estimate - np.trace(u) / d) <= 1e-12
 
 
 class TestCnotTable:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import io
@@ -15,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmrqc
-from nmrqc import measurement
-from nmrqc.cli import _canonical, main
+from nmrqc import cli, measurement
+from nmrqc.cli import _canonical, build_parser, main
 from nmrqc.control import Circuit, Gate, compile_circuit
 from nmrqc.dynamics import program_unitary
+from nmrqc.errors import ValidationError
 from nmrqc.quantum import DensityMatrix
 from nmrqc.spinsys import preset
 
@@ -761,3 +763,136 @@ class TestErrorContractFuzz:
         assert "Traceback" not in err
         assert outside == inputs
         assert runs[0] == runs[1]
+
+
+# Declared domain of each value-taking CLI option: (values inside, values outside).
+POSITIVE = (["1e-9", "2.5e4", "1e308"],
+            ["0", "-0.0", "-5", "nan", "inf", "-inf", "1e999", "abc", ""])
+FINITE = (["0", "-200", "1e308", "-1e308"], ["nan", "inf", "-inf", "1e999", "x", ""])
+FLOATS = (["1e-5", "1e-5,2e-5", "-1,0,1e308", " 3 , 4 "],
+          ["nan", "1,inf", "1,-inf,2", "1,abc", "1;2", "0x10"])
+INTS = (["1", "1,2", "-3,0,7"], ["1.5,2", "1e3", "one", "1,nan", "0x1"])
+ORACLE_DOMAINS = {
+    "--pulse-amp-hz": POSITIVE, "--amp-hz": POSITIVE, "--duration-s": POSITIVE,
+    "--offset-spread-hz": FINITE,
+    "--seed": (["0", "7", "123456789"], ["-1", "1.5", "1e3", "nan", "inf", "", "one"]),
+    "--max-iters": (["0", "3"], ["-1", "2.5", "1e3", "nan", ""]),
+    "--segments": (["1", "100"], ["0", "-3", "2.0", "inf", ""]),
+    "--durations": FLOATS, "--delays": FLOATS, "--params": FLOATS, "--omega-t": FLOATS,
+    "--targets": INTS, "--l-values": INTS,
+    "--target-fidelity": (["1", "0.5", "1e-300"], ["0", "-0.5", "1.0000001", "2", "nan", "inf"]),
+    "--epsilon": (["1", "-1", "0.5", "-1e-300", "1e-310"],
+                  ["0", "-0.0", "1e-400", "2", "-1.5", "nan", "inf", "-inf"]),
+    "--target": (["1", "4"], ["0", "5", "1.5", "x"]),
+    "--path": (["ideal", "pulse"], ["bogus", "PULSE", ""]),
+    "--relaxation": (["on", "off"], ["yes", ""]),
+    # grape takes exactly one of --gate and --unitary; None leaves the option out
+    "--gate": (["X90", "H"], [None]),
+    "--unitary": ([None], ["u.json"]),
+}
+# Known-good requests: fixed words, then the options the oracle mutates (None: left out).
+ORACLE_REQUESTS = [
+    ("simulate --circuit=c.json", {"--path": "pulse", "--relaxation": "on",
+                                   "--pulse-amp-hz": "2e4"}),
+    ("tomography --state=rho.json", {"--path": "ideal", "--pulse-amp-hz": "2e4"}),
+    ("compile --circuit=c.json", {"--pulse-amp-hz": "2e4"}),
+    ("grape", {"--gate": "X90", "--unitary": None, "--targets": "1", "--params": "0.5",
+               "--segments": "4", "--duration-s": "1e-4", "--max-iters": "2",
+               "--target-fidelity": "0.99", "--seed": "1"}),
+    ("experiment rabi", {"--amp-hz": "12500", "--durations": "1e-5,2e-5"}),
+    ("experiment t1", {"--amp-hz": "12500", "--delays": "1e-3,1e-2"}),
+    ("experiment t2", {"--delays": "1e-3,1e-2", "--offset-spread-hz": "50"}),
+    ("algorithm grover4", {"--target": "3", "--path": "pulse", "--relaxation": "off"}),
+    ("algorithm count --case=M2", {"--l-values": "1,2,3"}),
+    ("algorithm qho", {"--omega-t": "0.5,1.0"}),
+    ("algorithm dqc1 --unitary=u.json", {"--epsilon": "0.5"}),
+]
+# Options that name a file, a nucleus, a gate or a bit string: no numeric domain.
+LABEL_OPTIONS = {"--machine", "--out", "--circuit", "--state", "--unitary", "--channel",
+                 "--gate", "--a"}
+ORACLE_PARSER = build_parser()
+
+
+@st.composite
+def domain_mutations(draw):
+    """(argv, inside): an ORACLE_REQUESTS request with one option's value drawn from
+    inside or outside its declared domain. Values go in as --option=value, so that
+    argparse takes "-inf" and "-1e-300" for values, not for options."""
+    words, options = draw(st.sampled_from(ORACLE_REQUESTS))
+    option = draw(st.sampled_from(sorted(options)))
+    inside = draw(st.booleans())
+    options = {**options, option: draw(st.sampled_from(ORACLE_DOMAINS[option][not inside]))}
+    return words.split() + [f"{k}={v}" for k, v in options.items() if v is not None], inside
+
+
+def run_main(argv):
+    """(exit code, stderr) of main, counting argparse's SystemExit as an exit code."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def leaf_parsers(parser):
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield parser
+    for action in subcommands:
+        for sub in action.choices.values():
+            yield from leaf_parsers(sub)
+
+
+class TestDeclaredDomains:
+    @settings(max_examples=200, deadline=None)
+    @given(request=domain_mutations())
+    def test_parser_rejects_exactly_the_values_outside(self, request):
+        argv, inside = request
+        if inside:  # never rejected by the parser; what the request reads is its own test
+            ORACLE_PARSER.parse_args([*argv, "--out", "out"])
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [*argv, "--out", str(Path(tmp) / "out")]
+            with redirect_stderr(io.StringIO()), pytest.raises((ValidationError, SystemExit)):
+                ORACLE_PARSER.parse_args(argv)
+            rc, err = run_main(argv)
+            assert rc == 2, (argv, err)
+            assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), err
+            assert not (Path(tmp) / "out").exists()
+
+    def test_every_option_has_a_domain(self):
+        domain_code = cli._domain(int, "").__code__  # the code of every type _domain makes
+        leaves = list(leaf_parsers(build_parser()))
+        assert len(leaves) == 16  # 4 commands, 4 experiments, 8 algorithms
+        undeclared, unfuzzed = [], set()
+        for leaf in leaves:
+            for action in leaf._actions:
+                names = set(action.option_strings)
+                if action.nargs == 0 or names & LABEL_OPTIONS:
+                    continue
+                if getattr(action.type, "__code__", None) is domain_code:
+                    unfuzzed |= names - set(ORACLE_DOMAINS)
+                elif action.choices is None:
+                    undeclared.append((leaf.prog, *names))
+        assert not undeclared
+        assert not unfuzzed  # the oracle draws from every declared domain
+
+    @pytest.mark.parametrize("argv, match", [
+        (["simulate", "--circuit", "c.json", "--path", "bogus"], "invalid choice: 'bogus'"),
+        (["simulate", "--circuit", "c.json", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["grape", "--gate", "X90", "--unitary", "u.json"], "not allowed with argument"),
+        (["grape", "--segments", "4"], "one of the arguments --gate --unitary is required"),
+        (["algorithm", "dqc1", "--unitary", "u.json", "--epsilon", "2"],
+         "epsilon must satisfy 0 < |epsilon| <= 1"),
+        (["experiment", "rabi", "--amp-hz", "abc"], "pulse amplitude must be > 0 and finite"),
+        ([], "the following arguments are required: command"),
+    ], ids=["path_bogus", "unread_option", "gate_and_unitary", "neither_gate_nor_unitary",
+            "epsilon_2", "amp_not_a_number", "no_command"])
+    def test_parser_errors_are_one_line(self, tmp_path, argv, match):
+        rc, err = run_main([*argv, "--out", str(tmp_path / "out")] if argv else argv)
+        assert rc == 2
+        assert err.startswith("error: validation:") and match in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()

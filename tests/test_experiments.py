@@ -353,7 +353,7 @@ class TestRelaxationExperiments:
                 ),
             )
             rho = evolve_program(thermal_state(cfg), prog, relaxation=True)
-            total += _transverse(rho, cfg, "1H")
+            total += _transverse(rho.matrix[np.newaxis], cfg, "1H")[0]
         ensemble = abs(total) / 11
         echo = np.exp(-t / 0.2) * gemini.nuclei[0].polarization
         assert ensemble < 0.2 * echo
@@ -392,7 +392,7 @@ class TestRelaxationExperiments:
         assert np.max(np.abs(signal - expected)) <= 1e-15 * np.max(np.abs(expected))
         # the signal of each state of the list is that of its row of the stack
         for k, rho in enumerate(states):
-            assert _transverse(rho, gemini, channel) == signal[k]
+            assert _transverse(rho.matrix[np.newaxis], gemini, channel)[0] == signal[k]
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)
