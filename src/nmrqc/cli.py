@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -120,12 +121,12 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _domain(kind, rule: str, ok=lambda value: True, listed=False):
-    """An argparse type: the text as a `kind` (or a comma list of them) if `ok` holds for
-    each value, else ValidationError. argparse lets that through to main: exit 2."""
+    """An argparse type: the text as a `kind` (or a comma list of at least one) if `ok`
+    holds for each value, else ValidationError. argparse lets that through to main: exit 2."""
     def parse(text: str):
         try:
             values = [kind(t) for t in text.split(",") if t.strip()] if listed else [kind(text)]
-            if all(ok(v) for v in values):
+            if values and all(ok(v) for v in values):
                 return values if listed else values[0]
         except ValueError:
             pass
@@ -142,8 +143,8 @@ def _count(what: str, least: int):
 
 
 _AMPLITUDE = _positive("pulse amplitude")
-_FLOATS = _domain(float, "values must be finite", np.isfinite, listed=True)
-_INTS = _domain(int, "values must be integers", listed=True)
+_FLOATS = _domain(float, "need one or more values, all finite", np.isfinite, listed=True)
+_INTS = _domain(int, "need one or more values, all integers", listed=True)
 
 # Options that only some subcommands read; each subcommand accepts just those it reads.
 _OPTIONS = {
@@ -161,6 +162,12 @@ _OPTIONS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's test (3.11) for a negative number, a value and not an option: whatever
+        # starts as one, -1e-3 and -1,2 too, since no option name begins with a digit
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         """A usage error is one line, like every other exit 2."""
         self.exit(2, f"error: validation: {message}\n")

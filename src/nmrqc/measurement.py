@@ -15,8 +15,9 @@ line of qubit k with partners in state m sits at nu_k + sum_j (1 - 2 m_j) J_kj /
 and has weight 2. On an isotropic machine B is H0's eigenbasis.
 
 Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to
-the lines of all 3^n readout settings, by least squares: on weak machines the
-ideal map once per qubit count, otherwise the map of the unitaries applied.
+the lines of all 3^n readout settings, by least squares. The inverse of the ideal
+map is cached by value (one per qubit count on weak machines, one per readout
+basis on isotropic ones); a compiled readout inverts the map of its unitaries.
 """
 
 from __future__ import annotations
@@ -212,11 +213,13 @@ def _ideal_readouts(n: int) -> np.ndarray:
     return us
 
 
-@functools.lru_cache(maxsize=3)
-def _weak_inverse(n: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    """`_inverse` of the ideal map to a weak machine's lines, of weight 2 at rows, cols:
-    offsets, J and channel labels only move and group them, so it depends on n alone."""
-    lines = _Lines(None, (), (), np.full(len(rows), 2.0), rows, cols)
+@functools.lru_cache(maxsize=8)
+def _ideal_inverse(n: int, rows: tuple, cols: tuple, weights: tuple, basis: Optional[bytes]):
+    """`_inverse` of the ideal readout map, keyed by value on all it depends on: the lines'
+    rows, cols and weights, and the readout basis as bytes (None: computational). Offsets,
+    J and labels only move and group a weak machine's lines, so one n shares one entry."""
+    b = None if basis is None else np.frombuffer(basis, complex).reshape(2**n, 2**n)
+    lines = _Lines(b, (), (), np.array(weights), rows, cols)
     return _inverse(_readout_map(_ideal_readouts(n), lines))
 
 
@@ -252,8 +255,9 @@ def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout,
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     us = (np.array([program_unitary(compile_circuit(_setting_circuit(s), config, pulse_amp_hz))
                     for s in settings]) if compiled_readout else _ideal_readouts(config.n))
-    inverse = (_inverse(_readout_map(us, lines)) if compiled_readout or lines.basis is not None
-               else _weak_inverse(config.n, lines.rows, lines.cols))
+    inverse = (_inverse(_readout_map(us, lines)) if compiled_readout else _ideal_inverse(
+        config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
+        None if lines.basis is None else lines.basis.tobytes()))
     readings = lines.readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
     coeffs = (inverse @ readings.ravel()).real
     recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))

@@ -315,15 +315,20 @@ def rf_drive(config: SpinSystemConfig, amplitudes_hz: Sequence, phases_rad: Sequ
 def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
                    phases_rad: Sequence) -> np.ndarray:
     """Rotating-frame RF Hamiltonian, rad/s, of one (amplitude, phase) pair per channel,
-    or one (d, d) matrix per row of them; outside GRAPE, the one place that weighs the
-    control generators.
+    or one (d, d) matrix per row of them.
 
     H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
     with the sums running over the channel's member spins.
     """
-    drive, controls = rf_drive(config, amplitudes_hz, phases_rad), config._operators.controls
+    drive = rf_drive(config, amplitudes_hz, phases_rad)
+    return _drive_hamiltonian(config._operators.controls, drive)
+
+
+def _drive_hamiltonian(controls: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """sum_k drive[..., k] controls[k], a (d, d) matrix per drive row: np.tensordot's dot,
+    unwrapped. The one contraction of the control generators, GRAPE's included."""
     flat = np.dot(drive.reshape(-1, len(controls)), controls.reshape(len(controls), -1))
-    return flat.reshape(*drive.shape[:-1], *controls.shape[1:])  # np.tensordot's dot, unwrapped
+    return flat.reshape(*drive.shape[:-1], *controls.shape[1:])
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:

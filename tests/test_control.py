@@ -170,6 +170,27 @@ class TestCircuitUnitary:
     def test_empty_circuit(self):
         assert np.allclose(circuit_unitary(Circuit(2, ())), np.eye(4))
 
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_chain_has_the_gate_by_gate_products_bits(self, data):
+        # circuit_unitary chains its gates with _kernels.unitary_chain: the bits of the
+        # product it multiplied gate by gate, the empty circuit's identity included
+        n = data.draw(st.integers(1, 3))
+        assert circuit_unitary(Circuit(n, ())).tobytes() == np.eye(2**n, dtype=complex).tobytes()
+        config = make_weak_config([30.0, -20.0], [[0, 140], [140, 0]]) if n == 2 else None
+        names = [name for name, (k, _, _) in _GATES.items() if k <= n and (k or config)]
+        gates = []
+        for name in data.draw(st.lists(st.sampled_from(names), max_size=8)):
+            k, n_params, _ = _GATES[name]
+            targets = data.draw(st.permutations(range(1, n + 1)))[:k]
+            params = st.floats(0, 1e-3) if name == "Delay" else st.floats(-7, 7)
+            gates.append(Gate(name, tuple(targets), data.draw(st.tuples(*[params] * n_params))))
+        c = Circuit(n, tuple(gates))
+        expected = np.eye(2**n, dtype=complex)
+        for g in c.gates:
+            expected = gate_matrix(g, n, config) @ expected
+        assert circuit_unitary(c, config).tobytes() == expected.tobytes()
+
     def test_time_ordering(self):
         # X then H differs from H then X
         u = circuit_unitary(Circuit(1, (X(1), H(1))))

@@ -421,7 +421,7 @@ class TestTomography:
         for name in calls:
             monkeypatch.setattr(measurement, name, counting(name))
         measurement._ideal_readouts.cache_clear()
-        measurement._weak_inverse.cache_clear()
+        measurement._ideal_inverse.cache_clear()
         rng = np.random.default_rng(58)
         for cfg in machines:
             for _ in range(2):
@@ -431,9 +431,26 @@ class TestTomography:
         # listed once per sweep
         assert calls == {"circuit_unitary": 27, "_line_table": 2 * 2, "_inverse": 1}
         lines = measurement._line_table(machines[0])
-        inverse = measurement._weak_inverse(3, lines.rows, lines.cols)
+        inverse = measurement._ideal_inverse(3, lines.rows, lines.cols, (2.0,) * 12, None)
         assert not measurement._ideal_readouts(3).flags.writeable
         assert not inverse.flags.writeable
+
+    def test_isotropic_inverse_built_once_per_readout_basis(self, triangulum, monkeypatch):
+        calls = []
+        original = measurement._inverse
+        monkeypatch.setattr(measurement, "_inverse", lambda a: calls.append(1) or original(a))
+        measurement._ideal_inverse.cache_clear()
+        shifted = replace(triangulum, j_hz=triangulum.j_hz * 1.5)  # another eigenbasis
+        rng = np.random.default_rng(60)
+        for cfg, built in ((triangulum, 1), (triangulum, 1), (shifted, 2), (triangulum, 2)):
+            rho = random_density_matrix(rng, 3)
+            assert np.max(np.abs(tomography(rho, cfg).matrix - rho.matrix)) < 1e-8
+            assert len(calls) == built
+        # the cached inverse has the bits of the map built from the machine's own basis
+        lines = measurement._line_table(triangulum)
+        rebuilt = original(measurement._readout_map(measurement._ideal_readouts(3), lines))
+        key = (3, lines.rows, lines.cols, tuple(lines.weights.tolist()), lines.basis.tobytes())
+        assert measurement._ideal_inverse(*key).tobytes() == rebuilt.tobytes()
 
     def test_undetermined_coefficients_rejected(self, gemini):
         # the identity setting alone sees only the single-transverse-factor strings

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_weak_config
 from nmrqc import spinsys
@@ -163,6 +166,16 @@ class TestRfHamiltonian:
         h = rf_hamiltonian(gemini, [123.0, 77.0], [0.4, 2.1])
         assert abs(np.trace(h)) < 1e-9
         assert np.max(np.abs(h - h.conj().T)) < 1e-10
+
+    @settings(max_examples=60)
+    @given(machine=st.sampled_from(["gemini", "triangulum"]), data=st.data())
+    def test_drive_contraction_has_tensordots_bits(self, machine, data):
+        # np.tensordot is the reference GRAPE's tests build their Hamiltonians with
+        controls = preset(machine)._operators.controls
+        rows = data.draw(st.integers(0, 24))
+        drive = data.draw(arrays(float, (rows, len(controls)), elements=st.floats(-1e7, 1e7)))
+        expected = np.tensordot(drive, controls, axes=(1, 0))
+        assert spinsys._drive_hamiltonian(controls, drive).tobytes() == expected.tobytes()
 
 
 class TestRfDrive:
