@@ -36,9 +36,10 @@ def segment_propagators(h_stack, dt):
     return _eig_propagators(h_stack, dt)[2]
 
 
-def unitary_chain(props):
-    """Time-ordered product U_N ... U_2 U_1 of a propagator stack."""
-    acc = np.eye(props.shape[1], dtype=np.complex128)
+def unitary_chain(props, d=None):
+    """Time-ordered product U_N ... U_2 U_1 of a propagator stack, or of any iterable
+    of (d, d) unitaries: one held at a time, the identity if there are none."""
+    acc = np.eye(props.shape[1] if d is None else d, dtype=np.complex128)
     for u in props:
         acc = u @ acc
     return acc

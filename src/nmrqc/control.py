@@ -22,7 +22,8 @@ from .dynamics import Delay as DelayEvent
 from .dynamics import PulseProgram, check_pulse_amplitude, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, is_unitary
-from .spinsys import MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian
+from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
+                      internal_hamiltonian)
 
 # Amplitude used when compiling circuits unless the caller overrides it.
 # 5e8 Hz keeps the J-during-pulse error of a full two-qubit program below
@@ -200,8 +201,14 @@ class Circuit:
                 matrix = None
                 if "matrix" in g:
                     matrix = complex_matrix(g["matrix"]["re"], g["matrix"]["im"])
-                gates.append(Gate(str(g["name"]), tuple(int(t) for t in g.get("targets", ())),
-                                  tuple(float(p) for p in g.get("params", ())), matrix))
+                gates.append(
+                    Gate(
+                        str(g["name"]),
+                        tuple(int(t) for t in g.get("targets", ())),
+                        tuple(float(p) for p in g.get("params", ())),
+                        matrix,
+                    )
+                )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad circuit JSON: {exc}") from exc
         return cls(n=n, gates=tuple(gates))
@@ -240,8 +247,7 @@ def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np
     """Product of the gate matrices in time order (later gates on the left)."""
     if config is not None and c.n != config.n:
         raise ValidationError(f"circuit has {c.n} qubits, machine has {config.n}")
-    gates = np.reshape([gate_matrix(g, c.n, config) for g in c.gates], (-1, 2**c.n, 2**c.n))
-    return _kernels.unitary_chain(gates)  # the identity for no gates
+    return _kernels.unitary_chain((gate_matrix(g, c.n, config) for g in c.gates), 2**c.n)
 
 
 def _zxz(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -452,9 +458,11 @@ class GrapeResult:
     def csv_text(self) -> str:
         buf = io.StringIO()
         buf.write("segment_index,channel,u_x_hz,u_y_hz\n")
-        for j, row in enumerate(self.amplitudes_hz):
+        for j in range(self.amplitudes_hz.shape[0]):
             for ci, ch in enumerate(self.channels):
-                buf.write(f"{j},{ch},{row[2 * ci]:.12g},{row[2 * ci + 1]:.12g}\n")
+                ux = self.amplitudes_hz[j, 2 * ci]
+                uy = self.amplitudes_hz[j, 2 * ci + 1]
+                buf.write(f"{j},{ch},{ux:.12g},{uy:.12g}\n")
         return buf.getvalue()
 
     def metadata_dict(self) -> dict:
@@ -498,7 +506,8 @@ def grape_optimize(
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
-    h0, controls, channels = config._operators.h0, config._operators.controls, config.channels
+    h0 = internal_hamiltonian(config)
+    controls, channels = control_operators(config)
     m = controls.shape[0]
     n_seg = gcfg.segments
     dt = float(gcfg.dt_s)

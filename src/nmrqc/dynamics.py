@@ -101,8 +101,14 @@ class PulseProgram:
         out = []
         for ev in self.events:
             if isinstance(ev, RfSegment):
-                out.append({"type": "rf", "amp_hz": list(ev.amplitudes_hz),
-                            "phase_rad": list(ev.phases_rad), "dur_s": ev.duration_s})
+                out.append(
+                    {
+                        "type": "rf",
+                        "amp_hz": list(ev.amplitudes_hz),
+                        "phase_rad": list(ev.phases_rad),
+                        "dur_s": ev.duration_s,
+                    }
+                )
             elif isinstance(ev, Delay):
                 out.append({"type": "delay", "dur_s": ev.duration_s})
             else:

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,20 @@ class TestCircuitUnitary:
         for g in c.gates:
             expected = gate_matrix(g, n, config) @ expected
         assert circuit_unitary(c, config).tobytes() == expected.tobytes()
+
+    def test_long_circuit_holds_one_gate_matrix_at_a_time(self):
+        # 1,000 gates on 6 qubits: a stack of their 64 x 64 matrices would take 64 MB
+        gates = tuple(Gate("H", (i % 6 + 1,)) if i % 2 else Gate("CNOT", (i % 6 + 1, 6 - i % 6))
+                      for i in range(1000))
+        circuit = Circuit(6, gates)
+        circuit_unitary(circuit)
+        tracemalloc.start()
+        try:
+            circuit_unitary(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 64 * 64 * 16  # 16 matrices' worth, 1 MB
 
     def test_time_ordering(self):
         # X then H differs from H then X

@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout:
 
-    python tools/abtime.py BASE_SRC CHANGED_SRC [TARGET ...] [--pairs N] [--calls K]
+    python tools/abtime.py BASE_SRC CHANGED_SRC [TARGET ...] [--pairs N]
 
 BASE_SRC and CHANGED_SRC are directories that each hold an ``nmrqc`` package, for
 example the ``src`` of a parent commit unpacked with ``git archive`` and this
@@ -17,8 +17,8 @@ in a pair each side makes the same number of calls, timed as a whole, and the si
 that goes first alternates from pair to pair. Per target it prints the median of
 the per-pair ratios changed/base, a 95 % bootstrap interval of that median (2,000
 resamples of the pairs), the number of pairs and the calls per pair. A ratio below
-1 means the changed tree is faster. By default a side makes enough calls per pair
-to take about 10 ms.
+1 means the changed tree is faster. A side makes enough calls per pair to take
+about 10 ms, worked out from the slower side's fastest warm call.
 
 Limits:
 - Each side is timed with ``time.thread_time_ns``, the CPU time of this thread.
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 BOOTSTRAP_DRAWS = 2000
-SIDE_SECONDS = 0.01  # CPU time per side and pair when --calls is not given
+SIDE_SECONDS = 0.01  # CPU time per side and pair
 WARM_CALLS = 3
 
 
@@ -157,17 +157,15 @@ def main(argv=None) -> int:
     parser.add_argument("targets", nargs="*", metavar="TARGET",
                         help=f"what to time (default: all): {', '.join(TARGETS)}")
     parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--calls", type=int, help="calls per side and pair (default: ~10 ms)")
     args = parser.parse_args(argv)
     unknown = [t for t in args.targets if t not in TARGETS]
-    if unknown or args.pairs < 1 or (args.calls or 1) < 1:
-        parser.error(f"unknown targets {unknown}" if unknown
-                     else "--pairs and --calls must be >= 1")
+    if unknown or args.pairs < 1:
+        parser.error(f"unknown targets {unknown}" if unknown else "--pairs must be >= 1")
     trees = load_tree(args.base, "abtime_base"), load_tree(args.changed, "abtime_changed")
     for target in args.targets or TARGETS:
         base, changed = (TARGETS[target](tree) for tree in trees)
         warm_call = _warm((base, changed))
-        calls = args.calls or max(1, round(SIDE_SECONDS * 1e9 / max(warm_call, 1)))
+        calls = max(1, round(SIDE_SECONDS * 1e9 / max(warm_call, 1)))
         median, low, high = summary(paired_ratios(base, changed, args.pairs, calls))
         print(f"{target:36s} ratio {median:.4f}  95% [{low:.4f}, {high:.4f}]  "
               f"pairs {args.pairs}  calls {calls}", flush=True)
