@@ -276,41 +276,28 @@ def _cmd_experiment(args) -> list[Path]:
         return [emit_report(report, "json", out / "pps_report.json")]
 
     channel = args.channel or cfg.channels[0]
-    if args.experiment == "rabi":
-        durations = args.durations or list(np.linspace(0.0, 2.0 / args.amp_hz, 17)[1:])
-        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, durations)
-        fit_report = {
-            "command": "experiment.rabi",
-            "machine": cfg.name,
-            "channel": channel,
-            "amplitude_hz": args.amp_hz,
-            "t90_s": t90,
-            "t180_s": t180,
-            "fit": {"model": scan.fit.model, "params": scan.fit.params,
-                    "residual": scan.fit.residual},
-        }
-        return [
-            emit_report(scan.csv_text(), "csv", out / "rabi_scan.csv"),
-            emit_report(fit_report, "json", out / "rabi_fit.json"),
-        ]
-
-    mode = "T1" if args.experiment == "t1" else "T2"
-    delays = args.delays or list(T1_DELAYS_S if mode == "T1" else T2_DELAYS_S)
-    scan = experiments.relaxation_experiment(
-        cfg,
-        channel,
-        mode,
-        delays,
-        amplitude_hz=args.amp_hz,
-        offset_spread_hz=args.offset_spread_hz,
-    )
     fit_report = {
         "command": f"experiment.{args.experiment}",
         "machine": cfg.name,
         "channel": channel,
-        "fit": {"model": scan.fit.model, "params": scan.fit.params,
-                "residual": scan.fit.residual},
     }
+    if args.experiment == "rabi":
+        durations = args.durations or list(np.linspace(0.0, 2.0 / args.amp_hz, 17)[1:])
+        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, durations)
+        fit_report.update(amplitude_hz=args.amp_hz, t90_s=t90, t180_s=t180)
+    else:
+        mode = "T1" if args.experiment == "t1" else "T2"
+        delays = args.delays or list(T1_DELAYS_S if mode == "T1" else T2_DELAYS_S)
+        scan = experiments.relaxation_experiment(
+            cfg,
+            channel,
+            mode,
+            delays,
+            amplitude_hz=args.amp_hz,
+            offset_spread_hz=args.offset_spread_hz,
+        )
+    fit_report["fit"] = {"model": scan.fit.model, "params": scan.fit.params,
+                         "residual": scan.fit.residual}
     return [
         emit_report(scan.csv_text(), "csv", out / f"{args.experiment}_scan.csv"),
         emit_report(fit_report, "json", out / f"{args.experiment}_fit.json"),

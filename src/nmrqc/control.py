@@ -13,7 +13,7 @@ import cmath
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
 from .dynamics import PulseProgram, check_pulse_amplitude, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, is_unitary
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, embed, is_unitary
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -214,22 +214,6 @@ class Circuit:
         return cls(n=n, gates=tuple(gates))
 
 
-def _embed_matrix(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
-    """Expand a gate matrix on `targets` (1-based, in order) to the full register."""
-    k = len(targets)
-    if u.shape != (2**k, 2**k):
-        raise ValidationError("matrix size does not match target count")
-    # I (x) u with the other qubits first and the targets last, then the
-    # tensor axes permuted back to qubit order.
-    r = 2 ** (n - k)
-    full = np.zeros((r, 2**k, r, 2**k), dtype=complex)
-    full[np.arange(r), :, np.arange(r), :] += u
-    order = [q for q in range(1, n + 1) if q not in targets] + list(targets)
-    axes = np.argsort(order)
-    full = full.reshape((2,) * (2 * n)).transpose([*axes, *(axes + n)])
-    return full.reshape(2**n, 2**n)
-
-
 def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
     """Full 2^n x 2^n unitary of a gate embedded at its targets.
 
@@ -240,7 +224,7 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
         return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
-    return _embed_matrix(_local_matrix(g), g.targets, n)
+    return embed(_local_matrix(g), g.targets, n)
 
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
@@ -397,6 +381,7 @@ def compile_circuit(
 GRAPE_RANDOM_AMP_HZ = 1000.0
 GRAPE_CONSTANT_AMP_HZ = 0.0
 GRAPE_RESTART_MIN_ITERS = 50
+MAX_GRAPE_ELEMENTS = 2**20  # segments * dim^2; an evaluation holds about 210 B per element
 
 
 @dataclass(frozen=True)
@@ -503,6 +488,9 @@ def grape_optimize(
     """
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if gcfg.segments * config.dim**2 > MAX_GRAPE_ELEMENTS:
+        raise ValidationError(f"segments * dim^2 must be <= {MAX_GRAPE_ELEMENTS}: at most "
+                              f"{MAX_GRAPE_ELEMENTS // config.dim**2} segments on this machine")
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")

@@ -32,7 +32,7 @@ PAULI = {"I": SIGMA_I, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 def _qubit_count(dim: int, what: str) -> int:
-    n = int(round(np.log2(dim)))
+    n = int(round(np.log2(dim))) if dim >= 2 else 0  # log2(0) is -inf
     if 2**n != dim or n < 1:
         raise ValidationError(f"{what} dimension {dim} is not a power of two")
     return n
@@ -66,18 +66,20 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def tensor_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f))
-    return out
-
-
-def embed_single(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Embed a 2x2 operator on `qubit` (1-based) into the n-qubit space."""
-    if not 1 <= qubit <= n:
-        raise ValidationError(f"qubit {qubit} out of range 1..{n}")
-    return tensor_all([op if k == qubit else SIGMA_I for k in range(1, n + 1)])
+def embed(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
+    """Expand an operator on `targets` (1-based, in order) to the full register."""
+    k = len(targets)
+    if u.shape != (2**k, 2**k):
+        raise ValidationError("matrix size does not match target count")
+    # I (x) u with the other qubits first and the targets last, then the
+    # tensor axes permuted back to qubit order.
+    r = 2 ** (n - k)
+    full = np.zeros((r, 2**k, r, 2**k), dtype=complex)
+    full[np.arange(r), :, np.arange(r), :] += u
+    order = [q for q in range(1, n + 1) if q not in targets] + list(targets)
+    axes = np.argsort(order)
+    full = full.reshape((2,) * (2 * n)).transpose([*axes, *(axes + n)])
+    return full.reshape(2**n, 2**n)
 
 
 @functools.lru_cache(maxsize=4 + 16 + 64)  # every string for n <= 3
@@ -87,7 +89,7 @@ def pauli_string_matrix(label: str) -> np.ndarray:
     Memoized and read-only: copy before writing.
     """
     try:
-        m = np.array(tensor_all([PAULI[c] for c in label]))  # copy: never freeze PAULI
+        m = np.array(functools.reduce(tensor, [PAULI[c] for c in label]))  # never freeze PAULI
     except KeyError as exc:
         raise ValidationError(f"bad Pauli letter in {label!r}") from exc
     m.setflags(write=False)
@@ -108,7 +110,7 @@ class Ket:
                           dtype=complex).reshape(-1)
         self.n = _qubit_count(amps.size, "ket")
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > HERMITICITY_TOL:
+        if not abs(norm - 1.0) <= HERMITICITY_TOL:  # nan fails too
             raise ValidationError(f"ket norm^2 = {norm}, not 1")
         amps.setflags(write=False)
         self.amplitudes = amps
@@ -125,7 +127,7 @@ class Ket:
 
 def _check_density(m: np.ndarray) -> None:
     """Reject unless each matrix of a (..., d, d) stack is a density matrix."""
-    with np.errstate(over="ignore"):  # huge finite entries fail the checks below instead
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or inf entries fail the checks below
         herm = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
         if not herm <= HERMITICITY_TOL:  # nan fails too
             raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
@@ -213,6 +215,8 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
     if isinstance(state, DensityMatrix):
         return state.matrix, False
     arr = np.asarray(state, dtype=complex)
+    if not np.isfinite(arr).all():
+        raise ValidationError("state entries must be finite")
     if arr.ndim == 1:
         return arr, True
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed_single
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
@@ -228,7 +228,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def _pauli_embeddings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, z): (n, 2^n, 2^n) stacks of each spin's sigma_x, sigma_y and
     sigma_z. Memoized per n and read-only."""
-    return _read_only(*(np.array([embed_single(p, k, n) for k in range(1, n + 1)])
+    return _read_only(*(np.array([embed(p, (k,), n) for k in range(1, n + 1)])
                         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import nmrqc
 from nmrqc import cli, measurement
 from nmrqc.cli import _canonical, build_parser, main
-from nmrqc.control import Circuit, Gate, compile_circuit
+from nmrqc.control import MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
 from nmrqc.dynamics import program_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import DensityMatrix
@@ -251,6 +252,22 @@ class TestGrapeInputErrors:
                    "--out", str(tmp_path / "out")])
         self.assert_one_line_exit_2(rc, capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("machine", ["gemini", "triangulum"])
+    def test_segments_over_the_memory_cap(self, tmp_path, capsys, machine):
+        # one evaluation holds about 210 B per segment and matrix element: the cap is
+        # checked before GRAPE allocates anything
+        segments = MAX_GRAPE_ELEMENTS // preset(machine).dim ** 2 + 1
+        tracemalloc.start()
+        try:
+            rc = main(["grape", "--machine", machine, "--gate", "X90", "--segments",
+                       str(segments), "--max-iters", "0", "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assert_one_line_exit_2(rc, capsys)
+        assert not (tmp_path / "out").exists()
+        assert peak < 1e6
 
     def test_grape_unitary_without_im(self, tmp_path, capsys):
         upath = write_json(tmp_path / "u.json", {"re": np.eye(4).tolist()})

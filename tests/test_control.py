@@ -27,7 +27,6 @@ from nmrqc.control import (
     X90,
     Z,
     _GATES,
-    _embed_matrix,
     _zxz,
     circuit_unitary,
     compile_circuit,
@@ -37,7 +36,7 @@ from nmrqc.control import (
 from nmrqc.dynamics import Delay as DelayEvent
 from nmrqc.dynamics import RfSegment, program_unitary
 from nmrqc.errors import UncoupledPairError, ValidationError
-from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z
+from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed
 
 CNOT12 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 CNOT21 = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
@@ -154,7 +153,7 @@ class TestEmbedMatrix:
         d = 2 ** len(targets)
         u = data.draw(arrays(complex, (d, d), elements=st.complex_numbers(
             max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
-        assert np.array_equal(_embed_matrix(u, targets, n), embed_by_permutation(u, targets, n))
+        assert np.array_equal(embed(u, targets, n), embed_by_permutation(u, targets, n))
 
 
 class TestCircuitUnitary:

@@ -22,7 +22,7 @@ from nmrqc.quantum import (
     SIGMA_Y,
     DensityMatrix,
     all_pauli_strings,
-    embed_single,
+    embed,
     pauli_expand,
     pauli_reconstruct,
 )
@@ -79,7 +79,7 @@ def eigen_sum_fid(rho, cfg, channel, duration_s, dt_s):
     rho_e[a, b] D_e[b, a] exp(-i (w_a - w_b) t), times exp(-t / T2)."""
     w, v = np.linalg.eigh(internal_hamiltonian(cfg))
     members = cfg.channel_members(channel)
-    detect = sum(embed_single(SIGMA_X + 1j * SIGMA_Y, k, cfg.n) for k in members)
+    detect = sum(embed(SIGMA_X + 1j * SIGMA_Y, (k,), cfg.n) for k in members)
     rho_e, detect_e = (v.conj().T @ m @ v for m in (rho.matrix, detect))
     t = np.arange(round(duration_s / dt_s)) * dt_s
     phases = np.exp(-1j * np.subtract.outer(w, w)[..., np.newaxis] * t)

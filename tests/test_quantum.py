@@ -1,23 +1,29 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_ket
-from nmrqc import quantum
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import (
+    PAULI,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     BlochVector,
     DensityMatrix,
     Ket,
     all_pauli_strings,
     bloch_vector,
+    embed,
     partial_trace,
     pauli_expand,
     pauli_reconstruct,
     pauli_string_matrix,
     state_fidelity,
     tensor,
-    tensor_all,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -126,24 +132,42 @@ class TestPauliExpansion:
         with pytest.raises(ValidationError):
             pauli_reconstruct({"II": 0.5, "ZZ": 0.2})
 
-    def test_strings_built_once_and_read_only(self, monkeypatch):
-        built = []
-
-        def counting_tensor_all(factors):
-            built.append(len(factors))
-            return tensor_all(factors)
-
-        monkeypatch.setattr(quantum, "tensor_all", counting_tensor_all)
+    def test_strings_built_once_and_read_only(self):
         pauli_string_matrix.cache_clear()
         coeffs = {label: 0.01 for label in all_pauli_strings(3)[1:]}
         for _ in range(3):
             pauli_reconstruct(coeffs)
-        assert len(built) == 63
+        assert pauli_string_matrix.cache_info().misses == 63  # strings built
         with pytest.raises(ValueError):
             pauli_string_matrix("XZY")[0, 0] = 0.0
 
     def test_string_count(self):
         assert len(all_pauli_strings(3)) == 64
+
+    def test_strings_are_the_kronecker_chain_bit_for_bit(self):
+        labels = [label for n in (1, 2, 3) for label in all_pauli_strings(n)]
+        assert len(labels) == 84
+        for label in labels:
+            chain = PAULI[label[0]]
+            for c in label[1:]:
+                chain = np.kron(chain, PAULI[c])
+            assert pauli_string_matrix(label).tobytes() == chain.tobytes()
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_single_spin_matches_the_kronecker_chain(self, n):
+        # equal in value only: placement writes +0.0 where the Kronecker chain writes
+        # -0.0 beside a negative entry, so the zero signs differ by design
+        for p in (SIGMA_X, SIGMA_Y, SIGMA_Z):
+            for k in range(1, n + 1):
+                chain = functools.reduce(np.kron, [p if q == k else np.eye(2) for q in
+                                                   range(1, n + 1)])
+                assert np.array_equal(embed(p, (k,), n), chain)
+
+    def test_size_must_match_the_targets(self):
+        with pytest.raises(ValidationError, match="does not match target count"):
+            embed(np.eye(4), (1,), 2)
 
 
 class TestBlochVector:
@@ -238,3 +262,44 @@ class TestDensityMatrixType:
         with pytest.raises(ValidationError):
             Ket([1.0, 1.0])
         assert Ket.from_bits("01").n == 2
+
+    def test_empty_states_rejected(self):
+        with pytest.raises(ValidationError, match="dimension 0"):
+            Ket([])
+        with pytest.raises(ValidationError, match="dimension 0"):
+            DensityMatrix(np.zeros((0, 0)))
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                              complex(np.inf, 1.0), complex(1.0, -np.inf)])
+
+
+class TestNonFiniteStates:
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), bad=NON_FINITE, data=st.data())
+    def test_any_non_finite_entry_is_rejected(self, n, seed, bad, data):
+        rng = np.random.default_rng(seed)
+        good = random_ket(rng, n)
+        ket = random_ket(rng, n)
+        rho = random_density_matrix(rng, n).matrix.copy()
+        index = st.integers(0, 2**n - 1)
+        ket[data.draw(index)] = bad
+        rho[data.draw(index), data.draw(index)] = bad
+        with pytest.raises(ValidationError):
+            Ket(ket)
+        with pytest.raises(ValidationError):
+            DensityMatrix(rho)
+        for state in (ket, rho):
+            with pytest.raises(ValidationError, match="finite"):
+                state_fidelity(state, good)
+            with pytest.raises(ValidationError, match="finite"):
+                state_fidelity(good, state)
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           kinds=st.tuples(*[st.sampled_from(["ket", "array", "rho", "matrix"])] * 2))
+    def test_finite_states_give_a_fidelity_in_the_unit_interval(self, n, seed, kinds):
+        rng = np.random.default_rng(seed)
+        states = []
+        for kind in kinds:
+            psi, rho = random_ket(rng, n), random_density_matrix(rng, n)
+            states.append({"ket": Ket(psi), "array": psi, "rho": rho, "matrix": rho.matrix}[kind])
+        assert 0.0 <= state_fidelity(*states) <= 1.0

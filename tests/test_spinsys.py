@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_weak_config
 from nmrqc import spinsys
 from nmrqc.errors import ValidationError
-from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed_single
+from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed
 from nmrqc.spinsys import (
     COUPLING_MODELS,
     NucleusSpec,
@@ -122,7 +122,7 @@ class TestInternalHamiltonian:
         cfg = make_weak_config([100.0, -50.0, 30.0],
                                [[0, 10, 5], [10, 0, 20], [5, 20, 0]])
         h = internal_hamiltonian(cfg)
-        total_z = sum(embed_single(SIGMA_Z, k, 3) for k in (1, 2, 3))
+        total_z = sum(embed(SIGMA_Z, (k,), 3) for k in (1, 2, 3))
         assert np.max(np.abs(h @ total_z - total_z @ h)) < 1e-10
 
     def test_weak_model_is_diagonal(self, gemini):
@@ -151,7 +151,7 @@ class TestRfHamiltonian:
         u = 250.0
         h = rf_hamiltonian(triangulum, [u], [np.pi / 2])
         expected = sum(
-            2 * np.pi * u * embed_single(SIGMA_Y / 2, k, 3) for k in (1, 2, 3)
+            2 * np.pi * u * embed(SIGMA_Y / 2, (k,), 3) for k in (1, 2, 3)
         )
         assert np.max(np.abs(h - expected)) < 1e-9
 
@@ -237,7 +237,7 @@ class TestThermalState:
 def reference_h0(cfg):
     """H0 term by term from freshly embedded Paulis, in the order the package adds them."""
     n = cfg.n
-    x, y, z = ([embed_single(p, k, n) for k in range(1, n + 1)]
+    x, y, z = ([embed(p, (k,), n) for k in range(1, n + 1)]
                for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
     h0 = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for k, nuc in enumerate(cfg.nuclei):
@@ -287,7 +287,7 @@ class TestOperatorCache:
         nuclei = (replace(cfg.nuclei[0], offset_hz=120.0), cfg.nuclei[1])
         shifted = replace(cfg, nuclei=nuclei)
         delta = internal_hamiltonian(shifted) - internal_hamiltonian(cfg)
-        assert np.allclose(delta, 2 * np.pi * 120.0 * embed_single(SIGMA_Z / 2, 1, 2),
+        assert np.allclose(delta, 2 * np.pi * 120.0 * embed(SIGMA_Z / 2, (1,), 2),
                            rtol=0, atol=1e-9)
         for old, arr in zip(before, cfg._operators):
             assert np.array_equal(old, arr)
@@ -310,13 +310,12 @@ class TestOperatorCache:
 
     def test_pauli_embeddings_are_built_once_per_n(self, monkeypatch):
         calls = []
-        embed = spinsys.embed_single
 
-        def counted(op, qubit, n):
+        def counted(op, targets, n):
             calls.append(n)
-            return embed(op, qubit, n)
+            return embed(op, targets, n)
 
-        monkeypatch.setattr(spinsys, "embed_single", counted)
+        monkeypatch.setattr(spinsys, "embed", counted)
         spinsys._pauli_embeddings.cache_clear()
         configs = [make_weak_config([10.0 * k, -5.0, 3.0 * k], [[0, 140, 48], [140, 0, 190],
                                                                 [48, 190, 0]]) for k in range(12)]

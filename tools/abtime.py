@@ -88,16 +88,62 @@ def _grape(nmrqc):
     return lambda: nmrqc.grape_optimize(target, cfg, gcfg, seed=3)
 
 
+def _circuit(nmrqc, n: int, size: int, seed: int):
+    """A seeded n-qubit circuit of `size` one- and two-qubit gates."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(size):
+        name = str(rng.choice(["H", "X90", "Y90", "Rz", "CNOT", "CZ", "SWAP"]))
+        order = rng.permutation(np.arange(1, n + 1))
+        targets = tuple(int(q) for q in order[:1 + (name[0] in "CS")])
+        gates.append(nmrqc.Gate(name, targets, (float(rng.uniform(-3, 3)),) * (name == "Rz")))
+    return nmrqc.Circuit(n, tuple(gates))
+
+
 def _circuit_unitary(nmrqc):
     """A seeded 3-qubit circuit of 12 one- and two-qubit gates."""
-    rng = np.random.default_rng(12)
-    gates = []
-    for _ in range(12):
-        name = str(rng.choice(["H", "X90", "Y90", "Rz", "CNOT", "CZ", "SWAP"]))
-        targets = tuple(int(q) for q in rng.permutation([1, 2, 3])[:1 + (name[0] in "CS")])
-        gates.append(nmrqc.Gate(name, targets, (float(rng.uniform(-3, 3)),) * (name == "Rz")))
-    circuit = nmrqc.Circuit(3, tuple(gates))
+    circuit = _circuit(nmrqc, 3, 12, seed=12)
     return lambda: nmrqc.circuit_unitary(circuit)
+
+
+def _compile(nmrqc):
+    """A seeded 8-gate circuit compiled to pulses on gemini."""
+    cfg, circuit = nmrqc.preset("gemini"), _circuit(nmrqc, 2, 8, seed=21)
+    return lambda: nmrqc.compile_circuit(circuit, cfg)
+
+
+def _evolve(relaxation: bool):
+    def build(nmrqc):
+        """The pulse program of a seeded 8-gate gemini circuit, run from |00>."""
+        cfg = nmrqc.preset("gemini")
+        program = nmrqc.compile_circuit(_circuit(nmrqc, 2, 8, seed=21), cfg)
+        rho0 = nmrqc.DensityMatrix.basis(2, 0)
+        return lambda: nmrqc.evolve_program(rho0, program, relaxation=relaxation)
+    return build
+
+
+def _t2(nmrqc):
+    """A gemini 1H spin-echo T2 scan: 8 echo times, an 11-point 200 Hz offset ensemble."""
+    cfg = nmrqc.preset("gemini")
+    delays = (20e-6, 80e-6, 320e-6, 1e-3, 3e-3, 10e-3, 30e-3, 100e-3)
+    return lambda: nmrqc.relaxation_experiment(cfg, "1H", "T2", delays, offset_spread_hz=200.0)
+
+
+def _cnot_table(nmrqc):
+    """The CNOT(1, 2) truth table on gemini's pulse path with relaxation."""
+    cfg = nmrqc.preset("gemini")
+    return lambda: nmrqc.cnot_truth_table("12", "pulse", cfg, True)
+
+
+def _grape_evaluation(nmrqc):
+    """One fidelity and gradient of a gemini X90 at 16 seeded segments over 0.4 ms."""
+    cfg = nmrqc.preset("gemini")
+    controls, _ = nmrqc.spinsys.control_operators(cfg)
+    amps = np.random.default_rng(16).uniform(-1e3, 1e3, (16, len(controls)))
+    h_stack = nmrqc.internal_hamiltonian(cfg) + np.tensordot(amps, controls, axes=(1, 0))
+    target_dag = nmrqc.gate_matrix(nmrqc.Gate("X90", (1,)), 2).conj().T
+    return lambda: nmrqc._kernels.grape_fidelity_and_gradient(h_stack, target_dag, controls,
+                                                              4e-4 / 16)
 
 
 # target name -> builder: given one tree's package, the zero-argument call to time
@@ -106,7 +152,13 @@ TARGETS = {
     "measurement.tomography:weak3": _tomography("weak3"),
     "measurement.tomography:triangulum": _tomography("triangulum"),
     "control.grape:gemini-X90": _grape,
+    "_kernels.grape_fidelity_and_gradient": _grape_evaluation,
     "control.circuit_unitary": _circuit_unitary,
+    "control.compile": _compile,
+    "dynamics.evolve": _evolve(False),
+    "dynamics.evolve_relax": _evolve(True),
+    "experiments.t2": _t2,
+    "algorithms.runner:cnot_truth_table": _cnot_table,
 }
 
 
