@@ -20,6 +20,7 @@ from .control import (
     CNOT,
     CZ,
     CY,
+    DEFAULT_PULSE_AMP_HZ,
     DELAY,
     Circuit,
     Gate,
@@ -80,14 +81,16 @@ def _default_config(n: int, config: Optional[SpinSystemConfig]) -> SpinSystemCon
 
 
 def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
-             relaxation: bool = False) -> list[DensityMatrix]:
+             relaxation: bool = False,
+             pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ) -> list[DensityMatrix]:
     """Each circuit's final state from |0...0>; on the pulse path from one batch."""
     if path not in ("ideal", "pulse"):
         raise ValidationError('path must be "ideal" or "pulse"')
     rho0 = DensityMatrix.basis(config.n, 0)
     if path == "ideal":
         return [rho0.evolved(circuit_unitary(c, config), validate=True) for c in circuits]
-    return evolve_programs(rho0, [compile_circuit(c, config) for c in circuits], relaxation)
+    programs = [compile_circuit(c, config, pulse_amp_hz) for c in circuits]
+    return evolve_programs(rho0, programs, relaxation)
 
 
 def _report(algorithm, path, circuit, rho, derived, fidelity=None) -> AlgorithmReport:

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
-from .dynamics import evolve_program
 from .errors import FitError, NmrqcError, ValidationError
 from .quantum import DensityMatrix, complex_matrix, pauli_expand, state_fidelity
 from .spinsys import SpinSystemConfig, load_machine_config, preset
@@ -44,9 +43,10 @@ T2_DELAYS_S = tuple(
 
 
 def _canonical(obj):
-    """Make a report JSON-stable: floats to 12 significant digits, sorted keys."""
+    """Make a report JSON-stable: floats to 12 significant digits, report objects as their
+    `to_json_dict`; `emit_report` sorts the keys."""
     if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in sorted(obj.items())}
+        return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
@@ -59,6 +59,8 @@ def _canonical(obj):
         return {"im": _canonical(obj.imag), "re": _canonical(obj.real)}
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
+    if hasattr(obj, "to_json_dict"):
+        return _canonical(obj.to_json_dict())
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -81,8 +83,7 @@ def emit_report(obj, fmt: str, path) -> Path:
     """Write a report as canonical JSON or CSV (via the object's csv_text)."""
     path = Path(path)
     if fmt == "json":
-        data = obj.to_json_dict() if hasattr(obj, "to_json_dict") else obj
-        text = json.dumps(_canonical(data), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_canonical(obj), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         text = obj if isinstance(obj, str) else obj.csv_text()
     else:
@@ -174,8 +175,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser, *options: str):
-    """--machine and --out, plus the named `_OPTIONS`."""
-    parser.add_argument("--machine", default="gemini",
+    """--machine (a preset or file, loaded when parsed) and --out, plus the named `_OPTIONS`."""
+    parser.add_argument("--machine", type=_machine, default="gemini",
                         help="machine config path or preset name (gemini, triangulum)")
     parser.add_argument("--out", default=".", help="output directory")
     for name in options:
@@ -183,17 +184,10 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
-    cfg = _machine(args.machine)
-    circuit = Circuit.from_json_dict(_load_json(args.circuit))
-    relax = args.relaxation == "on"
-    ideal = DensityMatrix.basis(circuit.n, 0).evolved(
-        control.circuit_unitary(circuit, cfg), validate=True
-    )
-    if args.path == "pulse":
-        program = compile_circuit(circuit, cfg, args.pulse_amp_hz)
-        rho = evolve_program(DensityMatrix.basis(circuit.n, 0), program, relaxation=relax)
-    else:
-        rho = ideal
+    cfg, circuit = args.machine, Circuit.from_json_dict(_load_json(args.circuit))
+    (ideal,) = algorithms._execute([circuit], cfg, "ideal")
+    rho = ideal if args.path == "ideal" else algorithms._execute(
+        [circuit], cfg, "pulse", args.relaxation == "on", args.pulse_amp_hz)[0]
     report = {
         "command": "simulate",
         "machine": cfg.name,
@@ -201,51 +195,38 @@ def _cmd_simulate(args) -> list[Path]:
         "relaxation": args.relaxation,
         "probabilities": rho.probabilities(),
         "fidelity": state_fidelity(rho, ideal),
-        "final_state": rho.to_json_dict(),
+        "final_state": rho,
     }
     return [emit_report(report, "json", Path(args.out) / "simulate_report.json")]
 
 
 def _cmd_tomography(args) -> list[Path]:
-    cfg = _machine(args.machine)
     rho = DensityMatrix.from_json_dict(_load_json(args.state))
     recon, peak_tables = measurement.tomography_sweep(
-        rho, cfg, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
+        rho, args.machine, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
     )
-    tables = {
-        setting: {
-            channel: [
-                {"freq_hz": p.frequency_hz, "re": p.amplitude.real, "im": p.amplitude.imag}
-                for p in peaks
-            ]
-            for channel, peaks in by_channel.items()
-        }
-        for setting, by_channel in peak_tables.items()
-    }
     report = {
         "command": "tomography",
-        "machine": cfg.name,
-        "reconstructed": recon.to_json_dict(),
+        "machine": args.machine.name,
+        "reconstructed": recon,
         "max_error_vs_input": float(np.max(np.abs(recon.matrix - rho.matrix))),
-        "peak_tables": tables,
+        "peak_tables": peak_tables,
     }
     return [emit_report(report, "json", Path(args.out) / "tomography_report.json")]
 
 
 def _cmd_compile(args) -> list[Path]:
-    cfg = _machine(args.machine)
     circuit = Circuit.from_json_dict(_load_json(args.circuit))
-    program = compile_circuit(circuit, cfg, args.pulse_amp_hz)
-    return [emit_report(program.to_json_dict(), "json", Path(args.out) / "pulse_program.json")]
+    program = compile_circuit(circuit, args.machine, args.pulse_amp_hz)
+    return [emit_report(program, "json", Path(args.out) / "pulse_program.json")]
 
 
 def _cmd_grape(args) -> list[Path]:
-    cfg = _machine(args.machine)
     if args.gate is None:  # --gate and --unitary are one required exclusive group
         target = _load_matrix(args.unitary)
     else:
         gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
-        target = gate_matrix(gate, cfg.n, cfg)
+        target = gate_matrix(gate, args.machine.n, args.machine)
     gcfg = GrapeConfig(
         segments=args.segments,
         dt_s=args.duration_s / args.segments,
@@ -253,7 +234,7 @@ def _cmd_grape(args) -> list[Path]:
         target_fidelity=args.target_fidelity,
         initial=args.initial,
     )
-    result = grape_optimize(target, cfg, gcfg, seed=args.seed)
+    result = grape_optimize(target, args.machine, gcfg, seed=args.seed)
     out = Path(args.out)
     return [
         emit_report(result.csv_text(), "csv", out / "grape_pulse.csv"),
@@ -262,15 +243,14 @@ def _cmd_grape(args) -> list[Path]:
 
 
 def _cmd_experiment(args) -> list[Path]:
-    cfg = _machine(args.machine)
-    out = Path(args.out)
+    cfg, out = args.machine, Path(args.out)
     if args.experiment == "pps":
         program, rho = experiments.prepare_pseudo_pure(cfg)
         report = {
             "command": "experiment.pps",
             "machine": cfg.name,
-            "program": program.to_json_dict(),
-            "final_state": rho.to_json_dict(),
+            "program": program,
+            "final_state": rho,
             "pauli_coefficients": pauli_expand(rho),
         }
         return [emit_report(report, "json", out / "pps_report.json")]
@@ -305,37 +285,31 @@ def _cmd_experiment(args) -> list[Path]:
 
 
 def _cmd_algorithm(args) -> list[Path]:
-    cfg = _machine(args.machine)
-    name = args.algorithm
+    cfg, name = args.machine, args.algorithm
     if name == "dqc1":
         if not args.unitary:
             raise ValidationError("dqc1 needs --unitary")
         u = _load_matrix(args.unitary)
-        estimate = algorithms.dqc1_trace(u, args.epsilon)
-        exact = complex(np.trace(u)) / u.shape[0]
         report = {
             "algorithm": "dqc1",
-            "estimate": {"re": estimate.real, "im": estimate.imag},
-            "exact": {"re": exact.real, "im": exact.imag},
+            "estimate": algorithms.dqc1_trace(u, args.epsilon),
+            "exact": complex(np.trace(u)) / u.shape[0],
         }
         return [emit_report(report, "json", Path(args.out) / "algorithm_dqc1.json")]
     relax = args.relaxation == "on"
     if name == "deutsch":
-        report = algorithms.run_deutsch(args.case, args.path, cfg, relax).to_json_dict()
+        report = algorithms.run_deutsch(args.case, args.path, cfg, relax)
     elif name == "grover4":
-        report = algorithms.run_grover4(args.target, args.path, cfg, relax).to_json_dict()
+        report = algorithms.run_grover4(args.target, args.path, cfg, relax)
     elif name == "bv":
-        report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax).to_json_dict()
+        report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax)
     elif name == "count":
-        report = algorithms.run_counting(args.case, args.l_values, args.path, cfg,
-                                         relax).to_json_dict()
+        report = algorithms.run_counting(args.case, args.l_values, args.path, cfg, relax)
     elif name == "bell":
-        report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg,
-                                         relax).to_json_dict()
+        report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg, relax)
     elif name == "qho":
-        reports = algorithms.simulate_qho(args.initial, args.omega_t, args.path, cfg, relax)
-        report = {"algorithm": "qho", "path": args.path,
-                  "points": [r.to_json_dict() for r in reports]}
+        points = algorithms.simulate_qho(args.initial, args.omega_t, args.path, cfg, relax)
+        report = {"algorithm": "qho", "path": args.path, "points": points}
     else:
         rows = algorithms.cnot_truth_table(args.direction, args.path, cfg, relax)
         report = {"algorithm": "cnot-table", "direction": args.direction,

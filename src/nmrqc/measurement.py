@@ -78,6 +78,9 @@ class Peak:
     frequency_hz: float
     amplitude: complex
 
+    def to_json_dict(self) -> dict:
+        return {"freq_hz": self.frequency_hz, "re": self.amplitude.real, "im": self.amplitude.imag}
+
 
 class _Lines(NamedTuple):
     """A machine's lines: per line its channel, frequency (Hz), detection weight and

@@ -109,7 +109,8 @@ class Ket:
         amps = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
                           dtype=complex).reshape(-1)
         self.n = _qubit_count(amps.size, "ket")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # a huge entry reads as norm^2 inf
+            norm = float(np.sum(np.abs(amps) ** 2))
         if not abs(norm - 1.0) <= HERMITICITY_TOL:  # nan fails too
             raise ValidationError(f"ket norm^2 = {norm}, not 1")
         amps.setflags(write=False)
@@ -209,7 +210,7 @@ class DensityMatrix:
 
 
 def _as_matrix(state) -> tuple[np.ndarray, bool]:
-    """Normalize a Ket / DensityMatrix / ndarray into (matrix-or-vector, is_vector)."""
+    """A Ket / DensityMatrix / array, checked as one of them, as (matrix-or-vector, is_vector)."""
     if isinstance(state, Ket):
         return state.amplitudes, True
     if isinstance(state, DensityMatrix):
@@ -217,10 +218,10 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
     arr = np.asarray(state, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValidationError("state entries must be finite")
-    if arr.ndim == 1:
-        return arr, True
+    if arr.ndim == 1:  # checked as a Ket, on a copy: a Ket freezes its array
+        return Ket(arr.copy()).amplitudes, True
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return arr, False
+        return DensityMatrix(arr).matrix, False
     raise ValidationError("state must be a vector or a square matrix")
 
 

@@ -56,9 +56,9 @@ class NucleusSpec:
             raise ValidationError(f"nucleus {self.label!r}: |polarization| must be <= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSystemConfig:
-    """Spin system: nuclei plus a symmetric J-coupling matrix (Hz)."""
+    """Spin system: nuclei plus a symmetric J-coupling matrix (Hz); equal and hashed by value."""
 
     name: str
     nuclei: tuple[NucleusSpec, ...]
@@ -86,6 +86,16 @@ class SpinSystemConfig:
             raise ValidationError("offset_hz and j_hz must stay finite in rad/s (2*pi*Hz)")
         j.setflags(write=False)
         object.__setattr__(self, "j_hz", j)
+
+    def _key(self) -> tuple:
+        # J as float rows, not bytes, so that -0.0 equals 0.0
+        return self.name, self.nuclei, tuple(map(tuple, self.j_hz.tolist())), self.coupling_model
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, SpinSystemConfig) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:

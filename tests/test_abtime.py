@@ -64,6 +64,28 @@ class TestPairing:
         assert low < median < high and high - low < 0.02
         assert abtime.summary(ratios) == (median, low, high)  # seeded: repeatable
 
+    def test_block_interval_covers_a_drift_that_pairwise_resampling_misses(self):
+        # the same code on both sides, but the host favours one loaded copy over the
+        # other by up to 0.5 %, a favour that wanders over hundreds of pairs: 400 pairs
+        # see 0.8 of one period, so the median reads above 1 by when the run was made
+        clock, noise = FakeClock(), np.random.default_rng(1)
+
+        def side(sign):
+            def call():
+                favour = 0.005 * np.sin(2 * np.pi * 0.8 * clock.now / 800_000)
+                clock.now += 1000 * (1 + sign * favour + 0.001 * noise.standard_normal())
+            return call
+
+        ratios = abtime.paired_ratios(side(-1), side(1), pairs=400, calls=1, clock=clock)
+        pairwise = np.median(np.random.default_rng(0).choice(ratios, (2000, 400)), axis=1)
+        low, high = np.percentile(pairwise, [2.5, 97.5])
+        assert 1.0 < low < high  # pairs drawn one by one: an interval that excludes 1.00
+        median, low, high = abtime.summary(ratios)
+        assert median > 1.0 and low <= 1.0 <= high
+
+    def test_one_pair_reads_its_ratio(self):
+        assert abtime.summary(np.array([0.98])) == (0.98, 0.98, 0.98)
+
 
 class TestTrees:
     def test_two_trees_are_distinct_modules(self):

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmrqc
-from nmrqc import cli, measurement
+from nmrqc import algorithms, cli, measurement
 from nmrqc.cli import _canonical, build_parser, main
 from nmrqc.control import MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
-from nmrqc.dynamics import program_unitary
+from nmrqc.dynamics import evolve_program, program_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import DensityMatrix
 from nmrqc.spinsys import preset
@@ -937,4 +937,76 @@ class TestDeclaredDomains:
         assert rc == 2
         assert err.startswith("error: validation:") and match in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
+# One request per leaf parser: the options each needs to parse, files it would read after.
+LEAF_REQUESTS = [
+    ["simulate", "--circuit", "c.json"], ["tomography", "--state", "rho.json"],
+    ["compile", "--circuit", "c.json"], ["grape", "--gate", "X90"],
+    *(["experiment", name] for name in ("rabi", "t1", "t2", "pps")),
+    *(["algorithm", name] for name in ("deutsch", "grover4", "bv", "count", "bell", "qho",
+                                       "cnot-table")),
+    ["algorithm", "dqc1", "--unitary", "u.json"],
+]
+
+
+class TestOnePathPerJob:
+    def test_simulate_compiles_at_the_requested_amplitude(self, tmp_path):
+        # every README request runs at the default amplitude; only this reads another
+        doc = {"n": 2, "gates": [{"name": "H", "targets": [1]},
+                                 {"name": "CNOT", "targets": [1, 2]}]}
+        circuit = write_json(tmp_path / "c.json", doc)
+        reports = {}
+        for amp in ("1e5", None):
+            out = tmp_path / str(amp)
+            argv = ["simulate", "--circuit", circuit, "--path", "pulse", "--out", str(out)]
+            assert main(argv + ["--pulse-amp-hz", amp] * (amp is not None)) == 0
+            reports[amp] = json.loads((out / "simulate_report.json").read_text())
+        program = compile_circuit(Circuit.from_json_dict(doc), preset("gemini"), 1e5)
+        rho = evolve_program(DensityMatrix.basis(2, 0), program)
+        assert reports["1e5"]["final_state"] == _canonical(rho.to_json_dict())
+        assert reports["1e5"]["fidelity"] < reports[None]["fidelity"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: DensityMatrix.basis(2, 1),
+        lambda: compile_circuit(Circuit(2, (Gate("CNOT", (1, 2)),)), preset("gemini")),
+        lambda: algorithms.run_deutsch("f3"),
+        lambda: measurement.Peak(-348.7, complex(0.25, -1e-3)),
+    ], ids=["density_matrix", "pulse_program", "algorithm_report", "peak"])
+    def test_a_report_object_serializes_as_its_json_dict(self, tmp_path, make):
+        obj = make()
+        assert _canonical(obj) == _canonical(obj.to_json_dict())
+        a = cli.emit_report({"x": [obj]}, "json", tmp_path / "a.json").read_bytes()
+        b = cli.emit_report({"x": [obj.to_json_dict()]}, "json", tmp_path / "b.json").read_bytes()
+        assert a == b
+
+    def test_unsorted_keys_are_written_sorted(self, tmp_path):
+        path = cli.emit_report({"b": 1, "a": {"d": 2.0, "c": [3]}}, "json", tmp_path / "r.json")
+        assert path.read_text() == (
+            '{\n  "a": {\n    "c": [\n      3\n    ],\n    "d": 2.0\n  },\n  "b": 1\n}\n')
+
+    def test_the_parser_loads_the_machine(self):
+        args = build_parser().parse_args(["experiment", "pps"])
+        assert args.machine == preset("gemini")
+        args = build_parser().parse_args(["compile", "--circuit", "c.json", "--machine",
+                                          "triangulum"])
+        assert args.machine == preset("triangulum")
+
+    @pytest.mark.parametrize("argv", LEAF_REQUESTS,
+                             ids=lambda a: a[1] if a[0] in ("experiment", "algorithm") else a[0])
+    def test_a_missing_machine_file_is_one_line_before_anything_runs(self, tmp_path, argv):
+        argv = [*argv, "--machine", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]
+        with pytest.raises(ValidationError, match="nope.json"):
+            build_parser().parse_args(argv)
+        rc, err = run_main(argv)
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith("error: validation: cannot read machine config") and "nope" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_bad_machine_file_is_one_line(self, tmp_path):
+        machine = machine_file(tmp_path, lambda cfg: cfg.update(coupling_model="dipolar"))
+        rc, err = run_main(["experiment", "pps", "--machine", machine,
+                            "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1 and "coupling_model" in err, err
         assert not (tmp_path / "out").exists()

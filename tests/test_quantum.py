@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_density_matrix, random_ket
+from conftest import random_density_matrix, random_ket, random_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import (
     PAULI,
@@ -303,3 +303,54 @@ class TestNonFiniteStates:
             psi, rho = random_ket(rng, n), random_density_matrix(rng, n)
             states.append({"ket": Ket(psi), "array": psi, "rho": rho, "matrix": rho.matrix}[kind])
         assert 0.0 <= state_fidelity(*states) <= 1.0
+
+
+class TestRawArrayStates:
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 1e300).filter(lambda x: abs(x - 1.0) > 1e-6))
+    def test_a_vector_off_unit_norm_is_rejected(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        good = random_ket(rng, n)
+        with pytest.raises(ValidationError, match="norm"):
+            state_fidelity(scale * random_ket(rng, n), good)
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(0.0, 1e300).filter(lambda x: abs(x - 1.0) > 1e-6))
+    def test_a_matrix_off_unit_trace_is_rejected(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, n).matrix
+        with pytest.raises(ValidationError):  # off trace 1, or off Hermitian by rounding
+            state_fidelity(random_ket(rng, n), scale * rho)
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           kink=st.floats(1e-3, 1e3), data=st.data())
+    def test_a_non_hermitian_matrix_is_rejected(self, n, seed, kink, data):
+        rng = np.random.default_rng(seed)
+        m = random_density_matrix(rng, n).matrix.copy()
+        row = data.draw(st.integers(0, 2**n - 1))
+        col = data.draw(st.integers(0, 2**n - 1).filter(lambda c: c != row))
+        m[row, col] += kink
+        with pytest.raises(ValidationError, match="Hermitian"):
+            state_fidelity(m, random_ket(rng, n))
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), depth=st.floats(1e-3, 1.0))
+    def test_a_matrix_that_is_not_positive_is_rejected(self, n, seed, depth):
+        # Hermitian with unit trace, and one eigenvalue -depth
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 2**n)
+        eigenvalues = np.zeros(2**n)
+        eigenvalues[:2] = 1 + depth, -depth
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            state_fidelity(random_ket(rng, n), (u * eigenvalues) @ u.conj().T)
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_valid_raw_states_give_a_fidelity_in_the_unit_interval(self, n, seed):
+        rng = np.random.default_rng(seed)
+        ket, rho = random_ket(rng, n), random_density_matrix(rng, n).matrix
+        for a, b in ((ket, rho), (rho, ket), (ket, random_ket(rng, n)), (rho, rho)):
+            assert 0.0 <= state_fidelity(a, b) <= 1.0
+
+    def test_the_caller_array_stays_writable(self):
+        ket = KET_PLUS.copy()
+        state_fidelity(ket, KET0)
+        ket[0] = 1.0  # checked on a copy: a Ket would freeze the array it holds

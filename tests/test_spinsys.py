@@ -91,6 +91,37 @@ class TestConfigLoading:
             make_weak_config([0.0, 0.0], [[1.0, 5.0], [5.0, 0.0]])
 
 
+class TestConfigEquality:
+    def test_equal_presets_are_equal_and_hash_alike(self):
+        a, b = preset("gemini"), preset("gemini")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, preset("triangulum")}) == 2
+        assert a != preset("triangulum") and a != a.to_json_dict()
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: replace(cfg, name="other"),
+        lambda cfg: replace(cfg, j_hz=cfg.j_hz + np.array([[0.0, 1.0], [1.0, 0.0]])),
+        lambda cfg: replace(cfg, nuclei=(replace(cfg.nuclei[0], offset_hz=1.0), cfg.nuclei[1])),
+        lambda cfg: replace(cfg, coupling_model="isotropic"),
+    ], ids=["name", "j", "offset", "coupling_model"])
+    def test_a_changed_field_makes_them_unequal(self, change):
+        assert change(preset("gemini")) != preset("gemini")
+
+    def test_signed_zeros_in_j_are_equal(self):
+        j = np.zeros((2, 2))
+        j[0, 1] = j[1, 0] = -0.0
+        plain = make_weak_config([0.0, 0.0], np.zeros((2, 2)))
+        signed = make_weak_config([0.0, 0.0], j)
+        assert plain == signed and hash(plain) == hash(signed)
+
+    def test_programs_on_equal_configs_are_equal(self):
+        from nmrqc.control import Circuit, Gate, compile_circuit
+
+        circuit = Circuit(2, (Gate("H", (1,)), Gate("CNOT", (1, 2))))
+        a, b = (compile_circuit(circuit, preset("gemini")) for _ in range(2))
+        assert a.system is not b.system and a == b and hash(a) == hash(b)
+
+
 class TestInternalHamiltonian:
     def test_gemini_weak_diagonal(self, gemini):
         h = internal_hamiltonian(gemini)

@@ -15,10 +15,11 @@ builds its own seeded inputs for a target, since objects of one tree cannot be
 passed to the other, and each is warmed before timing. The timer then runs pairs:
 in a pair each side makes the same number of calls, timed as a whole, and the side
 that goes first alternates from pair to pair. Per target it prints the median of
-the per-pair ratios changed/base, a 95 % bootstrap interval of that median (2,000
-resamples of the pairs), the number of pairs and the calls per pair. A ratio below
-1 means the changed tree is faster. A side makes enough calls per pair to take
-about 10 ms, worked out from the slower side's fastest warm call.
+the per-pair ratios changed/base, a 95 % moving-block bootstrap interval of that
+median (2,000 resamples of blocks of about sqrt(pairs) consecutive pairs), the
+number of pairs and the calls per pair. A ratio below 1 means the changed tree is
+faster. A side makes enough calls per pair to take about 10 ms, worked out from the
+slower side's fastest warm call.
 
 Limits:
 - Each side is timed with ``time.thread_time_ns``, the CPU time of this thread.
@@ -29,7 +30,10 @@ Limits:
   warm calls; what a cold first call costs is not measured here.
 - Both sides share one process, allocator and CPU cache, so what one side leaves
   behind (garbage, a grown heap) can slow the other; alternating the order spreads
-  that over both sides but does not remove it.
+  that over both sides but does not remove it. A host state that lasts seconds can
+  favour one side for many pairs in a row; resampling blocks of consecutive pairs
+  widens the interval by what such runs of pairs move the median. An offset that
+  lasts as long as the process is not covered: repeat a run in a new process.
 """
 
 from __future__ import annotations
@@ -182,8 +186,14 @@ def paired_ratios(base, changed, pairs: int, calls: int, clock=time.thread_time_
 
 
 def summary(ratios: np.ndarray, draws: int = BOOTSTRAP_DRAWS, seed: int = 0):
-    """(median, low, high): the median ratio and a bootstrap 95 % interval of it."""
-    resampled = np.random.default_rng(seed).choice(ratios, (draws, len(ratios)))
+    """(median, low, high): the median ratio and a 95 % moving-block bootstrap interval of
+    it. A resample joins blocks of ceil(sqrt(pairs)) consecutive pairs, each starting at a
+    random pair, cut to the number of pairs: pairs drift together, so they are not drawn
+    one by one."""
+    n = len(ratios)
+    size = int(np.ceil(np.sqrt(n)))
+    starts = np.random.default_rng(seed).integers(0, n - size + 1, (draws, -(-n // size)))
+    resampled = ratios[(starts[..., np.newaxis] + np.arange(size)).reshape(draws, -1)[:, :n]]
     low, high = np.percentile(np.median(resampled, axis=1), [2.5, 97.5])
     return float(np.median(ratios)), float(low), float(high)
 
