@@ -7,7 +7,7 @@ nothing else; reports are written atomically with sorted keys and floats
 at 12 significant digits, so identical requests (and seeds) produce
 byte-identical files.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 I/O.
+Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 output I/O.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .errors import FitError, NmrqcError, ValidationError
 from .quantum import DensityMatrix, complex_matrix, pauli_expand, state_fidelity
-from .spinsys import SpinSystemConfig, load_machine_config, preset
-
-_PRESETS = ("gemini", "triangulum")
+from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
 
 # Log-spaced relaxation-delay grids used by `experiment t1|t2` when no
 # explicit delays are passed (seconds); they bracket the preset T1/T2 values.
@@ -93,24 +91,14 @@ def emit_report(obj, fmt: str, path) -> Path:
 
 
 def _machine(arg: str) -> SpinSystemConfig:
-    if arg in _PRESETS and not Path(arg).exists():
+    if arg in PRESETS and not Path(arg).exists():
         return preset(arg)
     return load_machine_config(arg)
 
 
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{p}: line {exc.lineno}: {exc.msg}") from exc
-
-
 def _load_matrix(path: str) -> np.ndarray:
     """Complex matrix from a JSON file with "re" and "im" fields."""
-    d = _load_json(path)
+    d = _read_json(path, "matrix file")
     try:
         return complex_matrix(d["re"], d["im"])
     except KeyError as exc:
@@ -184,7 +172,7 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
-    cfg, circuit = args.machine, Circuit.from_json_dict(_load_json(args.circuit))
+    cfg, circuit = args.machine, Circuit.from_json_dict(_read_json(args.circuit, "circuit file"))
     (ideal,) = algorithms._execute([circuit], cfg, "ideal")
     rho = ideal if args.path == "ideal" else algorithms._execute(
         [circuit], cfg, "pulse", args.relaxation == "on", args.pulse_amp_hz)[0]
@@ -201,7 +189,7 @@ def _cmd_simulate(args) -> list[Path]:
 
 
 def _cmd_tomography(args) -> list[Path]:
-    rho = DensityMatrix.from_json_dict(_load_json(args.state))
+    rho = DensityMatrix.from_json_dict(_read_json(args.state, "state file"))
     recon, peak_tables = measurement.tomography_sweep(
         rho, args.machine, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
     )
@@ -216,7 +204,7 @@ def _cmd_tomography(args) -> list[Path]:
 
 
 def _cmd_compile(args) -> list[Path]:
-    circuit = Circuit.from_json_dict(_load_json(args.circuit))
+    circuit = Circuit.from_json_dict(_read_json(args.circuit, "circuit file"))
     program = compile_circuit(circuit, args.machine, args.pulse_amp_hz)
     return [emit_report(program, "json", Path(args.out) / "pulse_program.json")]
 

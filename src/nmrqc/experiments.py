@@ -20,6 +20,7 @@ import numpy as np
 from .dynamics import (Crusher, Delay, PulseProgram, _evolve_stack, check_pulse_amplitude,
                        evolve_program, square_pulse)
 from .errors import FitError, ValidationError
+from .measurement import _line_table
 from .quantum import DensityMatrix
 from .spinsys import SpinSystemConfig, thermal_state
 
@@ -166,12 +167,12 @@ def prepare_pseudo_pure(config: SpinSystemConfig) -> tuple[PulseProgram, Density
     return program, rho
 
 
-def _transverse(states: np.ndarray, config: SpinSystemConfig, channel: str) -> np.ndarray:
-    """Re Tr(rho Sx_ch) + i Re Tr(rho Sy_ch): <sigma_x> + i <sigma_y> summed over a
-    channel's spins, for each state of a (B, d, d) stack, in one contraction."""
-    ops, c = config._operators, config.channel_index(channel)
-    xy = np.einsum("bij,kji->bk", states, np.stack([ops.sx[c], ops.sy[c]])).real
-    return xy[:, 0] + 1j * xy[:, 1]
+def _channel_signal(states: np.ndarray, config: SpinSystemConfig, channel: str) -> np.ndarray:
+    """<sigma_x> + i <sigma_y> summed over a channel's spins, for each state of a (B, d, d)
+    stack: the channel's `_line_table` readings of each state's Hermitian part, summed."""
+    table, hermitian_twice = _line_table(config), states + states.conj().swapaxes(1, 2)
+    lines = [k for k, ch in enumerate(table.channels) if ch == channel]
+    return table.readings(hermitian_twice)[:, lines].sum(axis=1) / config.dim
 
 
 def rabi_calibration(
@@ -189,7 +190,7 @@ def rabi_calibration(
     amp, c = check_pulse_amplitude(amplitude_hz), config.channel_index(channel)
     pulses = [square_pulse(config, {c: 0.0}, t, amp) for t in durations]
     states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
-    y = np.abs(_transverse(states, config, channel))
+    y = np.abs(_channel_signal(states, config, channel))
     fit = fit_model(durations, y, "abs_sine")
     t180 = fit.params["period"]
     return ScanResult(x=durations, y=y, fit=fit), t180 / 2.0, t180
@@ -241,9 +242,9 @@ def relaxation_experiment(
             for k, nuc in enumerate(config.nuclei, start=1)
         )) if delta else config
         programs += [PulseProgram(cfg, events) for events in sequences]
-    # the offsets leave the thermal state and the transverse operators as they are
+    # the offsets leave the thermal state and the channel's detection operator as they are
     states = _evolve_stack(thermal_state(config), programs, relaxation=True)
-    mean_signal = _transverse(states, config, channel).reshape(deltas.size, -1).mean(axis=0)
+    mean_signal = _channel_signal(states, config, channel).reshape(deltas.size, -1).mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>
         y, model = -mean_signal.imag, "inversion_recovery"

@@ -8,16 +8,16 @@ channel's spins: the conjugate of the lowering-operator form written for the
 single-quantum coherence of rho in a readout basis B (Vandersypen & Chuang,
 RMP 76, 1037 (2004)): the transition a -> b between levels of H0, at
 (w_b - w_a) / 2 pi Hz, of weight <b|D|a>, reading rho_B[a, b] of
-rho_B = B^dag rho B. `_line_table` lists them; FID synthesis, peak readout
-and tomography all read it. On a weak machine B is the computational basis
+rho_B = B^dag rho B. `_line_table` lists them; FID synthesis, peak readout,
+tomography and the scans all read it. On a weak machine B is the computational basis
 (`eigh` may mix degenerate levels, as 00 and 11 of gemini on resonance): the
 line of qubit k with partners in state m sits at nu_k + sum_j (1 - 2 m_j) J_kj / 2
 and has weight 2. On an isotropic machine B is H0's eigenbasis.
 
 Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to
-the lines of all 3^n readout settings, by least squares. The inverse of the ideal
-map is cached by value (one per qubit count on weak machines, one per readout
-basis on isotropic ones); a compiled readout inverts the map of its unitaries.
+the lines of all 3^n readout settings, by least squares. The settings' unitaries and
+the inverse of their map are cached by value: one entry per qubit count on weak machines,
+one per readout basis on isotropic ones and one per (machine, amplitude) compiled.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compi
 from .dynamics import program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
 from .quantum import DensityMatrix, all_pauli_strings, pauli_reconstruct, pauli_string_matrix
-from .spinsys import SpinSystemConfig
+from .spinsys import SpinSystemConfig, _read_only
 
 MAX_FID_SAMPLES = 2**16  # the FID is a few arrays of this many complex samples
 _MIN_WEIGHT = 1e-12  # |<b|D|a>| of a line; eigh leaves ~1e-15 on transitions D does not drive
@@ -100,9 +100,10 @@ class _Lines(NamedTuple):
         return matrices.shape[-1] // 2 * self.weights * matrices[..., self.rows, self.cols]
 
 
+@functools.lru_cache(maxsize=16)
 def _line_table(config: SpinSystemConfig) -> _Lines:
-    """Every line of a machine. Weak machines list them qubit-major, with the partner
-    bits m (ascending qubit order, as an integer) minor; isotropic ones channel by channel."""
+    """Every line of a machine, cached by value. Weak machines list them qubit-major, with
+    the partner bits m (ascending qubit order, as an integer) minor; isotropic ones by channel."""
     n, lines, basis = config.n, [], None
     if config.coupling_model == "weak":
         for k, nuc in enumerate(config.nuclei, start=1):
@@ -120,7 +121,7 @@ def _line_table(config: SpinSystemConfig) -> _Lines:
             for a, b in zip(*np.nonzero(np.abs(detect.T) > _MIN_WEIGHT)):
                 lines.append((channel, (w[b] - w[a]) / (2 * np.pi), detect[b, a], a, b))
     channels, freqs, weights, rows, cols = zip(*lines)
-    return _Lines(basis, channels, freqs, np.array(weights), rows, cols)
+    return _Lines(basis, channels, freqs, _read_only(np.array(weights))[0], rows, cols)
 
 
 def _channel_t2(config: SpinSystemConfig, channel: str) -> float:
@@ -207,24 +208,19 @@ def _setting_circuit(setting: tuple[str, ...]) -> Circuit:
     return Circuit(len(setting), gates)
 
 
-@functools.lru_cache(maxsize=3)
-def _ideal_readouts(n: int) -> np.ndarray:
-    """Ideal unitaries of the 3^n readout settings, in sweep order (read-only)."""
-    us = np.array([circuit_unitary(_setting_circuit(s))
-                   for s in itertools.product(_SETTINGS, repeat=n)])
-    us.setflags(write=False)
-    return us
-
-
-@functools.lru_cache(maxsize=8)  # room for the weak entries of n = 1..3 and five isotropic bases
-def _ideal_inverse(n: int, rows: tuple, cols: tuple, weights: tuple, basis: Optional[bytes]):
-    """`_inverse` of the ideal readout map, keyed by value on all it depends on: the lines'
-    rows, cols and weights, and the readout basis as bytes (None: computational). Offsets,
-    J and labels only move and group a weak machine's lines, so one n shares one entry.
-    A triangulum entry (n = 3, 15 lines) is 0.4 MB."""
-    b = None if basis is None else np.frombuffer(basis, complex).reshape(2**n, 2**n)
-    lines = _Lines(b, (), (), np.array(weights), rows, cols)
-    return _inverse(_readout_map(_ideal_readouts(n), lines))
+@functools.lru_cache(maxsize=8)  # room for the weak entries of n = 1..3 and five more
+def _readout(n: int, rows: tuple, cols: tuple, weights: tuple, basis: Optional[bytes],
+             machine: Optional[SpinSystemConfig] = None, pulse_amp_hz: float = 0.0):
+    """(unitaries, inverse), read-only: the 3^n readout settings' unitaries in sweep order,
+    ideal or compiled for `machine` at `pulse_amp_hz`, and the `_inverse` of their map, keyed
+    by value on all they depend on (the basis as bytes; None: computational). A weak machine's
+    ideal entry depends on n alone. A triangulum entry (n = 3, 15 lines) is 0.4 MB."""
+    circuits = [_setting_circuit(s) for s in itertools.product(_SETTINGS, repeat=n)]
+    us = _read_only(np.array([circuit_unitary(c) if machine is None else program_unitary(
+        compile_circuit(c, machine, pulse_amp_hz)) for c in circuits]))[0]
+    lines = _Lines(None if basis is None else np.frombuffer(basis, complex).reshape(2**n, 2**n),
+                   (), (), np.array(weights), rows, cols)
+    return us, _inverse(_readout_map(us, lines))
 
 
 def _readout_map(us: np.ndarray, lines: _Lines) -> np.ndarray:
@@ -257,11 +253,9 @@ def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout,
     """`_readout_lines`, then the reconstruction of `tomography`, its settings and readings."""
     lines = _readout_lines(rho, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
-    us = (np.array([program_unitary(compile_circuit(_setting_circuit(s), config, pulse_amp_hz))
-                    for s in settings]) if compiled_readout else _ideal_readouts(config.n))
-    inverse = (_inverse(_readout_map(us, lines)) if compiled_readout else _ideal_inverse(
-        config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
-        None if lines.basis is None else lines.basis.tobytes()))
+    us, inverse = _readout(config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
+                           None if lines.basis is None else lines.basis.tobytes(),
+                           *((config, pulse_amp_hz) if compiled_readout else ()))
     readings = lines.readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
     coeffs = (inverse @ readings.ravel()).real
     recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))

@@ -129,13 +129,14 @@ class Ket:
 def _check_density(m: np.ndarray) -> None:
     """Reject unless each matrix of a (..., d, d) stack is a density matrix."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge or inf entries fail the checks below
+        # trace first: a scaled state's rounding can fail the absolute Hermiticity tolerance
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        bad = np.abs(tr - 1.0) > TRACE_TOL
+        if np.any(bad):
+            raise ValidationError(f"density matrix trace {complex(tr[bad].flat[0])}, not 1")
         herm = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
         if not herm <= HERMITICITY_TOL:  # nan fails too
             raise ValidationError(f"density matrix not Hermitian (deviation {herm:.2e})")
-        tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.abs(tr - 1.0) > TRACE_TOL
-    if np.any(bad):
-        raise ValidationError(f"density matrix trace {complex(tr[bad].flat[0])}, not 1")
     lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))))
     if lo < -EIGENVALUE_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
@@ -29,6 +28,7 @@ from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
+PRESETS = ("gemini", "triangulum")  # the files under presets/
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,19 @@ def _config_from_dict(d: dict, source: str) -> SpinSystemConfig:
         raise ValidationError(f"{source}: {exc}") from exc
 
 
+def _read_json(path: Union[str, Path], what: str):
+    """The JSON document in an input file; a file not read or parsed is one ValidationError."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
 def load_machine_config(path: Union[str, Path]) -> SpinSystemConfig:
     """Load and validate a machine-config JSON file.
 
@@ -196,26 +209,15 @@ def load_machine_config(path: Union[str, Path]) -> SpinSystemConfig:
     t2_s, polarization}], "j_hz": [[...]]}. Keys starting with "_" are
     ignored (used for notes in the shipped presets).
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read machine config {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    return _config_from_dict(data, str(path))
+    return _config_from_dict(_read_json(path, "machine config"), str(Path(path)))
 
 
 def preset(name: str) -> SpinSystemConfig:
     """A packaged machine preset: "gemini" (1H/31P) or "triangulum" (3x 19F)."""
-    ref = resources.files(__package__).joinpath(f"presets/{name}.json")
-    try:
-        data = json.loads(ref.read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"unknown preset {name!r}") from exc
-    return _config_from_dict(data, f"preset:{name}")
+    if name not in PRESETS:
+        raise ValidationError(f"unknown preset {name!r}")
+    path = Path(__file__).parent / "presets" / f"{name}.json"
+    return _config_from_dict(_read_json(path, "preset"), f"preset:{name}")
 
 
 class _Operators(NamedTuple):

@@ -951,6 +951,15 @@ LEAF_REQUESTS = [
 ]
 
 
+# Every option that reads a file: the request it is given in and how errors name the file.
+FILE_OPTIONS = [
+    (["simulate"], "--circuit", "circuit file"), (["compile"], "--circuit", "circuit file"),
+    (["tomography"], "--state", "state file"), (["grape"], "--unitary", "matrix file"),
+    (["algorithm", "dqc1"], "--unitary", "matrix file"),
+    (["experiment", "pps"], "--machine", "machine config"),
+]
+
+
 class TestOnePathPerJob:
     def test_simulate_compiles_at_the_requested_amplitude(self, tmp_path):
         # every README request runs at the default amplitude; only this reads another
@@ -1009,4 +1018,20 @@ class TestOnePathPerJob:
         rc, err = run_main(["experiment", "pps", "--machine", machine,
                             "--out", str(tmp_path / "out")])
         assert rc == 2 and len(err.splitlines()) == 1 and "coupling_model" in err, err
+        assert not (tmp_path / "out").exists()
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not text"])
+    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS,
+                             ids=[argv[-1] + option for argv, option, _ in FILE_OPTIONS])
+    def test_an_unreadable_input_file_is_one_line(self, tmp_path, argv, option, what, kind):
+        path = tmp_path / "input.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not text":
+            path.write_bytes(b"\xff\xfe{}")  # not UTF-8
+        rc, err = run_main([*argv, option, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: validation: cannot read {what} {path}: "), err
         assert not (tmp_path / "out").exists()

@@ -20,7 +20,7 @@ from nmrqc.dynamics import (
 from nmrqc.errors import FitError, ValidationError
 from nmrqc.experiments import (
     _abs_sine_period_guess,
-    _transverse,
+    _channel_signal,
     fit_model,
     prepare_pseudo_pure,
     rabi_calibration,
@@ -333,7 +333,7 @@ class TestRelaxationExperiments:
         # without the echo the same ensemble dephases far faster than T2;
         # verified directly on the free-induction signal
         from nmrqc.dynamics import PulseProgram
-        from nmrqc.experiments import _transverse
+        from nmrqc.experiments import _channel_signal
         from dataclasses import replace
 
         deltas = np.linspace(-200.0, 200.0, 11)
@@ -353,7 +353,7 @@ class TestRelaxationExperiments:
                 ),
             )
             rho = evolve_program(thermal_state(cfg), prog, relaxation=True)
-            total += _transverse(rho.matrix[np.newaxis], cfg, "1H")[0]
+            total += _channel_signal(rho.matrix[np.newaxis], cfg, "1H")[0]
         ensemble = abs(total) / 11
         echo = np.exp(-t / 0.2) * gemini.nuclei[0].polarization
         assert ensemble < 0.2 * echo
@@ -388,11 +388,11 @@ class TestRelaxationExperiments:
         expected = np.array([np.real(np.trace(rho.matrix @ sx))
                              + 1j * np.real(np.trace(rho.matrix @ sy)) for rho in states])
         stack = _evolve_stack(thermal_state(gemini), programs, relaxation=True)
-        signal = _transverse(stack, gemini, channel)
+        signal = _channel_signal(stack, gemini, channel)
         assert np.max(np.abs(signal - expected)) <= 1e-15 * np.max(np.abs(expected))
         # the signal of each state of the list is that of its row of the stack
         for k, rho in enumerate(states):
-            assert _transverse(rho.matrix[np.newaxis], gemini, channel)[0] == signal[k]
+            assert _channel_signal(rho.matrix[np.newaxis], gemini, channel)[0] == signal[k]
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

@@ -7,7 +7,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import make_weak_config, random_density_matrix
-from nmrqc import measurement
+from nmrqc import _kernels, measurement
 from nmrqc.errors import UnresolvedPeaksError, ValidationError
 from nmrqc.measurement import (
     MAX_FID_SAMPLES,
@@ -420,8 +420,7 @@ class TestTomography:
 
         for name in calls:
             monkeypatch.setattr(measurement, name, counting(name))
-        measurement._ideal_readouts.cache_clear()
-        measurement._ideal_inverse.cache_clear()
+        measurement._readout.cache_clear()
         rng = np.random.default_rng(58)
         for cfg in machines:
             for _ in range(2):
@@ -431,15 +430,15 @@ class TestTomography:
         # listed once per sweep
         assert calls == {"circuit_unitary": 27, "_line_table": 2 * 2, "_inverse": 1}
         lines = measurement._line_table(machines[0])
-        inverse = measurement._ideal_inverse(3, lines.rows, lines.cols, (2.0,) * 12, None)
-        assert not measurement._ideal_readouts(3).flags.writeable
+        us, inverse = measurement._readout(3, lines.rows, lines.cols, (2.0,) * 12, None)
+        assert not us.flags.writeable
         assert not inverse.flags.writeable
 
     def test_isotropic_inverse_built_once_per_readout_basis(self, triangulum, monkeypatch):
         calls = []
         original = measurement._inverse
         monkeypatch.setattr(measurement, "_inverse", lambda a: calls.append(1) or original(a))
-        measurement._ideal_inverse.cache_clear()
+        measurement._readout.cache_clear()
         shifted = replace(triangulum, j_hz=triangulum.j_hz * 1.5)  # another eigenbasis
         rng = np.random.default_rng(60)
         for cfg, built in ((triangulum, 1), (triangulum, 1), (shifted, 2), (triangulum, 2)):
@@ -448,9 +447,36 @@ class TestTomography:
             assert len(calls) == built
         # the cached inverse has the bits of the map built from the machine's own basis
         lines = measurement._line_table(triangulum)
-        rebuilt = original(measurement._readout_map(measurement._ideal_readouts(3), lines))
         key = (3, lines.rows, lines.cols, tuple(lines.weights.tolist()), lines.basis.tobytes())
-        assert measurement._ideal_inverse(*key).tobytes() == rebuilt.tobytes()
+        us, inverse = measurement._readout(*key)
+        rebuilt = original(measurement._readout_map(us, lines))
+        assert inverse.tobytes() == rebuilt.tobytes()
+
+    def test_a_repeated_compiled_readout_is_cached(self, gemini, monkeypatch):
+        rho = random_density_matrix(np.random.default_rng(61), 2)
+        measurement._readout.cache_clear()
+        first = measurement.tomography_sweep(rho, gemini, compiled_readout=True)
+        calls = []
+        batched = _kernels.segment_propagators
+        monkeypatch.setattr(_kernels, "segment_propagators",
+                            lambda *args: calls.append(1) or batched(*args))
+        again = measurement.tomography_sweep(rho, gemini, compiled_readout=True)
+        assert calls == []
+        assert again[0].matrix.tobytes() == first[0].matrix.tobytes() and again[1] == first[1]
+        # an equal config built anew shares the entry; another amplitude gets its own
+        tomography(rho, preset("gemini"), compiled_readout=True)
+        assert calls == []
+        tomography(rho, gemini, compiled_readout=True, pulse_amp_hz=1e5)
+        assert calls
+
+    @pytest.mark.parametrize("machine", ["gemini", "triangulum"])
+    def test_line_table_is_read_only_and_shared_by_equal_configs(self, machine):
+        a, b = preset(machine), preset(machine)
+        assert a is not b
+        table = measurement._line_table(a)
+        assert measurement._line_table(b) is table
+        assert not table.weights.flags.writeable
+        assert table.basis is None or not table.basis.flags.writeable
 
     def test_undetermined_coefficients_rejected(self, gemini):
         # the identity setting alone sees only the single-transverse-factor strings

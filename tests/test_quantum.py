@@ -12,6 +12,7 @@ from nmrqc.quantum import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TRACE_TOL,
     BlochVector,
     DensityMatrix,
     Ket,
@@ -320,6 +321,19 @@ class TestRawArrayStates:
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(rng, n).matrix
         with pytest.raises(ValidationError):  # off trace 1, or off Hermitian by rounding
+            state_fidelity(random_ket(rng, n), scale * rho)
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-300, 300).map(lambda e: 10.0**e)
+           .filter(lambda x: abs(x - 1.0) > TRACE_TOL))
+    def test_a_scaled_state_is_rejected_for_its_trace(self, n, seed, scale):
+        # a large scale also lifts a random state's rounding over the absolute Hermiticity
+        # tolerance: the trace is the fault to name
+        rng = np.random.default_rng(seed)
+        rho = random_density_matrix(rng, n).matrix
+        with pytest.raises(ValidationError, match="trace"):
+            DensityMatrix(scale * rho)
+        with pytest.raises(ValidationError, match="trace"):
             state_fidelity(random_ket(rng, n), scale * rho)
 
     @given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,23 @@ class TestConfigLoading:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValidationError, match="diagonal"):
             make_weak_config([0.0, 0.0], [[1.0, 5.0], [5.0, 0.0]])
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", ["nope", "../gemini", "../presets/gemini", "GEMINI", ""])
+    def test_an_unknown_name_reads_no_file(self, monkeypatch, name):
+        def forbidden(*args):
+            raise AssertionError("an unknown preset name was read as a file")
+
+        monkeypatch.setattr(spinsys, "_read_json", forbidden)
+        with pytest.raises(ValidationError, match="unknown preset"):
+            preset(name)
+
+    def test_the_preset_list_is_the_preset_files(self):
+        files = sorted(p.stem for p in (Path(spinsys.__file__).parent / "presets").glob("*.json"))
+        assert sorted(spinsys.PRESETS) == files
+        for name in spinsys.PRESETS:
+            assert isinstance(preset(name), SpinSystemConfig)
 
 
 class TestConfigEquality:

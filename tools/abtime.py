@@ -76,11 +76,11 @@ def _weak3(nmrqc):
     return nmrqc.SpinSystemConfig("weak3", nuclei, j, "weak")
 
 
-def _tomography(machine: str):
+def _tomography(machine: str, compiled_readout: bool = False):
     def build(nmrqc):
         cfg = _weak3(nmrqc) if machine == "weak3" else nmrqc.preset(machine)
         rho = _random_state(nmrqc, cfg.n, seed=11)
-        return lambda: nmrqc.tomography(rho, cfg)
+        return lambda: nmrqc.tomography(rho, cfg, compiled_readout=compiled_readout)
     return build
 
 
@@ -155,6 +155,8 @@ TARGETS = {
     "measurement.tomography:gemini": _tomography("gemini"),
     "measurement.tomography:weak3": _tomography("weak3"),
     "measurement.tomography:triangulum": _tomography("triangulum"),
+    # the CLI's `tomography --path pulse`, repeated: the readout compiled at the default amplitude
+    "measurement.tomography:gemini-compiled": _tomography("gemini", compiled_readout=True),
     "control.grape:gemini-X90": _grape,
     "_kernels.grape_fidelity_and_gradient": _grape_evaluation,
     "control.circuit_unitary": _circuit_unitary,
