@@ -96,17 +96,25 @@ def _machine(arg: str) -> SpinSystemConfig:
     return load_machine_config(arg)
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    """Complex matrix from a JSON file with "re" and "im" fields."""
-    d = _read_json(path, "matrix file")
+def _load(path: str, what: str, parse):
+    """parse(the JSON document of a circuit, state or matrix file); its errors name the file."""
+    d = _read_json(path, f"{what} file")
+    try:
+        return parse(d)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _matrix(d) -> np.ndarray:
+    """Complex matrix from a JSON object with "re" and "im" fields."""
+    if not isinstance(d, dict):
+        raise ValidationError("matrix JSON must be an object")
     try:
         return complex_matrix(d["re"], d["im"])
     except KeyError as exc:
-        raise ValidationError(f"{path}: matrix JSON has no {exc} field") from exc
+        raise ValidationError(f"matrix JSON has no {exc} field") from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: bad matrix JSON: {exc}") from exc
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+        raise ValidationError(f"bad matrix JSON: {exc}") from exc
 
 
 def _domain(kind, rule: str, ok=lambda value: True, listed=False):
@@ -172,7 +180,7 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
-    cfg, circuit = args.machine, Circuit.from_json_dict(_read_json(args.circuit, "circuit file"))
+    cfg, circuit = args.machine, _load(args.circuit, "circuit", Circuit.from_json_dict)
     (ideal,) = algorithms._execute([circuit], cfg, "ideal")
     rho = ideal if args.path == "ideal" else algorithms._execute(
         [circuit], cfg, "pulse", args.relaxation == "on", args.pulse_amp_hz)[0]
@@ -189,7 +197,7 @@ def _cmd_simulate(args) -> list[Path]:
 
 
 def _cmd_tomography(args) -> list[Path]:
-    rho = DensityMatrix.from_json_dict(_read_json(args.state, "state file"))
+    rho = _load(args.state, "state", DensityMatrix.from_json_dict)
     recon, peak_tables = measurement.tomography_sweep(
         rho, args.machine, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
     )
@@ -204,14 +212,14 @@ def _cmd_tomography(args) -> list[Path]:
 
 
 def _cmd_compile(args) -> list[Path]:
-    circuit = Circuit.from_json_dict(_read_json(args.circuit, "circuit file"))
+    circuit = _load(args.circuit, "circuit", Circuit.from_json_dict)
     program = compile_circuit(circuit, args.machine, args.pulse_amp_hz)
     return [emit_report(program, "json", Path(args.out) / "pulse_program.json")]
 
 
 def _cmd_grape(args) -> list[Path]:
     if args.gate is None:  # --gate and --unitary are one required exclusive group
-        target = _load_matrix(args.unitary)
+        target = _load(args.unitary, "matrix", _matrix)
     else:
         gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
         target = gate_matrix(gate, args.machine.n, args.machine)
@@ -227,6 +235,7 @@ def _cmd_grape(args) -> list[Path]:
     return [
         emit_report(result.csv_text(), "csv", out / "grape_pulse.csv"),
         emit_report(result.metadata_dict(), "json", out / "grape_meta.json"),
+        emit_report(result.program, "json", out / "pulse_program.json"),
     ]
 
 
@@ -277,7 +286,7 @@ def _cmd_algorithm(args) -> list[Path]:
     if name == "dqc1":
         if not args.unitary:
             raise ValidationError("dqc1 needs --unitary")
-        u = _load_matrix(args.unitary)
+        u = _load(args.unitary, "matrix", _matrix)
         report = {
             "algorithm": "dqc1",
             "estimate": algorithms.dqc1_trace(u, args.epsilon),

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
-from .dynamics import PulseProgram, check_pulse_amplitude, program_unitary, square_pulse
+from .dynamics import (PulseProgram, RfSegment, check_pulse_amplitude, program_unitary,
+                       square_pulse)
 from .errors import UncoupledPairError, ValidationError
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, embed, is_unitary
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
@@ -194,10 +195,16 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Circuit":
+        if not isinstance(d, Mapping):
+            raise ValidationError("circuit JSON must be an object")
         try:
             n = int(d["n"])
+            if not isinstance(d["gates"], list):
+                raise ValidationError("circuit JSON: gates must be a list")
             gates = []
             for i, g in enumerate(d["gates"]):
+                if not isinstance(g, Mapping):
+                    raise ValidationError(f"circuit JSON: gate {i} must be an object")
                 matrix = None
                 if "matrix" in g:
                     matrix = complex_matrix(g["matrix"]["re"], g["matrix"]["im"])
@@ -432,8 +439,9 @@ class GrapeResult:
     amplitudes_hz: np.ndarray  # (segments, 2 * n_channels): (x, y) per channel
     channels: tuple[str, ...]
     dt_s: float
+    program: PulseProgram  # on the searched machine, one RfSegment per segment: the controls
     fidelity_trace: np.ndarray
-    final_unitary: np.ndarray
+    final_unitary: np.ndarray  # program_unitary(program), the path every pulse propagates on
     final_fidelity: float
     iterations: int
     stop_reason: str
@@ -506,13 +514,9 @@ def grape_optimize(
     def draw() -> np.ndarray:
         return rng.uniform(-GRAPE_RANDOM_AMP_HZ, GRAPE_RANDOM_AMP_HZ, size=n_seg * m) * scale
 
-    def hamiltonians(amps: np.ndarray) -> np.ndarray:
-        return h0 + _drive_hamiltonian(controls, amps)
-
     def infidelity_and_gradient(x: np.ndarray):
-        fid, grad = _kernels.grape_fidelity_and_gradient(
-            hamiltonians(x.reshape(n_seg, m) / scale), target_dag, controls, dt
-        )
+        h = h0 + _drive_hamiltonian(controls, x.reshape(n_seg, m) / scale)
+        fid, grad = _kernels.grape_fidelity_and_gradient(h, target_dag, controls, dt)
         return 1.0 - fid, -grad.ravel() / scale
 
     def running() -> bool:
@@ -544,11 +548,15 @@ def grape_optimize(
         stop_reason = "converged"
 
     u = best.reshape(n_seg, m) / scale
-    final_u = _kernels.unitary_chain(_kernels.segment_propagators(hamiltonians(u), dt))
+    x_hz, y_hz = u[:, 0::2], u[:, 1::2]  # (segments, channels) each
+    segments = zip(np.hypot(x_hz, y_hz).tolist(), np.arctan2(y_hz, x_hz).tolist())
+    program = PulseProgram(config, tuple(RfSegment(tuple(a), tuple(p), dt) for a, p in segments))
+    final_u = program_unitary(program)
     return GrapeResult(
         amplitudes_hz=u,
         channels=channels,
         dt_s=dt,
+        program=program,
         fidelity_trace=np.asarray(trace),
         final_unitary=final_u,
         final_fidelity=gate_fidelity(final_u, target),

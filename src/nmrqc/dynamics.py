@@ -11,12 +11,13 @@ amplitude they are given.
 One propagation path: the Hamiltonians of the timed events are stacked from
 the machine's cached, read-only operators (`spinsys.rf_hamiltonian` once
 over the distinct events) and propagated in one batched kernel call.
-`program_unitary` chains them; `_evolve_stack` runs any programs on one spin
-layout (a scan, or an algorithm's circuits) as one (B, d, d) stack of
-states: step s applies each program's s-th event to its row, with
-relaxation vectorized over the rows, and leaves a program that has ended
-as it is. Scans read the stack directly; `evolve_programs` wraps its rows
-as states, and `evolve_program` is its one-program case.
+`program_unitary` chains them, for compiled and GRAPE pulses alike;
+`_evolve_stack` runs any programs on one spin layout (a scan, or an
+algorithm's circuits) as one (B, d, d) stack of states: step s applies each
+program's s-th event to its row, with relaxation vectorized over the rows,
+and leaves a program that has ended as it is. Scans read the stack
+directly; `evolve_programs` wraps its rows as states, and `evolve_program`
+is its one-program case.
 
 Relaxation, a tensor product of one-spin channels, is applied spin by spin
 for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`

@@ -195,6 +195,8 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DensityMatrix":
+        if not isinstance(d, Mapping):
+            raise ValidationError("density-matrix JSON must be an object")
         try:
             m = complex_matrix(d["re"], d["im"])
             n = int(d["n"])

@@ -303,11 +303,14 @@ def control_operators(config: SpinSystemConfig) -> tuple[np.ndarray, tuple[str, 
     return config._operators.controls, config.channels
 
 
-def rf_drive(config: SpinSystemConfig, amplitudes_hz: Sequence, phases_rad: Sequence) -> np.ndarray:
-    """Control amplitudes, Hz, of one (amplitude, phase) pair per channel, or of rows of them.
+def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
+                   phases_rad: Sequence) -> np.ndarray:
+    """Rotating-frame RF Hamiltonian, rad/s, of one (amplitude, phase) pair per channel,
+    or one (d, d) matrix per row of them.
 
-    Returns (u_0 cos(phi_0), u_0 sin(phi_0), u_1 cos(phi_1), ...), the
-    weights of the `control_operators` generators, one row per input row.
+    H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
+    with the sums running over the channel's member spins: the `control_operators`
+    generators weighted by (u_0 cos(phi_0), u_0 sin(phi_0), u_1 cos(phi_1), ...).
     """
     channels = config.channels
     try:
@@ -321,18 +324,6 @@ def rf_drive(config: SpinSystemConfig, amplitudes_hz: Sequence, phases_rad: Sequ
     drive = np.empty((*u.shape[:-1], 2 * len(channels)))
     drive[..., 0::2] = u * np.cos(phi)
     drive[..., 1::2] = u * np.sin(phi)
-    return drive
-
-
-def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
-                   phases_rad: Sequence) -> np.ndarray:
-    """Rotating-frame RF Hamiltonian, rad/s, of one (amplitude, phase) pair per channel,
-    or one (d, d) matrix per row of them.
-
-    H_rf = sum_ch 2*pi*u_ch * (cos(phi) * sum I_x + sin(phi) * sum I_y)
-    with the sums running over the channel's member spins.
-    """
-    drive = rf_drive(config, amplitudes_hz, phases_rad)
     return _drive_hamiltonian(config._operators.controls, drive)
 
 

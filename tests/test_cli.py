@@ -88,7 +88,9 @@ class TestSimulate:
             assert main([command, "--circuit", circuit, "--out", str(tmp_path / "o")]) == 2
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
-        assert errs[0].strip() == "error: validation: gate CNOT: repeated target in (1, 1)"
+        # an error in a circuit file names the file
+        assert errs[0].strip() == (
+            f"error: validation: {circuit}: gate CNOT: repeated target in (1, 1)")
 
     def test_byte_identical_reruns(self, tmp_path):
         circuit = write_json(tmp_path / "bell.json", BELL_CIRCUIT)
@@ -174,18 +176,28 @@ class TestArtifacts:
         eps = 1e-5
         assert report["pauli_coefficients"]["ZZ"] == pytest.approx(eps / 2, rel=1e-6)
 
-    def test_grape_artifacts(self, tmp_path):
+    def test_grape_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["grape", "--gate", "X90", "--targets", "1", "--segments", "20",
                    "--duration-s", "4e-4", "--max-iters", "60",
                    "--target-fidelity", "0.99", "--seed", "1", "--out", str(out)])
         assert rc == 0
+        names = ("grape_pulse.csv", "grape_meta.json", "pulse_program.json")
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
         lines = (out / "grape_pulse.csv").read_text().splitlines()
         assert lines[0] == "segment_index,channel,u_x_hz,u_y_hz"
         assert len(lines) == 1 + 20 * 2
         meta = json.loads((out / "grape_meta.json").read_text())
         assert meta["final_fidelity"] >= 0.99
         assert meta["seed"] == 1
+        # compile's schema: one rf event per segment, (x, y) as amplitude and phase
+        events = json.loads((out / "pulse_program.json").read_text())["events"]
+        assert len(events) == 20 and {ev["type"] for ev in events} == {"rf"}
+        assert {ev["dur_s"] for ev in events} == {meta["dt_s"]}
+        for row in lines[1:]:
+            segment, channel, ux, uy = row.split(",")
+            amp = events[int(segment)]["amp_hz"][meta["channels"].index(channel)]
+            assert amp == pytest.approx(np.hypot(float(ux), float(uy)), rel=1e-11, abs=1e-9)
 
 
 class TestAlgorithms:
@@ -547,8 +559,9 @@ class TestReadmeRequests:
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] and outs[0] == outs[1]
 
-    # sha256 of each report of the README requests except grape, whose result
-    # depends on the scipy version: pps recorded before the scans were evolved
+    # sha256 of each report of the README requests: grape's CSV and metadata
+    # recorded when GRAPE ran on the package's own L-BFGS (its pulse program
+    # when the result came to carry one), pps recorded before the scans were evolved
     # as batches, rabi re-recorded for the closed-form separable fits, t1/t2
     # re-recorded for the relaxation map applied spin by spin, the pulse-path
     # reports (simulate-pulse, compile, tomography-pulse, deutsch) re-recorded
@@ -572,6 +585,11 @@ class TestReadmeRequests:
         },
         "tomography-triangulum": {
             "tomography_report.json": "897ffb96bf0ec1e39b1fea02a8de3b50fb7507238cf1b1884bdbccb66ba6316c",
+        },
+        "grape-triangulum": {
+            "grape_pulse.csv": "60f477644f51b8aa701c82cc8fe23c6150138ecfa8f741cf976fbb9e0890d929",
+            "grape_meta.json": "bdc8d7e15057580246a90905651775fbe8075ffa473964ec2c1f806ca191a11d",
+            "pulse_program.json": "dbcc6a614d0b06d4a7430ec652899c589387452c53819ab4f83880b670a31002",
         },
         "rabi": {
             "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",
@@ -608,8 +626,7 @@ class TestReadmeRequests:
         },
     }
 
-    @pytest.mark.parametrize("argv", [a for a in README_REQUESTS if a[0] != "grape"],
-                             ids=report_key)
+    @pytest.mark.parametrize("argv", README_REQUESTS, ids=report_key)
     def test_scan_reports_are_pinned(self, tmp_path, readme_inputs, argv):
         argv = [a.format(**readme_inputs) for a in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
@@ -1034,4 +1051,17 @@ class TestInputFiles:
         rc, err = run_main([*argv, option, str(path), "--out", str(tmp_path / "out")])
         assert rc == 2 and len(err.splitlines()) == 1, err
         assert err.startswith(f"error: validation: cannot read {what} {path}: "), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [[], "abc", {"n": 1, "gates": [5]},
+                                     {"n": 1, "gates": {"name": "X", "targets": [1]}}],
+                             ids=["list", "string", "gate_a_number", "gates_an_object"])
+    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS,
+                             ids=[argv[-1] + option for argv, option, _ in FILE_OPTIONS])
+    def test_a_document_of_the_wrong_shape_is_one_line(self, tmp_path, argv, option, what, doc):
+        path = write_json(tmp_path / "input.json", doc)
+        rc, err = run_main([*argv, option, path, "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: validation: {path}: "), err
+        assert "indices" not in err and "iterable" not in err, err  # no Python type error
         assert not (tmp_path / "out").exists()

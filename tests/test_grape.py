@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_weak_config, random_unitary
+from conftest import make_weak_config, random_density_matrix, random_unitary
 from nmrqc import _kernels
 from nmrqc.control import Gate, GrapeConfig, gate_fidelity, gate_matrix, grape_optimize
+from nmrqc.dynamics import RfSegment, evolve_program, program_unitary
 from nmrqc.errors import ValidationError
-from nmrqc.spinsys import control_operators, internal_hamiltonian
+from nmrqc.quantum import _check_density
+from nmrqc.spinsys import control_operators, internal_hamiltonian, preset
 
 
 def small_system():
@@ -246,3 +250,41 @@ class TestRestarts:
         result = grape_optimize(gate_matrix(Gate("X90", (1,)), 3), triangulum, gcfg, seed=1)
         assert (result.iterations, result.restarts) == (41, 0)
         assert result.final_fidelity >= 0.995
+
+
+class TestPulseProgram:
+    @settings(max_examples=60)
+    @given(machine=st.sampled_from(["gemini", "triangulum"]),
+           gate=st.sampled_from(["X90", "Y90", "H"]), segments=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_program_unitary_is_the_final_unitary(self, machine, gate, segments, seed, data):
+        cfg = preset(machine)
+        qubit = data.draw(st.integers(1, cfg.n))
+        gcfg = GrapeConfig(segments=segments, dt_s=4e-4 / segments, max_iters=5)
+        result = grape_optimize(gate_matrix(Gate(gate, (qubit,)), cfg.n), cfg, gcfg, seed=seed)
+        program = result.program
+        assert program.system is cfg and len(program.events) == segments
+        assert all(isinstance(ev, RfSegment) and ev.duration_s == result.dt_s
+                   for ev in program.events)
+        # each channel's (x, y) amplitudes in polar form
+        x, y = result.amplitudes_hz[:, 0::2], result.amplitudes_hz[:, 1::2]
+        assert np.array_equal([ev.amplitudes_hz for ev in program.events], np.hypot(x, y))
+        assert np.array_equal([ev.phases_rad for ev in program.events], np.arctan2(y, x))
+        assert np.array_equal(program_unitary(program), result.final_unitary)
+        # the search's own chain over the same amplitudes
+        chain = _kernels.unitary_chain(_kernels.segment_propagators(
+            hamiltonians(result.amplitudes_hz, cfg), result.dt_s))
+        assert np.max(np.abs(result.final_unitary - chain)) <= 1e-12
+
+    @pytest.mark.parametrize("machine", ["gemini", "triangulum"])
+    def test_evolve_program_plays_the_pulse(self, machine):
+        cfg = preset(machine)
+        gcfg = GrapeConfig(segments=12, dt_s=4e-4 / 12, max_iters=20)
+        result = grape_optimize(gate_matrix(Gate("X90", (1,)), cfg.n), cfg, gcfg, seed=4)
+        rho = random_density_matrix(np.random.default_rng(11), cfg.n)
+        relaxed = evolve_program(rho, result.program, relaxation=True)
+        _check_density(relaxed.matrix)
+        u = result.final_unitary
+        plain = evolve_program(rho, result.program)
+        assert np.max(np.abs(plain.matrix - u @ rho.matrix @ u.conj().T)) <= 1e-12
+        assert not np.array_equal(relaxed.matrix, plain.matrix)

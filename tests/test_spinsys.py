@@ -20,7 +20,6 @@ from nmrqc.spinsys import (
     internal_hamiltonian,
     load_machine_config,
     preset,
-    rf_drive,
     rf_hamiltonian,
     thermal_state,
 )
@@ -233,13 +232,13 @@ class TestRfDrive:
         rng = np.random.default_rng(70 + rows)
         u = rng.uniform(0.0, 2e4, (rows, 2))
         phi = rng.choice([0.0, np.pi / 2, np.pi, -np.pi / 2, 1.3, -4.1], (rows, 2))
-        drive = rf_drive(gemini, u, phi)
-        assert drive.shape == (rows, 4)
-        for row, a, p in zip(drive, u.tolist(), phi.tolist()):
-            assert row.tobytes() == rf_drive(gemini, tuple(a), tuple(p)).tobytes()
         # the engine builds H_rf once per distinct event row: each must be a 1-D call's bits
         h = rf_hamiltonian(gemini, u, phi)
         assert h.shape == (rows, 4, 4)
+        # the generators weighted by (u cos(phi), u sin(phi)) per channel, in tensordot's bits
+        drive = np.stack([u * np.cos(phi), u * np.sin(phi)], axis=-1).reshape(rows, 4)
+        expected = np.tensordot(drive, gemini._operators.controls, axes=(1, 0))
+        assert h.tobytes() == expected.tobytes()
         for row, a, p in zip(h, u.tolist(), phi.tolist()):
             assert row.tobytes() == rf_hamiltonian(gemini, tuple(a), tuple(p)).tobytes()
 
@@ -251,7 +250,7 @@ class TestRfDrive:
     ], ids=["too_few", "phase_missing", "ragged_rows", "rows_too_short"])
     def test_wrong_channel_count_rejected(self, gemini, amps, phases):
         with pytest.raises(ValidationError, match="one amplitude and phase per channel"):
-            rf_drive(gemini, amps, phases)
+            rf_hamiltonian(gemini, amps, phases)
 
 
 class TestThermalState:
