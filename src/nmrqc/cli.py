@@ -96,25 +96,9 @@ def _machine(arg: str) -> SpinSystemConfig:
     return load_machine_config(arg)
 
 
-def _load(path: str, what: str, parse):
-    """parse(the JSON document of a circuit, state or matrix file); its errors name the file."""
-    d = _read_json(path, f"{what} file")
-    try:
-        return parse(d)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-
-
 def _matrix(d) -> np.ndarray:
     """Complex matrix from a JSON object with "re" and "im" fields."""
-    if not isinstance(d, dict):
-        raise ValidationError("matrix JSON must be an object")
-    try:
-        return complex_matrix(d["re"], d["im"])
-    except KeyError as exc:
-        raise ValidationError(f"matrix JSON has no {exc} field") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad matrix JSON: {exc}") from exc
+    return complex_matrix(d, "matrix JSON")
 
 
 def _domain(kind, rule: str, ok=lambda value: True, listed=False):
@@ -180,7 +164,7 @@ def _add_common(parser: argparse.ArgumentParser, *options: str):
 
 
 def _cmd_simulate(args) -> list[Path]:
-    cfg, circuit = args.machine, _load(args.circuit, "circuit", Circuit.from_json_dict)
+    cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
     (ideal,) = algorithms._execute([circuit], cfg, "ideal")
     rho = ideal if args.path == "ideal" else algorithms._execute(
         [circuit], cfg, "pulse", args.relaxation == "on", args.pulse_amp_hz)[0]
@@ -197,7 +181,7 @@ def _cmd_simulate(args) -> list[Path]:
 
 
 def _cmd_tomography(args) -> list[Path]:
-    rho = _load(args.state, "state", DensityMatrix.from_json_dict)
+    rho = _read_json(args.state, "state file", DensityMatrix.from_json_dict)
     recon, peak_tables = measurement.tomography_sweep(
         rho, args.machine, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
     )
@@ -212,14 +196,14 @@ def _cmd_tomography(args) -> list[Path]:
 
 
 def _cmd_compile(args) -> list[Path]:
-    circuit = _load(args.circuit, "circuit", Circuit.from_json_dict)
+    circuit = _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
     program = compile_circuit(circuit, args.machine, args.pulse_amp_hz)
     return [emit_report(program, "json", Path(args.out) / "pulse_program.json")]
 
 
 def _cmd_grape(args) -> list[Path]:
     if args.gate is None:  # --gate and --unitary are one required exclusive group
-        target = _load(args.unitary, "matrix", _matrix)
+        target = _read_json(args.unitary, "matrix file", _matrix)
     else:
         gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
         target = gate_matrix(gate, args.machine.n, args.machine)
@@ -286,7 +270,7 @@ def _cmd_algorithm(args) -> list[Path]:
     if name == "dqc1":
         if not args.unitary:
             raise ValidationError("dqc1 needs --unitary")
-        u = _load(args.unitary, "matrix", _matrix)
+        u = _read_json(args.unitary, "matrix file", _matrix)
         report = {
             "algorithm": "dqc1",
             "estimate": algorithms.dqc1_trace(u, args.epsilon),

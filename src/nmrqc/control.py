@@ -10,9 +10,10 @@ the square pulses, which shrinks as the pulses shorten.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -22,7 +23,8 @@ from .dynamics import Delay as DelayEvent
 from .dynamics import (PulseProgram, RfSegment, check_pulse_amplitude, program_unitary,
                        square_pulse)
 from .errors import UncoupledPairError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, complex_matrix, embed, is_unitary
+from .quantum import (SIGMA_X, SIGMA_Y, SIGMA_Z, array, complex_matrix, embed, field,
+                      is_unitary)
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -76,7 +78,7 @@ class Gate:
     name: str
     targets: tuple[int, ...]
     params: tuple[float, ...] = ()
-    matrix: Optional[np.ndarray] = field(default=None, compare=False)
+    matrix: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
         if self.name != "U" and self.name not in _GATES:
@@ -195,29 +197,19 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Circuit":
-        if not isinstance(d, Mapping):
-            raise ValidationError("circuit JSON must be an object")
-        try:
-            n = int(d["n"])
-            if not isinstance(d["gates"], list):
-                raise ValidationError("circuit JSON: gates must be a list")
-            gates = []
-            for i, g in enumerate(d["gates"]):
-                if not isinstance(g, Mapping):
-                    raise ValidationError(f"circuit JSON: gate {i} must be an object")
-                matrix = None
-                if "matrix" in g:
-                    matrix = complex_matrix(g["matrix"]["re"], g["matrix"]["im"])
-                gates.append(
-                    Gate(
-                        str(g["name"]),
-                        tuple(int(t) for t in g.get("targets", ())),
-                        tuple(float(p) for p in g.get("params", ())),
-                        matrix,
-                    )
+        n = field(d, "n", "integer", "circuit JSON")
+        gates = []
+        for i, g in enumerate(field(d, "gates", "list", "circuit JSON")):
+            what = f"circuit JSON: gate {i}"
+            matrix = field(g, "matrix", "object", what, None)
+            gates.append(
+                Gate(
+                    field(g, "name", "string", what),
+                    tuple(array(g, "targets", what, "integer", ndim=1, default=[]).tolist()),
+                    tuple(array(g, "params", what, ndim=1, default=[]).tolist()),
+                    None if matrix is None else complex_matrix(matrix, f"{what}: 'matrix'"),
                 )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad circuit JSON: {exc}") from exc
+            )
         return cls(n=n, gates=tuple(gates))
 
 

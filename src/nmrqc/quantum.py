@@ -38,13 +38,60 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-def complex_matrix(re, im) -> np.ndarray:
-    """re + i*im from the "re" and "im" number arrays of a JSON document; rejects
-    non-finite entries (inf * 1j would be nan, with a warning)."""
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+# The JSON kinds a document field can hold, as the exact types json.loads gives them
+_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "list": (list,),
+          "object": (dict,)}
+_REQUIRED = object()
+
+
+def field(doc, key: str, kind: str, what: str, default=_REQUIRED):
+    """doc[key] if it is exactly the JSON `kind` ("string", "integer", "number", "list" or
+    "object"), or `default` if given and the key is absent; `what` names doc in errors.
+
+    A bool is never a number, and 1.0 is no integer. A number comes back as a float.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be an object")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValidationError(f"{what} has no {key!r} field")
+        return default
+    value = doc[key]
+    if type(value) not in _KINDS[kind]:
+        article = "an" if kind in ("integer", "object") else "a"
+        raise ValidationError(f"{what}: {key!r} must be {article} {kind}")
+    try:
+        return float(value) if kind == "number" else value
+    except OverflowError as exc:
+        raise ValidationError(f"{what}: {key!r} is out of the float range") from exc
+
+
+def array(doc, key: str, what: str, kind: str = "number", ndim: int = 2,
+          default=_REQUIRED) -> np.ndarray:
+    """doc[key] as a float (kind "number") or int (kind "integer") array: a list (ndim 1)
+    or a list of equal-length rows (ndim 2) whose every entry is exactly that JSON kind."""
+    cells = np.array(field(doc, key, "list", what, default), dtype=object)  # no recursion
+    shape = "a list" if ndim == 1 else "a list of equal-length rows"
+    # ndim first: numpy cannot iterate an object array of more than 32 dimensions
+    if cells.ndim != ndim or not all(type(c) in _KINDS[kind] for c in cells.flat):
+        raise ValidationError(f"{what}: {key!r} must be {shape} of {kind}s")
+    try:
+        return cells.astype(float if kind == "number" else int)
+    except OverflowError as exc:  # past the float or int64 range
+        raise ValidationError(f"{what}: {key!r} has an entry out of range") from exc
+
+
+def complex_matrix(doc, what: str) -> np.ndarray:
+    """The complex matrix of a JSON object's "re" and "im" matrices, bit for bit (re + 1j * im
+    would flip signed zeros); rejects non-finite entries."""
+    re, im = array(doc, "re", what), array(doc, "im", what)
+    if re.shape != im.shape:
+        raise ValidationError(f"{what}: 're' is {re.shape} but 'im' is {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValidationError("matrix entries must be finite")
-    return re + 1j * im
+        raise ValidationError(f"{what}: matrix entries must be finite")
+    m = np.empty(re.shape, dtype=complex)
+    m.real, m.imag = re, im
+    return m
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -195,13 +242,8 @@ class DensityMatrix:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DensityMatrix":
-        if not isinstance(d, Mapping):
-            raise ValidationError("density-matrix JSON must be an object")
-        try:
-            m = complex_matrix(d["re"], d["im"])
-            n = int(d["n"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad density-matrix JSON: {exc}") from exc
+        what = "density-matrix JSON"
+        n, m = field(d, "n", "integer", what), complex_matrix(d, what)
         if n < 1:
             raise ValidationError(f"density-matrix JSON: n = {n}, must be >= 1")
         if n > m.size or m.shape != (2**n, 2**n):  # so a huge n never reaches 2**n

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, array, embed, field
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
@@ -135,71 +135,54 @@ class SpinSystemConfig:
         return {
             "name": self.name,
             "coupling_model": self.coupling_model,
-            "nuclei": [
-                {
-                    "label": nuc.label,
-                    "offset_hz": nuc.offset_hz,
-                    "t1_s": nuc.t1_s,
-                    "t2_s": nuc.t2_s,
-                    "polarization": nuc.polarization,
-                }
-                for nuc in self.nuclei
-            ],
+            "nuclei": [asdict(nuc) for nuc in self.nuclei],
             "j_hz": self.j_hz.tolist(),
         }
 
 
-def _config_from_dict(d: dict, source: str) -> SpinSystemConfig:
-    def fail(field, msg):
-        raise ValidationError(f"{source}: field {field!r}: {msg}")
-
-    if not isinstance(d, dict):
-        raise ValidationError(f"{source}: top level must be a JSON object")
+def _config_from_dict(d, source: str) -> SpinSystemConfig:
+    what = "machine config"
     nuclei = []
-    raw_nuclei = d.get("nuclei")
-    if not isinstance(raw_nuclei, list) or not raw_nuclei:
-        fail("nuclei", "must be a nonempty list")
-    for i, raw in enumerate(raw_nuclei):
-        try:
-            nuclei.append(
-                NucleusSpec(
-                    label=str(raw["label"]),
-                    offset_hz=float(raw["offset_hz"]),
-                    t1_s=float(raw["t1_s"]),
-                    t2_s=float(raw["t2_s"]),
-                    polarization=float(raw["polarization"]),
-                )
+    for i, raw in enumerate(field(d, "nuclei", "list", what)):
+        at = f"{what}: nucleus {i}"
+        nuclei.append(
+            NucleusSpec(
+                label=field(raw, "label", "string", at),
+                offset_hz=field(raw, "offset_hz", "number", at),
+                t1_s=field(raw, "t1_s", "number", at),
+                t2_s=field(raw, "t2_s", "number", at),
+                polarization=field(raw, "polarization", "number", at),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            fail(f"nuclei[{i}]", str(exc))
-    if "j_hz" not in d:
-        fail("j_hz", "missing")
-    try:
-        j = np.asarray(d["j_hz"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        fail("j_hz", str(exc))
-    try:
-        return SpinSystemConfig(
-            name=str(d.get("name", source)),
-            nuclei=tuple(nuclei),
-            j_hz=j,
-            coupling_model=str(d.get("coupling_model", "weak")),
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{source}: {exc}") from exc
+    for key in d:
+        if key not in ("name", "coupling_model", "nuclei", "j_hz") and not key.startswith("_"):
+            raise ValidationError(f"{what}: unknown field {key!r}")
+    return SpinSystemConfig(
+        name=field(d, "name", "string", what, source),
+        nuclei=tuple(nuclei),
+        j_hz=array(d, "j_hz", what),
+        coupling_model=field(d, "coupling_model", "string", what, "weak"),
+    )
 
 
-def _read_json(path: Union[str, Path], what: str):
-    """The JSON document in an input file; a file not read or parsed is one ValidationError."""
+def _read_json(path: Union[str, Path], what: str, parse):
+    """parse(the JSON document in an input file). A file not read or parsed, or a document
+    that parse rejects, is one ValidationError that names the file."""
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
+    try:
+        return parse(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_machine_config(path: Union[str, Path]) -> SpinSystemConfig:
@@ -207,17 +190,16 @@ def load_machine_config(path: Union[str, Path]) -> SpinSystemConfig:
 
     Schema: {"name", "coupling_model", "nuclei": [{label, offset_hz, t1_s,
     t2_s, polarization}], "j_hz": [[...]]}. Keys starting with "_" are
-    ignored (used for notes in the shipped presets).
+    ignored (used for notes in the shipped presets); any other key is rejected.
     """
-    return _config_from_dict(_read_json(path, "machine config"), str(Path(path)))
+    return _read_json(path, "machine config", lambda d: _config_from_dict(d, str(Path(path))))
 
 
 def preset(name: str) -> SpinSystemConfig:
     """A packaged machine preset: "gemini" (1H/31P) or "triangulum" (3x 19F)."""
     if name not in PRESETS:
         raise ValidationError(f"unknown preset {name!r}")
-    path = Path(__file__).parent / "presets" / f"{name}.json"
-    return _config_from_dict(_read_json(path, "preset"), f"preset:{name}")
+    return load_machine_config(Path(__file__).parent / "presets" / f"{name}.json")
 
 
 class _Operators(NamedTuple):

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmrqc
-from nmrqc import algorithms, cli, measurement
+from conftest import make_weak_config, random_density_matrix, random_unitary
+from nmrqc import algorithms, cli, measurement, spinsys
 from nmrqc.cli import _canonical, build_parser, main
-from nmrqc.control import MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
+from nmrqc.control import _GATES, MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
 from nmrqc.dynamics import evolve_program, program_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import DensityMatrix
@@ -712,7 +714,8 @@ FUZZ_COMMANDS = [
     ["algorithm", "dqc1", "--unitary", "{unitary}"],
 ]
 JSON_VALUES = st.sampled_from([None, True, 0, -1, 3, 0.5, 1e308, -1e308, float("nan"),
-                               float("inf"), "", "1H", "CNOT", [], [1], [[0.0]], {}, 10**30])
+                               float("inf"), "", "1H", "CNOT", [], [1], [[0.0]], {}, 10**30,
+                               10**400, "1.5", 2.7, [[[0.0]]]])
 ARG_TOKENS = st.sampled_from(["nan", "inf", "-1", "0", "2", "1e308", "", "abc", "1,2",
                               "1e-3,nan", "gemini", "triangulum", "--path", "pulse",
                               "--relaxation", "on", "--machine", "--circuit", "{circuit}"])
@@ -975,6 +978,82 @@ FILE_OPTIONS = [
     (["algorithm", "dqc1"], "--unitary", "matrix file"),
     (["experiment", "pps"], "--machine", "machine config"),
 ]
+FILE_OPTION_IDS = [argv[-1] + option for argv, option, _ in FILE_OPTIONS]
+# One field of the wrong JSON type in the FUZZ_DOCS document of each kind of input file:
+# (id, path to the value, the value put there, the field the error must name)
+WRONG_TYPES = {
+    "circuit file": [
+        ("numeric_string", ("gates", 0, "targets", 0), "1", "'targets'"),
+        ("bool", ("n",), True, "'n'"),
+        ("10**400", ("gates", 0, "params"), [10**400], "'params'"),
+        ("2.7_for_an_integer", ("gates", 1, "targets", 1), 2.7, "'targets'"),
+        ("ragged_rows", ("gates", 1, "matrix"), {"re": [[1.0, 0.0], [0.0]],
+                                                 "im": [[0.0, 0.0], [0.0, 0.0]]}, "'re'"),
+        ("3d_matrix", ("gates", 1, "matrix"), {"re": [[[1.0]]], "im": [[[0.0]]]}, "'re'"),
+        ("re_im_shapes", ("gates", 1, "matrix"), {"re": [[1.0, 0.0], [0.0, 1.0]],
+                                                  "im": [[0.0]]}, "'im'"),
+    ],
+    "state file": [
+        ("numeric_string", ("n",), "2", "'n'"),
+        ("bool", ("re", 0, 0), True, "'re'"),
+        ("10**400", ("im", 1, 2), 10**400, "'im'"),
+        ("2.7_for_an_integer", ("n",), 2.7, "'n'"),
+        ("ragged_rows", ("re", 2), [0.25], "'re'"),
+        ("3d_matrix", ("im",), [[[0.0]]], "'im'"),
+        ("re_im_shapes", ("im",), [[0.0]], "'im'"),
+    ],
+    "matrix file": [  # no integer field
+        ("numeric_string", ("re", 0, 0), "1", "'re'"),
+        ("bool", ("im", 1, 1), True, "'im'"),
+        ("10**400", ("re", 1, 1), 10**400, "'re'"),
+        ("ragged_rows", ("im", 0), [0.0, 0.0, 0.0], "'im'"),
+        ("3d_matrix", ("re",), [[[1.0]]], "'re'"),
+        ("re_im_shapes", ("im",), [[0.0]], "'im'"),
+    ],
+    "machine config": [  # no integer field and no re/im pair
+        ("numeric_string", ("nuclei", 0, "offset_hz"), "0", "'offset_hz'"),
+        ("bool", ("nuclei", 1, "t1_s"), True, "'t1_s'"),
+        ("number_for_a_string", ("nuclei", 0, "label"), 5, "'label'"),
+        ("10**400", ("nuclei", 1, "polarization"), 10**400, "'polarization'"),
+        ("ragged_rows", ("j_hz", 1), [697.4], "'j_hz'"),
+        ("3d_matrix", ("j_hz",), [[[0.0]]], "'j_hz'"),
+    ],
+}
+FUZZ_DOC_OF = {"circuit file": "circuit", "state file": "state", "matrix file": "unitary",
+               "machine config": "machine"}
+
+
+@st.composite
+def package_objects(draw):
+    """(object, decoder of its JSON document): a circuit of every gate, U and Delay included,
+    a random density matrix, a preset or a random weak machine."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["circuit", "state", "machine"]))
+    if kind == "state":
+        return random_density_matrix(rng, draw(st.integers(1, 3))), DensityMatrix.from_json_dict
+    decode_machine = functools.partial(spinsys._config_from_dict, source="machine")
+    if kind == "machine":
+        name = draw(st.sampled_from(["gemini", "triangulum", None]))
+        if name is not None:
+            return preset(name), decode_machine
+        n = draw(st.integers(1, 3))
+        j = np.triu(rng.uniform(-500.0, 500.0, (n, n)), 1)
+        return make_weak_config(rng.uniform(-3e3, 3e3, n), j + j.T), decode_machine
+    n = draw(st.integers(2, 3))
+    gates = []
+    for name in draw(st.permutations([*_GATES, "U"])):  # every gate, in any order
+        targets = draw(st.permutations(range(1, n + 1)))
+        if name == "U":
+            k = draw(st.integers(1, 2))
+            # -I has signed zeros in both parts, which re + 1j * im would not keep
+            u = random_unitary(rng, 2**k) if draw(st.booleans()) else -np.eye(2**k, dtype=complex)
+            gates.append(Gate("U", tuple(targets[:k]), (), u))
+        else:
+            k, n_params, _ = _GATES[name]
+            params = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=n_params, max_size=n_params))
+            gates.append(Gate(name, tuple(targets[:k]), tuple(params)))
+    return Circuit(n, tuple(gates)), Circuit.from_json_dict
 
 
 class TestOnePathPerJob:
@@ -1040,8 +1119,7 @@ class TestOnePathPerJob:
 
 class TestInputFiles:
     @pytest.mark.parametrize("kind", ["missing", "directory", "not text"])
-    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS,
-                             ids=[argv[-1] + option for argv, option, _ in FILE_OPTIONS])
+    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS, ids=FILE_OPTION_IDS)
     def test_an_unreadable_input_file_is_one_line(self, tmp_path, argv, option, what, kind):
         path = tmp_path / "input.json"
         if kind == "directory":
@@ -1056,8 +1134,7 @@ class TestInputFiles:
     @pytest.mark.parametrize("doc", [[], "abc", {"n": 1, "gates": [5]},
                                      {"n": 1, "gates": {"name": "X", "targets": [1]}}],
                              ids=["list", "string", "gate_a_number", "gates_an_object"])
-    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS,
-                             ids=[argv[-1] + option for argv, option, _ in FILE_OPTIONS])
+    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS, ids=FILE_OPTION_IDS)
     def test_a_document_of_the_wrong_shape_is_one_line(self, tmp_path, argv, option, what, doc):
         path = write_json(tmp_path / "input.json", doc)
         rc, err = run_main([*argv, option, path, "--out", str(tmp_path / "out")])
@@ -1065,3 +1142,41 @@ class TestInputFiles:
         assert err.startswith(f"error: validation: {path}: "), err
         assert "indices" not in err and "iterable" not in err, err  # no Python type error
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, option, what", FILE_OPTIONS, ids=FILE_OPTION_IDS)
+    def test_deep_nesting_is_one_line(self, tmp_path, argv, option, what):
+        path = tmp_path / "input.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc, err = run_main([*argv, option, str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2 and err == f"error: validation: {path}: JSON nested too deeply\n", err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, option, what, at, value, name", [
+        pytest.param(argv, option, what, at, value, name, id=f"{argv[-1]}{option}-{case}")
+        for argv, option, what in FILE_OPTIONS for case, at, value, name in WRONG_TYPES[what]])
+    def test_a_field_of_the_wrong_type_is_one_line(self, tmp_path, argv, option, what, at,
+                                                   value, name):
+        doc = copy.deepcopy(FUZZ_DOCS[FUZZ_DOC_OF[what]])
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        parent[at[-1]] = value
+        path = write_json(tmp_path / "input.json", doc)
+        rc, err = run_main([*argv, option, path, "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: validation: {path}: ") and name in err, err
+        for python_text in ("indices", "iterable", "object is not", "int too large"):
+            assert python_text not in err, err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60)
+    @given(made=package_objects())
+    def test_what_the_package_writes_decodes_to_an_equal_object(self, made):
+        obj, decode = made
+        text = json.dumps(obj.to_json_dict())
+        again = decode(json.loads(text))
+        assert type(again) is type(obj)
+        if not isinstance(obj, DensityMatrix):  # which compares by identity
+            assert again == obj
+        # float reprs round-trip, so equal text is every matrix and number bit for bit
+        assert json.dumps(again.to_json_dict()) == text

@@ -52,6 +52,16 @@ class TestConfigLoading:
         p.write_text(json.dumps(cfg))
         assert load_machine_config(p).n == 3
 
+    def test_an_unknown_field_is_rejected(self, tmp_path):
+        cfg = json.loads((Path(spinsys.__file__).parent / "presets" / "triangulum.json").read_text())
+        assert "_note" in cfg  # a "_" key is a note: the preset loads
+        cfg["coupling_modle"] = cfg.pop("coupling_model")  # would load as a weak machine
+        p = tmp_path / "tri.json"
+        p.write_text(json.dumps(cfg))
+        with pytest.raises(ValidationError) as exc:
+            load_machine_config(p)
+        assert str(exc.value) == f"{p}: machine config: unknown field 'coupling_modle'"
+
     def test_parse_error_names_line(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text('{"name": "x",\n  "nuclei": [}')
