@@ -2,17 +2,18 @@
 approximate counting, Bell preparation, harmonic-oscillator simulation,
 DQC1 trace estimation, and CNOT truth tables.
 
-Each runner builds its circuits, executes them on the ideal-unitary or
-compiled-pulse path starting from pseudo-pure |0...0> (treated as the pure
-state), and reports exact ensemble probabilities. A runner of many circuits
-(counting over l, the oscillator over omega*t, the CNOT truth table) runs
-them on the pulse path as one `evolve_programs` batch.
+`ALGORITHMS` declares each algorithm but DQC1 once: its options, qubit count,
+circuits and report. `run` checks the options, executes the circuits on the
+ideal-unitary or compiled-pulse path starting from pseudo-pure |0...0> (treated as
+the pure state), and reports exact ensemble probabilities. Many circuits (counting
+over l, the oscillator over omega*t, the CNOT truth table) run on the pulse path as
+one `evolve_programs` batch. The CLI reads its algorithm options from the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,11 +74,41 @@ class AlgorithmReport:
         }
 
 
-def _default_config(n: int, config: Optional[SpinSystemConfig]) -> SpinSystemConfig:
-    cfg = config if config is not None else preset("gemini")
-    if cfg.n != n:
-        raise ValidationError(f"algorithm needs {n} qubits, machine has {cfg.n}")
-    return cfg
+@dataclass(frozen=True)
+class Option:
+    """An algorithm option: its default and its values, the `choices` if given, else the
+    values of `kind` (`listed`: lists of one or more) for which `ok` holds, as `rule` says."""
+
+    default: object
+    choices: tuple = ()
+    kind: type = str
+    rule: str = ""
+    ok: Callable[[object], bool] = lambda value: True
+    listed: bool = False
+
+    def check(self, name: str, value):
+        """value as `kind` (`listed`: a list of them) if declared, else ValidationError. A
+        value is of `kind` if it equals its conversion: 2.0 is an integer; "2" and True not."""
+        ok = (lambda v: v in self.choices) if self.choices else self.ok
+        try:
+            raw = list(value) if self.listed else [value]
+            values = [self.kind(v) for v in raw]
+            if values and values == raw and bool not in map(type, raw) and all(map(ok, values)):
+                return values if self.listed else values[0]
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValidationError(self.rule or f"{name} must be one of {self.choices}")
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """Options by name; circuits(options, machine); report(options, machine, path, circuits,
+    final states), an AlgorithmReport or a CLI report's body; the qubits the options need."""
+
+    options: dict[str, Option]
+    circuits: Callable
+    report: Callable
+    qubits: Callable[[dict], int] = lambda options: 2
 
 
 def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
@@ -93,7 +124,7 @@ def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
     return evolve_programs(rho0, programs, relaxation)
 
 
-def _report(algorithm, path, circuit, rho, derived, fidelity=None) -> AlgorithmReport:
+def _report(algorithm, path, circuit, rho, derived, ideal=None) -> AlgorithmReport:
     return AlgorithmReport(
         algorithm=algorithm,
         path=path,
@@ -101,7 +132,7 @@ def _report(algorithm, path, circuit, rho, derived, fidelity=None) -> AlgorithmR
         final_state=rho,
         probabilities=rho.probabilities(),
         derived=derived,
-        fidelity=fidelity,
+        fidelity=None if ideal is None else state_fidelity(rho, ideal),
     )
 
 
@@ -119,32 +150,24 @@ def run_deutsch(
     Oracles: f1 -> identity, f2 -> X on qubit 2, f3 -> CNOT, f4 ->
     |0>-controlled CNOT. Verdict is "balanced" iff both qubits read |1>.
     """
-    if f_case not in DEUTSCH_CASES:
-        raise ValidationError(f"f_case must be one of {DEUTSCH_CASES}")
-    cfg = _default_config(2, config)
+    return run("deutsch", path, config, relaxation, case=f_case)
+
+
+def _deutsch_circuits(options, machine) -> list[Circuit]:
     oracle = {
         "f1": [],
         "f2": [X(2)],
         "f3": [CNOT(1, 2)],
         "f4": [X(1), CNOT(1, 2), X(1)],
-    }[f_case]
-    circuit = Circuit(2, tuple([X(2), H(1), H(2), *oracle, H(1), H(2)]))
-    (rho,) = _execute([circuit], cfg, path, relaxation)
-    probs = rho.probabilities()
-    balanced = probs["11"] > 0.5
-    expected = "11" if f_case in ("f3", "f4") else "01"
-    return _report(
-        "deutsch",
-        path,
-        circuit,
-        rho,
-        {
-            "case": f_case,
-            "verdict": "balanced" if balanced else "constant",
-            "expected_output": expected,
-        },
-        fidelity=state_fidelity(rho, Ket.from_bits(expected)),
-    )
+    }[options["case"]]
+    return [Circuit(2, tuple([X(2), H(1), H(2), *oracle, H(1), H(2)]))]
+
+
+def _deutsch_report(options, machine, path, circuits, states) -> AlgorithmReport:
+    verdict = "balanced" if states[0].probabilities()["11"] > 0.5 else "constant"
+    expected = "11" if options["case"] in ("f3", "f4") else "01"
+    derived = {**options, "verdict": verdict, "expected_output": expected}
+    return _report("deutsch", path, circuits[0], states[0], derived, Ket.from_bits(expected))
 
 
 def _grover_r1_gates(target_bits: str) -> list[Gate]:
@@ -164,21 +187,19 @@ def run_grover4(
     sign-flip oracle is a controlled-Z conjugated by X gates picking the
     target; the diffusion step reflects about the uniform state.
     """
-    if target not in (1, 2, 3, 4):
-        raise ValidationError("target must be 1..4")
-    cfg = _default_config(2, config)
-    bits = format(target - 1, "02b")
+    return run("grover4", path, config, relaxation, target=target)
+
+
+def _grover4_circuits(options, machine) -> list[Circuit]:
     diffusion = [H(1), H(2), X(1), X(2), CZ(1, 2), X(2), X(1), H(2), H(1)]
-    circuit = Circuit(2, tuple([H(1), H(2), *_grover_r1_gates(bits), *diffusion]))
-    (rho,) = _execute([circuit], cfg, path, relaxation)
-    return _report(
-        "grover4",
-        path,
-        circuit,
-        rho,
-        {"target": target, "target_bits": bits},
-        fidelity=state_fidelity(rho, Ket.from_bits(bits)),
-    )
+    oracle = _grover_r1_gates(format(options["target"] - 1, "02b"))
+    return [Circuit(2, tuple([H(1), H(2), *oracle, *diffusion]))]
+
+
+def _grover4_report(options, machine, path, circuits, states) -> AlgorithmReport:
+    bits = format(options["target"] - 1, "02b")
+    derived = {**options, "target_bits": bits}
+    return _report("grover4", path, circuits[0], states[0], derived, Ket.from_bits(bits))
 
 
 def run_bernstein_vazirani(
@@ -192,39 +213,38 @@ def run_bernstein_vazirani(
     The oracle is a tensor product of identity / sigma_z factors, so the
     circuit contains no two-qubit gate by construction.
     """
-    if not a or len(a) > 3 or any(c not in "01" for c in a):
-        raise ValidationError("a must be a bit string of length 1..3")
-    n = len(a)
-    cfg = _default_config(n, config)
-    hs = [H(q) for q in range(1, n + 1)]
+    return run("bv", path, config, relaxation, a=a)
+
+
+def _bv_circuits(options, machine) -> list[Circuit]:
+    a = options["a"]
+    hs = [H(q) for q in range(1, len(a) + 1)]
     oracle = [Z(q) for q, bit in enumerate(a, start=1) if bit == "1"]
-    circuit = Circuit(n, tuple([*hs, *oracle, *hs]))
-    two_qubit = sum(1 for g in circuit.gates if len(g.targets) > 1)
-    (rho,) = _execute([circuit], cfg, path, relaxation)
-    return _report(
-        "bernstein_vazirani",
-        path,
-        circuit,
-        rho,
-        {"a": a, "two_qubit_gate_count": two_qubit},
-        fidelity=state_fidelity(rho, Ket.from_bits(a)),
-    )
+    return [Circuit(len(a), tuple([*hs, *oracle, *hs]))]
 
 
-COUNTING_CASES = ("M0", "M1_first", "M1_second", "M2")
+def _bv_report(options, machine, path, circuits, states) -> AlgorithmReport:
+    two_qubit = sum(1 for g in circuits[0].gates if len(g.targets) > 1)
+    derived = {**options, "two_qubit_gate_count": two_qubit}
+    return _report("bernstein_vazirani", path, circuits[0], states[0], derived,
+                   Ket.from_bits(options["a"]))
+
+
 MAX_COUNTING_L = 1000  # each l builds l controlled-Grover steps: time and memory grow with it
 
 
+_CONTROLLED_R1 = {  # by counting case
+    "M0": [],
+    "M1_first": [X(2), CZ(1, 2), X(2)],
+    "M1_second": [CZ(1, 2)],
+    "M2": [Z(1)],
+}
+
+
 def _counting_circuit(case: str, l: int) -> Circuit:
-    controlled_r1 = {
-        "M0": [],
-        "M1_first": [X(2), CZ(1, 2), X(2)],
-        "M1_second": [CZ(1, 2)],
-        "M2": [Z(1)],
-    }[case]
     gates = [H(1), H(2)]
     for _ in range(l):
-        gates.extend(controlled_r1)
+        gates.extend(_CONTROLLED_R1[case])
         gates.append(CNOT(1, 2))  # controlled diffusion step
     gates.append(H(1))
     return Circuit(2, tuple(gates))
@@ -269,37 +289,28 @@ def run_counting(
     traces out cos(l theta) with sin(theta/2) = sqrt(M/N). Fitting the
     oscillation frequency yields the marked-entry count M.
     """
-    if case not in COUNTING_CASES:
-        raise ValidationError(f"case must be one of {COUNTING_CASES}")
-    ls = [int(l) for l in l_values]
-    if not ls or any(not 1 <= l <= MAX_COUNTING_L for l in ls):
-        raise ValidationError(f"l_values must be integers from 1 to {MAX_COUNTING_L}")
-    cfg = _default_config(2, config)
-    states = _execute([_counting_circuit(case, l) for l in ls], cfg, path, relaxation)
+    return run("count", path, config, relaxation, case=case, l_values=l_values)
+
+
+def _counting_report(options, machine, path, circuits, states) -> AlgorithmReport:
     controls = [partial_trace(rho, {1}) for rho in states]
     sigma_z_curve = [bloch_vector(control).z for control in controls]
     control_diags = [[float(np.real(c.matrix[0, 0])), float(np.real(c.matrix[1, 1]))]
                      for c in controls]
-    theta = _fit_cos_frequency(np.asarray(ls, dtype=float), np.asarray(sigma_z_curve))
+    ls = np.asarray(options["l_values"], dtype=float)
+    theta = _fit_cos_frequency(ls, np.asarray(sigma_z_curve))
     m_raw = 2.0 * np.sin(theta / 2.0) ** 2
-    return _report(
-        "counting",
-        path,
-        _counting_circuit(case, ls[-1]),  # rebuilt: held, every l's circuit adds to the fit's peak
-        states[-1],
-        {
-            "case": case,
-            "l_values": ls,
-            "sigma_z": sigma_z_curve,
-            "control_diagonals": control_diags,
-            "theta_est": theta,
-            "m_raw": m_raw,
-            "m_est": int(round(m_raw)),
-        },
-    )
+    derived = {
+        **options,
+        "sigma_z": sigma_z_curve,
+        "control_diagonals": control_diags,
+        "theta_est": theta,
+        "m_raw": m_raw,
+        "m_est": int(round(m_raw)),
+    }
+    return _report("counting", path, circuits[-1], states[-1], derived)
 
 
-BELL_STATES = ("psi+", "psi-", "phi+", "phi-")
 _BELL_KETS = {
     "psi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
     "psi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
@@ -326,37 +337,29 @@ def prepare_bell(
     the sign, then CNOT. recipe "cy": the controlled-y route, defined for
     phi- only.
     """
-    if which not in BELL_STATES:
-        raise ValidationError(f"which must be one of {BELL_STATES}")
-    cfg = _default_config(2, config)
-    if recipe == "cy":
-        if which != "phi-":
-            raise ValidationError('the "cy" recipe prepares only "phi-"')
-        gates = [H(1), X(2), CY(1, 2)]
-    elif recipe == "cnot":
-        gates = [H(1)]
-        if which in ("phi+", "phi-"):
-            gates.append(X(2))
-        if which in ("psi-", "phi-"):
-            gates.append(Z(1))
-        gates.append(CNOT(1, 2))
-    else:
-        raise ValidationError('recipe must be "cnot" or "cy"')
-    circuit = Circuit(2, tuple(gates))
-    (rho,) = _execute([circuit], cfg, path, relaxation)
-    ideal = bell_ket(which)
-    purities = [partial_trace(rho, {q}).purity() for q in (1, 2)]
-    return _report(
-        "bell",
-        path,
-        circuit,
-        rho,
-        {"which": which, "recipe": recipe, "reduced_purities": purities},
-        fidelity=state_fidelity(rho, ideal),
-    )
+    return run("bell", path, config, relaxation, which=which, recipe=recipe)
 
 
-QHO_INITIALS = ("n0", "n0_plus_n3", "uniform4")
+# The "cnot" recipe's gates between H(1) and CNOT(1, 2): X(2) for phi, Z(1) for the - sign
+_BELL_SIGNS = {"psi+": [], "psi-": [Z(1)], "phi+": [X(2)], "phi-": [X(2), Z(1)]}
+
+
+def _bell_circuits(options, machine) -> list[Circuit]:
+    which = options["which"]
+    if options["recipe"] == "cnot":
+        return [Circuit(2, (H(1), *_BELL_SIGNS[which], CNOT(1, 2)))]
+    if which != "phi-":
+        raise ValidationError('the "cy" recipe prepares only "phi-"')
+    return [Circuit(2, (H(1), X(2), CY(1, 2)))]
+
+
+def _bell_report(options, machine, path, circuits, states) -> AlgorithmReport:
+    purities = [partial_trace(states[0], {q}).purity() for q in (1, 2)]
+    derived = {**options, "reduced_purities": purities}
+    return _report("bell", path, circuits[0], states[0], derived, bell_ket(options["which"]))
+
+
+_QHO_PREPARATIONS = {"n0": [], "n0_plus_n3": [Y90(2)], "uniform4": [H(1), H(2)]}
 
 
 def _qho_target_unitary(omega_t: float) -> np.ndarray:
@@ -380,38 +383,38 @@ def simulate_qho(
     rotation by 2 omega_t on qubit 2. For the |0>+|3> start the |00><01|
     coherence phase advances by 3 omega_t.
     """
-    if initial not in QHO_INITIALS:
-        raise ValidationError(f"initial must be one of {QHO_INITIALS}")
-    cfg = _default_config(2, config)
-    j = float(cfg.j_hz[0, 1])
+    return run("qho", path, config, relaxation, initial=initial,
+               omega_t=omega_t_values)["points"]
+
+
+def _qho_circuits(options, machine) -> list[Circuit]:
+    j = float(machine.j_hz[0, 1])
     if j == 0.0:
         raise ValidationError("oscillator simulation needs a nonzero J coupling")
-    prep = {"n0": [], "n0_plus_n3": [Y90(2)], "uniform4": [H(1), H(2)]}[initial]
-    prep_u = circuit_unitary(Circuit(2, tuple(prep)), cfg)
-    points = []  # (omega_t, delay, circuit)
-    for omega_t in omega_t_values:
-        if not np.isfinite(omega_t):
-            raise ValidationError("omega_t values must be finite")
-        delay = float(omega_t / (np.pi * j))
-        gates = [*prep, RX(1, np.pi), DELAY(delay), RX(1, -np.pi), RX(2, np.pi / 2),
-                 RY(2, 2.0 * float(omega_t)), RX(2, -np.pi / 2)]
-        points.append((omega_t, delay, Circuit(2, tuple(gates))))
-    states = _execute([circuit for *_, circuit in points], cfg, path, relaxation)
-    reports = []
-    for (omega_t, delay, circuit), rho in zip(points, states):
-        ideal_vec = _qho_target_unitary(float(omega_t)) @ prep_u @ np.array([1, 0, 0, 0], complex)
+    prep = _QHO_PREPARATIONS[options["initial"]]
+    return [Circuit(2, tuple([*prep, RX(1, np.pi), DELAY(float(omega_t / (np.pi * j))),
+                              RX(1, -np.pi), RX(2, np.pi / 2), RY(2, 2.0 * omega_t),
+                              RX(2, -np.pi / 2)]))
+            for omega_t in options["omega_t"]]
+
+
+def _qho_report(options, machine, path, circuits, states) -> dict:
+    initial = options["initial"]
+    prep_u = circuit_unitary(Circuit(2, tuple(_QHO_PREPARATIONS[initial])), machine)
+    points = []
+    for omega_t, circuit, rho in zip(options["omega_t"], circuits, states):
+        ideal_vec = _qho_target_unitary(omega_t) @ prep_u @ np.array([1, 0, 0, 0], complex)
         coherence = complex(rho.matrix[0, 1])
         derived = {
             "initial": initial,
-            "omega_t": float(omega_t),
-            "delay_s": delay,
+            "omega_t": omega_t,
+            "delay_s": next(g.params[0] for g in circuit.gates if g.name == "Delay"),
             "coherence_01": {"re": coherence.real, "im": coherence.imag},
             "coherence_phase_rad": float(np.angle(coherence)) if abs(coherence) > 1e-12 else None,
             "expected_phase_rad": float(np.mod(3.0 * omega_t, 2.0 * np.pi)),
         }
-        reports.append(_report("qho", path, circuit, rho, derived,
-                               fidelity=state_fidelity(rho, ideal_vec)))
-    return reports
+        points.append(_report("qho", path, circuit, rho, derived, ideal_vec))
+    return {"algorithm": "qho", "path": path, "points": points}
 
 
 def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
@@ -441,6 +444,9 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     return complex(2 * np.trace(deviation[dim:, :dim]))
 
 
+_CNOT_INPUTS = ("00", "01", "10", "11")
+
+
 def cnot_truth_table(
     direction: str = "12",
     path: str = "ideal",
@@ -453,17 +459,69 @@ def cnot_truth_table(
     reconstructed by state tomography; rows report the dominant output
     basis state and its population.
     """
-    if direction not in ("12", "21"):
-        raise ValidationError('direction must be "12" or "21"')
-    cfg = _default_config(2, config)
-    control, target = (1, 2) if direction == "12" else (2, 1)
-    inputs = [format(idx, "02b") for idx in range(4)]
-    circuits = [Circuit(2, (*[X(q + 1) for q in range(2) if bits[q] == "1"], CNOT(control, target)))
-                for bits in inputs]
+    return run("cnot-table", path, config, relaxation, direction=direction)["rows"]
+
+
+def _cnot_table_circuits(options, machine) -> list[Circuit]:
+    control, target = (1, 2) if options["direction"] == "12" else (2, 1)
+    return [Circuit(2, (*[X(q + 1) for q in range(2) if bits[q] == "1"], CNOT(control, target)))
+            for bits in _CNOT_INPUTS]
+
+
+def _cnot_table_report(options, machine, path, circuits, states) -> dict:
     rows = []
-    for bits, rho in zip(inputs, _execute(circuits, cfg, path, relaxation)):
-        recon = tomography(rho, cfg)
-        probs = recon.probabilities()
+    for bits, rho in zip(_CNOT_INPUTS, states):
+        probs = tomography(rho, machine).probabilities()
         output = max(probs, key=probs.get)
         rows.append({"input": bits, "output": output, "probability": probs[output]})
-    return rows
+    return {"algorithm": "cnot-table", **options, "path": path, "rows": rows}
+
+
+# Every algorithm but DQC1, by its CLI name. An option is a keyword of `run` and the CLI
+# option of its name (l_values is --l-values); options are listed in the order of the
+# public runner's arguments.
+ALGORITHMS = {
+    "deutsch": Algorithm({"case": Option("f1", DEUTSCH_CASES)},
+                         _deutsch_circuits, _deutsch_report),
+    "grover4": Algorithm({"target": Option(4, (1, 2, 3, 4), int)},
+                         _grover4_circuits, _grover4_report),
+    "bv": Algorithm(
+        {"a": Option("11", rule="a must be a bit string of length 1..3",
+                     ok=lambda a: 0 < len(a) <= 3 and set(a) <= {"0", "1"})},
+        _bv_circuits, _bv_report, qubits=lambda options: len(options["a"])),
+    "count": Algorithm(
+        {"case": Option("M1_first", tuple(_CONTROLLED_R1)),
+         "l_values": Option(tuple(range(1, 11)), kind=int, listed=True,
+                            rule=f"l_values must be integers from 1 to {MAX_COUNTING_L}",
+                            ok=lambda l: 1 <= l <= MAX_COUNTING_L)},
+        lambda options, machine: [_counting_circuit(options["case"], l)
+                                  for l in options["l_values"]],
+        _counting_report),
+    "bell": Algorithm({"which": Option("phi-", tuple(_BELL_KETS)),
+                       "recipe": Option("cy", ("cnot", "cy"))},
+                      _bell_circuits, _bell_report),
+    "qho": Algorithm(
+        {"initial": Option("n0", tuple(_QHO_PREPARATIONS)),
+         # ten points to 2 pi, at the 12 significant digits of a report
+         "omega_t": Option(tuple(float(f"{0.1 * k * 2 * np.pi:.12g}") for k in range(1, 11)),
+                           kind=float, listed=True, ok=np.isfinite,
+                           rule="omega_t: need one or more values, all finite")},
+        _qho_circuits, _qho_report),
+    "cnot-table": Algorithm({"direction": Option("12", ("12", "21"))},
+                            _cnot_table_circuits, _cnot_table_report),
+}
+
+
+def run(name: str, path: str = "ideal", config: Optional[SpinSystemConfig] = None,
+        relaxation: bool = False, **options):
+    """The report of ALGORITHMS[name] with every one of its `options` on `config` (default:
+    the gemini preset): the options are checked, and the circuits executed once."""
+    algorithm = ALGORITHMS[name]
+    options = {key: algorithm.options[key].check(key, value) for key, value in options.items()}
+    machine = config if config is not None else preset("gemini")
+    n = algorithm.qubits(options)
+    if machine.n != n:
+        raise ValidationError(f"algorithm needs {n} qubits, machine has {machine.n}")
+    circuits = algorithm.circuits(options, machine)
+    return algorithm.report(options, machine, path, circuits,
+                            _execute(circuits, machine, path, relaxation))

@@ -25,7 +25,7 @@ import numpy as np
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import DensityMatrix, complex_matrix, pauli_expand, state_fidelity
+from .quantum import DensityMatrix, check_keys, complex_matrix, pauli_expand, state_fidelity
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
 
 # Log-spaced relaxation-delay grids used by `experiment t1|t2` when no
@@ -98,7 +98,7 @@ def _machine(arg: str) -> SpinSystemConfig:
 
 def _matrix(d) -> np.ndarray:
     """Complex matrix from a JSON object with "re" and "im" fields."""
-    return complex_matrix(d, "matrix JSON")
+    return complex_matrix(check_keys(d, ("re", "im"), "matrix JSON"), "matrix JSON")
 
 
 def _domain(kind, rule: str, ok=lambda value: True, listed=False):
@@ -129,6 +129,8 @@ _INTS = _domain(int, "need one or more values, all integers", listed=True)
 
 # Options that only some subcommands read; each subcommand accepts just those it reads.
 _OPTIONS = {
+    "--machine": dict(type=_machine, default="gemini",
+                      help="machine config path or preset name (gemini, triangulum)"),
     "--seed": dict(type=_count("seed", 0), default=0),
     "--path": dict(choices=("ideal", "pulse"), default="ideal"),
     "--relaxation": dict(choices=("on", "off"), default="off"),
@@ -155,9 +157,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(parser: argparse.ArgumentParser, *options: str):
-    """--machine (a preset or file, loaded when parsed) and --out, plus the named `_OPTIONS`."""
-    parser.add_argument("--machine", type=_machine, default="gemini",
-                        help="machine config path or preset name (gemini, triangulum)")
+    """--out, plus the named `_OPTIONS`: --machine is a preset or file, loaded when parsed."""
     parser.add_argument("--out", default=".", help="output directory")
     for name in options:
         parser.add_argument(name, **_OPTIONS[name])
@@ -266,7 +266,7 @@ def _cmd_experiment(args) -> list[Path]:
 
 
 def _cmd_algorithm(args) -> list[Path]:
-    cfg, name = args.machine, args.algorithm
+    name, out = args.algorithm, Path(args.out)
     if name == "dqc1":
         if not args.unitary:
             raise ValidationError("dqc1 needs --unitary")
@@ -276,27 +276,10 @@ def _cmd_algorithm(args) -> list[Path]:
             "estimate": algorithms.dqc1_trace(u, args.epsilon),
             "exact": complex(np.trace(u)) / u.shape[0],
         }
-        return [emit_report(report, "json", Path(args.out) / "algorithm_dqc1.json")]
-    relax = args.relaxation == "on"
-    if name == "deutsch":
-        report = algorithms.run_deutsch(args.case, args.path, cfg, relax)
-    elif name == "grover4":
-        report = algorithms.run_grover4(args.target, args.path, cfg, relax)
-    elif name == "bv":
-        report = algorithms.run_bernstein_vazirani(args.a, args.path, cfg, relax)
-    elif name == "count":
-        report = algorithms.run_counting(args.case, args.l_values, args.path, cfg, relax)
-    elif name == "bell":
-        report = algorithms.prepare_bell(args.which, args.recipe, args.path, cfg, relax)
-    elif name == "qho":
-        points = algorithms.simulate_qho(args.initial, args.omega_t, args.path, cfg, relax)
-        report = {"algorithm": "qho", "path": args.path, "points": points}
-    else:
-        rows = algorithms.cnot_truth_table(args.direction, args.path, cfg, relax)
-        report = {"algorithm": "cnot-table", "direction": args.direction,
-                  "path": args.path, "rows": rows}
-    return [emit_report(report, "json",
-                        Path(args.out) / f"algorithm_{name.replace('-', '_')}.json")]
+        return [emit_report(report, "json", out / "algorithm_dqc1.json")]
+    options = {key: getattr(args, key) for key in algorithms.ALGORITHMS[name].options}
+    report = algorithms.run(name, args.path, args.machine, args.relaxation == "on", **options)
+    return [emit_report(report, "json", out / f"algorithm_{name.replace('-', '_')}.json")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,22 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a circuit file and report the final state")
-    _add_common(p, "--path", "--relaxation", "--pulse-amp-hz")
+    _add_common(p, "--machine", "--path", "--relaxation", "--pulse-amp-hz")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tomography", help="reconstruct a density-matrix JSON via spectra")
-    _add_common(p, "--path", "--pulse-amp-hz")
+    _add_common(p, "--machine", "--path", "--pulse-amp-hz")
     p.add_argument("--state", required=True, help="density-matrix JSON file")
     p.set_defaults(func=_cmd_tomography)
 
     p = sub.add_parser("compile", help="compile a circuit file to a pulse program")
-    _add_common(p, "--pulse-amp-hz")
+    _add_common(p, "--machine", "--pulse-amp-hz")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("grape", help="optimize a pulse for a target gate")
-    _add_common(p, "--seed")
+    _add_common(p, "--machine", "--seed")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--gate", help="gate name, e.g. X90")
     target.add_argument("--unitary", help="JSON file with re/im target matrix")
@@ -340,40 +323,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="calibration/preparation experiments")
     p.set_defaults(func=_cmd_experiment)
     kinds = p.add_subparsers(dest="experiment", required=True)
-    _add_common(kinds.add_parser("rabi"), "--channel", "--amp-hz", "--durations")
+    _add_common(kinds.add_parser("rabi"), "--machine", "--channel", "--amp-hz", "--durations")
     for name in ("t1", "t2"):
-        _add_common(kinds.add_parser(name), "--channel", "--amp-hz", "--delays",
+        _add_common(kinds.add_parser(name), "--machine", "--channel", "--amp-hz", "--delays",
                     "--offset-spread-hz")
-    _add_common(kinds.add_parser("pps"))
+    _add_common(kinds.add_parser("pps"), "--machine")
 
     p = sub.add_parser("algorithm", help="run a built-in algorithm")
     p.set_defaults(func=_cmd_algorithm)
     kinds = p.add_subparsers(dest="algorithm", required=True)
-
-    def algorithm(name: str) -> argparse.ArgumentParser:
+    for name, algorithm in algorithms.ALGORITHMS.items():
         q = kinds.add_parser(name)
-        _add_common(q, "--path", "--relaxation")
-        return q
-
-    algorithm("deutsch").add_argument("--case", default="f1", choices=algorithms.DEUTSCH_CASES)
-    algorithm("grover4").add_argument("--target", type=int, default=4, choices=range(1, 5))
-    algorithm("bv").add_argument("--a", default="11", help="hidden bit string")
-    q = algorithm("count")
-    q.add_argument("--case", default="M1_first", choices=algorithms.COUNTING_CASES)
-    q.add_argument("--l-values", type=_INTS, default="1,2,3,4,5,6,7,8,9,10")
-    q = algorithm("bell")
-    q.add_argument("--which", default="phi-", choices=algorithms.BELL_STATES)
-    q.add_argument("--recipe", default="cy", choices=("cnot", "cy"))
-    q = algorithm("qho")
-    q.add_argument("--initial", default="n0", choices=algorithms.QHO_INITIALS)
-    q.add_argument("--omega-t", type=_FLOATS, default=",".join(
-        f"{0.1 * k * 2 * np.pi:.12g}" for k in range(1, 11)))
-    q = kinds.add_parser("dqc1")
+        _add_common(q, "--machine", "--path", "--relaxation")
+        for key, option in algorithm.options.items():  # the values `run` checks, as declared
+            declared = dict(type=option.kind, choices=option.choices) if option.choices else dict(
+                type=_domain(option.kind, option.rule, option.ok, option.listed), help=option.rule)
+            q.add_argument("--" + key.replace("_", "-"), default=option.default, **declared)
+    q = kinds.add_parser("dqc1")  # a matrix algorithm, on no machine
     _add_common(q)
     q.add_argument("--unitary", help="JSON re/im matrix")
     q.add_argument("--epsilon", default=1.0, type=_domain(
         float, "epsilon must satisfy 0 < |epsilon| <= 1", lambda v: 0 < abs(v) <= 1))
-    algorithm("cnot-table").add_argument("--direction", default="12", choices=("12", "21"))
 
     return parser
 

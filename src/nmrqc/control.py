@@ -23,8 +23,8 @@ from .dynamics import Delay as DelayEvent
 from .dynamics import (PulseProgram, RfSegment, check_pulse_amplitude, program_unitary,
                        square_pulse)
 from .errors import UncoupledPairError, ValidationError
-from .quantum import (SIGMA_X, SIGMA_Y, SIGMA_Z, array, complex_matrix, embed, field,
-                      is_unitary)
+from .quantum import (SIGMA_X, SIGMA_Y, SIGMA_Z, array, check_keys, complex_matrix, embed,
+                      field, is_unitary)
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -197,17 +197,22 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Circuit":
+        check_keys(d, ("n", "gates"), "circuit JSON")
         n = field(d, "n", "integer", "circuit JSON")
         gates = []
         for i, g in enumerate(field(d, "gates", "list", "circuit JSON")):
             what = f"circuit JSON: gate {i}"
+            check_keys(g, ("name", "targets", "params", "matrix"), what)
             matrix = field(g, "matrix", "object", what, None)
+            if matrix is not None:
+                at = f"{what}: 'matrix'"
+                matrix = complex_matrix(check_keys(matrix, ("re", "im"), at), at)
             gates.append(
                 Gate(
                     field(g, "name", "string", what),
                     tuple(array(g, "targets", what, "integer", ndim=1, default=[]).tolist()),
                     tuple(array(g, "params", what, ndim=1, default=[]).tolist()),
-                    None if matrix is None else complex_matrix(matrix, f"{what}: 'matrix'"),
+                    matrix,
                 )
             )
         return cls(n=n, gates=tuple(gates))

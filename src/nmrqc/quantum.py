@@ -66,6 +66,17 @@ def field(doc, key: str, kind: str, what: str, default=_REQUIRED):
         raise ValidationError(f"{what}: {key!r} is out of the float range") from exc
 
 
+def check_keys(doc, keys: tuple[str, ...], what: str):
+    """doc, if it is a JSON object whose every key is one of `keys` or a note, a key that
+    starts with "_"; `what` names doc in errors. A misspelled key is an error, not ignored."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be an object")
+    for key in doc:
+        if key not in keys and not str(key).startswith("_"):
+            raise ValidationError(f"{what}: unknown field {key!r}")
+    return doc
+
+
 def array(doc, key: str, what: str, kind: str = "number", ndim: int = 2,
           default=_REQUIRED) -> np.ndarray:
     """doc[key] as a float (kind "number") or int (kind "integer") array: a list (ndim 1)
@@ -243,6 +254,7 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DensityMatrix":
         what = "density-matrix JSON"
+        check_keys(d, ("n", "re", "im"), what)
         n, m = field(d, "n", "integer", what), complex_matrix(d, what)
         if n < 1:
             raise ValidationError(f"density-matrix JSON: n = {n}, must be >= 1")

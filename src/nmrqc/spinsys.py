@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, array, embed, field
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, array, check_keys, embed, field
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
@@ -142,9 +142,11 @@ class SpinSystemConfig:
 
 def _config_from_dict(d, source: str) -> SpinSystemConfig:
     what = "machine config"
+    check_keys(d, ("name", "coupling_model", "nuclei", "j_hz"), what)
     nuclei = []
     for i, raw in enumerate(field(d, "nuclei", "list", what)):
         at = f"{what}: nucleus {i}"
+        check_keys(raw, ("label", "offset_hz", "t1_s", "t2_s", "polarization"), at)
         nuclei.append(
             NucleusSpec(
                 label=field(raw, "label", "string", at),
@@ -154,9 +156,6 @@ def _config_from_dict(d, source: str) -> SpinSystemConfig:
                 polarization=field(raw, "polarization", "number", at),
             )
         )
-    for key in d:
-        if key not in ("name", "coupling_model", "nuclei", "j_hz") and not key.startswith("_"):
-            raise ValidationError(f"{what}: unknown field {key!r}")
     return SpinSystemConfig(
         name=field(d, "name", "string", what, source),
         nuclei=tuple(nuclei),

@@ -1,5 +1,9 @@
+import io
 import json
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_weak_config, random_unitary
-from nmrqc import _kernels
+from nmrqc import _kernels, algorithms
 from nmrqc.algorithms import (
+    ALGORITHMS,
     MAX_COUNTING_L,
     _fit_cos_frequency,
     bell_ket,
@@ -21,6 +26,7 @@ from nmrqc.algorithms import (
     run_grover4,
     simulate_qho,
 )
+from nmrqc.cli import build_parser, main
 from nmrqc.control import circuit_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import partial_trace, state_fidelity
@@ -392,3 +398,71 @@ class TestBatchedRunners:
         assert len(kernel_calls) == 1
         assert [(r["input"], r["output"]) for r in rows] == [
             ("00", "00"), ("01", "01"), ("10", "11"), ("11", "10")]
+
+
+# The public runner of each table algorithm: it takes the algorithm's options, in the
+# order the table declares them, before the path.
+PUBLIC_RUNNERS = {"deutsch": run_deutsch, "grover4": run_grover4,
+                  "bv": run_bernstein_vazirani, "count": run_counting, "bell": prepare_bell,
+                  "qho": simulate_qho, "cnot-table": cnot_truth_table}
+
+
+class TestOneExecution:
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_each_algorithm_executes_once(self, monkeypatch, name):
+        calls = []
+        execute = algorithms._execute
+
+        def counted(circuits, *args):
+            calls.append(len(circuits))
+            return execute(circuits, *args)
+
+        monkeypatch.setattr(algorithms, "_execute", counted)
+        options = [option.default for option in ALGORITHMS[name].options.values()]
+        PUBLIC_RUNNERS[name](*options, "pulse")
+        assert len(calls) == 1
+
+
+@st.composite
+def outside_values(draw):
+    """(algorithm, option, value): a value of the option's kind outside its declaration;
+    for a list option, the empty list or a list with such a value among any others."""
+    name = draw(st.sampled_from(list(ALGORITHMS)))
+    key, option = draw(st.sampled_from(list(ALGORITHMS[name].options.items())))
+    kind = {int: st.integers(-10**6, 10**6),
+            float: st.floats() | st.sampled_from([np.nan, np.inf, -np.inf]),
+            str: st.text("01fMabcpsi+-_ ", max_size=5)}[option.kind]
+    inside = (lambda v: v in option.choices) if option.choices else option.ok
+    bad = kind.filter(lambda v: not inside(v))
+    if not option.listed:
+        return name, key, draw(bad)
+    if draw(st.booleans()):
+        return name, key, []
+    return name, key, draw(st.lists(kind, max_size=2)) + [draw(bad)] + draw(
+        st.lists(kind, max_size=2))
+
+
+class TestDeclaredOptions:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=outside_values())
+    def test_a_value_outside_is_rejected_by_the_runner_and_the_parser(self, drawn):
+        name, key, value = drawn
+        options = ALGORITHMS[name].options
+        with pytest.raises(ValidationError):
+            PUBLIC_RUNNERS[name](*[value if k == key else o.default for k, o in options.items()])
+        text = ",".join(map(str, value)) if options[key].listed else str(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["algorithm", name, f"--{key.replace('_', '-')}={text}",
+                    "--out", str(Path(tmp) / "out")]
+            with redirect_stderr(io.StringIO()), pytest.raises((ValidationError, SystemExit)):
+                build_parser().parse_args(argv)  # rejected when parsed
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+            assert rc == 2, (argv, err.getvalue())
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: validation:")
+            assert not (Path(tmp) / "out").exists()

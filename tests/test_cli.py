@@ -468,6 +468,7 @@ UNREAD_OPTIONS = [
     ("algorithm grover4", "--which"), ("algorithm grover4", "--epsilon"),
     ("algorithm deutsch", "--target"), ("algorithm count", "--unitary"),
     ("algorithm dqc1", "--path"), ("algorithm dqc1", "--relaxation"),
+    ("algorithm dqc1", "--machine"),
 ]
 SUBCOMMAND_ARGV = {
     "simulate": ["simulate", "--circuit", "c.json"],
@@ -489,7 +490,7 @@ OPTION_VALUES = {"--seed": "1", "--path": "pulse", "--relaxation": "on",
                  "--pulse-amp-hz": "2e4", "--delays": "1,2", "--durations": "3",
                  "--amp-hz": "5", "--channel": "31P", "--offset-spread-hz": "10",
                  "--case": "f3", "--a": "101", "--which": "psi+", "--epsilon": "0",
-                 "--target": "2", "--unitary": "u.json"}
+                 "--target": "2", "--unitary": "u.json", "--machine": "gemini"}
 
 
 @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
@@ -816,7 +817,9 @@ ORACLE_DOMAINS = {
     "--max-iters": (["0", "3"], ["-1", "2.5", "1e3", "nan", ""]),
     "--segments": (["1", "100"], ["0", "-3", "2.0", "inf", ""]),
     "--durations": FLOATS, "--delays": FLOATS, "--params": FLOATS, "--omega-t": FLOATS,
-    "--targets": INTS, "--l-values": INTS,
+    "--targets": INTS,
+    "--l-values": (["1", "1,2", "1000", " 7 ,3"], ["0", "-3,0,7", "1001", "1,2000", *INTS[1]]),
+    "--a": (["0", "11", "101"], ["", "2", "0101", "1a", "abc", "1 1"]),
     "--target-fidelity": (["1", "0.5", "1e-300"], ["0", "-0.5", "1.0000001", "2", "nan", "inf"]),
     "--epsilon": (["1", "-1", "0.5", "-1e-300", "1e-310"],
                   ["0", "-0.0", "1e-400", "2", "-1.5", "nan", "inf", "-inf"]),
@@ -841,12 +844,13 @@ ORACLE_REQUESTS = [
     ("experiment t2", {"--delays": "1e-3,1e-2", "--offset-spread-hz": "50"}),
     ("algorithm grover4", {"--target": "3", "--path": "pulse", "--relaxation": "off"}),
     ("algorithm count --case=M2", {"--l-values": "1,2,3"}),
+    ("algorithm bv", {"--a": "101", "--path": "pulse"}),
     ("algorithm qho", {"--omega-t": "0.5,1.0"}),
     ("algorithm dqc1 --unitary=u.json", {"--epsilon": "0.5"}),
 ]
-# Options that name a file, a nucleus, a gate or a bit string: no numeric domain.
+# Options that name a file, a nucleus or a gate: no declared domain.
 LABEL_OPTIONS = {"--machine", "--out", "--circuit", "--state", "--unitary", "--channel",
-                 "--gate", "--a"}
+                 "--gate"}
 ORACLE_PARSER = build_parser()
 
 
@@ -960,14 +964,14 @@ class TestDeclaredDomains:
         assert not (tmp_path / "out").exists()
 
 
-# One request per leaf parser: the options each needs to parse, files it would read after.
+# One request per leaf parser that reads a machine: the options each needs to parse, files
+# it would read after. dqc1 takes no --machine.
 LEAF_REQUESTS = [
     ["simulate", "--circuit", "c.json"], ["tomography", "--state", "rho.json"],
     ["compile", "--circuit", "c.json"], ["grape", "--gate", "X90"],
     *(["experiment", name] for name in ("rabi", "t1", "t2", "pps")),
     *(["algorithm", name] for name in ("deutsch", "grover4", "bv", "count", "bell", "qho",
                                        "cnot-table")),
-    ["algorithm", "dqc1", "--unitary", "u.json"],
 ]
 
 
@@ -1021,6 +1025,22 @@ WRONG_TYPES = {
 }
 FUZZ_DOC_OF = {"circuit file": "circuit", "state file": "state", "matrix file": "unitary",
                "machine config": "machine"}
+# A misspelled key in the FUZZ_DOCS document of each kind of input file, at its top and in
+# each kind of nested object: (id, path to the object, the key put there, its value, the
+# misspelled key)
+UNKNOWN_KEYS = {
+    "circuit file": [
+        ("top", (), "gatess", [{"name": "X", "targets": [2]}], "gatess"),
+        ("gate", ("gates", 0), "param", [0.5], "param"),
+        ("gate_matrix", ("gates", 1), "matrix", {"re": np.eye(4).tolist(),
+                                                 "im": np.zeros((4, 4)).tolist(), "imag": []},
+         "imag"),
+    ],
+    "state file": [("top", (), "Re", (np.eye(4) / 4).tolist(), "Re")],
+    "matrix file": [("top", (), "imag", [[0.0, 0.0], [0.0, 0.0]], "imag")],
+    "machine config": [("top", (), "coupling", "weak", "coupling"),
+                       ("nucleus", ("nuclei", 1), "t1", 6.0, "t1")],
+}
 
 
 @st.composite
@@ -1168,6 +1188,38 @@ class TestInputFiles:
         for python_text in ("indices", "iterable", "object is not", "int too large"):
             assert python_text not in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, option, what, at, key, value, unknown", [
+        pytest.param(argv, option, what, *edit, id=f"{argv[-1]}{option}-{case}")
+        for argv, option, what in FILE_OPTIONS for case, *edit in UNKNOWN_KEYS[what]])
+    def test_an_unknown_key_is_one_line(self, tmp_path, argv, option, what, at, key, value,
+                                        unknown):
+        doc = copy.deepcopy(FUZZ_DOCS[FUZZ_DOC_OF[what]])
+        parent = doc
+        for step in at:
+            parent = parent[step]
+        parent[key] = value
+        path = write_json(tmp_path / "input.json", doc)
+        rc, err = run_main([*argv, option, path, "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: validation: {path}: ") and f"unknown field {unknown!r}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, decode", [
+        ("circuit", Circuit.from_json_dict), ("state", DensityMatrix.from_json_dict),
+        ("unitary", cli._matrix),
+        ("machine", functools.partial(spinsys._config_from_dict, source="machine"))])
+    def test_notes_are_allowed_in_every_object(self, kind, decode):
+        def noted(doc):
+            if isinstance(doc, dict):
+                return {"_note": "a note", **{k: noted(v) for k, v in doc.items()}}
+            return [noted(v) for v in doc] if isinstance(doc, list) else doc
+
+        doc = copy.deepcopy(FUZZ_DOCS[kind])
+        if kind == "circuit":
+            doc["gates"].append({"name": "U", "targets": [2], "matrix": FUZZ_DOCS["unitary"]})
+        assert _canonical(decode(noted(doc))) == _canonical(decode(doc))
+        assert [preset(name) for name in spinsys.PRESETS]  # whose files carry notes
 
     @settings(max_examples=60)
     @given(made=package_objects())

@@ -139,6 +139,18 @@ def _cnot_table(nmrqc):
     return lambda: nmrqc.cnot_truth_table("12", "pulse", cfg, True)
 
 
+def _grover4(nmrqc):
+    """Grover search for entry 3 on gemini's pulse path, without relaxation."""
+    cfg = nmrqc.preset("gemini")
+    return lambda: nmrqc.run_grover4(3, "pulse", cfg, False)
+
+
+def _deutsch(nmrqc):
+    """Deutsch's f3 (balanced) on gemini's pulse path, without relaxation."""
+    cfg = nmrqc.preset("gemini")
+    return lambda: nmrqc.run_deutsch("f3", "pulse", cfg, False)
+
+
 def _grape_evaluation(nmrqc):
     """One fidelity and gradient of a gemini X90 at 16 seeded segments over 0.4 ms."""
     cfg = nmrqc.preset("gemini")
@@ -164,7 +176,10 @@ TARGETS = {
     "dynamics.evolve": _evolve(False),
     "dynamics.evolve_relax": _evolve(True),
     "experiments.t2": _t2,
+    # the three runners of perfbench's circuits workload
     "algorithms.runner:cnot_truth_table": _cnot_table,
+    "algorithms.runner:run_grover4": _grover4,
+    "algorithms.runner:run_deutsch": _deutsch,
 }
 
 
