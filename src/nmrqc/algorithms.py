@@ -44,6 +44,7 @@ from .quantum import (
     DensityMatrix,
     Ket,
     bloch_vector,
+    complex_json,
     is_unitary,
     partial_trace,
     state_fidelity,
@@ -409,7 +410,7 @@ def _qho_report(options, machine, path, circuits, states) -> dict:
             "initial": initial,
             "omega_t": omega_t,
             "delay_s": next(g.params[0] for g in circuit.gates if g.name == "Delay"),
-            "coherence_01": {"re": coherence.real, "im": coherence.imag},
+            "coherence_01": complex_json(coherence),
             "coherence_phase_rad": float(np.angle(coherence)) if abs(coherence) > 1e-12 else None,
             "expected_phase_rad": float(np.mod(3.0 * omega_t, 2.0 * np.pi)),
         }

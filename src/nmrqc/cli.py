@@ -25,7 +25,8 @@ import numpy as np
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import DensityMatrix, check_keys, complex_matrix, pauli_expand, state_fidelity
+from .quantum import (COMPLEX, DensityMatrix, complex_json, complex_matrix, pauli_expand, read,
+                      state_fidelity)
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
 
 # Log-spaced relaxation-delay grids used by `experiment t1|t2` when no
@@ -54,7 +55,7 @@ def _canonical(obj):
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, complex):
-        return {"im": _canonical(obj.imag), "re": _canonical(obj.real)}
+        return _canonical(complex_json(obj))
     if isinstance(obj, np.ndarray):
         return _canonical(obj.tolist())
     if hasattr(obj, "to_json_dict"):
@@ -98,7 +99,7 @@ def _machine(arg: str) -> SpinSystemConfig:
 
 def _matrix(d) -> np.ndarray:
     """Complex matrix from a JSON object with "re" and "im" fields."""
-    return complex_matrix(check_keys(d, ("re", "im"), "matrix JSON"), "matrix JSON")
+    return complex_matrix(read(d, COMPLEX, "matrix JSON"), "matrix JSON")
 
 
 def _domain(kind, rule: str, ok=lambda value: True, listed=False):

@@ -23,8 +23,7 @@ from .dynamics import Delay as DelayEvent
 from .dynamics import (PulseProgram, RfSegment, check_pulse_amplitude, program_unitary,
                        square_pulse)
 from .errors import UncoupledPairError, ValidationError
-from .quantum import (SIGMA_X, SIGMA_Y, SIGMA_Z, array, check_keys, complex_matrix, embed,
-                      field, is_unitary)
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, is_unitary, read, write
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -173,6 +172,12 @@ def UNITARY(matrix, *targets):
     return Gate("U", tuple(targets), (), np.asarray(matrix, dtype=complex))
 
 
+# A circuit file; each gate's keys are its Gate fields
+_CIRCUIT = {"n": "integer",
+            "gates": ["gate", {"name": "string", "targets": ("integers", ()),
+                               "params": ("numbers", ()), "matrix": ("complex", None)}]}
+
+
 @dataclass(frozen=True)
 class Circuit:
     n: int
@@ -187,35 +192,12 @@ class Circuit:
                 raise ValidationError(f"gate {g.name} targets {g.targets} outside 1..{self.n}")
 
     def to_json_dict(self) -> dict:
-        gates = []
-        for g in self.gates:
-            d: dict = {"name": g.name, "targets": list(g.targets), "params": list(g.params)}
-            if g.matrix is not None:
-                d["matrix"] = {"re": np.real(g.matrix).tolist(), "im": np.imag(g.matrix).tolist()}
-            gates.append(d)
-        return {"n": self.n, "gates": gates}
+        return write(self, _CIRCUIT)
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Circuit":
-        check_keys(d, ("n", "gates"), "circuit JSON")
-        n = field(d, "n", "integer", "circuit JSON")
-        gates = []
-        for i, g in enumerate(field(d, "gates", "list", "circuit JSON")):
-            what = f"circuit JSON: gate {i}"
-            check_keys(g, ("name", "targets", "params", "matrix"), what)
-            matrix = field(g, "matrix", "object", what, None)
-            if matrix is not None:
-                at = f"{what}: 'matrix'"
-                matrix = complex_matrix(check_keys(matrix, ("re", "im"), at), at)
-            gates.append(
-                Gate(
-                    field(g, "name", "string", what),
-                    tuple(array(g, "targets", what, "integer", ndim=1, default=[]).tolist()),
-                    tuple(array(g, "params", what, ndim=1, default=[]).tolist()),
-                    matrix,
-                )
-            )
-        return cls(n=n, gates=tuple(gates))
+        c = read(d, _CIRCUIT, "circuit JSON")
+        return cls(c["n"], tuple(Gate(**gate) for gate in c["gates"]))
 
 
 def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> np.ndarray:

@@ -38,24 +38,49 @@ def _qubit_count(dim: int, what: str) -> int:
     return n
 
 
-# The JSON kinds a document field can hold, as the exact types json.loads gives them
+# A document is declared once, as plain data, {key: kind or (kind, default)}. A kind is a
+# JSON kind of _KINDS, exactly the type json.loads gives; an array kind of _ARRAYS, (the JSON
+# kind of every entry, dimensions); "complex", a COMPLEX object; or [item name, declaration],
+# a list of objects of that declaration.
 _KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "list": (list,),
           "object": (dict,)}
-_REQUIRED = object()
+_ARRAYS = {"integers": ("integer", 1), "numbers": ("number", 1), "matrix": ("number", 2)}
+COMPLEX = {"re": "matrix", "im": "matrix"}
 
 
-def field(doc, key: str, kind: str, what: str, default=_REQUIRED):
-    """doc[key] if it is exactly the JSON `kind` ("string", "integer", "number", "list" or
-    "object"), or `default` if given and the key is absent; `what` names doc in errors.
-
-    A bool is never a number, and 1.0 is no integer. A number comes back as a float.
-    """
+def read(doc, declared: Mapping, what: str) -> dict:
+    """The fields of the JSON object doc under a declaration, by key: each declared key read
+    by `field`, or its default if it has one and is absent. `what` names doc in errors. Any
+    other key is an error, not ignored, unless it is a note, a key that starts with "_"."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be an object")
-    if key not in doc:
-        if default is _REQUIRED:
+    for key in doc:
+        if key not in declared and not str(key).startswith("_"):
+            raise ValidationError(f"{what}: unknown field {key!r}")
+    values = {}
+    for key, spec in declared.items():
+        if key in doc:
+            values[key] = field(doc, key, spec[0] if isinstance(spec, tuple) else spec, what)
+        elif isinstance(spec, tuple):
+            values[key] = spec[1]
+        else:
             raise ValidationError(f"{what} has no {key!r} field")
-        return default
+    return values
+
+
+def field(doc: dict, key: str, kind, what: str):
+    """doc[key] read as a declared kind: a JSON kind exactly, an array kind by `array`, a
+    "complex" object as a complex matrix, and each object of a list by `read`, named "<item
+    name> <index>" in errors. A bool is never a number, 1.0 is no integer, a number a float.
+    """
+    if isinstance(kind, list):
+        return [read(d, kind[1], f"{what}: {kind[0]} {i}")
+                for i, d in enumerate(field(doc, key, "list", what))]
+    if kind == "complex":
+        at = f"{what}: {key!r}"
+        return complex_matrix(read(doc[key], COMPLEX, at), at)
+    if kind in _ARRAYS:
+        return array(doc, key, what, *_ARRAYS[kind])
     value = doc[key]
     if type(value) not in _KINDS[kind]:
         article = "an" if kind in ("integer", "object") else "a"
@@ -66,36 +91,25 @@ def field(doc, key: str, kind: str, what: str, default=_REQUIRED):
         raise ValidationError(f"{what}: {key!r} is out of the float range") from exc
 
 
-def check_keys(doc, keys: tuple[str, ...], what: str):
-    """doc, if it is a JSON object whose every key is one of `keys` or a note, a key that
-    starts with "_"; `what` names doc in errors. A misspelled key is an error, not ignored."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} must be an object")
-    for key in doc:
-        if key not in keys and not str(key).startswith("_"):
-            raise ValidationError(f"{what}: unknown field {key!r}")
-    return doc
-
-
-def array(doc, key: str, what: str, kind: str = "number", ndim: int = 2,
-          default=_REQUIRED) -> np.ndarray:
-    """doc[key] as a float (kind "number") or int (kind "integer") array: a list (ndim 1)
-    or a list of equal-length rows (ndim 2) whose every entry is exactly that JSON kind."""
-    cells = np.array(field(doc, key, "list", what, default), dtype=object)  # no recursion
+def array(doc: dict, key: str, what: str, kind: str, ndim: int):
+    """doc[key] as a tuple of Python numbers (ndim 1) or a float array (ndim 2): a list, or a
+    list of equal-length rows, whose every entry is exactly the JSON `kind`."""
+    cells = np.array(field(doc, key, "list", what), dtype=object)  # no recursion
     shape = "a list" if ndim == 1 else "a list of equal-length rows"
     # ndim first: numpy cannot iterate an object array of more than 32 dimensions
     if cells.ndim != ndim or not all(type(c) in _KINDS[kind] for c in cells.flat):
         raise ValidationError(f"{what}: {key!r} must be {shape} of {kind}s")
     try:
-        return cells.astype(float if kind == "number" else int)
+        values = cells.astype(float if kind == "number" else int)
     except OverflowError as exc:  # past the float or int64 range
         raise ValidationError(f"{what}: {key!r} has an entry out of range") from exc
+    return tuple(values.tolist()) if ndim == 1 else values
 
 
-def complex_matrix(doc, what: str) -> np.ndarray:
-    """The complex matrix of a JSON object's "re" and "im" matrices, bit for bit (re + 1j * im
-    would flip signed zeros); rejects non-finite entries."""
-    re, im = array(doc, "re", what), array(doc, "im", what)
+def complex_matrix(parts: Mapping, what: str) -> np.ndarray:
+    """The complex matrix of the "re" and "im" matrices that `read` gives for COMPLEX, bit for
+    bit (re + 1j * im would flip signed zeros); rejects non-finite entries."""
+    re, im = parts["re"], parts["im"]
     if re.shape != im.shape:
         raise ValidationError(f"{what}: 're' is {re.shape} but 'im' is {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -103,6 +117,29 @@ def complex_matrix(doc, what: str) -> np.ndarray:
     m = np.empty(re.shape, dtype=complex)
     m.real, m.imag = re, im
     return m
+
+
+def complex_json(m) -> dict:
+    """The COMPLEX object of a complex number or matrix: the one writer of a re/im pair."""
+    m = np.asarray(m)
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def write(obj, declared: Mapping) -> dict:
+    """The JSON object of `obj` under a declaration (see `read`): each declared key from the
+    attribute of that name, written as its kind. A value that is None is left out."""
+    doc = {}
+    for key, spec in declared.items():
+        kind, value = spec[0] if isinstance(spec, tuple) else spec, getattr(obj, key)
+        if isinstance(kind, list):
+            value = [write(item, kind[1]) for item in value]
+        elif kind in _ARRAYS:
+            value = value.tolist() if kind == "matrix" else list(value)
+        elif kind == "complex" and value is not None:
+            value = complex_json(value)
+        if value is not None:
+            doc[key] = value
+    return doc
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -200,6 +237,9 @@ def _check_density(m: np.ndarray) -> None:
         raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
 
 
+_STATE = {"n": "integer", **COMPLEX}  # a state file
+
+
 class DensityMatrix:
     """2^n x 2^n Hermitian, unit-trace, positive-semidefinite state matrix."""
 
@@ -245,17 +285,13 @@ class DensityMatrix:
         return complex(np.trace(self.matrix @ op))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "re": np.real(self.matrix).tolist(),
-            "im": np.imag(self.matrix).tolist(),
-        }
+        return {"n": self.n, **complex_json(self.matrix)}
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "DensityMatrix":
         what = "density-matrix JSON"
-        check_keys(d, ("n", "re", "im"), what)
-        n, m = field(d, "n", "integer", what), complex_matrix(d, what)
+        state = read(d, _STATE, what)
+        n, m = state["n"], complex_matrix(state, what)
         if n < 1:
             raise ValidationError(f"density-matrix JSON: n = {n}, must be >= 1")
         if n > m.size or m.shape != (2**n, 2**n):  # so a huge n never reaches 2**n

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, array, check_keys, embed, field
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed, read, write
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
@@ -84,6 +84,11 @@ class SpinSystemConfig:
         hz = [float(nuc.offset_hz) for nuc in self.nuclei] + [x for row in rows for x in row]
         if not all(math.isfinite(2 * math.pi * x) for x in hz):
             raise ValidationError("offset_hz and j_hz must stay finite in rad/s (2*pi*Hz)")
+        total = sum(abs(nuc.polarization) for nuc in self.nuclei)
+        if total > 1.0 + 1e-12:
+            raise ValidationError(
+                f"polarizations sum to {total:.12g} > 1; thermal state would not be positive"
+            )
         j.setflags(write=False)
         object.__setattr__(self, "j_hz", j)
 
@@ -132,36 +137,22 @@ class SpinSystemConfig:
         return _read_only(*np.linalg.eigh(self._operators.h0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "coupling_model": self.coupling_model,
-            "nuclei": [asdict(nuc) for nuc in self.nuclei],
-            "j_hz": self.j_hz.tolist(),
-        }
+        return write(self, _MACHINE)
+
+
+# A machine config file; each nucleus's keys are its NucleusSpec fields, and the name
+# defaults to the file's path
+_MACHINE = {"name": ("string", None), "coupling_model": ("string", "weak"),
+            "nuclei": ["nucleus", {"label": "string", "offset_hz": "number", "t1_s": "number",
+                                   "t2_s": "number", "polarization": "number"}],
+            "j_hz": "matrix"}
 
 
 def _config_from_dict(d, source: str) -> SpinSystemConfig:
-    what = "machine config"
-    check_keys(d, ("name", "coupling_model", "nuclei", "j_hz"), what)
-    nuclei = []
-    for i, raw in enumerate(field(d, "nuclei", "list", what)):
-        at = f"{what}: nucleus {i}"
-        check_keys(raw, ("label", "offset_hz", "t1_s", "t2_s", "polarization"), at)
-        nuclei.append(
-            NucleusSpec(
-                label=field(raw, "label", "string", at),
-                offset_hz=field(raw, "offset_hz", "number", at),
-                t1_s=field(raw, "t1_s", "number", at),
-                t2_s=field(raw, "t2_s", "number", at),
-                polarization=field(raw, "polarization", "number", at),
-            )
-        )
-    return SpinSystemConfig(
-        name=field(d, "name", "string", what, source),
-        nuclei=tuple(nuclei),
-        j_hz=array(d, "j_hz", what),
-        coupling_model=field(d, "coupling_model", "string", what, "weak"),
-    )
+    m = read(d, _MACHINE, "machine config")
+    return SpinSystemConfig(source if m["name"] is None else m["name"],
+                            tuple(NucleusSpec(**nucleus) for nucleus in m["nuclei"]),
+                            m["j_hz"], m["coupling_model"])
 
 
 def _read_json(path: Union[str, Path], what: str, parse):
@@ -185,12 +176,8 @@ def _read_json(path: Union[str, Path], what: str, parse):
 
 
 def load_machine_config(path: Union[str, Path]) -> SpinSystemConfig:
-    """Load and validate a machine-config JSON file.
-
-    Schema: {"name", "coupling_model", "nuclei": [{label, offset_hz, t1_s,
-    t2_s, polarization}], "j_hz": [[...]]}. Keys starting with "_" are
-    ignored (used for notes in the shipped presets); any other key is rejected.
-    """
+    """Load and validate a machine-config JSON file, declared by `_MACHINE` (see
+    `quantum.read`: "_" notes, as in the shipped presets, are allowed, other keys not)."""
     return _read_json(path, "machine config", lambda d: _config_from_dict(d, str(Path(path))))
 
 
@@ -316,18 +303,10 @@ def _drive_hamiltonian(controls: np.ndarray, drive: np.ndarray) -> np.ndarray:
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:
-    """High-temperature equilibrium state 2^-n (I + sum_k eps_k sigma_z^k).
-
-    Rejects polarization sets large enough to break positivity
-    (sum_k |eps_k| > 1).
-    """
+    """High-temperature equilibrium state 2^-n (I + sum_k eps_k sigma_z^k), positive because
+    a machine's sum_k |eps_k| <= 1."""
     m = np.eye(config.dim, dtype=complex)
     for nuc, sz in zip(config.nuclei, config._operators.sz):
         m += nuc.polarization * sz
     m /= config.dim
-    total = sum(abs(nuc.polarization) for nuc in config.nuclei)
-    if total > 1.0 + 1e-12:
-        raise ValidationError(
-            f"polarizations sum to {total:.3g} > 1; thermal state would not be positive"
-        )
     return DensityMatrix(m)

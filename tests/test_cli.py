@@ -4,12 +4,14 @@ import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import nmrqc
 from conftest import make_weak_config, random_density_matrix, random_unitary
-from nmrqc import algorithms, cli, measurement, spinsys
+from nmrqc import algorithms, cli, control, measurement, quantum, spinsys
 from nmrqc.cli import _canonical, build_parser, main
 from nmrqc.control import _GATES, MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
 from nmrqc.dynamics import evolve_program, program_unitary
@@ -1042,6 +1044,54 @@ UNKNOWN_KEYS = {
                        ("nucleus", ("nuclei", 1), "t1", 6.0, "t1")],
 }
 
+# The declaration of each kind of input file, and a document of each whose objects hold
+# every declared key: FUZZ_DOCS's, with a U gate added to the circuit
+DECLARED = {"circuit file": control._CIRCUIT, "state file": quantum._STATE,
+            "matrix file": quantum.COMPLEX, "machine config": spinsys._MACHINE}
+FULL_DOCS = {**FUZZ_DOCS, "circuit": {**FUZZ_DOCS["circuit"], "gates": [
+    *FUZZ_DOCS["circuit"]["gates"],
+    {"name": "U", "targets": [2], "params": [], "matrix": FUZZ_DOCS["unitary"]}]}}
+
+
+def object_at(doc, at):
+    return functools.reduce(operator.getitem, at, doc)
+
+
+def declared_objects(declared, doc, at=()):
+    """(path, declaration) of the document doc and of each object that its declaration
+    nests in it: gate, gate matrix, nucleus."""
+    yield at, declared
+    for key, spec in declared.items():
+        kind = spec[0] if isinstance(spec, tuple) else spec
+        if key in doc and kind == "complex":
+            yield from declared_objects(quantum.COMPLEX, doc[key], (*at, key))
+        elif key in doc and isinstance(kind, list):
+            for i, item in enumerate(doc[key]):
+                yield from declared_objects(kind[1], item, (*at, key, i))
+
+
+def declared_keys(what):
+    """(path to an object, its declaration, key) of each key in each object of the FULL_DOCS
+    document of a kind of input file, from the declarations."""
+    doc = FULL_DOCS[FUZZ_DOC_OF[what]]
+    return [(at, declared, key) for at, declared in declared_objects(DECLARED[what], doc)
+            for key in declared if key in object_at(doc, at)]
+
+
+def key_id(at, key):
+    return ".".join(map(str, (*at, key)))
+
+
+# Every required key of every input file, and every optional one with its declared default
+MISSING_KEYS = [
+    pytest.param(argv, option, what, at, key, id=f"{argv[-1]}{option}-{key_id(at, key)}")
+    for argv, option, what in FILE_OPTIONS for at, declared, key in declared_keys(what)
+    if not isinstance(declared[key], tuple)]
+OPTIONAL_KEYS = [
+    pytest.param(what, at, declared, key, id=f"{FUZZ_DOC_OF[what]}-{key_id(at, key)}")
+    for what in DECLARED for at, declared, key in declared_keys(what)
+    if isinstance(declared[key], tuple)]
+
 
 @st.composite
 def package_objects(draw):
@@ -1204,6 +1254,43 @@ class TestInputFiles:
         assert rc == 2 and len(err.splitlines()) == 1, err
         assert err.startswith(f"error: validation: {path}: ") and f"unknown field {unknown!r}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, option, what, at, key", MISSING_KEYS)
+    def test_a_missing_key_is_one_line(self, tmp_path, argv, option, what, at, key):
+        doc = copy.deepcopy(FULL_DOCS[FUZZ_DOC_OF[what]])
+        del object_at(doc, at)[key]
+        path = write_json(tmp_path / "input.json", doc)
+        rc, err = run_main([*argv, option, path, "--out", str(tmp_path / "out")])
+        assert rc == 2 and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: validation: {path}: ") and f"has no {key!r} field" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("what, at, declared, key", OPTIONAL_KEYS)
+    def test_a_missing_optional_key_reads_as_its_default(self, what, at, declared, key):
+        doc = copy.deepcopy(object_at(FULL_DOCS[FUZZ_DOC_OF[what]], at))
+        values = quantum.read(doc, declared, what)
+        del doc[key]
+        expected = {**values, key: declared[key][1]}
+        assert _canonical(quantum.read(doc, declared, what)) == _canonical(expected)
+
+    def test_a_machine_without_a_name_is_named_by_its_path(self, tmp_path):
+        machine = machine_file(tmp_path, lambda cfg: cfg.pop("name"))
+        assert spinsys.load_machine_config(machine) == replace(preset("gemini"), name=machine)
+
+    def test_each_writer_writes_its_declared_keys(self):
+        rng = np.random.default_rng(33)
+        j = np.triu(rng.uniform(-500.0, 500.0, (3, 3)), 1)
+        docs = {
+            "circuit file": Circuit(2, (Gate("U", (2, 1), (), random_unitary(rng, 4)),)),
+            "machine config": make_weak_config(rng.uniform(-3e3, 3e3, 3), j + j.T),
+            "state file": random_density_matrix(rng, 2),
+        }
+        docs = {what: obj.to_json_dict() for what, obj in docs.items()}
+        docs["matrix file"] = quantum.complex_json(random_unitary(rng, 2))
+        assert docs.keys() == DECLARED.keys()
+        for what, doc in docs.items():
+            for at, declared in declared_objects(DECLARED[what], doc):
+                assert object_at(doc, at).keys() == declared.keys(), (what, at)
 
     @pytest.mark.parametrize("kind, decode", [
         ("circuit", Circuit.from_json_dict), ("state", DensityMatrix.from_json_dict),

@@ -409,14 +409,14 @@ def kraus_relaxation(m, dt, config):
 @st.composite
 def relaxing_machines(draw, max_spins=3):
     """Weak machines of 1 to max_spins spins, T1 from 1 ms to 100 s, T2 up to 2 T1, any
-    polarization."""
+    polarization in [-1/n, 1/n], so that the n of them sum to at most 1 in magnitude."""
     n = draw(st.integers(1, max_spins))
     cfg = make_weak_config([0.0] * n, np.zeros((n, n)))
     nuclei = []
     for nuc in cfg.nuclei:
         t1 = 10.0 ** draw(st.floats(-3.0, 2.0))
         nuclei.append(replace(nuc, t1_s=t1, t2_s=t1 * draw(st.floats(0.01, 2.0)),
-                              polarization=draw(st.floats(-1.0, 1.0))))
+                              polarization=draw(st.floats(-1.0, 1.0)) / n))
     return replace(cfg, nuclei=tuple(nuclei))
 
 

@@ -151,6 +151,19 @@ def _deutsch(nmrqc):
     return lambda: nmrqc.run_deutsch("f3", "pulse", cfg, False)
 
 
+def _documents(nmrqc):
+    """Each kind of input document written by its `to_json_dict` and decoded again: a seeded
+    3-qubit circuit of 12 gates, gemini's config and a seeded 3-qubit state."""
+    circuit, cfg = _circuit(nmrqc, 3, 12, seed=12), nmrqc.preset("gemini")
+    rho = _random_state(nmrqc, 3, seed=13)
+
+    def call():
+        nmrqc.Circuit.from_json_dict(circuit.to_json_dict())
+        nmrqc.spinsys._config_from_dict(cfg.to_json_dict(), "gemini")
+        nmrqc.DensityMatrix.from_json_dict(rho.to_json_dict())
+    return call
+
+
 def _grape_evaluation(nmrqc):
     """One fidelity and gradient of a gemini X90 at 16 seeded segments over 0.4 ms."""
     cfg = nmrqc.preset("gemini")
@@ -180,6 +193,7 @@ TARGETS = {
     "algorithms.runner:cnot_truth_table": _cnot_table,
     "algorithms.runner:run_grover4": _grover4,
     "algorithms.runner:run_deutsch": _deutsch,
+    "quantum.documents": _documents,
 }
 
 
