@@ -43,6 +43,7 @@ from .quantum import (
     SIGMA_Z,
     DensityMatrix,
     Ket,
+    Option,
     bloch_vector,
     complex_json,
     is_unitary,
@@ -73,32 +74,6 @@ class AlgorithmReport:
             "derived": self.derived,
             "fidelity": self.fidelity,
         }
-
-
-@dataclass(frozen=True)
-class Option:
-    """An algorithm option: its default and its values, the `choices` if given, else the
-    values of `kind` (`listed`: lists of one or more) for which `ok` holds, as `rule` says."""
-
-    default: object
-    choices: tuple = ()
-    kind: type = str
-    rule: str = ""
-    ok: Callable[[object], bool] = lambda value: True
-    listed: bool = False
-
-    def check(self, name: str, value):
-        """value as `kind` (`listed`: a list of them) if declared, else ValidationError. A
-        value is of `kind` if it equals its conversion: 2.0 is an integer; "2" and True not."""
-        ok = (lambda v: v in self.choices) if self.choices else self.ok
-        try:
-            raw = list(value) if self.listed else [value]
-            values = [self.kind(v) for v in raw]
-            if values and values == raw and bool not in map(type, raw) and all(map(ok, values)):
-                return values if self.listed else values[0]
-        except (TypeError, ValueError, OverflowError):
-            pass
-        raise ValidationError(self.rule or f"{name} must be one of {self.choices}")
 
 
 @dataclass(frozen=True)
@@ -418,6 +393,10 @@ def _qho_report(options, machine, path, circuits, states) -> dict:
     return {"algorithm": "qho", "path": path, "points": points}
 
 
+EPSILON = Option(1.0, kind=float, rule="epsilon must satisfy 0 < |epsilon| <= 1",
+                 ok=lambda epsilon: 0 < abs(epsilon) <= 1)
+
+
 def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     """Normalized-trace estimate Tr(u)/2^n from the one-clean-qubit circuit.
 
@@ -428,8 +407,7 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     linear in epsilon, so the circuit runs on the deviation per unit epsilon, and no
     epsilon, subnormal ones included, costs digits.
     """
-    if not 0 < abs(epsilon) <= 1:  # nan fails too
-        raise ValidationError("epsilon must satisfy 0 < |epsilon| <= 1")
+    epsilon = EPSILON.check("epsilon", epsilon)
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("u must be a square matrix")

@@ -24,9 +24,10 @@ import numpy as np
 
 from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
+from .dynamics import PULSE_AMPLITUDE
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import (COMPLEX, DensityMatrix, complex_json, complex_matrix, pauli_expand, read,
-                      state_fidelity)
+from .quantum import (COMPLEX, DensityMatrix, Option, complex_json, complex_matrix, pauli_expand,
+                      read, state_fidelity)
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
 
 # Log-spaced relaxation-delay grids used by `experiment t1|t2` when no
@@ -102,46 +103,28 @@ def _matrix(d) -> np.ndarray:
     return complex_matrix(read(d, COMPLEX, "matrix JSON"), "matrix JSON")
 
 
-def _domain(kind, rule: str, ok=lambda value: True, listed=False):
-    """An argparse type: the text as a `kind` (or a comma list of at least one) if `ok`
-    holds for each value, else ValidationError. argparse lets that through to main: exit 2."""
-    def parse(text: str):
-        try:
-            values = [kind(t) for t in text.split(",") if t.strip()] if listed else [kind(text)]
-            if values and all(ok(v) for v in values):
-                return values if listed else values[0]
-        except ValueError:
-            pass
-        raise ValidationError(f"bad {kind.__name__}{' list' * listed} {text!r}: {rule}")
-    return parse
+def _argument(option: Option, **given) -> dict:
+    """argparse's keywords for a declared option, `given` overriding them; `type` checks it."""
+    return dict(type=option.parse, default=option.default, choices=option.choices or None,
+                help=option.rule or None) | given
 
 
-def _positive(what: str):
-    return _domain(float, f"{what} must be > 0 and finite", lambda v: 0 < v < np.inf)
-
-
-def _count(what: str, least: int):
-    return _domain(int, f"{what} must be an integer >= {least}", lambda v: v >= least)
-
-
-_AMPLITUDE = _positive("pulse amplitude")
-_FLOATS = _domain(float, "need one or more values, all finite", np.isfinite, listed=True)
-_INTS = _domain(int, "need one or more values, all integers", listed=True)
+_FLOATS = Option(kind=float, listed=True, ok=np.isfinite,
+                 rule="need one or more values, all finite")
 
 # Options that only some subcommands read; each subcommand accepts just those it reads.
 _OPTIONS = {
     "--machine": dict(type=_machine, default="gemini",
                       help="machine config path or preset name (gemini, triangulum)"),
-    "--seed": dict(type=_count("seed", 0), default=0),
+    "--seed": _argument(control.SEED),
     "--path": dict(choices=("ideal", "pulse"), default="ideal"),
     "--relaxation": dict(choices=("on", "off"), default="off"),
-    "--pulse-amp-hz": dict(type=_AMPLITUDE, default=control.DEFAULT_PULSE_AMP_HZ),
+    "--pulse-amp-hz": _argument(PULSE_AMPLITUDE, default=control.DEFAULT_PULSE_AMP_HZ),
     "--channel": dict(help="nucleus label (default: first channel)"),
-    "--amp-hz": dict(type=_AMPLITUDE, default=12.5e3, help="pulse amplitude in Hz"),
-    "--durations": dict(type=_FLOATS, help="comma-separated pulse durations in s"),
-    "--delays": dict(type=_FLOATS, help="comma-separated delays in s"),
-    "--offset-spread-hz": dict(type=_domain(float, "offset spread must be finite", np.isfinite),
-                               default=0.0, help="half-width of a static offset inhomogeneity"),
+    "--amp-hz": _argument(PULSE_AMPLITUDE, default=experiments.SCAN_AMP_HZ),
+    "--durations": _argument(_FLOATS, help="comma-separated pulse durations in s"),
+    "--delays": _argument(_FLOATS, help="comma-separated delays in s"),
+    "--offset-spread-hz": _argument(experiments.OFFSET_SPREAD),
 }
 
 
@@ -157,11 +140,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: validation: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, *options: str):
-    """--out, plus the named `_OPTIONS`: --machine is a preset or file, loaded when parsed."""
+def _add_common(parser: argparse.ArgumentParser, *options: str, declared=None):
+    """--out, the named `_OPTIONS` (--machine is a preset or file, loaded when parsed), and an
+    option per `declared` keyword (l_values is --l-values), checked as declared."""
     parser.add_argument("--out", default=".", help="output directory")
     for name in options:
         parser.add_argument(name, **_OPTIONS[name])
+    for key, option in (declared or {}).items():
+        parser.add_argument("--" + key.replace("_", "-"), **_argument(option))
 
 
 def _cmd_simulate(args) -> list[Path]:
@@ -208,13 +194,8 @@ def _cmd_grape(args) -> list[Path]:
     else:
         gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
         target = gate_matrix(gate, args.machine.n, args.machine)
-    gcfg = GrapeConfig(
-        segments=args.segments,
-        dt_s=args.duration_s / args.segments,
-        max_iters=args.max_iters,
-        target_fidelity=args.target_fidelity,
-        initial=args.initial,
-    )
+    given = {key: getattr(args, key) for key in control.GRAPE_OPTIONS}
+    gcfg = GrapeConfig(dt_s=args.duration_s / args.segments, **given)
     result = grape_optimize(target, args.machine, gcfg, seed=args.seed)
     out = Path(args.out)
     return [
@@ -306,18 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("grape", help="optimize a pulse for a target gate")
-    _add_common(p, "--machine", "--seed")
+    _add_common(p, "--machine", "--seed", declared=control.GRAPE_OPTIONS)
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--gate", help="gate name, e.g. X90")
     target.add_argument("--unitary", help="JSON file with re/im target matrix")
-    p.add_argument("--targets", type=_INTS, help="comma-separated qubit indices (default 1)")
-    p.add_argument("--params", type=_FLOATS, help="comma-separated gate parameters")
-    p.add_argument("--segments", type=_count("segments", 1), default=100)
-    p.add_argument("--duration-s", type=_positive("duration"), default=1.5e-3)
-    p.add_argument("--max-iters", type=_count("max iterations", 0), default=1000)
-    p.add_argument("--target-fidelity", default=0.9995, type=_domain(
-        float, "target fidelity must be in (0, 1]", lambda v: 0 < v <= 1))
-    p.add_argument("--initial", choices=("random", "constant"), default="random")
+    p.add_argument("--targets", **_argument(
+        Option(kind=int, listed=True, rule="need one or more values, all integers"),
+        help="comma-separated qubit indices (default 1)"))
+    p.add_argument("--params", **_argument(_FLOATS, help="comma-separated gate parameters"))
+    p.add_argument("--duration-s", **_argument(Option(
+        1.5e-3, kind=float, rule="duration must be > 0 and finite", ok=lambda v: 0 < v < np.inf)))
     p.set_defaults(func=_cmd_grape)
 
     # each experiment and algorithm takes the name first, then only the options it reads
@@ -335,16 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p.add_subparsers(dest="algorithm", required=True)
     for name, algorithm in algorithms.ALGORITHMS.items():
         q = kinds.add_parser(name)
-        _add_common(q, "--machine", "--path", "--relaxation")
-        for key, option in algorithm.options.items():  # the values `run` checks, as declared
-            declared = dict(type=option.kind, choices=option.choices) if option.choices else dict(
-                type=_domain(option.kind, option.rule, option.ok, option.listed), help=option.rule)
-            q.add_argument("--" + key.replace("_", "-"), default=option.default, **declared)
+        _add_common(q, "--machine", "--path", "--relaxation", declared=algorithm.options)
     q = kinds.add_parser("dqc1")  # a matrix algorithm, on no machine
     _add_common(q)
     q.add_argument("--unitary", help="JSON re/im matrix")
-    q.add_argument("--epsilon", default=1.0, type=_domain(
-        float, "epsilon must satisfy 0 < |epsilon| <= 1", lambda v: 0 < abs(v) <= 1))
+    q.add_argument("--epsilon", **_argument(algorithms.EPSILON))
 
     return parser
 

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
-from .dynamics import (PulseProgram, RfSegment, check_pulse_amplitude, program_unitary,
-                       square_pulse)
+from .dynamics import PULSE_AMPLITUDE, PulseProgram, RfSegment, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed, is_unitary, read, write
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, is_unitary, read, write
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -250,7 +249,7 @@ class _PulseEmitter:
 
     def __init__(self, config: SpinSystemConfig, amp_hz: float):
         self.config = config
-        self.amp = check_pulse_amplitude(amp_hz)
+        self.amp = PULSE_AMPLITUDE.check("pulse_amp_hz", amp_hz)
         self.events: list = []
         self.frame = [0.0] * config.n
         self.precession = [2 * np.pi * nuc.offset_hz for nuc in config.nuclei]  # rad/s
@@ -369,6 +368,18 @@ GRAPE_CONSTANT_AMP_HZ = 0.0
 GRAPE_RESTART_MIN_ITERS = 50
 MAX_GRAPE_ELEMENTS = 2**20  # segments * dim^2; an evaluation holds about 210 B per element
 
+# GrapeConfig's fields but dt_s. The default of 100 segments is the CLI's; a GrapeConfig needs them
+GRAPE_OPTIONS = {
+    "segments": Option(100, kind=int, rule=f"segments must be an integer from 1 to "
+                       f"{MAX_GRAPE_ELEMENTS}", ok=lambda v: 1 <= v <= MAX_GRAPE_ELEMENTS),
+    "max_iters": Option(1000, kind=int, rule="max iterations must be an integer >= 0",
+                        ok=lambda v: v >= 0),
+    "target_fidelity": Option(0.9995, kind=float, rule="target fidelity must be in (0, 1]",
+                              ok=lambda v: 0 < v <= 1),
+    "initial": Option("random", ("random", "constant")),
+}
+SEED = Option(0, kind=int, rule="seed must be an integer >= 0", ok=lambda v: v >= 0)
+
 
 @dataclass(frozen=True)
 class GrapeConfig:
@@ -378,26 +389,20 @@ class GrapeConfig:
     amplitudes: "random" draws uniformly from +-GRAPE_RANDOM_AMP_HZ,
     "constant" fills every segment with GRAPE_CONSTANT_AMP_HZ. max_iters caps
     the accepted L-BFGS iterates over all starts; each start has
-    `restart_iters` of them to reach the target.
+    `restart_iters` of them to reach the target. `GRAPE_OPTIONS` declares the rest.
     """
 
     segments: int
     dt_s: float
-    max_iters: int = 1000
-    target_fidelity: float = 0.9995
-    initial: str = "random"
+    max_iters: int = GRAPE_OPTIONS["max_iters"].default
+    target_fidelity: float = GRAPE_OPTIONS["target_fidelity"].default
+    initial: str = GRAPE_OPTIONS["initial"].default
 
     def __post_init__(self):
-        if self.segments <= 0:
-            raise ValidationError("segments must be > 0")
+        for key, option in GRAPE_OPTIONS.items():
+            object.__setattr__(self, key, option.check(key, getattr(self, key)))
         if not (np.isfinite(self.dt_s) and self.dt_s > 0):
             raise ValidationError("dt_s must be finite and > 0")
-        if self.max_iters < 0:
-            raise ValidationError("max_iters must be >= 0")
-        if not 0 < self.target_fidelity <= 1:
-            raise ValidationError("target_fidelity must be in (0, 1]")
-        if self.initial not in ("random", "constant"):
-            raise ValidationError('initial must be "random" or "constant"')
         # the optimizer starts from amplitude * duration; each segment rotates by 2*pi times it
         if not math.isfinite(2 * math.pi * GRAPE_RANDOM_AMP_HZ * self.duration_s):
             raise ValidationError("segments * dt_s too long: 2*pi*amplitude*duration overflows")
@@ -454,7 +459,7 @@ def grape_optimize(
     target: np.ndarray,
     config: SpinSystemConfig,
     gcfg: GrapeConfig,
-    seed: int = 0,
+    seed: int = SEED.default,
 ) -> GrapeResult:
     """Quasi-Newton GRAPE search for piecewise-constant controls realizing `target`.
 
@@ -473,14 +478,15 @@ def grape_optimize(
     iterate reaches the target, "max_iters" after max_iters iterates, and
     "converged" when a start takes no step (its gradient vanishes).
     """
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = SEED.check("seed", seed)
     if gcfg.segments * config.dim**2 > MAX_GRAPE_ELEMENTS:
         raise ValidationError(f"segments * dim^2 must be <= {MAX_GRAPE_ELEMENTS}: at most "
                               f"{MAX_GRAPE_ELEMENTS // config.dim**2} segments on this machine")
     target = np.asarray(target, dtype=complex)
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
+    if not is_unitary(target):
+        raise ValidationError("target must be unitary")
     h0 = internal_hamiltonian(config)
     controls, channels = control_operators(config)
     m = controls.shape[0]

@@ -5,8 +5,8 @@ delays, and instantaneous crusher gradients, executed against a spin
 system. RF segments evolve under H0 + H_rf, delays under H0 alone, and a
 crusher zeroes every off-diagonal element of the density matrix.
 `square_pulse` builds every RF segment that the compiler and the
-experiments play, and `check_pulse_amplitude` is the one check on the
-amplitude they are given.
+experiments play, and `PULSE_AMPLITUDE` is the one domain of the amplitude
+they are given.
 
 One propagation path: the Hamiltonians of the timed events are stacked from
 the machine's cached, read-only operators (`spinsys.rf_hamiltonian` once
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import DensityMatrix, _check_density
+from .quantum import DensityMatrix, Option, _check_density
 from .spinsys import SpinSystemConfig, rf_hamiltonian
 
 
@@ -55,11 +55,9 @@ class RfSegment:
             raise ValidationError("amplitude/phase lists differ in length")
 
 
-def check_pulse_amplitude(amp_hz: float) -> float:
-    """A pulse amplitude, Hz, as a float if in (0, inf); nan fails too."""
-    if not 0 < amp_hz < np.inf:
-        raise ValidationError("pulse amplitude must be > 0 and finite")
-    return float(amp_hz)
+# A pulse amplitude, Hz; the compiler and the scans each have their own default
+PULSE_AMPLITUDE = Option(kind=float, rule="pulse amplitude must be > 0 and finite",
+                         ok=lambda amp_hz: 0 < amp_hz < math.inf)
 
 
 def square_pulse(config: SpinSystemConfig, phases: Mapping[int, float], duration_s: float,

@@ -17,16 +17,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (Crusher, Delay, PulseProgram, _evolve_stack, check_pulse_amplitude,
+from .dynamics import (PULSE_AMPLITUDE, Crusher, Delay, PulseProgram, _evolve_stack,
                        evolve_program, square_pulse)
 from .errors import FitError, ValidationError
 from .measurement import _line_table
-from .quantum import DensityMatrix
+from .quantum import DensityMatrix, Option
 from .spinsys import SpinSystemConfig, thermal_state
 
 # Pulses in the spatial-averaging sequence are meant to be instantaneous
 # rotations; this amplitude keeps J evolution during them below 1e-9.
 PPS_PULSE_AMP_HZ = 1e13
+SCAN_AMP_HZ = 12.5e3  # the scans' default pulse amplitude
+# The half-width of a static offset inhomogeneity, Hz: the T2 echo's ensemble spans twice it
+OFFSET_SPREAD = Option(0.0, kind=float, ok=lambda spread: np.isfinite(2.0 * spread),
+                       rule="offset spread (the ensemble's half-width) and twice it must be finite")
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ def rabi_calibration(
     durations = np.asarray(sorted(durations_s), dtype=float)
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
-    amp, c = check_pulse_amplitude(amplitude_hz), config.channel_index(channel)
+    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
     pulses = [square_pulse(config, {c: 0.0}, t, amp) for t in durations]
     states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
     y = np.abs(_channel_signal(states, config, channel))
@@ -201,8 +205,8 @@ def relaxation_experiment(
     channel: str,
     mode: str,
     delays_s: Sequence[float],
-    amplitude_hz: float = 12.5e3,
-    offset_spread_hz: float = 0.0,
+    amplitude_hz: float = SCAN_AMP_HZ,
+    offset_spread_hz: float = OFFSET_SPREAD.default,
     ensemble_points: int = 11,
 ) -> ScanResult:
     """Inversion-recovery T1 or spin-echo T2 measurement on one channel.
@@ -219,12 +223,10 @@ def relaxation_experiment(
     delays = np.asarray(sorted(delays_s), dtype=float)
     if delays.size < 5:
         raise ValidationError("need at least 5 delays")
-    spread = float(offset_spread_hz)
-    if not np.isfinite(2.0 * spread):
-        raise ValidationError(f"offset spread {spread:g}: it and the ensemble width must be finite")
+    spread = OFFSET_SPREAD.check("offset_spread_hz", offset_spread_hz)
     if spread and not (isinstance(ensemble_points, (int, np.integer)) and ensemble_points >= 2):
         raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
-    amp, c = check_pulse_amplitude(amplitude_hz), config.channel_index(channel)
+    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
     p90 = square_pulse(config, {c: 0.0}, 1.0 / (4.0 * amp), amp)
     if mode == "T1":
         p180 = square_pulse(config, {c: 0.0}, 1.0 / (2.0 * amp), amp)

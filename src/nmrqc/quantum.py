@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -142,6 +143,47 @@ def write(obj, declared: Mapping) -> dict:
     return doc
 
 
+# The values of each kind of Option, as JSON has them: a bool is no number, 2.0 no integer
+_OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
+
+
+@dataclass(frozen=True)
+class Option:
+    """A parameter's one domain, declared by the layer that reads it: its default and its
+    values, the `choices` if given, else the values of `kind` (`listed`: lists of one or
+    more) for which `ok` holds, as `rule` says."""
+
+    default: object = None
+    choices: tuple = ()
+    kind: type = str
+    rule: str = ""
+    ok: Callable[[object], bool] = lambda value: True
+    listed: bool = False
+
+    def check(self, name: str, value):
+        """value as a `kind` (`listed`: a list of them) if declared, else ValidationError."""
+        ok = (lambda v: v in self.choices) if self.choices else self.ok
+        try:
+            raw = list(value) if self.listed else [value]
+            values = [self.kind(v) for v in raw
+                      if isinstance(v, _OF_KIND[self.kind]) and type(v) is not bool]
+            if raw and len(values) == len(raw) and all(map(ok, values)):
+                return values if self.listed else values[0]
+        except (TypeError, OverflowError):  # not a list; an integer past the float range
+            pass
+        raise ValidationError(self.rule or f"{name} must be one of {self.choices}")
+
+    def parse(self, text: str):
+        """The CLI's argparse type: `check` of a text as a `kind` (`listed`: a comma list)."""
+        try:
+            return self.check("", [self.kind(t) for t in text.split(",") if t.strip()]
+                              if self.listed else self.kind(text))
+        except (ValueError, ValidationError):
+            rule = self.rule or f"must be one of {self.choices}"
+            raise ValidationError(f"bad {self.kind.__name__}{' list' * self.listed} {text!r}: "
+                                  f"{rule}") from None
+
+
 def is_unitary(m: np.ndarray) -> bool:
     """Whether m m^dagger = I within UNITARITY_TOL; False, not an overflow, for huge entries."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,6 +208,8 @@ def embed(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     k = len(targets)
     if u.shape != (2**k, 2**k):
         raise ValidationError("matrix size does not match target count")
+    if not set(targets) <= set(range(1, n + 1)):
+        raise ValidationError(f"targets {tuple(targets)} outside 1..{n}")
     # I (x) u with the other qubits first and the targets last, then the
     # tensor axes permuted back to qubit order.
     r = 2 ** (n - k)

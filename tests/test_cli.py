@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 
 import nmrqc
 from conftest import make_weak_config, random_density_matrix, random_unitary
-from nmrqc import algorithms, cli, control, measurement, quantum, spinsys
+from nmrqc import algorithms, cli, control, dynamics, experiments, measurement, quantum, spinsys
 from nmrqc.cli import _canonical, build_parser, main
 from nmrqc.control import _GATES, MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
 from nmrqc.dynamics import evolve_program, program_unitary
-from nmrqc.errors import ValidationError
-from nmrqc.quantum import DensityMatrix
+from nmrqc.errors import NmrqcError, ValidationError
+from nmrqc.quantum import DensityMatrix, Option
 from nmrqc.spinsys import preset
 
 
@@ -313,14 +313,27 @@ class TestGrapeInputErrors:
         (["simulate", "--circuit", "{doc}"], {"n": float("inf"), "gates": []}),
         (["simulate", "--circuit", "{doc}"], {"n": 1, "gates": [
             {"name": "U", "targets": [1], "matrix": {"re": np.eye(2).tolist(), "im": 1e999}}]}),
+        # targets off gemini's qubits 1 and 2, which the one routine placing gates checks
+        (["grape", "--gate", "X90", "--targets", "5"], None),
+        (["grape", "--gate", "X90", "--targets", "0"], None),
+        (["grape", "--gate", "X90", "--targets=-1"], None),
+        (["grape", "--gate", "CNOT", "--targets", "1,3"], None),
+        # targets that are not unitary: 2 I ran to a fidelity of 1.117, 0 to 0, with exit 0
+        (["grape", "--unitary", "{doc}"], {"re": (2 * np.eye(4)).tolist(),
+                                           "im": np.zeros((4, 4)).tolist()}),
+        (["grape", "--unitary", "{doc}"], {"re": np.zeros((4, 4)).tolist(),
+                                           "im": np.zeros((4, 4)).tolist()}),
     ], ids=["grape_targets_abc", "grape_duration_1e308", "dqc1_no_unitary", "unitary_1e308",
             "state_1e308", "state_n_inf", "state_nan", "state_n_1e30", "circuit_n_inf",
-            "unitary_gate_inf"])
+            "unitary_gate_inf", "grape_target_5", "grape_target_0", "grape_target_-1",
+            "grape_targets_1_3", "grape_unitary_2I", "grape_unitary_0"])
     def test_bad_request(self, tmp_path, capsys, argv, doc):
-        # inputs TestErrorContractFuzz drew: one line each, no traceback or numpy warning
+        # inputs TestErrorContractFuzz drew, and GRAPE targets off the register or not
+        # unitary: one line each, no traceback or numpy warning, and no output directory
         path = write_json(tmp_path / "doc.json", doc)
         rc = main([a.format(doc=path) for a in argv] + ["--out", str(tmp_path / "out")])
         self.assert_one_line_exit_2(rc, capsys)
+        assert not (tmp_path / "out").exists()
 
 
 def machine_file(tmp_path, edit):
@@ -808,16 +821,18 @@ class TestErrorContractFuzz:
 # Declared domain of each value-taking CLI option: (values inside, values outside).
 POSITIVE = (["1e-9", "2.5e4", "1e308"],
             ["0", "-0.0", "-5", "nan", "inf", "-inf", "1e999", "abc", ""])
-FINITE = (["0", "-200", "1e308", "-1e308"], ["nan", "inf", "-inf", "1e999", "x", ""])
+# the offset spread: finite, and so is the ensemble width, twice it
+SPREAD = (["0", "-200", "8e307", "-8e307"],
+          ["nan", "inf", "-inf", "1e999", "1e308", "-1e308", "x", ""])
 FLOATS = (["1e-5", "1e-5,2e-5", "-1,0,1e308", " 3 , 4 "],
           ["nan", "1,inf", "1,-inf,2", "1,abc", "1;2", "0x10", "", ","])
 INTS = (["1", "1,2", "-3,0,7"], ["1.5,2", "1e3", "one", "1,nan", "0x1", "", ","])
 ORACLE_DOMAINS = {
     "--pulse-amp-hz": POSITIVE, "--amp-hz": POSITIVE, "--duration-s": POSITIVE,
-    "--offset-spread-hz": FINITE,
+    "--offset-spread-hz": SPREAD,
     "--seed": (["0", "7", "123456789"], ["-1", "1.5", "1e3", "nan", "inf", "", "one"]),
     "--max-iters": (["0", "3"], ["-1", "2.5", "1e3", "nan", ""]),
-    "--segments": (["1", "100"], ["0", "-3", "2.0", "inf", ""]),
+    "--segments": (["1", "100", "1048576"], ["0", "-3", "2.0", "inf", "", "1048577", "9" * 400]),
     "--durations": FLOATS, "--delays": FLOATS, "--params": FLOATS, "--omega-t": FLOATS,
     "--targets": INTS,
     "--l-values": (["1", "1,2", "1000", " 7 ,3"], ["0", "-3,0,7", "1001", "1,2000", *INTS[1]]),
@@ -906,7 +921,6 @@ class TestDeclaredDomains:
             assert not (Path(tmp) / "out").exists()
 
     def test_every_option_has_a_domain(self):
-        domain_code = cli._domain(int, "").__code__  # the code of every type _domain makes
         leaves = list(leaf_parsers(build_parser()))
         assert len(leaves) == 16  # 4 commands, 4 experiments, 8 algorithms
         undeclared, unfuzzed = [], set()
@@ -915,9 +929,11 @@ class TestDeclaredDomains:
                 names = set(action.option_strings)
                 if action.nargs == 0 or names & LABEL_OPTIONS:
                     continue
-                if getattr(action.type, "__code__", None) is domain_code:
+                if action.choices is not None:  # argparse checks the choices
+                    continue
+                if getattr(action.type, "__func__", None) is Option.parse:  # a declaration's
                     unfuzzed |= names - set(ORACLE_DOMAINS)
-                elif action.choices is None:
+                else:
                     undeclared.append((leaf.prog, *names))
         assert not undeclared
         assert not unfuzzed  # the oracle draws from every declared domain
@@ -1124,6 +1140,62 @@ def package_objects(draw):
                                    min_size=n_params, max_size=n_params))
             gates.append(Gate(name, tuple(targets[:k]), tuple(params)))
     return Circuit(n, tuple(gates)), Circuit.from_json_dict
+
+
+# Each parameter that a library layer declares and the CLI parses by that declaration: its
+# declaration, a request that reads the option, and the library call that checks a value
+LIBRARY_PARAMETERS = {
+    "--pulse-amp-hz": (dynamics.PULSE_AMPLITUDE, "compile --circuit=c.json",
+                       lambda v: compile_circuit(Circuit(2, ()), preset("gemini"), v)),
+    "--segments": (control.GRAPE_OPTIONS["segments"], "grape --gate=X90",
+                   lambda v: control.GrapeConfig(segments=v, dt_s=1e-5)),
+    "--max-iters": (control.GRAPE_OPTIONS["max_iters"], "grape --gate=X90",
+                    lambda v: control.GrapeConfig(segments=4, dt_s=1e-5, max_iters=v)),
+    "--target-fidelity": (control.GRAPE_OPTIONS["target_fidelity"], "grape --gate=X90",
+                          lambda v: control.GrapeConfig(segments=4, dt_s=1e-5,
+                                                        target_fidelity=v)),
+    "--initial": (control.GRAPE_OPTIONS["initial"], "grape --gate=X90",
+                  lambda v: control.GrapeConfig(segments=4, dt_s=1e-5, initial=v)),
+    "--seed": (control.SEED, "grape --gate=X90",
+               lambda v: control.grape_optimize(np.eye(4), preset("gemini"), control.GrapeConfig(
+                   segments=1, dt_s=1e-5, max_iters=0), seed=v)),
+    "--offset-spread-hz": (experiments.OFFSET_SPREAD, "experiment t2",
+                           lambda v: experiments.relaxation_experiment(
+                               preset("gemini"), "1H", "T2", [1e-3, 2e-3, 4e-3, 8e-3, 16e-3],
+                               offset_spread_hz=v, ensemble_points=2)),
+    "--epsilon": (algorithms.EPSILON, "algorithm dqc1 --unitary=u.json",
+                  lambda v: algorithms.dqc1_trace(np.eye(2), v)),
+}
+NUMBERS = st.one_of(st.integers(-3, 3), st.integers(), st.floats(-2.0, 2.0), st.floats(),
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+class TestOneDomainPerParameter:
+    @pytest.mark.parametrize("name", list(LIBRARY_PARAMETERS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_library_rejects_exactly_what_the_parser_rejects(self, name, data):
+        option, words, call = LIBRARY_PARAMETERS[name]
+        value = data.draw(st.one_of(NUMBERS, st.booleans(), NUMBERS.map(str),
+                                    st.sampled_from(option.choices or [""])))
+        # what a user types for the value: a string option's string itself, any other value
+        # its JSON literal, so that a string is quoted, True is true and nan is NaN
+        text = value if option.kind is str and isinstance(value, str) else json.dumps(value)
+        says = option.rule or f"must be one of {option.choices}"
+        try:
+            ORACLE_PARSER.parse_args([*words.split(), f"{name}={text}", "--out", "out"])
+            parsed = True
+        except ValidationError as exc:
+            assert str(exc).endswith(says)
+            parsed = False
+        try:
+            call(value)
+            rejected = False
+        except ValidationError as exc:  # rejected as the declaration says, or later
+            rejected = str(exc).endswith(says)
+        except NmrqcError:  # a value inside the domain can still fail the run: a FitError
+            rejected = False
+        assert rejected == (not parsed), (value, text)
 
 
 class TestOnePathPerJob:

@@ -155,6 +155,17 @@ class TestEmbedMatrix:
             max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
         assert np.array_equal(embed(u, targets, n), embed_by_permutation(u, targets, n))
 
+    @pytest.mark.parametrize("targets", [(0,), (3,), (-1,), (2, 3), (0, 1)])
+    def test_targets_off_the_register_are_rejected(self, targets):
+        d = 2 ** len(targets)
+        with pytest.raises(ValidationError, match=r"outside 1\.\.2"):
+            embed(np.eye(d), targets, 2)
+
+    def test_a_gate_off_the_register_has_no_matrix(self):
+        # a Gate alone does not know the register; its matrix does
+        with pytest.raises(ValidationError, match=r"targets \(3,\) outside 1\.\.2"):
+            gate_matrix(Gate("X", (3,)), 2)
+
 
 class TestCircuitUnitary:
     def test_bell_circuit(self):

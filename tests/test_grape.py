@@ -170,6 +170,14 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             grape_optimize(np.eye(8), cfg, GrapeConfig(segments=4, dt_s=1e-5), seed=0)
 
+    @pytest.mark.parametrize("target", [2 * np.eye(4), np.zeros((4, 4)), np.diag([1, 1, 1, 0.9]),
+                                        np.full((4, 4), np.nan)],
+                             ids=["twice_identity", "zero", "contraction", "nan"])
+    def test_target_must_be_unitary(self, target):
+        # a fidelity against a non-unitary target is no gate fidelity: 2 I read 1.117
+        with pytest.raises(ValidationError, match="target must be unitary"):
+            grape_optimize(target, small_system(), GrapeConfig(segments=4, dt_s=1e-5), seed=0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
     def test_seed_not_a_nonnegative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed"):

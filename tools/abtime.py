@@ -175,6 +175,16 @@ def _grape_evaluation(nmrqc):
                                                               4e-4 / 16)
 
 
+def _build_parser(nmrqc):
+    """The CLI's parser built and the README's grape request parsed, as every CLI run starts:
+    the option declarations read, and the triangulum preset loaded from its file."""
+    cli = importlib.import_module(f"{nmrqc.__name__}.cli")
+    argv = ["grape", "--gate", "X90", "--targets", "1", "--machine", "triangulum",
+            "--segments", "100", "--duration-s", "1.5e-3", "--target-fidelity", "0.995",
+            "--seed", "1", "--out", "run/"]
+    return lambda: cli.build_parser().parse_args(argv)
+
+
 # target name -> builder: given one tree's package, the zero-argument call to time
 TARGETS = {
     "measurement.tomography:gemini": _tomography("gemini"),
@@ -194,6 +204,7 @@ TARGETS = {
     "algorithms.runner:run_grover4": _grover4,
     "algorithms.runner:run_deutsch": _deutsch,
     "quantum.documents": _documents,
+    "cli.build_parser": _build_parser,
 }
 
 
