@@ -12,7 +12,7 @@ one `evolve_programs` batch. The CLI reads its algorithm options from the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .dynamics import evolve_programs
 from .errors import ValidationError
 from .measurement import tomography
 from .quantum import (
+    FINITE_NUMBERS,
     SIGMA_Z,
     DensityMatrix,
     Ket,
@@ -87,14 +88,15 @@ class Algorithm:
     qubits: Callable[[dict], int] = lambda options: 2
 
 
+PATH = Option("ideal", ("ideal", "pulse"), rule='path must be "ideal" or "pulse"')
+
+
 def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
              relaxation: bool = False,
              pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ) -> list[DensityMatrix]:
     """Each circuit's final state from |0...0>; on the pulse path from one batch."""
-    if path not in ("ideal", "pulse"):
-        raise ValidationError('path must be "ideal" or "pulse"')
     rho0 = DensityMatrix.basis(config.n, 0)
-    if path == "ideal":
+    if PATH.check("path", path) == "ideal":
         return [rho0.evolved(circuit_unitary(c, config), validate=True) for c in circuits]
     programs = [compile_circuit(c, config, pulse_amp_hz) for c in circuits]
     return evolve_programs(rho0, programs, relaxation)
@@ -117,7 +119,7 @@ DEUTSCH_CASES = ("f1", "f2", "f3", "f4")
 
 def run_deutsch(
     f_case: str,
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> AlgorithmReport:
@@ -153,7 +155,7 @@ def _grover_r1_gates(target_bits: str) -> list[Gate]:
 
 def run_grover4(
     target: int,
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> AlgorithmReport:
@@ -180,7 +182,7 @@ def _grover4_report(options, machine, path, circuits, states) -> AlgorithmReport
 
 def run_bernstein_vazirani(
     a: str,
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> AlgorithmReport:
@@ -254,7 +256,7 @@ def _fit_cos_frequency(ls: np.ndarray, values: np.ndarray) -> float:
 def run_counting(
     case: str,
     l_values: Sequence[int],
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> AlgorithmReport:
@@ -303,7 +305,7 @@ def bell_ket(which: str) -> Ket:
 def prepare_bell(
     which: str,
     recipe: str = "cnot",
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> AlgorithmReport:
@@ -347,7 +349,7 @@ def _qho_target_unitary(omega_t: float) -> np.ndarray:
 def simulate_qho(
     initial: str,
     omega_t_values: Sequence[float],
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> list[AlgorithmReport]:
@@ -428,7 +430,7 @@ _CNOT_INPUTS = ("00", "01", "10", "11")
 
 def cnot_truth_table(
     direction: str = "12",
-    path: str = "ideal",
+    path: str = PATH.default,
     config: Optional[SpinSystemConfig] = None,
     relaxation: bool = False,
 ) -> list[dict]:
@@ -482,21 +484,21 @@ ALGORITHMS = {
     "qho": Algorithm(
         {"initial": Option("n0", tuple(_QHO_PREPARATIONS)),
          # ten points to 2 pi, at the 12 significant digits of a report
-         "omega_t": Option(tuple(float(f"{0.1 * k * 2 * np.pi:.12g}") for k in range(1, 11)),
-                           kind=float, listed=True, ok=np.isfinite,
-                           rule="omega_t: need one or more values, all finite")},
+         "omega_t": replace(FINITE_NUMBERS, rule=f"omega_t: {FINITE_NUMBERS.rule}", default=tuple(
+             float(f"{0.1 * k * 2 * np.pi:.12g}") for k in range(1, 11)))},
         _qho_circuits, _qho_report),
     "cnot-table": Algorithm({"direction": Option("12", ("12", "21"))},
                             _cnot_table_circuits, _cnot_table_report),
 }
 
 
-def run(name: str, path: str = "ideal", config: Optional[SpinSystemConfig] = None,
+def run(name: str, path: str = PATH.default, config: Optional[SpinSystemConfig] = None,
         relaxation: bool = False, **options):
-    """The report of ALGORITHMS[name] with every one of its `options` on `config` (default:
-    the gemini preset): the options are checked, and the circuits executed once."""
+    """The report of ALGORITHMS[name] with its `options`, each one not given at its default, on
+    `config` (default: the gemini preset): the options are checked, the circuits executed once."""
     algorithm = ALGORITHMS[name]
-    options = {key: algorithm.options[key].check(key, value) for key, value in options.items()}
+    given = {key: option.default for key, option in algorithm.options.items()} | options
+    options = {key: algorithm.options[key].check(key, value) for key, value in given.items()}
     machine = config if config is not None else preset("gemini")
     n = algorithm.qubits(options)
     if machine.n != n:

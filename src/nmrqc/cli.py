@@ -26,21 +26,9 @@ from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .dynamics import PULSE_AMPLITUDE
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import (COMPLEX, DensityMatrix, Option, complex_json, complex_matrix, pauli_expand,
-                      read, state_fidelity)
+from .quantum import (COMPLEX, FINITE_NUMBERS, DensityMatrix, Option, complex_json, complex_matrix,
+                      pauli_expand, read, state_fidelity)
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
-
-# Log-spaced relaxation-delay grids used by `experiment t1|t2` when no
-# explicit delays are passed (seconds); they bracket the preset T1/T2 values.
-T1_DELAYS_S = (
-    20e-6, 50e-6, 100e-6, 200e-6, 400e-6, 1.2e-3, 4e-3, 12e-3,
-    50e-3, 200e-3, 1.0, 4.0, 15.0,
-)
-T2_DELAYS_S = tuple(
-    2.0 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3, 5e-3,
-                      20e-3, 80e-3, 320e-3, 1.5)
-)
-
 
 def _canonical(obj):
     """Make a report JSON-stable: floats to 12 significant digits, report objects as their
@@ -109,21 +97,18 @@ def _argument(option: Option, **given) -> dict:
                 help=option.rule or None) | given
 
 
-_FLOATS = Option(kind=float, listed=True, ok=np.isfinite,
-                 rule="need one or more values, all finite")
-
 # Options that only some subcommands read; each subcommand accepts just those it reads.
 _OPTIONS = {
     "--machine": dict(type=_machine, default="gemini",
                       help="machine config path or preset name (gemini, triangulum)"),
     "--seed": _argument(control.SEED),
-    "--path": dict(choices=("ideal", "pulse"), default="ideal"),
+    "--path": dict(choices=algorithms.PATH.choices, default=algorithms.PATH.default),
     "--relaxation": dict(choices=("on", "off"), default="off"),
     "--pulse-amp-hz": _argument(PULSE_AMPLITUDE, default=control.DEFAULT_PULSE_AMP_HZ),
     "--channel": dict(help="nucleus label (default: first channel)"),
     "--amp-hz": _argument(PULSE_AMPLITUDE, default=experiments.SCAN_AMP_HZ),
-    "--durations": _argument(_FLOATS, help="comma-separated pulse durations in s"),
-    "--delays": _argument(_FLOATS, help="comma-separated delays in s"),
+    "--durations": _argument(FINITE_NUMBERS, help="comma-separated pulse durations in s"),
+    "--delays": _argument(FINITE_NUMBERS, help="comma-separated delays in s"),
     "--offset-spread-hz": _argument(experiments.OFFSET_SPREAD),
 }
 
@@ -225,20 +210,12 @@ def _cmd_experiment(args) -> list[Path]:
         "channel": channel,
     }
     if args.experiment == "rabi":
-        durations = args.durations or list(np.linspace(0.0, 2.0 / args.amp_hz, 17)[1:])
-        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, durations)
+        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, args.durations)
         fit_report.update(amplitude_hz=args.amp_hz, t90_s=t90, t180_s=t180)
     else:
-        mode = "T1" if args.experiment == "t1" else "T2"
-        delays = args.delays or list(T1_DELAYS_S if mode == "T1" else T2_DELAYS_S)
         scan = experiments.relaxation_experiment(
-            cfg,
-            channel,
-            mode,
-            delays,
-            amplitude_hz=args.amp_hz,
-            offset_spread_hz=args.offset_spread_hz,
-        )
+            cfg, channel, args.experiment.upper(), args.delays, amplitude_hz=args.amp_hz,
+            offset_spread_hz=args.offset_spread_hz)
     fit_report["fit"] = {"model": scan.fit.model, "params": scan.fit.params,
                          "residual": scan.fit.residual}
     return [
@@ -294,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", **_argument(
         Option(kind=int, listed=True, rule="need one or more values, all integers"),
         help="comma-separated qubit indices (default 1)"))
-    p.add_argument("--params", **_argument(_FLOATS, help="comma-separated gate parameters"))
+    p.add_argument("--params", **_argument(FINITE_NUMBERS, help="comma-separated gate parameters"))
     p.add_argument("--duration-s", **_argument(Option(
         1.5e-3, kind=float, rule="duration must be > 0 and finite", ok=lambda v: 0 < v < np.inf)))
     p.set_defaults(func=_cmd_grape)

@@ -83,6 +83,9 @@ class Gate:
             raise ValidationError(f"unknown gate {self.name!r}")
         # U acts on as many targets as its matrix has qubits
         n_targets, n_params, _ = _GATES.get(self.name, (len(self.targets), 0, None))
+        if not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in self.targets):
+            raise ValidationError(f"gate {self.name}: targets must be integers")
+        object.__setattr__(self, "targets", tuple(map(int, self.targets)))
         if len(self.targets) != n_targets:
             raise ValidationError(f"gate {self.name} takes {n_targets} target(s)")
         if len(set(self.targets)) != len(self.targets):
@@ -379,6 +382,7 @@ GRAPE_OPTIONS = {
     "initial": Option("random", ("random", "constant")),
 }
 SEED = Option(0, kind=int, rule="seed must be an integer >= 0", ok=lambda v: v >= 0)
+SEGMENT_DT = Option(kind=float, rule="dt_s must be finite and > 0", ok=lambda v: 0 < v < np.inf)
 
 
 @dataclass(frozen=True)
@@ -399,10 +403,8 @@ class GrapeConfig:
     initial: str = GRAPE_OPTIONS["initial"].default
 
     def __post_init__(self):
-        for key, option in GRAPE_OPTIONS.items():
+        for key, option in {**GRAPE_OPTIONS, "dt_s": SEGMENT_DT}.items():
             object.__setattr__(self, key, option.check(key, getattr(self, key)))
-        if not (np.isfinite(self.dt_s) and self.dt_s > 0):
-            raise ValidationError("dt_s must be finite and > 0")
         # the optimizer starts from amplitude * duration; each segment rotates by 2*pi times it
         if not math.isfinite(2 * math.pi * GRAPE_RANDOM_AMP_HZ * self.duration_s):
             raise ValidationError("segments * dt_s too long: 2*pi*amplitude*duration overflows")

@@ -21,7 +21,7 @@ from .dynamics import (PULSE_AMPLITUDE, Crusher, Delay, PulseProgram, _evolve_st
                        evolve_program, square_pulse)
 from .errors import FitError, ValidationError
 from .measurement import _line_table
-from .quantum import DensityMatrix, Option
+from .quantum import FINITE_NUMBERS, DensityMatrix, Option
 from .spinsys import SpinSystemConfig, thermal_state
 
 # Pulses in the spatial-averaging sequence are meant to be instantaneous
@@ -31,6 +31,13 @@ SCAN_AMP_HZ = 12.5e3  # the scans' default pulse amplitude
 # The half-width of a static offset inhomogeneity, Hz: the T2 echo's ensemble spans twice it
 OFFSET_SPREAD = Option(0.0, kind=float, ok=lambda spread: np.isfinite(2.0 * spread),
                        rule="offset spread (the ensemble's half-width) and twice it must be finite")
+# The default delays of the T1 and T2 scans by mode, s: log-spaced, they bracket the presets' T1/T2
+DELAYS_S = {
+    "T1": (20e-6, 50e-6, 100e-6, 200e-6, 400e-6, 1.2e-3, 4e-3, 12e-3,
+           50e-3, 200e-3, 1.0, 4.0, 15.0),
+    "T2": tuple(2.0 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3, 5e-3,
+                                  20e-3, 80e-3, 320e-3, 1.5)),
+}
 
 
 @dataclass(frozen=True)
@@ -180,18 +187,21 @@ def _channel_signal(states: np.ndarray, config: SpinSystemConfig, channel: str) 
 
 
 def rabi_calibration(
-    config: SpinSystemConfig, channel: str, amplitude_hz: float, durations_s: Sequence[float]
+    config: SpinSystemConfig, channel: str, amplitude_hz: float = SCAN_AMP_HZ,
+    durations_s: Optional[Sequence[float]] = None,
 ) -> tuple[ScanResult, float, float]:
     """Nutation-curve pulse calibration at fixed power.
 
-    Plays a resonant pulse of each duration on the thermal state, records
-    the transverse magnitude, fits A|sin(pi t / t180)|, and returns
-    (scan, t90, t180).
+    Plays a resonant pulse of each duration (default: 16 over two periods at
+    amplitude_hz) on the thermal state, records the transverse magnitude,
+    fits A|sin(pi t / t180)|, and returns (scan, t90, t180).
     """
-    durations = np.asarray(sorted(durations_s), dtype=float)
+    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
+    if durations_s is None:
+        durations_s = np.linspace(0.0, 2.0 / amp, 17)[1:]
+    durations = np.asarray(sorted(FINITE_NUMBERS.check("durations_s", durations_s)))
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
-    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
     pulses = [square_pulse(config, {c: 0.0}, t, amp) for t in durations]
     states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
     y = np.abs(_channel_signal(states, config, channel))
@@ -204,7 +214,7 @@ def relaxation_experiment(
     config: SpinSystemConfig,
     channel: str,
     mode: str,
-    delays_s: Sequence[float],
+    delays_s: Optional[Sequence[float]] = None,
     amplitude_hz: float = SCAN_AMP_HZ,
     offset_spread_hz: float = OFFSET_SPREAD.default,
     ensemble_points: int = 11,
@@ -216,11 +226,13 @@ def relaxation_experiment(
     T2: [90x, delay t/2, 180y, delay t/2], recording the transverse
     magnitude, fitted to A e^(-t/T2). A nonzero offset_spread_hz simulates
     static field inhomogeneity as a symmetric ensemble of ensemble_points >= 2
-    molecule offsets whose signals are averaged; the echo refocuses it.
+    molecule offsets whose signals are averaged; the echo refocuses it. The
+    delays default to DELAYS_S[mode].
     """
-    if mode not in ("T1", "T2"):
+    if mode not in tuple(DELAYS_S):
         raise ValidationError('mode must be "T1" or "T2"')
-    delays = np.asarray(sorted(delays_s), dtype=float)
+    delays = np.asarray(sorted(FINITE_NUMBERS.check(
+        "delays_s", DELAYS_S[mode] if delays_s is None else delays_s)))
     if delays.size < 5:
         raise ValidationError("need at least 5 delays")
     spread = OFFSET_SPREAD.check("offset_spread_hz", offset_spread_hz)
@@ -228,11 +240,10 @@ def relaxation_experiment(
         raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
     amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
     p90 = square_pulse(config, {c: 0.0}, 1.0 / (4.0 * amp), amp)
+    p180 = square_pulse(config, {c: 0.0 if mode == "T1" else np.pi / 2}, 1.0 / (2.0 * amp), amp)
     if mode == "T1":
-        p180 = square_pulse(config, {c: 0.0}, 1.0 / (2.0 * amp), amp)
         sequences = [(p180, Delay(t), p90) for t in delays.tolist()]
     else:
-        p180 = square_pulse(config, {c: np.pi / 2}, 1.0 / (2.0 * amp), amp)
         sequences = [(p90, half, p180, half) for half in map(Delay, (delays / 2.0).tolist())]
 
     deltas = np.linspace(-spread, spread, ensemble_points) if spread else np.zeros(1)

@@ -184,6 +184,11 @@ class Option:
                                   f"{rule}") from None
 
 
+# Lists of finite numbers: scan durations and delays, qho's omega_t, a gate's parameters on the CLI
+FINITE_NUMBERS = Option(kind=float, listed=True, ok=np.isfinite,
+                        rule="need one or more values, all finite")
+
+
 def is_unitary(m: np.ndarray) -> bool:
     """Whether m m^dagger = I within UNITARITY_TOL; False, not an overflow, for huge entries."""
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,6 +6,7 @@ import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1165,6 +1166,10 @@ LIBRARY_PARAMETERS = {
                                offset_spread_hz=v, ensemble_points=2)),
     "--epsilon": (algorithms.EPSILON, "algorithm dqc1 --unitary=u.json",
                   lambda v: algorithms.dqc1_trace(np.eye(2), v)),
+    "--durations": (quantum.FINITE_NUMBERS, "experiment rabi",
+                    lambda v: experiments.rabi_calibration(preset("gemini"), "1H", durations_s=v)),
+    "--delays": (quantum.FINITE_NUMBERS, "experiment t1",
+                 lambda v: experiments.relaxation_experiment(preset("gemini"), "1H", "T1", v)),
 }
 NUMBERS = st.one_of(st.integers(-3, 3), st.integers(), st.floats(-2.0, 2.0), st.floats(),
                     st.sampled_from([np.nan, np.inf, -np.inf]))
@@ -1176,12 +1181,22 @@ class TestOneDomainPerParameter:
     @given(data=st.data())
     def test_the_library_rejects_exactly_what_the_parser_rejects(self, name, data):
         option, words, call = LIBRARY_PARAMETERS[name]
-        value = data.draw(st.one_of(NUMBERS, st.booleans(), NUMBERS.map(str),
-                                    st.sampled_from(option.choices or [""])))
-        # what a user types for the value: a string option's string itself, any other value
-        # its JSON literal, so that a string is quoted, True is true and nan is NaN
-        text = value if option.kind is str and isinstance(value, str) else json.dumps(value)
+        values = st.one_of(NUMBERS, st.booleans(), NUMBERS.map(str),
+                           st.sampled_from(option.choices or [""]))
+        value = data.draw(st.one_of(st.lists(values, max_size=10), values) if option.listed
+                          else values)
         says = option.rule or f"must be one of {option.choices}"
+        if option.listed and not isinstance(value, list):
+            # the parser reads every text as a list, so no text is a bare value; the library
+            # rejects it as declared
+            with pytest.raises(ValidationError, match=f"^{re.escape(says)}$"):
+                call(value)
+            return
+        # what a user types for the value: a string option's string itself, any other value
+        # its JSON literal, so that a string is quoted, True is true and nan is NaN; a list
+        # its entries' texts, comma-separated
+        text = (",".join(map(json.dumps, value)) if option.listed
+                else value if option.kind is str and isinstance(value, str) else json.dumps(value))
         try:
             ORACLE_PARSER.parse_args([*words.split(), f"{name}={text}", "--out", "out"])
             parsed = True
@@ -1196,6 +1211,28 @@ class TestOneDomainPerParameter:
         except NmrqcError:  # a value inside the domain can still fail the run: a FitError
             rejected = False
         assert rejected == (not parsed), (value, text)
+
+
+class TestPathDomain:
+    @settings(max_examples=40, deadline=None)
+    @given(path=st.one_of(st.sampled_from(algorithms.PATH.choices), st.text(max_size=6),
+                          st.none(), st.booleans(), NUMBERS))
+    def test_the_runner_rejects_exactly_the_paths_outside_the_declaration(self, path):
+        try:
+            algorithms.run("deutsch", path=path)
+            rejected = False
+        except ValidationError as exc:
+            assert str(exc) == algorithms.PATH.rule
+            rejected = True
+        assert rejected == (path not in algorithms.PATH.choices)
+
+    def test_the_parser_takes_the_choices_and_default_from_the_declaration(self):
+        actions = [action for leaf in leaf_parsers(build_parser()) for action in leaf._actions
+                   if "--path" in action.option_strings]
+        assert len(actions) == 9  # simulate, tomography and the seven table algorithms
+        for action in actions:
+            assert action.choices == algorithms.PATH.choices
+            assert action.default == algorithms.PATH.default
 
 
 class TestOnePathPerJob:

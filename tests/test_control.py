@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 import tracemalloc
 from pathlib import Path
@@ -119,6 +120,22 @@ class TestGateMatrices:
             Gate("CNOT", (1, 1))
         with pytest.raises(ValidationError, match=r"repeated target in \(2, 2\)"):
             UNITARY(np.eye(4), 2, 2)
+
+    @pytest.mark.parametrize("target", [1.0, True, "1", None, np.float64(1.0), np.bool_(True)])
+    def test_a_target_that_is_no_integer_is_rejected(self, target):
+        with pytest.raises(ValidationError, match="^gate X: targets must be integers$"):
+            Gate("X", (target,))
+        with pytest.raises(ValidationError, match="^gate CNOT: targets must be integers$"):
+            Gate("CNOT", (2, target))
+
+    @pytest.mark.parametrize("target", [2, np.int64(2), np.uint8(2)])
+    def test_an_integer_target_is_written_as_one_and_reads_back(self, target):
+        gate = Gate("CNOT", (1, target))
+        assert gate.targets == (1, 2) and all(type(q) is int for q in gate.targets)
+        circuit = Circuit(2, (gate, Gate("Rx", (target,), (0.5,))))
+        doc = circuit.to_json_dict()
+        assert [g["targets"] for g in doc["gates"]] == [[1, 2], [2]]
+        assert Circuit.from_json_dict(json.loads(json.dumps(doc))) == circuit
 
 
 def embed_by_permutation(u, targets, n):

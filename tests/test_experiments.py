@@ -304,6 +304,46 @@ T2_DELAYS = [2 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3,
                              5e-3, 20e-3, 80e-3, 320e-3, 1.5)]
 
 
+RABI_DURATIONS = list(np.linspace(0.0, 2.0 / 12.5e3, 17)[1:])  # the README's rabi grid
+
+
+class TestDefaultScans:
+    """The scans run the README's grids when given no times, and hold times to finite lists."""
+
+    @staticmethod
+    def assert_same_scan(a, b):
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        assert a.fit.params == b.fit.params and a.fit.residual == b.fit.residual
+
+    def test_rabi_defaults_to_sixteen_durations_over_two_periods(self, gemini):
+        scan, t90, t180 = rabi_calibration(gemini, "1H")
+        written = rabi_calibration(gemini, "1H", 12.5e3, RABI_DURATIONS)
+        self.assert_same_scan(scan, written[0])
+        assert (t90, t180) == written[1:]
+
+    @pytest.mark.parametrize("mode, delays", [("T1", T1_DELAYS), ("T2", T2_DELAYS)])
+    def test_relaxation_defaults_to_the_readme_grid(self, gemini, mode, delays):
+        self.assert_same_scan(relaxation_experiment(gemini, "1H", mode),
+                              relaxation_experiment(gemini, "1H", mode, delays))
+
+    @pytest.mark.parametrize("bad", [True, "1e-3", 1e-5 + 1e-6j, np.nan, np.inf, None],
+                             ids=["bool", "string", "complex", "nan", "inf", "none"])
+    def test_a_time_outside_the_domain_is_rejected(self, gemini, bad):
+        with pytest.raises(ValidationError, match="^need one or more values, all finite$"):
+            rabi_calibration(gemini, "1H", 12.5e3, RABI_DURATIONS[:-1] + [bad])
+        with pytest.raises(ValidationError, match="^need one or more values, all finite$"):
+            relaxation_experiment(gemini, "1H", "T1", T1_DELAYS[:-1] + [bad])
+
+    @pytest.mark.parametrize("times", [1e-3, "1e-3,2e-3", [], np.full((8, 2), 1e-4),
+                                       np.linspace(1e-6, 1e-4, 16) + 0j],
+                             ids=["scalar", "string", "empty", "2d", "complex_array"])
+    def test_times_that_are_no_list_of_numbers_are_rejected(self, gemini, times):
+        with pytest.raises(ValidationError, match="^need one or more values, all finite$"):
+            rabi_calibration(gemini, "1H", 12.5e3, times)
+        with pytest.raises(ValidationError, match="^need one or more values, all finite$"):
+            relaxation_experiment(gemini, "1H", "T2", times)
+
+
 class TestRelaxationExperiments:
     def test_t1_recovery(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

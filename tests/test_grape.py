@@ -170,6 +170,17 @@ class TestOptimizer:
         with pytest.raises(ValidationError):
             grape_optimize(np.eye(8), cfg, GrapeConfig(segments=4, dt_s=1e-5), seed=0)
 
+    @pytest.mark.parametrize("dt_s", ["1e-4", True, None, 1e-4 + 0j, np.nan, np.inf, 0.0, -1e-5],
+                             ids=["string", "bool", "none", "complex", "nan", "inf", "zero",
+                                  "negative"])
+    def test_dt_s_outside_its_domain(self, dt_s):
+        with pytest.raises(ValidationError, match="^dt_s must be finite and > 0$"):
+            GrapeConfig(segments=4, dt_s=dt_s)
+
+    def test_dt_s_is_stored_as_a_float(self):
+        assert type(GrapeConfig(segments=4, dt_s=np.float64(1e-4)).dt_s) is float
+        assert GrapeConfig(segments=4, dt_s=1).dt_s == 1.0
+
     @pytest.mark.parametrize("target", [2 * np.eye(4), np.zeros((4, 4)), np.diag([1, 1, 1, 0.9]),
                                         np.full((4, 4), np.nan)],
                              ids=["twice_identity", "zero", "contraction", "nan"])
