@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 output I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -29,6 +30,7 @@ from .errors import FitError, NmrqcError, ValidationError
 from .quantum import (COMPLEX, FINITE_NUMBERS, DensityMatrix, Option, complex_json, complex_matrix,
                       pauli_expand, read, state_fidelity)
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
+
 
 def _canonical(obj):
     """Make a report JSON-stable: floats to 12 significant digits, report objects as their
@@ -60,10 +62,8 @@ def _write_atomic(path: Path, text: str):
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -137,9 +137,9 @@ def _add_common(parser: argparse.ArgumentParser, *options: str, declared=None):
 
 def _cmd_simulate(args) -> list[Path]:
     cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
-    (ideal,) = algorithms._execute([circuit], cfg, "ideal")
-    rho = ideal if args.path == "ideal" else algorithms._execute(
-        [circuit], cfg, "pulse", args.relaxation == "on", args.pulse_amp_hz)[0]
+    (ideal,) = algorithms._execute([circuit], cfg, algorithms.PATH.default)
+    rho = ideal if args.path == algorithms.PATH.default else algorithms._execute(
+        [circuit], cfg, args.path, args.relaxation == "on", args.pulse_amp_hz)[0]
     report = {
         "command": "simulate",
         "machine": cfg.name,
@@ -155,7 +155,8 @@ def _cmd_simulate(args) -> list[Path]:
 def _cmd_tomography(args) -> list[Path]:
     rho = _read_json(args.state, "state file", DensityMatrix.from_json_dict)
     recon, peak_tables = measurement.tomography_sweep(
-        rho, args.machine, compiled_readout=args.path == "pulse", pulse_amp_hz=args.pulse_amp_hz
+        rho, args.machine, compiled_readout=args.path != algorithms.PATH.default,
+        pulse_amp_hz=args.pulse_amp_hz,
     )
     report = {
         "command": "tomography",
@@ -214,8 +215,13 @@ def _cmd_experiment(args) -> list[Path]:
         fit_report.update(amplitude_hz=args.amp_hz, t90_s=t90, t180_s=t180)
     else:
         scan = experiments.relaxation_experiment(
-            cfg, channel, args.experiment.upper(), args.delays, amplitude_hz=args.amp_hz,
-            offset_spread_hz=args.offset_spread_hz)
+            cfg,
+            channel,
+            args.experiment.upper(),
+            args.delays,
+            amplitude_hz=args.amp_hz,
+            offset_spread_hz=args.offset_spread_hz,
+        )
     fit_report["fit"] = {"model": scan.fit.model, "params": scan.fit.params,
                          "residual": scan.fit.residual}
     return [

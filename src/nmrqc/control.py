@@ -437,10 +437,8 @@ class GrapeResult:
     def csv_text(self) -> str:
         buf = io.StringIO()
         buf.write("segment_index,channel,u_x_hz,u_y_hz\n")
-        for j in range(self.amplitudes_hz.shape[0]):
-            for ci, ch in enumerate(self.channels):
-                ux = self.amplitudes_hz[j, 2 * ci]
-                uy = self.amplitudes_hz[j, 2 * ci + 1]
+        for j, row in enumerate(self.amplitudes_hz):
+            for ch, ux, uy in zip(self.channels, row[0::2], row[1::2]):
                 buf.write(f"{j},{ch},{ux:.12g},{uy:.12g}\n")
         return buf.getvalue()
 

@@ -33,10 +33,14 @@ OFFSET_SPREAD = Option(0.0, kind=float, ok=lambda spread: np.isfinite(2.0 * spre
                        rule="offset spread (the ensemble's half-width) and twice it must be finite")
 # The default delays of the T1 and T2 scans by mode, s: log-spaced, they bracket the presets' T1/T2
 DELAYS_S = {
-    "T1": (20e-6, 50e-6, 100e-6, 200e-6, 400e-6, 1.2e-3, 4e-3, 12e-3,
-           50e-3, 200e-3, 1.0, 4.0, 15.0),
-    "T2": tuple(2.0 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3, 5e-3,
-                                  20e-3, 80e-3, 320e-3, 1.5)),
+    "T1": (
+        20e-6, 50e-6, 100e-6, 200e-6, 400e-6, 1.2e-3, 4e-3, 12e-3,
+        50e-3, 200e-3, 1.0, 4.0, 15.0,
+    ),
+    "T2": tuple(
+        2.0 * h for h in (10e-6, 20e-6, 40e-6, 80e-6, 160e-6, 500e-6, 1.5e-3, 5e-3,
+                          20e-3, 80e-3, 320e-3, 1.5)
+    ),
 }
 
 
@@ -198,6 +202,8 @@ def rabi_calibration(
     """
     amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
     if durations_s is None:
+        if not np.isfinite(2.0 / amp):
+            raise ValidationError("amplitude_hz too small: two periods at it overflow")
         durations_s = np.linspace(0.0, 2.0 / amp, 17)[1:]
     durations = np.asarray(sorted(FINITE_NUMBERS.check("durations_s", durations_s)))
     if durations.size < 8:

@@ -378,11 +378,9 @@ def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> Densit
     kept = sorted(keep_set)
     traced = [q for q in range(1, n + 1) if q not in keep_set]
     t = rho.matrix.reshape((2,) * (2 * n))
-    # row axis of qubit q is q-1, column axis is n+q-1
-    for num_done, q in enumerate(traced):
-        ax = q - 1 - sum(1 for p in traced[:num_done] if p < q)
-        cur_n = n - num_done
-        t = np.trace(t, axis1=ax, axis2=cur_n + ax)
+    # qubit q's axes are q-1 and n+q-1, less those of the lower qubits traced already
+    for done, q in enumerate(traced):
+        t = np.trace(t, axis1=q - 1 - done, axis2=n + q - 1 - 2 * done)
     d = 2 ** len(kept)
     return DensityMatrix(t.reshape(d, d))
 
@@ -414,9 +412,7 @@ def pauli_reconstruct(coefficients: Mapping[str, float]) -> DensityMatrix:
     for label, c in coefficients.items():
         if len(label) != n:
             raise ValidationError(f"string {label!r} has wrong length (expected {n})")
-        if label == ident:
-            continue
-        if c != 0.0:
+        if label != ident and c != 0.0:
             m += float(c) * pauli_string_matrix(label)
     return DensityMatrix(m / 2**n)
 
@@ -444,11 +440,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _dominant_eigvec(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return v[:, -1]
-
-
 def state_fidelity(a, b) -> float:
     """Fidelity between two states, each a Ket, DensityMatrix, or array.
 
@@ -459,14 +450,12 @@ def state_fidelity(a, b) -> float:
     """
     ma, va = _as_matrix(a)
     mb, vb = _as_matrix(b)
-    da = ma.shape[0]
-    db = mb.shape[0]
-    if da != db:
-        raise ValidationError(f"state dimensions differ: {da} vs {db}")
+    if len(ma) != len(mb):
+        raise ValidationError(f"state dimensions differ: {len(ma)} vs {len(mb)}")
     if not va and abs(np.real(np.trace(ma @ ma)) - 1.0) <= PURITY_TOL:
-        ma, va = _dominant_eigvec(ma), True
+        ma, va = np.linalg.eigh(ma)[1][:, -1], True  # the eigenvector of the top eigenvalue
     if not vb and abs(np.real(np.trace(mb @ mb)) - 1.0) <= PURITY_TOL:
-        mb, vb = _dominant_eigvec(mb), True
+        mb, vb = np.linalg.eigh(mb)[1][:, -1], True
     if va and vb:
         f = abs(np.vdot(ma, mb)) ** 2
     elif va:

@@ -972,9 +972,10 @@ class TestDeclaredDomains:
         (["algorithm", "dqc1", "--unitary", "u.json", "--epsilon", "2"],
          "epsilon must satisfy 0 < |epsilon| <= 1"),
         (["experiment", "rabi", "--amp-hz", "abc"], "pulse amplitude must be > 0 and finite"),
+        (["experiment", "rabi", "--amp-hz", "1e-309"], "amplitude_hz too small"),
         ([], "the following arguments are required: command"),
     ], ids=["path_bogus", "unread_option", "gate_and_unitary", "neither_gate_nor_unitary",
-            "epsilon_2", "amp_not_a_number", "no_command"])
+            "epsilon_2", "amp_not_a_number", "amp_subnormal", "no_command"])
     def test_parser_errors_are_one_line(self, tmp_path, argv, match):
         rc, err = run_main([*argv, "--out", str(tmp_path / "out")] if argv else argv)
         assert rc == 2

@@ -334,6 +334,13 @@ class TestDefaultScans:
         with pytest.raises(ValidationError, match="^need one or more values, all finite$"):
             relaxation_experiment(gemini, "1H", "T1", T1_DELAYS[:-1] + [bad])
 
+    def test_an_amplitude_too_small_for_the_default_durations_names_the_amplitude(self, gemini):
+        # 1e-309 is > 0 and finite, but two periods at it, 2 / 1e-309 s, overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^amplitude_hz too small"):
+                rabi_calibration(gemini, "1H", 1e-309)
+
     @pytest.mark.parametrize("times", [1e-3, "1e-3,2e-3", [], np.full((8, 2), 1e-4),
                                        np.linspace(1e-6, 1e-4, 16) + 0j],
                              ids=["scalar", "string", "empty", "2d", "complex_array"])

@@ -31,10 +31,10 @@ def non_blank_lines(text: str) -> int:
     return sum(1 for line in text.splitlines() if line.strip())
 
 
-def best_compile_s(source: str, filename: str, repeats: int = COMPILE_REPEATS) -> float:
-    """The fastest of `repeats` compiles of `source` to a code object, in s."""
+def best_compile_s(source: str, filename: str) -> float:
+    """The fastest of COMPILE_REPEATS compiles of `source` to a code object, in s."""
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(COMPILE_REPEATS):
         start = time.perf_counter()
         compile(source, filename, "exec", dont_inherit=True)
         best = min(best, time.perf_counter() - start)
