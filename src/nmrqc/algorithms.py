@@ -5,9 +5,9 @@ DQC1 trace estimation, and CNOT truth tables.
 `ALGORITHMS` declares each algorithm but DQC1 once: its options, qubit count,
 circuits and report. `run` checks the options, executes the circuits on the
 ideal-unitary or compiled-pulse path starting from pseudo-pure |0...0> (treated as
-the pure state), and reports exact ensemble probabilities. Many circuits (counting
-over l, the oscillator over omega*t, the CNOT truth table) run on the pulse path as
-one `evolve_programs` batch. The CLI reads its algorithm options from the table.
+the pure state), and reports exact ensemble probabilities. A run executes its circuits
+as one checked (B, d, d) stack of states, whose rows the reports read (the CNOT truth
+table's in one tomography call). The CLI reads its algorithm options from the table.
 """
 
 from __future__ import annotations
@@ -38,14 +38,14 @@ from .control import (
 )
 from .dynamics import evolve_programs
 from .errors import ValidationError
-from .measurement import tomography
+from .measurement import _reconstruct
 from .quantum import (
     FINITE_NUMBERS,
     SIGMA_Z,
     DensityMatrix,
     Ket,
     Option,
-    bloch_vector,
+    _check_density,
     complex_json,
     is_unitary,
     partial_trace,
@@ -80,7 +80,7 @@ class AlgorithmReport:
 @dataclass(frozen=True)
 class Algorithm:
     """Options by name; circuits(options, machine); report(options, machine, path, circuits,
-    final states), an AlgorithmReport or a CLI report's body; the qubits the options need."""
+    final-state stack), an AlgorithmReport or a CLI report's body; the qubits the options need."""
 
     options: dict[str, Option]
     circuits: Callable
@@ -93,16 +93,18 @@ PATH = Option("ideal", ("ideal", "pulse"), rule='path must be "ideal" or "pulse"
 
 def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
              relaxation: bool = False,
-             pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ) -> list[DensityMatrix]:
-    """Each circuit's final state from |0...0>; on the pulse path from one batch."""
+             pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ) -> np.ndarray:
+    """The checked (B, d, d) stack of the circuits' final states from |0...0>, in one batch."""
     rho0 = DensityMatrix.basis(config.n, 0)
     if PATH.check("path", path) == "ideal":
-        return [rho0.evolved(circuit_unitary(c, config), validate=True) for c in circuits]
+        us = np.array([circuit_unitary(c, config) for c in circuits])
+        return _check_density(us @ rho0.matrix @ us.conj().swapaxes(-1, -2))
     programs = [compile_circuit(c, config, pulse_amp_hz) for c in circuits]
     return evolve_programs(rho0, programs, relaxation)
 
 
-def _report(algorithm, path, circuit, rho, derived, ideal=None) -> AlgorithmReport:
+def _report(algorithm, path, circuit, row, derived, ideal=None) -> AlgorithmReport:
+    rho = DensityMatrix(row, validate=False)  # a row of the checked stack
     return AlgorithmReport(
         algorithm=algorithm,
         path=path,
@@ -142,7 +144,7 @@ def _deutsch_circuits(options, machine) -> list[Circuit]:
 
 
 def _deutsch_report(options, machine, path, circuits, states) -> AlgorithmReport:
-    verdict = "balanced" if states[0].probabilities()["11"] > 0.5 else "constant"
+    verdict = "balanced" if states[0, 3, 3].real > 0.5 else "constant"  # reads |11>
     expected = "11" if options["case"] in ("f3", "f4") else "01"
     derived = {**options, "verdict": verdict, "expected_output": expected}
     return _report("deutsch", path, circuits[0], states[0], derived, Ket.from_bits(expected))
@@ -271,17 +273,16 @@ def run_counting(
 
 
 def _counting_report(options, machine, path, circuits, states) -> AlgorithmReport:
-    controls = [partial_trace(rho, {1}) for rho in states]
-    sigma_z_curve = [bloch_vector(control).z for control in controls]
-    control_diags = [[float(np.real(c.matrix[0, 0])), float(np.real(c.matrix[1, 1]))]
-                     for c in controls]
+    # qubit 1's populations: each state's diagonal, summed over qubit 2
+    populations = np.real(np.diagonal(states, axis1=1, axis2=2)).reshape(-1, 2, 2).sum(axis=2)
+    sigma_z = populations[:, 0] - populations[:, 1]
     ls = np.asarray(options["l_values"], dtype=float)
-    theta = _fit_cos_frequency(ls, np.asarray(sigma_z_curve))
+    theta = _fit_cos_frequency(ls, sigma_z)
     m_raw = 2.0 * np.sin(theta / 2.0) ** 2
     derived = {
         **options,
-        "sigma_z": sigma_z_curve,
-        "control_diagonals": control_diags,
+        "sigma_z": sigma_z.tolist(),
+        "control_diagonals": populations.tolist(),
         "theta_est": theta,
         "m_raw": m_raw,
         "m_est": int(round(m_raw)),
@@ -332,7 +333,8 @@ def _bell_circuits(options, machine) -> list[Circuit]:
 
 
 def _bell_report(options, machine, path, circuits, states) -> AlgorithmReport:
-    purities = [partial_trace(states[0], {q}).purity() for q in (1, 2)]
+    rho = DensityMatrix(states[0], validate=False)
+    purities = [partial_trace(rho, {q}).purity() for q in (1, 2)]
     derived = {**options, "reduced_purities": purities}
     return _report("bell", path, circuits[0], states[0], derived, bell_ket(options["which"]))
 
@@ -382,7 +384,7 @@ def _qho_report(options, machine, path, circuits, states) -> dict:
     points = []
     for omega_t, circuit, rho in zip(options["omega_t"], circuits, states):
         ideal_vec = _qho_target_unitary(omega_t) @ prep_u @ np.array([1, 0, 0, 0], complex)
-        coherence = complex(rho.matrix[0, 1])
+        coherence = complex(rho[0, 1])
         derived = {
             "initial": initial,
             "omega_t": omega_t,
@@ -451,10 +453,9 @@ def _cnot_table_circuits(options, machine) -> list[Circuit]:
 
 def _cnot_table_report(options, machine, path, circuits, states) -> dict:
     rows = []
-    for bits, rho in zip(_CNOT_INPUTS, states):
-        probs = tomography(rho, machine).probabilities()
-        output = max(probs, key=probs.get)
-        rows.append({"input": bits, "output": output, "probability": probs[output]})
+    for bits, rho in zip(_CNOT_INPUTS, _reconstruct(states, machine)[0]):
+        output, probability = max(rho.probabilities().items(), key=lambda item: item[1])
+        rows.append({"input": bits, "output": output, "probability": probability})
     return {"algorithm": "cnot-table", **options, "path": path, "rows": rows}
 
 
@@ -496,7 +497,10 @@ def run(name: str, path: str = PATH.default, config: Optional[SpinSystemConfig] 
         relaxation: bool = False, **options):
     """The report of ALGORITHMS[name] with its `options`, each one not given at its default, on
     `config` (default: the gemini preset): the options are checked, the circuits executed once."""
-    algorithm = ALGORITHMS[name]
+    algorithm = ALGORITHMS[Option(None, tuple(ALGORITHMS)).check(f"algorithm {name!r}", name)]
+    unknown = set(options) - set(algorithm.options)
+    if unknown:
+        raise ValidationError(f"{name}: unknown option {min(unknown)!r}")
     given = {key: option.default for key, option in algorithm.options.items()} | options
     options = {key: algorithm.options[key].check(key, value) for key, value in given.items()}
     machine = config if config is not None else preset("gemini")

@@ -138,8 +138,8 @@ def _add_common(parser: argparse.ArgumentParser, *options: str, declared=None):
 def _cmd_simulate(args) -> list[Path]:
     cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
     (ideal,) = algorithms._execute([circuit], cfg, algorithms.PATH.default)
-    rho = ideal if args.path == algorithms.PATH.default else algorithms._execute(
-        [circuit], cfg, args.path, args.relaxation == "on", args.pulse_amp_hz)[0]
+    rho = DensityMatrix(ideal if args.path == algorithms.PATH.default else algorithms._execute(
+        [circuit], cfg, args.path, args.relaxation == "on", args.pulse_amp_hz)[0], validate=False)
     report = {
         "command": "simulate",
         "machine": cfg.name,

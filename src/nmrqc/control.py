@@ -13,6 +13,7 @@ import cmath
 import dataclasses
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -92,8 +93,10 @@ class Gate:
             raise ValidationError(f"gate {self.name}: repeated target in {self.targets}")
         if len(self.params) != n_params:
             raise ValidationError(f"gate {self.name} takes {n_params} parameter(s)")
-        if any(not np.isfinite(p) for p in self.params):
-            raise ValidationError(f"gate {self.name}: parameters must be finite")
+        if not all(isinstance(p, (int, float)) and type(p) is not bool
+                   and abs(p) <= sys.float_info.max for p in self.params):  # exact for any int
+            raise ValidationError(f"gate {self.name}: parameters must be finite numbers")
+        object.__setattr__(self, "params", tuple(map(float, self.params)))
         if (self.matrix is None) == (self.name == "U"):
             raise ValidationError(f"gate {self.name}: only U takes a matrix, and U needs one")
         if self.matrix is not None:

@@ -12,12 +12,12 @@ One propagation path: the Hamiltonians of the timed events are stacked from
 the machine's cached, read-only operators (`spinsys.rf_hamiltonian` once
 over the distinct events) and propagated in one batched kernel call.
 `program_unitary` chains them, for compiled and GRAPE pulses alike;
-`_evolve_stack` runs any programs on one spin layout (a scan, or an
-algorithm's circuits) as one (B, d, d) stack of states: step s applies each
-program's s-th event to its row, with relaxation vectorized over the rows,
-and leaves a program that has ended as it is. Scans read the stack
-directly; `evolve_programs` wraps its rows as states, and `evolve_program`
-is its one-program case.
+`evolve_programs` runs any programs on one spin layout (a scan, or an
+algorithm's circuits) and returns one checked (B, d, d) stack of states:
+step s applies each program's s-th event to its row, with relaxation
+vectorized over the rows, and leaves a program that has ended as it is.
+The scans, the algorithm runners and tomography read the stack's rows;
+`evolve_program` is its one-program case, its row wrapped as a state.
 
 Relaxation, a tensor product of one-spin channels, is applied spin by spin
 for every spin count: a 2x2 `keep` factor on the stack plus a 2x2 `take`
@@ -184,9 +184,18 @@ def _timed_step(ms: np.ndarray, u: np.ndarray, keep=None, take=None) -> np.ndarr
     return ms if keep is None else _relaxation_map(ms, keep, take)
 
 
-def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],
-                  relaxation: bool = False) -> np.ndarray:
-    """`evolve_programs` as one (B, d, d) stack of checked states, row i from program i."""
+def evolve_programs(rho: DensityMatrix, programs: Sequence[PulseProgram],
+                    relaxation: bool = False) -> np.ndarray:
+    """Run each program from `rho`, all of them at once: the checked (B, d, d) stack of
+    final states, row i from program i.
+
+    The programs share one spin layout (nucleus labels, in order); machines may differ in
+    offsets, J, T1/T2 and polarization, and programs in their events, the events' kinds
+    and number included. Step s applies each program's s-th event to its row of the
+    stack: a timed event its propagator, from one batched kernel call over the distinct
+    (machine, event) pairs, then, if on, relaxation over its duration; a crusher its
+    crush. A program that has ended is left as it is.
+    """
     if not programs:
         return np.empty((0, *rho.matrix.shape), dtype=complex)
     config = programs[0].system
@@ -214,30 +223,15 @@ def _evolve_stack(rho: DensityMatrix, programs: Sequence[PulseProgram],
         if timed:
             r, at = rows[at:at + len(timed)], at + len(timed)
             ms = _on_rows(ms, timed, _timed_step, *(f.take(r, 0) for f in (props, *factors)))
-    _check_density(ms)
-    return ms
-
-
-def evolve_programs(rho: DensityMatrix, programs: Sequence[PulseProgram],
-                    relaxation: bool = False) -> list[DensityMatrix]:
-    """Run each program from `rho`, all of them at once; one state per program.
-
-    The programs share one spin layout (nucleus labels, in order); machines may differ in
-    offsets, J, T1/T2 and polarization, and programs in their events, the events' kinds
-    and number included. Step s applies each program's s-th event to its row of one
-    (B, d, d) stack of states: a timed event its propagator, from one batched kernel call
-    over the distinct (machine, event) pairs, then, if on, relaxation over its duration; a
-    crusher its crush. A program that has ended is left as it is.
-    """
-    return [DensityMatrix(m, validate=False) for m in _evolve_stack(rho, programs, relaxation)]
+    return _check_density(ms)
 
 
 def evolve_program(
     rho: DensityMatrix, program: PulseProgram, relaxation: bool = False
 ) -> DensityMatrix:
     """Run a pulse program: events in order, optional relaxation after each
-    timed event over that event's duration."""
-    return evolve_programs(rho, [program], relaxation)[0]
+    timed event over that event's duration. The one row of `evolve_programs`, as a state."""
+    return DensityMatrix(evolve_programs(rho, [program], relaxation)[0], validate=False)
 
 
 def program_unitary(program: PulseProgram) -> np.ndarray:

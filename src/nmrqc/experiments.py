@@ -5,7 +5,7 @@ scans, and the least-squares fits behind them.
 Every experiment is expressed purely in x/y pulses, delays, and crushers;
 nothing writes the state directly. Each pulse is built by the one pulse
 constructor, `dynamics.square_pulse`. A scan builds one program per point
-and evolves all of them in one `_evolve_stack` call, reading its (B, d, d)
+and evolves all of them in one `evolve_programs` call, reading its (B, d, d)
 state stack; the T2 echo's offset ensemble is one call too, one variant per
 offset.
 """
@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import (PULSE_AMPLITUDE, Crusher, Delay, PulseProgram, _evolve_stack,
-                       evolve_program, square_pulse)
+from .dynamics import (PULSE_AMPLITUDE, Crusher, Delay, PulseProgram, evolve_program,
+                       evolve_programs, square_pulse)
 from .errors import FitError, ValidationError
 from .measurement import _line_table
 from .quantum import FINITE_NUMBERS, DensityMatrix, Option
@@ -63,10 +63,8 @@ class ScanResult:
 
     def csv_text(self) -> str:
         fit_y = self.fit.predict(self.x) if self.fit else np.full_like(self.y, np.nan)
-        lines = ["x,y,fit_y"]
-        for xi, yi, fi in zip(self.x, self.y, fit_y):
-            lines.append(f"{xi:.12g},{yi:.12g},{fi:.12g}")
-        return "\n".join(lines) + "\n"
+        rows = (f"{xi:.12g},{yi:.12g},{fi:.12g}\n" for xi, yi, fi in zip(self.x, self.y, fit_y))
+        return "x,y,fit_y\n" + "".join(rows)
 
 
 # model -> (name of theta, u -> (g, dg/d ln theta)) for amplitude * g(u), u = x / theta
@@ -190,6 +188,14 @@ def _channel_signal(states: np.ndarray, config: SpinSystemConfig, channel: str) 
     return table.readings(hermitian_twice)[:, lines].sum(axis=1) / config.dim
 
 
+def _scan_amplitude(amplitude_hz) -> float:
+    """`PULSE_AMPLITUDE`, and two periods at amplitude_hz finite: no pulse of a scan is longer."""
+    amp = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz)
+    if not np.isfinite(2.0 / amp):
+        raise ValidationError("amplitude_hz too small: two periods at it overflow")
+    return amp
+
+
 def rabi_calibration(
     config: SpinSystemConfig, channel: str, amplitude_hz: float = SCAN_AMP_HZ,
     durations_s: Optional[Sequence[float]] = None,
@@ -200,16 +206,14 @@ def rabi_calibration(
     amplitude_hz) on the thermal state, records the transverse magnitude,
     fits A|sin(pi t / t180)|, and returns (scan, t90, t180).
     """
-    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
+    amp, c = _scan_amplitude(amplitude_hz), config.channel_index(channel)
     if durations_s is None:
-        if not np.isfinite(2.0 / amp):
-            raise ValidationError("amplitude_hz too small: two periods at it overflow")
         durations_s = np.linspace(0.0, 2.0 / amp, 17)[1:]
     durations = np.asarray(sorted(FINITE_NUMBERS.check("durations_s", durations_s)))
     if durations.size < 8:
         raise ValidationError("need at least 8 durations spanning a period")
     pulses = [square_pulse(config, {c: 0.0}, t, amp) for t in durations]
-    states = _evolve_stack(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
+    states = evolve_programs(thermal_state(config), [PulseProgram(config, (p,)) for p in pulses])
     y = np.abs(_channel_signal(states, config, channel))
     fit = fit_model(durations, y, "abs_sine")
     t180 = fit.params["period"]
@@ -244,7 +248,7 @@ def relaxation_experiment(
     spread = OFFSET_SPREAD.check("offset_spread_hz", offset_spread_hz)
     if spread and not (isinstance(ensemble_points, (int, np.integer)) and ensemble_points >= 2):
         raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
-    amp, c = PULSE_AMPLITUDE.check("amplitude_hz", amplitude_hz), config.channel_index(channel)
+    amp, c = _scan_amplitude(amplitude_hz), config.channel_index(channel)
     p90 = square_pulse(config, {c: 0.0}, 1.0 / (4.0 * amp), amp)
     p180 = square_pulse(config, {c: 0.0 if mode == "T1" else np.pi / 2}, 1.0 / (2.0 * amp), amp)
     if mode == "T1":
@@ -262,7 +266,7 @@ def relaxation_experiment(
         )) if delta else config
         programs += [PulseProgram(cfg, events) for events in sequences]
     # the offsets leave the thermal state and the channel's detection operator as they are
-    states = _evolve_stack(thermal_state(config), programs, relaxation=True)
+    states = evolve_programs(thermal_state(config), programs, relaxation=True)
     mean_signal = _channel_signal(states, config, channel).reshape(deltas.size, -1).mean(axis=0)
     if mode == "T1":
         # a 90x pulse turns +z polarization into -y: the signed readout is -<sigma_y>

@@ -14,10 +14,10 @@ tomography and the scans all read it. On a weak machine B is the computational b
 line of qubit k with partners in state m sits at nu_k + sum_j (1 - 2 m_j) J_kj / 2
 and has weight 2. On an isotropic machine B is H0's eigenbasis.
 
-Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to
-the lines of all 3^n readout settings, by least squares. The settings' unitaries and
-the inverse of their map are cached by value: one entry per qubit count on weak machines,
-one per readout basis on isotropic ones and one per (machine, amplitude) compiled.
+Tomography inverts one linear map, from the 4^n - 1 Pauli coefficients to the lines
+of all 3^n readout settings, by least squares, for a (B, d, d) stack of states at once.
+Settings' unitaries and the map's inverse are cached by value: one entry per qubit count
+on weak machines, per readout basis on isotropic ones, per (machine, amplitude) compiled.
 """
 
 from __future__ import annotations
@@ -165,10 +165,10 @@ def spectrum_of(fid: FIDSignal) -> Spectrum:
     return Spectrum(channel=fid.channel, frequencies_hz=freqs, amplitudes=amps)
 
 
-def _readout_lines(rho: DensityMatrix, config: SpinSystemConfig) -> _Lines:
-    """`_line_table`, after the peak-readout checks."""
-    if rho.n != config.n:
-        raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
+def _readout_lines(n: int, config: SpinSystemConfig) -> _Lines:
+    """`_line_table`, after the peak-readout checks of states of n qubits."""
+    if n != config.n:
+        raise ValidationError(f"state has {n} qubits, machine has {config.n}")
     if config.n > 3:
         raise ValidationError("peak readout is defined for n <= 3")
     table = _line_table(config)
@@ -196,7 +196,7 @@ def readout_peak_table(rho: DensityMatrix, config: SpinSystemConfig) -> dict[str
     partner-|0> and partner-|1> lines. The spectrum of the FID, its T2 decay
     divided out, shows them times sqrt(samples) / 2^(n-1).
     """
-    table = _readout_lines(rho, config)
+    table = _readout_lines(rho.n, config)
     return _peak_table(table.readings(rho.matrix), table)
 
 
@@ -249,17 +249,19 @@ def _inverse(a: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _reconstruct(rho: DensityMatrix, config: SpinSystemConfig, compiled_readout, pulse_amp_hz):
-    """`_readout_lines`, then the reconstruction of `tomography`, its settings and readings."""
-    lines = _readout_lines(rho, config)
+def _reconstruct(states, config, compiled_readout=False, pulse_amp_hz=DEFAULT_PULSE_AMP_HZ):
+    """`_readout_lines`, then `tomography` of each state of a (B, d, d) stack: the states
+    reconstructed, the lines, the settings and the readings, (B, settings, lines)."""
+    lines = _readout_lines(states.shape[-1].bit_length() - 1, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     us, inverse = _readout(config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
                            None if lines.basis is None else lines.basis.tobytes(),
                            *((config, pulse_amp_hz) if compiled_readout else ()))
-    readings = lines.readings(us @ rho.matrix @ us.conj().swapaxes(1, 2))
-    coeffs = (inverse @ readings.ravel()).real
-    recon = pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], coeffs)))
-    return recon, lines, settings, readings
+    readings = lines.readings(us @ states[:, np.newaxis] @ us.conj().swapaxes(1, 2))
+    # one matrix-vector product per row, as for B = 1, so a row's bits do not depend on B
+    coeffs = (inverse @ readings.reshape(len(states), -1, 1))[..., 0].real
+    recons = [pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], c))) for c in coeffs]
+    return recons, lines, settings, readings
 
 
 def tomography_sweep(
@@ -278,7 +280,8 @@ def tomography_sweep(
     keys are setting labels like "I,Y90"; values map channel label to the
     peak list of the rotated state.
     """
-    recon, lines, settings, readings = _reconstruct(rho, config, compiled_readout, pulse_amp_hz)
+    (recon,), lines, settings, (readings,) = _reconstruct(rho.matrix[np.newaxis], config,
+                                                          compiled_readout, pulse_amp_hz)
     return recon, {",".join(s): _peak_table(r, lines) for s, r in zip(settings, readings)}
 
 
@@ -289,4 +292,4 @@ def tomography(
     pulse_amp_hz: float = DEFAULT_PULSE_AMP_HZ,
 ) -> DensityMatrix:
     """Full state reconstruction from the 3^n readout-pulse settings, as `tomography_sweep`."""
-    return _reconstruct(rho, config, compiled_readout, pulse_amp_hz)[0]
+    return _reconstruct(rho.matrix[np.newaxis], config, compiled_readout, pulse_amp_hz)[0][0]

@@ -270,8 +270,8 @@ class Ket:
         return f"Ket(n={self.n})"
 
 
-def _check_density(m: np.ndarray) -> None:
-    """Reject unless each matrix of a (..., d, d) stack is a density matrix."""
+def _check_density(m: np.ndarray) -> np.ndarray:
+    """m, unless a matrix of the (..., d, d) stack m is no density matrix: then ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge or inf entries fail the checks below
         # trace first: a scaled state's rounding can fail the absolute Hermiticity tolerance
         tr = np.trace(m, axis1=-2, axis2=-1)
@@ -284,6 +284,7 @@ def _check_density(m: np.ndarray) -> None:
     lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))))
     if lo < -EIGENVALUE_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
+    return m
 
 
 _STATE = {"n": "integer", **COMPLEX}  # a state file
@@ -299,10 +300,8 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
         self.n = _qubit_count(m.shape[0], "density matrix")
-        if validate:
-            _check_density(m)
-        m.setflags(write=False)
-        self.matrix = m
+        self.matrix = _check_density(m) if validate else m
+        self.matrix.setflags(write=False)
 
     @classmethod
     def basis(cls, n: int, state: Union[int, str]) -> "DensityMatrix":
@@ -317,9 +316,9 @@ class DensityMatrix:
         amps = ket.amplitudes if isinstance(ket, Ket) else np.asarray(ket, dtype=complex).reshape(-1)
         return cls(np.outer(amps, amps.conj()))
 
-    def evolved(self, u: np.ndarray, validate: bool = False) -> "DensityMatrix":
+    def evolved(self, u: np.ndarray) -> "DensityMatrix":
         """U rho U^dag. Unitarity of `u` is the caller's responsibility."""
-        return DensityMatrix(u @ self.matrix @ u.conj().T, validate=validate)
+        return DensityMatrix(u @ self.matrix @ u.conj().T, validate=False)
 
     def probabilities(self) -> dict[str, float]:
         """Computational-basis populations, keyed by bit label."""
@@ -375,13 +374,12 @@ def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> Densit
     n = rho.n
     if any(not 1 <= q <= n for q in keep_set):
         raise ValidationError(f"keep indices {sorted(keep_set)} out of range 1..{n}")
-    kept = sorted(keep_set)
     traced = [q for q in range(1, n + 1) if q not in keep_set]
     t = rho.matrix.reshape((2,) * (2 * n))
     # qubit q's axes are q-1 and n+q-1, less those of the lower qubits traced already
     for done, q in enumerate(traced):
         t = np.trace(t, axis1=q - 1 - done, axis2=n + q - 1 - 2 * done)
-    d = 2 ** len(kept)
+    d = 2 ** len(keep_set)
     return DensityMatrix(t.reshape(d, d))
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,7 +30,7 @@ from nmrqc.algorithms import (
 from nmrqc.cli import build_parser, main
 from nmrqc.control import circuit_unitary
 from nmrqc.errors import ValidationError
-from nmrqc.quantum import partial_trace, state_fidelity
+from nmrqc.quantum import DensityMatrix, partial_trace, state_fidelity
 
 PHI_MINUS_MATRIX = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -407,6 +408,19 @@ PUBLIC_RUNNERS = {"deutsch": run_deutsch, "grover4": run_grover4,
                   "qho": simulate_qho, "cnot-table": cnot_truth_table}
 
 
+class TestRunnerKeys:
+    def test_an_unknown_algorithm_is_named(self):
+        for name in ("nope", ["deutsch"]):
+            with pytest.raises(ValidationError, match=re.escape(f"algorithm {name!r} must be")):
+                algorithms.run(name)
+
+    def test_an_option_the_algorithm_does_not_declare_is_named(self):
+        with pytest.raises(ValidationError, match="^deutsch: unknown option 'bogus'$"):
+            algorithms.run("deutsch", bogus=1)
+        with pytest.raises(ValidationError, match="^count: unknown option 'case_'$"):
+            algorithms.run("count", case="M2", case_="M2")
+
+
 class TestOneExecution:
     @pytest.mark.parametrize("name", list(ALGORITHMS))
     def test_each_algorithm_executes_once(self, monkeypatch, name):
@@ -421,6 +435,30 @@ class TestOneExecution:
         options = [option.default for option in ALGORITHMS[name].options.values()]
         PUBLIC_RUNNERS[name](*options, "pulse")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", ["ideal", "pulse"])
+    def test_cnot_table_reconstructs_its_states_at_once(self, monkeypatch, path):
+        calls = []
+        reconstruct = algorithms._reconstruct
+
+        def counted(states, *args):
+            calls.append(states.shape)
+            return reconstruct(states, *args)
+
+        monkeypatch.setattr(algorithms, "_reconstruct", counted)
+        cnot_truth_table("21", path)
+        assert calls == [(4, 4, 4)]
+
+    @pytest.mark.parametrize("name", list(ALGORITHMS))
+    def test_ideal_rows_are_each_circuit_evolved_alone(self, gemini, name):
+        algorithm = ALGORITHMS[name]
+        options = {key: option.default for key, option in algorithm.options.items()}
+        circuits = algorithm.circuits(options, gemini)
+        stack = algorithms._execute(circuits, gemini, "ideal")
+        assert stack.shape == (len(circuits), 4, 4)
+        for circuit, row in zip(circuits, stack):
+            alone = DensityMatrix.basis(2, 0).evolved(circuit_unitary(circuit, gemini))
+            assert row.tobytes() == alone.matrix.tobytes()
 
 
 @st.composite

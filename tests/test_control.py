@@ -137,6 +137,23 @@ class TestGateMatrices:
         assert [g["targets"] for g in doc["gates"]] == [[1, 2], [2]]
         assert Circuit.from_json_dict(json.loads(json.dumps(doc))) == circuit
 
+    @pytest.mark.parametrize("param", [True, np.bool_(True), "0.5", None, 0.5j, np.nan, -np.inf,
+                                       10**400],
+                             ids=["bool", "numpy_bool", "string", "none", "complex", "nan", "inf",
+                                  "int_past_the_float_range"])
+    def test_a_parameter_that_is_no_finite_real_number_is_rejected(self, param):
+        with pytest.raises(ValidationError, match="^gate Rx: parameters must be finite numbers$"):
+            Gate("Rx", (1,), (param,))
+
+    @pytest.mark.parametrize("param", [1, 0.5, np.float64(0.5)])
+    def test_a_parameter_is_stored_as_a_float_and_reads_back(self, param):
+        gates = (Gate("Rx", (1,), (param,)), Gate("Delay", (), (param,)))
+        assert all(type(g.params[0]) is float and g.params == (float(param),) for g in gates)
+        circuit = Circuit(1, gates)
+        doc = circuit.to_json_dict()
+        assert Circuit.from_json_dict(doc) == circuit
+        assert Circuit.from_json_dict(json.loads(json.dumps(doc))) == circuit
+
 
 def embed_by_permutation(u, targets, n):
     """u (x) I on (targets, other qubits), conjugated by the basis permutation."""

@@ -12,7 +12,6 @@ from nmrqc.dynamics import (
     Delay,
     PulseProgram,
     RfSegment,
-    _evolve_stack,
     evolve_program,
     evolve_programs,
     square_pulse,
@@ -341,6 +340,14 @@ class TestDefaultScans:
             with pytest.raises(ValidationError, match="^amplitude_hz too small"):
                 rabi_calibration(gemini, "1H", 1e-309)
 
+    @pytest.mark.parametrize("mode", ["T1", "T2"])
+    def test_an_amplitude_too_small_for_the_pulses_names_the_amplitude(self, gemini, mode):
+        # a 90 degree pulse at 1e-309 Hz lasts 1 / (4e-309) s, past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^amplitude_hz too small"):
+                relaxation_experiment(gemini, "1H", mode, amplitude_hz=1e-309)
+
     @pytest.mark.parametrize("times", [1e-3, "1e-3,2e-3", [], np.full((8, 2), 1e-4),
                                        np.linspace(1e-6, 1e-4, 16) + 0j],
                              ids=["scalar", "string", "empty", "2d", "complex_array"])
@@ -432,14 +439,13 @@ class TestRelaxationExperiments:
         programs = [PulseProgram(gemini, (pulse, Delay(t))) for t in T2_DELAYS]
         states = evolve_programs(thermal_state(gemini), programs, relaxation=True)
         sx, sy = gemini._operators.sx[c], gemini._operators.sy[c]
-        expected = np.array([np.real(np.trace(rho.matrix @ sx))
-                             + 1j * np.real(np.trace(rho.matrix @ sy)) for rho in states])
-        stack = _evolve_stack(thermal_state(gemini), programs, relaxation=True)
-        signal = _channel_signal(stack, gemini, channel)
+        expected = np.array([np.real(np.trace(rho @ sx))
+                             + 1j * np.real(np.trace(rho @ sy)) for rho in states])
+        signal = _channel_signal(states, gemini, channel)
         assert np.max(np.abs(signal - expected)) <= 1e-15 * np.max(np.abs(expected))
-        # the signal of each state of the list is that of its row of the stack
+        # the signal of each row read alone is that of the row in the stack
         for k, rho in enumerate(states):
-            assert _channel_signal(rho.matrix[np.newaxis], gemini, channel)[0] == signal[k]
+            assert _channel_signal(rho[np.newaxis], gemini, channel)[0] == signal[k]
 
     def test_scan_csv_header(self, gemini):
         scan = relaxation_experiment(gemini, "1H", "T1", T1_DELAYS)

@@ -392,6 +392,22 @@ class TestTomography:
             reject()
         assert np.max(np.abs(recon.matrix - rho.matrix)) <= 1e-8
 
+    @pytest.mark.parametrize("machine,compiled", [("gemini", False), ("gemini", True),
+                                                  ("triangulum", False)])
+    def test_each_row_of_a_stack_reconstructs_as_alone(self, request, machine, compiled):
+        cfg = request.getfixturevalue(machine)
+        rng = np.random.default_rng(63)
+        stack = np.array([random_density_matrix(rng, cfg.n).matrix for _ in range(5)])
+        recons, _, _, readings = measurement._reconstruct(stack, cfg, compiled)
+        assert len(recons) == 5 and readings.shape[0] == 5
+        for recon, row_readings, row in zip(recons, readings, stack):
+            (alone,), _, _, (alone_readings,) = measurement._reconstruct(row[np.newaxis], cfg,
+                                                                         compiled)
+            assert recon.matrix.tobytes() == alone.matrix.tobytes()
+            assert row_readings.tobytes() == alone_readings.tobytes()
+            assert recon.matrix.tobytes() == tomography(DensityMatrix(row), cfg,
+                                                        compiled).matrix.tobytes()
+
     def test_reads_no_fid(self, gemini, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("readout synthesized an FID or ran an FFT")
