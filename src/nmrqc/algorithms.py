@@ -47,6 +47,7 @@ from .quantum import (
     Option,
     _check_density,
     complex_json,
+    finite_array,
     is_unitary,
     partial_trace,
     state_fidelity,
@@ -372,7 +373,7 @@ def _qho_circuits(options, machine) -> list[Circuit]:
     if j == 0.0:
         raise ValidationError("oscillator simulation needs a nonzero J coupling")
     prep = _QHO_PREPARATIONS[options["initial"]]
-    return [Circuit(2, tuple([*prep, RX(1, np.pi), DELAY(float(omega_t / (np.pi * j))),
+    return [Circuit(2, tuple([*prep, RX(1, np.pi), DELAY(omega_t / (np.pi * j)),
                               RX(1, -np.pi), RX(2, np.pi / 2), RY(2, 2.0 * omega_t),
                               RX(2, -np.pi / 2)]))
             for omega_t in options["omega_t"]]
@@ -412,7 +413,7 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     epsilon, subnormal ones included, costs digits.
     """
     epsilon = EPSILON.check("epsilon", epsilon)
-    u = np.asarray(u, dtype=complex)
+    u = finite_array(u, complex, "u must be an array of finite numbers")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError("u must be a square matrix")
     dim = u.shape[0]

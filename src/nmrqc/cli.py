@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ from . import algorithms, control, experiments, measurement
 from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
 from .dynamics import PULSE_AMPLITUDE
 from .errors import FitError, NmrqcError, ValidationError
-from .quantum import (COMPLEX, FINITE_NUMBERS, DensityMatrix, Option, complex_json, complex_matrix,
-                      pauli_expand, read, state_fidelity)
+from .quantum import (COMPLEX, FINITE_NUMBERS, INTEGERS, POSITIVE, DensityMatrix, Option,
+                      complex_json, complex_matrix, pauli_expand, read, state_fidelity)
 from .spinsys import PRESETS, SpinSystemConfig, _read_json, load_machine_config, preset
 
 
@@ -274,12 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--gate", help="gate name, e.g. X90")
     target.add_argument("--unitary", help="JSON file with re/im target matrix")
-    p.add_argument("--targets", **_argument(
-        Option(kind=int, listed=True, rule="need one or more values, all integers"),
-        help="comma-separated qubit indices (default 1)"))
+    p.add_argument("--targets", **_argument(INTEGERS,
+                                            help="comma-separated qubit indices (default 1)"))
     p.add_argument("--params", **_argument(FINITE_NUMBERS, help="comma-separated gate parameters"))
-    p.add_argument("--duration-s", **_argument(Option(
-        1.5e-3, kind=float, rule="duration must be > 0 and finite", ok=lambda v: 0 < v < np.inf)))
+    p.add_argument("--duration-s", **_argument(
+        replace(POSITIVE, default=1.5e-3, rule="duration must be > 0 and finite")))
     p.set_defaults(func=_cmd_grape)
 
     # each experiment and algorithm takes the name first, then only the options it reads

@@ -23,7 +23,8 @@ from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
 from .dynamics import PULSE_AMPLITUDE, PulseProgram, RfSegment, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, is_unitary, read, write
+from .quantum import (POSITIVE, SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, finite_array,
+                      is_unitary, read, write)
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -70,6 +71,9 @@ _GATES = {
     "SWAP": (2, 0, lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
     "Delay": (0, 1, None),
 }
+# A register's qubit count: a circuit's, or the n a gate is embedded in
+QUBIT_COUNT = Option(kind=int, rule=f"qubit count {{name!r}} outside 1..{MAX_QUBITS}",
+                     ok=lambda n: 1 <= n <= MAX_QUBITS)
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,10 @@ class Gate:
     matrix: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.name != "U" and self.name not in _GATES:
+        if not (isinstance(self.name, str) and (self.name in _GATES or self.name == "U")):
             raise ValidationError(f"unknown gate {self.name!r}")
+        if not (isinstance(self.targets, (tuple, list)) and isinstance(self.params, (tuple, list))):
+            raise ValidationError(f"gate {self.name}: targets and parameters must be lists")
         # U acts on as many targets as its matrix has qubits
         n_targets, n_params, _ = _GATES.get(self.name, (len(self.targets), 0, None))
         if not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in self.targets):
@@ -100,7 +106,7 @@ class Gate:
         if (self.matrix is None) == (self.name == "U"):
             raise ValidationError(f"gate {self.name}: only U takes a matrix, and U needs one")
         if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
+            m = finite_array(self.matrix, complex, "gate U matrix entries must be finite numbers")
             if m.shape != (2 ** len(self.targets),) * 2:
                 raise ValidationError("gate U matrix size does not match target count")
             if not is_unitary(m):
@@ -113,68 +119,19 @@ def _local_matrix(g: Gate) -> np.ndarray:
     return g.matrix if g.name == "U" else _GATES[g.name][2](*g.params)
 
 
-def X(q):
-    return Gate("X", (q,))
+def _helper(name: str):
+    """The builder of gate `name` from its targets, then its parameters: RX(1, theta)."""
+    n_targets = _GATES[name][0]
+    return lambda *args: Gate(name, args[:n_targets], args[n_targets:])
 
 
-def Y(q):
-    return Gate("Y", (q,))
-
-
-def Z(q):
-    return Gate("Z", (q,))
-
-
-def H(q):
-    return Gate("H", (q,))
-
-
-def P(q, phi):
-    return Gate("P", (q,), (float(phi),))
-
-
-def X90(q):
-    return Gate("X90", (q,))
-
-
-def Y90(q):
-    return Gate("Y90", (q,))
-
-
-def RX(q, theta):
-    return Gate("Rx", (q,), (float(theta),))
-
-
-def RY(q, theta):
-    return Gate("Ry", (q,), (float(theta),))
-
-
-def RZ(q, theta):
-    return Gate("Rz", (q,), (float(theta),))
-
-
-def CNOT(control, target):
-    return Gate("CNOT", (control, target))
-
-
-def CZ(control, target):
-    return Gate("CZ", (control, target))
-
-
-def CY(control, target):
-    return Gate("CY", (control, target))
-
-
-def SWAP(a, b):
-    return Gate("SWAP", (a, b))
-
-
-def DELAY(duration_s):
-    return Gate("Delay", (), (float(duration_s),))
+X, Y, Z, H, P, X90, Y90, RX, RY, RZ = map(_helper, ("X", "Y", "Z", "H", "P", "X90", "Y90",
+                                                     "Rx", "Ry", "Rz"))
+CNOT, CZ, CY, SWAP, DELAY = map(_helper, ("CNOT", "CZ", "CY", "SWAP", "Delay"))
 
 
 def UNITARY(matrix, *targets):
-    return Gate("U", tuple(targets), (), np.asarray(matrix, dtype=complex))
+    return Gate("U", tuple(targets), (), matrix)
 
 
 # A circuit file; each gate's keys are its Gate fields
@@ -189,8 +146,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValidationError(f"circuit qubit count {self.n} outside 1..{MAX_QUBITS}")
+        object.__setattr__(self, "n", QUBIT_COUNT.check(self.n, self.n))  # its rule names n
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(not 1 <= t <= self.n for t in g.targets):
@@ -215,7 +171,7 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
         return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
-    return embed(_local_matrix(g), g.targets, n)
+    return embed(_local_matrix(g), g.targets, QUBIT_COUNT.check(n, n))
 
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
@@ -241,8 +197,8 @@ def _zxz(u: np.ndarray) -> tuple[float, float, float, float]:
 
 def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
     """|Tr(u target^dag)|^2 / d^2: global-phase-invariant gate overlap."""
-    u = np.asarray(u, dtype=complex)
-    target = np.asarray(target, dtype=complex)
+    error = "gate_fidelity: u and target must be arrays of finite numbers"
+    u, target = finite_array(u, complex, error), finite_array(target, complex, error)
     if u.shape != target.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValidationError(f"dimension mismatch: {u.shape} vs {target.shape}")
     d = u.shape[0]
@@ -385,7 +341,7 @@ GRAPE_OPTIONS = {
     "initial": Option("random", ("random", "constant")),
 }
 SEED = Option(0, kind=int, rule="seed must be an integer >= 0", ok=lambda v: v >= 0)
-SEGMENT_DT = Option(kind=float, rule="dt_s must be finite and > 0", ok=lambda v: 0 < v < np.inf)
+SEGMENT_DT = dataclasses.replace(POSITIVE, rule="dt_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -485,7 +441,7 @@ def grape_optimize(
     if gcfg.segments * config.dim**2 > MAX_GRAPE_ELEMENTS:
         raise ValidationError(f"segments * dim^2 must be <= {MAX_GRAPE_ELEMENTS}: at most "
                               f"{MAX_GRAPE_ELEMENTS // config.dim**2} segments on this machine")
-    target = np.asarray(target, dtype=complex)
+    target = finite_array(target, complex, "target must be unitary (an array of finite numbers)")
     if target.shape != (config.dim, config.dim):
         raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
     if not is_unitary(target):
@@ -538,7 +494,7 @@ def grape_optimize(
     u = best.reshape(n_seg, m) / scale
     x_hz, y_hz = u[:, 0::2], u[:, 1::2]  # (segments, channels) each
     segments = zip(np.hypot(x_hz, y_hz).tolist(), np.arctan2(y_hz, x_hz).tolist())
-    program = PulseProgram(config, tuple(RfSegment(tuple(a), tuple(p), dt) for a, p in segments))
+    program = PulseProgram(config, tuple(RfSegment(a, p, dt) for a, p in segments))
     final_u = program_unitary(program)
     return GrapeResult(
         amplitudes_hz=u,

@@ -27,18 +27,18 @@ factor on the stack with that spin flipped in both indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import DensityMatrix, Option, _check_density
+from .quantum import FINITE_NUMBERS, POSITIVE, DensityMatrix, Option, _check_density
 from .spinsys import SpinSystemConfig, rf_hamiltonian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RfSegment:
     """Square RF pulse: one (amplitude, phase) pair per channel, fixed duration."""
 
@@ -46,18 +46,26 @@ class RfSegment:
     phases_rad: tuple[float, ...]
     duration_s: float
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (*self.amplitudes_hz, *self.phases_rad, self.duration_s))):
-            raise ValidationError("RF segment amplitudes, phases and duration must be finite")
-        if self.duration_s < 0:
+    def __init__(self, amplitudes_hz, phases_rad, duration_s):  # each field set once, checked
+        if not (isinstance(amplitudes_hz, (tuple, list)) and isinstance(phases_rad, (tuple, list))
+                and len(amplitudes_hz) == len(phases_rad)):
+            raise ValidationError("RF segment amplitudes and phases must be lists of one length")
+        numbers = _SEGMENT.check("", (*amplitudes_hz, *phases_rad, duration_s))
+        if numbers[-1] < 0:
             raise ValidationError("RF segment duration must be >= 0")
-        if len(self.amplitudes_hz) != len(self.phases_rad):
-            raise ValidationError("amplitude/phase lists differ in length")
+        n = len(amplitudes_hz)
+        object.__setattr__(self, "amplitudes_hz", numbers[:n])
+        object.__setattr__(self, "phases_rad", numbers[n:-1])
+        object.__setattr__(self, "duration_s", numbers[-1])
 
 
+# An RF segment's amplitudes, phases and duration, as one list
+_SEGMENT = replace(FINITE_NUMBERS, rule="RF segment amplitudes, phases and duration must be finite")
 # A pulse amplitude, Hz; the compiler and the scans each have their own default
-PULSE_AMPLITUDE = Option(kind=float, rule="pulse amplitude must be > 0 and finite",
-                         ok=lambda amp_hz: 0 < amp_hz < math.inf)
+PULSE_AMPLITUDE = replace(POSITIVE, rule="pulse amplitude must be > 0 and finite")
+# A free-evolution time, s
+DURATION = Option(kind=float, ok=lambda v: 0 <= v < math.inf,
+                  rule="delay duration must be finite and >= 0")
 
 
 def square_pulse(config: SpinSystemConfig, phases: Mapping[int, float], duration_s: float,
@@ -67,7 +75,7 @@ def square_pulse(config: SpinSystemConfig, phases: Mapping[int, float], duration
     amps, phis = [0.0] * len(config.channels), [0.0] * len(config.channels)
     for c, phi in phases.items():
         amps[c], phis[c] = amp_hz, phi
-    return RfSegment(tuple(amps), tuple(phis), duration_s)
+    return RfSegment(amps, phis, duration_s)
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,7 @@ class Delay:
     duration_s: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration_s) and self.duration_s >= 0):
-            raise ValidationError("delay duration must be finite and >= 0")
+        object.__setattr__(self, "duration_s", DURATION.check("duration_s", self.duration_s))
 
 
 @dataclass(frozen=True)

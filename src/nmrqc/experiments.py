@@ -31,6 +31,9 @@ SCAN_AMP_HZ = 12.5e3  # the scans' default pulse amplitude
 # The half-width of a static offset inhomogeneity, Hz: the T2 echo's ensemble spans twice it
 OFFSET_SPREAD = Option(0.0, kind=float, ok=lambda spread: np.isfinite(2.0 * spread),
                        rule="offset spread (the ensemble's half-width) and twice it must be finite")
+# The T2 echo's molecule offsets across the spread; each is one program per delay
+ENSEMBLE_POINTS = Option(11, kind=int, rule="ensemble_points must be an integer >= 2, at most 1000",
+                         ok=lambda points: 2 <= points <= 1000)
 # The default delays of the T1 and T2 scans by mode, s: log-spaced, they bracket the presets' T1/T2
 DELAYS_S = {
     "T1": (
@@ -74,6 +77,7 @@ _MODELS = {
     "abs_sine": ("period", lambda u: (np.abs(np.sin(np.pi * u)), -np.pi * u * np.cos(np.pi * u)
                                       * np.sign(np.sin(np.pi * u)))),
 }
+FIT_MODEL = Option(choices=tuple(_MODELS))
 _MAX_ITERATIONS = 100
 _STEP_TOL = 1e-13  # change of ln theta at which a fit has converged
 
@@ -120,20 +124,16 @@ def _refine(x: np.ndarray, y: np.ndarray, shape, theta: float) -> float:
 def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
     """Deterministic least-squares fit of amplitude * g(x / theta): theta starts
     at the best of a candidate grid, and `_refine` takes it to the nearest minimum."""
-    if model not in _MODELS:
-        raise ValidationError(f"unknown model {model!r}; choose from {tuple(_MODELS)}")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
+    name, shape = _MODELS[FIT_MODEL.check("model", model)]
+    x, y = (np.array(FINITE_NUMBERS.check("", v)) for v in (x, y))
+    if x.shape != y.shape:
         raise ValidationError("x and y must be 1-d arrays of equal length")
     if x.size < 3:
         raise ValidationError("need at least 3 points to fit 2 parameters")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValidationError("x and y must be finite")
     if float(np.max(np.abs(y))) < 1e-300:
         raise FitError("data carries no signal")
     if float(np.max(x) - np.min(x)) <= 0:
         raise FitError("x values are degenerate")
-    name, shape = _MODELS[model]
     if model == "abs_sine":
         theta = _refine(x, y, shape, _abs_sine_period_guess(x, y))
         # |sin| has a kink in T wherever a sample sits on a zero, |x| = m T, and a lower
@@ -227,7 +227,7 @@ def relaxation_experiment(
     delays_s: Optional[Sequence[float]] = None,
     amplitude_hz: float = SCAN_AMP_HZ,
     offset_spread_hz: float = OFFSET_SPREAD.default,
-    ensemble_points: int = 11,
+    ensemble_points: int = ENSEMBLE_POINTS.default,
 ) -> ScanResult:
     """Inversion-recovery T1 or spin-echo T2 measurement on one channel.
 
@@ -246,8 +246,8 @@ def relaxation_experiment(
     if delays.size < 5:
         raise ValidationError("need at least 5 delays")
     spread = OFFSET_SPREAD.check("offset_spread_hz", offset_spread_hz)
-    if spread and not (isinstance(ensemble_points, (int, np.integer)) and ensemble_points >= 2):
-        raise ValidationError(f"ensemble_points must be an integer >= 2, got {ensemble_points!r}")
+    if spread:
+        ensemble_points = ENSEMBLE_POINTS.check("ensemble_points", ensemble_points)
     amp, c = _scan_amplitude(amplitude_hz), config.channel_index(channel)
     p90 = square_pulse(config, {c: 0.0}, 1.0 / (4.0 * amp), amp)
     p180 = square_pulse(config, {c: 0.0 if mode == "T1" else np.pi / 2}, 1.0 / (2.0 * amp), amp)

@@ -30,9 +30,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compile_circuit
-from .dynamics import program_unitary
+from .dynamics import PULSE_AMPLITUDE, program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
-from .quantum import DensityMatrix, all_pauli_strings, pauli_reconstruct, pauli_string_matrix
+from .quantum import (POSITIVE, DensityMatrix, all_pauli_strings, finite_array, pauli_reconstruct,
+                      pauli_string_matrix)
 from .spinsys import SpinSystemConfig, _read_only
 
 MAX_FID_SAMPLES = 2**16  # the FID is a few arrays of this many complex samples
@@ -48,13 +49,12 @@ class FIDSignal:
     dt_s: float
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = finite_array(self.samples, complex, "FID samples must be finite numbers")
         if s.ndim != 1 or s.size < 2:
             raise ValidationError("FID needs at least 2 samples")
-        if self.dt_s <= 0:
-            raise ValidationError("FID sample spacing must be > 0")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "dt_s", POSITIVE.check("FID sample spacing", self.dt_s))
 
     @property
     def times_s(self) -> np.ndarray:
@@ -144,9 +144,8 @@ def synthesize_fid(
     """
     if rho.n != config.n:
         raise ValidationError(f"state has {rho.n} qubits, machine has {config.n}")
-    if not (np.isfinite(duration_s) and 0 < dt_s < np.inf):
-        raise ValidationError("FID duration and dt must be finite, and dt > 0")
-    ratio = float(duration_s) / float(dt_s)  # inf, not an error, past the float range
+    dt_s = POSITIVE.check("FID sample spacing", dt_s)
+    ratio = POSITIVE.check("FID duration", duration_s) / dt_s  # inf past the float range
     if not 1.5 <= ratio < MAX_FID_SAMPLES + 0.5:
         raise ValidationError(f"duration/dt must give 2 to {MAX_FID_SAMPLES} samples")
     t2, table = _channel_t2(config, channel), _line_table(config)
@@ -165,8 +164,9 @@ def spectrum_of(fid: FIDSignal) -> Spectrum:
     return Spectrum(channel=fid.channel, frequencies_hz=freqs, amplitudes=amps)
 
 
+@functools.lru_cache(maxsize=16)
 def _readout_lines(n: int, config: SpinSystemConfig) -> _Lines:
-    """`_line_table`, after the peak-readout checks of states of n qubits."""
+    """`_line_table`, after the peak-readout checks; cached by value, an error raised each call."""
     if n != config.n:
         raise ValidationError(f"state has {n} qubits, machine has {config.n}")
     if config.n > 3:
@@ -256,10 +256,11 @@ def _reconstruct(states, config, compiled_readout=False, pulse_amp_hz=DEFAULT_PU
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     us, inverse = _readout(config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
                            None if lines.basis is None else lines.basis.tobytes(),
-                           *((config, pulse_amp_hz) if compiled_readout else ()))
+                           *((config, PULSE_AMPLITUDE.check("pulse_amp_hz", pulse_amp_hz))
+                             if compiled_readout else ()))
     readings = lines.readings(us @ states[:, np.newaxis] @ us.conj().swapaxes(1, 2))
     # one matrix-vector product per row, as for B = 1, so a row's bits do not depend on B
-    coeffs = (inverse @ readings.reshape(len(states), -1, 1))[..., 0].real
+    coeffs = (inverse @ readings.reshape(len(states), -1, 1))[..., 0].real.tolist()
     recons = [pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], c))) for c in coeffs]
     return recons, lines, settings, readings
 

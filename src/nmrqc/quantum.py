@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -151,7 +152,7 @@ _OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating)
 class Option:
     """A parameter's one domain, declared by the layer that reads it: its default and its
     values, the `choices` if given, else the values of `kind` (`listed`: lists of one or
-    more) for which `ok` holds, as `rule` says."""
+    more) for which `ok` holds, as `rule` says: a format string of the name `check` is given."""
 
     default: object = None
     choices: tuple = ()
@@ -161,17 +162,22 @@ class Option:
     listed: bool = False
 
     def check(self, name: str, value):
-        """value as a `kind` (`listed`: a list of them) if declared, else ValidationError."""
-        ok = (lambda v: v in self.choices) if self.choices else self.ok
+        """value as a `kind` (`listed`: a tuple of them) if declared, else ValidationError."""
+        kind, ok = self.kind, self.choices.__contains__ if self.choices else self.ok
         try:
-            raw = list(value) if self.listed else [value]
-            values = [self.kind(v) for v in raw
-                      if isinstance(v, _OF_KIND[self.kind]) and type(v) is not bool]
-            if raw and len(values) == len(raw) and all(map(ok, values)):
-                return values if self.listed else values[0]
-        except (TypeError, OverflowError):  # not a list; an integer past the float range
+            values = []
+            for v in value if self.listed else (value,):
+                if type(v) is not kind:  # converted if of the kind, as an int is to a float
+                    v = kind(v) if type(v) is not bool and isinstance(v, _OF_KIND[kind]) else None
+                if v is None or not ok(v):
+                    raise TypeError
+                values.append(v)
+            if values:
+                return tuple(values) if self.listed else values[0]
+        except (TypeError, OverflowError):  # not a list, or not of the kind; past the float range
             pass
-        raise ValidationError(self.rule or f"{name} must be one of {self.choices}")
+        raise ValidationError(self.rule.format(name=name) if self.rule
+                              else f"{name} must be one of {self.choices}")
 
     def parse(self, text: str):
         """The CLI's argparse type: `check` of a text as a `kind` (`listed`: a comma list)."""
@@ -184,9 +190,24 @@ class Option:
                                   f"{rule}") from None
 
 
-# Lists of finite numbers: scan durations and delays, qho's omega_t, a gate's parameters on the CLI
-FINITE_NUMBERS = Option(kind=float, listed=True, ok=np.isfinite,
+# Lists of finite numbers: scan durations and delays, fit data, Pauli coefficients, qho's omega_t
+FINITE_NUMBERS = Option(kind=float, listed=True, ok=math.isfinite,
                         rule="need one or more values, all finite")
+INTEGERS = Option(kind=int, listed=True, rule="need one or more values, all integers")
+# A number > 0 and finite: a pulse amplitude, a sample or segment spacing, a duration
+POSITIVE = Option(kind=float, ok=lambda v: 0 < v < math.inf, rule="{name} must be > 0 and finite")
+
+
+def finite_array(value, dtype: type, message: str) -> np.ndarray:
+    """A copy of value as an array of dtype, float or complex, if it is an array of finite
+    numbers (not of bools or strings, ragged or past the float range); else ValidationError."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in ("iufc" if dtype is complex else "iuf") and np.isfinite(arr).all():
+            return arr.astype(dtype)
+    except ValueError:  # a ragged list
+        pass
+    raise ValidationError(message)
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -201,8 +222,8 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The first argument becomes the leftmost (qubit-1) factor. Mixing a
     vector with a matrix is rejected.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = (finite_array(f, complex, "tensor factors must be arrays of finite numbers")
+            for f in (a, b))
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValidationError("tensor expects two vectors or two matrices")
     return np.kron(a, b)
@@ -250,8 +271,7 @@ class Ket:
     __slots__ = ("amplitudes", "n")
 
     def __init__(self, amplitudes: Iterable[complex]):
-        amps = np.asarray(list(amplitudes) if not isinstance(amplitudes, np.ndarray) else amplitudes,
-                          dtype=complex).reshape(-1)
+        amps = finite_array(amplitudes, complex, "ket entries must be finite numbers").reshape(-1)
         self.n = _qubit_count(amps.size, "ket")
         with np.errstate(over="ignore"):  # a huge entry reads as norm^2 inf
             norm = float(np.sum(np.abs(amps) ** 2))
@@ -296,7 +316,7 @@ class DensityMatrix:
     __slots__ = ("matrix", "n")
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
-        m = np.array(matrix, dtype=complex)
+        m = finite_array(matrix, complex, "density matrix entries must be finite numbers")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
         self.n = _qubit_count(m.shape[0], "density matrix")
@@ -313,7 +333,7 @@ class DensityMatrix:
 
     @classmethod
     def from_ket(cls, ket: Union[Ket, np.ndarray]) -> "DensityMatrix":
-        amps = ket.amplitudes if isinstance(ket, Ket) else np.asarray(ket, dtype=complex).reshape(-1)
+        amps = (ket if isinstance(ket, Ket) else Ket(ket)).amplitudes
         return cls(np.outer(amps, amps.conj()))
 
     def evolved(self, u: np.ndarray) -> "DensityMatrix":
@@ -356,11 +376,9 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
         return state.amplitudes, True
     if isinstance(state, DensityMatrix):
         return state.matrix, False
-    arr = np.asarray(state, dtype=complex)
-    if not np.isfinite(arr).all():
-        raise ValidationError("state entries must be finite")
-    if arr.ndim == 1:  # checked as a Ket, on a copy: a Ket freezes its array
-        return Ket(arr.copy()).amplitudes, True
+    arr = finite_array(state, complex, "state entries must be finite numbers")
+    if arr.ndim == 1:  # checked as a Ket
+        return Ket(arr).amplitudes, True
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
         return DensityMatrix(arr).matrix, False
     raise ValidationError("state must be a vector or a square matrix")
@@ -368,9 +386,7 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
 
 def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> DensityMatrix:
     """Reduced state over the kept qubits (1-based indices, sorted order)."""
-    keep_set = {keep} if isinstance(keep, int) else set(keep)
-    if not keep_set:
-        raise ValidationError("keep set must be nonempty")
+    keep_set = set(INTEGERS.check("keep", [keep] if isinstance(keep, (int, np.integer)) else keep))
     n = rho.n
     if any(not 1 <= q <= n for q in keep_set):
         raise ValidationError(f"keep indices {sorted(keep_set)} out of range 1..{n}")
@@ -399,11 +415,12 @@ def pauli_reconstruct(coefficients: Mapping[str, float]) -> DensityMatrix:
     The identity coefficient must be 1 (unit trace); it defaults to 1 when
     the all-identity string is absent from the mapping.
     """
-    if not coefficients:
-        raise ValidationError("empty coefficient mapping")
+    if not isinstance(coefficients, Mapping):
+        raise ValidationError("coefficients must be a mapping of Pauli strings to numbers")
+    coefficients = dict(zip(coefficients, FINITE_NUMBERS.check("", coefficients.values())))
     n = len(next(iter(coefficients)))
     ident = "I" * n
-    c_ident = float(coefficients.get(ident, 1.0))
+    c_ident = coefficients.get(ident, 1.0)
     if abs(c_ident - 1.0) > TRACE_TOL:
         raise ValidationError(f"identity coefficient {c_ident} implies trace != 1")
     m = np.eye(2**n, dtype=complex)
@@ -411,7 +428,7 @@ def pauli_reconstruct(coefficients: Mapping[str, float]) -> DensityMatrix:
         if len(label) != n:
             raise ValidationError(f"string {label!r} has wrong length (expected {n})")
         if label != ident and c != 0.0:
-            m += float(c) * pauli_string_matrix(label)
+            m += c * pauli_string_matrix(label)
     return DensityMatrix(m / 2**n)
 
 

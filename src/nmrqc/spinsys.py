@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
@@ -24,7 +24,8 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed, read, write
+from .quantum import (FINITE_NUMBERS, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed,
+                      finite_array, read, write)
 
 COUPLING_MODELS = ("weak", "isotropic")
 MAX_QUBITS = 6
@@ -42,10 +43,10 @@ class NucleusSpec:
     polarization: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.offset_hz, self.t1_s, self.t2_s, self.polarization))):
-            raise ValidationError(
-                f"nucleus {self.label!r}: offset_hz, t1_s, t2_s and polarization must be finite"
-            )
+        fields = ("offset_hz", "t1_s", "t2_s", "polarization")
+        values = _NUCLEUS.check(self.label, [getattr(self, key) for key in fields])
+        for key, value in zip(fields, values):
+            object.__setattr__(self, key, value)
         if self.t1_s <= 0 or self.t2_s <= 0:
             raise ValidationError(f"nucleus {self.label!r}: t1_s and t2_s must be > 0")
         if self.t2_s > 2 * self.t1_s:
@@ -54,6 +55,11 @@ class NucleusSpec:
                                   f"(t1_s {self.t1_s:g}, t2_s {self.t2_s:g})")
         if abs(self.polarization) > 1:
             raise ValidationError(f"nucleus {self.label!r}: |polarization| must be <= 1")
+
+
+# A nucleus's offset_hz, t1_s, t2_s and polarization, as one list
+_NUCLEUS = replace(FINITE_NUMBERS, rule="nucleus {name!r}: offset_hz, t1_s, t2_s and polarization "
+                   "must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,17 +77,15 @@ class SpinSystemConfig:
             raise ValidationError(f"nuclei count {n} outside 1..{MAX_QUBITS}")
         if self.coupling_model not in COUPLING_MODELS:
             raise ValidationError(f"coupling_model must be one of {COUPLING_MODELS}")
-        j = np.array(self.j_hz, dtype=float)
+        j = finite_array(self.j_hz, float, "j_hz entries must be finite numbers")
         if j.shape != (n, n):
             raise ValidationError(f"j_hz shape {j.shape} != ({n}, {n})")
         rows = j.tolist()  # Python floats: no overflow warning below
-        if not all(math.isfinite(x) for row in rows for x in row):
-            raise ValidationError("j_hz entries must be finite")
         if any(abs(rows[a][b] - rows[b][a]) > 1e-12 for a in range(n) for b in range(a)):
             raise ValidationError("j_hz must be symmetric")
         if any(rows[k][k] != 0.0 for k in range(n)):
             raise ValidationError("j_hz diagonal must be exactly 0")
-        hz = [float(nuc.offset_hz) for nuc in self.nuclei] + [x for row in rows for x in row]
+        hz = [nuc.offset_hz for nuc in self.nuclei] + [x for row in rows for x in row]
         if not all(math.isfinite(2 * math.pi * x) for x in hz):
             raise ValidationError("offset_hz and j_hz must stay finite in rad/s (2*pi*Hz)")
         total = sum(abs(nuc.polarization) for nuc in self.nuclei)
@@ -158,10 +162,10 @@ def _config_from_dict(d, source: str) -> SpinSystemConfig:
 def _read_json(path: Union[str, Path], what: str, parse):
     """parse(the JSON document in an input file). A file not read or parsed, or a document
     that parse rejects, is one ValidationError that names the file."""
-    path = Path(path)
     try:
+        path = Path(path)
         text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, TypeError) as exc:  # TypeError: path is no path
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -281,14 +285,10 @@ def rf_hamiltonian(config: SpinSystemConfig, amplitudes_hz: Sequence,
     generators weighted by (u_0 cos(phi_0), u_0 sin(phi_0), u_1 cos(phi_1), ...).
     """
     channels = config.channels
-    try:
-        u, phi = np.asarray(amplitudes_hz, dtype=float), np.asarray(phases_rad, dtype=float)
-    except ValueError:  # rows of different lengths
-        u = phi = np.empty(0)
+    error = f"need one amplitude and phase per channel, all finite ({len(channels)}: {channels})"
+    u, phi = finite_array(amplitudes_hz, float, error), finite_array(phases_rad, float, error)
     if u.shape[-1:] != (len(channels),) or phi.shape != u.shape:
-        raise ValidationError(
-            f"need one amplitude and phase per channel ({len(channels)}: {channels})"
-        )
+        raise ValidationError(error)
     drive = np.empty((*u.shape[:-1], 2 * len(channels)))
     drive[..., 0::2] = u * np.cos(phi)
     drive[..., 1::2] = u * np.sin(phi)
