@@ -47,11 +47,10 @@ from .quantum import (
     Option,
     _check_density,
     complex_json,
-    finite_array,
-    is_unitary,
     partial_trace,
     state_fidelity,
     tensor,
+    unitary,
 )
 from .spinsys import SpinSystemConfig, preset
 
@@ -105,7 +104,7 @@ def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,
 
 
 def _report(algorithm, path, circuit, row, derived, ideal=None) -> AlgorithmReport:
-    rho = DensityMatrix(row, validate=False)  # a row of the checked stack
+    rho = DensityMatrix._checked(row)  # a row of the checked stack
     return AlgorithmReport(
         algorithm=algorithm,
         path=path,
@@ -334,10 +333,10 @@ def _bell_circuits(options, machine) -> list[Circuit]:
 
 
 def _bell_report(options, machine, path, circuits, states) -> AlgorithmReport:
-    rho = DensityMatrix(states[0], validate=False)
-    purities = [partial_trace(rho, {q}).purity() for q in (1, 2)]
-    derived = {**options, "reduced_purities": purities}
-    return _report("bell", path, circuits[0], states[0], derived, bell_ket(options["which"]))
+    report = _report("bell", path, circuits[0], states[0], {**options}, bell_ket(options["which"]))
+    purities = [partial_trace(report.final_state, {q}).purity() for q in (1, 2)]
+    report.derived["reduced_purities"] = purities
+    return report
 
 
 _QHO_PREPARATIONS = {"n0": [], "n0_plus_n3": [Y90(2)], "uniform4": [H(1), H(2)]}
@@ -413,15 +412,8 @@ def dqc1_trace(u: np.ndarray, epsilon: float) -> complex:
     epsilon, subnormal ones included, costs digits.
     """
     epsilon = EPSILON.check("epsilon", epsilon)
-    u = finite_array(u, complex, "u must be an array of finite numbers")
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("u must be a square matrix")
-    dim = u.shape[0]
-    n_reg = int(round(np.log2(dim)))
-    if 2**n_reg != dim or not 1 <= n_reg <= 2:
-        raise ValidationError("register must be 1 or 2 qubits")
-    if not is_unitary(u):
-        raise ValidationError("u must be unitary")
+    u = unitary(u, (2, 4), "u")
+    dim = len(u)
     circuit = _controlled(u) @ tensor(_HADAMARD, np.eye(dim))
     deviation = circuit @ tensor(SIGMA_Z / 2, np.eye(dim) / dim) @ circuit.conj().T
     # <sx> + i <sy> of the control is Tr(rho_c (sx + i sy)) = 2 rho_c[1, 0]

@@ -121,6 +121,11 @@ class _Parser(argparse.ArgumentParser):
         # starts as one, -1e-3 and -1,2 too, since no option name begins with a digit
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
+    def _get_values(self, action, arg_strings):  # argparse (3.11) reads --out=-- as [], unchecked
+        if arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: '--' is no value")
+        return super()._get_values(action, arg_strings)
+
     def error(self, message):
         """A usage error is one line, like every other exit 2."""
         self.exit(2, f"error: validation: {message}\n")
@@ -138,9 +143,10 @@ def _add_common(parser: argparse.ArgumentParser, *options: str, declared=None):
 
 def _cmd_simulate(args) -> list[Path]:
     cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
-    (ideal,) = algorithms._execute([circuit], cfg, algorithms.PATH.default)
-    rho = DensityMatrix(ideal if args.path == algorithms.PATH.default else algorithms._execute(
-        [circuit], cfg, args.path, args.relaxation == "on", args.pulse_amp_hz)[0], validate=False)
+    ideal = DensityMatrix._checked(algorithms._execute([circuit], cfg, algorithms.PATH.default)[0])
+    rho = ideal if args.path == algorithms.PATH.default else DensityMatrix._checked(
+        algorithms._execute([circuit], cfg, args.path, args.relaxation == "on",
+                            args.pulse_amp_hz)[0])
     report = {
         "command": "simulate",
         "machine": cfg.name,

@@ -23,8 +23,8 @@ from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
 from .dynamics import PULSE_AMPLITUDE, PulseProgram, RfSegment, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
-from .quantum import (POSITIVE, SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, finite_array,
-                      is_unitary, read, write)
+from .quantum import (POSITIVE, SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, finite_array, read,
+                      unitary, write)
 from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
                       internal_hamiltonian)
 
@@ -106,17 +106,7 @@ class Gate:
         if (self.matrix is None) == (self.name == "U"):
             raise ValidationError(f"gate {self.name}: only U takes a matrix, and U needs one")
         if self.matrix is not None:
-            m = finite_array(self.matrix, complex, "gate U matrix entries must be finite numbers")
-            if m.shape != (2 ** len(self.targets),) * 2:
-                raise ValidationError("gate U matrix size does not match target count")
-            if not is_unitary(m):
-                raise ValidationError("gate U matrix is not unitary")
-            object.__setattr__(self, "matrix", m)
-
-
-def _local_matrix(g: Gate) -> np.ndarray:
-    """A gate's unitary on its own targets, in target order (not for Delay)."""
-    return g.matrix if g.name == "U" else _GATES[g.name][2](*g.params)
+            object.__setattr__(self, "matrix", unitary(self.matrix, [2**n_targets], "gate U"))
 
 
 def _helper(name: str):
@@ -171,7 +161,8 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
         return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
-    return embed(_local_matrix(g), g.targets, QUBIT_COUNT.check(n, n))
+    u = g.matrix if g.name == "U" else _GATES[g.name][2](*g.params)
+    return embed(u, g.targets, QUBIT_COUNT.check(n, n))
 
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
@@ -271,11 +262,12 @@ class _PulseEmitter:
             self.pulse({q: f[q] / 2 for q in qs}, np.pi)
 
 
-# Two-qubit gates as CZs and one-qubit gates, equal up to a global phase
+# Two-qubit gates as CZs and one-qubit gates, up to a global phase: (name, slots, parameters)
 _VIA_CZ = {
-    "CNOT": lambda c, t: (H(t), CZ(c, t), H(t)),
-    "CY": lambda c, t: (P(t, -np.pi / 2), CNOT(c, t), P(t, np.pi / 2), P(c, -np.pi / 2)),
-    "SWAP": lambda a, b: (CNOT(a, b), CNOT(b, a), CNOT(a, b)),
+    "CNOT": (("H", (1,), ()), ("CZ", (0, 1), ()), ("H", (1,), ())),
+    "CY": (("P", (1,), (-np.pi / 2,)), ("CNOT", (0, 1), ()), ("P", (1,), (np.pi / 2,)),
+           ("P", (0,), (-np.pi / 2,))),
+    "SWAP": (("CNOT", (0, 1), ()), ("CNOT", (1, 0), ()), ("CNOT", (0, 1), ())),
 }
 
 
@@ -306,21 +298,21 @@ def compile_circuit(
         )
     em = _PulseEmitter(config, pulse_amp_hz)
 
-    def emit(g: Gate):
-        if g.name == "Delay":
-            em.events.append(DelayEvent(g.params[0]))
-        elif len(g.targets) == 1:
-            em.rotate(g.targets[0] - 1, _local_matrix(g))
-        elif g.name == "CZ":
-            em.cz(g.targets[0] - 1, g.targets[1] - 1)
-        elif g.name in _VIA_CZ:
-            for h in _VIA_CZ[g.name](*g.targets):
-                emit(h)
+    def emit(name: str, targets, params, matrix=None):
+        if name == "Delay":
+            em.events.append(DelayEvent(params[0]))
+        elif len(targets) == 1:
+            em.rotate(targets[0] - 1, _GATES[name][2](*params) if matrix is None else matrix)
+        elif name == "CZ":
+            em.cz(targets[0] - 1, targets[1] - 1)
+        elif name in _VIA_CZ:
+            for step, slots, step_params in _VIA_CZ[name]:
+                emit(step, [targets[s] for s in slots], step_params)
         else:
             raise ValidationError("only single-qubit custom unitaries compile to pulses")
 
     for g in c.gates:
-        emit(g)
+        emit(g.name, g.targets, g.params, g.matrix)
     em.flush()
     return PulseProgram(system=config, events=tuple(em.events))
 
@@ -441,11 +433,7 @@ def grape_optimize(
     if gcfg.segments * config.dim**2 > MAX_GRAPE_ELEMENTS:
         raise ValidationError(f"segments * dim^2 must be <= {MAX_GRAPE_ELEMENTS}: at most "
                               f"{MAX_GRAPE_ELEMENTS // config.dim**2} segments on this machine")
-    target = finite_array(target, complex, "target must be unitary (an array of finite numbers)")
-    if target.shape != (config.dim, config.dim):
-        raise ValidationError(f"target shape {target.shape} != machine dim {config.dim}")
-    if not is_unitary(target):
-        raise ValidationError("target must be unitary")
+    target = unitary(target, [config.dim], "target")
     h0 = internal_hamiltonian(config)
     controls, channels = control_operators(config)
     m = controls.shape[0]

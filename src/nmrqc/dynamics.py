@@ -238,7 +238,7 @@ def evolve_program(
 ) -> DensityMatrix:
     """Run a pulse program: events in order, optional relaxation after each
     timed event over that event's duration. The one row of `evolve_programs`, as a state."""
-    return DensityMatrix(evolve_programs(rho, [program], relaxation)[0], validate=False)
+    return DensityMatrix._checked(evolve_programs(rho, [program], relaxation)[0])
 
 
 def program_unitary(program: PulseProgram) -> np.ndarray:

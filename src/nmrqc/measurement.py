@@ -32,7 +32,7 @@ import numpy as np
 from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compile_circuit
 from .dynamics import PULSE_AMPLITUDE, program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
-from .quantum import (POSITIVE, DensityMatrix, all_pauli_strings, finite_array, pauli_reconstruct,
+from .quantum import (POSITIVE, DensityMatrix, _pauli_state, all_pauli_strings, finite_array,
                       pauli_string_matrix)
 from .spinsys import SpinSystemConfig, _read_only
 
@@ -261,7 +261,7 @@ def _reconstruct(states, config, compiled_readout=False, pulse_amp_hz=DEFAULT_PU
     readings = lines.readings(us @ states[:, np.newaxis] @ us.conj().swapaxes(1, 2))
     # one matrix-vector product per row, as for B = 1, so a row's bits do not depend on B
     coeffs = (inverse @ readings.reshape(len(states), -1, 1))[..., 0].real.tolist()
-    recons = [pauli_reconstruct(dict(zip(all_pauli_strings(config.n)[1:], c))) for c in coeffs]
+    recons = [_pauli_state(dict(zip(all_pauli_strings(config.n)[1:], c)), config.n) for c in coeffs]
     return recons, lines, settings, readings
 
 

@@ -25,6 +25,7 @@ TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 PURITY_TOL = 1e-9
 UNITARITY_TOL = 1e-10
+MAX_QUBITS = 6  # the largest register: a machine's nuclei, a circuit's or Pauli string's qubits
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -210,10 +211,14 @@ def finite_array(value, dtype: type, message: str) -> np.ndarray:
     raise ValidationError(message)
 
 
-def is_unitary(m: np.ndarray) -> bool:
-    """Whether m m^dagger = I within UNITARITY_TOL; False, not an overflow, for huge entries."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= UNITARITY_TOL)
+def unitary(value, sizes: Sequence[int], what: str) -> np.ndarray:
+    """value as a complex array if it is a d x d unitary (within UNITARITY_TOL), d in sizes."""
+    u = finite_array(value, complex, f"{what} must be unitary (an array of finite numbers)")
+    if u.shape in [(d, d) for d in sizes]:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: not unitary
+            if np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= UNITARITY_TOL:
+                return u
+    raise ValidationError(f"{what} must be unitary, {' or '.join(f'{d}x{d}' for d in sizes)}")
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -291,7 +296,7 @@ class Ket:
 
 
 def _check_density(m: np.ndarray) -> np.ndarray:
-    """m, unless a matrix of the (..., d, d) stack m is no density matrix: then ValidationError."""
+    """m, read-only, if every (d, d) matrix of the stack m is a state; else ValidationError."""
     with np.errstate(over="ignore", invalid="ignore"):  # huge or inf entries fail the checks below
         # trace first: a scaled state's rounding can fail the absolute Hermiticity tolerance
         tr = np.trace(m, axis1=-2, axis2=-1)
@@ -304,6 +309,7 @@ def _check_density(m: np.ndarray) -> np.ndarray:
     lo = float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))))
     if lo < -EIGENVALUE_TOL:
         raise ValidationError(f"density matrix has negative eigenvalue {lo:.2e}")
+    m.setflags(write=False)
     return m
 
 
@@ -315,13 +321,20 @@ class DensityMatrix:
 
     __slots__ = ("matrix", "n")
 
-    def __init__(self, matrix: np.ndarray, validate: bool = True):
+    def __init__(self, matrix: np.ndarray):
         m = finite_array(matrix, complex, "density matrix entries must be finite numbers")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
         self.n = _qubit_count(m.shape[0], "density matrix")
-        self.matrix = _check_density(m) if validate else m
-        self.matrix.setflags(write=False)
+        self.matrix = _check_density(m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray) -> "DensityMatrix":
+        """m, a checked stack's row or a basis state, held as a state: no copy, no second check."""
+        rho = cls.__new__(cls)
+        rho.n, rho.matrix = _qubit_count(len(m), "density matrix"), m
+        m.setflags(write=False)
+        return rho
 
     @classmethod
     def basis(cls, n: int, state: Union[int, str]) -> "DensityMatrix":
@@ -329,7 +342,7 @@ class DensityMatrix:
         idx = int(state, 2) if isinstance(state, str) else int(state)
         m = np.zeros((2**n, 2**n), dtype=complex)
         m[idx, idx] = 1.0
-        return cls(m, validate=False)
+        return cls._checked(m)
 
     @classmethod
     def from_ket(cls, ket: Union[Ket, np.ndarray]) -> "DensityMatrix":
@@ -337,8 +350,9 @@ class DensityMatrix:
         return cls(np.outer(amps, amps.conj()))
 
     def evolved(self, u: np.ndarray) -> "DensityMatrix":
-        """U rho U^dag. Unitarity of `u` is the caller's responsibility."""
-        return DensityMatrix(u @ self.matrix @ u.conj().T, validate=False)
+        """U rho U^dag for a unitary u of the state's dimension, checked as a state."""
+        u = unitary(u, [len(self.matrix)], "u")
+        return DensityMatrix(u @ self.matrix @ u.conj().T)
 
     def probabilities(self) -> dict[str, float]:
         """Computational-basis populations, keyed by bit label."""
@@ -379,9 +393,7 @@ def _as_matrix(state) -> tuple[np.ndarray, bool]:
     arr = finite_array(state, complex, "state entries must be finite numbers")
     if arr.ndim == 1:  # checked as a Ket
         return Ket(arr).amplitudes, True
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        return DensityMatrix(arr).matrix, False
-    raise ValidationError("state must be a vector or a square matrix")
+    return DensityMatrix(arr).matrix, False
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[int, Iterable[int]]) -> DensityMatrix:
@@ -418,15 +430,21 @@ def pauli_reconstruct(coefficients: Mapping[str, float]) -> DensityMatrix:
     if not isinstance(coefficients, Mapping):
         raise ValidationError("coefficients must be a mapping of Pauli strings to numbers")
     coefficients = dict(zip(coefficients, FINITE_NUMBERS.check("", coefficients.values())))
-    n = len(next(iter(coefficients)))
+    n = len(next((k for k in coefficients if isinstance(k, str)), ""))
+    if not all(isinstance(k, str) and 0 < len(k) == n <= MAX_QUBITS and not k.strip("IXYZ")
+               for k in coefficients):
+        raise ValidationError(f"Pauli strings must be of one length, 1 to {MAX_QUBITS} of IXYZ")
+    return _pauli_state(coefficients, n)
+
+
+def _pauli_state(coefficients: Mapping[str, float], n: int) -> DensityMatrix:
+    """`pauli_reconstruct` of finite coefficients keyed by n-letter strings over IXYZ."""
     ident = "I" * n
     c_ident = coefficients.get(ident, 1.0)
     if abs(c_ident - 1.0) > TRACE_TOL:
         raise ValidationError(f"identity coefficient {c_ident} implies trace != 1")
     m = np.eye(2**n, dtype=complex)
     for label, c in coefficients.items():
-        if len(label) != n:
-            raise ValidationError(f"string {label!r} has wrong length (expected {n})")
         if label != ident and c != 0.0:
             m += c * pauli_string_matrix(label)
     return DensityMatrix(m / 2**n)

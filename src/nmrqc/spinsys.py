@@ -24,11 +24,10 @@ from typing import NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import (FINITE_NUMBERS, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, embed,
-                      finite_array, read, write)
+from .quantum import (FINITE_NUMBERS, MAX_QUBITS, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Option,
+                      embed, finite_array, read, write)
 
 COUPLING_MODELS = ("weak", "isotropic")
-MAX_QUBITS = 6
 PRESETS = ("gemini", "triangulum")  # the files under presets/
 
 
@@ -43,6 +42,7 @@ class NucleusSpec:
     polarization: float
 
     def __post_init__(self):
+        object.__setattr__(self, "label", _LABEL.check("label", self.label))
         fields = ("offset_hz", "t1_s", "t2_s", "polarization")
         values = _NUCLEUS.check(self.label, [getattr(self, key) for key in fields])
         for key, value in zip(fields, values):
@@ -57,7 +57,8 @@ class NucleusSpec:
             raise ValidationError(f"nucleus {self.label!r}: |polarization| must be <= 1")
 
 
-# A nucleus's offset_hz, t1_s, t2_s and polarization, as one list
+# A nucleus's label, its channel's name, and its offset_hz, t1_s, t2_s and polarization
+_LABEL = Option(kind=str, ok=bool, rule="nucleus label must be a non-empty string")
 _NUCLEUS = replace(FINITE_NUMBERS, rule="nucleus {name!r}: offset_hz, t1_s, t2_s and polarization "
                    "must be finite")
 

@@ -481,9 +481,14 @@ def outside_values(draw):
 
 
 class TestDeclaredOptions:
+    @pytest.fixture(scope="class")
+    def parser(self):
+        """The CLI's parser, built once: parsing leaves it as it was."""
+        return build_parser()
+
     @settings(max_examples=150, deadline=None)
     @given(drawn=outside_values())
-    def test_a_value_outside_is_rejected_by_the_runner_and_the_parser(self, drawn):
+    def test_a_value_outside_is_rejected_by_the_runner_and_the_parser(self, parser, drawn):
         name, key, value = drawn
         options = ALGORITHMS[name].options
         with pytest.raises(ValidationError):
@@ -493,7 +498,7 @@ class TestDeclaredOptions:
             argv = ["algorithm", name, f"--{key.replace('_', '-')}={text}",
                     "--out", str(Path(tmp) / "out")]
             with redirect_stderr(io.StringIO()), pytest.raises((ValidationError, SystemExit)):
-                build_parser().parse_args(argv)  # rejected when parsed
+                parser.parse_args(argv)  # rejected when parsed
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 try:

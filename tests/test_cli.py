@@ -921,6 +921,22 @@ class TestDeclaredDomains:
             assert len(err.splitlines()) == 1 and err.startswith("error: validation:"), err
             assert not (Path(tmp) / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["algorithm", "deutsch", "--relaxation=--"], ["algorithm", "deutsch", "--case=--"],
+        ["simulate", "--circuit=--"], ["experiment", "t1", "--delays=--"],
+        ["algorithm", "deutsch", "--out=--"],
+    ], ids=["relaxation", "case", "circuit", "delays", "out"])
+    def test_a_double_dash_is_no_value(self, tmp_path, argv):
+        # argparse (3.11) read --relaxation=-- as [], unchecked: the run went on with
+        # relaxation off and exit 0, and --out=-- ended in a TypeError traceback
+        argv = [*argv, "--out", str(tmp_path / "out")]
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+            ORACLE_PARSER.parse_args(argv)
+        rc, err = run_main(argv)
+        assert rc == 2 and err.startswith("error: validation: argument --") and len(
+            err.splitlines()) == 1 and "'--' is no value" in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_every_option_has_a_domain(self):
         leaves = list(leaf_parsers(build_parser()))
         assert len(leaves) == 16  # 4 commands, 4 experiments, 8 algorithms

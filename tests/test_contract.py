@@ -5,6 +5,7 @@ valid: a wrong object is outside this contract."""
 
 import inspect
 import math
+from collections.abc import Hashable
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 import nmrqc
 from conftest import make_weak_config
 from nmrqc import (Circuit, Delay, FIDSignal, Gate, GrapeConfig, Ket, NmrqcError, NucleusSpec,
-                   PulseProgram, RfSegment, UnresolvedPeaksError, ValidationError, fit_model,
-                   gate_matrix, partial_trace, pauli_reconstruct, preset, program_unitary,
-                   readout_peak_table, relaxation_experiment, synthesize_fid, thermal_state)
+                   PulseProgram, RfSegment, SpinSystemConfig, UnresolvedPeaksError,
+                   ValidationError, fit_model, gate_matrix, partial_trace, pauli_reconstruct,
+                   preset, program_unitary, readout_peak_table, relaxation_experiment,
+                   synthesize_fid, thermal_state)
 from nmrqc import control, dynamics
 from nmrqc.control import CNOT, DELAY, RX, X
 from nmrqc.quantum import FINITE_NUMBERS, INTEGERS, POSITIVE, finite_array
@@ -38,7 +40,7 @@ ENTRIES = [
     ("BlochVector", {"x": 0.0, "y": 0.0, "z": 1.0}, {}),
     ("Circuit", {"n": 2}, {"gates": (X(1),)}),
     ("Delay", {"duration_s": 1e-3}, {}),
-    ("DensityMatrix", {"matrix": np.eye(4) / 4, "validate": True}, {}),
+    ("DensityMatrix", {"matrix": np.eye(4) / 4}, {}),
     ("FIDSignal", {"channel": "1H", "samples": np.ones(4), "dt_s": 1e-3}, {}),
     ("FitResult", {"model": "exp_decay", "params": {"amplitude": 1.0, "tau": 1.0},
                    "residual": 0.0}, {}),
@@ -159,6 +161,7 @@ class TestErrorContract:
 
 
 SEGMENT_RULE = "^RF segment amplitudes, phases and duration must be finite$"
+PAULI_RULE = "^Pauli strings must be of one length, 1 to 6 of IXYZ$"
 
 
 class TestLibraryDomains:
@@ -239,6 +242,31 @@ class TestLibraryDomains:
             pauli_reconstruct(coefficients)
         with pytest.raises(ValidationError, match="must be a mapping"):
             pauli_reconstruct([("Z", 0.5)])
+
+    @pytest.mark.parametrize("key", [k for k in HOSTILE if isinstance(k, Hashable)]
+                             + ["", "ZA", "zi", b"ZI", ("Z", "I"), 10**5000, "I" * 7],
+                             ids=lambda v: "huge" if v == 10**5000 else repr(v)[:12])
+    def test_pauli_strings_are_strings_over_ixyz(self, key):
+        for coefficients in ({key: 0.5}, {"ZI": 0.5, key: 0.5}):
+            with pytest.raises(ValidationError, match=PAULI_RULE):
+                pauli_reconstruct(coefficients)
+
+    def test_pauli_strings_are_of_one_length(self):
+        with pytest.raises(ValidationError, match=PAULI_RULE):
+            pauli_reconstruct({"ZI": 0.5, "Z": 0.5})
+
+    @pytest.mark.parametrize("label", [v for v in HOSTILE if not isinstance(v, str)]
+                             + ["", b"1H", ["1H"], np.array("1H")], ids=lambda v: repr(v)[:12])
+    def test_a_nucleus_label_is_a_non_empty_string(self, label):
+        with pytest.raises(ValidationError, match="^nucleus label must be a non-empty string$"):
+            NucleusSpec(label, 0.0, 1.0, 0.5, 0.0)
+
+    def test_a_nucleus_label_is_stored_as_a_string_and_hashes(self):
+        nucleus = NucleusSpec(np.str_("1H"), 0.0, 1.0, 0.5, 0.0)
+        assert type(nucleus.label) is str and nucleus == NucleusSpec("1H", 0.0, 1.0, 0.5, 0.0)
+        config = SpinSystemConfig("m", (nucleus,), [[0.0]])
+        assert hash(config) == hash(SpinSystemConfig("m", (NucleusSpec("1H", 0, 1, 0.5, 0),),
+                                                     [[0.0]]))
 
     @pytest.mark.parametrize("value, dtype", [
         (True, float), ([True, False], float), ("1", float), ([1.0, "1"], complex),

@@ -290,7 +290,7 @@ class TestDecomposeSingleQubit:
 
     def test_non_unitary_rejected(self):
         # a matrix reaches `_zxz` only as a gate, which checks it
-        with pytest.raises(ValidationError, match="not unitary"):
+        with pytest.raises(ValidationError, match="^gate U must be unitary, 2x2$"):
             Gate("U", (1,), (), np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
@@ -317,6 +317,19 @@ class TestCompile:
     def test_compiled_gate_equivalence(self, gemini, name, gate):
         circuit = Circuit(2, (gate,))
         prog = compile_circuit(circuit, gemini)
+        fid = gate_fidelity(program_unitary(prog), circuit_unitary(circuit, gemini))
+        assert fid >= 1 - 1e-9
+
+    @pytest.mark.parametrize("gate", [CNOT(2, 1), CY(1, 2), SWAP(1, 2)], ids=["CNOT", "CY", "SWAP"])
+    def test_rewrites_construct_no_gate(self, gemini, monkeypatch, gate):
+        # the compiler expands the circuit's checked gates by value: no Gate is built or
+        # checked again, at any depth of the CZ rewrites (SWAP is three CNOTs)
+        circuit = Circuit(2, (H(1), gate, RZ(2, 0.3)))
+        built = []
+        post_init = Gate.__post_init__
+        monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g.name) or post_init(g))
+        prog = compile_circuit(circuit, gemini)
+        assert built == []
         fid = gate_fidelity(program_unitary(prog), circuit_unitary(circuit, gemini))
         assert fid >= 1 - 1e-9
 

@@ -592,9 +592,9 @@ class TestEvolvePrograms:
         assert peak <= 4e6
 
     def test_every_state_is_validated(self, gemini):
-        # relaxing for 100 s mends the slightly negative start state; no delay keeps it
-        bad = DensityMatrix(np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]).astype(complex),
-                            validate=False)
+        # relaxing for 100 s mends the slightly negative start state; no delay keeps it. The
+        # public constructor rejects that state, so the private wrap of checked rows holds it
+        bad = DensityMatrix._checked(np.diag([0.5, 0.5 + 1e-6, 0.0, -1e-6]).astype(complex))
         mended = PulseProgram(gemini, (Delay(100.0),))
         (out,) = evolve_programs(bad, [mended], relaxation=True)
         assert np.min(np.linalg.eigvalsh(out)) > 0

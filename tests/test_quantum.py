@@ -264,6 +264,29 @@ class TestDensityMatrixType:
             Ket([1.0, 1.0])
         assert Ket.from_bits("01").n == 2
 
+    @pytest.mark.parametrize("u", [np.diag([1.0, 2.0]), 2 * np.eye(2), np.zeros((2, 2)),
+                                   np.eye(4), np.eye(2)[0], [[1.0, 0.0], [0.0, np.nan]]],
+                             ids=["scaling", "twice_identity", "zero", "wrong_size", "vector",
+                                  "nan"])
+    def test_evolved_takes_a_unitary_of_the_state_size(self, u):
+        # diag(1, 2) maps |0><0| to itself: the state alone would not show it is no unitary
+        with pytest.raises(ValidationError, match="^u must be unitary"):
+            DensityMatrix.basis(1, 0).evolved(u)
+
+    def test_evolved_returns_a_checked_state(self):
+        rho = DensityMatrix.basis(1, 0).evolved([[0, 1], [1, 0]])
+        assert np.array_equal(rho.matrix, np.diag([0, 1])) and not rho.matrix.flags.writeable
+        # a state wrapped unchecked, as the package wraps the rows of checked stacks only
+        bad = DensityMatrix._checked(np.diag([1.0 + 1e-6, -1e-6]).astype(complex))
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            bad.evolved(np.eye(2))
+
+    def test_a_checked_row_is_held_not_copied(self):
+        stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+        rho = DensityMatrix._checked(stack[1])
+        assert rho.n == 1 and np.shares_memory(rho.matrix, stack)
+        assert not rho.matrix.flags.writeable
+
     def test_empty_states_rejected(self):
         with pytest.raises(ValidationError, match="dimension 0"):
             Ket([])

@@ -151,6 +151,13 @@ def _deutsch(nmrqc):
     return lambda: nmrqc.run_deutsch("f3", "pulse", cfg, False)
 
 
+def _counting(nmrqc):
+    """Counting case M2 over l = 1...50 on gemini's pulse path, without relaxation: 50
+    circuits compiled, CNOTs rewritten to CZs, then evolved and fitted."""
+    cfg = nmrqc.preset("gemini")
+    return lambda: nmrqc.run_counting("M2", list(range(1, 51)), "pulse", cfg, False)
+
+
 def _documents(nmrqc):
     """Each kind of input document written by its `to_json_dict` and decoded again: a seeded
     3-qubit circuit of 12 gates, gemini's config and a seeded 3-qubit state."""
@@ -203,6 +210,8 @@ TARGETS = {
     "algorithms.runner:cnot_truth_table": _cnot_table,
     "algorithms.runner:run_grover4": _grover4,
     "algorithms.runner:run_deutsch": _deutsch,
+    # the compiler's heaviest runner: 50 circuits of 1 to 50 rewritten CNOTs each
+    "algorithms.runner:run_counting": _counting,
     "quantum.documents": _documents,
     "cli.build_parser": _build_parser,
 }
