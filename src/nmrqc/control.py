@@ -23,10 +23,9 @@ from . import _kernels, _lbfgs
 from .dynamics import Delay as DelayEvent
 from .dynamics import PULSE_AMPLITUDE, PulseProgram, RfSegment, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
-from .quantum import (POSITIVE, SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed, finite_array, read,
-                      unitary, write)
-from .spinsys import (MAX_QUBITS, SpinSystemConfig, _drive_hamiltonian, control_operators,
-                      internal_hamiltonian)
+from .quantum import (POSITIVE, QUBIT_COUNT, SIGMA_X, SIGMA_Y, SIGMA_Z, Option, embed,
+                      finite_array, read, unitary, write)
+from .spinsys import SpinSystemConfig, _drive_hamiltonian, control_operators, internal_hamiltonian
 
 # Amplitude used when compiling circuits unless the caller overrides it.
 # 5e8 Hz keeps the J-during-pulse error of a full two-qubit program below
@@ -71,9 +70,6 @@ _GATES = {
     "SWAP": (2, 0, lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
     "Delay": (0, 1, None),
 }
-# A register's qubit count: a circuit's, or the n a gate is embedded in
-QUBIT_COUNT = Option(kind=int, rule=f"qubit count {{name!r}} outside 1..{MAX_QUBITS}",
-                     ok=lambda n: 1 <= n <= MAX_QUBITS)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -134,8 +135,9 @@ def _propagators(machines: Sequence[SpinSystemConfig], which: Sequence[int],
     rows = [row.setdefault(key, len(row)) for key in zip(which, map(number.get, map(id, events)))]
     m, k = np.array(list(row), dtype=int).reshape(-1, 2).T
     off = (0.0,) * len(machines[0].channels)  # a delay drives no channel
-    amps, phases = ([getattr(ev, a, off) for ev in values] or np.empty((0, len(off)))
-                    for a in ("amplitudes_hz", "phases_rad"))
+    amps, phases = ([getattr(ev, a, off) for ev in values] for a in ("amplitudes_hz", "phases_rad"))
+    if {len(off)} >= set(map(len, amps)):  # arrays, read by dtype; ragged lists are rejected
+        amps, phases = (np.fromiter(chain(*x), float).reshape(-1, len(off)) for x in (amps, phases))
     h0s = np.array([cfg._operators.h0 for cfg in machines])
     with np.errstate(over="ignore", invalid="ignore"):  # one H_rf row per distinct event
         hs = rf_hamiltonian(machines[0], amps, phases)[k] + h0s[m]

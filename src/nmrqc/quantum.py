@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -42,12 +43,11 @@ def _qubit_count(dim: int, what: str) -> int:
 
 
 # A document is declared once, as plain data, {key: kind or (kind, default)}. A kind is a
-# JSON kind of _KINDS, exactly the type json.loads gives; an array kind of _ARRAYS, (the JSON
-# kind of every entry, dimensions); "complex", a COMPLEX object; or [item name, declaration],
-# a list of objects of that declaration.
-_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "list": (list,),
-          "object": (dict,)}
-_ARRAYS = {"integers": ("integer", 1), "numbers": ("number", 1), "matrix": ("number", 2)}
+# scalar kind of _SCALARS; an array kind of _ARRAYS, (dtype, dimensions, what it is); "complex",
+# a COMPLEX object; or [item name, declaration], a list of objects of that declaration.
+_ARRAYS = {"integers": (int, 1, "a list of integers"),
+           "numbers": (float, 1, "a list of finite numbers"),
+           "matrix": (float, 2, "a list of equal-length rows of finite numbers")}
 COMPLEX = {"re": "matrix", "im": "matrix"}
 
 
@@ -72,51 +72,30 @@ def read(doc, declared: Mapping, what: str) -> dict:
 
 
 def field(doc: dict, key: str, kind, what: str):
-    """doc[key] read as a declared kind: a JSON kind exactly, an array kind by `array`, a
-    "complex" object as a complex matrix, and each object of a list by `read`, named "<item
-    name> <index>" in errors. A bool is never a number, 1.0 is no integer, a number a float.
-    """
+    """doc[key] read as a declared kind: a scalar kind by its Option, an array kind by
+    `finite_array` (one dimension: a tuple of Python numbers), a "complex" object as a complex
+    matrix, and each object of a list by `read`, named "<item name> <index>" in errors."""
     if isinstance(kind, list):
         return [read(d, kind[1], f"{what}: {kind[0]} {i}")
                 for i, d in enumerate(field(doc, key, "list", what))]
+    if kind in _SCALARS:
+        return _SCALARS[kind].check((what, key), doc[key])
+    name = f"{what}: {key!r}"
     if kind == "complex":
-        at = f"{what}: {key!r}"
-        return complex_matrix(read(doc[key], COMPLEX, at), at)
-    if kind in _ARRAYS:
-        return array(doc, key, what, *_ARRAYS[kind])
-    value = doc[key]
-    if type(value) not in _KINDS[kind]:
-        article = "an" if kind in ("integer", "object") else "a"
-        raise ValidationError(f"{what}: {key!r} must be {article} {kind}")
-    try:
-        return float(value) if kind == "number" else value
-    except OverflowError as exc:
-        raise ValidationError(f"{what}: {key!r} is out of the float range") from exc
-
-
-def array(doc: dict, key: str, what: str, kind: str, ndim: int):
-    """doc[key] as a tuple of Python numbers (ndim 1) or a float array (ndim 2): a list, or a
-    list of equal-length rows, whose every entry is exactly the JSON `kind`."""
-    cells = np.array(field(doc, key, "list", what), dtype=object)  # no recursion
-    shape = "a list" if ndim == 1 else "a list of equal-length rows"
-    # ndim first: numpy cannot iterate an object array of more than 32 dimensions
-    if cells.ndim != ndim or not all(type(c) in _KINDS[kind] for c in cells.flat):
-        raise ValidationError(f"{what}: {key!r} must be {shape} of {kind}s")
-    try:
-        values = cells.astype(float if kind == "number" else int)
-    except OverflowError as exc:  # past the float or int64 range
-        raise ValidationError(f"{what}: {key!r} has an entry out of range") from exc
+        return complex_matrix(read(doc[key], COMPLEX, name), name)
+    dtype, ndim, shape = _ARRAYS[kind]
+    values = finite_array(doc[key], dtype, f"{name} must be {shape}")
+    if values.ndim != ndim:
+        raise ValidationError(f"{name} must be {shape}")
     return tuple(values.tolist()) if ndim == 1 else values
 
 
 def complex_matrix(parts: Mapping, what: str) -> np.ndarray:
     """The complex matrix of the "re" and "im" matrices that `read` gives for COMPLEX, bit for
-    bit (re + 1j * im would flip signed zeros); rejects non-finite entries."""
+    bit (re + 1j * im would flip signed zeros)."""
     re, im = parts["re"], parts["im"]
     if re.shape != im.shape:
         raise ValidationError(f"{what}: 're' is {re.shape} but 'im' is {im.shape}")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValidationError(f"{what}: matrix entries must be finite")
     m = np.empty(re.shape, dtype=complex)
     m.real, m.imag = re, im
     return m
@@ -146,7 +125,8 @@ def write(obj, declared: Mapping) -> dict:
 
 
 # The values of each kind of Option, as JSON has them: a bool is no number, 2.0 no integer
-_OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating), str: (str,)}
+_OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
+            complex: (int, float, complex, np.number), str: (str,), list: (list,)}
 
 
 @dataclass(frozen=True)
@@ -166,6 +146,8 @@ class Option:
         """value as a `kind` (`listed`: a tuple of them) if declared, else ValidationError."""
         kind, ok = self.kind, self.choices.__contains__ if self.choices else self.ok
         try:
+            if type(value) is kind and not self.listed and ok(value):  # one value of the kind
+                return value
             values = []
             for v in value if self.listed else (value,):
                 if type(v) is not kind:  # converted if of the kind, as an int is to a float
@@ -197,17 +179,38 @@ FINITE_NUMBERS = Option(kind=float, listed=True, ok=math.isfinite,
 INTEGERS = Option(kind=int, listed=True, rule="need one or more values, all integers")
 # A number > 0 and finite: a pulse amplitude, a sample or segment spacing, a duration
 POSITIVE = Option(kind=float, ok=lambda v: 0 < v < math.inf, rule="{name} must be > 0 and finite")
+# A register's qubit count (a circuit's, or the n a gate or basis state is embedded in), and
+# a computational basis label
+QUBIT_COUNT = Option(kind=int, rule=f"qubit count {{name!r}} outside 1..{MAX_QUBITS}",
+                     ok=lambda n: 1 <= n <= MAX_QUBITS)
+BITS = Option(kind=str, ok=lambda b: 0 < len(b) <= MAX_QUBITS and not b.strip("01"),
+              rule=f"{{name}} must be 1 to {MAX_QUBITS} letters of 0 and 1")
+
+
+# The scalar kinds of a document (see `read`), each named by (document, key) so that the name
+# is formatted only on an error; and the entries of a raw list of each dtype
+_SCALARS = {"string": Option(kind=str, rule="{name[0]}: {name[1]!r} must be a string"),
+            "integer": Option(kind=int, rule="{name[0]}: {name[1]!r} must be an integer"),
+            "number": Option(kind=float, ok=math.isfinite,
+                             rule="{name[0]}: {name[1]!r} must be a finite number"),
+            "list": Option(kind=list, rule="{name[0]}: {name[1]!r} must be a list")}
+_ENTRIES = {dtype: Option(kind=dtype, listed=True, ok=cmath.isfinite, rule="{name}")
+            for dtype in (int, float, complex)}
 
 
 def finite_array(value, dtype: type, message: str) -> np.ndarray:
-    """A copy of value as an array of dtype, float or complex, if it is an array of finite
-    numbers (not of bools or strings, ragged or past the float range); else ValidationError."""
+    """A copy of value as an array of dtype (int, float or complex) if it holds finite numbers
+    of that kind, else ValidationError: an ndarray by its dtype (no bool, cast safely: 1.0 is
+    no int), any other value, as a list of numbers or of arrays, entry by entry by `Option`."""
     try:
-        arr = np.asarray(value)
-        if arr.dtype.kind in ("iufc" if dtype is complex else "iuf") and np.isfinite(arr).all():
-            return arr.astype(dtype)
-    except ValueError:  # a ragged list
-        pass
+        if not isinstance(value, np.ndarray):  # a ragged list is an array of lists
+            cells = np.array(value, dtype=object)
+            entries = _ENTRIES[dtype].check(message, cells.flat) if cells.size else ()
+            return np.array(entries, dtype).reshape(cells.shape)
+        if value.dtype.kind != "b" and np.count_nonzero(np.isfinite(value)) == value.size:
+            return value.astype(dtype, casting="safe")  # count_nonzero: .all() costs twice as much
+    except (ValueError, TypeError, OverflowError, RuntimeError):
+        pass  # ragged arrays; no number dtype, or an unsafe cast; past int64; > 32 dimensions
     raise ValidationError(message)
 
 
@@ -287,6 +290,8 @@ class Ket:
 
     @classmethod
     def from_bits(cls, bits: str) -> "Ket":
+        """The basis ket of a label of 1 to MAX_QUBITS letters of 0 and 1, qubit 1 first."""
+        bits = BITS.check("bits", bits)
         amps = np.zeros(2 ** len(bits), dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(amps)
@@ -338,8 +343,12 @@ class DensityMatrix:
 
     @classmethod
     def basis(cls, n: int, state: Union[int, str]) -> "DensityMatrix":
-        """|b><b| for a computational basis label ("01") or index."""
-        idx = int(state, 2) if isinstance(state, str) else int(state)
+        """|b><b| for a computational basis label of n letters ("01") or index 0 <= i < 2^n."""
+        n = QUBIT_COUNT.check(n, n)
+        if isinstance(state, str):  # a label of n letters is read as its index, any other as none
+            state = int(state, 2) if len(state) == n and not state.strip("01") else None
+        idx = Option(kind=int, ok=range(2**n).__contains__, rule=f"basis state must be an index "
+                     f"0..{2**n - 1} or {n} letters of 0 and 1").check("", state)
         m = np.zeros((2**n, 2**n), dtype=complex)
         m[idx, idx] = 1.0
         return cls._checked(m)

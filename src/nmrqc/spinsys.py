@@ -57,8 +57,10 @@ class NucleusSpec:
             raise ValidationError(f"nucleus {self.label!r}: |polarization| must be <= 1")
 
 
-# A nucleus's label, its channel's name, and its offset_hz, t1_s, t2_s and polarization
+# A nucleus's label, its channel's name, and its offset_hz, t1_s, t2_s and polarization; a
+# machine's name, part of the key its caches are looked up by
 _LABEL = Option(kind=str, ok=bool, rule="nucleus label must be a non-empty string")
+_NAME = Option(kind=str, rule="machine name must be a string")
 _NUCLEUS = replace(FINITE_NUMBERS, rule="nucleus {name!r}: offset_hz, t1_s, t2_s and polarization "
                    "must be finite")
 
@@ -73,6 +75,7 @@ class SpinSystemConfig:
     coupling_model: str = "weak"
 
     def __post_init__(self):
+        object.__setattr__(self, "name", _NAME.check("name", self.name))
         n = len(self.nuclei)
         if not 1 <= n <= MAX_QUBITS:
             raise ValidationError(f"nuclei count {n} outside 1..{MAX_QUBITS}")

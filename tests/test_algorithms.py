@@ -267,6 +267,12 @@ class TestQho:
         with pytest.raises(ValidationError):
             simulate_qho("n5", [0.1])
 
+    def test_an_uncoupled_machine_raises(self):
+        uncoupled = make_weak_config([0.0, 100.0], [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValidationError,
+                           match="^oscillator simulation needs a nonzero J coupling$"):
+            simulate_qho("n0", [0.5], config=uncoupled)
+
 
 class TestDqc1:
     def test_identity_register(self):

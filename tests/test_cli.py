@@ -1446,3 +1446,29 @@ class TestInputFiles:
             assert again == obj
         # float reprs round-trip, so equal text is every matrix and number bit for bit
         assert json.dumps(again.to_json_dict()) == text
+
+
+class TestExitCodes:
+    """Exit 3 for a numerical failure and 4 for an output that cannot be written, each with
+    one line; a write that fails leaves no temporary file behind."""
+
+    def test_data_without_signal_exits_3(self, tmp_path):
+        machine = machine_file(tmp_path, lambda cfg: [nucleus.update(polarization=0.0)
+                                                      for nucleus in cfg["nuclei"]])
+        rc, err = run_main(["experiment", "t1", "--channel", "1H", "--machine", machine,
+                            "--out", str(tmp_path / "out")])
+        assert rc == 3 and err == "error: numerical: data carries no signal\n"
+
+    def test_an_out_that_is_a_file_exits_4(self, tmp_path):
+        (tmp_path / "out").write_text("taken")
+        rc, err = run_main(["algorithm", "deutsch", "--out", str(tmp_path / "out")])
+        assert rc == 4 and err.startswith("error: io: ") and len(err.splitlines()) == 1, err
+        assert (tmp_path / "out").read_text() == "taken"
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        circuit = write_json(tmp_path / "c.json", BELL_CIRCUIT)
+        (tmp_path / "out" / "pulse_program.json").mkdir(parents=True)
+        rc, err = run_main(["compile", "--circuit", circuit, "--out", str(tmp_path / "out")])
+        assert rc == 4 and err.startswith("error: io: ") and len(err.splitlines()) == 1, err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["pulse_program.json"]
+        assert not any((tmp_path / "out" / "pulse_program.json").iterdir())

@@ -5,7 +5,9 @@ valid: a wrong object is outside this contract."""
 
 import inspect
 import math
+import operator
 from collections.abc import Hashable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 
 import nmrqc
 from conftest import make_weak_config
-from nmrqc import (Circuit, Delay, FIDSignal, Gate, GrapeConfig, Ket, NmrqcError, NucleusSpec,
-                   PulseProgram, RfSegment, SpinSystemConfig, UnresolvedPeaksError,
-                   ValidationError, fit_model, gate_matrix, partial_trace, pauli_reconstruct,
-                   preset, program_unitary, readout_peak_table, relaxation_experiment,
-                   synthesize_fid, thermal_state)
+from nmrqc import (Circuit, Delay, DensityMatrix, FIDSignal, Gate, GrapeConfig, Ket, NmrqcError,
+                   NucleusSpec, PulseProgram, RfSegment, SpinSystemConfig, UnresolvedPeaksError,
+                   ValidationError, fit_model, gate_fidelity, gate_matrix, partial_trace,
+                   pauli_reconstruct, preset, program_unitary, readout_peak_table,
+                   relaxation_experiment, synthesize_fid, thermal_state)
 from nmrqc import control, dynamics
 from nmrqc.control import CNOT, DELAY, RX, X
 from nmrqc.quantum import FINITE_NUMBERS, INTEGERS, POSITIVE, finite_array
@@ -102,6 +104,13 @@ ENTRIES = [
     ("tomography_sweep", {"compiled_readout": True, "pulse_amp_hz": 5e8},
      {"rho": RHO, "config": GEMINI}),
 ]
+# Public classmethods with scalar parameters, as ENTRIES holds callables: the name is the
+# method's dotted path in the package
+METHODS = [
+    ("DensityMatrix.basis", {"n": 2, "state": "01"}, {}),
+    ("DensityMatrix.basis", {"n": 2, "state": 3}, {}),
+    ("Ket.from_bits", {"bits": "01"}, {}),
+]
 # Public callables whose parameters are all objects, or that have none
 OBJECTS_ONLY = {"Crusher", "PulseProgram", "bloch_vector", "circuit_unitary",
                 "internal_hamiltonian", "pauli_expand", "prepare_pseudo_pure", "program_unitary",
@@ -114,16 +123,19 @@ HOSTILE = [True, "1", "0.5", math.nan, math.inf, -math.inf, -1, 0, 1e-309, 1e308
 JUNK = st.one_of(st.sampled_from(HOSTILE), st.floats(), st.integers(), st.text(max_size=3),
                  st.complex_numbers(), st.lists(st.one_of(st.floats(), st.booleans(),
                                                           st.text(max_size=2)), max_size=3))
-PARAMETERS = [(entry, key) for entry in ENTRIES for key in entry[1]]
+PARAMETERS = [(entry, key) for entry in ENTRIES + METHODS for key in entry[1]]
 
 
 def call(entry, key, value):
-    """The entry's valid call with `key` set to `value`, which may raise an NmrqcError."""
+    """The entry's valid call with `key` set to `value`, which may raise an NmrqcError. A
+    machine it builds must hash, since the caches are keyed by it."""
     name, scalars, objects = entry
     try:
-        getattr(nmrqc, name)(**{**scalars, key: value}, **objects)
+        made = operator.attrgetter(name)(nmrqc)(**{**scalars, key: value}, **objects)
     except NmrqcError:
-        pass
+        return
+    if isinstance(made, SpinSystemConfig):
+        hash(made)
 
 
 class TestErrorContract:
@@ -136,14 +148,17 @@ class TestErrorContract:
                              and issubclass(getattr(nmrqc, name), NmrqcError))}
         named = {name for name, _, _ in ENTRIES}
         assert callables == named | OBJECTS_ONLY and not named & OBJECTS_ONLY
-        for name in named:
-            keys = {key for entry in ENTRIES if entry[0] == name for key in (*entry[1], *entry[2])}
-            assert keys == set(inspect.signature(getattr(nmrqc, name)).parameters), name
+        for name in named | {name for name, _, _ in METHODS}:
+            keys = {key for entry in ENTRIES + METHODS if entry[0] == name
+                    for key in (*entry[1], *entry[2])}
+            callable_ = operator.attrgetter(name)(nmrqc)
+            assert keys == set(inspect.signature(callable_).parameters), name
 
-    @pytest.mark.parametrize("entry", ENTRIES, ids=[entry[0] for entry in ENTRIES])
+    @pytest.mark.parametrize("entry", ENTRIES + METHODS,
+                             ids=[entry[0] for entry in ENTRIES + METHODS])
     def test_each_valid_call_returns(self, entry):
         name, scalars, objects = entry
-        getattr(nmrqc, name)(**scalars, **objects)
+        operator.attrgetter(name)(nmrqc)(**scalars, **objects)
 
     @pytest.mark.parametrize("entry, key", [pytest.param(entry, key, id=f"{entry[0]}-{key}")
                                             for entry, key in PARAMETERS])
@@ -271,10 +286,22 @@ class TestLibraryDomains:
     @pytest.mark.parametrize("value, dtype", [
         (True, float), ([True, False], float), ("1", float), ([1.0, "1"], complex),
         ([[1.0], [2.0, 3.0]], float), (10**400, complex), ({}, float), (None, complex), ([1j], float), ([np.nan], complex),
-        ([1.0, np.inf], float)])
+        ([1.0, np.inf], float), ([[True, 0], [0, 1]], complex), ([1.0, np.True_], float),
+        ([1.0], int), ([2**63], int), ([[1], [True]], int), (np.ones(2), int), (["1"], int),
+        (np.array([2**64 - 1], dtype=np.uint64), int)])
     def test_a_raw_array_is_an_array_of_finite_numbers(self, value, dtype):
         with pytest.raises(ValidationError, match="^bad$"):
             finite_array(value, dtype, "bad")
+
+    def test_a_raw_array_reads_each_entry_as_a_check_does(self):
+        # an int past int64 is a float where a float is asked for; numpy scalars and arrays
+        # in a list are numbers of their kind; an empty list is an empty array
+        assert finite_array([2**70, np.float32(0.5)], float, "").tolist() == [2.0**70, 0.5]
+        assert finite_array((np.ones(2), np.zeros(2)), complex, "").shape == (2, 2)
+        assert finite_array([np.int64(3), 4], int, "").dtype == int
+        assert finite_array([], int, "").shape == (0,)
+        with pytest.raises(ValidationError, match="must be arrays of finite numbers"):
+            gate_fidelity([[True, 0], [0, 1]], np.eye(2))
 
     def test_a_raw_array_is_copied(self):
         given = np.eye(2, dtype=complex)
@@ -306,6 +333,29 @@ class TestLibraryDomains:
             Circuit(n, ())
         with pytest.raises(ValidationError, match="^qubit count .* outside 1..6$"):
             gate_matrix(X(1), n)
+        with pytest.raises(ValidationError, match="^qubit count .* outside 1..6$"):
+            DensityMatrix.basis(n, 0)
+
+    @pytest.mark.parametrize("state", [5, "111", -1, "2", "1", " 11", True, 1.0, None])
+    def test_a_basis_state_is_an_index_or_a_label_of_n_bits(self, state):
+        with pytest.raises(ValidationError, match=r"^basis state must be an index 0\.\.3 or 2 "
+                                                  "letters of 0 and 1$"):
+            DensityMatrix.basis(2, state)
+        assert np.array_equal(DensityMatrix.basis(np.int64(2), np.int64(2)).matrix,
+                              DensityMatrix.basis(2, "10").matrix)
+
+    @pytest.mark.parametrize("bits", ["2", "", 5, "1" * 7, None, b"01", "0b1"])
+    def test_bits_are_1_to_6_letters_of_0_and_1(self, bits):
+        with pytest.raises(ValidationError, match="^bits must be 1 to 6 letters of 0 and 1$"):
+            Ket.from_bits(bits)
+        assert Ket.from_bits(np.str_("10")).amplitudes.tolist() == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("name", [[], {}, 5, None, b"m"])
+    def test_a_machine_name_is_a_string(self, name):
+        with pytest.raises(ValidationError, match="^machine name must be a string$"):
+            SpinSystemConfig(name, GEMINI.nuclei, GEMINI.j_hz)
+        config = SpinSystemConfig(np.str_("m"), GEMINI.nuclei, GEMINI.j_hz)
+        assert type(config.name) is str and hash(config) == hash(replace(GEMINI, name="m"))
 
     def test_peak_readout_raises_on_every_call_of_an_unresolved_machine(self):
         crowded = make_weak_config([0.0, 0.1], [[0.0, 0.0], [0.0, 0.0]], t2=0.2)

@@ -333,6 +333,16 @@ class TestCompile:
         fid = gate_fidelity(program_unitary(prog), circuit_unitary(circuit, gemini))
         assert fid >= 1 - 1e-9
 
+    def test_a_circuit_compiles_on_a_machine_of_its_size(self, gemini):
+        with pytest.raises(ValidationError, match="^circuit has 3 qubits, machine has 2$"):
+            compile_circuit(Circuit(3, (X(3),)), gemini)
+
+    def test_a_two_qubit_unitary_does_not_compile(self, gemini):
+        circuit = Circuit(2, (UNITARY(CNOT12, 1, 2),))
+        with pytest.raises(ValidationError,
+                           match="^only single-qubit custom unitaries compile to pulses$"):
+            compile_circuit(circuit, gemini)
+
     def test_cnot_program_contains_half_j_delay(self, gemini):
         prog = compile_circuit(Circuit(2, (CNOT(1, 2),)), gemini)
         delays = [ev.duration_s for ev in prog.events if isinstance(ev, DelayEvent)]

@@ -56,6 +56,14 @@ class TestFitModel:
         with pytest.raises(FitError):
             fit_model(x, np.zeros(10), "exp_decay")
 
+    def test_x_and_y_are_of_one_length(self):
+        with pytest.raises(ValidationError, match="^x and y must be 1-d arrays of equal length$"):
+            fit_model([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, 0.25], "exp_decay")
+
+    def test_equal_x_values_raise(self):
+        with pytest.raises(FitError, match="^x values are degenerate$"):
+            fit_model([2.0] * 4, [1.0, 0.5, 0.25, 0.125], "exp_decay")
+
     def test_wrong_model_shape_raises(self):
         x = np.linspace(0, 4, 25)
         y = np.sin(7 * x) + 2.0  # nothing like an exponential decay

@@ -101,6 +101,10 @@ class TestSynthesizeFid:
         fid = synthesize_fid(plus_state(), cfg, "S0", 0.01, 1e-4)
         assert np.max(np.abs(fid.samples - 1.0)) < 1e-9
 
+    def test_the_state_is_of_the_machine_size(self):
+        with pytest.raises(ValidationError, match="^state has 3 qubits, machine has 2$"):
+            synthesize_fid(DensityMatrix.basis(3, 0), preset("gemini"), "1H", 0.01, 1e-4)
+
     def test_ground_state_is_silent(self):
         cfg = make_weak_config([0.0], [[0.0]])
         fid = synthesize_fid(DensityMatrix.basis(1, 0), cfg, "S0", 0.01, 1e-4)

@@ -38,6 +38,12 @@ class TestConfigLoading:
         assert triangulum.channels == ("19F",)
         assert triangulum.channel_members("19F") == (1, 2, 3)
 
+    @pytest.mark.parametrize("n", [0, 7])
+    def test_a_machine_has_1_to_6_nuclei(self, n):
+        nuclei = (NucleusSpec("1H", 0.0, 4.0, 0.2, 0.0),) * n
+        with pytest.raises(ValidationError, match=f"^nuclei count {n} outside 1..6$"):
+            SpinSystemConfig("m", nuclei, np.zeros((n, n)))
+
     def test_asymmetric_j_rejected(self, tmp_path):
         cfg = preset("gemini").to_json_dict()
         cfg["j_hz"][0][1] = 600.0
