@@ -23,6 +23,7 @@ from .control import (
     CY,
     DEFAULT_PULSE_AMP_HZ,
     DELAY,
+    PATH,
     Circuit,
     Gate,
     H,
@@ -86,9 +87,6 @@ class Algorithm:
     circuits: Callable
     report: Callable
     qubits: Callable[[dict], int] = lambda options: 2
-
-
-PATH = Option("ideal", ("ideal", "pulse"), rule='path must be "ideal" or "pulse"')
 
 
 def _execute(circuits: Sequence[Circuit], config: SpinSystemConfig, path: str,

@@ -1,11 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: simulate, tomography, compile, grape, experiment
-{rabi|t1|t2|pps}, algorithm {deutsch|grover4|bv|count|bell|qho|dqc1|
-cnot-table}. Every run writes its declared artifacts into --out and
-nothing else; reports are written atomically with sorted keys and floats
-at 12 significant digits, so identical requests (and seeds) produce
-byte-identical files.
+`COMMANDS` declares each request (simulate, tomography, compile, grape, experiment rabi|t1|t2|pps,
+algorithm <name>) once: its options, required inputs, body and the artifacts it writes into --out,
+and nothing else. `main` builds the parser of the one request argv names and imports only the
+layers it runs. Reports are written atomically with sorted keys and floats at 12 significant
+digits, so identical requests (and seeds) produce byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 output I/O.
 """
@@ -14,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
@@ -21,12 +21,10 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import algorithms, control, experiments, measurement
-from .control import Circuit, GrapeConfig, compile_circuit, gate_matrix, grape_optimize
-from .dynamics import PULSE_AMPLITUDE
 from .errors import FitError, NmrqcError, ValidationError
 from .quantum import (COMPLEX, FINITE_NUMBERS, INTEGERS, POSITIVE, DensityMatrix, Option,
                       complex_json, complex_matrix, pauli_expand, read, state_fidelity)
@@ -42,8 +40,6 @@ def _canonical(obj):
         return [_canonical(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:
         return obj
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (float, np.floating)):
         return float(f"{float(obj):.12g}")
     if isinstance(obj, complex):
@@ -69,12 +65,12 @@ def _write_atomic(path: Path, text: str):
 
 
 def emit_report(obj, fmt: str, path) -> Path:
-    """Write a report as canonical JSON or CSV (via the object's csv_text)."""
+    """Write a report as canonical JSON or as CSV (the object's csv_text)."""
     path = Path(path)
     if fmt == "json":
         text = json.dumps(_canonical(obj), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        text = obj if isinstance(obj, str) else obj.csv_text()
+        text = obj.csv_text()
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
     _write_atomic(path, text)
@@ -98,25 +94,180 @@ def _argument(option: Option, **given) -> dict:
                 help=option.rule or None) | given
 
 
-# Options that only some subcommands read; each subcommand accepts just those it reads.
+def _layer(name: str):
+    """A layer of this package, imported on first use by `__import__` (-X importtime lists it)."""
+    return getattr(__import__(f"{__package__}.{name}"), name)
+
+
+# argparse's keywords of each option, from the declaring layer when a parser takes it
 _OPTIONS = {
-    "--machine": dict(type=_machine, default="gemini",
-                      help="machine config path or preset name (gemini, triangulum)"),
-    "--seed": _argument(control.SEED),
-    "--path": dict(choices=algorithms.PATH.choices, default=algorithms.PATH.default),
-    "--relaxation": dict(choices=("on", "off"), default="off"),
-    "--pulse-amp-hz": _argument(PULSE_AMPLITUDE, default=control.DEFAULT_PULSE_AMP_HZ),
-    "--channel": dict(help="nucleus label (default: first channel)"),
-    "--amp-hz": _argument(PULSE_AMPLITUDE, default=experiments.SCAN_AMP_HZ),
-    "--durations": _argument(FINITE_NUMBERS, help="comma-separated pulse durations in s"),
-    "--delays": _argument(FINITE_NUMBERS, help="comma-separated delays in s"),
-    "--offset-spread-hz": _argument(experiments.OFFSET_SPREAD),
+    "--out": lambda: dict(default=".", help="output directory"),
+    "--machine": lambda: dict(type=_machine, default="gemini",
+                              help="machine config path or preset name (gemini, triangulum)"),
+    "--seed": lambda: _argument(_layer("control").SEED),
+    "--path": lambda: _argument(_layer("control").PATH, type=None),
+    "--relaxation": lambda: dict(choices=("on", "off"), default="off"),
+    "--pulse-amp-hz": lambda: _argument(_layer("dynamics").PULSE_AMPLITUDE,
+                                        default=_layer("control").DEFAULT_PULSE_AMP_HZ),
+    "--channel": lambda: dict(help="nucleus label (default: first channel)"),
+    "--amp-hz": lambda: _argument(_layer("dynamics").PULSE_AMPLITUDE,
+                                  default=_layer("experiments").SCAN_AMP_HZ),
+    "--durations": lambda: _argument(FINITE_NUMBERS, help="comma-separated pulse durations in s"),
+    "--delays": lambda: _argument(FINITE_NUMBERS, help="comma-separated delays in s"),
+    "--offset-spread-hz": lambda: _argument(_layer("experiments").OFFSET_SPREAD),
+    "--targets": lambda: _argument(INTEGERS, help="comma-separated qubit indices (default 1)"),
+    "--params": lambda: _argument(FINITE_NUMBERS, help="comma-separated gate parameters"),
+    "--duration-s": lambda: _argument(
+        replace(POSITIVE, default=1.5e-3, rule="duration must be > 0 and finite")),
+    "--epsilon": lambda: _argument(_layer("algorithms").EPSILON),
+    "--circuit": lambda: dict(help="circuit JSON file"),
+    "--state": lambda: dict(help="density-matrix JSON file"),
+    "--gate": lambda: dict(help="gate name, e.g. X90"),
+    "--unitary": lambda: dict(help="JSON file of a re/im matrix"),
 }
 
 
+class _Command(NamedTuple):
+    """A request: its help; its `_OPTIONS`, and those it declares by keyword (l_values is
+    --l-values); its inputs, of each tuple one option required and the others excluded; its
+    body, args -> its artifacts' objects; and their file names in --out."""
+
+    help: str
+    options: tuple[str, ...]
+    declared: Callable[[], dict]
+    inputs: tuple[tuple[str, ...], ...]
+    body: Callable
+    artifacts: tuple[str, ...]
+
+
+def _report(args, **fields) -> dict:
+    """A report: the request's command words joined by ".", its machine's name and `fields`."""
+    return {"command": args.request.replace(" ", "."), "machine": args.machine.name, **fields}
+
+
+def _simulate(args) -> tuple:
+    from .algorithms import PATH, _execute
+    from .control import Circuit
+    cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
+    ideal = DensityMatrix._checked(_execute([circuit], cfg, PATH.default)[0])
+    rho = ideal if args.path == PATH.default else DensityMatrix._checked(
+        _execute([circuit], cfg, args.path, args.relaxation == "on", args.pulse_amp_hz)[0])
+    return _report(args, path=args.path, relaxation=args.relaxation,
+                   probabilities=rho.probabilities(), fidelity=state_fidelity(rho, ideal),
+                   final_state=rho),
+
+
+def _tomography(args) -> tuple:
+    from .control import PATH
+    from .measurement import tomography_sweep
+    rho = _read_json(args.state, "state file", DensityMatrix.from_json_dict)
+    recon, peak_tables = tomography_sweep(rho, args.machine, args.path != PATH.default,
+                                          args.pulse_amp_hz)
+    return _report(args, reconstructed=recon, peak_tables=peak_tables,
+                   max_error_vs_input=float(np.max(np.abs(recon.matrix - rho.matrix)))),
+
+
+def _compile(args) -> tuple:
+    from .control import Circuit, compile_circuit
+    circuit = _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
+    return compile_circuit(circuit, args.machine, args.pulse_amp_hz),
+
+
+def _grape(args) -> tuple:
+    from .control import GRAPE_OPTIONS, Gate, GrapeConfig, gate_matrix, grape_optimize
+    if args.gate is None:  # exactly one of --gate and --unitary is given
+        target = _read_json(args.unitary, "matrix file", _matrix)
+    else:
+        gate = Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
+        target = gate_matrix(gate, args.machine.n, args.machine)
+    given = {key: getattr(args, key) for key in GRAPE_OPTIONS}
+    gcfg = GrapeConfig(dt_s=args.duration_s / args.segments, **given)
+    result = grape_optimize(target, args.machine, gcfg, seed=args.seed)
+    return result, result.metadata_dict(), result.program
+
+
+def _fitted(args, channel: str, scan, **fields) -> tuple:
+    """A scan and its fit report."""
+    fit = {"model": scan.fit.model, "params": scan.fit.params, "residual": scan.fit.residual}
+    return scan, _report(args, channel=channel, **fields, fit=fit)
+
+
+def _rabi(args) -> tuple:
+    from .experiments import rabi_calibration
+    channel = args.channel or args.machine.channels[0]
+    scan, t90, t180 = rabi_calibration(args.machine, channel, args.amp_hz, args.durations)
+    return _fitted(args, channel, scan, amplitude_hz=args.amp_hz, t90_s=t90, t180_s=t180)
+
+
+def _relaxation(mode: str, args) -> tuple:
+    from .experiments import relaxation_experiment
+    channel = args.channel or args.machine.channels[0]
+    return _fitted(args, channel, relaxation_experiment(
+        args.machine, channel, mode, args.delays, amplitude_hz=args.amp_hz,
+        offset_spread_hz=args.offset_spread_hz))
+
+
+def _pps(args) -> tuple:
+    from .experiments import prepare_pseudo_pure
+    program, rho = prepare_pseudo_pure(args.machine)
+    return _report(args, program=program, final_state=rho, pauli_coefficients=pauli_expand(rho)),
+
+
+def _dqc1(args) -> tuple:
+    from .algorithms import dqc1_trace
+    u = _read_json(args.unitary, "matrix file", _matrix)
+    return {"algorithm": "dqc1", "estimate": dqc1_trace(u, args.epsilon),
+            "exact": complex(np.trace(u)) / u.shape[0]},
+
+
+def _algorithm(name: str, args) -> tuple:
+    from .algorithms import ALGORITHMS, run
+    options = {key: getattr(args, key) for key in ALGORITHMS[name].options}
+    return run(name, args.path, args.machine, args.relaxation == "on", **options),
+
+
+_SCAN = ("--machine", "--channel", "--amp-hz")
+# The keys of `algorithms.ALGORITHMS`, in its order, so that no request imports it to list them
+_ALGORITHMS = ("deutsch", "grover4", "bv", "count", "bell", "qho", "cnot-table")
+# Each request by its command words, and the help of a first word that several share
+COMMANDS = {
+    "simulate": _Command("run a circuit file and report the final state",
+                         ("--machine", "--path", "--relaxation", "--pulse-amp-hz"), dict,
+                         (("--circuit",),), _simulate, ("simulate_report.json",)),
+    "tomography": _Command("reconstruct a density-matrix JSON via spectra",
+                           ("--machine", "--path", "--pulse-amp-hz"), dict, (("--state",),),
+                           _tomography, ("tomography_report.json",)),
+    "compile": _Command("compile a circuit file to pulses", ("--machine", "--pulse-amp-hz"),
+                        dict, (("--circuit",),), _compile, ("pulse_program.json",)),
+    "grape": _Command("optimize a pulse for a target gate",
+                      ("--machine", "--seed", "--targets", "--params", "--duration-s"),
+                      lambda: _layer("control").GRAPE_OPTIONS, (("--gate", "--unitary"),),
+                      _grape, ("grape_pulse.csv", "grape_meta.json", "pulse_program.json")),
+    "experiment rabi": _Command("Rabi pulse calibration", (*_SCAN, "--durations"), dict, (),
+                                _rabi, ("rabi_scan.csv", "rabi_fit.json")),
+    **{f"experiment {mode.lower()}": _Command(
+        f"{kind} {mode} scan", (*_SCAN, "--delays", "--offset-spread-hz"), dict, (),
+        functools.partial(_relaxation, mode),
+        (f"{mode.lower()}_scan.csv", f"{mode.lower()}_fit.json"))
+       for mode, kind in (("T1", "inversion-recovery"), ("T2", "spin-echo"))},
+    "experiment pps": _Command("pseudo-pure |00> preparation", ("--machine",), dict, (), _pps,
+                               ("pps_report.json",)),
+    **{f"algorithm {name}": _Command(
+        f"run {name}", ("--machine", "--path", "--relaxation"),
+        lambda name=name: _layer("algorithms").ALGORITHMS[name].options, (),
+        functools.partial(_algorithm, name), (f"algorithm_{name.replace('-', '_')}.json",))
+       for name in _ALGORITHMS},
+    "algorithm dqc1": _Command("run dqc1, a matrix algorithm on no machine", ("--epsilon",),
+                               dict, (("--unitary",),), _dqc1, ("algorithm_dqc1.json",)),
+}
+_GROUPS = {"experiment": "calibration/preparation experiments",
+           "algorithm": "run a built-in algorithm"}
+
+
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, inputs=(), **kwargs):
         super().__init__(*args, **kwargs)
+        self.inputs = inputs  # a request's `_Command.inputs`
         # argparse's test (3.11) for a negative number, a value and not an option: whatever
         # starts as one, -1e-3 and -1,2 too, since no option name begins with a digit
         self._negative_number_matcher = re.compile(r"-\.?\d")
@@ -126,196 +277,52 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"argument {'/'.join(action.option_strings)}: '--' is no value")
         return super()._get_values(action, arg_strings)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's, then a missing input is a ValidationError: `main` returns 2 for it."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        for names in self.inputs:
+            if all(getattr(namespace, name[2:]) is None for name in names):
+                raise ValidationError(f"one of the arguments {' '.join(names)} is required")
+        return namespace, extras
+
     def error(self, message):
         """A usage error is one line, like every other exit 2."""
         self.exit(2, f"error: validation: {message}\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, *options: str, declared=None):
-    """--out, the named `_OPTIONS` (--machine is a preset or file, loaded when parsed), and an
-    option per `declared` keyword (l_values is --l-values), checked as declared."""
-    parser.add_argument("--out", default=".", help="output directory")
-    for name in options:
-        parser.add_argument(name, **_OPTIONS[name])
-    for key, option in (declared or {}).items():
-        parser.add_argument("--" + key.replace("_", "-"), **_argument(option))
-
-
-def _cmd_simulate(args) -> list[Path]:
-    cfg, circuit = args.machine, _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
-    ideal = DensityMatrix._checked(algorithms._execute([circuit], cfg, algorithms.PATH.default)[0])
-    rho = ideal if args.path == algorithms.PATH.default else DensityMatrix._checked(
-        algorithms._execute([circuit], cfg, args.path, args.relaxation == "on",
-                            args.pulse_amp_hz)[0])
-    report = {
-        "command": "simulate",
-        "machine": cfg.name,
-        "path": args.path,
-        "relaxation": args.relaxation,
-        "probabilities": rho.probabilities(),
-        "fidelity": state_fidelity(rho, ideal),
-        "final_state": rho,
-    }
-    return [emit_report(report, "json", Path(args.out) / "simulate_report.json")]
-
-
-def _cmd_tomography(args) -> list[Path]:
-    rho = _read_json(args.state, "state file", DensityMatrix.from_json_dict)
-    recon, peak_tables = measurement.tomography_sweep(
-        rho, args.machine, compiled_readout=args.path != algorithms.PATH.default,
-        pulse_amp_hz=args.pulse_amp_hz,
-    )
-    report = {
-        "command": "tomography",
-        "machine": args.machine.name,
-        "reconstructed": recon,
-        "max_error_vs_input": float(np.max(np.abs(recon.matrix - rho.matrix))),
-        "peak_tables": peak_tables,
-    }
-    return [emit_report(report, "json", Path(args.out) / "tomography_report.json")]
-
-
-def _cmd_compile(args) -> list[Path]:
-    circuit = _read_json(args.circuit, "circuit file", Circuit.from_json_dict)
-    program = compile_circuit(circuit, args.machine, args.pulse_amp_hz)
-    return [emit_report(program, "json", Path(args.out) / "pulse_program.json")]
-
-
-def _cmd_grape(args) -> list[Path]:
-    if args.gate is None:  # --gate and --unitary are one required exclusive group
-        target = _read_json(args.unitary, "matrix file", _matrix)
-    else:
-        gate = control.Gate(args.gate, tuple(args.targets or (1,)), tuple(args.params or ()))
-        target = gate_matrix(gate, args.machine.n, args.machine)
-    given = {key: getattr(args, key) for key in control.GRAPE_OPTIONS}
-    gcfg = GrapeConfig(dt_s=args.duration_s / args.segments, **given)
-    result = grape_optimize(target, args.machine, gcfg, seed=args.seed)
-    out = Path(args.out)
-    return [
-        emit_report(result.csv_text(), "csv", out / "grape_pulse.csv"),
-        emit_report(result.metadata_dict(), "json", out / "grape_meta.json"),
-        emit_report(result.program, "json", out / "pulse_program.json"),
-    ]
-
-
-def _cmd_experiment(args) -> list[Path]:
-    cfg, out = args.machine, Path(args.out)
-    if args.experiment == "pps":
-        program, rho = experiments.prepare_pseudo_pure(cfg)
-        report = {
-            "command": "experiment.pps",
-            "machine": cfg.name,
-            "program": program,
-            "final_state": rho,
-            "pauli_coefficients": pauli_expand(rho),
-        }
-        return [emit_report(report, "json", out / "pps_report.json")]
-
-    channel = args.channel or cfg.channels[0]
-    fit_report = {
-        "command": f"experiment.{args.experiment}",
-        "machine": cfg.name,
-        "channel": channel,
-    }
-    if args.experiment == "rabi":
-        scan, t90, t180 = experiments.rabi_calibration(cfg, channel, args.amp_hz, args.durations)
-        fit_report.update(amplitude_hz=args.amp_hz, t90_s=t90, t180_s=t180)
-    else:
-        scan = experiments.relaxation_experiment(
-            cfg,
-            channel,
-            args.experiment.upper(),
-            args.delays,
-            amplitude_hz=args.amp_hz,
-            offset_spread_hz=args.offset_spread_hz,
-        )
-    fit_report["fit"] = {"model": scan.fit.model, "params": scan.fit.params,
-                         "residual": scan.fit.residual}
-    return [
-        emit_report(scan.csv_text(), "csv", out / f"{args.experiment}_scan.csv"),
-        emit_report(fit_report, "json", out / f"{args.experiment}_fit.json"),
-    ]
-
-
-def _cmd_algorithm(args) -> list[Path]:
-    name, out = args.algorithm, Path(args.out)
-    if name == "dqc1":
-        if not args.unitary:
-            raise ValidationError("dqc1 needs --unitary")
-        u = _read_json(args.unitary, "matrix file", _matrix)
-        report = {
-            "algorithm": "dqc1",
-            "estimate": algorithms.dqc1_trace(u, args.epsilon),
-            "exact": complex(np.trace(u)) / u.shape[0],
-        }
-        return [emit_report(report, "json", out / "algorithm_dqc1.json")]
-    options = {key: getattr(args, key) for key in algorithms.ALGORITHMS[name].options}
-    report = algorithms.run(name, args.path, args.machine, args.relaxation == "on", **options)
-    return [emit_report(report, "json", out / f"algorithm_{name.replace('-', '_')}.json")]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nmrqc",
-        description="Batch emulator of a desktop NMR quantum computer.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a circuit file and report the final state")
-    _add_common(p, "--machine", "--path", "--relaxation", "--pulse-amp-hz")
-    p.add_argument("--circuit", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("tomography", help="reconstruct a density-matrix JSON via spectra")
-    _add_common(p, "--machine", "--path", "--pulse-amp-hz")
-    p.add_argument("--state", required=True, help="density-matrix JSON file")
-    p.set_defaults(func=_cmd_tomography)
-
-    p = sub.add_parser("compile", help="compile a circuit file to a pulse program")
-    _add_common(p, "--machine", "--pulse-amp-hz")
-    p.add_argument("--circuit", required=True)
-    p.set_defaults(func=_cmd_compile)
-
-    p = sub.add_parser("grape", help="optimize a pulse for a target gate")
-    _add_common(p, "--machine", "--seed", declared=control.GRAPE_OPTIONS)
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--gate", help="gate name, e.g. X90")
-    target.add_argument("--unitary", help="JSON file with re/im target matrix")
-    p.add_argument("--targets", **_argument(INTEGERS,
-                                            help="comma-separated qubit indices (default 1)"))
-    p.add_argument("--params", **_argument(FINITE_NUMBERS, help="comma-separated gate parameters"))
-    p.add_argument("--duration-s", **_argument(
-        replace(POSITIVE, default=1.5e-3, rule="duration must be > 0 and finite")))
-    p.set_defaults(func=_cmd_grape)
-
-    # each experiment and algorithm takes the name first, then only the options it reads
-    p = sub.add_parser("experiment", help="calibration/preparation experiments")
-    p.set_defaults(func=_cmd_experiment)
-    kinds = p.add_subparsers(dest="experiment", required=True)
-    _add_common(kinds.add_parser("rabi"), "--machine", "--channel", "--amp-hz", "--durations")
-    for name in ("t1", "t2"):
-        _add_common(kinds.add_parser(name), "--machine", "--channel", "--amp-hz", "--delays",
-                    "--offset-spread-hz")
-    _add_common(kinds.add_parser("pps"), "--machine")
-
-    p = sub.add_parser("algorithm", help="run a built-in algorithm")
-    p.set_defaults(func=_cmd_algorithm)
-    kinds = p.add_subparsers(dest="algorithm", required=True)
-    for name, algorithm in algorithms.ALGORITHMS.items():
-        q = kinds.add_parser(name)
-        _add_common(q, "--machine", "--path", "--relaxation", declared=algorithm.options)
-    q = kinds.add_parser("dqc1")  # a matrix algorithm, on no machine
-    _add_common(q)
-    q.add_argument("--unitary", help="JSON re/im matrix")
-    q.add_argument("--epsilon", **_argument(algorithms.EPSILON))
-
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of `COMMANDS`, a subparser per command word. Given argv, it holds the entry its
+    first words name, or if none, every entry without options: --help and errors import no layer."""
+    named = [path for path in COMMANDS
+             if argv is None or path.split() == list(argv[:len(path.split())])]
+    parser = _Parser(prog="nmrqc", description="Batch emulator of a desktop NMR quantum computer.")
+    levels = {"": parser.add_subparsers(dest="command", required=True)}
+    for path in named or COMMANDS:
+        command, (group, _, word) = COMMANDS[path], path.rpartition(" ")
+        if group not in levels:
+            levels[group] = levels[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest=group, required=True)
+        leaf = levels[group].add_parser(word, help=command.help, inputs=command.inputs)
+        if named:  # else the entry is only listed
+            leaf.set_defaults(request=path)
+            for name in ("--out", *command.options):
+                leaf.add_argument(name, **_OPTIONS[name]())
+            for key, option in command.declared().items():
+                leaf.add_argument("--" + key.replace("_", "-"), **_argument(option))
+            for names in command.inputs:
+                exclusive = leaf.add_mutually_exclusive_group()
+                for name in names:
+                    exclusive.add_argument(name, **_OPTIONS[name]())
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)  # a domain's ValidationError passes through
-        written = args.func(args)
+        args = build_parser(argv).parse_args(argv)  # a domain's ValidationError passes through
+        command, out = COMMANDS[args.request], Path(args.out)
+        written = [emit_report(obj, Path(name).suffix[1:], out / name)
+                   for name, obj in zip(command.artifacts, command.body(args))]
     except (FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3

@@ -13,13 +13,12 @@ import cmath
 import dataclasses
 import io
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from . import _kernels, _lbfgs
+from . import _kernels
 from .dynamics import Delay as DelayEvent
 from .dynamics import PULSE_AMPLITUDE, PulseProgram, RfSegment, program_unitary, square_pulse
 from .errors import UncoupledPairError, ValidationError
@@ -31,6 +30,8 @@ from .spinsys import SpinSystemConfig, _drive_hamiltonian, control_operators, in
 # 5e8 Hz keeps the J-during-pulse error of a full two-qubit program below
 # the 1e-9 infidelity budget while staying well inside double precision.
 DEFAULT_PULSE_AMP_HZ = 5e8
+# The two paths a circuit runs on: its ideal unitary, or its pulses compiled
+PATH = Option("ideal", ("ideal", "pulse"), rule='path must be "ideal" or "pulse"')
 
 
 def _rot(pauli: np.ndarray, theta: float) -> np.ndarray:
@@ -72,6 +73,11 @@ _GATES = {
 }
 
 
+_TARGETS = Option(kind=int, listed=True, rule="gate {name}: targets must be integers")
+_PARAMS = Option(kind=float, listed=True, ok=math.isfinite,
+                 rule="gate {name}: parameters must be finite numbers")
+
+
 @dataclass(frozen=True)
 class Gate:
     name: str
@@ -80,25 +86,34 @@ class Gate:
     matrix: Optional[np.ndarray] = dataclasses.field(default=None, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.name, str) and (self.name in _GATES or self.name == "U")):
-            raise ValidationError(f"unknown gate {self.name!r}")
         if not (isinstance(self.targets, (tuple, list)) and isinstance(self.params, (tuple, list))):
             raise ValidationError(f"gate {self.name}: targets and parameters must be lists")
+        for key, declared in (("targets", _TARGETS), ("params", _PARAMS)):  # tuples, () if empty
+            values = getattr(self, key)
+            object.__setattr__(self, key, declared.check(self.name, values) if values else ())
+        self._check()
+
+    @classmethod
+    def _read(cls, fields: dict) -> "Gate":
+        """A circuit file's gate, whose targets and params `read` gave as tuples of ints and of
+        finite floats: only `_check` tests it."""
+        gate = cls.__new__(cls)
+        gate.__dict__.update(fields)
+        gate._check()
+        return gate
+
+    def _check(self):
+        """The tests of a gate whose targets and params are tuples of ints and of floats."""
+        if not (isinstance(self.name, str) and (self.name in _GATES or self.name == "U")):
+            raise ValidationError(f"unknown gate {self.name!r}")
         # U acts on as many targets as its matrix has qubits
         n_targets, n_params, _ = _GATES.get(self.name, (len(self.targets), 0, None))
-        if not all(isinstance(q, (int, np.integer)) and type(q) is not bool for q in self.targets):
-            raise ValidationError(f"gate {self.name}: targets must be integers")
-        object.__setattr__(self, "targets", tuple(map(int, self.targets)))
         if len(self.targets) != n_targets:
             raise ValidationError(f"gate {self.name} takes {n_targets} target(s)")
         if len(set(self.targets)) != len(self.targets):
             raise ValidationError(f"gate {self.name}: repeated target in {self.targets}")
         if len(self.params) != n_params:
             raise ValidationError(f"gate {self.name} takes {n_params} parameter(s)")
-        if not all(isinstance(p, (int, float)) and type(p) is not bool
-                   and abs(p) <= sys.float_info.max for p in self.params):  # exact for any int
-            raise ValidationError(f"gate {self.name}: parameters must be finite numbers")
-        object.__setattr__(self, "params", tuple(map(float, self.params)))
         if (self.matrix is None) == (self.name == "U"):
             raise ValidationError(f"gate {self.name}: only U takes a matrix, and U needs one")
         if self.matrix is not None:
@@ -144,7 +159,7 @@ class Circuit:
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "Circuit":
         c = read(d, _CIRCUIT, "circuit JSON")
-        return cls(c["n"], tuple(Gate(**gate) for gate in c["gates"]))
+        return cls(c["n"], tuple(Gate._read(gate) for gate in c["gates"]))
 
 
 def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> np.ndarray:
@@ -425,6 +440,8 @@ def grape_optimize(
     iterate reaches the target, "max_iters" after max_iters iterates, and
     "converged" when a start takes no step (its gradient vanishes).
     """
+    from . import _lbfgs  # here, so that compiling a circuit does not import the optimizer
+
     seed = SEED.check("seed", seed)
     if gcfg.segments * config.dim**2 > MAX_GRAPE_ELEMENTS:
         raise ValidationError(f"segments * dim^2 must be <= {MAX_GRAPE_ELEMENTS}: at most "

@@ -20,9 +20,8 @@ import numpy as np
 from .dynamics import (PULSE_AMPLITUDE, Crusher, Delay, PulseProgram, evolve_program,
                        evolve_programs, square_pulse)
 from .errors import FitError, ValidationError
-from .measurement import _line_table
 from .quantum import FINITE_NUMBERS, DensityMatrix, Option
-from .spinsys import SpinSystemConfig, thermal_state
+from .spinsys import SpinSystemConfig, _line_table, thermal_state
 
 # Pulses in the spatial-averaging sequence are meant to be instantaneous
 # rotations; this amplitude keeps J evolution during them below 1e-9.
@@ -84,8 +83,10 @@ _STEP_TOL = 1e-13  # change of ln theta at which a fit has converged
 
 def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
     """Coarse grid search for the |sin| period from two sample spacings up (below, it aliases)."""
+    import statistics  # only this fit reads it; np.median would import numpy.ma (1.3 MB)
+
     span = float(np.max(x) - np.min(x))
-    shortest = max(span / 20.0, 2.0 * float(np.median(np.diff(np.sort(x)))))
+    shortest = max(span / 20.0, 2.0 * statistics.median(np.diff(np.sort(x)).tolist()))
     candidates = np.linspace(shortest, 4.0 * span, 800)
     amp = float(np.max(np.abs(y)))
     models = amp * np.abs(np.sin(np.pi * x / candidates[:, np.newaxis]))
@@ -139,7 +140,7 @@ def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
         # |sin| has a kink in T wherever a sample sits on a zero, |x| = m T, and a lower
         # minimum can lie just across one: refine again from the far side of each within 1 %
         kinks = np.abs(x) / np.maximum(np.round(np.abs(x) / theta), 1.0)
-        kinks = np.unique(kinks[np.abs(kinks / theta - 1.0) < 1e-2])
+        kinks = sorted(set(kinks[np.abs(kinks / theta - 1.0) < 1e-2].tolist()))  # no numpy.ma
         fits = [theta] + [_refine(x, y, shape, k * (1 + 1e-9 * np.sign(k - theta))) for k in kinks]
         theta = min(fits, key=lambda t: float(np.sum(_profile(x, y, shape, t)[3] ** 2)))
     else:  # start from the best of 10 time constants per decade over 1e-6..1e3 x ranges

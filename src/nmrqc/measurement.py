@@ -8,7 +8,7 @@ channel's spins: the conjugate of the lowering-operator form written for the
 single-quantum coherence of rho in a readout basis B (Vandersypen & Chuang,
 RMP 76, 1037 (2004)): the transition a -> b between levels of H0, at
 (w_b - w_a) / 2 pi Hz, of weight <b|D|a>, reading rho_B[a, b] of
-rho_B = B^dag rho B. `_line_table` lists them; FID synthesis, peak readout,
+rho_B = B^dag rho B. `spinsys._line_table` lists them; FID synthesis, peak readout,
 tomography and the scans all read it. On a weak machine B is the computational basis
 (`eigh` may mix degenerate levels, as 00 and 11 of gemini on resonance): the
 line of qubit k with partners in state m sits at nu_k + sum_j (1 - 2 m_j) J_kj / 2
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,10 +34,9 @@ from .dynamics import PULSE_AMPLITUDE, program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
 from .quantum import (POSITIVE, DensityMatrix, _pauli_state, all_pauli_strings, finite_array,
                       pauli_string_matrix)
-from .spinsys import SpinSystemConfig, _read_only
+from .spinsys import SpinSystemConfig, _Lines, _line_table, _read_only
 
 MAX_FID_SAMPLES = 2**16  # the FID is a few arrays of this many complex samples
-_MIN_WEIGHT = 1e-12  # |<b|D|a>| of a line; eigh leaves ~1e-15 on transitions D does not drive
 
 
 @dataclass(frozen=True)
@@ -80,48 +79,6 @@ class Peak:
 
     def to_json_dict(self) -> dict:
         return {"freq_hz": self.frequency_hz, "re": self.amplitude.real, "im": self.amplitude.imag}
-
-
-class _Lines(NamedTuple):
-    """A machine's lines: per line its channel, frequency (Hz), detection weight and
-    the element rho_B[row, col] it reads, in the readout basis B (None: computational)."""
-
-    basis: Optional[np.ndarray]
-    channels: tuple[str, ...]
-    freqs: tuple[float, ...]
-    weights: np.ndarray
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def readings(self, matrices: np.ndarray) -> np.ndarray:
-        """2^(n-1) * weight * rho_B[row, col] of each line, for a (..., d, d) stack."""
-        if self.basis is not None:
-            matrices = self.basis.conj().T @ matrices @ self.basis
-        return matrices.shape[-1] // 2 * self.weights * matrices[..., self.rows, self.cols]
-
-
-@functools.lru_cache(maxsize=16)
-def _line_table(config: SpinSystemConfig) -> _Lines:
-    """Every line of a machine, cached by value. Weak machines list them qubit-major, with
-    the partner bits m (ascending qubit order, as an integer) minor; isotropic ones by channel."""
-    n, lines, basis = config.n, [], None
-    if config.coupling_model == "weak":
-        for k, nuc in enumerate(config.nuclei, start=1):
-            partners = [q for q in range(1, n + 1) if q != k]
-            for bits in itertools.product((0, 1), repeat=n - 1):
-                f, col = nuc.offset_hz, 0
-                for q, b in zip(partners, bits):
-                    f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
-                    col |= b << (n - q)
-                lines.append((nuc.label, f, 2.0, col | 1 << (n - k), col))
-    else:
-        (w, basis), ops = config._h0_eigh, config._operators
-        for c, channel in enumerate(config.channels):
-            detect = basis.conj().T @ (ops.sx[c] + 1j * ops.sy[c]) @ basis  # [b, a] = <b|D|a>
-            for a, b in zip(*np.nonzero(np.abs(detect.T) > _MIN_WEIGHT)):
-                lines.append((channel, (w[b] - w[a]) / (2 * np.pi), detect[b, a], a, b))
-    channels, freqs, weights, rows, cols = zip(*lines)
-    return _Lines(basis, channels, freqs, _read_only(np.array(weights))[0], rows, cols)
 
 
 def _channel_t2(config: SpinSystemConfig, channel: str) -> float:

@@ -124,9 +124,11 @@ def write(obj, declared: Mapping) -> dict:
     return doc
 
 
-# The values of each kind of Option, as JSON has them: a bool is no number, 2.0 no integer
+# The values of each kind of Option, as JSON has them: a bool is no number, 2.0 no integer,
+# and a numpy timedelta, an np.integer to numpy, no number either
 _OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
             complex: (int, float, complex, np.number), str: (str,), list: (list,)}
+_NO_NUMBER = (bool, np.timedelta64)
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,8 @@ class Option:
             values = []
             for v in value if self.listed else (value,):
                 if type(v) is not kind:  # converted if of the kind, as an int is to a float
-                    v = kind(v) if type(v) is not bool and isinstance(v, _OF_KIND[kind]) else None
+                    v = kind(v) if isinstance(v, _OF_KIND[kind]) and not isinstance(
+                        v, _NO_NUMBER) else None
                 if v is None or not ok(v):
                     raise TypeError
                 values.append(v)
@@ -259,12 +262,10 @@ def embed(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
 def pauli_string_matrix(label: str) -> np.ndarray:
     """Matrix of a Pauli product string such as "XZ" or "IYI".
 
-    Memoized and read-only: copy before writing.
+    Memoized and read-only: copy before writing. Callers pass checked labels (those of
+    `all_pauli_strings`, or declared Pauli keys), so a bad letter is a KeyError.
     """
-    try:
-        m = np.array(functools.reduce(tensor, [PAULI[c] for c in label]))  # never freeze PAULI
-    except KeyError as exc:
-        raise ValidationError(f"bad Pauli letter in {label!r}") from exc
+    m = np.array(functools.reduce(tensor, [PAULI[c] for c in label]))  # never freeze PAULI
     m.setflags(write=False)
     return m
 
@@ -295,9 +296,6 @@ class Ket:
         amps = np.zeros(2 ** len(bits), dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(amps)
-
-    def __repr__(self):
-        return f"Ket(n={self.n})"
 
 
 def _check_density(m: np.ndarray) -> np.ndarray:
@@ -388,9 +386,6 @@ class DensityMatrix:
         if n > m.size or m.shape != (2**n, 2**n):  # so a huge n never reaches 2**n
             raise ValidationError(f"density-matrix JSON shape {m.shape} != 2^{n}")
         return cls(m)
-
-    def __repr__(self):
-        return f"DensityMatrix(n={self.n}, purity={self.purity():.6f})"
 
 
 def _as_matrix(state) -> tuple[np.ndarray, bool]:

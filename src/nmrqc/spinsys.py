@@ -9,17 +9,19 @@ The RF control generators, the per-channel transverse sums and the per-spin
 sigma_z are built once per spin layout (the nucleus labels, in order), the J
 products once per spin count, and H0 once per config, on first use, cached on
 the frozen config; its eigendecomposition only when an isotropic machine's
-spectral lines are asked for (see `measurement`).
+spectral lines are asked for. `_line_table` lists those lines, the transitions
+of H0 that detection reads (see `measurement`), for the readout and the scans.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -304,6 +306,51 @@ def _drive_hamiltonian(controls: np.ndarray, drive: np.ndarray) -> np.ndarray:
     unwrapped. The one contraction of the control generators, GRAPE's included."""
     flat = np.dot(drive.reshape(-1, len(controls)), controls.reshape(len(controls), -1))
     return flat.reshape(*drive.shape[:-1], *controls.shape[1:])
+
+
+_MIN_WEIGHT = 1e-12  # |<b|D|a>| of a line; eigh leaves ~1e-15 on transitions D does not drive
+
+
+class _Lines(NamedTuple):
+    """A machine's lines: per line its channel, frequency (Hz), detection weight and
+    the element rho_B[row, col] it reads, in the readout basis B (None: computational)."""
+
+    basis: Optional[np.ndarray]
+    channels: tuple[str, ...]
+    freqs: tuple[float, ...]
+    weights: np.ndarray
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+
+    def readings(self, matrices: np.ndarray) -> np.ndarray:
+        """2^(n-1) * weight * rho_B[row, col] of each line, for a (..., d, d) stack."""
+        if self.basis is not None:
+            matrices = self.basis.conj().T @ matrices @ self.basis
+        return matrices.shape[-1] // 2 * self.weights * matrices[..., self.rows, self.cols]
+
+
+@lru_cache(maxsize=16)
+def _line_table(config: SpinSystemConfig) -> _Lines:
+    """Every line of a machine, cached by value. Weak machines list them qubit-major, with
+    the partner bits m (ascending qubit order, as an integer) minor; isotropic ones by channel."""
+    n, lines, basis = config.n, [], None
+    if config.coupling_model == "weak":
+        for k, nuc in enumerate(config.nuclei, start=1):
+            partners = [q for q in range(1, n + 1) if q != k]
+            for bits in itertools.product((0, 1), repeat=n - 1):
+                f, col = nuc.offset_hz, 0
+                for q, b in zip(partners, bits):
+                    f += (1 - 2 * b) * config.j_hz[k - 1, q - 1] / 2.0
+                    col |= b << (n - q)
+                lines.append((nuc.label, f, 2.0, col | 1 << (n - k), col))
+    else:
+        (w, basis), ops = config._h0_eigh, config._operators
+        for c, channel in enumerate(config.channels):
+            detect = basis.conj().T @ (ops.sx[c] + 1j * ops.sy[c]) @ basis  # [b, a] = <b|D|a>
+            for a, b in zip(*np.nonzero(np.abs(detect.T) > _MIN_WEIGHT)):
+                lines.append((channel, (w[b] - w[a]) / (2 * np.pi), detect[b, a], a, b))
+    channels, freqs, weights, rows, cols = zip(*lines)
+    return _Lines(basis, channels, freqs, _read_only(np.array(weights))[0], rows, cols)
 
 
 def thermal_state(config: SpinSystemConfig) -> DensityMatrix:

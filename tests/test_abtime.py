@@ -1,5 +1,7 @@
 import importlib.util
 import io
+import os
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -118,3 +120,22 @@ class TestTrees:
         with pytest.raises(SystemExit) as exc, redirect_stdout(io.StringIO()):
             abtime.main(["src", "src", "bogus"])
         assert exc.value.code == 2
+
+
+class TestChildClock:
+    def test_a_child_is_timed_by_its_own_cpu(self, tmp_path):
+        clock = abtime.ChildCPU()
+        clock.run([sys.executable, "-c", "sum(range(3 * 10**6))"], dict(os.environ), str(tmp_path))
+        assert clock() > 10**7  # the loop alone takes some 50 ms; this thread spent none of it
+
+    def test_a_failed_child_is_an_error(self, tmp_path):
+        with pytest.raises(RuntimeError, match="exited 3$"):
+            abtime.ChildCPU().run([sys.executable, "-c", "raise SystemExit(3)"],
+                                  dict(os.environ), str(tmp_path))
+
+    def test_only_a_readme_request_runs_on_the_child_clock(self):
+        # cli.build_parser runs in process: on the child clock it would read 0 ns a call
+        assert abtime.clock_of("cli.build_parser") is abtime.time.thread_time_ns
+        assert abtime.clock_of("control.compile") is abtime.time.thread_time_ns
+        assert all(abtime.clock_of(f"cli.{name}") is abtime.CHILD_CPU
+                   for name in abtime.CLI_REQUESTS)

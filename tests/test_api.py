@@ -22,6 +22,6 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    names = sorted(n for n, v in vars(nmrqc).items()
-                   if not n.startswith("_") and not isinstance(v, ModuleType))
+    names = sorted(n for n in dir(nmrqc)
+                   if not n.startswith("_") and not isinstance(getattr(nmrqc, n), ModuleType))
     assert names == PUBLIC_NAMES

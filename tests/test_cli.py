@@ -1472,3 +1472,108 @@ class TestExitCodes:
         assert rc == 4 and err.startswith("error: io: ") and len(err.splitlines()) == 1, err
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["pulse_program.json"]
         assert not any((tmp_path / "out" / "pulse_program.json").iterdir())
+
+
+def child_modules(tmp_path, argv):
+    """The package modules a fresh interpreter holds after main(argv), and its exit code."""
+    script = (
+        "import json, sys\n"
+        "from nmrqc.cli import main\n"
+        "try:\n"
+        f"    rc = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('nmrqc'))]))\n"
+    )
+    src = str(Path(nmrqc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, cwd=tmp_path)
+    rc, modules = json.loads(done.stdout.splitlines()[-1])
+    return rc, {m.removeprefix("nmrqc.") for m in modules}
+
+
+LATE_LAYERS = {"control", "_lbfgs", "algorithms", "experiments", "measurement"}
+
+
+class TestCommandTable:
+    def test_each_algorithm_is_one_entry(self):
+        assert [path.split()[1] for path in cli.COMMANDS if path.startswith("algorithm ")] == [
+            *algorithms.ALGORITHMS, "dqc1"]
+
+    def test_main_builds_the_parser_of_one_entry(self, tmp_path, monkeypatch):
+        built = []
+
+        class Counted(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.prog)
+
+        monkeypatch.setattr(cli, "_Parser", Counted)
+        argv = ["experiment", "t1", "--delays", "1e-3,1e-2,0.1,1,4,10", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert built == ["nmrqc", "nmrqc experiment", "nmrqc experiment t1"]
+
+    @pytest.mark.parametrize("argv, words", [
+        (["--help"], ["simulate", "tomography", "compile", "grape", "experiment", "algorithm"]),
+        (["experiment", "--help"], ["rabi", "t1", "t2", "pps"]),
+        (["algorithm", "-h"], [*algorithms.ALGORITHMS, "dqc1"]),
+    ], ids=["top", "experiment", "algorithm"])
+    def test_help_lists_the_table(self, capsys, argv, words):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and all(f" {word} " in out for word in words), out
+
+    @pytest.mark.parametrize("argv, match", [
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'simulate', "),
+        (["experiment", "t3"], "argument experiment: invalid choice: 't3' (choose from 'rabi', "),
+        (["experiment"], "the following arguments are required: experiment"),
+        (["simulate"], "one of the arguments --circuit is required"),
+        (["algorithm", "dqc1"], "one of the arguments --unitary is required"),
+    ], ids=["unknown", "unknown_experiment", "no_experiment", "no_circuit", "no_unitary"])
+    def test_a_bad_command_is_one_line(self, tmp_path, monkeypatch, argv, match):
+        monkeypatch.chdir(tmp_path)  # the default --out
+        rc, err = run_main(argv)
+        assert rc == 2 and err.startswith("error: validation: ") and match in err, err
+        assert len(err.splitlines()) == 1 and not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["experiment", "t1", "--delays", "1e-3,1e-2,0.1,1,4,10"],
+         {"control", "_lbfgs", "algorithms"}),
+        (["compile", "--circuit", "c.json"], {"experiments", "measurement", "algorithms", "_lbfgs"}),
+        (["--help"], LATE_LAYERS),
+        (["bogus"], LATE_LAYERS),
+    ], ids=["t1", "compile", "help", "unknown"])
+    def test_a_request_imports_only_the_layers_it_runs(self, tmp_path, argv, absent):
+        write_json(tmp_path / "c.json", BELL_CIRCUIT)
+        rc, modules = child_modules(tmp_path, [*argv, "--out", "out"])
+        assert rc in (0, 2) and modules and not modules & absent, modules
+
+    def test_an_unknown_object_or_format_is_a_validation_error(self, tmp_path):
+        with pytest.raises(ValidationError, match="^cannot serialize object$"):
+            _canonical({"x": [object()]})
+        with pytest.raises(ValidationError, match="^unknown report format 'xml'$"):
+            cli.emit_report({"x": 1}, "xml", tmp_path / "r.xml")
+        assert not (tmp_path / "r.xml").exists()
+
+
+class TestLazyExports:
+    def test_a_name_outside_the_api_is_an_attribute_error(self):
+        assert getattr(nmrqc, "NUMBA_ENABLED", None) is None
+        with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+            nmrqc.bogus
+
+    def test_each_public_name_is_its_layers(self):
+        for name in nmrqc.__all__:
+            layer = getattr(nmrqc, nmrqc._LAYER_OF[name])
+            assert getattr(nmrqc, name) is getattr(layer, name)
+            assert layer.__name__ == f"nmrqc.{nmrqc._LAYER_OF[name]}"
+
+    def test_importing_the_package_imports_no_layer(self, tmp_path):
+        script = "import sys, nmrqc\nprint(sorted(m for m in sys.modules if m.startswith('nmrqc')))"
+        src = str(Path(nmrqc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.stdout.split() == ["['nmrqc']"], done.stderr

@@ -117,9 +117,12 @@ OBJECTS_ONLY = {"Crusher", "PulseProgram", "bloch_vector", "circuit_unitary",
                 "readout_peak_table", "spectrum_of", "thermal_state"}
 
 # A bool, numeric strings, nan, +-inf, -1, 0, a subnormal, the float maximum, an int past the
-# float range, None, a ragged nested list, a complex, an empty tuple, a dict and a 0-d array
+# float range, None, a ragged nested list, a complex, an empty tuple, a dict, a 0-d array, and
+# a numpy timedelta (an np.integer to numpy; of a unit, so that it hashes) alone and in a list
 HOSTILE = [True, "1", "0.5", math.nan, math.inf, -math.inf, -1, 0, 1e-309, 1e308, 10**400,
-           None, [[1.0], [2.0, 3.0]], 1 + 2j, (), {}, np.array(0.5)]
+           None, [[1.0], [2.0, 3.0]], 1 + 2j, (), {}, np.array(0.5), np.timedelta64(1, "s"),
+           [np.timedelta64(1, "s"), np.timedelta64(2, "s")]]
+HUGE_KEY = 10**5000  # named by its id, since its repr is 5,001 digits
 JUNK = st.one_of(st.sampled_from(HOSTILE), st.floats(), st.integers(), st.text(max_size=3),
                  st.complex_numbers(), st.lists(st.one_of(st.floats(), st.booleans(),
                                                           st.text(max_size=2)), max_size=3))
@@ -191,6 +194,17 @@ class TestLibraryDomains:
         with pytest.raises(ValidationError, match="^duration must be > 0 and finite$"):
             POSITIVE.check("duration", 0.0)
 
+    def test_a_numpy_timedelta_is_no_number(self):
+        # an np.integer to numpy: each was read as an integer, and qubit 1 was kept
+        with pytest.raises(ValidationError):
+            INTEGERS.check("", [np.timedelta64(5)])
+        with pytest.raises(ValidationError):
+            partial_trace(RHO, [np.timedelta64(1)])
+        with pytest.raises(ValidationError):
+            finite_array([np.timedelta64(3)], float, "")
+        with pytest.raises(ValidationError, match="^gate X: targets must be integers$"):
+            Gate("X", (np.timedelta64(1),))
+
     @pytest.mark.parametrize("option", [dynamics.PULSE_AMPLITUDE, control.SEGMENT_DT])
     def test_positive_numbers_are_one_declaration(self, option):
         assert option.ok is POSITIVE.ok and option.kind is float and not option.listed
@@ -259,8 +273,8 @@ class TestLibraryDomains:
             pauli_reconstruct([("Z", 0.5)])
 
     @pytest.mark.parametrize("key", [k for k in HOSTILE if isinstance(k, Hashable)]
-                             + ["", "ZA", "zi", b"ZI", ("Z", "I"), 10**5000, "I" * 7],
-                             ids=lambda v: "huge" if v == 10**5000 else repr(v)[:12])
+                             + ["", "ZA", "zi", b"ZI", ("Z", "I"), HUGE_KEY, "I" * 7],
+                             ids=lambda v: "huge" if v is HUGE_KEY else repr(v)[:12])
     def test_pauli_strings_are_strings_over_ixyz(self, key):
         for coefficients in ({key: 0.5}, {"ZI": 0.5, key: 0.5}):
             with pytest.raises(ValidationError, match=PAULI_RULE):

@@ -438,6 +438,12 @@ class TestCompile:
         with pytest.raises(ValidationError):
             compile_circuit(Circuit(3, (X(1),)), triangulum)
 
+    def test_a_shared_channel_is_rejected(self):
+        # a pulse on one of two spins with one label would drive both
+        cfg = make_weak_config([0.0, 300.0], [[0.0, 50.0], [50.0, 0.0]], labels=["1H", "1H"])
+        with pytest.raises(ValidationError, match="^pulse compilation needs per-qubit channels"):
+            compile_circuit(Circuit(2, (X(1),)), cfg)
+
     def test_z_rotation_cnot_decomposition(self, gemini):
         # z-rotation route to CNOT: Rz1(90) Rz2(-90) Rx2(90) U_J(1/2J) Ry2(90),
         # equal to CNOT up to a global phase of pi/4

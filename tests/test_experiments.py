@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,17 @@ class TestPseudoPure:
 
 
 class TestRabiCalibration:
+    def test_a_fit_leaves_numpy_ma_unimported(self):
+        # np.median's NaN check imports numpy.ma, 1.3 MB of a fresh interpreter
+        script = ("import sys\nfrom nmrqc import preset, rabi_calibration\n"
+                  "rabi_calibration(preset('gemini'), '1H')\nprint('numpy.ma' in sys.modules)")
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
     @pytest.mark.parametrize("u_khz", [5.0, 12.5, 25.0])
     def test_t180_matches_inverse_drive(self, gemini, u_khz):
         u = u_khz * 1e3

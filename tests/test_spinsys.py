@@ -156,6 +156,13 @@ class TestConfigEquality:
 
 
 class TestInternalHamiltonian:
+    def test_a_sum_past_the_float_range_is_rejected(self):
+        # each offset is finite in rad/s, but H0[0, 0], half their sum, is not
+        cfg = make_weak_config([2.5e307] * 3, np.zeros((3, 3)))
+        with pytest.raises(ValidationError, match=r"^test: internal Hamiltonian \(rad/s\) is not "
+                                                  "finite$"):
+            internal_hamiltonian(cfg)
+
     def test_gemini_weak_diagonal(self, gemini):
         h = internal_hamiltonian(gemini)
         expected = 2 * np.pi * 697.4 / 4 * np.diag([1.0, -1.0, -1.0, 1.0])

@@ -21,10 +21,16 @@ number of pairs and the calls per pair. A ratio below 1 means the changed tree i
 faster. A side makes enough calls per pair to take about 10 ms, worked out from the
 slower side's fastest warm call.
 
+A ``cli.`` target runs one README request as ``python -m nmrqc.cli`` in a child
+process, import included, with ``PYTHONPATH`` set to its tree's directory and the
+environment otherwise the same for both sides. It is timed by the child's CPU time,
+user and system, from ``os.wait4``'s resource usage.
+
 Limits:
-- Each side is timed with ``time.thread_time_ns``, the CPU time of this thread.
-  Work moved off the CPU (a file write, a sleep) or onto another thread is not
-  seen: end-to-end time, report emission and memory stay with ``perfbench``.
+- Each side is timed with ``time.thread_time_ns``, the CPU time of this thread, or
+  a ``cli.`` target by its child's. Work moved off the CPU (a file write, a sleep,
+  waiting on the file system) or onto another thread is not seen: wall time stays
+  with a plain timer, and throughput, report emission and memory with ``perfbench``.
 - Each tree has its own module-level caches (``functools.lru_cache`` maps and the
   operators cached on a machine config). Warming fills both, so a ratio compares
   warm calls; what a cold first call costs is not measured here.
@@ -39,8 +45,15 @@ Limits:
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
 import importlib.util
+import json
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -183,8 +196,8 @@ def _grape_evaluation(nmrqc):
 
 
 def _build_parser(nmrqc):
-    """The CLI's parser built and the README's grape request parsed, as every CLI run starts:
-    the option declarations read, and the triangulum preset loaded from its file."""
+    """The CLI's parser of every request built and the README's grape request parsed: the
+    option declarations read, and the triangulum preset loaded from its file."""
     cli = importlib.import_module(f"{nmrqc.__name__}.cli")
     argv = ["grape", "--gate", "X90", "--targets", "1", "--machine", "triangulum",
             "--segments", "100", "--duration-s", "1.5e-3", "--target-fidelity", "0.995",
@@ -192,6 +205,82 @@ def _build_parser(nmrqc):
     return lambda: cli.build_parser().parse_args(argv)
 
 
+class ChildCPU:
+    """A clock of the CPU time, user and system, in ns, of the child processes run through it:
+    `os.wait4` gives each child's own resource usage."""
+
+    def __init__(self):
+        self.ns = 0
+
+    def __call__(self) -> int:
+        return self.ns
+
+    def run(self, argv: list, env: dict, cwd: str):
+        child = subprocess.Popen(argv, env=env, cwd=cwd, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode:
+            raise RuntimeError(f"{' '.join(argv)} exited {child.returncode}")
+        self.ns += round((usage.ru_utime + usage.ru_stime) * 1e9)
+
+
+CHILD_CPU = ChildCPU()
+
+
+@functools.lru_cache(maxsize=1)
+def _cli_inputs() -> dict:
+    """The README requests' input files, written once into a directory removed at exit, by
+    name: the Bell circuit, seeded 2- and 3-qubit states and a one-qubit unitary."""
+    root = tempfile.mkdtemp(prefix="abtime-cli-")
+    atexit.register(shutil.rmtree, root, True)
+    rng = np.random.default_rng(5)
+    docs = {"bell": {"n": 2, "gates": [{"name": "H", "targets": [1], "params": []},
+                                       {"name": "CNOT", "targets": [1, 2], "params": []}]}}
+    for name, n in (("rho", 2), ("rho3", 3)):
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        m = a @ a.conj().T / np.trace(a @ a.conj().T)
+        docs[name] = {"n": n, "re": m.real.tolist(), "im": m.imag.tolist()}
+    u = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
+    docs["u"] = {"re": u.real.tolist(), "im": u.imag.tolist()}
+    paths = {"out": str(Path(root) / "out")}
+    for name, doc in docs.items():
+        paths[name] = str(Path(root) / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return paths
+
+
+def _cli(request: str):
+    """A README request, its input files named {bell}, {rho}, {rho3} and {u}, run as
+    `python -m nmrqc.cli` in a child process on the tree: a call is one child, on CHILD_CPU."""
+    def build(nmrqc):
+        paths = _cli_inputs()
+        argv = [sys.executable, "-m", "nmrqc.cli", *request.format(**paths).split(),
+                "--out", paths["out"]]
+        env = {**os.environ, "PYTHONPATH": str(Path(nmrqc.__file__).resolve().parents[1])}
+        return lambda: CHILD_CPU.run(argv, env, str(Path(paths["out"]).parent))
+    return build
+
+
+# The README's requests, by target name
+CLI_REQUESTS = {
+    "simulate-pulse": "simulate --machine gemini --circuit {bell} --path pulse",
+    "compile": "compile --circuit {bell}",
+    "tomography": "tomography --state {rho}",
+    "tomography-pulse": "tomography --state {rho} --path pulse",
+    "tomography-triangulum": "tomography --machine triangulum --state {rho3}",
+    "grape": "grape --gate X90 --targets 1 --machine triangulum --segments 100 "
+             "--duration-s 1.5e-3 --target-fidelity 0.995 --seed 1",
+    "experiment-rabi": "experiment rabi --channel 1H --amp-hz 12500",
+    "experiment-t1": "experiment t1 --channel 1H",
+    "experiment-t2": "experiment t2 --channel 1H --offset-spread-hz 200",
+    "experiment-pps": "experiment pps",
+    "algorithm-grover4": "algorithm grover4 --target 3",
+    "algorithm-deutsch": "algorithm deutsch --case f3 --path pulse",
+    "algorithm-count": "algorithm count --case M2 --l-values 1,2,3,4,5",
+    "algorithm-qho": "algorithm qho --initial n0_plus_n3",
+    "algorithm-dqc1": "algorithm dqc1 --unitary {u} --epsilon 1.0",
+    "algorithm-cnot-table": "algorithm cnot-table --direction 21",
+}
 # target name -> builder: given one tree's package, the zero-argument call to time
 TARGETS = {
     "measurement.tomography:gemini": _tomography("gemini"),
@@ -214,7 +303,13 @@ TARGETS = {
     "algorithms.runner:run_counting": _counting,
     "quantum.documents": _documents,
     "cli.build_parser": _build_parser,
+    **{f"cli.{name}": _cli(request) for name, request in CLI_REQUESTS.items()},
 }
+
+
+def clock_of(target: str):
+    """A target's clock: its child's CPU for a README request, this thread's for the rest."""
+    return CHILD_CPU if target.removeprefix("cli.") in CLI_REQUESTS else time.thread_time_ns
 
 
 def paired_ratios(base, changed, pairs: int, calls: int, clock=time.thread_time_ns) -> np.ndarray:
@@ -277,9 +372,10 @@ def main(argv=None) -> int:
     trees = load_tree(args.base, "abtime_base"), load_tree(args.changed, "abtime_changed")
     for target in args.targets or TARGETS:
         base, changed = (TARGETS[target](tree) for tree in trees)
-        warm_call = _warm((base, changed))
+        clock = clock_of(target)
+        warm_call = _warm((base, changed), clock)
         calls = max(1, round(SIDE_SECONDS * 1e9 / max(warm_call, 1)))
-        median, low, high = summary(paired_ratios(base, changed, args.pairs, calls))
+        median, low, high = summary(paired_ratios(base, changed, args.pairs, calls, clock))
         print(f"{target:36s} ratio {median:.4f}  95% [{low:.4f}, {high:.4f}]  "
               f"pairs {args.pairs}  calls {calls}", flush=True)
     return 0
