@@ -3,8 +3,8 @@
 `COMMANDS` declares each request (simulate, tomography, compile, grape, experiment rabi|t1|t2|pps,
 algorithm <name>) once: its options, required inputs, body and the artifacts it writes into --out,
 and nothing else. `main` builds the parser of the one request argv names and imports only the
-layers it runs. Reports are written atomically with sorted keys and floats at 12 significant
-digits, so identical requests (and seeds) produce byte-identical files.
+layers it runs. Reports are written atomically, at the umask's file mode, with sorted keys and
+floats at 12 significant digits, so identical requests (and seeds) produce byte-identical files.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 output I/O.
 """
@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -53,9 +52,10 @@ def _canonical(obj):
 
 def _write_atomic(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")  # an exclusive create at mode 0o666 less the umask, as open(path, "w")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -83,10 +83,13 @@ _STEP_TOL = 1e-13  # change of ln theta at which a fit has converged
 
 def _abs_sine_period_guess(x: np.ndarray, y: np.ndarray) -> float:
     """Coarse grid search for the |sin| period from two sample spacings up (below, it aliases)."""
-    import statistics  # only this fit reads it; np.median would import numpy.ma (1.3 MB)
-
     span = float(np.max(x) - np.min(x))
-    shortest = max(span / 20.0, 2.0 * statistics.median(np.diff(np.sort(x)).tolist()))
+    # the median spacing, as statistics.median takes it: np.median would import numpy.ma
+    # (1.3 MB), statistics imports decimal and fractions
+    gaps = sorted(np.diff(np.sort(x)).tolist())
+    mid = len(gaps) // 2
+    median = gaps[mid] if len(gaps) % 2 else (gaps[mid - 1] + gaps[mid]) / 2
+    shortest = max(span / 20.0, 2.0 * median)
     candidates = np.linspace(shortest, 4.0 * span, 800)
     amp = float(np.max(np.abs(y)))
     models = amp * np.abs(np.sin(np.pi * x / candidates[:, np.newaxis]))

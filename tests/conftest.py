@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,6 +11,12 @@ from nmrqc.spinsys import NucleusSpec, SpinSystemConfig, preset
 # Tier-1 runs the same examples every time and leaves no example database behind.
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
 settings.load_profile("tier1")
+
+ROOT = Path(__file__).resolve().parents[1]
+# tools/abtime.py: its CLI_REQUESTS and their input files are the README requests' one table
+_spec = importlib.util.spec_from_file_location("abtime", ROOT / "tools" / "abtime.py")
+abtime = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(abtime)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,12 @@
-import importlib.util
 import io
 import os
 import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("abtime", ROOT / "tools" / "abtime.py")
-abtime = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(abtime)
+from conftest import ROOT, abtime
 
 
 class FakeClock:

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmrqc
-from conftest import make_weak_config, random_density_matrix, random_unitary
+from conftest import ROOT, abtime, make_weak_config, random_density_matrix, random_unitary
 from nmrqc import algorithms, cli, control, dynamics, experiments, measurement, quantum, spinsys
 from nmrqc.cli import _canonical, build_parser, main
 from nmrqc.control import _GATES, MAX_GRAPE_ELEMENTS, Circuit, Gate, compile_circuit
@@ -29,6 +29,12 @@ from nmrqc.dynamics import evolve_program, program_unitary
 from nmrqc.errors import NmrqcError, ValidationError
 from nmrqc.quantum import DensityMatrix, Option
 from nmrqc.spinsys import preset
+
+
+def child_env() -> dict:
+    """This environment with the tested package's directory first on PYTHONPATH."""
+    src = str(Path(nmrqc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def write_json(path, obj):
@@ -118,6 +124,17 @@ class TestArtifacts:
         prog = json.loads((out / "pulse_program.json").read_text())
         kinds = [ev["type"] for ev in prog["events"]]
         assert "delay" in kinds and "rf" in kinds
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["022", "027"])
+    def test_a_report_takes_the_umasks_mode(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            cli.emit_report({"x": 1}, "json", tmp_path / "r.json")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "r.json").stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_tomography_report(self, tmp_path):
         rho = DensityMatrix.basis(2, 2)
@@ -519,62 +536,15 @@ def test_unread_option_exits_2(tmp_path, capsys, command, option):
     assert not (tmp_path / "o").exists()
 
 
-README_REQUESTS = [
-    ["simulate", "--machine", "gemini", "--circuit", "{bell}", "--path", "pulse"],
-    ["compile", "--circuit", "{bell}"],
-    ["tomography", "--state", "{rho}"],
-    ["tomography", "--state", "{rho}", "--path", "pulse"],
-    ["grape", "--gate", "X90", "--targets", "1", "--machine", "triangulum", "--segments",
-     "100", "--duration-s", "1.5e-3", "--target-fidelity", "0.995", "--seed", "1"],
-    ["experiment", "rabi", "--channel", "1H", "--amp-hz", "12500"],
-    ["experiment", "t1", "--channel", "1H"],
-    ["experiment", "t2", "--channel", "1H", "--offset-spread-hz", "200"],
-    ["experiment", "pps"],
-    ["algorithm", "grover4", "--target", "3"],
-    ["algorithm", "deutsch", "--case", "f3", "--path", "pulse"],
-    ["algorithm", "count", "--case", "M2", "--l-values", "1,2,3,4,5"],
-    ["algorithm", "qho", "--initial", "n0_plus_n3"],
-    ["algorithm", "dqc1", "--unitary", "{u}", "--epsilon", "1.0"],
-    ["algorithm", "cnot-table", "--direction", "21"],
-    ["tomography", "--machine", "triangulum", "--state", "{rho3}"],
-]
-
-
-def report_key(argv):
-    if argv[0] in ("experiment", "algorithm"):
-        return argv[1]
-    return argv[0] + ("-pulse" if "pulse" in argv else "") + (
-        "-triangulum" if "triangulum" in argv else "")
-
-
-@pytest.fixture
-def readme_inputs(tmp_path):
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = DensityMatrix(a @ a.conj().T / np.trace(a @ a.conj().T))
-    u = np.array([[np.cos(0.7), -1j * np.sin(0.7)], [-1j * np.sin(0.7), np.cos(0.7)]])
-    b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    rho3 = DensityMatrix(b @ b.conj().T / np.trace(b @ b.conj().T))
-    return {
-        "bell": write_json(tmp_path / "bell.json", {"n": 2, "gates": [
-            {"name": "H", "targets": [1], "params": []},
-            {"name": "CNOT", "targets": [1, 2], "params": []}]}),
-        "rho": write_json(tmp_path / "rho.json", rho.to_json_dict()),
-        "rho3": write_json(tmp_path / "rho3.json", rho3.to_json_dict()),
-        "u": write_json(tmp_path / "u.json", {"re": u.real.tolist(), "im": u.imag.tolist()}),
-        "state": rho,
-    }
-
-
 class TestReadmeRequests:
-    @pytest.mark.parametrize("argv", README_REQUESTS,
-                             ids=lambda a: "-".join(x for x in a[:2] if x[0] not in "-{"))
-    def test_rerun_is_byte_identical(self, tmp_path, readme_inputs, argv):
-        argv = [a.format(**readme_inputs) for a in argv]
+    """The README requests, abtime's CLI_REQUESTS, each run on the input files it writes."""
+
+    @pytest.mark.parametrize("name", abtime.CLI_REQUESTS)
+    def test_rerun_is_byte_identical(self, tmp_path, name):
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
-            assert main([*argv, "--out", str(out)]) == 0
+            assert main(abtime.readme_argv(abtime.CLI_REQUESTS[name], str(out))) == 0
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0] and outs[0] == outs[1]
 
@@ -605,60 +575,71 @@ class TestReadmeRequests:
         "tomography-triangulum": {
             "tomography_report.json": "897ffb96bf0ec1e39b1fea02a8de3b50fb7507238cf1b1884bdbccb66ba6316c",
         },
-        "grape-triangulum": {
+        "grape": {
             "grape_pulse.csv": "60f477644f51b8aa701c82cc8fe23c6150138ecfa8f741cf976fbb9e0890d929",
             "grape_meta.json": "bdc8d7e15057580246a90905651775fbe8075ffa473964ec2c1f806ca191a11d",
             "pulse_program.json": "dbcc6a614d0b06d4a7430ec652899c589387452c53819ab4f83880b670a31002",
         },
-        "rabi": {
+        "experiment-rabi": {
             "rabi_fit.json": "4efeb06e6457edbf1b0e468a5c4dfcbde4f0e6efb6d290e1a56496da1f1db70c",
             "rabi_scan.csv": "2acb1aa8c06ae797bd98bd35614e7e126e76e07d3074af0e85689ad584c1ab2d",
         },
-        "t1": {
+        "experiment-t1": {
             "t1_fit.json": "cca48881853e8d4f185897ebe9e582992d60cd8d5000b9dfe2a9b476857cf7d1",
             "t1_scan.csv": "407f5b5b9355357c3b57a3370ea8bc029353fa4b6d913eafec378e73b36732f3",
         },
-        "t2": {
+        "experiment-t2": {
             "t2_fit.json": "dfc329f618a5a33bf6d04718e8b9576cdfd5ea34e0850e86afb1a0c315d3c56b",
             "t2_scan.csv": "3b8f0c375e6e5ab2c8105170a5e6db986b93cafc3cf658e654ca37fdba043de5",
         },
-        "pps": {
+        "experiment-pps": {
             "pps_report.json": "6334ebc43d04c413fae6d08c8b094d6de27b8146e02214a905292e40bc3d3b0a",
         },
-        "grover4": {
+        "algorithm-grover4": {
             "algorithm_grover4.json": "e1ece1be1b7e3a33e46bb584cb49d4169454111fd3ba2cd3df952c0362b94d00",
         },
-        "deutsch": {
+        "algorithm-deutsch": {
             "algorithm_deutsch.json": "42bb5e3f5aaaf9e5a34db67e806220ccc010f78e4534dac9077eabef47f3e165",
         },
-        "count": {
+        "algorithm-count": {
             "algorithm_count.json": "cb2549edf75e3442d48f0e9eeeadcb85ed6a1f2c9b656da4e707212df82686df",
         },
-        "qho": {
+        "algorithm-qho": {
             "algorithm_qho.json": "7b198c69bb20ee41969194c449b6e5d109394dd3d41ee77b67573d8ea950b070",
         },
-        "dqc1": {
+        "algorithm-dqc1": {
             "algorithm_dqc1.json": "5b08735ba7162dcad358a1f0a99dd0abb6d01d03c3bdc99809f317308efdfa46",
         },
-        "cnot-table": {
+        "algorithm-cnot-table": {
             "algorithm_cnot_table.json": "512a6a74dc53f4d573a959f5584ae8de11dd196bbbbd264fbe87dc58569e96b4",
         },
     }
 
-    @pytest.mark.parametrize("argv", README_REQUESTS, ids=report_key)
-    def test_scan_reports_are_pinned(self, tmp_path, readme_inputs, argv):
-        argv = [a.format(**readme_inputs) for a in argv]
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    @pytest.mark.parametrize("name", abtime.CLI_REQUESTS)
+    def test_scan_reports_are_pinned(self, tmp_path, name):
+        assert main(abtime.readme_argv(abtime.CLI_REQUESTS[name], str(tmp_path / "out"))) == 0
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / "out").iterdir()}
-        assert digests == self.SCAN_REPORTS[report_key(argv)]
+        assert digests == self.SCAN_REPORTS[name]
 
-    def test_pulse_tomography_tables_are_the_compiled_readout(self, tmp_path, readme_inputs):
+    def test_the_readme_block_is_the_table(self):
+        # the block after the README names the table: continuations joined, comments dropped,
+        # each input file read as the name the table gives it
+        readme = (ROOT / "README.md").read_text().split("`CLI_REQUESTS` in `tools/abtime.py`")
+        block = readme[1].split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        requests = [re.sub(r"\b(bell|rho3?|u)\.json\b", r"{\1}", line.split("#")[0]).split()
+                    for line in block.splitlines() if line.split("#")[0].strip()]
+        assert requests == [["nmrqc", *request.split(), "--out", "run/"]
+                            for request in abtime.CLI_REQUESTS.values()]
+        assert list(self.SCAN_REPORTS) == list(abtime.CLI_REQUESTS)
+
+    def test_pulse_tomography_tables_are_the_compiled_readout(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["tomography", "--state", readme_inputs["rho"], "--path", "pulse",
-                     "--out", str(out)]) == 0
+        argv = abtime.readme_argv(abtime.CLI_REQUESTS["tomography-pulse"], str(out))
+        assert main(argv) == 0
         report = json.loads((out / "tomography_report.json").read_text())
-        cfg, rho = preset("gemini"), readme_inputs["state"]
+        state = json.loads(Path(abtime._cli_inputs()["rho"]).read_text())
+        cfg, rho = preset("gemini"), DensityMatrix.from_json_dict(state)
         expected = {}
         for s1 in ("I", "X90", "Y90"):
             for s2 in ("I", "X90", "Y90"):
@@ -686,10 +667,7 @@ class TestStartup:
             f"    assert main([*argv, '--out', {str(tmp_path)!r}]) == 0\n"
             f"print({module!r} in sys.modules)\n"
         )
-        src = str(Path(nmrqc.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()[-1]
@@ -1475,7 +1453,8 @@ class TestExitCodes:
 
 
 def child_modules(tmp_path, argv):
-    """The package modules a fresh interpreter holds after main(argv), and its exit code."""
+    """The modules a fresh interpreter holds after main(argv), the package's named without
+    their `nmrqc.` prefix, and its exit code."""
     script = (
         "import json, sys\n"
         "from nmrqc.cli import main\n"
@@ -1483,11 +1462,9 @@ def child_modules(tmp_path, argv):
         f"    rc = main({argv!r})\n"
         "except SystemExit as exc:\n"
         "    rc = exc.code\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('nmrqc'))]))\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))\n"
     )
-    src = str(Path(nmrqc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=60, cwd=tmp_path)
     rc, modules = json.loads(done.stdout.splitlines()[-1])
     return rc, {m.removeprefix("nmrqc.") for m in modules}
@@ -1544,7 +1521,11 @@ class TestCommandTable:
         (["compile", "--circuit", "c.json"], {"experiments", "measurement", "algorithms", "_lbfgs"}),
         (["--help"], LATE_LAYERS),
         (["bogus"], LATE_LAYERS),
-    ], ids=["t1", "compile", "help", "unknown"])
+        # the Rabi fit's medians: np.median imports numpy.ma (1.3 MB), statistics imports
+        # decimal and fractions
+        (["experiment", "rabi"],
+         {"numpy.ma", "statistics", "_statistics", "decimal", "_decimal", "fractions"}),
+    ], ids=["t1", "compile", "help", "unknown", "rabi"])
     def test_a_request_imports_only_the_layers_it_runs(self, tmp_path, argv, absent):
         write_json(tmp_path / "c.json", BELL_CIRCUIT)
         rc, modules = child_modules(tmp_path, [*argv, "--out", "out"])
@@ -1572,8 +1553,6 @@ class TestLazyExports:
 
     def test_importing_the_package_imports_no_layer(self, tmp_path):
         script = "import sys, nmrqc\nprint(sorted(m for m in sys.modules if m.startswith('nmrqc')))"
-        src = str(Path(nmrqc.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                               text=True, timeout=60)
         assert done.stdout.split() == ["['nmrqc']"], done.stderr

@@ -93,6 +93,31 @@ def test_stationary_start_takes_no_step():
     assert list(_lbfgs.iterates(fg, x0, *fg(x0))) == []
 
 
+def test_a_weak_decrease_steps_on_the_modified_function():
+    # -atan(1e4 x) + (x - 1)^2 from 0 is nonconvex: the first step, of unit length, lowers f
+    # by less than FTOL times the slope's length, so dcsrch steps on f - FTOL * slope * stp
+    def fg(x):
+        return (float(-np.arctan(1e4 * x[0]) + (x[0] - 1) ** 2),
+                np.array([-1e4 / (1 + 1e8 * x[0] ** 2) + 2 * (x[0] - 1)]))
+
+    (f0, g0), (f1, _) = fg(np.zeros(1)), fg(np.ones(1))
+    assert f0 - _lbfgs.FTOL * abs(g0[0]) < f1 < f0
+    assert_same_path(own_path(fg, np.zeros(1)), scipy_path(fg, np.zeros(1)))
+
+
+def test_a_failed_search_drops_the_pairs_then_a_second_one_stops(monkeypatch):
+    # f = x·x with the gradient of x·x + 3 Σx: from the third iterate on, f rises along the
+    # direction that this gradient calls descent, and each search gives up after MAXLS tries
+    def fg(x):
+        return float(x @ x), 2 * x + 3.0
+
+    found, search = [], _lbfgs._search
+    monkeypatch.setattr(_lbfgs, "_search", lambda *args: found.append(search(*args)) or found[-1])
+    x0 = np.array([1.0, 2.0])
+    assert_same_path(own_path(fg, x0), scipy_path(fg, x0))
+    assert [step is None for step in found] == [False, False, False, True, True]
+
+
 @given(q=st.floats(1e-3, 1e3), t0=st.floats(1e-3, 1e3), stp=st.floats(1e-4, 1e4),
        waves=st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(1e-2, 1e2),
                                 st.floats(0.0, 2 * np.pi)), max_size=3),
