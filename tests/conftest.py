@@ -1,10 +1,12 @@
 import importlib.util
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import nmrqc
 from nmrqc.quantum import DensityMatrix
 from nmrqc.spinsys import NucleusSpec, SpinSystemConfig, preset
 
@@ -13,10 +15,16 @@ settings.register_profile("tier1", derandomize=True, deadline=None, database=Non
 settings.load_profile("tier1")
 
 ROOT = Path(__file__).resolve().parents[1]
-# tools/abtime.py: its CLI_REQUESTS and their input files are the README requests' one table
+# tools/abtime.py, loaded at import as test ids read its CLI_REQUESTS: the README requests' table
 _spec = importlib.util.spec_from_file_location("abtime", ROOT / "tools" / "abtime.py")
 abtime = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(abtime)
+
+
+def child_env() -> dict:
+    """This environment with the tested package's directory first on PYTHONPATH."""
+    src = str(Path(nmrqc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture(scope="session")

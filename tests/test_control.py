@@ -2,7 +2,6 @@ import itertools
 import json
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_weak_config, random_unitary
+from conftest import ROOT, make_weak_config, random_unitary
 from nmrqc.control import (
     CNOT,
     CY,
@@ -174,7 +173,7 @@ ALL_TARGETS = [
 
 
 def test_readme_lists_every_gate():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     names = re.search(r"with gate names `([^`]*)`", readme).group(1).split()
     assert names == [*_GATES, "U"]
 

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import make_weak_config
+from conftest import child_env, make_weak_config
 from nmrqc import _kernels, experiments
 from nmrqc.dynamics import (
     Crusher,
@@ -235,6 +237,17 @@ class TestPseudoPure:
 
 
 class TestRabiCalibration:
+    def test_a_fit_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median's NaN check imports numpy.ma (1.3 MB), statistics decimal and fractions
+        absent = ["numpy.ma", "statistics", "_statistics", "decimal", "_decimal", "fractions"]
+        script = ("import sys\nfrom nmrqc.cli import main\n"
+                  "rc = main(['experiment', 'rabi', '--out', 'out'])\n"
+                  f"print(rc, [m for m in {absent!r} if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                              text=True, timeout=60, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == ["0", "[]"], done.stdout
+
     @pytest.mark.parametrize("u_khz", [5.0, 12.5, 25.0])
     def test_t180_matches_inverse_drive(self, gemini, u_khz):
         u = u_khz * 1e3

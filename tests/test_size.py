@@ -1,8 +1,8 @@
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT
+
 SIZE = ROOT / "tools" / "size.py"
 
 

@@ -1,9 +1,9 @@
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import ROOT
+
 UNTESTED = ROOT / "tools" / "untested.py"
 
 MODULE = '''"""A module with one branch that its test leaves out."""

@@ -228,7 +228,7 @@ CHILD_CPU = ChildCPU()
 
 
 @functools.lru_cache(maxsize=1)
-def _cli_inputs() -> dict:
+def cli_inputs() -> dict:
     """The README requests' input files, written once into a directory removed at exit, by
     name: the Bell circuit, seeded 2- and 3-qubit states and a one-qubit unitary. The
     byte-identity pins of the package's tests read these same files."""
@@ -252,15 +252,15 @@ def _cli_inputs() -> dict:
 
 def readme_argv(request: str, out: str) -> list:
     """The arguments of a README request writing into `out`, its input files named {bell},
-    {rho}, {rho3} and {u} replaced by the paths `_cli_inputs` wrote them to."""
-    return [word.format(**_cli_inputs()) for word in request.split()] + ["--out", out]
+    {rho}, {rho3} and {u} replaced by the paths `cli_inputs` wrote them to."""
+    return [word.format(**cli_inputs()) for word in request.split()] + ["--out", out]
 
 
 def _cli(request: str):
     """A README request run as `python -m nmrqc.cli` in a child process on the tree: a call is
     one child, on CHILD_CPU."""
     def build(nmrqc):
-        paths = _cli_inputs()
+        paths = cli_inputs()
         argv = [sys.executable, "-m", "nmrqc.cli", *readme_argv(request, paths["out"])]
         env = {**os.environ, "PYTHONPATH": str(Path(nmrqc.__file__).resolve().parents[1])}
         return lambda: CHILD_CPU.run(argv, env, str(Path(paths["out"]).parent))
