@@ -42,6 +42,7 @@ from .errors import ValidationError
 from .measurement import _reconstruct
 from .quantum import (
     FINITE_NUMBERS,
+    FLAG,
     SIGMA_Z,
     DensityMatrix,
     Ket,
@@ -356,9 +357,10 @@ def simulate_qho(
     """Two-qubit simulation of a truncated four-level harmonic oscillator.
 
     Oscillator levels map to register states as n = 0,1,2,3 ->
-    |00>, |10>, |11>, |01> (up-spin = |0>). Each omega*t point runs a pi
-    sandwich around a J delay of omega_t/(pi J) plus an x/y-conjugated z
-    rotation by 2 omega_t on qubit 2. For the |0>+|3> start the |00><01|
+    |00>, |10>, |11>, |01> (up-spin = |0>). Each omega*t point runs a J
+    delay of |omega_t/(pi J)|, inside a pi sandwich on qubit 1 when omega_t and
+    J share a sign, plus an x/y-conjugated z rotation by 2 omega_t on qubit 2;
+    either sign of omega_t and of J works. For the |0>+|3> start the |00><01|
     coherence phase advances by 3 omega_t.
     """
     return run("qho", path, config, relaxation, initial=initial,
@@ -370,9 +372,12 @@ def _qho_circuits(options, machine) -> list[Circuit]:
     if j == 0.0:
         raise ValidationError("oscillator simulation needs a nonzero J coupling")
     prep = _QHO_PREPARATIONS[options["initial"]]
-    return [Circuit(2, tuple([*prep, RX(1, np.pi), DELAY(omega_t / (np.pi * j)),
-                              RX(1, -np.pi), RX(2, np.pi / 2), RY(2, 2.0 * omega_t),
-                              RX(2, -np.pi / 2)]))
+
+    def coupling(omega_t):  # a pi sandwich on qubit 1 reverses the J phase
+        delay = DELAY(abs(omega_t / (np.pi * j)))
+        return [RX(1, np.pi), delay, RX(1, -np.pi)] if omega_t * j > 0 else [delay]
+    return [Circuit(2, tuple([*prep, *coupling(omega_t), RX(2, np.pi / 2),
+                              RY(2, 2.0 * omega_t), RX(2, -np.pi / 2)]))
             for omega_t in options["omega_t"]]
 
 
@@ -494,6 +499,7 @@ def run(name: str, path: str = PATH.default, config: Optional[SpinSystemConfig] 
         raise ValidationError(f"{name}: unknown option {min(unknown)!r}")
     given = {key: option.default for key, option in algorithm.options.items()} | options
     options = {key: algorithm.options[key].check(key, value) for key, value in given.items()}
+    relaxation = FLAG.check("relaxation", relaxation)
     machine = config if config is not None else preset("gemini")
     n = algorithm.qubits(options)
     if machine.n != n:

@@ -265,9 +265,8 @@ _GROUPS = {"experiment": "calibration/preparation experiments",
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, inputs=(), **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.inputs = inputs  # a request's `_Command.inputs`
         # argparse's test (3.11) for a negative number, a value and not an option: whatever
         # starts as one, -1e-3 and -1,2 too, since no option name begins with a digit
         self._negative_number_matcher = re.compile(r"-\.?\d")
@@ -277,17 +276,9 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"argument {'/'.join(action.option_strings)}: '--' is no value")
         return super()._get_values(action, arg_strings)
 
-    def parse_known_args(self, args=None, namespace=None):
-        """argparse's, then a missing input is a ValidationError: `main` returns 2 for it."""
-        namespace, extras = super().parse_known_args(args, namespace)
-        for names in self.inputs:
-            if all(getattr(namespace, name[2:]) is None for name in names):
-                raise ValidationError(f"one of the arguments {' '.join(names)} is required")
-        return namespace, extras
-
     def error(self, message):
-        """A usage error is one line, like every other exit 2."""
-        self.exit(2, f"error: validation: {message}\n")
+        """A usage error is a ValidationError: `main` prints its one line and returns 2."""
+        raise ValidationError(message)
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
@@ -302,7 +293,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         if group not in levels:
             levels[group] = levels[""].add_parser(group, help=_GROUPS[group]).add_subparsers(
                 dest=group, required=True)
-        leaf = levels[group].add_parser(word, help=command.help, inputs=command.inputs)
+        leaf = levels[group].add_parser(word, help=command.help)
         if named:  # else the entry is only listed
             leaf.set_defaults(request=path)
             for name in ("--out", *command.options):
@@ -310,7 +301,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             for key, option in command.declared().items():
                 leaf.add_argument("--" + key.replace("_", "-"), **_argument(option))
             for names in command.inputs:
-                exclusive = leaf.add_mutually_exclusive_group()
+                exclusive = leaf.add_mutually_exclusive_group(required=True)
                 for name in names:
                     exclusive.add_argument(name, **_OPTIONS[name]())
     return parser
@@ -319,11 +310,11 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv).parse_args(argv)  # a domain's ValidationError passes through
+        args = build_parser(argv).parse_args(argv)  # a usage error is a ValidationError
         command, out = COMMANDS[args.request], Path(args.out)
         written = [emit_report(obj, Path(name).suffix[1:], out / name)
                    for name, obj in zip(command.artifacts, command.body(args))]
-    except (FitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (FitError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
     except NmrqcError as exc:

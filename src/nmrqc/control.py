@@ -168,12 +168,15 @@ def gate_matrix(g: Gate, n: int, config: Optional[SpinSystemConfig] = None) -> n
     Delay gates evolve under the machine's internal Hamiltonian and
     therefore require `config`.
     """
+    n = QUBIT_COUNT.check(n, n)
     if g.name == "Delay":
         if config is None:
             raise ValidationError("Delay gate needs a machine config for its Hamiltonian")
+        if config.n != n:
+            raise ValidationError(f"Delay gate on {n} qubits, machine has {config.n}")
         return program_unitary(PulseProgram(config, (DelayEvent(g.params[0]),)))
     u = g.matrix if g.name == "U" else _GATES[g.name][2](*g.params)
-    return embed(u, g.targets, QUBIT_COUNT.check(n, n))
+    return embed(u, g.targets, n)
 
 
 def circuit_unitary(c: Circuit, config: Optional[SpinSystemConfig] = None) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .quantum import FINITE_NUMBERS, POSITIVE, DensityMatrix, Option, _check_density
+from .quantum import FINITE_NUMBERS, FLAG, POSITIVE, DensityMatrix, Option, _check_density
 from .spinsys import SpinSystemConfig, rf_hamiltonian
 
 
@@ -205,6 +205,7 @@ def evolve_programs(rho: DensityMatrix, programs: Sequence[PulseProgram],
     (machine, event) pairs, then, if on, relaxation over its duration; a crusher its
     crush. A program that has ended is left as it is.
     """
+    relaxation = FLAG.check("relaxation", relaxation)
     if not programs:
         return np.empty((0, *rho.matrix.shape), dtype=complex)
     config = programs[0].system

@@ -32,8 +32,8 @@ import numpy as np
 from .control import DEFAULT_PULSE_AMP_HZ, Circuit, Gate, circuit_unitary, compile_circuit
 from .dynamics import PULSE_AMPLITUDE, program_unitary
 from .errors import UnresolvedPeaksError, ValidationError
-from .quantum import (POSITIVE, DensityMatrix, _pauli_state, all_pauli_strings, finite_array,
-                      pauli_string_matrix)
+from .quantum import (FLAG, POSITIVE, DensityMatrix, _pauli_state, all_pauli_strings,
+                      finite_array, pauli_string_matrix)
 from .spinsys import SpinSystemConfig, _Lines, _line_table, _read_only
 
 MAX_FID_SAMPLES = 2**16  # the FID is a few arrays of this many complex samples
@@ -209,6 +209,7 @@ def _inverse(a: np.ndarray) -> np.ndarray:
 def _reconstruct(states, config, compiled_readout=False, pulse_amp_hz=DEFAULT_PULSE_AMP_HZ):
     """`_readout_lines`, then `tomography` of each state of a (B, d, d) stack: the states
     reconstructed, the lines, the settings and the readings, (B, settings, lines)."""
+    compiled_readout = FLAG.check("compiled_readout", compiled_readout)
     lines = _readout_lines(states.shape[-1].bit_length() - 1, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     us, inverse = _readout(config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),

@@ -125,9 +125,10 @@ def write(obj, declared: Mapping) -> dict:
 
 
 # The values of each kind of Option, as JSON has them: a bool is no number, 2.0 no integer,
-# and a numpy timedelta, an np.integer to numpy, no number either
+# and a numpy timedelta, an np.integer to numpy, no number either; 0 and 1 are no bool
 _OF_KIND = {int: (int, np.integer), float: (int, float, np.integer, np.floating),
-            complex: (int, float, complex, np.number), str: (str,), list: (list,)}
+            complex: (int, float, complex, np.number), str: (str,), list: (list,),
+            bool: (np.bool_,)}
 _NO_NUMBER = (bool, np.timedelta64)
 
 
@@ -180,6 +181,8 @@ class Option:
 FINITE_NUMBERS = Option(kind=float, listed=True, ok=math.isfinite,
                         rule="need one or more values, all finite")
 INTEGERS = Option(kind=int, listed=True, rule="need one or more values, all integers")
+# A library flag, relaxation or compiled_readout: a bool, never a number or a text read as one
+FLAG = Option(kind=bool, rule="{name} must be True or False")
 # A number > 0 and finite: a pulse amplitude, a sample or segment spacing, a duration
 POSITIVE = Option(kind=float, ok=lambda v: 0 < v < math.inf, rule="{name} must be > 0 and finite")
 # A register's qubit count (a circuit's, or the n a gate or basis state is embedded in), and

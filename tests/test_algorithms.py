@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from nmrqc.cli import build_parser, main
 from nmrqc.control import circuit_unitary
 from nmrqc.errors import ValidationError
 from nmrqc.quantum import DensityMatrix, partial_trace, state_fidelity
+from nmrqc.spinsys import preset
 
 PHI_MINUS_MATRIX = 0.5 * np.array(
     [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex
@@ -266,6 +268,24 @@ class TestQho:
     def test_bad_initial(self):
         with pytest.raises(ValidationError):
             simulate_qho("n5", [0.1])
+
+    @pytest.mark.parametrize("path", ["ideal", "pulse"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["j", "minus_j"])
+    def test_either_sign_of_omega_t_and_of_j(self, path, sign):
+        # a delay of omega_t / (pi J) was negative, and rejected, when the signs differed
+        gemini = preset("gemini")
+        config = replace(gemini, j_hz=sign * gemini.j_hz)
+        omegas = [-1.0, -0.3, 0.0, 0.5, 2.0]
+        for initial in ("n0", "n0_plus_n3"):
+            reports = simulate_qho(initial, omegas, path, config)
+            for omega_t, report in zip(omegas, reports):
+                assert 1 - report.fidelity <= (1e-12 if path == "ideal" else 1e-10), omega_t
+                assert report.derived["delay_s"] == pytest.approx(
+                    abs(omega_t) / (np.pi * 697.4), rel=1e-12)
+        for report in reports:  # the n0_plus_n3 points
+            got, expected = (report.derived[key]
+                             for key in ("coherence_phase_rad", "expected_phase_rad"))
+            assert abs(phase_diff(got, expected)) < 1e-5
 
     def test_an_uncoupled_machine_raises(self):
         uncoupled = make_weak_config([0.0, 100.0], [[0.0, 0.0], [0.0, 0.0]])
@@ -503,14 +523,11 @@ class TestDeclaredOptions:
         with tempfile.TemporaryDirectory() as tmp:
             argv = ["algorithm", name, f"--{key.replace('_', '-')}={text}",
                     "--out", str(Path(tmp) / "out")]
-            with redirect_stderr(io.StringIO()), pytest.raises((ValidationError, SystemExit)):
+            with pytest.raises(ValidationError):
                 parser.parse_args(argv)  # rejected when parsed
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
-                try:
-                    rc = main(argv)
-                except SystemExit as exc:
-                    rc = exc.code
+                rc = main(argv)
             assert rc == 2, (argv, err.getvalue())
             assert len(err.getvalue().splitlines()) == 1
             assert err.getvalue().startswith("error: validation:")

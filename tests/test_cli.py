@@ -249,6 +249,14 @@ class TestAlgorithms:
         report = json.loads((out / "algorithm_qho.json").read_text())
         assert len(report["points"]) == 2
 
+    def test_qho_takes_a_negative_omega_t(self, tmp_path):
+        # the README's example; its delay of -1/(pi J) was rejected with exit 2
+        out = tmp_path / "out"
+        assert run_main(["algorithm", "qho", "--omega-t", "-1,2", "--out", str(out)]) == (0, "")
+        points = json.loads((out / "algorithm_qho.json").read_text())["points"]
+        assert [p["derived"]["omega_t"] for p in points] == [-1, 2]
+        assert all(p["fidelity"] == pytest.approx(1, abs=1e-12) for p in points)
+
     def test_cnot_table_report(self, tmp_path):
         out = tmp_path / "out"
         assert main(["algorithm", "cnot-table", "--direction", "21",
@@ -522,12 +530,11 @@ OPTION_VALUES = {"--seed": "1", "--path": "pulse", "--relaxation": "on",
 
 
 @pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
-def test_unread_option_exits_2(tmp_path, capsys, command, option):
-    with pytest.raises(SystemExit) as exc:
-        main([*SUBCOMMAND_ARGV[command], option, OPTION_VALUES[option],
-              "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+def test_unread_option_exits_2(tmp_path, command, option):
+    rc, err = run_main([*SUBCOMMAND_ARGV[command], option, OPTION_VALUES[option],
+                        "--out", str(tmp_path / "o")])
+    assert rc == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith(f"error: validation: unrecognized arguments: {option}"), err
     assert not (tmp_path / "o").exists()
 
 
@@ -776,10 +783,7 @@ class TestErrorContractFuzz:
                 for _ in range(2):
                     out, err = io.StringIO(), io.StringIO()
                     with redirect_stdout(out), redirect_stderr(err):
-                        try:
-                            rc = main(argv)
-                        except SystemExit as exc:  # argparse: usage errors and --help
-                            rc = exc.code
+                        rc = main(argv)
                     runs.append((rc, out.getvalue(), err.getvalue(), file_tree(root / "out")))
             finally:
                 os.chdir(cwd)
@@ -858,13 +862,10 @@ def domain_mutations(draw):
 
 
 def run_main(argv):
-    """(exit code, stderr) of main, counting argparse's SystemExit as an exit code."""
+    """(exit code, stderr) of main; a SystemExit, as from a usage error, fails the test."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+        rc = main(argv)
     return rc, err.getvalue()
 
 
@@ -887,7 +888,7 @@ class TestDeclaredDomains:
             return
         with tempfile.TemporaryDirectory() as tmp:
             argv = [*argv, "--out", str(Path(tmp) / "out")]
-            with redirect_stderr(io.StringIO()), pytest.raises((ValidationError, SystemExit)):
+            with pytest.raises(ValidationError):
                 ORACLE_PARSER.parse_args(argv)
             rc, err = run_main(argv)
             assert rc == 2, (argv, err)
@@ -903,7 +904,7 @@ class TestDeclaredDomains:
         # argparse (3.11) read --relaxation=-- as [], unchecked: the run went on with
         # relaxation off and exit 0, and --out=-- ended in a TypeError traceback
         argv = [*argv, "--out", str(tmp_path / "out")]
-        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+        with pytest.raises(ValidationError, match="'--' is no value"):
             ORACLE_PARSER.parse_args(argv)
         rc, err = run_main(argv)
         assert rc == 2 and err.startswith("error: validation: argument --") and len(
@@ -1431,6 +1432,26 @@ class TestExitCodes:
         rc, err = run_main(["experiment", "t1", "--channel", "1H", "--machine", machine,
                             "--out", str(tmp_path / "out")])
         assert rc == 3 and err == "error: numerical: data carries no signal\n"
+
+    def test_unresolved_lines_exit_2(self, tmp_path):
+        # an UnresolvedPeaksError, a package error but no ValidationError
+        machine = machine_file(tmp_path, lambda cfg: set_j(cfg, 0.1))
+        state = write_json(tmp_path / "rho.json", DensityMatrix.basis(2, 0).to_json_dict())
+        rc, err = run_main(["tomography", "--state", state, "--machine", machine,
+                            "--out", str(tmp_path / "out")])
+        assert rc == 2 and err == ("error: validation: lines at -0.05 and 0.05 Hz closer than "
+                                   "3 linewidths (4.77 Hz)\n"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_gate_on_an_uncoupled_pair_exits_2(self, tmp_path):
+        # an UncoupledPairError, raised while the circuit compiles
+        machine = machine_file(tmp_path, lambda cfg: set_j(cfg, 0.0))
+        circuit = write_json(tmp_path / "c.json", BELL_CIRCUIT)
+        rc, err = run_main(["simulate", "--circuit", circuit, "--path", "pulse",
+                            "--machine", machine, "--out", str(tmp_path / "out")])
+        assert rc == 2 and err == ("error: validation: two-qubit gate on qubits 1,2: J is zero, "
+                                   "gate not practical\n"), err
+        assert not (tmp_path / "out").exists()
 
     def test_an_out_that_is_a_file_exits_4(self, tmp_path):
         (tmp_path / "out").write_text("taken")

@@ -194,6 +194,19 @@ class TestLibraryDomains:
         with pytest.raises(ValidationError, match="^duration must be > 0 and finite$"):
             POSITIVE.check("duration", 0.0)
 
+    @pytest.mark.parametrize("entry, key", [
+        pytest.param(entry, key, id=f"{entry[0]}-{key}") for entry, key in PARAMETERS
+        if key in ("relaxation", "compiled_readout")])
+    def test_a_flag_is_a_bool(self, entry, key):
+        # read by truthiness, relaxation="off" ran with relaxation and compiled_readout="no"
+        # compiled the readout; the runners' entries take the ideal path, which never reads it
+        name, scalars, objects = entry
+        for value in (0, 1, 1.0, np.int64(1), "off", "no", "", None, [True]):
+            with pytest.raises(ValidationError, match=f"^{key} must be True or False$"):
+                operator.attrgetter(name)(nmrqc)(**{**scalars, key: value}, **objects)
+        for value in (False, np.True_, np.False_):
+            operator.attrgetter(name)(nmrqc)(**{**scalars, key: value}, **objects)
+
     def test_a_numpy_timedelta_is_no_number(self):
         # an np.integer to numpy: each was read as an integer, and qubit 1 was kept
         with pytest.raises(ValidationError):

@@ -34,7 +34,7 @@ from nmrqc.control import (
     gate_matrix,
 )
 from nmrqc.dynamics import Delay as DelayEvent
-from nmrqc.dynamics import RfSegment, program_unitary
+from nmrqc.dynamics import PulseProgram, RfSegment, program_unitary
 from nmrqc.errors import UncoupledPairError, ValidationError
 from nmrqc.quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, embed
 
@@ -97,6 +97,16 @@ class TestGateMatrices:
     def test_delay_needs_config(self):
         with pytest.raises(ValidationError):
             gate_matrix(DELAY(1e-3), 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 99, "x", None])
+    def test_a_delay_holds_n_to_the_machine(self, gemini, n):
+        # the machine's 4x4 was returned whatever n was
+        with pytest.raises(ValidationError):
+            gate_matrix(DELAY(1e-3), n, gemini)
+
+    def test_a_delay_on_the_machine_is_its_free_evolution(self, gemini):
+        np.testing.assert_array_equal(gate_matrix(DELAY(1e-3), 2, gemini), program_unitary(
+            PulseProgram(gemini, (DelayEvent(1e-3),))))
 
     def test_malformed_gates(self):
         with pytest.raises(ValidationError):
