@@ -25,8 +25,8 @@ _EXPORTS = {
                     "rabi_calibration", "relaxation_experiment"),
     "measurement": ("FIDSignal", "Peak", "Spectrum", "readout_peak_table", "spectrum_of",
                     "synthesize_fid", "tomography", "tomography_sweep"),
-    "quantum": ("BlochVector", "DensityMatrix", "Ket", "bloch_vector", "partial_trace",
-                "pauli_expand", "pauli_reconstruct", "state_fidelity", "tensor"),
+    "quantum": ("DensityMatrix", "Ket", "partial_trace", "pauli_expand", "pauli_reconstruct",
+                "state_fidelity", "tensor"),
     "spinsys": ("NucleusSpec", "SpinSystemConfig", "internal_hamiltonian", "load_machine_config",
                 "preset", "rf_hamiltonian", "thermal_state"),
 }

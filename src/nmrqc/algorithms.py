@@ -54,7 +54,7 @@ from .quantum import (
     tensor,
     unitary,
 )
-from .spinsys import SpinSystemConfig, preset
+from .spinsys import MAX_SPINS, SpinSystemConfig, preset
 
 
 @dataclass
@@ -374,7 +374,10 @@ def _qho_circuits(options, machine) -> list[Circuit]:
     prep = _QHO_PREPARATIONS[options["initial"]]
 
     def coupling(omega_t):  # a pi sandwich on qubit 1 reverses the J phase
-        delay = DELAY(abs(omega_t / (np.pi * j)))
+        delay_s = abs(omega_t / (np.pi * j))
+        if not np.isfinite([delay_s, 2.0 * omega_t]).all():
+            raise ValidationError(f"omega_t {omega_t:g} overflows its J delay or angle 2 omega_t")
+        delay = DELAY(delay_s)
         return [RX(1, np.pi), delay, RX(1, -np.pi)] if omega_t * j > 0 else [delay]
     return [Circuit(2, tuple([*prep, *coupling(omega_t), RX(2, np.pi / 2),
                               RY(2, 2.0 * omega_t), RX(2, -np.pi / 2)]))
@@ -464,8 +467,8 @@ ALGORITHMS = {
     "grover4": Algorithm({"target": Option(4, (1, 2, 3, 4), int)},
                          _grover4_circuits, _grover4_report),
     "bv": Algorithm(
-        {"a": Option("11", rule="a must be a bit string of length 1..3",
-                     ok=lambda a: 0 < len(a) <= 3 and set(a) <= {"0", "1"})},
+        {"a": Option("11", rule=f"a must be a bit string of length 1..{MAX_SPINS}",
+                     ok=lambda a: 0 < len(a) <= MAX_SPINS and set(a) <= {"0", "1"})},
         _bv_circuits, _bv_report, qubits=lambda options: len(options["a"])),
     "count": Algorithm(
         {"case": Option("M1_first", tuple(_CONTROLLED_R1)),

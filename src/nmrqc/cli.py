@@ -4,7 +4,7 @@
 algorithm <name>) once: its options, required inputs, body and the artifacts it writes into --out,
 and nothing else. `main` builds the parser of the one request argv names and imports only the
 layers it runs. Reports are written atomically, at the umask's file mode, with sorted keys and
-floats at 12 significant digits, so identical requests (and seeds) produce byte-identical files.
+floats at 12 significant digits: on one BLAS CPU kernel, equal requests and seeds give equal bytes.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 output I/O.
 """

@@ -249,19 +249,15 @@ class _PulseEmitter:
         if j_ct == 0.0:
             raise UncoupledPairError(f"two-qubit gate on qubits {c + 1},{t + 1}: J is zero, "
                                      "gate not practical")
-        # Leung et al., PRA 61, 042310 (2000): pi pulses flip each coupled spectator so its sign
-        # over the 2^k parts of the delay is its own non-constant Walsh function, and its
-        # couplings and offset average out. A pi pulse negates the flipped spin's frame.
-        flipped = [s for s in range(self.config.n) if s not in (c, t) and j[s].any()]
-        parts = 2 ** len(flipped).bit_length()
-        for p in range(parts):
-            self.emit(DelayEvent(1.0 / (2.0 * abs(j_ct) * parts)))
-            change = p ^ (p + 1) % parts
-            flips = [s for m, s in enumerate(flipped, 1) if bin(m & change).count("1") % 2]
-            if flips:
-                self.pulse(dict.fromkeys(flips, 0.0), np.pi)
-                for s in flips:
-                    self.frame[s] = -self.frame[s]
+        # a machine has at most one spectator; if coupled, a pi pulse after each half of the
+        # delay refocuses its couplings and offset (Vandersypen & Chuang, RMP 76, 1037 (2004))
+        # and negates its frame
+        spectators = [s for s in range(self.config.n) if s not in (c, t) and j[s].any()]
+        for _ in range(1 + len(spectators)):
+            self.emit(DelayEvent(1.0 / (2.0 * abs(j_ct) * (1 + len(spectators)))))
+            for s in spectators:
+                self.pulse({s: 0.0}, np.pi)
+                self.frame[s] = -self.frame[s]
         # e^{-i sign(J) (pi/4) ZZ} is CZ times Rz(sign(J) pi/2) on both qubits
         for q in (c, t):
             self.frame[q] -= math.copysign(np.pi / 2, j_ct)

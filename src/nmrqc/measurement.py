@@ -126,8 +126,6 @@ def _readout_lines(n: int, config: SpinSystemConfig) -> _Lines:
     """`_line_table`, after the peak-readout checks; cached by value, an error raised each call."""
     if n != config.n:
         raise ValidationError(f"state has {n} qubits, machine has {config.n}")
-    if config.n > 3:
-        raise ValidationError("peak readout is defined for n <= 3")
     table = _line_table(config)
     for channel in config.channels:
         lw = 1.0 / (np.pi * _channel_t2(config, channel))
@@ -210,12 +208,12 @@ def _reconstruct(states, config, compiled_readout=False, pulse_amp_hz=DEFAULT_PU
     """`_readout_lines`, then `tomography` of each state of a (B, d, d) stack: the states
     reconstructed, the lines, the settings and the readings, (B, settings, lines)."""
     compiled_readout = FLAG.check("compiled_readout", compiled_readout)
+    pulse_amp_hz = PULSE_AMPLITUDE.check("pulse_amp_hz", pulse_amp_hz)
     lines = _readout_lines(states.shape[-1].bit_length() - 1, config)
     settings = list(itertools.product(_SETTINGS, repeat=config.n))
     us, inverse = _readout(config.n, lines.rows, lines.cols, tuple(lines.weights.tolist()),
                            None if lines.basis is None else lines.basis.tobytes(),
-                           *((config, PULSE_AMPLITUDE.check("pulse_amp_hz", pulse_amp_hz))
-                             if compiled_readout else ()))
+                           *((config, pulse_amp_hz) if compiled_readout else ()))
     readings = lines.readings(us @ states[:, np.newaxis] @ us.conj().swapaxes(1, 2))
     # one matrix-vector product per row, as for B = 1, so a row's bits do not depend on B
     coeffs = (inverse @ readings.reshape(len(states), -1, 1))[..., 0].real.tolist()

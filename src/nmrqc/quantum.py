@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 PURITY_TOL = 1e-9
 UNITARITY_TOL = 1e-10
-MAX_QUBITS = 6  # the largest register: a machine's nuclei, a circuit's or Pauli string's qubits
+MAX_QUBITS = 6  # the largest register: a circuit's or a Pauli string's qubits
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -455,22 +455,6 @@ def _pauli_state(coefficients: Mapping[str, float], n: int) -> DensityMatrix:
         if label != ident and c != 0.0:
             m += c * pauli_string_matrix(label)
     return DensityMatrix(m / 2**n)
-
-
-class BlochVector(NamedTuple):
-    x: float
-    y: float
-    z: float
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-
-def bloch_vector(rho: DensityMatrix) -> BlochVector:
-    """(<sigma_x>, <sigma_y>, <sigma_z>) of a single-qubit state."""
-    if rho.n != 1:
-        raise ValidationError(f"bloch_vector needs a single qubit, got n={rho.n}")
-    return BlochVector(*(rho.expectation(p).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -26,11 +26,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quantum import (FINITE_NUMBERS, MAX_QUBITS, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Option,
-                      embed, finite_array, read, write)
+from .quantum import (FINITE_NUMBERS, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, Option, embed,
+                      finite_array, read, write)
 
 COUPLING_MODELS = ("weak", "isotropic")
 PRESETS = ("gemini", "triangulum")  # the files under presets/
+MAX_SPINS = 3  # a machine's nuclei at most, for the compiler's one spectator and peak readout
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ class SpinSystemConfig:
     def __post_init__(self):
         object.__setattr__(self, "name", _NAME.check("name", self.name))
         n = len(self.nuclei)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValidationError(f"nuclei count {n} outside 1..{MAX_QUBITS}")
+        if not 1 <= n <= MAX_SPINS:
+            raise ValidationError(f"nuclei count {n} outside 1..{MAX_SPINS}")
         if self.coupling_model not in COUPLING_MODELS:
             raise ValidationError(f"coupling_model must be one of {COUPLING_MODELS}")
         j = finite_array(self.j_hz, float, "j_hz entries must be finite numbers")
@@ -214,7 +215,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=MAX_QUBITS)
+@lru_cache(maxsize=MAX_SPINS)
 def _pauli_embeddings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, y, z): (n, 2^n, 2^n) stacks of each spin's sigma_x, sigma_y and
     sigma_z. Memoized per n and read-only."""
@@ -222,7 +223,7 @@ def _pauli_embeddings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                         for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
-@lru_cache(maxsize=MAX_QUBITS)
+@lru_cache(maxsize=MAX_SPINS)
 def _couplings(n: int) -> np.ndarray:
     """(pairs, 3, 2^n, 2^n): I_p^a I_p^b, p = x, y, z, of each pair a < b; memoized per n."""
     x, y, z = _pauli_embeddings(n)

@@ -139,6 +139,11 @@ class TestBernsteinVazirani:
         with pytest.raises(ValidationError):
             run_bernstein_vazirani("2")
 
+    def test_a_string_longer_than_a_machine_is_rejected(self):
+        # a machine has at most 3 spins, one a bit of a
+        with pytest.raises(ValidationError, match="^a must be a bit string of length 1..3$"):
+            run_bernstein_vazirani("1011")
+
 
 class TestCounting:
     CASES = {"M0": (0.0, 0), "M1_first": (np.pi / 2, 1), "M1_second": (np.pi / 2, 1),
@@ -292,6 +297,15 @@ class TestQho:
         with pytest.raises(ValidationError,
                            match="^oscillator simulation needs a nonzero J coupling$"):
             simulate_qho("n0", [0.5], config=uncoupled)
+
+    @pytest.mark.parametrize("omega_t, j_hz", [(1e308, 697.4), (1e10, 1e-300)],
+                             ids=["angle", "delay"])
+    def test_an_omega_t_that_overflows_is_rejected(self, omega_t, j_hz):
+        # 2 omega_t, or the delay |omega_t / (pi J)|, is not finite: the error names omega_t
+        config = replace(preset("gemini"), j_hz=np.array([[0.0, j_hz], [j_hz, 0.0]]))
+        with pytest.raises(ValidationError, match=f"^omega_t {re.escape(f'{omega_t:g}')} "):
+            simulate_qho("n0", [omega_t], config=config)
+        assert len(simulate_qho("n0", [1e307])) == 1
 
 
 class TestDqc1:

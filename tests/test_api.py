@@ -5,11 +5,11 @@ import nmrqc
 # The names `nmrqc` exports besides its modules. A change to this list changes the
 # public API: name it in CHANGES.md.
 PUBLIC_NAMES = [
-    "AlgorithmReport", "BlochVector", "Circuit", "Crusher", "Delay", "DensityMatrix",
+    "AlgorithmReport", "Circuit", "Crusher", "Delay", "DensityMatrix",
     "FIDSignal", "FitError", "FitResult", "Gate", "GrapeConfig", "GrapeResult", "Ket",
     "NmrqcError", "NucleusSpec", "Peak", "PulseProgram", "RfSegment", "ScanResult",
     "Spectrum", "SpinSystemConfig", "UncoupledPairError", "UnresolvedPeaksError",
-    "ValidationError", "bloch_vector", "circuit_unitary", "cnot_truth_table",
+    "ValidationError", "circuit_unitary", "cnot_truth_table",
     "compile_circuit", "dqc1_trace", "evolve_program", "evolve_programs", "fit_model",
     "gate_fidelity", "gate_matrix", "grape_optimize", "internal_hamiltonian",
     "load_machine_config", "partial_trace", "pauli_expand", "pauli_reconstruct",

@@ -1453,6 +1453,18 @@ class TestExitCodes:
                                    "gate not practical\n"), err
         assert not (tmp_path / "out").exists()
 
+    def test_a_four_spin_machine_exits_2(self, tmp_path):
+        # a machine has 1 to 3 nuclei; a file of four loaded, and t1 ran on it
+        def four_spins(cfg):
+            cfg["nuclei"] *= 2
+            cfg["j_hz"] = [[0.0] * 4 for _ in range(4)]
+
+        machine = machine_file(tmp_path, four_spins)
+        rc, err = run_main(["experiment", "t1", "--channel", "1H", "--machine", machine,
+                            "--out", str(tmp_path / "out")])
+        assert rc == 2 and err == f"error: validation: {machine}: nuclei count 4 outside 1..3\n"
+        assert not (tmp_path / "out").exists()
+
     def test_an_out_that_is_a_file_exits_4(self, tmp_path):
         (tmp_path / "out").write_text("taken")
         rc, err = run_main(["algorithm", "deutsch", "--out", str(tmp_path / "out")])

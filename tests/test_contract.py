@@ -39,7 +39,6 @@ ENTRIES = [
     ("AlgorithmReport", {"algorithm": "bell", "path": "ideal", "probabilities": {},
                          "derived": {}, "fidelity": None},
      {"circuit": CIRCUIT, "final_state": RHO}),
-    ("BlochVector", {"x": 0.0, "y": 0.0, "z": 1.0}, {}),
     ("Circuit", {"n": 2}, {"gates": (X(1),)}),
     ("Delay", {"duration_s": 1e-3}, {}),
     ("DensityMatrix", {"matrix": np.eye(4) / 4}, {}),
@@ -112,9 +111,9 @@ METHODS = [
     ("Ket.from_bits", {"bits": "01"}, {}),
 ]
 # Public callables whose parameters are all objects, or that have none
-OBJECTS_ONLY = {"Crusher", "PulseProgram", "bloch_vector", "circuit_unitary",
-                "internal_hamiltonian", "pauli_expand", "prepare_pseudo_pure", "program_unitary",
-                "readout_peak_table", "spectrum_of", "thermal_state"}
+OBJECTS_ONLY = {"Crusher", "PulseProgram", "circuit_unitary", "internal_hamiltonian",
+                "pauli_expand", "prepare_pseudo_pure", "program_unitary", "readout_peak_table",
+                "spectrum_of", "thermal_state"}
 
 # A bool, numeric strings, nan, +-inf, -1, 0, a subnormal, the float maximum, an int past the
 # float range, None, a ragged nested list, a complex, an empty tuple, a dict, a 0-d array, and
@@ -206,6 +205,13 @@ class TestLibraryDomains:
                 operator.attrgetter(name)(nmrqc)(**{**scalars, key: value}, **objects)
         for value in (False, np.True_, np.False_):
             operator.attrgetter(name)(nmrqc)(**{**scalars, key: value}, **objects)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, "x", None], ids=repr)
+    @pytest.mark.parametrize("name", ["tomography", "tomography_sweep"])
+    def test_an_ideal_readout_checks_its_amplitude(self, name, value):
+        # read only for a compiled readout, each of these returned a state on the ideal one
+        with pytest.raises(ValidationError, match="^pulse amplitude must be > 0 and finite$"):
+            getattr(nmrqc, name)(RHO, GEMINI, False, pulse_amp_hz=value)
 
     def test_a_numpy_timedelta_is_no_number(self):
         # an np.integer to numpy: each was read as an integer, and qubit 1 was kept
@@ -362,6 +368,16 @@ class TestLibraryDomains:
             gate_matrix(X(1), n)
         with pytest.raises(ValidationError, match="^qubit count .* outside 1..6$"):
             DensityMatrix.basis(n, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: control.circuit_unitary(Circuit(6, (X(1), CNOT(1, 6)))),
+        lambda: gate_matrix(CNOT(6, 1), 6),
+        lambda: Ket.from_bits("100001").amplitudes,
+        lambda: pauli_reconstruct({"ZIIIIZ": 1.0}).matrix,
+    ], ids=["circuit_unitary", "gate_matrix", "Ket.from_bits", "pauli_reconstruct"])
+    def test_a_register_on_no_machine_has_up_to_6_qubits(self, build):
+        # a machine has at most 3 spins; circuits and states without one keep MAX_QUBITS
+        assert build().shape[0] == 2**6
 
     @pytest.mark.parametrize("state", [5, "111", -1, "2", "1", " 11", True, 1.0, None])
     def test_a_basis_state_is_an_index_or_a_label_of_n_bits(self, state):

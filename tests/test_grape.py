@@ -195,9 +195,9 @@ class TestOptimizer:
             grape_optimize(np.eye(2), small_system(), GrapeConfig(segments=4, dt_s=1e-5), seed=seed)
 
     def test_segment_cap_scales_with_the_machine(self, gemini, triangulum):
-        # segments * dim^2 <= 2^20: 65,536 segments on 2 spins, 16,384 on 3, 256 on 6
-        six = make_weak_config([0.0] * 6, np.zeros((6, 6)))
-        for cfg, most in ((gemini, 65536), (triangulum, 16384), (six, 256)):
+        # segments * dim^2 <= 2^20: 262,144 segments on 1 spin, 65,536 on 2, 16,384 on 3
+        one = make_weak_config([0.0], np.zeros((1, 1)))
+        for cfg, most in ((one, 262144), (gemini, 65536), (triangulum, 16384)):
             gcfg = GrapeConfig(segments=most + 1, dt_s=1e-6, max_iters=0)
             with pytest.raises(ValidationError, match=f"at most {most} segments"):
                 grape_optimize(np.eye(cfg.dim), cfg, gcfg)

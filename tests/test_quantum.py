@@ -13,11 +13,9 @@ from nmrqc.quantum import (
     SIGMA_Y,
     SIGMA_Z,
     TRACE_TOL,
-    BlochVector,
     DensityMatrix,
     Ket,
     all_pauli_strings,
-    bloch_vector,
     embed,
     partial_trace,
     pauli_expand,
@@ -169,34 +167,6 @@ class TestEmbed:
     def test_size_must_match_the_targets(self):
         with pytest.raises(ValidationError, match="does not match target count"):
             embed(np.eye(4), (1,), 2)
-
-
-class TestBlochVector:
-    def test_poles_and_center(self):
-        assert bloch_vector(DensityMatrix.from_ket(KET0)) == pytest.approx((0, 0, 1), abs=1e-12)
-        assert bloch_vector(mixed(1)) == pytest.approx(
-            (0, 0, 0), abs=1e-12
-        )
-
-    def test_equator_state(self):
-        # theta = phi = pi/2 lands on +y
-        theta = phi = np.pi / 2
-        ket = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-        vec = bloch_vector(DensityMatrix.from_ket(ket))
-        assert vec == pytest.approx((0, 1, 0), abs=1e-12)
-
-    def test_pure_states_on_sphere(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            vec = bloch_vector(DensityMatrix.from_ket(random_ket(rng, 1)))
-            assert abs(vec.norm() - 1.0) < 1e-9
-
-    def test_multi_qubit_rejected(self):
-        with pytest.raises(ValidationError):
-            bloch_vector(mixed(2))
-
-    def test_norm_method(self):
-        assert BlochVector(3, 4, 0).norm() == pytest.approx(5.0)
 
 
 class TestStateFidelity:

@@ -38,10 +38,10 @@ class TestConfigLoading:
         assert triangulum.channels == ("19F",)
         assert triangulum.channel_members("19F") == (1, 2, 3)
 
-    @pytest.mark.parametrize("n", [0, 7])
-    def test_a_machine_has_1_to_6_nuclei(self, n):
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_a_machine_has_1_to_3_nuclei(self, n):
         nuclei = (NucleusSpec("1H", 0.0, 4.0, 0.2, 0.0),) * n
-        with pytest.raises(ValidationError, match=f"^nuclei count {n} outside 1..6$"):
+        with pytest.raises(ValidationError, match=f"^nuclei count {n} outside 1..3$"):
             SpinSystemConfig("m", nuclei, np.zeros((n, n)))
 
     def test_asymmetric_j_rejected(self, tmp_path):
@@ -324,10 +324,10 @@ def reference_h0(cfg):
 
 class TestOperatorCache:
     @pytest.mark.parametrize("model", COUPLING_MODELS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_variant_builds_only_its_h0(self, n, model):
         rng = np.random.default_rng(60 + n)
-        labels = ("1H", "13C", "1H", "15N")[:n]
+        labels = ("1H", "13C", "1H")[:n]
 
         def drawn():
             offsets = rng.uniform(-500.0, 500.0, n) * (rng.random(n) < 0.8)  # some exactly 0
