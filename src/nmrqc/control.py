@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -204,9 +205,10 @@ def gate_fidelity(u: np.ndarray, target: np.ndarray) -> float:
     """|Tr(u target^dag)|^2 / d^2: global-phase-invariant gate overlap."""
     error = "gate_fidelity: u and target must be arrays of finite numbers"
     u, target = finite_array(u, complex, error), finite_array(target, complex, error)
-    if u.shape != target.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+    if u.shape != target.shape or u.ndim != 2 or not 0 < u.shape[0] == u.shape[1]:
         raise ValidationError(f"dimension mismatch: {u.shape} vs {target.shape}")
     d = u.shape[0]
+    u, target = unitary(u, [d], "gate_fidelity: u"), unitary(target, [d], "gate_fidelity: target")
     return float(abs(np.trace(u @ target.conj().T)) ** 2 / d**2)
 
 
@@ -391,7 +393,7 @@ class GrapeResult:
     final_unitary: np.ndarray  # program_unitary(program), the path every pulse propagates on
     final_fidelity: float
     iterations: int
-    stop_reason: str
+    stop_reason: str  # "target_fidelity" once an iterate reaches the target, else "max_iters"
     seed: int
     restarts: int
 
@@ -429,15 +431,16 @@ def grape_optimize(
     (2011)), fed the exact fidelity gradient of
     `_kernels.grape_fidelity_and_gradient`. The optimizer works on the
     amplitudes times the pulse duration, so a unit step is about one
-    rotation over the pulse rather than 1 Hz. A start that ends below the
-    target, after `gcfg.restart_iters` iterates or when L-BFGS converges,
-    gives way to a fresh random draw from the seed's generator (multi-start;
-    Machnes et al., PRA 84, 022305 (2011)); every iterate of every start
-    counts against max_iters. The result is the best iterate, and each
-    iterate appends the best fidelity so far to the trace, which is
-    therefore nondecreasing. Stops with reason "target_fidelity" once an
-    iterate reaches the target, "max_iters" after max_iters iterates, and
-    "converged" when a start takes no step (its gradient vanishes).
+    rotation over the pulse rather than 1 Hz. A start that takes no step
+    (its gradient vanishes, or its first line search fails) spends one
+    iterate on its own point. A start that ends below the target, after
+    `gcfg.restart_iters` iterates or when L-BFGS converges, gives way to a
+    fresh random draw from the seed's generator (multi-start; Machnes et al.,
+    PRA 84, 022305 (2011)); every iterate of every start counts against
+    max_iters. The result is the best iterate, and each iterate appends the
+    best fidelity so far to the trace, which is therefore nondecreasing.
+    Stops with reason "target_fidelity" once an iterate reaches the target,
+    else "max_iters" after max_iters iterates.
     """
     from . import _lbfgs  # here, so that compiling a circuit does not import the optimizer
 
@@ -470,26 +473,19 @@ def grape_optimize(
     f, g = infidelity_and_gradient(x)
     trace, best, restarts = [1.0 - f], x, 0
     while running():
-        k = 0
-        for k, (x, f, g) in enumerate(_lbfgs.iterates(infidelity_and_gradient, x, f, g), 1):
+        # a start that takes no step spends one iterate on its own point
+        steps = _lbfgs.iterates(infidelity_and_gradient, x, f, g)
+        steps = itertools.chain([next(steps, (x, f, g))], steps)
+        for x, f, g in itertools.islice(steps, gcfg.restart_iters):
             if 1.0 - f > trace[-1]:
                 best = x
             trace.append(max(trace[-1], 1.0 - f))
-            if not running() or k == gcfg.restart_iters:
+            if not running():
                 break
-        if k == 0:
-            break  # a start with a vanishing gradient
         if running():
             restarts += 1
             x = draw()
             f, g = infidelity_and_gradient(x)
-    iterations = len(trace) - 1
-    if trace[-1] >= gcfg.target_fidelity:
-        stop_reason = "target_fidelity"
-    elif iterations >= gcfg.max_iters:
-        stop_reason = "max_iters"
-    else:
-        stop_reason = "converged"
 
     u = best.reshape(n_seg, m) / scale
     x_hz, y_hz = u[:, 0::2], u[:, 1::2]  # (segments, channels) each
@@ -504,8 +500,8 @@ def grape_optimize(
         fidelity_trace=np.asarray(trace),
         final_unitary=final_u,
         final_fidelity=gate_fidelity(final_u, target),
-        iterations=iterations,
-        stop_reason=stop_reason,
+        iterations=len(trace) - 1,
+        stop_reason="target_fidelity" if trace[-1] >= gcfg.target_fidelity else "max_iters",
         seed=seed,
         restarts=restarts,
     )

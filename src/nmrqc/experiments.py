@@ -117,7 +117,8 @@ def _refine(x: np.ndarray, y: np.ndarray, shape, theta: float) -> float:
             return float(np.exp(s))
         if slope * before < 0.0:
             limit = 0.5 * abs(step)
-        pdg = dg - (g @ dg) / (g @ g) * g
+        with np.errstate(all="ignore"):  # 0/0 on data that does not fit: the fit fails below
+            pdg = dg - (g @ dg) / (g @ g) * g
         step = max(-limit, min(limit, slope / (amp * float(pdg @ pdg) + 1e-300)))
         if abs(step) <= _STEP_TOL:
             return float(np.exp(s + step))
@@ -138,6 +139,9 @@ def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
         raise FitError("data carries no signal")
     if float(np.max(x) - np.min(x)) <= 0:
         raise FitError("x values are degenerate")
+    # fit y / 2^e, its max |y| in [0.5, 1): exact, so no theta or verdict depends on y's scale
+    e = int(np.frexp(np.max(np.abs(y)))[1])
+    y = np.ldexp(y, -e)
     if model == "abs_sine":
         theta = _refine(x, y, shape, _abs_sine_period_guess(x, y))
         # |sin| has a kink in T wherever a sample sits on a zero, |x| = m T, and a lower
@@ -152,9 +156,13 @@ def fit_model(x: Sequence[float], y: Sequence[float], model: str) -> FitResult:
         theta = _refine(x, y, shape, float(taus[np.argmin(sse), 0]))
     _, _, amp, r = _profile(x, y, shape, theta)
     rms = np.sqrt(np.mean(r**2))
+    with np.errstate(over="ignore"):  # back to the data's scale
+        amplitude, residual = np.ldexp([amp, rms], e).tolist()
     if not rms <= 0.2 * float(np.sqrt(np.mean(y**2))) + 1e-12:
-        raise FitError(f"fit residual {rms:.3g} too large for model {model!r}")
-    return FitResult(model, {"amplitude": float(amp), name: theta}, float(rms))
+        raise FitError(f"fit residual {residual:.3g} too large for model {model!r}")
+    if not np.isfinite(amplitude):
+        raise FitError("fit amplitude is past the float range")
+    return FitResult(model, {"amplitude": amplitude, name: theta}, residual)
 
 
 def prepare_pseudo_pure(config: SpinSystemConfig) -> tuple[PulseProgram, DensityMatrix]:

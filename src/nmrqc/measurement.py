@@ -107,6 +107,10 @@ def synthesize_fid(
         raise ValidationError(f"duration/dt must give 2 to {MAX_FID_SAMPLES} samples")
     t2, table = _channel_t2(config, channel), _line_table(config)
     t = np.arange(round(ratio)) * dt_s
+    top = float(max(abs(f) for ch, f in zip(table.channels, table.freqs) if ch == channel))
+    end = float(t[-1])  # the last sample's phase 2 pi f t and decay t / T2, in Python floats
+    if not np.isfinite([2 * np.pi * top * end, end / t2]).all():
+        raise ValidationError("duration_s too long: its last sample's phase or decay overflows")
     amplitudes = table.readings(rho.matrix) / 2 ** (config.n - 1)
     signal = sum(a * np.exp(2j * np.pi * f * t)
                  for ch, f, a in zip(table.channels, table.freqs, amplitudes) if ch == channel)

@@ -316,6 +316,16 @@ class TestGateFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             gate_fidelity(np.eye(2), np.eye(4))
+        with pytest.raises(ValidationError, match="^dimension mismatch"):
+            gate_fidelity(np.zeros((0, 0)), np.zeros((0, 0)))  # read nan, after a 0/0 warning
+
+    @pytest.mark.parametrize("scale", [2.0, 1e200], ids=["twice", "huge"])
+    def test_a_non_unitary_argument_is_named(self, scale):
+        # 2 I read 4.0 against I, and 1e200 I overflowed to inf
+        with pytest.raises(ValidationError, match="^gate_fidelity: u must be unitary, 2x2$"):
+            gate_fidelity(scale * np.eye(2), np.eye(2))
+        with pytest.raises(ValidationError, match="^gate_fidelity: target must be unitary, 2x2$"):
+            gate_fidelity(np.eye(2), scale * np.eye(2))
 
 
 class TestCompile:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import child_env, make_weak_config
@@ -95,6 +95,19 @@ class TestFitModel:
             with pytest.raises(ValidationError, match="finite"):
                 fit_model(x, y, "exp_decay")
 
+    def test_data_that_does_not_fit_fails_at_every_scale(self):
+        # at 1e155 the mean of y^2 overflowed, and amplitude 0 passed with residual inf
+        x = np.arange(1.0, 7.0)
+        for scale in (1.0, 1e155):
+            with pytest.raises(FitError):
+                fit_model(x, scale * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]), "exp_decay")
+
+    def test_an_amplitude_past_the_float_range_raises(self):
+        # 1e308 e^(1 - x) has amplitude 1e308 e, past the float range: it read inf
+        x = np.arange(1.0, 5.0)
+        with pytest.raises(FitError, match="^fit amplitude is past the float range$"):
+            fit_model(x, 1e308 * np.exp(1.0 - x), "exp_decay")
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(experiments, "_MAX_ITERATIONS", 1)
         x = np.linspace(0, 5, 40)
@@ -163,6 +176,28 @@ class TestSeparableFit:
         y = y + noise * amplitude * np.random.default_rng(seed).normal(size=x.size)
         fit = fit_model(x, y, model)
         assert fit.residual <= _least_squares_reference(x, y, model) * (1 + 1e-9)
+
+    @given(model=st.sampled_from(sorted(MODEL_CURVES)), theta=st.floats(2.5, 10.0),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           spread=st.sampled_from([0.0, 0.02, 1.0]),
+           ks=st.lists(st.integers(-1000, 1000), min_size=1, max_size=3))
+    def test_a_power_of_two_scales_only_the_amplitude(self, model, theta, noise, spread, ks):
+        # 16 <= max |y| <= 128 and |y| >= 2^-20: every y 2^k is normal and above the no-signal
+        # floor. At 2^1000 the mean of y^2 overflowed and passed any fit; at 2^-1000 the gate's
+        # 1e-12 did
+        name, curve = MODEL_CURVES[model]
+        x = np.arange(1.0, 9.0)
+        y = 64.0 * (curve(x, 1.0, theta) + spread * np.asarray(noise))
+        assume(np.min(np.abs(y)) >= 2.0**-20 and np.max(np.abs(y)) >= 16.0)
+
+        def outcome(k):  # theta and the amplitude brought back by 2^-k, or a FitError
+            try:
+                fit = fit_model(x, np.ldexp(y, k), model)
+            except FitError:
+                return None
+            return fit.params[name], np.ldexp(fit.params["amplitude"], -k)
+
+        assert all(outcome(k) == outcome(0) for k in ks)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_converges_at_a_kink_of_samples_on_zeros(self, seed):

@@ -243,12 +243,37 @@ class TestRestarts:
         assert (result.stop_reason, result.restarts) == ("target_fidelity", 1)
         assert result.fidelity_trace[148] < 0.15 and result.final_fidelity >= 0.9
 
-    def test_stationary_start_stops_converged(self):
-        # H0 = 0 and no drive leave U = I: F = |Tr(Z (x) I)|^2 / 16 = 0, with zero gradient
+    def test_stationary_start_restarts(self):
+        # H0 = 0 and no drive leave U = I: F = |Tr(Z (x) I)|^2 / 16 = 0, with zero gradient, so
+        # the start takes no step; it spends one iterate and gives way to a fresh draw
         cfg = make_weak_config([0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
         gcfg = GrapeConfig(segments=4, dt_s=1e-5, max_iters=50, initial="constant")
         result = grape_optimize(gate_matrix(Gate("Z", (1,)), 2), cfg, gcfg, seed=0)
-        assert (result.stop_reason, result.iterations, result.restarts) == ("converged", 0, 0)
+        assert result.fidelity_trace[1] == result.fidelity_trace[0] == 0.0
+        assert result.stop_reason == "target_fidelity" and result.restarts >= 1
+        assert result.iterations <= 50 and result.final_fidelity >= gcfg.target_fidelity
+
+    def test_start_near_zero_fidelity_restarts(self, gemini):
+        # perfbench's gemini H solve, seed 1003 job 185: the first draw reads F = 2.6e-8, where
+        # the gradient is below L-BFGS's projected-gradient stop, and takes no step
+        gcfg = GrapeConfig(segments=16, dt_s=4e-4 / 16, max_iters=400, target_fidelity=0.9)
+        result = grape_optimize(gate_matrix(Gate("H", (2,)), 2), gemini, gcfg, seed=478544002)
+        assert result.fidelity_trace[1] == result.fidelity_trace[0] < 1e-7
+        assert (result.stop_reason, result.restarts) == ("target_fidelity", 1)
+        assert result.final_fidelity >= 0.9
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_iters=st.integers(0, 6),
+           target_fidelity=st.floats(0.5, 1.0, exclude_min=True),
+           initial=st.sampled_from(["random", "constant"]), qubit=st.sampled_from([1, 2]))
+    def test_a_result_below_target_spent_max_iters(self, gemini, seed, max_iters,
+                                                   target_fidelity, initial, qubit):
+        gcfg = GrapeConfig(4, 4e-4 / 4, max_iters, target_fidelity, initial)
+        result = grape_optimize(gate_matrix(Gate("H", (qubit,)), 2), gemini, gcfg, seed=seed)
+        if result.fidelity_trace[-1] < target_fidelity:
+            assert (result.stop_reason, result.iterations) == ("max_iters", max_iters)
+        else:
+            assert result.stop_reason == "target_fidelity" and result.iterations <= max_iters
 
     def test_restart_is_reproducible(self, triangulum):
         r1 = triangulum_x90(triangulum, TRAP_SEEDS[1])

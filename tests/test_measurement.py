@@ -157,6 +157,15 @@ class TestSynthesizeFid:
         with pytest.raises(ValidationError, match=f"2 to {MAX_FID_SAMPLES} samples"):
             synthesize_fid(plus_state(), cfg, "S0", duration_s, dt_s)
 
+    def test_an_overflowing_duration_is_named(self, gemini):
+        # 2 pi f t of gemini's 1H lines, and t / T2 of a zero-frequency line at T2 = 1e-10 s,
+        # pass the float range: the samples read inf and nan, after overflow warnings
+        fast_decay = make_weak_config([0.0], [[0.0]], t2=1e-10)
+        for rho, cfg, channel in ((DensityMatrix.basis(2, 0), gemini, "1H"),
+                                  (plus_state(), fast_decay, "S0")):
+            with pytest.raises(ValidationError, match="^duration_s too long"):
+                synthesize_fid(rho, cfg, channel, 1e308, 1e307)
+
     def test_largest_fid(self):
         cfg = make_weak_config([0.0], [[0.0]])
         fid = synthesize_fid(plus_state(), cfg, "S0", MAX_FID_SAMPLES * 1e-4, 1e-4)
